@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig07_hash_skew.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig07_hash_skew(run_figure):
-    result = run_figure(figures.fig07_hash_skewness)
+    result = run_figure(get_experiment("fig07").builder)
     assert len(result) > 0

@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig08_vary_nd.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig08_vary_nd(run_figure):
-    result = run_figure(figures.fig08_vary_task_instances)
+    result = run_figure(get_experiment("fig08").builder)
     assert len(result) > 0

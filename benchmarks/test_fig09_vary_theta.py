@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig09_vary_theta.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig09_vary_theta(run_figure):
-    result = run_figure(figures.fig09_vary_theta)
+    result = run_figure(get_experiment("fig09").builder)
     assert len(result) > 0

@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig10_vary_keys.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig10_vary_keys(run_figure):
-    result = run_figure(figures.fig10_vary_key_domain)
+    result = run_figure(get_experiment("fig10").builder)
     assert len(result) > 0

@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig11_discretization.py --benchmark-only`` (se
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig11_discretization(run_figure):
-    result = run_figure(figures.fig11_discretization)
+    result = run_figure(get_experiment("fig11").builder)
     assert len(result) > 0

@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig12_vary_fluct.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig12_vary_fluct(run_figure):
-    result = run_figure(figures.fig12_vary_fluctuation)
+    result = run_figure(get_experiment("fig12").builder)
     assert len(result) > 0

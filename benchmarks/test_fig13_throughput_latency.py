@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig13_throughput_latency.py --benchmark-only``
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig13_throughput_latency(run_figure):
-    result = run_figure(figures.fig13_throughput_latency)
+    result = run_figure(get_experiment("fig13").builder)
     assert len(result) > 0

@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig14_real_throughput.py --benchmark-only`` (s
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig14_real_throughput(run_figure):
-    result = run_figure(figures.fig14_real_world_throughput)
+    result = run_figure(get_experiment("fig14").builder)
     assert len(result) > 0

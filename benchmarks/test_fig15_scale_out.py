@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig15_scale_out.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig15_scale_out(run_figure):
-    result = run_figure(figures.fig15_scale_out)
+    result = run_figure(get_experiment("fig15").builder)
     assert len(result) > 0

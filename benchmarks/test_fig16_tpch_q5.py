@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig16_tpch_q5.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig16_tpch_q5(run_figure):
-    result = run_figure(figures.fig16_tpch_q5)
+    result = run_figure(get_experiment("fig16").builder)
     assert len(result) > 0

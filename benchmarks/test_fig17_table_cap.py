@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig17_table_cap.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig17_table_cap(run_figure):
-    result = run_figure(figures.fig17_table_cap)
+    result = run_figure(get_experiment("fig17").builder)
     assert len(result) > 0

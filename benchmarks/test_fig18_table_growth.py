@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig18_table_growth.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig18_table_growth(run_figure):
-    result = run_figure(figures.fig18_table_growth)
+    result = run_figure(get_experiment("fig18").builder)
     assert len(result) > 0

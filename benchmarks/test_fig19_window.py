@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig19_window.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig19_window(run_figure):
-    result = run_figure(figures.fig19_window_size)
+    result = run_figure(get_experiment("fig19").builder)
     assert len(result) > 0

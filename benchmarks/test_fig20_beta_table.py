@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig20_beta_table.py --benchmark-only`` (set
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig20_beta_table(run_figure):
-    result = run_figure(figures.fig20_beta_table_size)
+    result = run_figure(get_experiment("fig20").builder)
     assert len(result) > 0

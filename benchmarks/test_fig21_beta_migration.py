@@ -7,9 +7,9 @@ Run with ``pytest benchmarks/test_fig21_beta_migration.py --benchmark-only`` (se
 ``REPRO_BENCH_SCALE=small`` or ``paper`` for larger workloads).
 """
 
-from repro.experiments import figures
+from repro.experiments import get_experiment
 
 
 def test_fig21_beta_migration(run_figure):
-    result = run_figure(figures.fig21_beta_migration)
+    result = run_figure(get_experiment("fig21").builder)
     assert len(result) > 0

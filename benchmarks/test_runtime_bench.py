@@ -24,7 +24,9 @@ def test_runtime_bench_wordcount(bench_scale, tmp_path):
     print()
     print(run.result.to_text())
 
-    by_strategy = {row["strategy"]: row for row in run.result.rows}
+    by_strategy = {
+        row["strategy"]: row for row in run.result.rows if row["stage"] == "chain"
+    }
     for row in by_strategy.values():
         assert row["tuples_per_second"] > 0
         assert row["latency_p99_ms"] >= row["latency_p50_ms"]
@@ -34,7 +36,7 @@ def test_runtime_bench_wordcount(bench_scale, tmp_path):
         by_strategy["mixed"]["tuples_per_second"]
         > by_strategy["storm"]["tuples_per_second"]
     )
-    assert outcomes["mixed"].moved_keys_total > 0
+    assert outcomes["mixed"].final.moved_keys_total > 0
     assert (tmp_path / "BENCH_runtime.json").is_file()
 
 

@@ -1,6 +1,5 @@
-"""Pytest bootstrap: make ``src/`` importable even when the package has not
-been installed (useful in offline environments where ``pip install -e .`` is
-unavailable), and register the shared markers."""
+"""Pytest bootstrap: make ``src/`` importable (the repo runs from source, it is
+not packaged) and register the shared markers."""
 
 import sys
 from pathlib import Path

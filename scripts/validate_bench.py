@@ -21,8 +21,8 @@ import math
 import sys
 from pathlib import Path
 
-#: Every bench row (single-stage, per-stage and chain rows alike) must carry
-#: these measured quantities.
+#: Every bench row (per-stage and chain rows alike) must carry these measured
+#: quantities.
 REQUIRED_ROW_KEYS = (
     "strategy",
     "tuples",

@@ -30,7 +30,7 @@ The package provides:
 from repro.core.assignment import AssignmentFunction
 from repro.core.controller import RebalanceController
 from repro.core.hashing import ConsistentHashRing, UniversalHash
-from repro.core.planner import RebalanceResult, get_algorithm, list_algorithms
+from repro.core.planner import RebalanceResult, get_algorithm
 from repro.core.routing_table import RoutingTable
 from repro.core.statistics import IntervalStats, StatisticsStore
 from repro.core.strategy import (
@@ -53,7 +53,6 @@ __all__ = [
     "UniversalHash",
     "get_algorithm",
     "get_strategy",
-    "list_algorithms",
     "list_strategies",
     "register_strategy",
     "strategy_names",

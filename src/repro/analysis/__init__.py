@@ -9,7 +9,7 @@ Two halves, one invariant set:
   unpaired pause/resume paths (RPL003), fork-unsafe module state (RPL004),
   and ratio patterns bypassing the load-model division guards (RPL005).
 * **Runtime sanitizer** (:mod:`repro.analysis.sanitizer`): an opt-in
-  (``REPRO_SANITIZE=1`` / ``repro bench --sanitize``) wrapper around a live
+  (``RuntimeConfig(sanitize=True)`` / ``repro bench --sanitize``) wrapper around a live
   topology's queues, router and controller that dynamically asserts the same
   protocol invariants — monotone interval watermarks, tuple conservation,
   pause/resume pairing, no put-after-close — recording violations into a

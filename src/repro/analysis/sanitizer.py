@@ -1,7 +1,7 @@
 """The runtime protocol sanitizer: dynamic invariant checks on a live topology.
 
-TSan-style opt-in instrumentation (``REPRO_SANITIZE=1`` or ``repro bench
---sanitize``): the coordinator wraps each stage's worker queues, router and
+TSan-style opt-in instrumentation (``RuntimeConfig(sanitize=True)`` or
+``repro bench --sanitize``): the coordinator wraps each stage's worker queues, router and
 controller with checks asserting the same protocol invariants the static
 rules (:mod:`repro.analysis.rules`) pin at the source level —
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -197,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
         "workload",
         help=(
             "bench workload (wordcount | windowed_aggregate | tpch_q5 | "
-            "tpch_q5_chain | tpch_q5_trace | diamond; tpch_q5_chain/_trace "
-            "run the multi-stage Q5 process topology, diamond the split-key "
-            "fan-out/fan-in DAG)"
+            "tpch_q5_chain | tpch_q5_trace | diamond; the first three are "
+            "one-stage topologies, tpch_q5_chain/_trace run the multi-stage "
+            "Q5 process topology, diamond the split-key fan-out/fan-in DAG)"
         ),
     )
     benchp.add_argument(
@@ -215,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="STAGE=COUNT",
         help=(
-            "per-stage worker count override (repeatable; topology workloads "
-            "only), e.g. --stage-parallelism order-join=4"
+            "per-stage worker count override (repeatable), "
+            "e.g. --stage-parallelism order-join=4"
         ),
     )
     benchp.add_argument(
@@ -270,22 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     benchp.add_argument(
-        "--batch-size", type=int, default=256, help="tuples per micro-batch"
-    )
-    benchp.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=8,
-        help="bounded worker-queue depth, in batches",
-    )
-    benchp.add_argument(
-        "--shed-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="shed a batch blocked longer than this (default: pure backpressure)",
-    )
-    benchp.add_argument(
         "--sanitize",
         action="store_true",
         help=(
@@ -301,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "fault injection: SIGKILL one worker mid-run (e.g. "
             "revenue-agg:0@3); requires checkpointing, so a run-scoped "
-            "checkpoint dir is created when --checkpoint-dir is not given. "
-            "The REPRO_KILL env var supplies the same spec when the flag "
-            "is absent"
+            "checkpoint dir is created when --checkpoint-dir is not given"
         ),
     )
     benchp.add_argument(
@@ -537,26 +518,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.store import ResultsStore
-    from repro.runtime.bench import (
-        BENCH_TOPOLOGY_WORKLOADS,
-        DEFAULT_STRATEGIES,
-        RuntimeSpec,
-        merged_sanitizer_report,
-        run_bench,
-    )
+    from repro.runtime.bench import RuntimeSpec, merged_sanitizer_report, run_bench
 
+    strategies = None  # the workload's own comparison set
     if args.strategies is not None:
         strategies = [name for name in args.strategies.split(",") if name]
-    else:
-        # Workloads may pin their own comparison set (the diamond adds pkg,
-        # whose key splitting is the topology's whole point).
-        workload = BENCH_TOPOLOGY_WORKLOADS.get(args.workload)
-        default = (
-            workload.default_strategies
-            if workload is not None and workload.default_strategies is not None
-            else DEFAULT_STRATEGIES
-        )
-        strategies = list(default)
     calibrate = args.service_time_us == "auto"
     try:
         spec = RuntimeSpec(
@@ -571,11 +537,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             offered_rate=args.rate,
             rate_sweep=args.rate_sweep,
             stage_parallelism=_parse_stage_parallelism(args.stage_parallelism),
-            batch_size=args.batch_size,
-            queue_capacity=args.queue_capacity,
-            shed_timeout_seconds=args.shed_timeout,
             sanitize=args.sanitize,
-            kill_worker=args.kill_worker or os.environ.get("REPRO_KILL") or None,
+            kill_worker=args.kill_worker,
             scale_at=args.scale_at,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,

@@ -47,11 +47,11 @@ from repro.core.load import (
     safe_mean,
     total_load,
 )
-from repro.core.migration import MigrationPlan, assignment_delta, migration_cost
+from repro.core.migration import MigrationPlan, migration_cost
 from repro.core.minmig import MinMigAlgorithm
 from repro.core.mintable import MinTableAlgorithm
 from repro.core.mixed import MixedAlgorithm, MixedBruteForceAlgorithm
-from repro.core.planner import RebalanceResult, get_algorithm, list_algorithms
+from repro.core.planner import RebalanceResult, get_algorithm
 from repro.core.routing_table import RoutingTable
 from repro.core.simple import SimpleAlgorithm, simple_assign
 from repro.core.statistics import IntervalStats, KeyStats, StatisticsStore
@@ -82,7 +82,6 @@ __all__ = [
     "SmallestMemoryFirst",
     "StatisticsStore",
     "UniversalHash",
-    "assignment_delta",
     "average_load",
     "safe_mean",
     "total_load",
@@ -90,7 +89,6 @@ __all__ = [
     "gamma_index",
     "get_algorithm",
     "least_load_fit_decreasing",
-    "list_algorithms",
     "load_per_task",
     "max_skewness",
     "migration_cost",

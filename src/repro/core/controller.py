@@ -107,6 +107,8 @@ class RebalanceController:
                 algorithm if algorithm is not None else get_algorithm(self.config.algorithm)
             )
         self.history: List[RebalanceResult] = []
+        #: Load-estimation error of the latest compact plan (Fig. 11).
+        self.load_estimation_error = 0.0
         self._intervals_since_rebalance = 10 ** 9  # allow an immediate first plan
 
     # -- observation ---------------------------------------------------------------
@@ -152,6 +154,7 @@ class RebalanceController:
         if self._compact_planner is not None:
             outcome = self._compact_planner.plan(self.assignment, self.stats, planner_config)
             result = outcome.result
+            self.load_estimation_error = outcome.load_estimation_error
         else:
             assert self._algorithm is not None
             result = self._algorithm.plan(self.assignment, self.stats, planner_config)

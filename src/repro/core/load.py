@@ -31,7 +31,6 @@ __all__ = [
     "max_skewness",
     "overloaded_tasks",
     "load_ceiling",
-    "is_balanced",
 ]
 
 Key = Hashable
@@ -175,17 +174,6 @@ def overloaded_tasks(loads: Mapping[int, float], theta_max: float) -> List[int]:
     return sorted(
         task for task, load in loads.items() if load * count > threshold + slack
     )
-
-
-def is_balanced(loads: Mapping[int, float], theta_max: float) -> bool:
-    """True when every task satisfies ``θ(d) ≤ θ_max``.
-
-    Note that the paper's constraint is one-sided in the algorithms
-    (``L(d) ≤ L_max``) but the balance indicator itself is two-sided; we follow
-    the algorithms and only check the upper side here, because an underloaded
-    task never forces a migration.
-    """
-    return not overloaded_tasks(loads, theta_max)
 
 
 class IntervalStatsLike:  # pragma: no cover - typing helper only

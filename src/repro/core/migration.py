@@ -20,7 +20,6 @@ from repro.core.statistics import StatisticsStore
 __all__ = [
     "KeyMove",
     "MigrationPlan",
-    "assignment_delta",
     "migration_cost",
     "migration_cost_fraction",
     "build_migration_plan",
@@ -92,15 +91,6 @@ class MigrationPlan:
             tasks.add(move.source)
             tasks.add(move.target)
         return tasks
-
-
-def assignment_delta(
-    old: Assignment,
-    new: Assignment,
-    keys: Iterable[Key],
-) -> Set[Key]:
-    """``Δ(F, F′)``: keys (among ``keys``) whose destination changes."""
-    return {key for key in keys if old(key) != new(key)}
 
 
 def migration_cost(

@@ -45,7 +45,6 @@ __all__ = [
     "RebalanceAlgorithm",
     "register_algorithm",
     "get_algorithm",
-    "list_algorithms",
 ]
 
 Key = Hashable
@@ -307,10 +306,3 @@ def get_algorithm(name: str, **kwargs) -> RebalanceAlgorithm:
             f"unknown rebalancing algorithm {name!r}; known: {sorted(_REGISTRY)}"
         ) from exc
     return cls(**kwargs)
-
-
-def list_algorithms() -> List[str]:
-    """Names of every registered rebalancing algorithm."""
-    from repro.core import minmig, mintable, mixed, simple  # noqa: F401
-
-    return sorted(_REGISTRY)

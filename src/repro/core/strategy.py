@@ -4,10 +4,9 @@ Every strategy of the evaluation (the paper's mixed-routing controller
 variants and all baselines) is described by one :class:`StrategySpec`: its
 evaluation label, the tunables it understands (``theta_max``, ``beta``,
 ``readj_sigma``, the table cap, the state window, …) and a builder producing a
-configured :class:`~repro.baselines.base.Partitioner`.  The registry replaces
-the string ``if``/``elif`` chains that used to live in
-``experiments.harness.build_partitioner``: the harness, the figure drivers and
-the ``python -m repro`` CLI all resolve strategies through
+configured :class:`~repro.baselines.base.Partitioner`.  The experiment
+harness, the figure drivers, the process-runtime bench and the
+``python -m repro`` CLI all resolve strategies through
 :func:`get_strategy`, so a third-party strategy plugged in with
 :func:`register_strategy` is immediately usable everywhere without touching
 harness code::

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-__all__ = ["ShedLedger", "admissible_fraction", "throttled_loads"]
+__all__ = ["ShedLedger", "admissible_fraction"]
 
 
 class ShedLedger:
@@ -78,12 +78,3 @@ def admissible_fraction(
             continue
         worst = min(worst, remaining / load)
     return max(0.0, min(1.0, worst))
-
-
-def throttled_loads(
-    offered: Mapping[int, float],
-    fraction: float,
-) -> Dict[int, float]:
-    """Scale every task's offered load by the admissible ``fraction``."""
-    fraction = max(0.0, min(1.0, fraction))
-    return {task: load * fraction for task, load in offered.items()}

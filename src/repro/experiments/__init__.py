@@ -24,7 +24,6 @@ Quick use::
 from repro.experiments.config import SCALES, ExperimentScale, get_scale
 from repro.experiments.harness import (
     PlannerRun,
-    build_partitioner,
     run_planner_sequence,
     run_simulation,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ResultsStore",
     "RunMetadata",
     "SCALES",
-    "build_partitioner",
     "experiment_names",
     "format_table",
     "get_experiment",

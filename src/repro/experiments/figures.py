@@ -15,10 +15,6 @@ builders lean on the shared sweep helpers in
 data points of the corresponding figure.  The ``scale`` preset (see
 :mod:`repro.experiments.config`) sizes the workloads — "tiny" and "small"
 preserve the shape of the curves at laptop runtimes, "paper" matches Tab. II.
-
-The historical driver functions (``fig07_hash_skewness`` …) survive as thin
-wrappers that build an :class:`~repro.experiments.specs.ExperimentSpec` and
-run it; new code should construct specs directly.
 """
 
 from typing import Dict, List, Optional, Sequence
@@ -28,7 +24,7 @@ from repro.core.strategy import get_strategy
 from repro.experiments.config import ExperimentScale
 from repro.experiments.harness import run_planner_sequence
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.specs import ExperimentSpec, register_experiment
+from repro.experiments.specs import register_experiment
 from repro.experiments.sweeps import (
     percentile_points,
     planner_sweep,
@@ -43,31 +39,9 @@ from repro.workloads import (
     generate_tpch,
 )
 
-__all__ = [
-    "fig07_hash_skewness",
-    "fig08_vary_task_instances",
-    "fig09_vary_theta",
-    "fig10_vary_key_domain",
-    "fig11_discretization",
-    "fig12_vary_fluctuation",
-    "fig13_throughput_latency",
-    "fig14_real_world_throughput",
-    "fig15_scale_out",
-    "fig16_tpch_q5",
-    "fig17_table_cap",
-    "fig18_table_growth",
-    "fig19_window_size",
-    "fig20_beta_table_size",
-    "fig21_beta_migration",
-    "ALL_FIGURES",
-]
+__all__: list = []  # the figures are reached through the experiment registry
 
 _PERCENTILES = (20, 40, 60, 80, 100)
-
-
-def _legacy(experiment: str, scale, seed: int, **params) -> ExperimentResult:
-    """Run a figure through the spec runner with legacy keyword arguments."""
-    return ExperimentSpec(experiment, scale=scale, seed=seed, params=params).run().result
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +110,6 @@ def _fig07(
         "shrinks as the key domain grows."
     )
     return result
-
-
-def fig07_hash_skewness(
-    scale="small",
-    *,
-    task_counts: Sequence[int] = (5, 10, 20, 40),
-    key_domains: Optional[Sequence[int]] = None,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig07`` experiment."""
-    return _legacy("fig07", scale, seed, task_counts=task_counts, key_domains=key_domains)
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +203,6 @@ def _fig08(
     )
 
 
-def fig08_vary_task_instances(
-    scale="small",
-    *,
-    task_counts: Sequence[int] = (5, 10, 20, 30, 40),
-    windows: Sequence[int] = (1, 5),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig08`` experiment."""
-    return _legacy("fig08", scale, seed, task_counts=task_counts, windows=windows)
-
-
 @register_experiment(
     "fig09",
     description="plan-generation time and migration cost vs theta_max",
@@ -283,17 +235,6 @@ def _fig09(
         theta_of=lambda value: value,
         seed=seed,
     )
-
-
-def fig09_vary_theta(
-    scale="small",
-    *,
-    thetas: Sequence[float] = (0.02, 0.05, 0.08, 0.11, 0.14, 0.2, 0.3, 0.5),
-    windows: Sequence[int] = (1, 5),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig09`` experiment."""
-    return _legacy("fig09", scale, seed, thetas=thetas, windows=windows)
 
 
 @register_experiment(
@@ -335,17 +276,6 @@ def _fig10(
         num_keys_of=lambda value: value,
         seed=seed,
     )
-
-
-def fig10_vary_key_domain(
-    scale="small",
-    *,
-    key_domains: Optional[Sequence[int]] = None,
-    windows: Sequence[int] = (1, 5),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig10`` experiment."""
-    return _legacy("fig10", scale, seed, key_domains=key_domains, windows=windows)
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +349,6 @@ def _fig11(
     return result
 
 
-def fig11_discretization(
-    scale="small",
-    *,
-    degrees: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256),
-    thetas: Sequence[float] = (0.0, 0.02, 0.08, 0.15),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig11`` experiment."""
-    return _legacy("fig11", scale, seed, degrees=degrees, thetas=thetas)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 12 — planner comparison under varying fluctuation rate f
 # ---------------------------------------------------------------------------
@@ -482,17 +401,6 @@ def _fig12(
     return result
 
 
-def fig12_vary_fluctuation(
-    scale="small",
-    *,
-    fluctuations: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-    algorithms: Sequence[str] = ("mixed", "mintable", "readj", "mixedbf"),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig12`` experiment."""
-    return _legacy("fig12", scale, seed, fluctuations=fluctuations, strategies=algorithms)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 13 — throughput and latency vs fluctuation rate (simulation)
 # ---------------------------------------------------------------------------
@@ -542,17 +450,6 @@ def _fig13(
                 skewness=collector.mean_skewness,
             )
     return result
-
-
-def fig13_throughput_latency(
-    scale="small",
-    *,
-    fluctuations: Sequence[float] = (0.1, 0.5, 0.9, 1.3, 1.7, 2.0),
-    strategies: Sequence[str] = ("storm", "readj", "mixed", "ideal"),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig13`` experiment."""
-    return _legacy("fig13", scale, seed, fluctuations=fluctuations, strategies=strategies)
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +528,6 @@ def _fig14(
                 latency_ms=collector.mean_latency_ms,
             )
     return result
-
-
-def fig14_real_world_throughput(
-    scale="small",
-    *,
-    thetas: Sequence[float] = (0.02, 0.08, 0.15, 0.3),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig14`` experiment."""
-    return _legacy("fig14", scale, seed, thetas=thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -723,17 +610,6 @@ def _fig15(
     return result
 
 
-def fig15_scale_out(
-    scale="small",
-    *,
-    thetas: Sequence[float] = (0.1, 0.2),
-    strategies: Sequence[str] = ("mixed", "readj", "pkg", "storm"),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig15`` experiment."""
-    return _legacy("fig15", scale, seed, thetas=thetas, strategies=strategies)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 16 — continuous TPC-H Q5 throughput over time
 # ---------------------------------------------------------------------------
@@ -814,17 +690,6 @@ def _fig16(
     return result
 
 
-def fig16_tpch_q5(
-    scale="small",
-    *,
-    thetas: Sequence[float] = (0.1, 0.2),
-    strategies: Sequence[str] = ("mixed", "readj", "storm", "mintable"),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig16`` experiment."""
-    return _legacy("fig16", scale, seed, thetas=thetas, strategies=strategies)
-
-
 # ---------------------------------------------------------------------------
 # Figs. 17-21 — appendix parameter studies
 # ---------------------------------------------------------------------------
@@ -875,17 +740,6 @@ def _fig17(
         )
     )
     return result
-
-
-def fig17_table_cap(
-    scale="small",
-    *,
-    cap_exponents: Sequence[int] = (1, 3, 5, 7, 9, 11, 13),
-    thetas: Sequence[float] = (0.02, 0.08, 0.15, 0.3),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig17`` experiment."""
-    return _legacy("fig17", scale, seed, cap_exponents=cap_exponents, thetas=thetas)
 
 
 @register_experiment(
@@ -939,17 +793,6 @@ def _fig18(
     return result
 
 
-def fig18_table_growth(
-    scale="small",
-    *,
-    adjustments: Optional[int] = None,
-    thetas: Sequence[float] = (0.02, 0.08, 0.15, 0.3),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig18`` experiment."""
-    return _legacy("fig18", scale, seed, adjustments=adjustments, thetas=thetas)
-
-
 @register_experiment(
     "fig19",
     description="migration cost vs state window size w",
@@ -992,16 +835,6 @@ def _fig19(
         )
     )
     return result
-
-
-def fig19_window_size(
-    scale="small",
-    *,
-    windows: Sequence[int] = (1, 3, 5, 7, 9, 11, 13, 15),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig19`` experiment."""
-    return _legacy("fig19", scale, seed, windows=windows)
 
 
 def _beta_sweep(
@@ -1063,17 +896,6 @@ def _fig20(
     return result
 
 
-def fig20_beta_table_size(
-    scale="small",
-    *,
-    betas: Sequence[float] = (1.0, 1.2, 1.4, 1.5, 1.6, 1.8, 2.0),
-    thetas: Sequence[float] = (0.02, 0.08, 0.15, 0.3),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig20`` experiment."""
-    return _legacy("fig20", scale, seed, betas=betas, thetas=thetas)
-
-
 @register_experiment(
     "fig21",
     description="MinMig migration cost vs the gamma weight beta",
@@ -1102,36 +924,3 @@ def _fig21(
             migration_cost_pct=row["migration_cost_pct"],
         )
     return result
-
-
-def fig21_beta_migration(
-    scale="small",
-    *,
-    betas: Sequence[float] = (1.0, 1.2, 1.4, 1.5, 1.6, 1.8, 2.0),
-    thetas: Sequence[float] = (0.02, 0.08, 0.15, 0.3),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Legacy-signature wrapper for the ``fig21`` experiment."""
-    return _legacy("fig21", scale, seed, betas=betas, thetas=thetas)
-
-
-#: Legacy registry kept for the benchmark harness and old scripts: figure id ->
-#: legacy-signature driver.  New code should use the experiment registry
-#: (`repro.experiments.specs.experiment_names`) instead.
-ALL_FIGURES = {
-    "fig07": fig07_hash_skewness,
-    "fig08": fig08_vary_task_instances,
-    "fig09": fig09_vary_theta,
-    "fig10": fig10_vary_key_domain,
-    "fig11": fig11_discretization,
-    "fig12": fig12_vary_fluctuation,
-    "fig13": fig13_throughput_latency,
-    "fig14": fig14_real_world_throughput,
-    "fig15": fig15_scale_out,
-    "fig16": fig16_tpch_q5,
-    "fig17": fig17_table_cap,
-    "fig18": fig18_table_growth,
-    "fig19": fig19_window_size,
-    "fig20": fig20_beta_table_size,
-    "fig21": fig21_beta_migration,
-}

@@ -10,44 +10,29 @@ Two kinds of runs are needed:
 * *System simulations* (Figs. 13–16): a topology is run through the fluid
   engine simulator and throughput/latency are measured.
 
-Strategy names are resolved through the registry in
-:mod:`repro.core.strategy`; :func:`build_partitioner` survives as a thin
-deprecation shim over ``get_strategy(name).build(...)``.
+Both build their partitioner through the strategy registry
+(``repro.core.strategy.get_strategy(name).build(...)``) and drive it through
+the same ``on_interval_end`` hook as the simulator and the process runtime.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional
 
-from repro.baselines import Partitioner
-from repro.core.assignment import AssignmentFunction
-from repro.core.compact import CompactMixedPlanner
-from repro.core.discretization import HLHEDiscretizer
 from repro.core.load import load_from_costs, max_balance_indicator
-from repro.core.planner import PlannerConfig, RebalanceResult, get_algorithm
-from repro.core.statistics import IntervalStats, StatisticsStore
-from repro.core.strategy import get_strategy, has_strategy
+from repro.core.statistics import IntervalStats
+from repro.core.strategy import get_strategy
 from repro.engine.metrics import MetricsCollector
 from repro.engine.operator import OperatorLogic
 from repro.engine.simulator import OperatorSimulator, SimulationConfig
 from repro.experiments.reporting import mean
 
-__all__ = [
-    "PlannerRun",
-    "run_planner_sequence",
-    "run_simulation",
-    "build_partitioner",
-    "STRATEGY_NAMES",
-]
+__all__ = ["PlannerRun", "run_planner_sequence", "run_simulation"]
 
 Key = Hashable
 WorkloadSnapshot = Mapping[Key, float]
-
-#: Strategy labels used by the figure drivers, matching the paper's legends.
-STRATEGY_NAMES = ("storm", "ideal", "pkg", "readj", "dkg", "mixed", "mintable", "minmig", "mixedbf")
 
 
 @dataclass
@@ -125,123 +110,24 @@ def run_planner_sequence(
     """Stream interval snapshots through a rebalancer and collect planner metrics.
 
     ``algorithm`` is any rebalancing strategy in the
-    :mod:`repro.core.strategy` registry: a core controller variant
-    (``"mixed"``, ``"mintable"``, ``"minmig"``, ``"mixedbf"``, ``"simple"`` —
-    run as the bare planning algorithm over a shared statistics store) or a
-    self-contained rebalancing baseline (``"readj"``, ``"dkg"`` — streamed
-    through its own ``on_interval_end``).  With ``use_compact`` the
-    compact-representation Mixed planner is used instead
-    (``discretization_degree=None`` keeps the original key space).
-    ``force_every_interval`` triggers a planning round even when the operator
-    is already balanced (used by the routing-table-growth experiment).
+    :mod:`repro.core.strategy` registry — a core controller variant
+    (``"mixed"``, ``"mintable"``, ``"minmig"``, ``"mixedbf"``, ``"simple"``)
+    or a self-contained rebalancing baseline (``"readj"``, ``"dkg"``) — built
+    by the registry and streamed through its own ``on_interval_end``.  With
+    ``use_compact`` the registered ``compact`` strategy (Mixed over the
+    compact representation) runs instead (``discretization_degree=None``
+    keeps the original key space).  ``force_every_interval`` triggers a
+    planning round even when the operator is already balanced (used by the
+    routing-table-growth experiment; controller-backed strategies only).
     """
     run = PlannerRun(algorithm=algorithm if not use_compact else "compact-mixed")
-
-    spec = (
-        get_strategy(algorithm)
-        if not use_compact and has_strategy(algorithm)
-        else None
-    )
-    if spec is not None and spec.core_algorithm is None:
-        if not spec.rebalancing:
-            raise KeyError(
-                f"strategy {algorithm!r} never rebalances; a planner sweep "
-                "needs a rebalancing strategy"
-            )
-        partitioner: Partitioner = spec.build(
-            num_tasks,
-            theta_max=theta_max,
-            max_table_size=max_table_size,
-            beta=beta,
-            window=window,
-            seed=seed,
-            readj_sigma=readj_sigma,
+    spec = get_strategy("compact" if use_compact else algorithm)
+    if not spec.rebalancing:
+        raise KeyError(
+            f"strategy {algorithm!r} never rebalances; a planner sweep "
+            "needs a rebalancing strategy"
         )
-        for index, snapshot in enumerate(workload):
-            stats = IntervalStats.from_frequencies(index, dict(snapshot))
-            loads = load_from_costs(
-                {k: s.cost for k, s in stats.items()}, partitioner.route, num_tasks
-            )
-            run.skewness_before.append(max_balance_indicator(loads))
-            result = partitioner.on_interval_end(stats)
-            if result is not None:
-                _record(run, result)
-        return run
-
-    assignment = AssignmentFunction.hashed(num_tasks, seed=seed)
-    stats_store = StatisticsStore(window=window)
-    planner_config = PlannerConfig(
-        theta_max=theta_max,
-        max_table_size=max_table_size,
-        beta=beta,
-        window=window,
-    )
-    compact_planner = None
-    core_algorithm = None
-    if use_compact:
-        discretizer = (
-            HLHEDiscretizer(discretization_degree)
-            if discretization_degree is not None
-            else None
-        )
-        compact_planner = CompactMixedPlanner(discretizer)
-    else:
-        core_algorithm = get_algorithm(
-            spec.core_algorithm if spec is not None else algorithm
-        )
-
-    for index, snapshot in enumerate(workload):
-        stats = IntervalStats.from_frequencies(index, dict(snapshot))
-        stats_store.push(stats)
-        loads = load_from_costs(stats_store.cost_map(), assignment, num_tasks)
-        imbalance = max_balance_indicator(loads)
-        run.skewness_before.append(imbalance)
-        if not force_every_interval and imbalance <= theta_max:
-            continue
-        if compact_planner is not None:
-            outcome = compact_planner.plan(assignment, stats_store, planner_config)
-            result = outcome.result
-            run.load_estimation_errors.append(outcome.load_estimation_error)
-        else:
-            assert core_algorithm is not None
-            result = core_algorithm.plan(assignment, stats_store, planner_config)
-        assignment = result.assignment
-        _record(run, result)
-    return run
-
-
-def _record(run: PlannerRun, result: RebalanceResult) -> None:
-    run.rebalances += 1
-    run.generation_times.append(result.generation_time)
-    run.migration_fractions.append(result.migration_fraction)
-    run.table_sizes.append(result.table_size)
-    run.max_thetas.append(result.max_theta)
-
-
-def build_partitioner(
-    name: str,
-    num_tasks: int,
-    *,
-    theta_max: float = 0.08,
-    max_table_size: Optional[int] = None,
-    beta: float = 1.5,
-    window: int = 1,
-    seed: int = 0,
-    readj_sigma: float = 2.0,
-) -> Partitioner:
-    """Deprecated: instantiate a strategy by its evaluation label.
-
-    Thin shim over the strategy registry, kept for one release so existing
-    call sites keep working; use
-    ``repro.core.strategy.get_strategy(name).build(num_tasks, ...)`` instead.
-    """
-    warnings.warn(
-        "build_partitioner is deprecated; use "
-        "repro.core.strategy.get_strategy(name).build(num_tasks, ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return get_strategy(name).build(
+    partitioner = spec.build(
         num_tasks,
         theta_max=theta_max,
         max_table_size=max_table_size,
@@ -249,7 +135,31 @@ def build_partitioner(
         window=window,
         seed=seed,
         readj_sigma=readj_sigma,
+        discretization_degree=discretization_degree,
     )
+    for index, snapshot in enumerate(workload):
+        stats = IntervalStats.from_frequencies(index, dict(snapshot))
+        loads = load_from_costs(
+            {k: s.cost for k, s in stats.items()}, partitioner.route, num_tasks
+        )
+        run.skewness_before.append(max_balance_indicator(loads))
+        if force_every_interval:
+            partitioner.controller.observe(stats)
+            result = partitioner.controller.rebalance()
+        else:
+            result = partitioner.on_interval_end(stats)
+        if result is None:
+            continue
+        run.rebalances += 1
+        run.generation_times.append(result.generation_time)
+        run.migration_fractions.append(result.migration_fraction)
+        run.table_sizes.append(result.table_size)
+        run.max_thetas.append(result.max_theta)
+        if use_compact:
+            run.load_estimation_errors.append(
+                partitioner.controller.load_estimation_error
+            )
+    return run
 
 
 def run_simulation(

@@ -15,7 +15,7 @@ as Storm's backpushing does, reproducing the paper's Fig. 16 chained
 starvation on real processes.  A separate source process offers tuples
 closed-loop (saturated drain) or open-loop at a fixed rate
 (:mod:`repro.runtime.source`), making latency below saturation measurable.
-:class:`LocalRuntime` is the one-stage special case.
+One operator behind one router is a one-stage :class:`TopologySpec`.
 
 Per-worker throughput counters and latency histograms (lifetime plus
 per-interval deltas) aggregate into
@@ -30,16 +30,16 @@ imbalance even when the host has fewer cores than workers, because paced
 
 from repro.runtime.bench import (
     BENCH_TOPOLOGY_WORKLOADS,
-    BENCH_WORKLOADS,
     RuntimeSpec,
     run_bench,
     write_bench_report,
 )
 from repro.runtime.controller import LiveMigrationReport, RuntimeController
 from repro.runtime.histogram import LatencyHistogram
-from repro.runtime.local import LocalRuntime, RuntimeConfig, RuntimeResult
 from repro.runtime.router import StreamRouter
 from repro.runtime.topology import (
+    RuntimeConfig,
+    RuntimeResult,
     StageSpec,
     TopologyResult,
     TopologyRuntime,
@@ -48,10 +48,8 @@ from repro.runtime.topology import (
 
 __all__ = [
     "BENCH_TOPOLOGY_WORKLOADS",
-    "BENCH_WORKLOADS",
     "LatencyHistogram",
     "LiveMigrationReport",
-    "LocalRuntime",
     "RuntimeConfig",
     "RuntimeController",
     "RuntimeResult",

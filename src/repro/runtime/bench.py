@@ -10,27 +10,27 @@ is an :class:`~repro.experiments.specs.ExperimentRun` whose rows carry
 :class:`~repro.experiments.store.ResultsStore` plus a standalone
 ``BENCH_runtime.json`` report for the benchmark trajectory.
 
-Two workload families:
+Every workload is an entry of :data:`BENCH_TOPOLOGY_WORKLOADS` — a stream
+builder plus a topology factory — and runs through a
+:class:`~repro.runtime.topology.TopologyRuntime` process pipeline with
+bounded inter-stage queues, per-stage rebalancing controllers and one
+open-loop source; every report carries one ``chain`` row plus one row per
+stage:
 
-* **Single-stage** (:data:`BENCH_WORKLOADS`: ``wordcount`` /
-  ``windowed_aggregate`` / ``tpch_q5``) run one operator behind one router
-  through a :class:`~repro.runtime.local.LocalRuntime` — the repo's
-  snapshot generators expanded into shuffled per-interval tuple lists.
-* **Multi-stage topologies** (:data:`BENCH_TOPOLOGY_WORKLOADS`:
-  ``tpch_q5_chain`` / ``tpch_q5_trace`` / ``diamond``) run through a
-  :class:`~repro.runtime.topology.TopologyRuntime` process pipeline with
-  bounded inter-stage queues, per-stage rebalancing controllers and one
-  open-loop source.  The Q5 workloads run the full continuous chain —
+* ``wordcount`` / ``windowed_aggregate`` / ``tpch_q5`` are **one-stage**
+  topologies (one operator behind one router) over the repo's snapshot
+  generators expanded into shuffled per-interval tuple lists.
+* ``tpch_q5_chain`` / ``tpch_q5_trace`` run the full continuous Q5 chain —
   order-join → customer-join → revenue-agg — reproducing the paper's
   Fig. 16 chained-starvation experiment on measured wall clock
   (``tpch_q5_chain`` streams synthetic Zipf-skewed arrivals;
-  ``tpch_q5_trace`` replays the generated lineitem table).  ``diamond``
-  runs the split-key fan-out/fan-in DAG of the PKG execution mode —
-  source → split-agg ×2 → merge — where the merge stage closes its
-  intervals on marks from *both* branches and recombines each key's
-  tagged partial aggregates; its default strategy set adds ``pkg`` so the
-  report shows key splitting (PKG) against key-contiguous hashing (storm)
-  and the paper's mixed routing side by side.
+  ``tpch_q5_trace`` replays the generated lineitem table).
+* ``diamond`` runs the split-key fan-out/fan-in DAG of the PKG execution
+  mode — source → split-agg ×2 → merge — where the merge stage closes its
+  intervals on marks from *both* branches and recombines each key's tagged
+  partial aggregates; its default strategy set adds ``pkg`` so the report
+  shows key splitting (PKG) against key-contiguous hashing (storm) and the
+  paper's mixed routing side by side.
 """
 
 from __future__ import annotations
@@ -73,10 +73,11 @@ from repro.operators.windowed_aggregate import (
     WindowedAggregate,
 )
 from repro.operators.wordcount import WordCountOperator
-from repro.runtime.local import LocalRuntime, RuntimeConfig, RuntimeResult
 from repro.runtime.resilience.scaling import parse_scale_spec
 from repro.runtime.resilience.supervisor import parse_kill_spec
 from repro.runtime.topology import (
+    RuntimeConfig,
+    RuntimeResult,
     StageSpec,
     TopologyResult,
     TopologyRuntime,
@@ -93,7 +94,6 @@ from repro.workloads.tpch import (
 from repro.workloads.zipf import ZipfWorkload
 
 __all__ = [
-    "BENCH_WORKLOADS",
     "BENCH_TOPOLOGY_WORKLOADS",
     "TopologyBenchWorkload",
     "RuntimeSpec",
@@ -106,9 +106,6 @@ Key = Hashable
 
 #: Default output file of the standalone benchmark report.
 DEFAULT_BENCH_REPORT = "BENCH_runtime.json"
-
-#: Strategies compared when the spec does not name any.
-DEFAULT_STRATEGIES = ("storm", "mixed")
 
 #: Scale-field defaults of the bench stream, merged under any user overrides.
 #: The planner-sweep presets default to ``f = 1.0`` (full per-interval
@@ -128,19 +125,18 @@ class RuntimeSpec:
     Attributes
     ----------
     workload:
-        One of :data:`BENCH_WORKLOADS` (``wordcount``, ``windowed_aggregate``,
-        ``tpch_q5``) or :data:`BENCH_TOPOLOGY_WORKLOADS` (``tpch_q5_chain``,
-        ``tpch_q5_trace``).
+        A :data:`BENCH_TOPOLOGY_WORKLOADS` name (``wordcount``,
+        ``windowed_aggregate``, ``tpch_q5``, ``tpch_q5_chain``,
+        ``tpch_q5_trace``, ``diamond``).
     strategies:
-        Strategy labels from the registry, each run on the same stream.  In
-        a topology workload the strategy under test routes the join stages
-        (the operators under study); the small revenue aggregation keeps
-        plain hashing.
+        Strategy labels from the registry, each run on the same stream;
+        ``None`` resolves to the workload's ``default_strategies``.  The
+        strategy under test routes the stages under study (the Q5 joins,
+        the diamond's branches); helper stages keep plain hashing.
     parallelism:
         Worker processes per stage (= operator task instances).
     stage_parallelism:
-        Per-stage overrides, ``{stage name: worker count}`` (topology
-        workloads only).
+        Per-stage overrides, ``{stage name: worker count}``.
     scale:
         Scale preset name or explicit :class:`ExperimentScale`; sets the key
         domain, tuples per interval, interval count and strategy tunables.
@@ -172,15 +168,13 @@ class RuntimeSpec:
         (:mod:`repro.analysis.sanitizer`); the merged violation report is
         embedded in the bench JSON under ``"sanitizer"``.
     kill_worker:
-        Fault-injection spec ``STAGE:TASK@INTERVAL`` (topology workloads
-        only): SIGKILL that worker the first time its stage handles the
-        interval.  Requires checkpointing; a run-scoped temporary
-        checkpoint root is created (and removed) when ``checkpoint_dir``
-        is unset.
+        Fault-injection spec ``STAGE:TASK@INTERVAL``: SIGKILL that worker
+        the first time its stage handles the interval.  Requires
+        checkpointing; a run-scoped temporary checkpoint root is created
+        (and removed) when ``checkpoint_dir`` is unset.
     scale_at:
-        Elasticity spec ``INTERVAL:STAGE:±N`` (topology workloads only):
-        grow/shrink the stage's process group at that interval boundary
-        via live key migration.
+        Elasticity spec ``INTERVAL:STAGE:±N``: grow/shrink the stage's
+        process group at that interval boundary via live key migration.
     checkpoint_dir:
         Checkpoint root; enables periodic per-task KeyedState checkpoints
         and supervised worker recovery.  Each strategy run writes under
@@ -190,7 +184,7 @@ class RuntimeSpec:
     """
 
     workload: str = "wordcount"
-    strategies: Sequence[str] = DEFAULT_STRATEGIES
+    strategies: Optional[Sequence[str]] = None
     parallelism: int = 4
     scale: Union[str, ExperimentScale] = "tiny"
     overrides: Mapping[str, Any] = field(default_factory=dict)
@@ -210,13 +204,11 @@ class RuntimeSpec:
     checkpoint_every: int = 1
 
     def __post_init__(self) -> None:
-        if (
-            self.workload not in BENCH_WORKLOADS
-            and self.workload not in BENCH_TOPOLOGY_WORKLOADS
-        ):
+        workload = BENCH_TOPOLOGY_WORKLOADS.get(self.workload)
+        if workload is None:
             raise KeyError(
                 f"unknown bench workload {self.workload!r}; known: "
-                f"{sorted(BENCH_WORKLOADS) + sorted(BENCH_TOPOLOGY_WORKLOADS)}"
+                f"{sorted(BENCH_TOPOLOGY_WORKLOADS)}"
             )
         if self.parallelism <= 0:
             raise ValueError("parallelism must be positive")
@@ -237,62 +229,52 @@ class RuntimeSpec:
                     "offered_rate and rate_sweep are mutually exclusive"
                 )
             object.__setattr__(self, "rate_sweep", rates)
-        object.__setattr__(self, "strategies", list(self.strategies))
-        # Fail fast on typos: a bad strategy or scale must not surface as a
-        # crash after earlier strategies already ran for minutes.
+        object.__setattr__(
+            self,
+            "strategies",
+            list(
+                workload.default_strategies
+                if self.strategies is None
+                else self.strategies
+            ),
+        )
+        # Fail fast on typos: a bad strategy, stage or scale must not surface
+        # as a crash after earlier strategies already ran for minutes.
         for name in self.strategies:
             if not has_strategy(name):
                 raise KeyError(
                     f"unknown strategy {name!r}; known: {strategy_names()}"
                 )
+
+        def known_stage(stage: str, where: str) -> None:
+            if stage not in workload.stages:
+                raise KeyError(
+                    f"unknown stage {stage!r} {where} {self.workload!r}; "
+                    f"stages: {list(workload.stages)}"
+                )
+
         object.__setattr__(
             self, "stage_parallelism", dict(self.stage_parallelism)
         )
-        if self.stage_parallelism:
-            topology = BENCH_TOPOLOGY_WORKLOADS.get(self.workload)
-            if topology is None:
+        for stage, count in self.stage_parallelism.items():
+            known_stage(stage, "for")
+            if not isinstance(count, int) or count <= 0:
                 raise ValueError(
-                    f"stage_parallelism only applies to topology workloads, "
-                    f"not {self.workload!r}"
+                    f"stage parallelism for {stage!r} must be a positive "
+                    f"integer, got {count!r}"
                 )
-            for stage, count in self.stage_parallelism.items():
-                if stage not in topology.stages:
-                    raise KeyError(
-                        f"unknown stage {stage!r} for {self.workload!r}; "
-                        f"stages: {list(topology.stages)}"
-                    )
-                if not isinstance(count, int) or count <= 0:
-                    raise ValueError(
-                        f"stage parallelism for {stage!r} must be a positive "
-                        f"integer, got {count!r}"
-                    )
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.kill_worker is not None or self.scale_at is not None:
-            topology = BENCH_TOPOLOGY_WORKLOADS.get(self.workload)
-            if topology is None:
-                raise ValueError(
-                    f"kill_worker / scale_at only apply to topology "
-                    f"workloads, not {self.workload!r}"
-                )
-            # Parse and normalise now so a typo fails before any strategy
-            # runs, and the stored spec round-trips in canonical form.
-            if self.kill_worker is not None:
-                directive = parse_kill_spec(self.kill_worker)
-                if directive.stage not in topology.stages:
-                    raise KeyError(
-                        f"unknown stage {directive.stage!r} in kill spec; "
-                        f"stages: {list(topology.stages)}"
-                    )
-                object.__setattr__(self, "kill_worker", directive.spec())
-            if self.scale_at is not None:
-                directive = parse_scale_spec(self.scale_at)
-                if directive.stage not in topology.stages:
-                    raise KeyError(
-                        f"unknown stage {directive.stage!r} in scale spec; "
-                        f"stages: {list(topology.stages)}"
-                    )
-                object.__setattr__(self, "scale_at", directive.spec())
+        # Parse and normalise the directives now so the stored spec
+        # round-trips in canonical form.
+        if self.kill_worker is not None:
+            kill = parse_kill_spec(self.kill_worker)
+            known_stage(kill.stage, "in kill spec for")
+            object.__setattr__(self, "kill_worker", kill.spec())
+        if self.scale_at is not None:
+            resize = parse_scale_spec(self.scale_at)
+            known_stage(resize.stage, "in scale spec for")
+            object.__setattr__(self, "scale_at", resize.spec())
         self.resolve_scale()  # raises on an unknown preset or override field
         object.__setattr__(
             self,
@@ -301,100 +283,55 @@ class RuntimeSpec:
         )
 
     def resolve_scale(self) -> ExperimentScale:
-        scale = get_scale(self.scale)
-        return scale.scaled(**dict(self.overrides)) if self.overrides else scale
+        """The effective scale: preset plus overrides.
+
+        ``num_tasks`` is pinned to the bench parallelism: the Zipf
+        generator of the one-stage workloads swaps load between that many
+        reference tasks.
+        """
+        return get_scale(self.scale).scaled(
+            **{**self.overrides, "num_tasks": self.parallelism}
+        )
 
     def scale_label(self) -> str:
         return self.scale if isinstance(self.scale, str) else self.scale.name
 
     def runtime_config(self, **overrides: Any) -> RuntimeConfig:
-        params: Dict[str, Any] = dict(
-            parallelism=self.parallelism,
-            batch_size=self.batch_size,
-            queue_capacity=self.queue_capacity,
-            service_time_us=self.service_time_us,
-            shed_timeout_seconds=self.shed_timeout_seconds,
-            calibrate_pacing=self.calibrate_pacing,
-            offered_rate=self.offered_rate,
-            sanitize=self.sanitize,
-            checkpoint_every=self.checkpoint_every,
-        )
+        """The fields this spec shares with :class:`RuntimeConfig`.
+
+        ``checkpoint_dir`` is the spec's checkpoint *root*; :func:`run_bench`
+        overrides it with one subdirectory per strategy run.
+        """
+        shared = {f.name for f in dataclasses.fields(RuntimeConfig)}
+        params: Dict[str, Any] = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name in shared
+        }
+        # The spec keeps the directives as strings; the runtime takes tuples.
         if self.kill_worker is not None:
-            directive = parse_kill_spec(self.kill_worker)
-            params["kill_worker"] = (
-                directive.stage,
-                directive.task,
-                directive.interval,
-            )
+            kill = parse_kill_spec(self.kill_worker)
+            params["kill_worker"] = (kill.stage, kill.task, kill.interval)
         if self.scale_at is not None:
-            scale = parse_scale_spec(self.scale_at)
-            params["scale_at"] = (scale.interval, scale.stage, scale.delta)
+            resize = parse_scale_spec(self.scale_at)
+            params["scale_at"] = (resize.interval, resize.stage, resize.delta)
         params.update(overrides)  # e.g. per-rate configs of a rate sweep
         return RuntimeConfig(**params)
-
-    def is_topology(self) -> bool:
-        return self.workload in BENCH_TOPOLOGY_WORKLOADS
 
     # -- (de)serialisation ---------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        scale: Any = self.scale
-        if isinstance(scale, ExperimentScale):
-            scale = dataclasses.asdict(scale)
-        payload = {
-            "workload": self.workload,
-            "strategies": list(self.strategies),
-            "parallelism": self.parallelism,
-            "scale": scale,
-            "overrides": dict(self.overrides),
-            "seed": self.seed,
-            "service_time_us": self.service_time_us,
-            "batch_size": self.batch_size,
-            "queue_capacity": self.queue_capacity,
-            "shed_timeout_seconds": self.shed_timeout_seconds,
-            "stage_parallelism": dict(self.stage_parallelism),
-            "calibrate_pacing": self.calibrate_pacing,
-            "offered_rate": self.offered_rate,
-            "rate_sweep": list(self.rate_sweep) if self.rate_sweep else None,
-            "sanitize": self.sanitize,
-            "kill_worker": self.kill_worker,
-            "scale_at": self.scale_at,
-            "checkpoint_dir": self.checkpoint_dir,
-            "checkpoint_every": self.checkpoint_every,
-        }
-        return json.loads(json.dumps(payload))
+        """JSON-ready representation (one key per field, in field order)."""
+        return json.loads(json.dumps(dataclasses.asdict(self)))
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RuntimeSpec":
-        scale = payload.get("scale", "tiny")
-        if isinstance(scale, Mapping):
-            scale = ExperimentScale(**scale)
-        return cls(
-            workload=payload.get("workload", "wordcount"),
-            strategies=list(payload.get("strategies", DEFAULT_STRATEGIES)),
-            parallelism=int(payload.get("parallelism", 4)),
-            scale=scale,
-            overrides=dict(payload.get("overrides", {})),
-            seed=int(payload.get("seed", 0)),
-            service_time_us=float(payload.get("service_time_us", 50.0)),
-            batch_size=int(payload.get("batch_size", 256)),
-            queue_capacity=int(payload.get("queue_capacity", 8)),
-            shed_timeout_seconds=payload.get("shed_timeout_seconds"),
-            stage_parallelism={
-                str(stage): int(count)
-                for stage, count in dict(
-                    payload.get("stage_parallelism", {})
-                ).items()
-            },
-            calibrate_pacing=bool(payload.get("calibrate_pacing", False)),
-            offered_rate=payload.get("offered_rate"),
-            rate_sweep=payload.get("rate_sweep"),
-            sanitize=bool(payload.get("sanitize", False)),
-            kill_worker=payload.get("kill_worker"),
-            scale_at=payload.get("scale_at"),
-            checkpoint_dir=payload.get("checkpoint_dir"),
-            checkpoint_every=int(payload.get("checkpoint_every", 1)),
-        )
+        """Inverse of :meth:`to_dict`; unknown keys are ignored."""
+        known = {f.name for f in dataclasses.fields(cls)}
+        params = {key: value for key, value in payload.items() if key in known}
+        if isinstance(params.get("scale"), Mapping):
+            params["scale"] = ExperimentScale(**params["scale"])
+        return cls(**params)
 
 
 # -- workload adapters -------------------------------------------------------------
@@ -430,80 +367,30 @@ def _expand_snapshots(
     return stream
 
 
-def _wordcount_stream(
-    scale: ExperimentScale, parallelism: int, seed: int
-) -> Tuple[OperatorLogic, List[List[Tuple[Key, Any]]]]:
+def _zipf_stream(
+    scale: ExperimentScale, seed: int, *, num_tasks: int, value: Any = None
+) -> List[List[Tuple[Key, Any]]]:
+    """Zipf-skewed arrivals with drift, every tuple carrying ``value``."""
     workload = ZipfWorkload(
         num_keys=scale.num_keys,
         skew=scale.skew,
         tuples_per_interval=scale.tuples_per_interval,
         fluctuation=scale.fluctuation,
-        num_tasks=parallelism,
+        num_tasks=num_tasks,
         intervals=scale.sim_intervals,
         seed=seed,
     )
     rng = np.random.default_rng(seed + 1)
-    stream = _expand_snapshots(workload.take(scale.sim_intervals), rng)
-    return WordCountOperator(window=scale.window, emit_updates=False), stream
+    return _expand_snapshots(workload.take(scale.sim_intervals), rng, value=value)
 
 
-def _windowed_aggregate_stream(
-    scale: ExperimentScale, parallelism: int, seed: int
-) -> Tuple[OperatorLogic, List[List[Tuple[Key, Any]]]]:
-    workload = ZipfWorkload(
-        num_keys=scale.num_keys,
-        skew=scale.skew,
-        tuples_per_interval=scale.tuples_per_interval,
-        fluctuation=scale.fluctuation,
-        num_tasks=parallelism,
-        intervals=scale.sim_intervals,
-        seed=seed,
-    )
-    rng = np.random.default_rng(seed + 1)
-    stream = _expand_snapshots(workload.take(scale.sim_intervals), rng, value=1.0)
-    return WindowedAggregate(window=scale.window), stream
-
-
-def _tpch_q5_stream(
-    scale: ExperimentScale, parallelism: int, seed: int
-) -> Tuple[OperatorLogic, List[List[Tuple[Key, Any]]]]:
-    """The Q5 stage-1 stream: lineitems keyed by (Zipf-skewed) order key.
-
-    The operator under study is the windowed per-order-key state of the first
-    join stage — the stage whose imbalance the Fig. 16 experiment measures;
-    the downstream joins are out of scope for the single-stage runtime bench.
-    """
-    dataset = _q5_dataset(scale, seed)
-    workload = TPCHStreamWorkload(
-        dataset,
-        tuples_per_interval=scale.tuples_per_interval,
-        intervals=scale.sim_intervals,
-        change_every=max(2, scale.sim_intervals // 3),
-        seed=seed,
-    )
-    rng = np.random.default_rng(seed + 1)
-    stream = _expand_snapshots(workload.take(scale.sim_intervals), rng, value=1.0)
-    return WindowedAggregate(window=scale.window), stream
-
-
-#: ``workload name -> builder(scale, parallelism, seed) -> (logic, stream)``.
-BENCH_WORKLOADS: Dict[
-    str,
-    Callable[
-        [ExperimentScale, int, int],
-        Tuple[OperatorLogic, List[List[Tuple[Key, Any]]]],
-    ],
-] = {
-    "wordcount": _wordcount_stream,
-    "windowed_aggregate": _windowed_aggregate_stream,
-    "tpch_q5": _tpch_q5_stream,
-}
-
-
-# -- multi-stage topology workloads ------------------------------------------------
+# -- bench workloads ---------------------------------------------------------------
 
 #: Builds a registry strategy for one stage: ``(strategy name, parallelism)``.
 StrategyBuilder = Callable[[str, int], Partitioner]
+
+#: Strategies compared when neither the spec nor the workload names any.
+DEFAULT_STRATEGIES: Tuple[str, ...] = ("storm", "mixed")
 
 #: The three stages of the continuous Q5 chain, in pipeline order.
 Q5_CHAIN_STAGES: Tuple[str, ...] = ("order-join", "customer-join", "revenue-agg")
@@ -515,17 +402,16 @@ Q5_AGG_STRATEGY = "storm"
 
 @dataclass(frozen=True)
 class TopologyBenchWorkload:
-    """A multi-stage bench workload: a stream plus a topology factory.
+    """A bench workload: a stream plus a topology factory.
 
     ``build_stream(scale, seed)`` materialises the per-interval tuple lists
     once (shared across all strategies of a bench run);
     ``build_topology(scale, spec, strategy, build)`` assembles the
     :class:`~repro.runtime.topology.TopologySpec` with ``strategy`` routing
     the stages under study (``build`` constructs a registry strategy for a
-    given stage parallelism).  ``default_strategies`` overrides the global
-    :data:`DEFAULT_STRATEGIES` when the user names none — the diamond
-    defaults to comparing ``pkg`` as well, since key splitting is the very
-    thing its topology exercises.
+    given stage parallelism).  ``default_strategies`` is the comparison set
+    when the user names none — the diamond adds ``pkg``, since key splitting
+    is the very thing its topology exercises.
     """
 
     stages: Tuple[str, ...]
@@ -533,7 +419,67 @@ class TopologyBenchWorkload:
     build_topology: Callable[
         [ExperimentScale, "RuntimeSpec", str, StrategyBuilder], TopologySpec
     ]
-    default_strategies: Optional[Tuple[str, ...]] = None
+    default_strategies: Tuple[str, ...] = DEFAULT_STRATEGIES
+
+
+def _one_stage_workload(
+    name: str,
+    build_stream: Callable[[ExperimentScale, int], List[List[Tuple[Key, Any]]]],
+    build_logic: Callable[[ExperimentScale], OperatorLogic],
+) -> TopologyBenchWorkload:
+    """One operator behind one router: a topology whose only stage is ``name``."""
+
+    def build_topology(
+        scale: ExperimentScale,
+        spec: "RuntimeSpec",
+        strategy: str,
+        build: StrategyBuilder,
+    ) -> TopologySpec:
+        parallelism = spec.stage_parallelism.get(name, spec.parallelism)
+        stage = StageSpec(
+            name=name,
+            logic=build_logic(scale),
+            partitioner=build(strategy, parallelism),
+        )
+        return TopologySpec(name, [stage])
+
+    return TopologyBenchWorkload(
+        stages=(name,), build_stream=build_stream, build_topology=build_topology
+    )
+
+
+def _wordcount_stream(
+    scale: ExperimentScale, seed: int
+) -> List[List[Tuple[Key, Any]]]:
+    # RuntimeSpec.resolve_scale pins scale.num_tasks to the bench parallelism.
+    return _zipf_stream(scale, seed, num_tasks=scale.num_tasks)
+
+
+def _windowed_aggregate_stream(
+    scale: ExperimentScale, seed: int
+) -> List[List[Tuple[Key, Any]]]:
+    return _zipf_stream(scale, seed, num_tasks=scale.num_tasks, value=1.0)
+
+
+def _tpch_q5_stream(
+    scale: ExperimentScale, seed: int
+) -> List[List[Tuple[Key, Any]]]:
+    """The Q5 stage-1 stream: lineitems keyed by (Zipf-skewed) order key.
+
+    The operator under study is the windowed per-order-key state of the first
+    join stage — the stage whose imbalance the Fig. 16 experiment measures;
+    ``tpch_q5_chain`` runs the downstream joins too.
+    """
+    dataset = _q5_dataset(scale, seed)
+    workload = TPCHStreamWorkload(
+        dataset,
+        tuples_per_interval=scale.tuples_per_interval,
+        intervals=scale.sim_intervals,
+        change_every=max(2, scale.sim_intervals // 3),
+        seed=seed,
+    )
+    rng = np.random.default_rng(seed + 1)
+    return _expand_snapshots(workload.take(scale.sim_intervals), rng, value=1.0)
 
 
 @functools.lru_cache(maxsize=4)
@@ -664,17 +610,7 @@ def _diamond_stream(
     scale: ExperimentScale, seed: int
 ) -> List[List[Tuple[Key, Any]]]:
     """Zipf-skewed unit-value arrivals: a hot-key stream worth splitting."""
-    workload = ZipfWorkload(
-        num_keys=scale.num_keys,
-        skew=scale.skew,
-        tuples_per_interval=scale.tuples_per_interval,
-        fluctuation=scale.fluctuation,
-        num_tasks=1,
-        intervals=scale.sim_intervals,
-        seed=seed,
-    )
-    rng = np.random.default_rng(seed + 1)
-    return _expand_snapshots(workload.take(scale.sim_intervals), rng, value=1.0)
+    return _zipf_stream(scale, seed, num_tasks=1, value=1.0)
 
 
 def _diamond_topology(
@@ -725,8 +661,23 @@ def _diamond_topology(
     return TopologySpec("diamond", stages)
 
 
-#: Multi-stage bench workloads, run through :class:`TopologyRuntime`.
+#: Every bench workload, run through :class:`TopologyRuntime`.
 BENCH_TOPOLOGY_WORKLOADS: Dict[str, TopologyBenchWorkload] = {
+    "wordcount": _one_stage_workload(
+        "wordcount",
+        _wordcount_stream,
+        lambda scale: WordCountOperator(window=scale.window, emit_updates=False),
+    ),
+    "windowed_aggregate": _one_stage_workload(
+        "windowed_aggregate",
+        _windowed_aggregate_stream,
+        lambda scale: WindowedAggregate(window=scale.window),
+    ),
+    "tpch_q5": _one_stage_workload(
+        "tpch_q5",
+        _tpch_q5_stream,
+        lambda scale: WindowedAggregate(window=scale.window),
+    ),
     "tpch_q5_chain": TopologyBenchWorkload(
         stages=Q5_CHAIN_STAGES,
         build_stream=_q5_chain_stream,
@@ -749,42 +700,19 @@ BENCH_TOPOLOGY_WORKLOADS: Dict[str, TopologyBenchWorkload] = {
 # -- the bench runner --------------------------------------------------------------
 
 
-def _build_strategy(
-    name: str,
-    spec: RuntimeSpec,
-    scale: ExperimentScale,
-    parallelism: Optional[int] = None,
-):
-    return get_strategy(name).build(
-        spec.parallelism if parallelism is None else parallelism,
-        theta_max=scale.theta_max,
-        max_table_size=scale.max_table_size,
-        beta=scale.beta,
-        window=scale.window,
-        seed=spec.seed,
-    )
-
-
-def _result_row(name: str, outcome: RuntimeResult) -> Dict[str, Any]:
-    row: Dict[str, Any] = {"strategy": name}
-    row.update(outcome.summary())
-    row["mean_skewness"] = outcome.metrics.mean_skewness
-    return row
-
-
 def _rate_sweep_rows(
-    name: str, swept: Mapping[float, Any]
+    name: str, swept: Mapping[float, TopologyResult]
 ) -> List[Dict[str, Any]]:
-    """One row per offered rate (ascending): the measured saturation knee."""
-    rows: List[Dict[str, Any]] = []
-    for rate in sorted(swept):
-        outcome = swept[rate]
-        row: Dict[str, Any] = {"strategy": name, "offered_rate": rate}
-        if isinstance(outcome, TopologyResult):
-            row["stage"] = "chain"
-        row.update(outcome.summary())
-        rows.append(row)
-    return rows
+    """One ``chain`` row per offered rate (ascending): the saturation knee."""
+    return [
+        {
+            "strategy": name,
+            "offered_rate": rate,
+            "stage": "chain",
+            **swept[rate].summary(),
+        }
+        for rate in sorted(swept)
+    ]
 
 
 def _topology_rows(name: str, outcome: TopologyResult) -> List[Dict[str, Any]]:
@@ -818,22 +746,21 @@ def run_bench(
     *,
     store: Optional[Any] = None,
     output_path: Optional[Union[str, Path]] = DEFAULT_BENCH_REPORT,
-    on_result: Optional[Callable[[str, Any], None]] = None,
+    on_result: Optional[Callable[[str, TopologyResult], None]] = None,
 ) -> Tuple[ExperimentRun, Dict[str, Any]]:
     """Run every strategy of ``spec`` on the same stream; measure wall clock.
 
     Returns the persisted-shape :class:`ExperimentRun` (metadata tagged
-    ``engine="process"``) and the raw per-strategy outcomes —
-    :class:`~repro.runtime.local.RuntimeResult` for single-stage workloads,
-    :class:`~repro.runtime.topology.TopologyResult` for topology workloads
-    (whose rows carry one ``chain`` record plus one record per stage).
-    When ``store`` is given the run is saved with the per-strategy
-    :class:`~repro.engine.metrics.MetricsCollector` and latency histogram as
-    artifacts; when ``output_path`` is given the standalone JSON report is
-    written there (``None`` disables it).
+    ``engine="process"``; one ``chain`` row plus one row per stage for every
+    strategy) and the raw per-strategy outcomes — a
+    :class:`~repro.runtime.topology.TopologyResult`, or ``{rate: result}``
+    under a rate sweep.  When ``store`` is given the run is saved with the
+    per-stage :class:`~repro.engine.metrics.MetricsCollector` and latency
+    histograms as artifacts; when ``output_path`` is given the standalone
+    JSON report is written there (``None`` disables it).
     """
     scale = spec.resolve_scale()
-    topology = BENCH_TOPOLOGY_WORKLOADS.get(spec.workload)
+    workload = BENCH_TOPOLOGY_WORKLOADS[spec.workload]
 
     # Resilience: every strategy run (and every rate of a sweep) checkpoints
     # under its own subdirectory, so no run can restore a sibling's state.
@@ -853,26 +780,22 @@ def run_bench(
             )
         return spec.runtime_config(**overrides)
 
-    if topology is not None:
-        stream = topology.build_stream(scale, spec.seed)
-        logic = None
-    else:
-        logic, stream = BENCH_WORKLOADS[spec.workload](
-            scale, spec.parallelism, spec.seed
+    stream = workload.build_stream(scale, spec.seed)
+
+    def build(strategy_name: str, parallelism: int) -> Partitioner:
+        return get_strategy(strategy_name).build(
+            parallelism,
+            theta_max=scale.theta_max,
+            max_table_size=scale.max_table_size,
+            beta=scale.beta,
+            window=scale.window,
+            seed=spec.seed,
         )
 
-    def run_strategy(name: str, config: RuntimeConfig) -> Any:
+    def run_strategy(name: str, config: RuntimeConfig) -> TopologyResult:
         """One fresh run: strategies are stateful, so rebuild every time."""
-        if topology is not None:
-            def build(strategy_name: str, parallelism: int) -> Partitioner:
-                return _build_strategy(
-                    strategy_name, spec, scale, parallelism=parallelism
-                )
-
-            topo_spec = topology.build_topology(scale, spec, name, build)
-            return TopologyRuntime(topo_spec, config, label=name).run(stream)
-        partitioner = _build_strategy(name, spec, scale)
-        return LocalRuntime(logic, partitioner, config, label=name).run(stream)
+        topology = workload.build_topology(scale, spec, name, build)
+        return TopologyRuntime(topology, config, label=name).run(stream)
 
     started = time.perf_counter()
     outcomes: Dict[str, Any] = {}
@@ -881,7 +804,7 @@ def run_bench(
             if spec.rate_sweep:
                 # Open-loop sweep toward saturation: one run per offered rate
                 # on the same stream — the measured Fig. 13 knee.
-                swept: Dict[float, Any] = {}
+                swept: Dict[float, TopologyResult] = {}
                 for rate in spec.rate_sweep:
                     swept[rate] = run_strategy(
                         name,
@@ -917,14 +840,8 @@ def run_bench(
             "tuples_per_interval": scale.tuples_per_interval,
             "num_keys": scale.num_keys,
             "skew": scale.skew,
-            **(
-                {
-                    "stages": ",".join(topology.stages),
-                    "offered_rate": spec.offered_rate or "closed-loop",
-                }
-                if topology is not None
-                else {}
-            ),
+            "stages": ",".join(workload.stages),
+            "offered_rate": spec.offered_rate or "closed-loop",
             **(
                 {"rate_sweep": list(spec.rate_sweep)} if spec.rate_sweep else {}
             ),
@@ -933,23 +850,14 @@ def run_bench(
         },
         notes=(
             "measured on live worker processes (bounded queues, paced service); "
-            "latency percentiles from merged per-worker histograms"
-            + (
-                "; chain rows report end-to-end (source-offer to final-stage) latency"
-                if topology is not None
-                else ""
-            )
+            "latency percentiles from merged per-worker histograms; chain rows "
+            "report end-to-end (source-offer to final-stage) latency"
         ),
     )
+    rows_of = _rate_sweep_rows if spec.rate_sweep else _topology_rows
     for name in spec.strategies:
-        if spec.rate_sweep:
-            for row in _rate_sweep_rows(name, outcomes[name]):
-                result.add_row(**row)
-        elif topology is not None:
-            for row in _topology_rows(name, outcomes[name]):
-                result.add_row(**row)
-        else:
-            result.add_row(**_result_row(name, outcomes[name]))
+        for row in rows_of(name, outcomes[name]):
+            result.add_row(**row)
 
     from repro import __version__
 
@@ -985,20 +893,14 @@ def run_bench(
                     {"offered_rate": rate, **outcome[rate].summary()}
                     for rate in sorted(outcome)
                 ]
-            elif isinstance(outcome, TopologyResult):
-                for stage_name, stage in outcome.stages.items():
-                    artifacts[f"{name}.{stage_name}.metrics"] = stage.metrics
-                    artifacts[f"{name}.{stage_name}.latency"] = stage.latency
-                artifacts[f"{name}.e2e_latency"] = outcome.e2e_latency
-                artifacts[f"{name}.migrations"] = [
-                    report.to_dict() for report in outcome.migrations
-                ]
-            else:
-                artifacts[f"{name}.metrics"] = outcome.metrics
-                artifacts[f"{name}.latency"] = outcome.latency
-                artifacts[f"{name}.migrations"] = [
-                    report.to_dict() for report in outcome.migrations
-                ]
+                continue
+            for stage_name, stage in outcome.stages.items():
+                artifacts[f"{name}.{stage_name}.metrics"] = stage.metrics
+                artifacts[f"{name}.{stage_name}.latency"] = stage.latency
+            artifacts[f"{name}.e2e_latency"] = outcome.e2e_latency
+            artifacts[f"{name}.migrations"] = [
+                report.to_dict() for report in outcome.migrations
+            ]
         store.save(run, artifacts=artifacts)
 
     if output_path is not None:
@@ -1028,18 +930,15 @@ def _strategy_report(outcome: Any) -> Dict[str, Any]:
                 for rate in sorted(outcome)
             ]
         }
-    if isinstance(outcome, TopologyResult):
-        report = {
-            "summary": outcome.summary(),
-            "stages": {
-                name: _stage_report(stage)
-                for name, stage in outcome.stages.items()
-            },
-        }
-        if outcome.resilience is not None:
-            report["resilience"] = outcome.resilience
-        return report
-    return _stage_report(outcome)
+    report = {
+        "summary": outcome.summary(),
+        "stages": {
+            name: _stage_report(stage) for name, stage in outcome.stages.items()
+        },
+    }
+    if outcome.resilience is not None:
+        report["resilience"] = outcome.resilience
+    return report
 
 
 def _iter_sanitizer_reports(outcome: Any) -> List[Dict[str, Any]]:
@@ -1049,8 +948,7 @@ def _iter_sanitizer_reports(outcome: Any) -> List[Dict[str, Any]]:
             for nested in outcome.values()
             for report in _iter_sanitizer_reports(nested)
         ]
-    report = getattr(outcome, "sanitizer", None)
-    return [report] if report else []
+    return [outcome.sanitizer] if outcome.sanitizer else []
 
 
 def merged_sanitizer_report(outcomes: Mapping[str, Any]) -> Optional[Dict[str, Any]]:

@@ -113,7 +113,7 @@ class RuntimeController:
     ) -> None:
         """``mailbox`` is the coordinator's outbound-queue demultiplexer; it
         must offer ``collect(message_type, expected)`` (blocking) and
-        ``drain(message_type)`` (non-blocking) — see ``LocalRuntime``."""
+        ``drain(message_type)`` (non-blocking) — see ``topology._Mailbox``."""
         self.partitioner = partitioner
         self.router = router
         #: Abort-aware command queues (one per worker); see StreamRouter.

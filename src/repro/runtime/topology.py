@@ -27,14 +27,13 @@ The source is a separate process (:mod:`repro.runtime.source`) offering
 tuples either closed-loop (drain, the saturated-throughput setup) or
 open-loop at a fixed rate (latency below saturation becomes measurable).
 
-Single-stage execution (:class:`~repro.runtime.local.LocalRuntime`) is the
-one-stage special case of this machinery.
+A single operator behind one router is simply a :class:`TopologySpec` with
+one stage; there is no separate single-stage runtime.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import threading
 import time
@@ -89,7 +88,6 @@ from repro.runtime.resilience.supervisor import (
     LoggedQueue,
     RetentionLog,
     StageSupervisor,
-    parse_kill_spec,
 )
 from repro.runtime.router import StreamRouter
 from repro.runtime.source import SOURCE_ORIGIN, source_main
@@ -120,9 +118,9 @@ class RuntimeConfig:
     Attributes
     ----------
     parallelism:
-        Number of worker processes of a *single-stage* run
-        (:class:`~repro.runtime.local.LocalRuntime`); topologies take each
-        stage's parallelism from its partitioner instead.
+        Unused: every stage takes its parallelism from its partitioner.
+        Still accepted (and validated positive) because ``perf/`` passes it;
+        to be removed with the next benchmark revision.
     batch_size:
         Tuples per dispatched micro-batch.
     queue_capacity:
@@ -156,8 +154,7 @@ class RuntimeConfig:
         (:mod:`repro.analysis.sanitizer`): invariant checks on every
         coordinator→worker send, interval close, and pause/resume, plus
         end-of-run tuple conservation; violations are recorded into the
-        result's ``sanitizer`` report instead of raised.  Also enabled by
-        the ``REPRO_SANITIZE`` environment variable.
+        result's ``sanitizer`` report instead of raised.
     start_method:
         ``multiprocessing`` start method; default picks ``fork`` when the
         platform offers it, else ``spawn``.
@@ -173,7 +170,7 @@ class RuntimeConfig:
     kill_worker:
         Fault injection: ``(stage, task, interval)`` — the named stage's
         coordinator SIGKILLs that worker when it first sees traffic of the
-        interval (also via the ``REPRO_KILL=STAGE:TASK@INTERVAL`` env var).
+        interval.
     scale_at:
         Elasticity: ``(interval, stage, delta)`` — grow/shrink the stage's
         process group by ``delta`` workers when the interval closes,
@@ -417,7 +414,7 @@ class RuntimeResult:
     resilience: Optional[Dict[str, Any]] = None
     #: Number of upstream edges feeding this stage (source included); ≥ 2
     #: marks a fan-in consumer whose intervals close on the multi-origin
-    #: mark barrier.  0 for single-stage runs that bypass the topology.
+    #: mark barrier.
     upstreams: int = 0
     #: Cumulative split-key routing statistics (``None`` unless the stage's
     #: partitioner splits keys — see :meth:`StreamRouter.snapshot_split_stats`).
@@ -1503,19 +1500,14 @@ class TopologyRuntime:
     ) -> Tuple[Optional[KillDirective], Optional[ScaleDirective]]:
         """Resolve the run's fault-injection and elasticity directives.
 
-        ``config.kill_worker`` wins over the ``REPRO_KILL`` environment
-        variable; both kinds are validated against the topology's stage
-        names before any process is spawned.
+        Both kinds are validated against the topology's stage names before
+        any process is spawned.
         """
         config = self.config
         kill: Optional[KillDirective] = None
         if config.kill_worker is not None:
             stage, task, interval = config.kill_worker
             kill = KillDirective(stage=stage, task=int(task), interval=int(interval))
-        else:
-            env_spec = os.environ.get("REPRO_KILL", "").strip()
-            if env_spec:
-                kill = parse_kill_spec(env_spec)
         scale: Optional[ScaleDirective] = None
         if config.scale_at is not None:
             interval, stage, delta = config.scale_at
@@ -1554,10 +1546,7 @@ class TopologyRuntime:
             )
         context = multiprocessing.get_context(method)
         abort = _AbortFlag()
-        sanitize = config.sanitize or os.environ.get(
-            "REPRO_SANITIZE", ""
-        ).lower() in {"1", "true", "yes", "on"}
-        sanitizer_report = SanitizerReport() if sanitize else None
+        sanitizer_report = SanitizerReport() if config.sanitize else None
 
         stages = self.spec.stages
         kill, scale = self._directives()

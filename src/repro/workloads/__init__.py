@@ -20,14 +20,13 @@ the characteristics the paper relies on:
   continuous Q5 topology needs.
 """
 
-from repro.workloads.fluctuation import FluctuationController, apply_fluctuation
+from repro.workloads.fluctuation import apply_fluctuation
 from repro.workloads.social import SocialFeedWorkload
 from repro.workloads.stock import StockExchangeWorkload
 from repro.workloads.tpch import TPCHDataset, TPCHStreamWorkload, generate_tpch
 from repro.workloads.zipf import ZipfWorkload, zipf_frequencies
 
 __all__ = [
-    "FluctuationController",
     "SocialFeedWorkload",
     "StockExchangeWorkload",
     "TPCHDataset",

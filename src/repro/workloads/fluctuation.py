@@ -14,7 +14,7 @@ from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
 
-__all__ = ["apply_fluctuation", "FluctuationController", "per_task_loads", "workload_change"]
+__all__ = ["apply_fluctuation", "per_task_loads"]
 
 Key = Hashable
 
@@ -29,26 +29,6 @@ def per_task_loads(
     for key, freq in frequencies.items():
         loads[task_of(key)] += freq
     return loads
-
-
-def workload_change(
-    before: Dict[int, float],
-    after: Dict[int, float],
-) -> float:
-    """``max_d |L_i(d) − L_{i−1}(d)| / L̄`` — the paper's fluctuation measure.
-
-    Evaluated as ``max |Δ| / total · N`` so a subnormal total load does not
-    underflow the mean and zero out the measure (same family as the skewness
-    fix in :mod:`repro.core.load`).
-    """
-    if not before:
-        return 0.0
-    total = sum(before.values())
-    if total <= 0:
-        return 0.0
-    tasks = set(before) | set(after)
-    change = max(abs(after.get(d, 0.0) - before.get(d, 0.0)) for d in tasks)
-    return change / total * len(before)
 
 
 def apply_fluctuation(
@@ -136,36 +116,3 @@ def apply_fluctuation(
         current[other] -= hot - cold
         swaps += 1
     return result
-
-
-class FluctuationController:
-    """Stateful helper producing a fluctuating sequence from a base snapshot.
-
-    Keeps the previous snapshot so that successive calls measure the change
-    against the *delivered* workload rather than the original one, matching how
-    the generator tool is used in the experiments.
-    """
-
-    def __init__(
-        self,
-        fluctuation: float,
-        task_of: Callable[[Key], int],
-        num_tasks: int,
-        seed: int = 0,
-    ) -> None:
-        if fluctuation < 0:
-            raise ValueError("fluctuation must be non-negative")
-        self.fluctuation = float(fluctuation)
-        self.task_of = task_of
-        self.num_tasks = int(num_tasks)
-        self.rng = np.random.default_rng(seed)
-
-    def next(self, frequencies: Dict[Key, float]) -> Dict[Key, float]:
-        """Perturb ``frequencies`` by at least the configured fluctuation rate."""
-        return apply_fluctuation(
-            frequencies,
-            fluctuation=self.fluctuation,
-            task_of=self.task_of,
-            num_tasks=self.num_tasks,
-            rng=self.rng,
-        )

@@ -22,7 +22,6 @@ from repro.core.load import (
     safe_mean,
     total_load,
 )
-from repro.workloads.fluctuation import workload_change
 
 SUBNORMAL = 5e-324  # math.ulp(0.0): the smallest positive double
 
@@ -52,11 +51,6 @@ class TestSubnormalLoads:
         # crushed to a zero mean.
         assert load_ceiling({0: 12.0, 1: 8.0}, 0.1) == pytest.approx(11.0)
         assert load_ceiling({}, 0.1) == 0.0
-
-    def test_workload_change_subnormal(self):
-        before = {0: SUBNORMAL, 1: 0.0}
-        after = {0: 0.0, 1: SUBNORMAL}
-        assert workload_change(before, after) == pytest.approx(2.0)
 
     def test_helpers(self):
         assert total_load({0: 1.0, 1: 2.0}) == 3.0

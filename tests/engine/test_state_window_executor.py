@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.backpressure import admissible_fraction, throttled_loads
+from repro.engine.backpressure import admissible_fraction
 from repro.engine.executor import ExecutorConfig, TaskExecutor
 from repro.engine.state import KeyedState
 from repro.engine.tuples import StreamTuple
@@ -217,7 +217,3 @@ class TestBackpressure:
     def test_backlog_reduces_admission(self):
         fraction = admissible_fraction({0: 100}, {0: 100}, {0: 50})
         assert fraction == pytest.approx(0.5)
-
-    def test_throttled_loads(self):
-        assert throttled_loads({0: 10, 1: 20}, 0.5) == {0: 5, 1: 10}
-        assert throttled_loads({0: 10}, 2.0) == {0: 10}

@@ -8,7 +8,7 @@ move — must hold even at the reduced scale.
 
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import ExperimentSpec, run
 from repro.experiments.config import ExperimentScale
 
 #: An extra-small preset so the full figure suite stays fast under pytest.
@@ -23,6 +23,11 @@ TEST_SCALE = ExperimentScale(
 )
 
 
+def _figure(name, **params):
+    """Run one registered figure at the test scale."""
+    return run(ExperimentSpec(name, scale=TEST_SCALE, params=params)).result
+
+
 def _mean(values):
     values = [value for value in values if value is not None]
     return sum(values) / len(values) if values else 0.0
@@ -30,9 +35,7 @@ def _mean(values):
 
 class TestFig07:
     def test_skewness_grows_with_tasks_and_shrinks_with_keys(self):
-        result = figures.fig07_hash_skewness(
-            TEST_SCALE, task_counts=(5, 20), key_domains=(500, 20_000)
-        )
+        result = _figure("fig07", task_counts=(5, 20), key_domains=(500, 20_000))
         assert len(result) == 4 * 5  # 4 series x 5 percentiles
         few_tasks = _mean(
             [row["skewness"] for row in result.filter(panel="a", series="ND=5")]
@@ -50,7 +53,7 @@ class TestFig07:
         assert small_domain > large_domain
 
     def test_cdf_is_monotone(self):
-        result = figures.fig07_hash_skewness(TEST_SCALE, task_counts=(10,), key_domains=(1_500,))
+        result = _figure("fig07", task_counts=(10,), key_domains=(1_500,))
         for series in {row["series"] for row in result.rows}:
             rows = [row for row in result.rows if row["series"] == series]
             values = [row["skewness"] for row in sorted(rows, key=lambda r: r["percentile"])]
@@ -59,9 +62,7 @@ class TestFig07:
 
 class TestPlannerSweeps:
     def test_fig08_mixed_cheaper_migration_than_mintable(self):
-        result = figures.fig08_vary_task_instances(
-            TEST_SCALE, task_counts=(5, 10), windows=(1,)
-        )
+        result = _figure("fig08", task_counts=(5, 10), windows=(1,))
         mixed = _mean([row["migration_cost_pct"] for row in result.filter(algorithm="mixed")])
         mintable = _mean(
             [row["migration_cost_pct"] for row in result.filter(algorithm="mintable")]
@@ -69,7 +70,7 @@ class TestPlannerSweeps:
         assert mixed <= mintable + 1e-9
 
     def test_fig09_migration_cost_decreases_with_theta(self):
-        result = figures.fig09_vary_theta(TEST_SCALE, thetas=(0.02, 0.3), windows=(1,))
+        result = _figure("fig09", thetas=(0.02, 0.3), windows=(1,))
         tight = _mean(
             [row["migration_cost_pct"] for row in result.filter(theta_max=0.02, algorithm="mixed")]
         )
@@ -79,16 +80,12 @@ class TestPlannerSweeps:
         assert loose <= tight + 1e-9
 
     def test_fig10_has_both_algorithms_per_domain(self):
-        result = figures.fig10_vary_key_domain(
-            TEST_SCALE, key_domains=(500, 1_500), windows=(1,)
-        )
+        result = _figure("fig10", key_domains=(500, 1_500), windows=(1,))
         assert {row["algorithm"] for row in result.rows} == {"mixed", "mintable"}
         assert {row["num_keys"] for row in result.rows} == {500, 1_500}
 
     def test_fig12_readj_slower_than_mixed(self):
-        result = figures.fig12_vary_fluctuation(
-            TEST_SCALE, fluctuations=(0.5,), algorithms=("mixed", "readj")
-        )
+        result = _figure("fig12", fluctuations=(0.5,), strategies=("mixed", "readj"))
         mixed_time = _mean(
             [row["avg_generation_time_ms"] for row in result.filter(algorithm="mixed")]
         )
@@ -98,22 +95,20 @@ class TestPlannerSweeps:
         assert readj_time > mixed_time
 
     def test_fig17_loose_cap_cheaper_than_tight_cap(self):
-        result = figures.fig17_table_cap(
-            TEST_SCALE, cap_exponents=(1, 11), thetas=(0.08,)
-        )
+        result = _figure("fig17", cap_exponents=(1, 11), thetas=(0.08,))
         tight = _mean([row["migration_cost_pct"] for row in result.filter(cap_exponent=1)])
         loose = _mean([row["migration_cost_pct"] for row in result.filter(cap_exponent=11)])
         assert loose <= tight + 1e-9
 
     def test_fig18_table_grows_with_adjustments(self):
-        result = figures.fig18_table_growth(TEST_SCALE, adjustments=5, thetas=(0.02,))
+        result = _figure("fig18", adjustments=5, thetas=(0.02,))
         sizes = [row["routing_table_size"] for row in result.rows]
         assert sizes == sorted(sizes)
         bound = result.parameters["convergence_bound"]
         assert all(size <= bound for size in sizes)
 
     def test_fig19_mixed_below_mintable(self):
-        result = figures.fig19_window_size(TEST_SCALE, windows=(1, 3))
+        result = _figure("fig19", windows=(1, 3))
         for window in (1, 3):
             mixed = _mean(
                 [
@@ -130,13 +125,11 @@ class TestPlannerSweeps:
             assert mixed <= mintable + 1e-9
 
     def test_fig20_21_beta_direction(self):
-        table = figures.fig20_beta_table_size(TEST_SCALE, betas=(1.0, 2.0), thetas=(0.08,))
+        table = _figure("fig20", betas=(1.0, 2.0), thetas=(0.08,))
         small_beta = _mean([row["routing_table_size"] for row in table.filter(beta=1.0)])
         large_beta = _mean([row["routing_table_size"] for row in table.filter(beta=2.0)])
         assert large_beta <= small_beta + 1e-9
-        migration = figures.fig21_beta_migration(
-            TEST_SCALE, betas=(1.0, 2.0), thetas=(0.08,)
-        )
+        migration = _figure("fig21", betas=(1.0, 2.0), thetas=(0.08,))
         assert len(migration) == 2
 
 
@@ -149,9 +142,7 @@ class TestFig11:
         key domains far larger than this test scale (see EXPERIMENTS.md note 3),
         so the timing is only checked for presence, not for ordering.
         """
-        result = figures.fig11_discretization(
-            TEST_SCALE, degrees=(8, 64), thetas=(0.08,)
-        )
+        result = _figure("fig11", degrees=(8, 64), thetas=(0.08,))
         panel_a = result.filter(panel="a")
         degrees = [row["degree"] for row in panel_a]
         assert "original-key-space" in degrees and 8 in degrees and 64 in degrees
@@ -161,7 +152,7 @@ class TestFig11:
         assert coarse["load_estimation_error_pct"] >= fine["load_estimation_error_pct"]
 
     def test_estimation_error_small(self):
-        result = figures.fig11_discretization(TEST_SCALE, degrees=(8,), thetas=(0.08,))
+        result = _figure("fig11", degrees=(8,), thetas=(0.08,))
         errors = [
             row["load_estimation_error_pct"] for row in result.filter(panel="b")
         ]
@@ -172,9 +163,7 @@ class TestFig11:
 class TestSimulationFigures:
     def test_fig13_ideal_bounds_and_mixed_close(self):
         # Small fluctuation: the regime where the paper's ordering is sharpest.
-        result = figures.fig13_throughput_latency(
-            TEST_SCALE, fluctuations=(0.1,), strategies=("storm", "mixed", "ideal")
-        )
+        result = _figure("fig13", fluctuations=(0.1,), strategies=("storm", "mixed", "ideal"))
         rows = {row["strategy"]: row for row in result.filter(fluctuation=0.1)}
         assert rows["ideal"]["throughput"] >= rows["mixed"]["throughput"] - 1e-6
         assert rows["mixed"]["throughput"] >= rows["storm"]["throughput"] - 1e-6
@@ -182,7 +171,7 @@ class TestSimulationFigures:
         assert rows["ideal"]["skewness"] == pytest.approx(1.0)
 
     def test_fig14_mixed_beats_storm_on_social(self):
-        result = figures.fig14_real_world_throughput(TEST_SCALE, thetas=(0.08,))
+        result = _figure("fig14", thetas=(0.08,))
         social = result.filter(panel="a-social", theta_max=0.08)
         throughput = {row["strategy"]: row["throughput"] for row in social}
         assert throughput["mixed"] >= throughput["storm"]
@@ -190,9 +179,7 @@ class TestSimulationFigures:
         assert {row["strategy"] for row in stock} == {"storm", "readj", "mixed", "mintable"}
 
     def test_fig15_mixed_recovers_after_scale_out(self):
-        result = figures.fig15_scale_out(
-            TEST_SCALE, thetas=(0.1,), strategies=("mixed", "storm")
-        )
+        result = _figure("fig15", thetas=(0.1,), strategies=("mixed", "storm"))
         rows = result.filter(panel="a-social", strategy="mixed", theta_max=0.1)
         add_at = result.parameters["added_at_interval"]
         before = _mean([row["throughput"] for row in rows if row["interval"] < add_at])
@@ -202,9 +189,7 @@ class TestSimulationFigures:
         assert after >= before * 0.9  # no lasting collapse after the scale-out
 
     def test_fig16_mixed_best_throughput(self):
-        result = figures.fig16_tpch_q5(
-            TEST_SCALE, thetas=(0.1,), strategies=("mixed", "storm")
-        )
+        result = _figure("fig16", thetas=(0.1,), strategies=("mixed", "storm"))
         mixed = _mean(
             [row["throughput"] for row in result.filter(strategy="mixed", theta_max=0.1)]
         )

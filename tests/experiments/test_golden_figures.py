@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import ExperimentSpec, experiment_names, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -29,7 +29,7 @@ FAST_FIGURES = {"fig07", "fig08", "fig10", "fig17", "fig18", "fig19", "fig20", "
 
 ALL_PARAMS = [
     pytest.param(fig_id, marks=() if fig_id in FAST_FIGURES else pytest.mark.slow)
-    for fig_id in sorted(figures.ALL_FIGURES)
+    for fig_id in experiment_names()
 ]
 
 
@@ -52,7 +52,7 @@ def _values_match(expected, actual) -> bool:
 @pytest.mark.parametrize("fig_id", ALL_PARAMS)
 def test_figure_matches_golden(fig_id):
     golden = json.loads((GOLDEN_DIR / f"{fig_id}.json").read_text())
-    result = figures.ALL_FIGURES[fig_id]("tiny")
+    result = run(ExperimentSpec(fig_id, scale="tiny")).result
 
     assert result.figure == golden["figure"]
     assert result.title == golden["title"]
@@ -75,7 +75,7 @@ def test_figure_matches_golden(fig_id):
 def test_every_figure_has_a_golden():
     missing = [
         fig_id
-        for fig_id in figures.ALL_FIGURES
+        for fig_id in experiment_names()
         if not (GOLDEN_DIR / f"{fig_id}.json").is_file()
     ]
     assert not missing, f"golden files missing for: {missing}"

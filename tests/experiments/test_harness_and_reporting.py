@@ -2,16 +2,15 @@
 
 import pytest
 
+from repro.core.strategy import get_strategy, strategy_names
 from repro.experiments import (
     ExperimentResult,
-    build_partitioner,
     format_table,
     get_scale,
     run_planner_sequence,
     run_simulation,
 )
 from repro.experiments.config import SCALES
-from repro.experiments.harness import STRATEGY_NAMES
 from repro.operators import WordCountOperator
 from repro.workloads import ZipfWorkload
 
@@ -78,16 +77,16 @@ class TestReporting:
         assert "Fig. X" in text and "demo" in text
 
 
-class TestBuildPartitioner:
-    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+class TestStrategyConstruction:
+    @pytest.mark.parametrize("name", strategy_names())
     def test_every_strategy_constructible(self, name):
-        partitioner = build_partitioner(name, 4, theta_max=0.1, max_table_size=100)
+        partitioner = get_strategy(name).build(4, theta_max=0.1, max_table_size=100)
         assert partitioner.num_tasks == 4
         assert 0 <= partitioner.route("some-key") < 4
 
     def test_unknown_strategy(self):
         with pytest.raises(KeyError):
-            build_partitioner("bogus", 4)
+            get_strategy("bogus")
 
 
 class TestRunPlannerSequence:

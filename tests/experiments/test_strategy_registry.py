@@ -1,6 +1,4 @@
-"""Tests for the strategy registry and its parity with the legacy shim."""
-
-import warnings
+"""Tests for the strategy registry."""
 
 import pytest
 
@@ -15,7 +13,11 @@ from repro.core.strategy import (
     strategy_names,
 )
 from repro.core.strategy import _REGISTRY
-from repro.experiments.harness import STRATEGY_NAMES, build_partitioner
+
+#: Strategy labels of the paper's figure legends.
+EVALUATION_LABELS = (
+    "storm", "ideal", "pkg", "readj", "dkg", "mixed", "mintable", "minmig", "mixedbf"
+)
 
 TUNING = dict(
     theta_max=0.07, max_table_size=150, beta=1.6, window=2, seed=3, readj_sigma=2.5
@@ -31,31 +33,24 @@ def _route_trace(partitioner, keys, intervals):
     return trace
 
 
-class TestRegistryParity:
-    """Every evaluation label builds the same-routing partitioner via the old
-    ``build_partitioner`` shim and the new ``StrategySpec`` path."""
+class TestRegistryBuilds:
+    """Every evaluation label is registered and builds deterministically."""
 
-    @pytest.mark.parametrize("name", STRATEGY_NAMES)
-    def test_same_routing(self, name, skewed_frequencies):
+    @pytest.mark.parametrize("name", EVALUATION_LABELS)
+    def test_twin_builds_route_identically(self, name, skewed_frequencies):
         keys = sorted(skewed_frequencies)
         intervals = [skewed_frequencies] * 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = build_partitioner(name, 5, **TUNING)
-        modern = get_strategy(name).build(5, **TUNING)
-        assert type(legacy) is type(modern)
-        assert _route_trace(legacy, keys, intervals) == _route_trace(
-            modern, keys, intervals
+        first = get_strategy(name).build(5, **TUNING)
+        second = get_strategy(name).build(5, **TUNING)
+        assert type(first) is type(second)
+        assert _route_trace(first, keys, intervals) == _route_trace(
+            second, keys, intervals
         )
 
-    def test_shim_is_deprecated(self):
-        with pytest.deprecated_call():
-            build_partitioner("storm", 4)
-
     def test_every_evaluation_label_registered(self):
-        for name in STRATEGY_NAMES:
+        for name in EVALUATION_LABELS:
             assert has_strategy(name)
-        assert set(STRATEGY_NAMES) <= set(strategy_names())
+        assert set(EVALUATION_LABELS) <= set(strategy_names())
 
 
 class TestStrategySpec:

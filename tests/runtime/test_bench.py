@@ -12,7 +12,6 @@ from repro.experiments.store import ResultsStore
 from repro.runtime.bench import (
     BENCH_DEFAULT_OVERRIDES,
     BENCH_TOPOLOGY_WORKLOADS,
-    BENCH_WORKLOADS,
     Q5_CHAIN_STAGES,
     RuntimeSpec,
     run_bench,
@@ -82,8 +81,14 @@ class TestRuntimeSpec:
         assert config.checkpoint_every == 2
 
     def test_resilience_specs_fail_fast(self):
-        with pytest.raises(ValueError):
+        # A one-stage workload takes the directives like any topology: its
+        # only stage is named after the workload.
+        spec = RuntimeSpec(workload="wordcount", kill_worker="wordcount:0@1")
+        assert spec.runtime_config().kill_worker == ("wordcount", 0, 1)
+        with pytest.raises(KeyError, match="unknown stage"):
             RuntimeSpec(workload="wordcount", kill_worker="a:0@1")
+        with pytest.raises(KeyError, match="unknown stage"):
+            RuntimeSpec(workload="wordcount", scale_at="2:a:+1")
         with pytest.raises(KeyError):
             RuntimeSpec(workload="tpch_q5_chain", kill_worker="nope:0@1")
         with pytest.raises(KeyError):
@@ -109,34 +114,26 @@ class TestRuntimeSpec:
         with pytest.raises(TypeError):
             RuntimeSpec(overrides={"not_a_field": 1})
 
-    def test_every_registered_workload_builds_a_stream(self):
+    @pytest.mark.parametrize("name", sorted(BENCH_TOPOLOGY_WORKLOADS))
+    def test_every_workload_builds_a_stream_and_topology(self, name):
+        workload = BENCH_TOPOLOGY_WORKLOADS[name]
         scale = get_scale("tiny").scaled(
-            num_keys=50, tuples_per_interval=200, sim_intervals=2
+            num_keys=50, tuples_per_interval=200, sim_intervals=2, num_tasks=2
         )
-        for name, builder in BENCH_WORKLOADS.items():
-            logic, stream = builder(scale, 2, seed=0)
-            assert len(stream) == 2, name
-            assert all(len(interval) > 0 for interval in stream), name
-            key, _ = stream[0][0]
-            assert logic.tuple_cost(key) > 0
+        spec = RuntimeSpec(workload=name, parallelism=2, scale="tiny")
+        stream = workload.build_stream(scale, 0)
+        assert len(stream) == 2
+        assert all(len(interval) > 0 for interval in stream)
 
-    def test_every_topology_workload_builds_a_stream_and_topology(self):
-        scale = get_scale("tiny").scaled(
-            num_keys=50, tuples_per_interval=200, sim_intervals=2
-        )
-        spec = RuntimeSpec(workload="tpch_q5_chain", parallelism=2, scale="tiny")
-        for name, workload in BENCH_TOPOLOGY_WORKLOADS.items():
-            stream = workload.build_stream(scale, 0)
-            assert len(stream) == 2, name
-            assert all(len(interval) > 0 for interval in stream), name
+        def build(strategy, parallelism):
+            from repro.baselines.hash_only import HashPartitioner
 
-            def build(strategy, parallelism):
-                from repro.baselines.hash_only import HashPartitioner
+            return HashPartitioner(parallelism, seed=0)
 
-                return HashPartitioner(parallelism, seed=0)
-
-            topology = workload.build_topology(scale, spec, "storm", build)
-            assert topology.stage_names() == list(workload.stages)
+        topology = workload.build_topology(scale, spec, "storm", build)
+        assert topology.stage_names() == list(workload.stages)
+        key, _ = stream[0][0]
+        assert topology.stages[0].logic.tuple_cost(key) > 0
 
     def test_stage_parallelism_validation(self):
         spec = RuntimeSpec(
@@ -153,7 +150,7 @@ class TestRuntimeSpec:
             RuntimeSpec(
                 workload="tpch_q5_chain", stage_parallelism={"order-join": 0}
             )
-        with pytest.raises(ValueError, match="topology"):
+        with pytest.raises(KeyError, match="unknown stage"):
             RuntimeSpec(workload="wordcount", stage_parallelism={"order-join": 2})
 
     def test_offered_rate_validation_and_round_trip(self):
@@ -199,7 +196,13 @@ class TestRunBench:
 
     def test_rows_carry_measured_numbers(self, outcome):
         _, _, run, results, _ = outcome
-        assert [row["strategy"] for row in run.result.rows] == ["storm", "mixed"]
+        # A one-stage workload reports like any topology: chain row + stage row.
+        assert [(row["strategy"], row["stage"]) for row in run.result.rows] == [
+            ("storm", "chain"),
+            ("storm", "wordcount"),
+            ("mixed", "chain"),
+            ("mixed", "wordcount"),
+        ]
         for row in run.result.rows:
             assert row["tuples"] == 10_000
             assert row["tuples_per_second"] > 0
@@ -218,8 +221,9 @@ class TestRunBench:
         assert loaded.metadata.engine == "process"
         assert RuntimeSpec.from_dict(loaded.spec.params["runtime_spec"]) == spec
         names = store.artifact_names(run.metadata.run_id)
-        assert "mixed.latency" in names and "storm.metrics" in names
-        histogram = store.load_artifact(run.metadata.run_id, "mixed.latency")
+        assert "mixed.wordcount.latency" in names
+        assert "storm.wordcount.metrics" in names
+        histogram = store.load_artifact(run.metadata.run_id, "mixed.wordcount.latency")
         assert histogram.total == 10_000
 
     def test_bench_report_file(self, outcome):
@@ -227,7 +231,7 @@ class TestRunBench:
         payload = json.loads((root / "BENCH_runtime.json").read_text())
         assert payload["metadata"]["engine"] == "process"
         assert payload["spec"]["workload"] == "wordcount"
-        assert len(payload["rows"]) == 2
+        assert len(payload["rows"]) == 4
         assert set(payload["per_strategy"]) == {"storm", "mixed"}
 
 
@@ -438,8 +442,8 @@ class TestBenchCli:
             main(["bench", "wordcount", "--parallelism", "two"])
 
     def test_bench_rejects_malformed_stage_parallelism(self):
-        # Missing '=', non-integer count, non-positive count, unknown stage,
-        # and stage overrides on a single-stage workload — all must exit
+        # Missing '=', non-integer count, non-positive count and an unknown
+        # stage (of a chain or of a one-stage workload) — all must exit
         # cleanly before any worker process is spawned.
         with pytest.raises(SystemExit, match="STAGE=COUNT"):
             main(["bench", "tpch_q5_chain", "--stage-parallelism", "order-join"])
@@ -453,7 +457,7 @@ class TestBenchCli:
             )
         with pytest.raises(SystemExit, match="unknown stage"):
             main(["bench", "tpch_q5_chain", "--stage-parallelism", "bogus=2"])
-        with pytest.raises(SystemExit, match="topology"):
+        with pytest.raises(SystemExit, match="unknown stage"):
             main(["bench", "wordcount", "--stage-parallelism", "order-join=2"])
 
     def test_bench_rejects_malformed_service_time_and_rate(self):

@@ -15,7 +15,7 @@ from repro.core.strategy import get_strategy
 from repro.experiments.harness import run_simulation
 from repro.operators.wordcount import WordCountOperator
 from repro.runtime.bench import _expand_snapshots
-from repro.runtime.local import LocalRuntime, RuntimeConfig
+from repro.runtime.topology import RuntimeConfig
 from repro.workloads.zipf import ZipfWorkload
 
 PARALLELISM = 4
@@ -54,37 +54,31 @@ def _fluid_loss(strategy, snapshots):
     return 1.0 - processed / offered
 
 
-def _runtime_throughput(strategy, snapshots):
+def _runtime_throughput(run_one_stage, strategy, snapshots):
     """Measured tuples/sec on live worker processes (paced service)."""
     partitioner = get_strategy(strategy).build(
         PARALLELISM, theta_max=0.08, max_table_size=200, window=1, seed=0
     )
-    runtime = LocalRuntime(
+    result = run_one_stage(
         WordCountOperator(emit_updates=False),
         partitioner,
-        RuntimeConfig(
-            parallelism=PARALLELISM,
-            batch_size=128,
-            queue_capacity=2,
-            service_time_us=40.0,
-        ),
-        label=strategy,
+        RuntimeConfig(batch_size=128, queue_capacity=2, service_time_us=40.0),
+        _expand_snapshots(snapshots, np.random.default_rng(7)),
     )
-    result = runtime.run(_expand_snapshots(snapshots, np.random.default_rng(7)))
     assert result.tuples_processed == result.tuples_offered
     return result.tuples_per_second
 
 
 class TestSkewSweepOrderingParity:
     @pytest.fixture(scope="class")
-    def measurements(self):
+    def measurements(self, run_one_stage):
         rows = {}
         for skew in (0.1, 1.2):
             snapshots = _snapshots(skew)
             rows[skew] = {
                 name: (
                     _fluid_loss(name, snapshots),
-                    _runtime_throughput(name, snapshots),
+                    _runtime_throughput(run_one_stage, name, snapshots),
                 )
                 for name in STRATEGIES
             }

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.hash_only import HashPartitioner
 from repro.operators.wordcount import WordCountOperator
 from repro.runtime.histogram import LatencyHistogram
-from repro.runtime.local import LocalRuntime, RuntimeConfig
+from repro.runtime.topology import RuntimeConfig
 
 
 def _stream(intervals=4, keys=30, repeats=20):
@@ -16,15 +16,13 @@ def _stream(intervals=4, keys=30, repeats=20):
 
 
 @pytest.fixture(scope="module")
-def result():
-    runtime = LocalRuntime(
+def result(run_one_stage):
+    return run_one_stage(
         WordCountOperator(emit_updates=False),
         HashPartitioner(2, seed=0),
-        RuntimeConfig(
-            parallelism=2, batch_size=64, queue_capacity=4, service_time_us=10.0
-        ),
+        RuntimeConfig(batch_size=64, queue_capacity=4, service_time_us=10.0),
+        _stream(),
     )
-    return runtime.run(_stream())
 
 
 class TestIntervalHistogramDeltas:

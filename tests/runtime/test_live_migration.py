@@ -12,7 +12,7 @@ import pytest
 from repro.baselines.base import Partitioner
 from repro.core.migration import KeyMove, MigrationPlan
 from repro.operators.windowed_aggregate import WindowedAggregate
-from repro.runtime.local import LocalRuntime, RuntimeConfig
+from repro.runtime.topology import RuntimeConfig
 
 
 class ForcedMovePartitioner(Partitioner):
@@ -59,19 +59,22 @@ def _stream(intervals=4, keys=8, repeats=30):
     ]
 
 
-def _run(partitioner, parallelism, stream):
-    runtime = LocalRuntime(
-        WindowedAggregate(window=16),  # wider than the run: nothing expires
-        partitioner,
-        RuntimeConfig(
-            parallelism=parallelism,
-            batch_size=32,
-            queue_capacity=4,
-            service_time_us=20.0,
-            collect_final_state=True,
-        ),
-    )
-    return runtime.run(stream)
+@pytest.fixture(scope="module")
+def _run(run_one_stage):
+    def run(partitioner, stream):
+        return run_one_stage(
+            WindowedAggregate(window=16),  # wider than the run: nothing expires
+            partitioner,
+            RuntimeConfig(
+                batch_size=32,
+                queue_capacity=4,
+                service_time_us=20.0,
+                collect_final_state=True,
+            ),
+            stream,
+        )
+
+    return run
 
 
 MOVE_KEY = 0  # routed to task 0 by modulo, migrated to task 1 mid-stream
@@ -79,9 +82,9 @@ MOVE_KEY = 0  # routed to task 0 by modulo, migrated to task 1 mid-stream
 
 class TestLiveMigrationUnderLoad:
     @pytest.fixture(scope="class")
-    def migrated(self):
+    def migrated(self, _run):
         partitioner = ForcedMovePartitioner(2, MOVE_KEY, move_at=1, target=1)
-        return _run(partitioner, 2, _stream())
+        return _run(partitioner, _stream())
 
     def test_migration_actually_happened(self, migrated):
         assert len(migrated.migrations) == 1
@@ -112,20 +115,20 @@ class TestLiveMigrationUnderLoad:
         payloads = migrated.final_state[MOVE_KEY]
         assert payloads == [30.0, 30.0, 30.0, 30.0]
 
-    def test_moved_key_state_lives_on_target_worker(self):
+    def test_moved_key_state_lives_on_target_worker(self, _run):
         partitioner = ForcedMovePartitioner(2, MOVE_KEY, move_at=1, target=1)
-        result = _run(partitioner, 2, _stream(intervals=3))
+        result = _run(partitioner, _stream(intervals=3))
         # Worker 1 holds the moved key plus the odd keys; worker 0 lost it.
         worker0_keys = 8 // 2 - 1  # even keys minus the migrated one
         assert result.final_reports[0].state_keys == worker0_keys
         assert result.final_reports[1].state_keys == 8 - worker0_keys
 
-    def test_same_result_as_unmigrated_run(self, migrated):
+    def test_same_result_as_unmigrated_run(self, migrated, _run):
         class StaticModulo(Partitioner):
             def route(self, key):
                 return key % self.num_tasks
 
-        baseline = _run(StaticModulo(2), 2, _stream())
+        baseline = _run(StaticModulo(2), _stream())
         assert baseline.migrations == []
         assert migrated.final_state == baseline.final_state
 

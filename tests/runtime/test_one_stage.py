@@ -1,10 +1,10 @@
-"""End-to-end tests of the multi-process LocalRuntime (small streams)."""
+"""End-to-end tests of a one-stage topology on real worker processes."""
 
 import pytest
 
 from repro.baselines.hash_only import HashPartitioner
 from repro.operators.wordcount import WordCountOperator
-from repro.runtime.local import LocalRuntime, RuntimeConfig
+from repro.runtime.topology import RuntimeConfig
 
 
 def _stream(intervals=2, keys=40, repeats=25):
@@ -15,25 +15,23 @@ def _stream(intervals=2, keys=40, repeats=25):
     ]
 
 
-def _run(stream, parallelism=2, **config):
-    defaults = dict(
-        parallelism=parallelism,
-        batch_size=64,
-        queue_capacity=4,
-        service_time_us=5.0,
-    )
-    defaults.update(config)
-    runtime = LocalRuntime(
-        WordCountOperator(emit_updates=False),
-        HashPartitioner(parallelism, seed=0),
-        RuntimeConfig(**defaults),
-        label="hash",
-    )
-    return runtime.run(stream)
+@pytest.fixture
+def _run(run_one_stage):
+    def run(stream, parallelism=2, **config):
+        defaults = dict(batch_size=64, queue_capacity=4, service_time_us=5.0)
+        defaults.update(config)
+        return run_one_stage(
+            WordCountOperator(emit_updates=False),
+            HashPartitioner(parallelism, seed=0),
+            RuntimeConfig(**defaults),
+            stream,
+        )
+
+    return run
 
 
 class TestConservation:
-    def test_every_offered_tuple_is_processed(self):
+    def test_every_offered_tuple_is_processed(self, _run):
         stream = _stream(intervals=2, keys=40, repeats=25)
         total = sum(len(interval) for interval in stream)
         result = _run(stream)
@@ -42,7 +40,7 @@ class TestConservation:
         assert result.tuples_shed == 0
         assert result.latency.total == total
 
-    def test_per_interval_reports_sum_to_total(self):
+    def test_per_interval_reports_sum_to_total(self, _run):
         stream = _stream(intervals=3, keys=30, repeats=20)
         result = _run(stream)
         processed = result.metrics.series("processed_tuples")
@@ -51,7 +49,7 @@ class TestConservation:
         # FIFO markers make the per-interval accounting exact.
         assert all(count == len(stream[0]) for count in processed)
 
-    def test_worker_counts_match_dispatch(self):
+    def test_worker_counts_match_dispatch(self, _run):
         result = _run(_stream())
         per_worker = {
             worker_id: report.processed
@@ -62,7 +60,7 @@ class TestConservation:
 
 
 class TestMeasurements:
-    def test_throughput_and_latency_are_positive(self):
+    def test_throughput_and_latency_are_positive(self, _run):
         result = _run(_stream())
         assert result.wall_seconds > 0
         assert result.tuples_per_second > 0
@@ -74,7 +72,7 @@ class TestMeasurements:
         )
         assert summary["latency_p99_ms"] >= summary["latency_p50_ms"]
 
-    def test_metrics_records_per_task_load(self):
+    def test_metrics_records_per_task_load(self, _run):
         result = _run(_stream())
         for record in result.metrics:
             assert set(record.per_task_load) == {0, 1}
@@ -84,7 +82,7 @@ class TestMeasurements:
             assert record.num_tasks == 2
             assert record.skewness >= 1.0
 
-    def test_final_state_collection(self):
+    def test_final_state_collection(self, _run):
         result = _run(_stream(intervals=1, keys=10, repeats=5), collect_final_state=True)
         # Word count keeps one counter per key; every key appeared 5 times.
         assert sum(payload[-1] for payload in result.final_state.values()) == 50
@@ -92,7 +90,7 @@ class TestMeasurements:
 
 
 class TestShedding:
-    def test_overload_with_shed_timeout_drops_and_records(self):
+    def test_overload_with_shed_timeout_drops_and_records(self, _run):
         # One slow worker (1 ms/tuple), tiny queues, and a dispatch timeout:
         # the router must shed batches and charge them to the task.
         stream = _stream(intervals=1, keys=30, repeats=40)
@@ -113,14 +111,6 @@ class TestShedding:
 
 
 class TestValidation:
-    def test_parallelism_must_match_partitioner(self):
-        with pytest.raises(ValueError):
-            LocalRuntime(
-                WordCountOperator(),
-                HashPartitioner(3),
-                RuntimeConfig(parallelism=2),
-            )
-
     def test_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
             RuntimeConfig(parallelism=0)

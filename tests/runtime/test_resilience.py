@@ -188,9 +188,10 @@ class TestDirectiveParsing:
         with pytest.raises(ValueError):
             parse_scale_spec(spec)
 
-    def test_env_var_supplies_kill_directive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KILL", "counter:1@2")
-        runtime = TopologyRuntime(_two_stage_spec(), _config())
+    def test_config_supplies_kill_directive(self):
+        runtime = TopologyRuntime(
+            _two_stage_spec(), _config(kill_worker=("counter", 1, 2))
+        )
         kill, scale = runtime._directives()
         assert kill == KillDirective(stage="counter", task=1, interval=2)
         assert scale is None

@@ -14,7 +14,7 @@ from repro.workloads import (
     generate_tpch,
     zipf_frequencies,
 )
-from repro.workloads.fluctuation import per_task_loads, workload_change
+from repro.workloads.fluctuation import per_task_loads
 
 
 class TestZipfFrequencies:
@@ -64,7 +64,8 @@ class TestFluctuation:
             rng=np.random.default_rng(3),
         )
         after = per_task_loads(shaken, task_of, 10)
-        assert workload_change(before, after) >= 0.8
+        mean = sum(before.values()) / len(before)
+        assert max(abs(after[d] - before[d]) for d in before) / mean >= 0.8
 
     def test_total_volume_and_key_set_preserved(self):
         freqs = zipf_frequencies(500, 1.0, 20_000, np.random.default_rng(4))
@@ -76,11 +77,6 @@ class TestFluctuation:
         assert sum(shaken.values()) == pytest.approx(sum(freqs.values()))
         # The multiset of frequencies is unchanged (frequencies are swapped).
         assert sorted(shaken.values()) == sorted(freqs.values())
-
-    def test_workload_change_measure(self):
-        assert workload_change({0: 10, 1: 10}, {0: 10, 1: 10}) == 0.0
-        assert workload_change({0: 10, 1: 10}, {0: 20, 1: 0}) == pytest.approx(1.0)
-        assert workload_change({}, {}) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -109,7 +105,8 @@ class TestZipfWorkload:
         task_of = workload.task_of
         first = per_task_loads(snapshots[0], task_of, 5)
         second = per_task_loads(snapshots[1], task_of, 5)
-        assert workload_change(first, second) >= 0.9
+        mean = sum(first.values()) / len(first)
+        assert max(abs(second[d] - first[d]) for d in first) / mean >= 0.9
 
     def test_static_workload_when_fluctuation_zero(self):
         snapshots = ZipfWorkload(
