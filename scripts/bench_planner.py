@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Microbenchmark of one planning interval per key count: where the ms go.
+
+What a stage coordinator does at each interval close, in process and timed
+step by step, at the paper's Tab. II shape (Zipf z = 0.85, f = 1.0, N_D = 10,
+A_max = 3000, θ_max = 0.08, expected counts so every interval carries all
+``K`` keys) for several ``K``:
+
+* **route** — ``route_snapshot`` under the assignment in force (the key→task
+  memo stays warm across rebalances; only re-routed keys are rewritten);
+* **stats** — ``IntervalStats.from_frequencies``;
+* **should_rebalance** — the imbalance check (builds the interval's columns,
+  evaluates ``F`` over the observed keys once);
+* **plan** — the planning round itself, reusing those columns;
+* **interval_end** — the whole ``on_interval_end`` (check + plan + memo patch).
+
+Usage::
+
+    python scripts/bench_planner.py
+    python scripts/bench_planner.py --keys 10000 100000 --intervals 12
+    python scripts/bench_planner.py --merge-into BENCH_runtime.json
+
+``--merge-into`` folds the result into an existing ``BENCH_runtime.json``
+report under the ``planner_micro`` key (validated by
+``scripts/validate_bench.py``); without it the JSON payload prints to
+stdout.  CI runs this in the bench-trajectory job on every push.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.core.statistics import IntervalStats  # noqa: E402
+from repro.core.strategy import get_strategy  # noqa: E402
+from repro.workloads.zipf import ZipfWorkload  # noqa: E402
+
+NUM_TASKS = 10
+TUNABLES = dict(theta_max=0.08, max_table_size=3000, beta=1.5, window=1)
+
+
+def _timed(method: Callable[..., Any], sink: List[float]) -> Callable[..., Any]:
+    """``method`` recording the seconds of each call into ``sink``."""
+
+    def call(*args: Any) -> Any:
+        started = time.perf_counter()
+        try:
+            return method(*args)
+        finally:
+            sink.append(time.perf_counter() - started)
+
+    return call
+
+
+def _median_ms(seconds: List[float]) -> float:
+    return statistics.median(seconds) * 1e3 if seconds else 0.0
+
+
+def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str, Any]:
+    """Drive ``strategy`` over ``intervals`` snapshots of ``num_keys`` keys."""
+    snapshots = ZipfWorkload(
+        num_keys=num_keys,
+        skew=0.85,
+        tuples_per_interval=10 * num_keys,
+        fluctuation=1.0,
+        num_tasks=NUM_TASKS,
+        intervals=intervals,
+        seed=seed,
+        sampled=False,
+    ).take(intervals)
+    partitioner = get_strategy(strategy).build(NUM_TASKS, seed=seed, **TUNABLES)
+    controller = partitioner.controller
+    route_s: List[float] = []
+    stats_s: List[float] = []
+    check_s: List[float] = []
+    plan_s: List[float] = []
+    end_s: List[float] = []
+    controller.should_rebalance = _timed(controller.should_rebalance, check_s)
+    controller.rebalance = _timed(controller.rebalance, plan_s)
+    route = _timed(partitioner.route_snapshot, route_s)
+    build = _timed(IntervalStats.from_frequencies, stats_s)
+    end = _timed(partitioner.on_interval_end, end_s)
+    results = []
+    for interval, snapshot in enumerate(snapshots):
+        route(snapshot)
+        result = end(build(interval, snapshot))
+        if result is not None:
+            results.append(result)
+    return {
+        "num_keys": num_keys,
+        "intervals": intervals,
+        "plans": len(results),
+        "moved_keys": sum(len(result.migrated_keys) for result in results),
+        "table_size": results[-1].table_size if results else 0,
+        # The first interval routes and hashes every key cold; medians over
+        # the rest are the steady state a long-running stage sees.
+        "route_ms": _median_ms(route_s[1:]),
+        "stats_ms": _median_ms(stats_s[1:]),
+        "should_rebalance_ms": _median_ms(check_s[1:]),
+        "plan_ms": _median_ms(plan_s[1:]),
+        "interval_end_ms": _median_ms(end_s[1:]),
+    }
+
+
+def run_benchmark(
+    *,
+    strategy: str = "mixed",
+    key_counts: List[int] = (10_000, 30_000, 100_000),
+    intervals: int = 8,
+    seed: int = 0,
+) -> Dict[str, Any]:
+    return {
+        "strategy": strategy,
+        "num_tasks": NUM_TASKS,
+        "rows": [run_row(strategy, num_keys, intervals, seed) for num_keys in key_counts],
+    }
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--strategy", default="mixed")
+    parser.add_argument("--keys", type=int, nargs="+", default=[10_000, 30_000, 100_000])
+    parser.add_argument("--intervals", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--merge-into",
+        default=None,
+        metavar="BENCH_runtime.json",
+        help="fold the result into an existing bench report (planner_micro key)",
+    )
+    args = parser.parse_args(argv)
+    if args.intervals < 2:
+        parser.error("--intervals must be at least 2 (the first one is the cold start)")
+
+    result = run_benchmark(
+        strategy=args.strategy, key_counts=args.keys, intervals=args.intervals, seed=args.seed
+    )
+    print(
+        f"{'K':>8} {'route':>8} {'stats':>8} {'check':>8} {'plan':>8} {'end':>8}  "
+        f"ms (median), {result['strategy']}",
+        file=sys.stderr,
+    )
+    for row in result["rows"]:
+        print(
+            f"{row['num_keys']:>8} {row['route_ms']:>8.1f} {row['stats_ms']:>8.1f} "
+            f"{row['should_rebalance_ms']:>8.1f} {row['plan_ms']:>8.1f} "
+            f"{row['interval_end_ms']:>8.1f}  {row['plans']} plans, "
+            f"{row['moved_keys']} keys moved, table {row['table_size']}",
+            file=sys.stderr,
+        )
+    if args.merge_into:
+        path = Path(args.merge_into)
+        payload = json.loads(path.read_text())
+        payload["planner_micro"] = result
+        path.write_text(json.dumps(payload, indent=1))
+        print(f"merged planner_micro into {path}", file=sys.stderr)
+    else:
+        print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -45,6 +45,21 @@ REQUIRED_ROUTER_MICRO_KEYS = (
     "speedup",
 )
 
+#: Per-key-count timings of the optional ``planner_micro`` section (written by
+#: ``scripts/bench_planner.py --merge-into``).
+REQUIRED_PLANNER_MICRO_ROW_KEYS = (
+    "num_keys",
+    "intervals",
+    "plans",
+    "moved_keys",
+    "table_size",
+    "route_ms",
+    "stats_ms",
+    "should_rebalance_ms",
+    "plan_ms",
+    "interval_end_ms",
+)
+
 
 def _fail(message: str):
     print(f"FAIL: {message}", file=sys.stderr)
@@ -110,6 +125,8 @@ def validate_report(payload: dict) -> int:
     _validate_fan_in(rows, payload.get("sanitizer"))
     if "router_micro" in payload:
         _validate_router_micro(payload["router_micro"])
+    if "planner_micro" in payload:
+        _validate_planner_micro(payload["planner_micro"])
     if "sanitizer" in payload:
         _validate_sanitizer(payload["sanitizer"])
     return len(rows)
@@ -302,6 +319,39 @@ def _validate_router_micro(micro) -> None:
         )
 
 
+def _validate_planner_micro(micro) -> None:
+    """The planner microbenchmark section: one complete row per key count,
+    each with at least one plan whose steps add up."""
+    if not isinstance(micro, dict):
+        _fail("planner_micro must be an object")
+    if not isinstance(micro.get("strategy"), str):
+        _fail("planner_micro.strategy must name the strategy")
+    rows = micro.get("rows")
+    if not isinstance(rows, list) or not rows:
+        _fail("planner_micro.rows must be a non-empty list")
+    for index, row in enumerate(rows):
+        label = f"planner_micro.rows[{index}]"
+        if not isinstance(row, dict):
+            _fail(f"{label} must be an object")
+        for key in REQUIRED_PLANNER_MICRO_ROW_KEYS:
+            if key not in row:
+                _fail(f"{label} is missing {key!r}")
+            _check_number(label, key, row[key])
+        if row["plans"] < 1:
+            _fail(f"{label}: the planner never rebalanced, nothing was timed")
+        for key in ("num_keys", "route_ms", "stats_ms", "should_rebalance_ms", "plan_ms"):
+            if row[key] <= 0:
+                _fail(f"{label}.{key} must be positive, got {row[key]!r}")
+        if row["interval_end_ms"] < row["plan_ms"]:
+            _fail(
+                f"{label}: interval_end_ms ({row['interval_end_ms']}) is below the "
+                f"plan_ms ({row['plan_ms']}) it contains"
+            )
+    counts = [row["num_keys"] for row in rows]
+    if len(set(counts)) != len(counts):
+        _fail(f"planner_micro.rows repeat a key count: {counts}")
+
+
 def _validate_sanitizer(report) -> None:
     """The protocol-sanitizer section: zero violations AND non-trivial checks.
 
@@ -350,6 +400,11 @@ def main(argv) -> int:
     if "router_micro" in payload:
         extras.append(
             f"router micro {payload['router_micro']['speedup']:.2f}x"
+        )
+    if "planner_micro" in payload:
+        largest = max(payload["planner_micro"]["rows"], key=lambda row: row["num_keys"])
+        extras.append(
+            f"planner micro {largest['interval_end_ms']:.0f} ms @ K={largest['num_keys']}"
         )
     if payload["spec"].get("kill_worker"):
         incidents = sum(

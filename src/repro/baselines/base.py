@@ -18,9 +18,11 @@ all baselines — through this small protocol:
 Strategies whose ``route`` is deterministic, side-effect free and
 key-contiguous (plain hashing, the mixed-routing controller, Readj, DKG)
 declare ``cache_routes = True``: the base class then memoises key→task results
-across intervals and only recomputes them when the assignment changes (a
-rebalance installs a new routing table, or the operator scales out).  The
-cache epoch is provided by :meth:`Partitioner._route_epoch`.
+across intervals.  A rebalance re-routes only the keys whose routing-table
+entry changed, so :class:`RebalancingPartitioner` rewrites exactly those memo
+entries and keeps the rest; a resize (or any assignment change the base class
+did not see — the cache epoch of :meth:`Partitioner._route_epoch` moved) drops
+the memo.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.assignment import AssignmentFunction
 from repro.core.hashing import memo_key
 from repro.core.planner import RebalanceResult
 from repro.core.statistics import IntervalStats
@@ -90,10 +93,31 @@ class Partitioner(ABC):
         return None
 
     def invalidate_route_cache(self) -> None:
-        """Drop all memoised key→task results (after rebalance/scale-out)."""
+        """Drop all memoised key→task results (after a resize)."""
         self._route_cache.clear()
         self._typed_route_caches.clear()
         self._route_cache_epoch = _EPOCH_UNSET
+
+    def _patch_route_cache(self, keys: Iterable[Key], synced_epoch: object) -> None:
+        """Re-route the memo entries of ``keys`` — the only keys the assignment
+        change just installed can have moved — and adopt the new epoch.
+
+        ``synced_epoch`` is the epoch the assignment had before the change;
+        a memo that was not in sync with it holds entries of unknown age and
+        is dropped instead.
+        """
+        if self._route_cache_epoch != synced_epoch:
+            self.invalidate_route_cache()
+            return
+        for key in keys:
+            task = self.route(key)
+            memo = memo_key(key)
+            if memo in self._route_cache:
+                self._route_cache[memo] = task
+            typed = self._typed_route_caches.get(key.__class__)
+            if typed is not None and key in typed:
+                typed[key] = task
+        self._route_cache_epoch = self._route_epoch()
 
     def _check_snapshot_num_tasks(self, num_tasks: Optional[int]) -> None:
         """Reject a caller whose view of the parallelism is out of sync."""
@@ -302,17 +326,23 @@ class Partitioner(ABC):
 class RebalancingPartitioner(Partitioner):
     """Base class for strategies that migrate keys between intervals.
 
-    Sub-classes implement :meth:`plan_rebalance`; the bookkeeping of applying
-    the produced assignment is shared here.
+    Sub-classes implement :meth:`plan_rebalance` and expose the assignment
+    function in force as ``assignment``; the bookkeeping of applying the
+    produced assignment is shared here.
     """
+
+    assignment: AssignmentFunction
 
     @abstractmethod
     def plan_rebalance(self, stats: IntervalStats) -> Optional[RebalanceResult]:
         """Produce (and install) a new assignment from the interval statistics."""
 
     def on_interval_end(self, stats: IntervalStats) -> Optional[RebalanceResult]:
+        epoch = self._route_epoch()
+        table = self.assignment.routing_table
         result = self.plan_rebalance(stats)
         if result is not None:
-            # The assignment changed: memoised key→task routes are stale.
-            self.invalidate_route_cache()
+            # F and F′ share the hash, so only keys whose table entry changed
+            # can route differently: the other memoised routes stay valid.
+            self._patch_route_cache(table.changed_keys(result.routing_table), epoch)
         return result

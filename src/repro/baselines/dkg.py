@@ -11,7 +11,7 @@ like MinTable's Phase II/III without the migration awareness.
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Mapping, Optional
 
 from repro.baselines.base import RebalancingPartitioner
 from repro.core.assignment import AssignmentFunction
@@ -86,7 +86,7 @@ class DKGPartitioner(RebalancingPartitioner):
         self.assignment = result.assignment
         return result
 
-    def _rebuild(self, costs: Dict[Key, float]) -> RebalanceResult:
+    def _rebuild(self, costs: Mapping[Key, float]) -> RebalanceResult:
         start = time.perf_counter()
         # Product-form heavy test (cost · K > factor · total): a subnormal
         # total cost would underflow the divided mean and mark every key heavy.

@@ -22,7 +22,7 @@ frequent distribution change) and Fig. 14 (it only matches Mixed under loose
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from repro.baselines.base import RebalancingPartitioner
 from repro.core.assignment import AssignmentFunction
@@ -126,7 +126,7 @@ class ReadjPartitioner(RebalancingPartitioner):
         self.assignment = result.assignment
         return result
 
-    def _candidates(self, costs: Dict[Key, float]) -> List[Key]:
+    def _candidates(self, costs: Mapping[Key, float]) -> List[Key]:
         """Hot keys: cost at least ``sigma`` times the average key cost.
 
         Compared in product form (``cost · K ≥ σ · total``) so a subnormal
@@ -138,7 +138,7 @@ class ReadjPartitioner(RebalancingPartitioner):
         count = len(costs)
         return [key for key, cost in costs.items() if cost * count >= self.sigma * total]
 
-    def _rebalance(self, costs: Dict[Key, float]) -> RebalanceResult:
+    def _rebalance(self, costs: Mapping[Key, float]) -> RebalanceResult:
         start = time.perf_counter()
         keys = list(costs)
         working: Dict[Key, int] = dict(zip(keys, self.assignment.assign_batch(keys)))

@@ -7,7 +7,8 @@ This subpackage implements the mixed key-based workload partitioning framework:
   (:mod:`repro.core.hashing`);
 * the per-interval key statistics model (frequency ``g``, computation cost
   ``c``, memory ``s`` and windowed memory ``S(k, w)``) in
-  :mod:`repro.core.statistics`;
+  :mod:`repro.core.statistics`, with the aligned key / cost / memory columns
+  (:class:`~repro.core.statistics.KeyColumns`) the planner works on;
 * the load model (per-task load ``L``, balance indicator ``θ`` and skewness) in
   :mod:`repro.core.load`;
 * migration bookkeeping (``Δ(F, F′)`` and ``M_i(w, F, F′)``) in
@@ -54,7 +55,7 @@ from repro.core.mixed import MixedAlgorithm, MixedBruteForceAlgorithm
 from repro.core.planner import RebalanceResult, get_algorithm
 from repro.core.routing_table import RoutingTable
 from repro.core.simple import SimpleAlgorithm, simple_assign
-from repro.core.statistics import IntervalStats, KeyStats, StatisticsStore
+from repro.core.statistics import IntervalStats, KeyColumns, KeyStats, StatisticsStore
 
 __all__ = [
     "AssignmentFunction",
@@ -65,6 +66,7 @@ __all__ = [
     "HLHEDiscretizer",
     "HighestCostFirst",
     "IntervalStats",
+    "KeyColumns",
     "KeyStats",
     "LLFDResult",
     "LargestGammaFirst",

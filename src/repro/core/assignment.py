@@ -13,10 +13,13 @@ construction helpers for a rebalanced copy.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.hashing import UniversalHash
 from repro.core.routing_table import RoutingTable
+from repro.core.statistics import KeyColumns
 
 __all__ = ["AssignmentFunction"]
 
@@ -119,6 +122,29 @@ class AssignmentFunction:
             return hash_batch(keys)
         hash_fn = self._hash
         return [hash_fn(key) for key in keys]
+
+    def route_columns(self, columns: KeyColumns) -> Tuple[np.ndarray, np.ndarray]:
+        """``(h(k), F(k))`` over ``columns.keys`` as two ``intp`` arrays.
+
+        The one pass over the observed keys a planning interval needs: the
+        hash column is read-only (and memoised by :class:`UniversalHash`
+        across intervals that list the same keys); the ``F`` column is a fresh
+        copy of it patched with the routing-table entries of observed keys,
+        so the caller may edit it.
+        """
+        assign_array = getattr(self._hash, "assign_array", None)
+        if assign_array is not None:
+            hashed = assign_array(columns.keys)
+        else:
+            hashed = np.asarray(self.hash_batch(columns.keys), dtype=np.intp)
+        routed = hashed.copy()
+        if len(self._table):
+            position = columns.index.get
+            for key, task in self._table.items():
+                at = position(key)
+                if at is not None:
+                    routed[at] = task
+        return hashed, routed
 
     def is_explicit(self, key: Key) -> bool:
         """True when ``key`` is routed by the table rather than the hash."""

@@ -17,20 +17,18 @@ integration) drives it with interval snapshots and consumes the returned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.assignment import AssignmentFunction
 from repro.core.compact import CompactMixedPlanner
 from repro.core.criteria import DEFAULT_BETA
 from repro.core.discretization import HLHEDiscretizer
-from repro.core.load import load_from_costs, max_balance_indicator, max_skewness
+from repro.core.load import load_from_columns, max_balance_indicator, max_skewness
 from repro.core.planner import PlannerConfig, RebalanceAlgorithm, RebalanceResult, get_algorithm
 from repro.core.statistics import IntervalStats, StatisticsStore
 
 __all__ = ["ControllerConfig", "RebalanceController"]
-
-Key = Hashable
 
 
 @dataclass(frozen=True)
@@ -124,9 +122,9 @@ class RebalanceController:
         """Per-task load of the latest interval under the current assignment."""
         if not self.stats:
             return {task: 0.0 for task in self.assignment.tasks}
-        return load_from_costs(
-            self.stats.cost_map(), self.assignment, self.assignment.num_tasks
-        )
+        columns = self.stats.columns()
+        _, routed = self.assignment.route_columns(columns)
+        return load_from_columns(routed, columns.cost, self.assignment.num_tasks)
 
     def current_imbalance(self) -> float:
         """Largest balance indicator ``θ`` over the tasks."""

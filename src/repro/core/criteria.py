@@ -19,7 +19,10 @@ against migration volume.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterable, List, Mapping
+from itertools import repeat
+from typing import Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "SelectionCriteria",
@@ -68,6 +71,49 @@ class SelectionCriteria(ABC):
     def priority(self, key: Key, cost: float, memory: float) -> float:
         """Return the selection score of ``key`` (higher = selected earlier)."""
 
+    def priorities(self, cost: np.ndarray, memory: np.ndarray) -> np.ndarray:
+        """:meth:`priority` over aligned cost / memory columns.
+
+        Must equal the scalar score bit for bit (the planner's choices depend
+        on exact ties).  The column form carries no keys, so this default
+        calls :meth:`priority` with ``key=None``; a criterion whose score
+        depends on the key itself has to override it.
+        """
+        return np.fromiter(
+            map(self.priority, repeat(None), cost.tolist(), memory.tolist()),
+            dtype=float,
+            count=len(cost),
+        )
+
+    def ranked(
+        self,
+        keys: Sequence[Key],
+        cost: np.ndarray,
+        memory: np.ndarray,
+        among: Optional[np.ndarray] = None,
+    ) -> Iterator[int]:
+        """Positions of ``keys`` by decreasing priority, ties broken on ``repr(key)``.
+
+        ``cost`` and ``memory`` are aligned with ``keys``; ``among`` restricts
+        the ranking to those positions.  Lazy: callers stop after the few keys
+        they need, so only the runs of equal priority actually reached are
+        repr-sorted.
+        """
+        if among is None:
+            among = np.arange(len(keys))
+        score = -self.priorities(cost[among], memory[among])
+        by_score = np.argsort(score, kind="stable")
+        ranked = among[by_score].tolist()
+        score = score[by_score]
+        run_starts = np.flatnonzero(score[1:] != score[:-1]) + 1
+        start = 0
+        for end in run_starts.tolist() + [len(ranked)]:
+            if end - start == 1:
+                yield ranked[start]
+            else:
+                yield from sorted(ranked[start:end], key=lambda at: repr(keys[at]))
+            start = end
+
     def sort(
         self,
         keys: Iterable[Key],
@@ -75,13 +121,12 @@ class SelectionCriteria(ABC):
         memories: Mapping[Key, float],
     ) -> List[Key]:
         """Return ``keys`` sorted by decreasing priority (deterministic)."""
-        return sorted(
-            keys,
-            key=lambda k: (
-                -self.priority(k, costs.get(k, 0.0), memories.get(k, 0.0)),
-                repr(k),
-            ),
+        keys = list(keys)
+        cost = np.fromiter((costs.get(k, 0.0) for k in keys), dtype=float, count=len(keys))
+        memory = np.fromiter(
+            (memories.get(k, 0.0) for k in keys), dtype=float, count=len(keys)
         )
+        return [keys[at] for at in self.ranked(keys, cost, memory)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -93,6 +138,9 @@ class HighestCostFirst(SelectionCriteria):
     name = "highest-cost-first"
 
     def priority(self, key: Key, cost: float, memory: float) -> float:
+        return cost
+
+    def priorities(self, cost: np.ndarray, memory: np.ndarray) -> np.ndarray:
         return cost
 
 
@@ -109,6 +157,17 @@ class LargestGammaFirst(SelectionCriteria):
     def priority(self, key: Key, cost: float, memory: float) -> float:
         return gamma_index(cost, memory, self.beta)
 
+    def priorities(self, cost: np.ndarray, memory: np.ndarray) -> np.ndarray:
+        if (cost < 0).any() or (memory < 0).any():
+            raise ValueError("cost and memory must be non-negative")
+        # The power goes through Python's float pow (one C-level map):
+        # np.power rounds differently from libm in the last bit, which would
+        # reorder near-ties against the scalar gamma_index.
+        powered = np.fromiter(
+            map(pow, cost.tolist(), repeat(self.beta)), dtype=float, count=len(cost)
+        )
+        return powered / np.maximum(memory, _MEMORY_FLOOR)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LargestGammaFirst(beta={self.beta})"
 
@@ -119,4 +178,7 @@ class SmallestMemoryFirst(SelectionCriteria):
     name = "smallest-memory-first"
 
     def priority(self, key: Key, cost: float, memory: float) -> float:
+        return -memory
+
+    def priorities(self, cost: np.ndarray, memory: np.ndarray) -> np.ndarray:
         return -memory

@@ -19,7 +19,9 @@ Two implementations are provided:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Hashable, Iterable, List, Sequence
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["UniversalHash", "ConsistentHashRing", "fnv1a_64", "stable_hash", "memo_key"]
 
@@ -142,6 +144,8 @@ class UniversalHash:
             raise ValueError(f"num_tasks must be positive, got {num_tasks}")
         self._num_tasks = int(num_tasks)
         self._seed = int(seed)
+        #: The last key list hashed by :meth:`assign_array` and its result.
+        self._last_array: Optional[Tuple[List[Hashable], np.ndarray]] = None
 
     @property
     def num_tasks(self) -> int:
@@ -161,6 +165,22 @@ class UniversalHash:
         seed = self._seed
         num_tasks = self._num_tasks
         return [stable_hash(key, seed) % num_tasks for key in keys]
+
+    def assign_array(self, keys: List[Hashable]) -> np.ndarray:
+        """``h(k)`` over ``keys`` as a read-only ``intp`` array.
+
+        The planner hashes the observed keys of every interval; the hash is
+        immutable, so the answer for the most recent key list is kept and a
+        stationary key population (the same keys in the same order) is hashed
+        once, not once per interval.
+        """
+        last = self._last_array
+        if last is not None and (last[0] is keys or last[0] == keys):
+            return last[1]
+        hashed = np.asarray(self.assign_batch(keys), dtype=np.intp)
+        hashed.flags.writeable = False
+        self._last_array = (keys, hashed)
+        return hashed
 
     def with_num_tasks(self, num_tasks: int) -> "UniversalHash":
         """Return a new hash over ``num_tasks`` tasks with the same seed."""

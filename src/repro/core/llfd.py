@@ -19,6 +19,13 @@ The exchangeable-set conditions (i)–(iii) guarantee progress: every key pushed
 back into ``C`` has a strictly smaller cost than the key that displaced it, so
 the multiset of candidate costs decreases lexicographically and the loop
 terminates.
+
+The subroutine runs on aligned columns (keys, costs, memories, hash and current
+destinations): the initial loads are one ``np.bincount``, a task's resident
+keys are looked up only when an ``Adjust`` exchange inspects that task, and
+the Python work is proportional to the keys LLFD actually touches.
+:func:`least_load_fit_decreasing` is the mapping-based front door to the same
+code.
 """
 
 from __future__ import annotations
@@ -26,12 +33,28 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.core.criteria import HighestCostFirst, SelectionCriteria
 from repro.core.load import max_balance_indicator
+from repro.core.statistics import KeyColumns
 
-__all__ = ["LLFDResult", "least_load_fit_decreasing"]
+__all__ = ["LLFDResult", "least_load_fit_decreasing", "llfd_columns"]
 
 Key = Hashable
 HashFunction = Callable[[Key], int]
@@ -45,9 +68,6 @@ _EPS = 1e-9
 class LLFDResult:
     """Outcome of one LLFD run."""
 
-    #: Final destination of every key the subroutine was aware of (candidates
-    #: plus keys that stayed put plus keys displaced by exchanges).
-    placements: Dict[Key, int] = field(default_factory=dict)
     #: Estimated per-task load after the placement.
     loads: Dict[int, float] = field(default_factory=dict)
     #: Entries ``(k, d)`` with ``d != h(k)`` — the new routing table content.
@@ -59,6 +79,15 @@ class LLFDResult:
     fallback_placements: int = 0
     #: Number of Adjust exchanges performed.
     exchanges: int = 0
+    #: Every key the subroutine was aware of (candidates plus keys that stayed
+    #: put plus keys displaced by exchanges) and, aligned, its final task.
+    keys: Sequence[Key] = ()
+    destinations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+
+    @property
+    def placements(self) -> Dict[Key, int]:
+        """Final destination of every key, as a dict (built on demand)."""
+        return dict(zip(self.keys, self.destinations.tolist()))
 
     @property
     def max_theta(self) -> float:
@@ -78,7 +107,7 @@ def least_load_fit_decreasing(
     *,
     base_loads: Optional[Mapping[int, float]] = None,
 ) -> LLFDResult:
-    """Run LLFD (Algorithm 1).
+    """Run LLFD (Algorithm 1) over ``{key: value}`` mappings.
 
     Parameters
     ----------
@@ -110,122 +139,169 @@ def least_load_fit_decreasing(
     LLFDResult
         Final placements, loads, routing entries and balance diagnostics.
     """
+    if not isinstance(candidates, Collection):
+        candidates = list(candidates)
+    candidate_set = set(candidates)
+    keys = [key for key in assignment if key not in candidate_set]
+    destinations = [assignment[key] for key in keys]
+    keys.extend(candidate_set)
+    destinations.extend(itertools.repeat(-1, len(candidate_set)))
+    count = len(keys)
+    columns = KeyColumns(
+        keys,
+        np.fromiter((costs.get(key, 0.0) for key in keys), dtype=float, count=count),
+        np.fromiter((memories.get(key, 0.0) for key in keys), dtype=float, count=count),
+    )
+    return llfd_columns(
+        columns,
+        np.fromiter(map(hash_function, keys), dtype=np.intp, count=count),
+        np.array(destinations, dtype=np.intp),
+        candidates,
+        num_tasks,
+        theta_max,
+        criteria,
+        base_loads=base_loads,
+    )
+
+
+def llfd_columns(
+    columns: KeyColumns,
+    hashed: np.ndarray,
+    destinations: np.ndarray,
+    candidates: Iterable[Key],
+    num_tasks: int,
+    theta_max: float,
+    criteria: Optional[SelectionCriteria] = None,
+    *,
+    base_loads: Optional[Mapping[int, float]] = None,
+) -> LLFDResult:
+    """Run LLFD (Algorithm 1) over aligned columns.
+
+    ``columns.keys[i]`` has hash destination ``hashed[i]`` and current
+    destination ``destinations[i]`` (ignored for candidates).
+    ``destinations`` is edited in place and becomes the result's final
+    placement column.
+    """
     if num_tasks <= 0:
         raise ValueError(f"num_tasks must be positive, got {num_tasks}")
     if theta_max < 0:
         raise ValueError(f"theta_max must be non-negative, got {theta_max}")
     criteria = criteria if criteria is not None else HighestCostFirst()
+    keys, cost, memory, index = columns.keys, columns.cost, columns.memory, columns.index
 
     candidate_set: Set[Key] = set(candidates)
-    placements: Dict[Key, int] = {}
-    per_task_keys: Dict[int, Set[Key]] = {task: set() for task in range(num_tasks)}
-    loads: Dict[int, float] = {
-        task: float(base_loads.get(task, 0.0)) if base_loads else 0.0
-        for task in range(num_tasks)
-    }
-
-    for key, task in assignment.items():
-        if key in candidate_set:
-            continue
-        if task < 0 or task >= num_tasks:
-            raise ValueError(f"assignment routes key {key!r} to invalid task {task}")
-        placements[key] = task
-        per_task_keys[task].add(key)
-        loads[task] += costs.get(key, 0.0)
+    # Position → task of every key LLFD placed, in placement order (a key
+    # displaced by an exchange leaves and re-enters at the end).
+    touched: Dict[int, int] = {}
+    settled = np.ones(len(keys), dtype=bool)
+    settled[[index[key] for key in candidate_set]] = False
+    invalid = settled & ((destinations < 0) | (destinations >= num_tasks))
+    if invalid.any():
+        at = int(np.flatnonzero(invalid)[0])
+        raise ValueError(
+            f"assignment routes key {keys[at]!r} to invalid task {int(destinations[at])}"
+        )
+    destinations[~settled] = -1
+    # One bincount, adding in column order on top of the base loads — the same
+    # float additions a per-key loop over the settled keys would make.
+    tasks = np.arange(num_tasks)
+    base = [float(base_loads.get(task, 0.0)) if base_loads else 0.0 for task in range(num_tasks)]
+    loads: Dict[int, float] = dict(
+        enumerate(
+            np.bincount(
+                np.concatenate((tasks, destinations[settled])),
+                weights=np.concatenate((base, cost[settled])),
+                minlength=num_tasks,
+            ).tolist()
+        )
+    )
 
     # The ceiling is fixed from the *total* load (which never changes during
     # the run): L_max = (1 + θ_max) · L̄_{i-1}.  Note the final division can
     # still underflow for subnormal totals — the underflow-proof comparisons
     # live in the product-form helpers of repro.core.load; at these magnitudes
     # a zero ceiling only makes the fit checks conservative.
-    total_load = sum(loads.values()) + sum(costs.get(key, 0.0) for key in candidate_set)
+    total_load = sum(loads.values()) + sum(cost.item(index[key]) for key in candidate_set)
     ceiling = (1.0 + theta_max) * total_load / num_tasks
 
     # Max-heap of candidates ordered by decreasing cost (ties broken on repr
     # for determinism).  Keys displaced by Adjust are pushed back in.
     counter = itertools.count()
-    heap: List[Tuple[float, str, int, Key]] = []
+    heap: List[Tuple[float, str, int, int]] = []
     for key in candidate_set:
-        heapq.heappush(heap, (-costs.get(key, 0.0), repr(key), next(counter), key))
+        at = index[key]
+        heapq.heappush(heap, (-cost.item(at), repr(key), next(counter), at))
 
-    result = LLFDResult()
+    result = LLFDResult(keys=keys, destinations=destinations)
 
-    def try_adjust(key: Key, cost: float, task: int) -> bool:
+    def cheaper_residents(task: int, limit: float) -> Iterator[int]:
+        """Positions on ``task`` with a cost strictly below ``limit``, in ψ order."""
+        resident = np.flatnonzero((destinations == task) & (cost < limit))
+        return criteria.ranked(keys, cost, memory, resident)
+
+    def displace(at: int, task: int) -> None:
+        """Disassociate ``keys[at]`` from ``task`` and push it back into C."""
+        destinations[at] = -1
+        touched.pop(at, None)
+        loads[task] -= cost.item(at)
+        heapq.heappush(heap, (-cost.item(at), repr(keys[at]), next(counter), at))
+        result.exchanges += 1
+
+    def try_adjust(key_cost: float, task: int) -> bool:
         """The Adjust function of Algorithm 1 (lines 10-20)."""
-        if loads[task] + cost <= ceiling + _EPS:
+        if loads[task] + key_cost <= ceiling + _EPS:
             return True
         # Attempt to build an exchangeable set E of keys on `task`, each with a
-        # strictly smaller cost than `key`, whose removal makes room.
-        resident = [k for k in per_task_keys[task] if costs.get(k, 0.0) < cost]
-        if not resident:
-            return False
-        ordered = criteria.sort(resident, costs, memories)
-        selected: List[Key] = []
+        # strictly smaller cost than the key, whose removal makes room.
+        selected: List[int] = []
         freed = 0.0
-        needed = loads[task] + cost - ceiling
-        for other in ordered:
+        needed = loads[task] + key_cost - ceiling
+        for other in cheaper_residents(task, key_cost):
             if freed >= needed - _EPS:
                 break
             selected.append(other)
-            freed += costs.get(other, 0.0)
+            freed += cost.item(other)
         if freed < needed - _EPS:
             return False
-        # Disassociate the exchangeable set and push it back into C.
         for other in selected:
-            per_task_keys[task].discard(other)
-            loads[task] -= costs.get(other, 0.0)
-            del placements[other]
-            heapq.heappush(
-                heap, (-costs.get(other, 0.0), repr(other), next(counter), other)
-            )
-            result.exchanges += 1
+            displace(other, task)
         return True
 
     while heap:
-        _, _, _, key = heapq.heappop(heap)
-        cost = costs.get(key, 0.0)
+        _, _, _, at = heapq.heappop(heap)
+        key_cost = cost.item(at)
         # Offer the key to tasks in ascending order of current load.
         order = sorted(range(num_tasks), key=lambda task: (loads[task], task))
-        placed = False
         for task in order:
-            if try_adjust(key, cost, task):
-                placements[key] = task
-                per_task_keys[task].add(key)
-                loads[task] += cost
-                placed = True
+            if try_adjust(key_cost, task):
                 break
-        if not placed:
+        else:
             # Best-effort fallback for keys no task can absorb within the
             # ceiling (typically a single key whose cost exceeds L̄, outside
             # Theorem 1's precondition).  Place it on the least-loaded task and
             # displace strictly cheaper resident keys so the oversized key ends
             # up (almost) alone there — the same outcome Simple/LPT reaches.
             task = order[0]
-            displaceable = criteria.sort(
-                [k for k in per_task_keys[task] if costs.get(k, 0.0) < cost],
-                costs,
-                memories,
-            )
-            for other in displaceable:
-                if loads[task] + cost <= ceiling + _EPS:
+            for other in cheaper_residents(task, key_cost):
+                if loads[task] + key_cost <= ceiling + _EPS:
                     break
-                per_task_keys[task].discard(other)
-                loads[task] -= costs.get(other, 0.0)
-                del placements[other]
-                heapq.heappush(
-                    heap, (-costs.get(other, 0.0), repr(other), next(counter), other)
-                )
-                result.exchanges += 1
-            placements[key] = task
-            per_task_keys[task].add(key)
-            loads[task] += cost
+                displace(other, task)
             result.fallback_placements += 1
+        destinations[at] = task
+        touched[at] = task
+        loads[task] += key_cost
 
-    result.placements = placements
     result.loads = loads
+    # New table content: untouched keys whose (old, kept) destination is not
+    # their hash, in key order, then the touched keys in placement order — the
+    # order a {key: task} dict of all placements would list them in.
+    off_hash = np.flatnonzero(destinations != hashed).tolist()
     result.routing_entries = {
-        key: task for key, task in placements.items() if hash_function(key) != task
+        keys[at]: int(destinations[at]) for at in off_hash if at not in touched
     }
+    result.routing_entries.update(
+        (keys[at], task) for at, task in touched.items() if hashed[at] != task
+    )
     result.balanced = (
         result.fallback_placements == 0
         and max(loads.values(), default=0.0) <= ceiling + _EPS

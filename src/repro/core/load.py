@@ -17,11 +17,14 @@ loaded operator as empty.  ``max / L̄`` is therefore evaluated as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping
+
+import numpy as np
 
 __all__ = [
     "load_per_task",
     "load_from_costs",
+    "load_from_columns",
     "total_load",
     "average_load",
     "safe_mean",
@@ -60,6 +63,28 @@ def load_from_costs(
             )
         loads[destination] += costs[key]
     return loads
+
+
+def load_from_columns(
+    destinations: np.ndarray,
+    cost: np.ndarray,
+    num_tasks: int,
+) -> Dict[int, float]:
+    """``{d: L(d)}`` from aligned destination / cost columns.
+
+    ``np.bincount`` adds the weights one by one in column order, so the sums
+    are bit-identical to :func:`load_from_costs` walking the same keys.
+    """
+    if num_tasks <= 0:
+        raise ValueError(f"num_tasks must be positive, got {num_tasks}")
+    if len(destinations) and (destinations.min() < 0 or destinations.max() >= num_tasks):
+        at = int(np.flatnonzero((destinations < 0) | (destinations >= num_tasks))[0])
+        raise ValueError(
+            f"assignment routed key #{at} to task {int(destinations[at])}, "
+            f"outside 0..{num_tasks - 1}"
+        )
+    loads = np.bincount(destinations, weights=cost, minlength=num_tasks)
+    return dict(enumerate(loads.tolist()))
 
 
 def load_per_task(

@@ -13,8 +13,10 @@ operator, which is what :func:`migration_cost_fraction` computes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
+from repro.core.assignment import AssignmentFunction
 from repro.core.statistics import StatisticsStore
 
 __all__ = [
@@ -26,7 +28,6 @@ __all__ = [
 ]
 
 Key = Hashable
-Assignment = Callable[[Key], int]
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,11 @@ class KeyMove:
 
 @dataclass
 class MigrationPlan:
-    """The set of key moves produced by one rebalancing decision."""
+    """The set of key moves produced by one rebalancing decision.
+
+    A plan is not edited once built: :attr:`keys` and :attr:`total_state` are
+    computed on first access and kept.
+    """
 
     moves: List[KeyMove] = field(default_factory=list)
 
@@ -60,12 +65,12 @@ class MigrationPlan:
     def __bool__(self) -> bool:
         return bool(self.moves)
 
-    @property
+    @cached_property
     def keys(self) -> Set[Key]:
         """Keys involved in the migration (``Δ(F, F′)``)."""
         return {move.key for move in self.moves}
 
-    @property
+    @cached_property
     def total_state(self) -> float:
         """``M_i(w, F, F′)`` — total state volume to transfer."""
         return sum(move.state_size for move in self.moves)
@@ -119,15 +124,24 @@ def migration_cost_fraction(
 
 
 def build_migration_plan(
-    old: Assignment,
-    new: Assignment,
+    old: AssignmentFunction,
+    new: AssignmentFunction,
     keys: Iterable[Key],
     stats: Optional[StatisticsStore] = None,
     window: Optional[int] = None,
 ) -> MigrationPlan:
-    """Construct the :class:`MigrationPlan` realising ``F → F′`` over ``keys``."""
+    """Construct the :class:`MigrationPlan` realising ``F → F′`` over ``keys``.
+
+    ``F`` and ``F′`` share the hash ``h``, so only a key whose routing-table
+    entry was added, dropped or retargeted can change destination: the moves
+    are found among the table diff (in ``keys`` iteration order), not by
+    evaluating both functions on every key.
+    """
+    if old.hash_function != new.hash_function:
+        raise ValueError("a migration plan needs both assignments to share the hash function")
+    changed = old.routing_table.changed_keys(new.routing_table)
     moves: List[KeyMove] = []
-    for key in keys:
+    for key in filter(changed.__contains__, keys):
         source = old(key)
         target = new(key)
         if source == target:

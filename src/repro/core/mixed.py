@@ -15,7 +15,7 @@ Simple's; property tests in ``tests/core/test_theorems.py`` check this.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Hashable, List, Optional, Set
 
 from repro.core.assignment import AssignmentFunction
 from repro.core.criteria import (
@@ -46,11 +46,9 @@ def _cleaning_order(
     Smallest window memory first: moving these keys back to their hash
     destination costs the least state transfer.
     """
-    eta = SmallestMemoryFirst()
     table_keys = list(assignment.routing_table.keys())
-    costs = stats.cost_map()
-    memories = stats.memory_map(config.window)
-    return eta.sort(table_keys, costs, memories)
+    memories = {key: stats.windowed_memory(key, config.window) for key in table_keys}
+    return SmallestMemoryFirst().sort(table_keys, {}, memories)
 
 
 @register_algorithm

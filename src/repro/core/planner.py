@@ -25,19 +25,21 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple, Type
+from typing import Dict, Hashable, Optional, Set, Type
+
+import numpy as np
 
 from repro.core.assignment import AssignmentFunction
 from repro.core.criteria import DEFAULT_BETA, SelectionCriteria
-from repro.core.llfd import LLFDResult, least_load_fit_decreasing
-from repro.core.load import load_ceiling, load_from_costs
+from repro.core.llfd import LLFDResult, llfd_columns
+from repro.core.load import load_ceiling, load_from_columns
 from repro.core.migration import (
     MigrationPlan,
     build_migration_plan,
     migration_cost_fraction,
 )
 from repro.core.routing_table import RoutingTable
-from repro.core.statistics import StatisticsStore
+from repro.core.statistics import KeyColumns, StatisticsStore
 
 __all__ = [
     "PlannerConfig",
@@ -181,56 +183,38 @@ class RebalanceAlgorithm(ABC):
         several cleaning trials without re-entering the public template.
         """
         criteria = self.selection_criteria(config)
-        costs = stats.cost_map()
-        memories = stats.memory_map(config.window)
-        observed = set(costs)
+        columns = stats.columns(config.window)
+        keys, cost, index = columns.keys, columns.cost, columns.index
         num_tasks = assignment.num_tasks
 
-        # Working destination after the (virtual) cleaning of Phase I; the
-        # assignment is evaluated over all observed keys in one batch and the
-        # cleaned entries are patched back to their hash destination.
-        observed_keys = list(costs)
-        working: Dict[Key, int] = dict(
-            zip(observed_keys, assignment.assign_batch(observed_keys))
-        )
+        # Working destination after the (virtual) cleaning of Phase I: F over
+        # the observed keys, with the cleaned entries back at their hash.
+        hashed, working = assignment.route_columns(columns)
         for key in cleaned:
-            if key in working:
-                working[key] = assignment.hash_destination(key)
-        loads = load_from_costs(costs, working.__getitem__, num_tasks)
+            at = index.get(key)
+            if at is not None:
+                working[at] = hashed[at]
+        loads = load_from_columns(working, cost, num_tasks)
         ceiling = load_ceiling(loads, config.theta_max)
 
         # Phase II: disassociate keys from overloaded tasks until they fit.
         candidates: Set[Key] = set()
-        keys_by_task: Dict[int, List[Key]] = {task: [] for task in range(num_tasks)}
-        for key, task in working.items():
-            keys_by_task[task].append(key)
         for task in range(num_tasks):
             if loads[task] <= ceiling + _EPS:
                 continue
-            ordered = criteria.sort(keys_by_task[task], costs, memories)
-            for key in ordered:
+            on_task = np.flatnonzero(working == task)
+            for at in criteria.ranked(keys, cost, columns.memory, on_task):
                 if loads[task] <= ceiling + _EPS:
                     break
-                candidates.add(key)
-                loads[task] -= costs.get(key, 0.0)
-
-        remaining = {key: task for key, task in working.items() if key not in candidates}
+                candidates.add(keys[at])
+                loads[task] -= cost.item(at)
 
         # Phase III: LLFD.
-        llfd = least_load_fit_decreasing(
-            candidates,
-            remaining,
-            costs,
-            memories,
-            num_tasks,
-            config.theta_max,
-            assignment.hash_destination,
-            criteria,
+        llfd = llfd_columns(
+            columns, hashed, working, candidates, num_tasks, config.theta_max, criteria
         )
 
-        return self._build_result(
-            assignment, stats, config, cleaned, llfd, observed
-        )
+        return self._build_result(assignment, stats, config, cleaned, llfd, columns)
 
     # -- result assembly --------------------------------------------------------
 
@@ -241,7 +225,7 @@ class RebalanceAlgorithm(ABC):
         config: PlannerConfig,
         cleaned: Set[Key],
         llfd: LLFDResult,
-        observed: Set[Key],
+        observed: KeyColumns,
     ) -> RebalanceResult:
         new_table = RoutingTable(max_size=None)
         # Keep old explicit entries for keys outside the statistics window —
@@ -250,14 +234,14 @@ class RebalanceAlgorithm(ABC):
         # ``retain_unobserved_entries`` to drop them (full cleaning).
         if self.retain_unobserved_entries:
             for key, task in assignment.routing_table.items():
-                if key not in observed:
+                if key not in observed.index:
                     new_table.set(key, task, enforce_limit=False)
         for key, task in llfd.routing_entries.items():
             new_table.set(key, task, enforce_limit=False)
 
         new_assignment = assignment.with_table(new_table)
         plan = build_migration_plan(
-            assignment, new_assignment, observed, stats, config.window
+            assignment, new_assignment, observed.key_set, stats, config.window
         )
         fraction = migration_cost_fraction(plan.keys, stats, config.window)
         return RebalanceResult(

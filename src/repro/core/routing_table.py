@@ -9,7 +9,7 @@ workload (Section II of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["RoutingTable", "RoutingTableOverflowError"]
 
@@ -159,6 +159,15 @@ class RoutingTable:
         table._max_size = new_max
         table._version = self._version
         return table
+
+    def changed_keys(self, other: "RoutingTable") -> Set[Key]:
+        """Keys whose entry differs between the two tables (added, dropped or
+        retargeted) — the only keys two assignment functions sharing a hash
+        can route differently."""
+        mine, theirs = self._entries, other._entries
+        changed = {key for key, task in mine.items() if theirs.get(key) != task}
+        changed.update(key for key in theirs if key not in mine)
+        return changed
 
     def as_dict(self) -> Dict[Key, int]:
         """Return a plain ``dict`` snapshot of the entries."""

@@ -19,9 +19,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, Iterable, Mapping, Optional, Set, Tuple
+from itertools import repeat
+from operator import attrgetter
+from types import MappingProxyType
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-__all__ = ["KeyStats", "IntervalStats", "StatisticsStore"]
+import numpy as np
+
+__all__ = ["KeyStats", "KeyColumns", "IntervalStats", "StatisticsStore"]
 
 Key = Hashable
 
@@ -47,15 +64,93 @@ class KeyStats:
         )
 
 
+class KeyColumns:
+    """Columnar view of a set of observed keys: aligned key / cost / memory columns.
+
+    The planner works on these arrays instead of walking per-key dicts: ``keys``
+    is the snapshot's key order, ``cost[i]`` and ``memory[i]`` belong to
+    ``keys[i]``.  The columns are shared by every reader and must not be
+    written to (the arrays are flagged read-only); the derived lookup
+    structures are built on first use.
+    """
+
+    __slots__ = ("keys", "cost", "memory", "_index", "_key_set", "_cost_map", "_memory_map")
+
+    def __init__(self, keys: List[Key], cost: np.ndarray, memory: np.ndarray) -> None:
+        cost.flags.writeable = False
+        memory.flags.writeable = False
+        self.keys = keys
+        self.cost = cost
+        self.memory = memory
+        self._index: Optional[Dict[Key, int]] = None
+        self._key_set: Optional[Set[Key]] = None
+        self._cost_map: Optional[Mapping[Key, float]] = None
+        self._memory_map: Optional[Mapping[Key, float]] = None
+
+    @property
+    def index(self) -> Dict[Key, int]:
+        """``{key: position}`` — also the membership test for "was observed"."""
+        if self._index is None:
+            self._index = dict(zip(self.keys, range(len(self.keys))))
+        return self._index
+
+    @property
+    def key_set(self) -> Set[Key]:
+        """The keys as a set.
+
+        Built from a dict with the snapshot's key order, exactly like the
+        ``set(cost_map)`` the planner used to iterate, so the iteration order
+        — and with it the order of a migration plan's moves — is unchanged.
+        """
+        if self._key_set is None:
+            self._key_set = set(self.index)
+        return self._key_set
+
+    @property
+    def cost_map(self) -> Mapping[Key, float]:
+        """Read-only ``{key: cost}`` in column order."""
+        if self._cost_map is None:
+            self._cost_map = MappingProxyType(dict(zip(self.keys, self.cost.tolist())))
+        return self._cost_map
+
+    @property
+    def memory_map(self) -> Mapping[Key, float]:
+        """Read-only ``{key: memory}`` in column order."""
+        if self._memory_map is None:
+            self._memory_map = MappingProxyType(dict(zip(self.keys, self.memory.tolist())))
+        return self._memory_map
+
+    def share_keys(self, other: "KeyColumns") -> None:
+        """Adopt ``other``'s key structures when both list the same keys in order.
+
+        A stationary key population re-lists the same keys interval after
+        interval; sharing the list, the position index and the key set saves
+        rebuilding them (and lets per-key-list memos hit by identity).
+        """
+        if self.keys is not other.keys and self.keys == other.keys:
+            self.keys = other.keys
+            self._index = other._index
+            self._key_set = other._key_set
+
+    def with_memory(self, memory: np.ndarray) -> "KeyColumns":
+        """Same keys and costs with another memory column (windowed state)."""
+        clone = KeyColumns(self.keys, self.cost, memory)
+        clone._index = self.index
+        clone._key_set = self._key_set
+        clone._cost_map = self._cost_map
+        return clone
+
+
 class IntervalStats:
     """Statistics of every observed key for a single time interval ``T_i``.
 
     The snapshot is conceptually immutable once handed to the planner; the
     mutating helpers (:meth:`record`) are only used while the interval is being
-    measured (by tasks or by workload generators).
+    measured (by tasks or by workload generators) and drop the cached
+    :meth:`columns`.
     """
 
-    __slots__ = ("interval", "_stats")
+    __slots__ = ("interval", "_stats", "_columns")
 
     def __init__(
         self,
@@ -64,6 +159,7 @@ class IntervalStats:
     ) -> None:
         self.interval = int(interval)
         self._stats: Dict[Key, KeyStats] = dict(stats) if stats else {}
+        self._columns: Optional[KeyColumns] = None
 
     # -- construction --------------------------------------------------------
 
@@ -104,6 +200,7 @@ class IntervalStats:
         addition = KeyStats(frequency=frequency, cost=cost, memory=memory)
         existing = self._stats.get(key)
         self._stats[key] = addition if existing is None else existing.merged(addition)
+        self._columns = None
 
     def record_bulk(
         self, entries: Iterable[Tuple[Key, float, float, float]]
@@ -116,12 +213,26 @@ class IntervalStats:
         """
         stats = self._stats
         get = stats.get
+        self._columns = None
         for key, frequency, cost, memory in entries:
             addition = KeyStats(frequency=frequency, cost=cost, memory=memory)
             existing = get(key)
             stats[key] = addition if existing is None else existing.merged(addition)
 
     # -- queries --------------------------------------------------------------
+
+    def columns(self) -> KeyColumns:
+        """The snapshot as aligned columns, built once and shared until the
+        next :meth:`record` / :meth:`record_bulk`."""
+        if self._columns is None:
+            values = self._stats.values()
+            count = len(values)
+            self._columns = KeyColumns(
+                list(self._stats),
+                np.fromiter(map(attrgetter("cost"), values), dtype=float, count=count),
+                np.fromiter(map(attrgetter("memory"), values), dtype=float, count=count),
+            )
+        return self._columns
 
     def keys(self) -> Iterable[Key]:
         return self._stats.keys()
@@ -161,7 +272,7 @@ class IntervalStats:
 
     def total_memory(self) -> float:
         """Total state produced during the interval."""
-        return sum(stat.memory for stat in self._stats.values())
+        return sum(self.columns().memory.tolist())
 
     def copy(self) -> "IntervalStats":
         return IntervalStats(self.interval, self._stats)
@@ -183,6 +294,16 @@ class StatisticsStore:
 
     window: int = 1
     _history: Deque[IntervalStats] = field(default_factory=deque, repr=False)
+    #: Results derived from several retained snapshots, keyed by
+    #: ``(kind, window)`` and stored with the per-snapshot columns they were
+    #: computed from (so a snapshot mutated after the push is noticed).
+    _derived: Dict[Tuple[str, int], Tuple[Tuple[KeyColumns, ...], Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: Columns last served for the latest snapshot (see ``KeyColumns.share_keys``).
+    _last_columns: Optional[KeyColumns] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -200,6 +321,7 @@ class StatisticsStore:
         self._history.append(stats)
         while len(self._history) > self.window:
             self._history.popleft()
+        self._derived.clear()
 
     # -- queries --------------------------------------------------------------
 
@@ -236,37 +358,97 @@ class StatisticsStore:
         """``c_{i-1}(k)`` of the latest interval."""
         return self.latest.cost(key)
 
+    def _recent(self, window: Optional[int]) -> Sequence[IntervalStats]:
+        """The last ``window`` retained snapshots, oldest first."""
+        w = self.window if window is None else window
+        if w < 1:
+            raise ValueError(f"window must be >= 1, got {w}")
+        if w >= len(self._history):
+            return self._history
+        return list(self._history)[-w:]
+
     def windowed_memory(self, key: Key, window: Optional[int] = None) -> float:
         """``S_i(k, w)``: total state for ``key`` over the last ``w`` intervals.
 
         ``window`` defaults to the store's window; a smaller value restricts
         the sum to fewer (most recent) intervals.
         """
-        w = self.window if window is None else window
-        if w < 1:
-            raise ValueError(f"window must be >= 1, got {w}")
         total = 0.0
-        for snapshot in list(self._history)[-w:]:
+        for snapshot in self._recent(window):
             total += snapshot.memory(key)
         return total
 
     def total_windowed_memory(self, window: Optional[int] = None) -> float:
         """Total state held by the operator over the retained window."""
-        w = self.window if window is None else window
-        return sum(snapshot.total_memory() for snapshot in list(self._history)[-w:])
+        return sum(snapshot.total_memory() for snapshot in self._recent(window))
 
-    def cost_map(self) -> Dict[Key, float]:
-        """``{k: c_{i-1}(k)}`` of the latest interval."""
-        return {key: stat.cost for key, stat in self.latest.items()}
+    def _latest_columns(self) -> KeyColumns:
+        columns = self.latest.columns()
+        if columns is not self._last_columns:
+            if self._last_columns is not None:
+                columns.share_keys(self._last_columns)
+            self._last_columns = columns
+        return columns
 
-    def memory_map(self, window: Optional[int] = None) -> Dict[Key, float]:
-        """``{k: S_i(k, w)}`` over every key observed in the window."""
+    def _derive(self, kind: str, window: Optional[int], build) -> Any:
+        """``build(snapshots)`` over the last ``window`` snapshots, computed once
+        per push (and again if one of those snapshots was recorded into)."""
+        snapshots = list(self._recent(window))
+        sources = tuple(snapshot.columns() for snapshot in snapshots)
+        cached = self._derived.get((kind, len(snapshots)))
+        if cached is None or cached[0] != sources:
+            cached = self._derived[(kind, len(snapshots))] = (sources, build(snapshots))
+        return cached[1]
+
+    def columns(self, window: Optional[int] = None) -> KeyColumns:
+        """The latest interval's keys with ``c_{i-1}(k)`` and ``S_{i-1}(k, w)`` columns.
+
+        Built once per pushed snapshot and shared by every planning step of
+        the interval (imbalance check, cleaning trials, Phase II, LLFD).
+        """
+        latest = self._latest_columns()
+        if len(self._recent(window)) == 1:
+            return latest
+        return self._derive(
+            "columns", window, lambda snapshots: self._window_columns(latest, snapshots)
+        )
+
+    @staticmethod
+    def _window_columns(latest: KeyColumns, snapshots: List[IntervalStats]) -> KeyColumns:
+        # Summed oldest first, adding 0.0 where a key was absent — the same
+        # float additions, in the same order, as windowed_memory().
+        keys = latest.keys
+        memory = np.zeros(len(keys))
+        for snapshot in snapshots:
+            columns = snapshot.columns()
+            if columns.keys is keys or columns.keys == keys:
+                memory += columns.memory
+                continue
+            position = np.fromiter(
+                map(columns.index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys)
+            )
+            present = position >= 0
+            memory[present] += columns.memory[position[present]]
+        return latest.with_memory(memory)
+
+    def cost_map(self) -> Mapping[Key, float]:
+        """``{k: c_{i-1}(k)}`` of the latest interval (shared, read-only)."""
+        return self._latest_columns().cost_map
+
+    def memory_map(self, window: Optional[int] = None) -> Mapping[Key, float]:
+        """``{k: S_i(k, w)}`` over every key observed in the window (shared, read-only)."""
+        return self._derive("memory_map", window, self._window_memory_map)
+
+    @staticmethod
+    def _window_memory_map(snapshots: List[IntervalStats]) -> Mapping[Key, float]:
+        if len(snapshots) == 1:
+            return snapshots[0].columns().memory_map
         result: Dict[Key, float] = {}
-        w = self.window if window is None else window
-        for snapshot in list(self._history)[-w:]:
-            for key, stat in snapshot.items():
-                result[key] = result.get(key, 0.0) + stat.memory
-        return result
+        for snapshot in snapshots:
+            columns = snapshot.columns()
+            for key, memory in zip(columns.keys, columns.memory.tolist()):
+                result[key] = result.get(key, 0.0) + memory
+        return MappingProxyType(result)
 
     def copy(self) -> "StatisticsStore":
         clone = StatisticsStore(window=self.window)

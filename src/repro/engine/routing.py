@@ -6,10 +6,11 @@ The simulators drive every strategy through the
 assignment, rebalanced by Mixed/MinTable/… at interval ends) so it plugs in the
 same way the baselines do.
 
-Snapshot routing goes through the batch API: ``assign_batch`` delegates to the
-assignment function's bulk evaluation and the base class memoises the per-key
-results between rebalances (the cache epoch tracks the controller's planning
-rounds and routing-table edits, so an installed plan invalidates it).
+Snapshot routing goes through the batch API: the base class memoises the
+per-key results and, when ``on_interval_end`` installs a plan, rewrites only
+the entries of keys whose routing-table entry changed.  The cache epoch tracks
+the controller's planning rounds and routing-table edits, so an assignment
+change that did not come through ``on_interval_end`` still drops the memo.
 """
 
 from __future__ import annotations

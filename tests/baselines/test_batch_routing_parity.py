@@ -3,7 +3,8 @@
 For every partitioner strategy, ``assign_batch``/``route_snapshot`` must
 produce exactly the destinations the scalar ``route``/``route_bulk`` calls
 would have produced — including across interval boundaries, where rebalancing
-strategies install a new assignment and the key→task memo must be dropped.
+strategies install a new assignment and the key→task memo is patched for the
+re-routed keys (and dropped on a resize).
 
 Each property drives *twin* instances (identical construction, identical
 inputs): one through the scalar path, one through the batch path.  This keeps
@@ -105,8 +106,8 @@ def test_route_snapshot_matches_scalar_loop(strategy, snapshots):
 
     Between snapshots both twins observe the interval statistics, so
     rebalancing strategies (readj, dkg, mixed, …) install new assignments —
-    the batch twin's memoised routes must be invalidated and re-agree with
-    the scalar twin on the next snapshot.
+    the batch twin's memoised routes must follow and re-agree with the scalar
+    twin on the next snapshot.
     """
     scalar_part = FACTORIES[strategy]()
     batch_part = FACTORIES[strategy]()
@@ -155,7 +156,7 @@ def test_route_cache_invalidated_on_scale_out():
     assert any(a != b for a, b in zip(before, after))
 
 
-def test_route_cache_invalidated_on_rebalance():
+def test_route_cache_follows_rebalance():
     """A skewed snapshot forces a rebalance; memoised routes must follow F'."""
     partitioner = MixedRoutingPartitioner(
         NUM_TASKS, ControllerConfig(theta_max=0.01, algorithm="mixed"), seed=3
@@ -170,3 +171,138 @@ def test_route_cache_invalidated_on_rebalance():
     for task, freqs in routed.items():
         for key in freqs:
             assert assignment(key) == task
+
+
+# -- memo patching: a rebalance rewrites only the re-routed keys ----------------------
+
+REBALANCING = ("mixed", "mintable", "minmig", "readj", "dkg")
+
+#: Probe batches: all-int (the raw-key bulk memo), mixed types (the boxed memo),
+#: each holding keys the snapshots below can and cannot contain.
+INT_PROBE = list(range(0, 40))
+MIXED_PROBE = [0, 3, 19, 33, "alpha", "beta", 2.5, (1, 2), True]
+
+operations_strategy = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("interval"),
+            st.dictionaries(
+                st.one_of(st.integers(0, 25), st.sampled_from(["alpha", "beta"])),
+                st.sampled_from([1.0, 2.0, 5.0, 40.0, 900.0]),
+                min_size=1,
+                max_size=20,
+            ),
+        ),
+        st.tuples(st.just("scale_out"), st.integers(1, 2)),
+        st.tuples(st.just("scale_in"), st.integers(1, 2)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _apply(partitioner, interval, operation):
+    kind, argument = operation
+    if kind == "interval":
+        partitioner.on_interval_end(IntervalStats.from_frequencies(interval, argument))
+    elif kind == "scale_out":
+        partitioner.scale_out(partitioner.num_tasks + argument)
+    elif partitioner.num_tasks - argument >= 1:
+        partitioner.scale_in(partitioner.num_tasks - argument)
+
+
+def _assert_memo_agrees_with_cold(warm, cold):
+    """Every batch entry point of ``warm`` (memo kept across the operations)
+    answers like ``cold`` (same operations, never queried: an empty memo)."""
+    for probe in (INT_PROBE, MIXED_PROBE):
+        expected = [cold.route(key) for key in probe]
+        assert warm.assign_batch(probe) == expected
+        assert warm.assign_batch_array(probe).tolist() == expected
+        assert cold.assign_batch(probe) == expected
+    snapshot = {key: 1.0 for key in INT_PROBE + MIXED_PROBE[4:8]}
+    assert warm.route_snapshot(snapshot) == cold.route_snapshot(snapshot)
+
+
+@pytest.mark.parametrize("strategy", REBALANCING)
+@given(operations=operations_strategy)
+@settings(max_examples=40, deadline=None)
+def test_patched_memo_matches_cold_partitioner(strategy, operations):
+    """After any sequence of interval ends and resizes, the patched memo routes
+    observed and unobserved keys exactly like a freshly built partitioner that
+    went through the same sequence cold."""
+    warm = FACTORIES[strategy]()
+    _assert_memo_agrees_with_cold(warm, FACTORIES[strategy]())
+    for count in range(1, len(operations) + 1):
+        cold = FACTORIES[strategy]()
+        for interval, operation in enumerate(operations[:count]):
+            _apply(cold, interval, operation)
+        _apply(warm, count - 1, operations[count - 1])
+        _assert_memo_agrees_with_cold(warm, cold)
+
+
+def test_memo_follows_an_entry_mintable_drops_while_unobserved():
+    """MinTable drops the table entries of keys the window did not see; a
+    memoised route of such a key must fall back to the hash with the table."""
+    partitioner = MixedRoutingPartitioner(
+        NUM_TASKS, ControllerConfig(theta_max=0.01, algorithm="mintable"), seed=3
+    )
+    first = {key: 1.0 for key in range(40)}
+    first[0] = first[1] = first[2] = 500.0
+    partitioner.route_snapshot(first)
+    partitioner.on_interval_end(IntervalStats.from_frequencies(0, first))
+    pinned = [
+        key
+        for key, task in partitioner.assignment.routing_table.items()
+        if task != partitioner.assignment.hash_destination(key)
+    ]
+    assert pinned, "the skewed snapshot should pin some keys away from their hash"
+    assert partitioner.assign_batch(pinned) == [partitioner.route(key) for key in pinned]
+    # The next interval does not contain the pinned keys and is skewed again.
+    second = {key: 1.0 for key in range(40, 80)}
+    second[40] = second[41] = 500.0
+    result = partitioner.on_interval_end(IntervalStats.from_frequencies(1, second))
+    assert result is not None
+    assert not any(key in partitioner.assignment.routing_table for key in pinned)
+    hashed = [partitioner.assignment.hash_destination(key) for key in pinned]
+    assert partitioner.assign_batch(pinned) == hashed
+    assert partitioner.assign_batch_array(pinned).tolist() == hashed
+
+
+class _CountingMemo(dict):
+    """A route memo that counts its rewrites and clears."""
+
+    writes = 0
+    clears = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+@pytest.mark.parametrize("strategy", REBALANCING)
+def test_rebalance_rewrites_at_most_the_table_diff(strategy):
+    partitioner = FACTORIES[strategy]()
+    keys = list(range(200))
+    snapshot = {key: 1.0 + (key % 7) for key in keys}
+    snapshot[0] = snapshot[1] = 4_000.0
+    partitioner.route_snapshot(snapshot)  # warms the boxed memo
+    partitioner.assign_batch(keys)  # warms the raw-key int memo
+    boxed = partitioner._route_cache = _CountingMemo(partitioner._route_cache)
+    typed = partitioner._typed_route_caches[int] = _CountingMemo(
+        partitioner._typed_route_caches[int]
+    )
+    table_before = partitioner.assignment.routing_table
+    result = partitioner.on_interval_end(IntervalStats.from_frequencies(0, snapshot))
+    assert result is not None and len(result.migration_plan) > 0
+    diff = table_before.changed_keys(result.routing_table)
+    assert len(result.migrated_keys) <= len(diff) < len(keys)
+    for memo in (boxed, typed):
+        assert memo.clears == 0 and len(memo) == len(keys)
+        assert memo.writes <= len(diff)
+    assert partitioner._route_cache is boxed
+    assert partitioner.assign_batch(keys) == [partitioner.route(key) for key in keys]
+    assert typed.writes <= len(diff) and typed.clears == 0

@@ -1,0 +1,169 @@
+"""Oracle parity: the columnar planner against the dict-walking reference.
+
+``reference_planner.py`` holds the planner bodies this repo shipped before
+planning moved onto aligned columns.  The rewrite is a cost change, not a
+heuristic change, so every plan must come out identical — same routing table
+(content and entry order), same moves in the same order, bit-equal loads and
+fractions — over several consecutive rounds, for every algorithm, with ties,
+multi-interval windows, a binding ``A_max`` and table entries for keys the
+window never saw.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Hashable, List, Optional
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reference_planner import (
+    reference_algorithm,
+    reference_cleaning_order,
+    reference_llfd,
+    reference_sort,
+)
+from repro.core.assignment import AssignmentFunction
+from repro.core.criteria import HighestCostFirst, LargestGammaFirst, SmallestMemoryFirst
+from repro.core.hashing import UniversalHash
+from repro.core.llfd import least_load_fit_decreasing
+from repro.core.mixed import _cleaning_order
+from repro.core.planner import PlannerConfig, RebalanceResult, get_algorithm
+from repro.core.routing_table import RoutingTable
+from repro.core.statistics import IntervalStats, KeyStats, StatisticsStore
+
+Key = Hashable
+
+ALGORITHMS = ("mixed", "minmig", "mintable", "mixedbf")
+
+#: Few distinct values, so equal costs / memories / γ are the norm, plus
+#: non-integers whose powers do not round the same way in every libm.
+_VALUES = st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 7.5, 9.0, 16.0, 0.1, 1e-3, 123.456])
+
+
+def _universe(kind: str, size: int) -> List[Key]:
+    if kind == "str":
+        return [f"k{i}" for i in range(size)]
+    return [i * 7 - 5 for i in range(size)]  # ints, some negative
+
+
+@st.composite
+def _scenarios(draw):
+    kind = draw(st.sampled_from(["str", "int"]))
+    universe = _universe(kind, draw(st.integers(min_value=3, max_value=24)))
+    num_tasks = draw(st.integers(min_value=2, max_value=5))
+    window = draw(st.integers(min_value=1, max_value=3))
+    rounds = draw(st.integers(min_value=1, max_value=4))
+    snapshots: List[Dict[Key, KeyStats]] = []
+    for _ in range(rounds + window - 1):
+        present = draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
+        snapshots.append(
+            {
+                key: KeyStats(frequency=1.0, cost=draw(_VALUES), memory=draw(_VALUES))
+                for key in present
+            }
+        )
+    # Initial table: observed keys, keys only an older snapshot saw, keys never
+    # seen at all (the last three of the universe plus one outside it), and
+    # possibly entries equal to the hash destination.
+    never_seen = [("ghost",) if kind == "str" else 10**6]
+    pinned = draw(st.lists(st.sampled_from(universe + never_seen), unique=True, max_size=10))
+    table = {key: draw(st.integers(min_value=0, max_value=num_tasks - 1)) for key in pinned}
+    config = PlannerConfig(
+        theta_max=draw(st.sampled_from([0.0, 0.02, 0.08, 0.3, 1.0])),
+        max_table_size=draw(st.sampled_from([None, 0, 1, 2, 4])),
+        beta=draw(st.sampled_from([1.5, 1.0, 0.5, 2.0])),
+        window=draw(st.sampled_from([None, window, 1])),
+    )
+    return (
+        draw(st.sampled_from(ALGORITHMS)),
+        num_tasks,
+        draw(st.integers(min_value=0, max_value=3)),
+        window,
+        snapshots,
+        table,
+        config,
+    )
+
+
+def _assert_same_plan(actual: RebalanceResult, expected: RebalanceResult) -> None:
+    assert list(actual.routing_table.items()) == list(expected.routing_table.items())
+    assert actual.migration_plan.moves == expected.migration_plan.moves
+    assert list(actual.loads.items()) == list(expected.loads.items())
+    assert actual.balanced == expected.balanced
+    assert actual.max_theta == expected.max_theta
+    assert actual.migration_fraction == expected.migration_fraction
+    assert actual.migration_cost == expected.migration_cost
+    assert actual.cleaning_rounds == expected.cleaning_rounds
+    assert actual.moved_back == expected.moved_back
+    assert actual.table_size == expected.table_size
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scenarios())
+def test_columnar_planner_matches_dict_walking_reference(scenario):
+    name, num_tasks, seed, window, snapshots, table, config = scenario
+    actual_f = AssignmentFunction(UniversalHash(num_tasks, seed=seed), RoutingTable(table))
+    expected_f = actual_f.copy()
+    actual_stats = StatisticsStore(window=window)
+    expected_stats = StatisticsStore(window=window)
+    for interval, snapshot in enumerate(snapshots):
+        actual_stats.push(IntervalStats(interval, snapshot))
+        expected_stats.push(IntervalStats(interval, snapshot))
+        if interval < window - 1:
+            continue  # fill the window first, then plan on every interval
+        assert _cleaning_order(actual_f, actual_stats, config) == reference_cleaning_order(
+            expected_f, expected_stats, config
+        )
+        actual = get_algorithm(name).plan(actual_f, actual_stats, config)
+        expected = reference_algorithm(name).plan(expected_f, expected_stats, config)
+        _assert_same_plan(actual, expected)
+        actual_f, expected_f = actual.assignment, expected.assignment
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([HighestCostFirst(), LargestGammaFirst(1.5), SmallestMemoryFirst(), None]),
+    st.sampled_from(["str", "int"]),
+    st.integers(min_value=1, max_value=4),
+)
+def test_llfd_front_door_matches_reference(data, criteria, kind, num_tasks):
+    universe = _universe(kind, data.draw(st.integers(min_value=1, max_value=20)))
+    costs = {key: data.draw(_VALUES) for key in universe}
+    memories = {key: data.draw(_VALUES) for key in universe if data.draw(st.booleans())}
+    candidates = data.draw(st.lists(st.sampled_from(universe), unique=True))
+    assignment = {
+        key: data.draw(st.integers(min_value=0, max_value=num_tasks - 1))
+        for key in universe
+        if data.draw(st.booleans())
+    }
+    base_loads: Optional[Dict[int, float]] = data.draw(
+        st.one_of(st.none(), st.just({0: 2.5, num_tasks - 1: 0.75}))
+    )
+    theta_max = data.draw(st.sampled_from([0.0, 0.08, 0.5]))
+    hash_function = UniversalHash(num_tasks, seed=1)
+    arguments = (candidates, assignment, costs, memories, num_tasks, theta_max, hash_function)
+    actual = least_load_fit_decreasing(*arguments, criteria, base_loads=base_loads)
+    expected = reference_llfd(*arguments, criteria, base_loads=base_loads)
+    assert actual.placements == expected.placements
+    assert list(actual.routing_entries.items()) == list(expected.routing_entries.items())
+    assert list(actual.loads.items()) == list(expected.loads.items())
+    assert actual.balanced == expected.balanced
+    assert actual.max_theta == expected.max_theta
+    assert actual.exchanges == expected.exchanges
+    assert actual.fallback_placements == expected.fallback_placements
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_VALUES, _VALUES), max_size=30),
+    st.sampled_from(
+        [HighestCostFirst(), LargestGammaFirst(1.5), LargestGammaFirst(0.7), SmallestMemoryFirst()]
+    ),
+    st.sampled_from(["str", "int"]),
+)
+def test_vector_ranking_matches_scalar_sort(values, criteria, kind):
+    keys = _universe(kind, len(values))
+    costs = {key: cost for key, (cost, _) in zip(keys, values)}
+    memories = {key: memory for key, (_, memory) in zip(keys, values)}
+    assert criteria.sort(keys, costs, memories) == reference_sort(criteria, keys, costs, memories)

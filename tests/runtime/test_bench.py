@@ -27,13 +27,17 @@ TINY = dict(
 )
 
 
-def _load_validate_bench():
-    """Import scripts/validate_bench.py (not a package) by file path."""
-    path = Path(__file__).resolve().parents[2] / "scripts" / "validate_bench.py"
-    spec = importlib.util.spec_from_file_location("validate_bench", path)
+def _load_script(name: str):
+    """Import scripts/<name>.py (not a package) by file path."""
+    path = Path(__file__).resolve().parents[2] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_validate_bench():
+    return _load_script("validate_bench")
 
 
 class TestRuntimeSpec:
@@ -387,6 +391,30 @@ class TestSanitizerSectionValidation:
         section["checks"] = {}
         with pytest.raises(SystemExit):
             validate_bench._validate_sanitizer(section)
+
+
+class TestPlannerMicroSection:
+    """scripts/bench_planner.py output against validate_bench's 'planner_micro' check."""
+
+    @pytest.fixture(scope="class")
+    def section(self):
+        return _load_script("bench_planner").run_benchmark(key_counts=[400, 900], intervals=4)
+
+    def test_toy_run_produces_a_valid_section(self, section):
+        _load_validate_bench()._validate_planner_micro(section)
+        assert [row["num_keys"] for row in section["rows"]] == [400, 900]
+        assert all(row["moved_keys"] > 0 for row in section["rows"])
+
+    def test_row_without_a_plan_fails(self, section):
+        broken = {**section, "rows": [{**section["rows"][0], "plans": 0}]}
+        with pytest.raises(SystemExit):
+            _load_validate_bench()._validate_planner_micro(broken)
+
+    def test_missing_step_fails(self, section):
+        row = dict(section["rows"][0])
+        del row["should_rebalance_ms"]
+        with pytest.raises(SystemExit):
+            _load_validate_bench()._validate_planner_micro({**section, "rows": [row]})
 
 
 class TestBenchCli:
