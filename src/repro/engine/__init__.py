@@ -6,8 +6,10 @@ simulator:
 
 * the data model (:mod:`repro.engine.tuples`), keyed windowed state
   (:mod:`repro.engine.state`, :mod:`repro.engine.window`),
-* logical operators, task instances and topologies
-  (:mod:`repro.engine.operator`, :mod:`repro.engine.topology`),
+* logical operators, task instances and the topology description shared with
+  the process runtime (:mod:`repro.engine.operator`,
+  :mod:`repro.engine.topology`: one ``TopologySpec`` is simulated here and
+  executed by :mod:`repro.runtime`),
 * a fluid per-interval execution model with queueing, backpressure and latency
   (:mod:`repro.engine.executor`, :mod:`repro.engine.backpressure`),
 * the pause → migrate → ack → resume migration protocol of Fig. 5
@@ -26,7 +28,7 @@ from repro.engine.operator import OperatorLogic, Task
 from repro.engine.routing import MixedRoutingPartitioner
 from repro.engine.simulator import OperatorSimulator, PipelineSimulator, SimulationConfig
 from repro.engine.state import KeyedState
-from repro.engine.topology import PipelineStage, Topology, TopologyBuilder
+from repro.engine.topology import StageSpec, TopologySpec
 from repro.engine.tuples import StreamTuple
 from repro.engine.window import SlidingWindow
 
@@ -41,12 +43,11 @@ __all__ = [
     "OperatorLogic",
     "OperatorSimulator",
     "PipelineSimulator",
-    "PipelineStage",
     "SimulationConfig",
     "SlidingWindow",
+    "StageSpec",
     "StreamTuple",
     "Task",
     "TaskExecutor",
-    "Topology",
-    "TopologyBuilder",
+    "TopologySpec",
 ]

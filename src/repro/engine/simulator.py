@@ -10,8 +10,8 @@ topology against a workload source with a *fluid* per-interval model:
   :meth:`~repro.baselines.base.Partitioner.route_snapshot` call (the batch
   fast path: key→task results are memoised across intervals until the
   partitioner rebalances), offers the resulting per-task load to the task
-  executors (single-server fluid queues), and feeds the processed share —
-  scaled by the stage's selectivity and re-keyed — to the next stage;
+  executors (single-server fluid queues), and feeds the processed share,
+  re-keyed, to the next stage;
 * at the end of the interval the stage's partitioner sees the operator-level
   statistics and may rebalance; the migration protocol is executed on the
   in-memory task state and its pause cost is charged to the next interval;
@@ -36,7 +36,7 @@ from repro.engine.executor import ExecutorConfig, TaskExecutor
 from repro.engine.metrics import IntervalMetrics, MetricsCollector
 from repro.engine.migration_protocol import MigrationConfig, MigrationProtocol
 from repro.engine.operator import OperatorLogic, Task
-from repro.engine.topology import PipelineStage, Topology
+from repro.engine.topology import StageSpec, TopologySpec
 
 __all__ = [
     "SimulationConfig",
@@ -98,9 +98,6 @@ class SimulationResult:
     pipeline: MetricsCollector
     stages: Dict[str, MetricsCollector] = field(default_factory=dict)
 
-    def stage(self, name: str) -> MetricsCollector:
-        return self.stages[name]
-
     @property
     def primary_stage(self) -> MetricsCollector:
         """Metrics of the first stage (the operator under study in most runs)."""
@@ -110,7 +107,7 @@ class SimulationResult:
 class _StageRuntime:
     """Mutable runtime state of one pipeline stage."""
 
-    def __init__(self, stage: PipelineStage, config: SimulationConfig) -> None:
+    def __init__(self, stage: StageSpec, config: SimulationConfig) -> None:
         self.stage = stage
         self.config = config
         self.capacity: Optional[float] = config.fixed_capacity
@@ -146,13 +143,8 @@ class _StageRuntime:
 
     def _calibrate(self, total_cost: float) -> None:
         """Fix the per-task capacity from the first interval's offered load."""
-        factor = (
-            self.stage.capacity_factor
-            if self.stage.capacity_factor is not None
-            else self.config.capacity_factor
-        )
         fair_share = total_cost / max(1, self.stage.parallelism)
-        self.capacity = max(fair_share * factor, 1e-9)
+        self.capacity = max(fair_share * self.config.capacity_factor, 1e-9)
         self._build_executors()
 
     def calibrate_from(self, in_freqs: WorkloadSnapshot) -> Dict[Key, float]:
@@ -168,12 +160,7 @@ class _StageRuntime:
         total_cost = sum(count * logic.tuple_cost(key) for key, count in in_freqs.items())
         if self.capacity is None:
             self._calibrate(total_cost)
-        out: Dict[Key, float] = {}
-        if self.stage.selectivity > 0:
-            for key, count in in_freqs.items():
-                out_key = self.stage.map_key(key)
-                out[out_key] = out.get(out_key, 0.0) + count * self.stage.selectivity
-        return out
+        return self._rekeyed([in_freqs])
 
     def scale_out(self, new_parallelism: int) -> None:
         """Grow the stage; new tasks reuse the calibrated per-task capacity."""
@@ -348,24 +335,32 @@ class _StageRuntime:
         )
         self.metrics.record(record)
 
-        # Build the stream handed to the next stage: the tuples actually served
-        # this interval (including drained backlog), scaled by the stage
-        # selectivity and re-keyed.
-        out_freqs: Dict[Key, float] = {}
-        if self.stage.selectivity > 0:
-            for freqs in served_freqs.values():
-                for key, count in freqs.items():
-                    out_key = self.stage.map_key(key)
-                    out_freqs[out_key] = (
-                        out_freqs.get(out_key, 0.0) + count * self.stage.selectivity
-                    )
-        return record, out_freqs
+        # The stream handed to the next stage: the tuples actually served
+        # this interval (including drained backlog), re-keyed.
+        return record, self._rekeyed(served_freqs.values())
+
+    def _rekeyed(self, snapshots: Iterable[WorkloadSnapshot]) -> Dict[Key, float]:
+        """Sum ``snapshots`` under the stage's output key (identity if unmapped)."""
+        key_mapper = self.stage.key_mapper
+        out: Dict[Key, float] = {}
+        for freqs in snapshots:
+            for key, count in freqs.items():
+                out_key = key if key_mapper is None else key_mapper(key)
+                out[out_key] = out.get(out_key, 0.0) + count
+        return out
 
 
 class PipelineSimulator:
-    """Runs a multi-stage topology over an interval workload."""
+    """Runs a chain topology over an interval workload."""
 
-    def __init__(self, topology: Topology, config: Optional[SimulationConfig] = None) -> None:
+    def __init__(
+        self, topology: TopologySpec, config: Optional[SimulationConfig] = None
+    ) -> None:
+        if not topology.is_chain:
+            raise ValueError(
+                f"topology {topology.name!r} is not a chain: the fluid model "
+                f"feeds each stage's output to the next stage only"
+            )
         self.topology = topology
         self.config = config if config is not None else SimulationConfig()
         self.runtimes: List[_StageRuntime] = [
@@ -453,8 +448,8 @@ class OperatorSimulator:
         *,
         name: str = "operator",
     ) -> None:
-        stage = PipelineStage(name=name, logic=logic, partitioner=partitioner)
-        self.topology = Topology(name=name, stages=[stage])
+        stage = StageSpec(name=name, logic=logic, partitioner=partitioner)
+        self.topology = TopologySpec(name, [stage])
         self.simulator = PipelineSimulator(self.topology, config)
 
     def run(

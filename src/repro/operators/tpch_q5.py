@@ -26,11 +26,11 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 from repro.baselines.base import Partitioner
 from repro.engine.operator import OperatorLogic
 from repro.engine.state import KeyedState
-from repro.engine.topology import Topology, TopologyBuilder
+from repro.engine.topology import StageSpec, TopologySpec
 from repro.engine.tuples import StreamTuple
 from repro.operators.windowed_aggregate import WindowedAggregate
 from repro.operators.windowed_join import WindowedJoin
-from repro.workloads.tpch import TPCHDataset
+from repro.workloads.tpch import ForeignKeyLookup, TPCHDataset
 
 __all__ = [
     "Q5Stage",
@@ -149,9 +149,10 @@ def build_q5_topology(
     parallelism: int = 10,
     window: int = 5,
     aggregate_parallelism: Optional[int] = None,
-    spout_parallelism: int = 10,
-) -> Topology:
-    """Assemble the continuous Q5 pipeline.
+    stage_costs: Tuple[float, float, float] = (1.0, 1.0, 0.5),
+) -> TopologySpec:
+    """Assemble the continuous Q5 pipeline — simulated by the fluid
+    ``PipelineSimulator`` (Fig. 16), executed by ``repro bench tpch_q5_chain``.
 
     Parameters
     ----------
@@ -170,47 +171,43 @@ def build_q5_topology(
     aggregate_parallelism:
         Task count of the revenue aggregation (defaults to ``min(parallelism,
         5)`` — the nation key domain is only 25 keys).
+    stage_costs:
+        Per-tuple cost of the order join, the customer join and the revenue
+        aggregation (the bench makes the customer join the bottleneck).
     """
     if parallelism <= 0:
         raise ValueError("parallelism must be positive")
     if aggregate_parallelism is None:
         aggregate_parallelism = max(1, min(parallelism, 5))
 
+    # Slim, picklable lookups: workers need the foreign-key dicts, not the
+    # whole dataset (bound methods would drag the lineitem table along).
+    customer_of_order = ForeignKeyLookup(
+        dataset.order_customer, dataset.num_customers
+    )
+    nation_of_customer = ForeignKeyLookup(dataset.customer_nation, 25)
+    order_cost, customer_cost, revenue_cost = stage_costs
     stages = Q5Stage()
-    order_join = DimensionJoin(
-        lookup=dataset.customer_of_order,
-        window=window,
-        cost_per_tuple=1.0,
-        cost_per_match=0.05,
+    joins = [
+        StageSpec(
+            name=name,
+            logic=DimensionJoin(lookup=lookup, window=window, cost_per_tuple=cost),
+            partitioner=partitioner_factory(name, parallelism),
+            key_mapper=lookup,
+        )
+        for name, lookup, cost in (
+            (stages.ORDER_JOIN, customer_of_order, order_cost),
+            (stages.CUSTOMER_JOIN, nation_of_customer, customer_cost),
+        )
+    ]
+    revenue = StageSpec(
+        name=stages.REVENUE_AGG,
+        logic=WindowedAggregate(
+            reducer=q5_revenue_reducer,
+            window=window,
+            cost_per_tuple=revenue_cost,
+            state_per_tuple=0.1,
+        ),
+        partitioner=partitioner_factory(stages.REVENUE_AGG, aggregate_parallelism),
     )
-    customer_join = DimensionJoin(
-        lookup=dataset.nation_of_customer,
-        window=window,
-        cost_per_tuple=1.0,
-        cost_per_match=0.05,
-    )
-    revenue = WindowedAggregate(window=window, cost_per_tuple=0.5, state_per_tuple=0.1)
-    revenue.name = "q5-revenue"
-
-    builder = TopologyBuilder("tpch-q5", spout_parallelism=spout_parallelism)
-    builder.add_stage(
-        stages.ORDER_JOIN,
-        order_join,
-        partitioner_factory(stages.ORDER_JOIN, parallelism),
-        selectivity=1.0,
-        key_mapper=dataset.customer_of_order,
-    )
-    builder.add_stage(
-        stages.CUSTOMER_JOIN,
-        customer_join,
-        partitioner_factory(stages.CUSTOMER_JOIN, parallelism),
-        selectivity=1.0,
-        key_mapper=dataset.nation_of_customer,
-    )
-    builder.add_stage(
-        stages.REVENUE_AGG,
-        revenue,
-        partitioner_factory(stages.REVENUE_AGG, aggregate_parallelism),
-        selectivity=1.0,
-    )
-    return builder.build()
+    return TopologySpec("tpch-q5", [*joins, revenue])

@@ -2,7 +2,9 @@
 
 Where :mod:`repro.engine.simulator` *models* an interval as a fluid
 single-server queue, this package *executes* it as a dataflow **topology**: a
-:class:`TopologySpec` chains stages, each stage owning a group of worker
+:class:`TopologySpec` (the one description both engines take — defined in
+:mod:`repro.engine.topology`, re-exported here) chains stages, each stage
+owning a group of worker
 processes (one :class:`~repro.engine.operator.Task` instance per process), a
 :class:`~repro.runtime.router.StreamRouter` dispatching micro-batches via the
 strategy registry's :meth:`~repro.baselines.base.Partitioner.assign_batch`
@@ -17,6 +19,11 @@ closed-loop (saturated drain) or open-loop at a fixed rate
 (:mod:`repro.runtime.source`), making latency below saturation measurable.
 One operator behind one router is a one-stage :class:`TopologySpec`.
 
+Modules: ``config`` (``RuntimeConfig``), ``topology`` (``TopologyRuntime``:
+wiring, spawn, shutdown), ``stage_loop`` (the per-stage router thread),
+``barrier`` (``MarkBarrier``), ``result`` (the result types and their fold),
+``queues`` (every abort-aware blocking primitive), ``bench`` (``repro bench``).
+
 Per-worker throughput counters and latency histograms (lifetime plus
 per-interval deltas) aggregate into
 :class:`~repro.engine.metrics.MetricsCollector`-compatible results, so fluid
@@ -28,37 +35,40 @@ imbalance even when the host has fewer cores than workers, because paced
 (sleeping) workers overlap.
 """
 
+from repro.engine.topology import StageSpec, TopologySpec
+from repro.runtime.barrier import MarkBarrier
 from repro.runtime.bench import (
     BENCH_TOPOLOGY_WORKLOADS,
     RuntimeSpec,
     run_bench,
     write_bench_report,
 )
+from repro.runtime.config import RuntimeConfig, calibrated_service_time_us
 from repro.runtime.controller import LiveMigrationReport, RuntimeController
 from repro.runtime.histogram import LatencyHistogram
+from repro.runtime.resilience.scaling import ScaleDirective
+from repro.runtime.resilience.supervisor import KillDirective
+from repro.runtime.result import RuntimeResult, TopologyResult
 from repro.runtime.router import StreamRouter
-from repro.runtime.topology import (
-    RuntimeConfig,
-    RuntimeResult,
-    StageSpec,
-    TopologyResult,
-    TopologyRuntime,
-    TopologySpec,
-)
+from repro.runtime.topology import TopologyRuntime
 
 __all__ = [
     "BENCH_TOPOLOGY_WORKLOADS",
+    "KillDirective",
     "LatencyHistogram",
     "LiveMigrationReport",
+    "MarkBarrier",
     "RuntimeConfig",
     "RuntimeController",
     "RuntimeResult",
     "RuntimeSpec",
+    "ScaleDirective",
     "StageSpec",
     "StreamRouter",
     "TopologyResult",
     "TopologyRuntime",
     "TopologySpec",
+    "calibrated_service_time_us",
     "run_bench",
     "write_bench_report",
 ]

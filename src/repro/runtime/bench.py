@@ -63,28 +63,23 @@ import numpy as np
 from repro.baselines.base import Partitioner
 from repro.core.strategy import get_strategy, has_strategy, strategy_names
 from repro.engine.operator import OperatorLogic
+from repro.engine.topology import StageSpec, TopologySpec
 from repro.experiments.config import ExperimentScale, get_scale
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.specs import ExperimentRun, ExperimentSpec, RunMetadata, git_revision
-from repro.operators.tpch_q5 import DimensionJoin, q5_revenue_reducer
+from repro.operators.tpch_q5 import Q5Stage, build_q5_topology
 from repro.operators.windowed_aggregate import (
     MergeOperator,
     PartialWindowedAggregate,
     WindowedAggregate,
 )
 from repro.operators.wordcount import WordCountOperator
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.resilience.scaling import parse_scale_spec
 from repro.runtime.resilience.supervisor import parse_kill_spec
-from repro.runtime.topology import (
-    RuntimeConfig,
-    RuntimeResult,
-    StageSpec,
-    TopologyResult,
-    TopologyRuntime,
-    TopologySpec,
-)
+from repro.runtime.result import RuntimeResult, TopologyResult
+from repro.runtime.topology import TopologyRuntime
 from repro.workloads.tpch import (
-    ForeignKeyLookup,
     TPCHDataset,
     draw_lineitem_revenue,
     TPCHLineitemTrace,
@@ -162,7 +157,7 @@ class RuntimeSpec:
         latency/throughput knee of the paper's Fig. 13, swept toward
         saturation instead of sampled at a single ``offered_rate``.
     batch_size / queue_capacity / shed_timeout_seconds:
-        Queueing knobs, see :class:`~repro.runtime.topology.RuntimeConfig`.
+        Queueing knobs, see :class:`~repro.runtime.config.RuntimeConfig`.
     sanitize:
         Run every strategy under the runtime protocol sanitizer
         (:mod:`repro.analysis.sanitizer`); the merged violation report is
@@ -265,16 +260,18 @@ class RuntimeSpec:
                 )
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        # Parse and normalise the directives now so the stored spec
-        # round-trips in canonical form.
+        # Parse the directives once: the fields keep the canonical strings
+        # (the stored spec round-trips byte for byte), the parsed directives
+        # are what :meth:`runtime_config` hands to the runtime.
+        directives: Dict[str, Any] = {}
         if self.kill_worker is not None:
-            kill = parse_kill_spec(self.kill_worker)
-            known_stage(kill.stage, "in kill spec for")
-            object.__setattr__(self, "kill_worker", kill.spec())
+            directives["kill_worker"] = parse_kill_spec(self.kill_worker)
         if self.scale_at is not None:
-            resize = parse_scale_spec(self.scale_at)
-            known_stage(resize.stage, "in scale spec for")
-            object.__setattr__(self, "scale_at", resize.spec())
+            directives["scale_at"] = parse_scale_spec(self.scale_at)
+        for name, directive in directives.items():
+            known_stage(directive.stage, f"in {name} spec for")
+            object.__setattr__(self, name, directive.spec())
+        object.__setattr__(self, "_directives", directives)
         self.resolve_scale()  # raises on an unknown preset or override field
         object.__setattr__(
             self,
@@ -308,13 +305,7 @@ class RuntimeSpec:
             for f in dataclasses.fields(self)
             if f.name in shared
         }
-        # The spec keeps the directives as strings; the runtime takes tuples.
-        if self.kill_worker is not None:
-            kill = parse_kill_spec(self.kill_worker)
-            params["kill_worker"] = (kill.stage, kill.task, kill.interval)
-        if self.scale_at is not None:
-            resize = parse_scale_spec(self.scale_at)
-            params["scale_at"] = (resize.interval, resize.stage, resize.delta)
+        params.update(self._directives)  # parsed in __post_init__
         params.update(overrides)  # e.g. per-rate configs of a rate sweep
         return RuntimeConfig(**params)
 
@@ -393,7 +384,7 @@ StrategyBuilder = Callable[[str, int], Partitioner]
 DEFAULT_STRATEGIES: Tuple[str, ...] = ("storm", "mixed")
 
 #: The three stages of the continuous Q5 chain, in pipeline order.
-Q5_CHAIN_STAGES: Tuple[str, ...] = ("order-join", "customer-join", "revenue-agg")
+Q5_CHAIN_STAGES: Tuple[str, ...] = dataclasses.astuple(Q5Stage())
 
 #: The revenue aggregation re-keys to the 25-nation domain; plain hashing is
 #: the natural choice there (the paper studies the skewed join stages).
@@ -407,7 +398,7 @@ class TopologyBenchWorkload:
     ``build_stream(scale, seed)`` materialises the per-interval tuple lists
     once (shared across all strategies of a bench run);
     ``build_topology(scale, spec, strategy, build)`` assembles the
-    :class:`~repro.runtime.topology.TopologySpec` with ``strategy`` routing
+    :class:`~repro.engine.topology.TopologySpec` with ``strategy`` routing
     the stages under study (``build`` constructs a registry strategy for a
     given stage parallelism).  ``default_strategies`` is the comparison set
     when the user names none — the diamond adds ``pkg``, since key splitting
@@ -537,64 +528,32 @@ def _q5_chain_topology(
     strategy: str,
     build: StrategyBuilder,
 ) -> TopologySpec:
-    """Assemble order-join → customer-join → revenue-agg for the runtime.
+    """The shared Q5 chain (:func:`build_q5_topology`) under bench settings.
 
     The two join stages get the strategy under test (they carry the
     foreign-key skew); the revenue aggregation keeps plain hashing over its
-    25-nation key domain.  Output re-keying between stages uses the
-    dataset's foreign-key mappings, as the fluid
-    :func:`~repro.operators.tpch_q5.build_q5_topology` does.
+    25-nation key domain; ``--stage-parallelism`` overrides apply per stage.
     """
-    dataset = _q5_dataset(scale, spec.seed)
-    # Slim, picklable lookups: workers need the foreign-key dicts, not the
-    # whole dataset (bound methods would drag the lineitem table along).
-    customer_of_order = ForeignKeyLookup(
-        dataset.order_customer, dataset.num_customers
-    )
-    nation_of_customer = ForeignKeyLookup(dataset.customer_nation, 25)
-    overrides = spec.stage_parallelism
-    order_p = overrides.get("order-join", spec.parallelism)
-    customer_p = overrides.get("customer-join", spec.parallelism)
-    agg_p = overrides.get("revenue-agg", max(1, min(spec.parallelism, 5)))
+
+    def partitioner(stage: str, parallelism: int) -> Partitioner:
+        return build(
+            Q5_AGG_STRATEGY if stage == Q5Stage.REVENUE_AGG else strategy,
+            spec.stage_parallelism.get(stage, parallelism),
+        )
+
     # Per-tuple costs make the customer-join the service bottleneck: the
     # order→customer re-keying compounds the foreign-key Zipf skew (many hot
     # orders map to few hot customers), so that stage carries the strongest
     # sustained imbalance — the chain's wall clock is then driven by the
     # stage whose imbalance the experiment studies, its starvation
     # propagating both upstream (backpressure) and downstream (staleness).
-    stages = [
-        StageSpec(
-            name="order-join",
-            logic=DimensionJoin(
-                lookup=customer_of_order,
-                window=scale.window,
-                cost_per_tuple=0.75,
-            ),
-            partitioner=build(strategy, order_p),
-            key_mapper=customer_of_order,
-        ),
-        StageSpec(
-            name="customer-join",
-            logic=DimensionJoin(
-                lookup=nation_of_customer,
-                window=scale.window,
-                cost_per_tuple=1.5,
-            ),
-            partitioner=build(strategy, customer_p),
-            key_mapper=nation_of_customer,
-        ),
-        StageSpec(
-            name="revenue-agg",
-            logic=WindowedAggregate(
-                reducer=q5_revenue_reducer,
-                window=scale.window,
-                cost_per_tuple=0.25,
-                state_per_tuple=0.1,
-            ),
-            partitioner=build(Q5_AGG_STRATEGY, agg_p),
-        ),
-    ]
-    return TopologySpec("tpch-q5-chain", stages)
+    return build_q5_topology(
+        _q5_dataset(scale, spec.seed),
+        partitioner,
+        parallelism=spec.parallelism,
+        window=scale.window,
+        stage_costs=(0.75, 1.5, 0.25),
+    )
 
 
 #: The diamond's stages: two split-aggregate branches fanning out from the
@@ -753,7 +712,7 @@ def run_bench(
     Returns the persisted-shape :class:`ExperimentRun` (metadata tagged
     ``engine="process"``; one ``chain`` row plus one row per stage for every
     strategy) and the raw per-strategy outcomes — a
-    :class:`~repro.runtime.topology.TopologyResult`, or ``{rate: result}``
+    :class:`~repro.runtime.result.TopologyResult`, or ``{rate: result}``
     under a rate sweep.  When ``store`` is given the run is saved with the
     per-stage :class:`~repro.engine.metrics.MetricsCollector` and latency
     histograms as artifacts; when ``output_path`` is given the standalone

@@ -30,7 +30,7 @@ fluid model only estimates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import Partitioner
@@ -58,18 +58,7 @@ class LiveMigrationReport:
     target_workers: List[int] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "interval": self.interval,
-            "moved_keys": self.moved_keys,
-            "moved_state": self.moved_state,
-            "pause_seconds": self.pause_seconds,
-            "released_tuples": self.released_tuples,
-            "generation_time": self.generation_time,
-            "migration_fraction": self.migration_fraction,
-            "table_size": self.table_size,
-            "source_workers": list(self.source_workers),
-            "target_workers": list(self.target_workers),
-        }
+        return asdict(self)
 
 
 class _PendingMigration:
@@ -113,7 +102,7 @@ class RuntimeController:
     ) -> None:
         """``mailbox`` is the coordinator's outbound-queue demultiplexer; it
         must offer ``collect(message_type, expected)`` (blocking) and
-        ``drain(message_type)`` (non-blocking) — see ``topology._Mailbox``."""
+        ``drain(message_type)`` (non-blocking) — see ``queues._Mailbox``."""
         self.partitioner = partitioner
         self.router = router
         #: Abort-aware command queues (one per worker); see StreamRouter.
@@ -137,31 +126,43 @@ class RuntimeController:
             return None
         report = LiveMigrationReport(
             interval=stats.interval,
-            generation_time=getattr(rebalance, "generation_time", 0.0),
-            migration_fraction=getattr(rebalance, "migration_fraction", 0.0),
-            table_size=getattr(rebalance, "table_size", 0),
+            generation_time=rebalance.generation_time,
+            migration_fraction=rebalance.migration_fraction,
+            table_size=rebalance.table_size,
         )
         plan = rebalance.migration_plan
         if plan:
-            self._begin_live(plan, report)
+            self._start_handoff(
+                {move.key: move.target for move in plan},
+                {
+                    source: [move.key for move in moves]
+                    for source, moves in plan.moves_by_source().items()
+                },
+                report,
+            )
         self.migrations.append(report)
         return report
 
     # -- the pause → ship → install → resume protocol -----------------------------
 
-    def _begin_live(self, plan, report: LiveMigrationReport) -> None:
-        target_of: Dict[Key, int] = {move.key: move.target for move in plan}
-        by_source = plan.moves_by_source()
+    def _start_handoff(
+        self,
+        target_of: Dict[Key, int],
+        keys_by_source: Dict[int, List[Key]],
+        report: LiveMigrationReport,
+    ) -> None:
+        """Pause the moving keys and ask every source worker to ship them."""
         started = time.monotonic()
         self.router.pause(target_of.keys())
-        for source, moves in sorted(by_source.items()):
-            self.abortable_queues[source].put(
-                ExtractKeys(keys=[move.key for move in moves])
-            )
+        for source, keys in sorted(keys_by_source.items()):
+            self.abortable_queues[source].put(ExtractKeys(keys=keys))
         report.moved_keys = len(target_of)
-        report.source_workers = sorted(by_source)
+        report.source_workers = sorted(keys_by_source)
         self._pending = _PendingMigration(
-            report, target_of, expected_shipments=len(by_source), started=started
+            report,
+            target_of,
+            expected_shipments=len(keys_by_source),
+            started=started,
         )
 
     def execute_moves(
@@ -189,15 +190,7 @@ class RuntimeController:
         for key, (source, target) in moves.items():
             target_of[key] = target
             by_source.setdefault(source, []).append(key)
-        started = time.monotonic()
-        self.router.pause(target_of.keys())
-        for source, keys in sorted(by_source.items()):
-            self.abortable_queues[source].put(ExtractKeys(keys=keys))
-        report.moved_keys = len(target_of)
-        report.source_workers = sorted(by_source)
-        self._pending = _PendingMigration(
-            report, target_of, expected_shipments=len(by_source), started=started
-        )
+        self._start_handoff(target_of, by_source, report)
         self.finish_pending()
         return report
 
@@ -273,20 +266,6 @@ class RuntimeController:
         report.pause_seconds = time.monotonic() - pending.started
         self._pending = None
 
-    # -- aggregates ----------------------------------------------------------------
-
     @property
     def migration_in_flight(self) -> bool:
         return self._pending is not None
-
-    @property
-    def total_pause_seconds(self) -> float:
-        return sum(report.pause_seconds for report in self.migrations)
-
-    @property
-    def total_moved_keys(self) -> int:
-        return sum(report.moved_keys for report in self.migrations)
-
-    @property
-    def rebalance_count(self) -> int:
-        return len(self.migrations)

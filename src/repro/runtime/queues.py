@@ -17,7 +17,10 @@ The ``RPL002`` lint rule (:mod:`repro.analysis.rules`) flags bare blocking
 ``get``/``put`` calls on queue-like receivers everywhere *except* this
 module — new runtime code must route its blocking queue traffic through these
 wrappers (or through an abort-aware proxy such as the coordinator-side
-``_AbortableQueue``, whose receivers the rule recognises by name).
+``_AbortableQueue`` below, whose receivers the rule recognises by name).
+The coordinator's first-error latch (``_AbortFlag``) and reply demultiplexer
+(``_Mailbox``) live here too: every "poll, then re-check an abort predicate"
+loop of the runtime is in this module.
 
 The hot path pays nothing for the safety: the abort predicate is evaluated
 only after a poll interval expires, never between back-to-back messages.
@@ -27,8 +30,11 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_module
+import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Type
+
+from repro.runtime.messages import WorkerError
 
 __all__ = [
     "POLL_SECONDS",
@@ -129,3 +135,162 @@ def abortable_put(
                 raise QueueAborted(
                     "queue put abandoned: the peer process is gone"
                 ) from None
+
+
+# -- coordinator-side plumbing -----------------------------------------------------
+
+
+class _Aborted(Exception):
+    """Raised inside stage threads when another stage already failed."""
+
+
+class _AbortFlag:
+    """First-error latch shared by every stage thread of one run."""
+
+    def __init__(self) -> None:
+        self._event = threading.Event()
+        self._lock = threading.Lock()
+        self.error: Optional[str] = None
+
+    def trip(self, stage: str, exc: BaseException) -> None:
+        with self._lock:
+            if self.error is None:
+                self.error = f"stage {stage!r}: {exc}"
+        self._event.set()
+
+    def check(self) -> None:
+        if self._event.is_set():
+            raise _Aborted()
+
+    @property
+    def tripped(self) -> bool:
+        return self._event.is_set()
+
+
+class _AbortableQueue:
+    """A put-side queue proxy whose blocking waits stay interruptible.
+
+    ``checker`` is called between short waits; it raises (worker crashed,
+    sibling stage failed, run wedged) to unwind the caller instead of
+    blocking forever on a queue nobody will ever drain again.
+    """
+
+    def __init__(self, queue: Any, checker: Callable[[], None]) -> None:
+        self._queue = queue
+        self._checker = checker
+
+    def replace(self, queue: Any) -> None:
+        """Swap the inner queue in place (worker respawned on a fresh one).
+
+        A put blocked on the dead worker's full queue re-reads ``_queue``
+        every retry, so the swap redirects it mid-wait — the wrapping
+        logged/sanitized chain and every list holding this proxy stay valid.
+        """
+        self._queue = queue
+
+    def put(self, item: Any, timeout: Optional[float] = None) -> None:
+        if timeout is not None:
+            deadline = time.monotonic() + timeout
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise queue_module.Full
+                try:
+                    return self._queue.put(
+                        item, timeout=min(remaining, POLL_SECONDS)
+                    )
+                except queue_module.Full:
+                    self._checker()
+        while True:
+            try:
+                return self._queue.put(item, timeout=POLL_SECONDS)
+            except queue_module.Full:
+                self._checker()
+
+
+class _Mailbox:
+    """Demultiplexes one stage's outbound queue by message type.
+
+    Replies from workers (interval reports, state shipments, install acks,
+    final reports) interleave arbitrarily; consumers ask for a specific type
+    and everything else is stashed for later.  ``checker`` (when given) is
+    polled during blocking collects so a sibling-stage failure interrupts
+    the wait.
+    """
+
+    def __init__(
+        self,
+        out_queue: Any,
+        timeout_seconds: float,
+        checker: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self._queue = out_queue
+        self._timeout = timeout_seconds
+        self._checker = checker
+        self._pending: List[Any] = []
+
+    def _check(self, message: Any) -> Any:
+        if isinstance(message, WorkerError):
+            raise RuntimeError(
+                f"worker {message.worker_id} crashed:\n{message.message}"
+            )
+        return message
+
+    def _take_pending(self, message_type: Type, limit: Optional[int]) -> List[Any]:
+        matched: List[Any] = []
+        remaining: List[Any] = []
+        for message in self._pending:
+            if isinstance(message, message_type) and (
+                limit is None or len(matched) < limit
+            ):
+                matched.append(message)
+            else:
+                remaining.append(message)
+        self._pending = remaining
+        return matched
+
+    def collect(self, message_type: Type, expected: int) -> List[Any]:
+        """Block until ``expected`` messages of ``message_type`` arrived."""
+        matched = self._take_pending(message_type, expected)
+        deadline = time.monotonic() + self._timeout
+        while len(matched) < expected:
+            timeout = deadline - time.monotonic()
+            if timeout <= 0:
+                raise RuntimeError(
+                    f"timed out waiting for {expected} {message_type.__name__} "
+                    f"replies (got {len(matched)})"
+                )
+            if self._checker is not None:
+                # The checker may pump the queue into the pending stash
+                # (check_errors), so re-examine it every pass.
+                self._checker()
+                matched.extend(
+                    self._take_pending(message_type, expected - len(matched))
+                )
+                if len(matched) >= expected:
+                    break
+            try:
+                message = self._check(
+                    self._queue.get(timeout=min(timeout, POLL_SECONDS))
+                )
+            except queue_module.Empty:
+                continue
+            if isinstance(message, message_type):
+                matched.append(message)
+            else:
+                self._pending.append(message)
+        return matched
+
+    def drain(self, message_type: Type) -> List[Any]:
+        """Every already-available message of ``message_type`` (non-blocking)."""
+        self.check_errors()
+        return self._take_pending(message_type, None)
+
+    def check_errors(self) -> None:
+        """Pump the queue without blocking; raise if a worker crashed."""
+        while True:
+            try:
+                message = self._check(self._queue.get_nowait())
+            except queue_module.Empty:
+                break
+            self._pending.append(message)

@@ -7,51 +7,9 @@ Three cooperating parts, all riding the existing runtime wire protocol:
   ``StateShipment`` path) written atomically to a run-scoped directory with
   a digest-verified manifest;
 * :mod:`~repro.runtime.resilience.supervisor` — dead-worker detection,
-  respawn on the same queue, checkpoint restore and retention-log replay,
+  respawn on a fresh queue, checkpoint restore and retention-log replay,
   measured wall-clock per incident;
 * :mod:`~repro.runtime.resilience.scaling` — grow/shrink a stage's process
   group at an interval boundary, reusing live key migration for the state
   hand-off.
 """
-
-from repro.runtime.resilience.checkpoint import (
-    CheckpointCorrupt,
-    CheckpointRecord,
-    CheckpointStore,
-    LoadedCheckpoint,
-    atomic_write_bytes,
-    atomic_write_json,
-)
-from repro.runtime.resilience.scaling import (
-    ScaleDirective,
-    ScaleEvent,
-    execute_scale,
-    parse_scale_spec,
-)
-from repro.runtime.resilience.supervisor import (
-    KillDirective,
-    LoggedQueue,
-    RecoveryIncident,
-    RetentionLog,
-    StageSupervisor,
-    parse_kill_spec,
-)
-
-__all__ = [
-    "CheckpointCorrupt",
-    "CheckpointRecord",
-    "CheckpointStore",
-    "KillDirective",
-    "LoadedCheckpoint",
-    "LoggedQueue",
-    "RecoveryIncident",
-    "RetentionLog",
-    "ScaleDirective",
-    "ScaleEvent",
-    "StageSupervisor",
-    "atomic_write_bytes",
-    "atomic_write_json",
-    "execute_scale",
-    "parse_kill_spec",
-    "parse_scale_spec",
-]

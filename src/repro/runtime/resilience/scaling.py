@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
 __all__ = ["ScaleDirective", "ScaleEvent", "execute_scale", "parse_scale_spec"]
@@ -40,6 +40,13 @@ class ScaleDirective:
     interval: int
     stage: str
     delta: int
+
+    def __post_init__(self) -> None:
+        if not self.stage or self.interval < 0 or self.delta == 0:
+            raise ValueError(
+                f"a scale directive needs interval >= 0, a stage and a "
+                f"non-zero delta, got {self!r}"
+            )
 
     def spec(self) -> str:
         return f"{self.interval}:{self.stage}:{self.delta:+d}"
@@ -58,13 +65,10 @@ def parse_scale_spec(spec: str) -> ScaleDirective:
             f"invalid scale spec {spec!r}: expected INTERVAL:STAGE:±N "
             f"(e.g. 2:order-join:+1)"
         )
-    delta = int(match.group("delta"))
-    if delta == 0:
-        raise ValueError(f"invalid scale spec {spec!r}: delta must be non-zero")
     return ScaleDirective(
         interval=int(match.group("interval")),
         stage=match.group("stage"),
-        delta=delta,
+        delta=int(match.group("delta")),
     )
 
 
@@ -86,18 +90,7 @@ class ScaleEvent:
     wall_seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "interval": self.interval,
-            "delta": self.delta,
-            "from_tasks": self.from_tasks,
-            "to_tasks": self.to_tasks,
-            "moved_keys": self.moved_keys,
-            "moved_state": self.moved_state,
-            "rebalance_pause_seconds": self.rebalance_pause_seconds,
-            "released_tuples": self.released_tuples,
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
 
 def execute_scale(loop: Any, directive: ScaleDirective) -> ScaleEvent:
@@ -149,7 +142,7 @@ def execute_scale(loop: Any, directive: ScaleDirective) -> ScaleEvent:
             new,
             done_delta=max(directive.delta, 0),
         )
-    event = ScaleEvent(
+    return ScaleEvent(
         stage=directive.stage,
         interval=loop.current_interval,
         delta=directive.delta,
@@ -161,4 +154,3 @@ def execute_scale(loop: Any, directive: ScaleDirective) -> ScaleEvent:
         released_tuples=report.released_tuples,
         wall_seconds=time.monotonic() - started,
     )
-    return event

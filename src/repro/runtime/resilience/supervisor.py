@@ -1,12 +1,14 @@
 """Supervised worker recovery: retention log, respawn, restore, replay.
 
 The coordinator normally aborts the topology when a worker process dies
-(``_StageLoop._checkpoint`` raises).  With a :class:`StageSupervisor`
+(``_StageLoop._watchdog`` raises).  With a :class:`StageSupervisor`
 attached, the same detection point instead *heals* the stage:
 
-1. the dead worker's inbound queue is drained (its backlog is re-created
-   exactly by the replay below, so leaving it would double-process),
-2. a fresh process is spawned on the **same** queue,
+1. the dead worker's inbound queue is drained and abandoned (its backlog is
+   re-created exactly by the replay below),
+2. a fresh process is spawned on a **fresh** queue — a SIGKILLed getter holds
+   the old queue's reader lock forever (``_StageLoop.spawn_worker``) — and
+   the new queue is swapped into the existing guarded send path,
 3. the latest durable checkpoint is restored (state + lifetime counters,
    including the emission sequence number),
 4. the per-task :class:`RetentionLog` — every coordinator→worker message
@@ -27,7 +29,7 @@ from __future__ import annotations
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.runtime.messages import (
@@ -65,6 +67,13 @@ class KillDirective:
     stage: str
     task: int
     interval: int
+
+    def __post_init__(self) -> None:
+        if not self.stage or self.task < 0 or self.interval < 0:
+            raise ValueError(
+                f"a kill directive needs a stage, task >= 0 and interval >= 0, "
+                f"got {self!r}"
+            )
 
     def spec(self) -> str:
         return f"{self.stage}:{self.task}@{self.interval}"
@@ -193,26 +202,15 @@ class RecoveryIncident:
     drained_messages: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "task": self.task,
-            "interval": self.interval,
-            "recovery_pause_seconds": self.recovery_pause_seconds,
-            "restore_seconds": self.restore_seconds,
-            "restored_keys": self.restored_keys,
-            "checkpoint_interval": self.checkpoint_interval,
-            "replayed_messages": self.replayed_messages,
-            "replayed_tuples": self.replayed_tuples,
-            "drained_messages": self.drained_messages,
-        }
+        return asdict(self)
 
 
 class StageSupervisor:
     """Detect-respawn-restore-replay driver for one stage's workers.
 
     Owns the stage's :class:`CheckpointStore` and :class:`RetentionLog`; the
-    coordinator's ``_StageLoop`` calls :meth:`recover` from its abort-check
-    hook when a worker process is found dead.
+    coordinator's ``_StageLoop`` calls :meth:`recover` from its watchdog
+    when a worker process is found dead.
     """
 
     def __init__(

@@ -135,23 +135,17 @@ class StreamRouter:
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if len(worker_queues) != partitioner.num_tasks:
-            raise ValueError(
-                f"partitioner routes over {partitioner.num_tasks} tasks but "
-                f"{len(worker_queues)} worker queues were given"
-            )
         self.partitioner = partitioner
         self.logic = logic
-        #: Destination queues.  In production these are abort-aware proxies
-        #: (the coordinator's ``_AbortableQueue``), so the blocking no-timeout
-        #: put below cannot hang past a crashed run — the RPL002 lint rule
-        #: recognises the receiver by this name.
-        self.abortable_queues = list(worker_queues)
+        #: Destination queues (``abortable_queues``).  In production these
+        #: are abort-aware proxies (``runtime.queues._AbortableQueue``), so
+        #: the blocking no-timeout put below cannot hang past a crashed run —
+        #: the RPL002 lint rule recognises the receiver by this name.
+        self.set_queues(worker_queues)
         self.batch_size = int(batch_size)
         self.shed_timeout_seconds = shed_timeout_seconds
         self.shed_ledger = ShedLedger()
 
-        self._num_tasks = len(self.abortable_queues)
         self._paused_keys: set = set()
         #: Held tuples of paused keys: ``(key, value, interval, buffered_at,
         #: origin_at)``.
@@ -183,26 +177,6 @@ class StreamRouter:
         return self._accounts.pop(interval, None) or IntervalAccount(
             self._num_tasks
         )
-
-    # Current-interval views (single-stage runs and debugging; a topology
-    # coordinator uses :meth:`pop_interval` at each close instead).  Each
-    # access converts the dense arrays, so these are *views*, not live dicts.
-
-    @property
-    def dispatched_freqs(self) -> Dict[Key, float]:
-        return self._account(self._interval).freqs_dict()
-
-    @property
-    def offered_tuples(self) -> Dict[int, float]:
-        return self._account(self._interval).offered_tuples
-
-    @property
-    def offered_cost(self) -> Dict[int, float]:
-        return self._account(self._interval).offered_cost
-
-    @property
-    def shed_tuples_interval(self) -> Dict[int, float]:
-        return self._account(self._interval).shed
 
     # -- dispatch -----------------------------------------------------------------
 

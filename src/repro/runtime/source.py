@@ -29,19 +29,16 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
 
+from repro.engine.topology import SOURCE_ORIGIN
 from repro.runtime.messages import EmittedBatch, UpstreamDone, UpstreamMark
 from repro.runtime.queues import QueueAborted, abortable_put
 
-__all__ = ["SOURCE_ORIGIN", "SOURCE_PRODUCER_ID", "source_main"]
+__all__ = ["SOURCE_PRODUCER_ID", "source_main"]
 
 Key = Hashable
 
 #: Producer id the source uses in its marks (a topology has one source).
 SOURCE_PRODUCER_ID = 0
-
-#: Edge label the source stamps onto its messages; reserved — no stage of a
-#: topology may take this name.
-SOURCE_ORIGIN = "source"
 
 
 def source_main(

@@ -1,0 +1,602 @@
+"""The per-stage coordinator thread of a running topology."""
+
+from __future__ import annotations
+
+import queue as queue_module
+import threading
+import time
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.analysis.sanitizer import SanitizedQueue, StageSanitizer
+from repro.core.statistics import IntervalStats
+from repro.engine.topology import StageSpec
+from repro.runtime.barrier import MarkBarrier
+from repro.runtime.config import RuntimeConfig, calibrated_service_time_us
+from repro.runtime.controller import RuntimeController
+from repro.runtime.messages import (
+    CrashSelf,
+    EmittedBatch,
+    EndInterval,
+    EndOfStream,
+    ExtractKeys,
+    FinalReport,
+    IntervalReport,
+    SetServiceTime,
+    StateShipment,
+    UpstreamDone,
+    UpstreamMark,
+)
+from repro.runtime.queues import (
+    POLL_SECONDS,
+    _Aborted,
+    _AbortableQueue,
+    _AbortFlag,
+    _Mailbox,
+)
+from repro.runtime.resilience.scaling import ScaleDirective, ScaleEvent, execute_scale
+from repro.runtime.resilience.supervisor import (
+    KillDirective,
+    LoggedQueue,
+    StageSupervisor,
+)
+from repro.runtime.result import RuntimeResult, fold_stage_result
+from repro.runtime.router import StreamRouter
+
+__all__: list = []  # coordinator internals; TopologyRuntime is the entry point
+
+Key = Hashable
+
+
+class _StageLoop(threading.Thread):
+    """The router thread of one stage: ingress → route → workers.
+
+    Consumes the stage's shared ingress queue (fed by the source and/or by
+    every upstream stage's workers), dispatches batches through the stage's
+    :class:`StreamRouter`, closes intervals when every upstream origin's
+    producers have marked them (planning + live migration via the stage's
+    :class:`RuntimeController`), and finally collects the workers' reports.
+    """
+
+    def __init__(
+        self,
+        spec: StageSpec,
+        config: RuntimeConfig,
+        ingress: Any,
+        worker_queues: Sequence[Any],
+        out_queue: Any,
+        workers: Sequence[Any],
+        upstream_producers: Mapping[str, int],
+        abort: _AbortFlag,
+        source_process: Optional[Any] = None,
+        sanitizer: Optional[StageSanitizer] = None,
+        supervisor: Optional[StageSupervisor] = None,
+        worker_factory: Optional[Callable[[int, Any, float], Any]] = None,
+        queue_factory: Optional[Callable[[], Any]] = None,
+        initial_service_us: float = 0.0,
+        kill: Optional[KillDirective] = None,
+        scale: Optional[ScaleDirective] = None,
+    ) -> None:
+        super().__init__(name=f"repro-stage-{spec.name}", daemon=True)
+        self.spec = spec
+        self.config = config
+        self.ingress = ingress
+        self.raw_worker_queues = list(worker_queues)
+        self.workers = list(workers)
+        #: ``{origin: producer count}`` — one entry per upstream edge (the
+        #: source and/or producer stages) feeding this stage's ingress.
+        self.upstream_producers: Dict[str, int] = dict(upstream_producers)
+        self.abort = abort
+        #: Stage 0 also watches the source: no stage loop owns it, so a
+        #: source crash (unpicklable stream under spawn, OOM kill) would
+        #: otherwise leave the ingress poll waiting forever.  A clean exit
+        #: (code 0) means UpstreamDone is already flushed into the queue.
+        self.source_process = source_process
+        self._draining = False
+
+        self.mailbox = _Mailbox(
+            out_queue, config.join_timeout_seconds, checker=self._watchdog
+        )
+        #: The innermost abort-aware proxies, by task — recovery swaps a
+        #: fresh queue into the dead worker's slot through these.
+        self._abortable_queues: List[_AbortableQueue] = []
+        self.supervisor = supervisor
+        self.sanitizer = sanitizer
+        guarded = [
+            self._guard(task, queue) for task, queue in enumerate(worker_queues)
+        ]
+        self.router = StreamRouter(
+            spec.partitioner,
+            spec.logic,
+            guarded,
+            batch_size=config.batch_size,
+            shed_timeout_seconds=config.shed_timeout_seconds,
+        )
+        self.controller = RuntimeController(
+            spec.partitioner, self.router, guarded, self.mailbox
+        )
+        self.guarded_queues = guarded
+        if sanitizer is not None:
+            sanitizer.wrap_router(self.router)
+
+        # -- resilience / elasticity state ---------------------------------
+        self.worker_factory = worker_factory
+        self.queue_factory = queue_factory
+        self._service_us = initial_service_us
+        #: The consuming stages' loops (set by TopologyRuntime); an elastic
+        #: resize of this stage updates every consumer's producer accounting
+        #: for this stage's edge.
+        self.downstreams: List["_StageLoop"] = []
+        #: Every process this stage ever started (respawns and scale-outs
+        #: included) — the shutdown join set.
+        self.spawned_processes: List[Any] = list(workers)
+        self._kill = kill
+        self._killed = False
+        self._scale = scale
+        self._scale_done = False
+        self.scale_events: List[ScaleEvent] = []
+        #: Keys this stage ever routed (maintained only when a scale
+        #: directive is armed): the placement diff of a resize needs them.
+        self.seen_keys: set = set()
+        self._recovering = False
+        #: Tasks currently draining through an elastic scale-in (their
+        #: process exit is expected, not a crash).
+        self._detaching: set = set()
+        self._drained_finals: List[FinalReport] = []
+        #: Tasks whose snapshot of an in-progress checkpoint round has not
+        #: arrived yet (None = no round in progress).
+        self._ckpt_awaiting: Optional[set] = None
+        #: Dedup floors for post-recovery replay: last producer_seq accepted
+        #: per (origin, producer) edge.  Mark floors and the per-origin
+        #: producer-count timelines live in the barrier.
+        self._last_seq: Dict[Tuple[str, int], int] = {}
+        self._barrier = MarkBarrier(self.upstream_producers)
+        #: Single-upstream back-compat: messages without an ``origin`` label
+        #: (linear chains, hand-built tests) resolve to the sole edge; with
+        #: several upstreams an unlabelled message is a protocol error.
+        self._sole_origin: Optional[str] = (
+            next(iter(self.upstream_producers))
+            if len(self.upstream_producers) == 1
+            else None
+        )
+
+        # Filled by the loop, read by the coordinator after join().
+        self.interval_rows: List[Dict[str, Any]] = []
+        self.finals: List[FinalReport] = []
+        self.interval_reports: List[IntervalReport] = []
+        self.calibrated_us: Optional[float] = None
+        self.error: Optional[BaseException] = None
+        self.current_interval = 0
+
+    def _guard(self, task: int, queue: Any) -> Any:
+        """Build ``task``'s coordinator→worker send path around ``queue``.
+
+        Innermost the abort-aware proxy, then the retention log (it records
+        every *successful* put — what recovery replays after a checkpoint
+        restore), then the sanitizer, so every send funnels through the
+        monitor.  Initial and scaled-out workers alike get this chain.
+        """
+        abortable = _AbortableQueue(queue, self._watchdog)
+        self._abortable_queues.append(abortable)
+        guarded: Any = abortable
+        if self.supervisor is not None:
+            guarded = LoggedQueue(guarded, self.supervisor.log, task)
+        if self.sanitizer is not None:
+            guarded = SanitizedQueue(guarded, task, self.sanitizer)
+        return guarded
+
+    # -- watchdog ------------------------------------------------------------------
+
+    def _watchdog(self) -> None:
+        """Raise instead of waiting on a run that can no longer finish."""
+        self.abort.check()
+        self.mailbox.check_errors()
+        source = self.source_process
+        if (
+            source is not None
+            and not source.is_alive()
+            and source.exitcode not in (None, 0)
+        ):
+            raise RuntimeError(
+                f"source process died unexpectedly (exit code {source.exitcode})"
+            )
+        if not self._draining and not self._recovering:
+            for task, process in enumerate(self.workers):
+                if process.is_alive() or task in self._detaching:
+                    continue
+                if self.supervisor is None:
+                    raise RuntimeError(
+                        f"worker process {process.name} died unexpectedly "
+                        f"(exit code {process.exitcode})"
+                    )
+                self._recover_worker(task, process)
+
+    def _recover_worker(self, task: int, process: Any) -> None:
+        """Heal a dead worker through the supervisor (respawn/restore/replay).
+
+        ``_recovering`` suppresses the dead-worker scan while the recovery
+        itself blocks on queues (its collects re-enter :meth:`_watchdog`),
+        and the supervisor's failure modes (e.g. death during a live
+        migration) propagate as ordinary stage errors.
+        """
+        self._recovering = True
+        try:
+            self.supervisor.recover(self, task, process)
+        finally:
+            self._recovering = False
+
+    def _pump(self) -> None:
+        """Between micro-batches: advance a migration hand-off, spot crashes."""
+        self.controller.poll()
+        self.mailbox.check_errors()
+
+    def _next_ingress(self) -> Any:
+        idle_since = time.monotonic()
+        while True:
+            self._watchdog()
+            source = self.source_process
+            if (
+                source is not None
+                and not source.is_alive()
+                and time.monotonic() - idle_since > self.config.join_timeout_seconds
+            ):
+                # The source is gone and its remaining messages would have
+                # drained long ago — its end-of-stream mark was lost (e.g. a
+                # queue feeder pickling failure swallowed it).  Fail loudly
+                # instead of polling forever.
+                raise RuntimeError(
+                    "source process exited but its end-of-stream mark never "
+                    "arrived (message lost in the source queue?)"
+                )
+            try:
+                return self.ingress.get(timeout=POLL_SECONDS)
+            except queue_module.Empty:
+                continue
+
+    # -- the loop ------------------------------------------------------------------
+
+    def run(self) -> None:
+        try:
+            self._loop()
+        except _Aborted:
+            pass
+        except BaseException as exc:
+            self.error = exc
+            self.abort.trip(self.spec.name, exc)
+
+    def _origin_of(self, message: Any) -> str:
+        """Resolve the upstream edge a stage-to-stage message arrived on."""
+        origin = message.origin
+        if origin:
+            return origin
+        if self._sole_origin is not None:
+            return self._sole_origin
+        raise TypeError(
+            f"stage {self.spec.name!r} has {len(self.upstream_producers)} "
+            f"upstreams but got an unlabelled ingress {message!r}"
+        )
+
+    def _loop(self) -> None:
+        config = self.config
+        self.router.begin_interval(0)
+        self._interval_started = time.monotonic()
+
+        while not self._barrier.finished:
+            message = self._next_ingress()
+            if isinstance(message, EmittedBatch):
+                if (
+                    self._kill is not None
+                    and not self._killed
+                    and message.interval >= self._kill.interval
+                ):
+                    self._fire_kill()
+                producer = message.producer_id
+                if producer >= 0 and message.producer_seq >= 0:
+                    # Post-recovery replay dedup: a replayed batch carries
+                    # the same (origin, producer, seq) as the original, so
+                    # anything at or below the accepted floor was already
+                    # dispatched; re-emissions of batches the dead process's
+                    # queue feeder lost arrive *above* the floor and pass.
+                    edge = (self._origin_of(message), producer)
+                    if message.producer_seq <= self._last_seq.get(edge, -1):
+                        continue
+                    self._last_seq[edge] = message.producer_seq
+                if self.sanitizer is not None:
+                    self.sanitizer.on_ingress_batch(
+                        self._origin_of(message), len(message.keys)
+                    )
+                self.router.dispatch(
+                    message.keys,
+                    message.values,
+                    pump=self._pump,
+                    interval=message.interval,
+                    origin_at=message.origin_at,
+                )
+            elif isinstance(message, UpstreamMark):
+                origin = self._origin_of(message)
+                accepted, closable = self._barrier.observe_mark(
+                    origin, message.producer_id, message.interval
+                )
+                if accepted and self.sanitizer is not None:
+                    self.sanitizer.on_upstream_mark(
+                        origin, message.producer_id, message.interval
+                    )
+                if closable:
+                    self._close_interval(message.interval)
+            elif isinstance(message, UpstreamDone):
+                self._barrier.observe_done(self._origin_of(message))
+            else:  # pragma: no cover - protocol violation
+                raise TypeError(
+                    f"stage {self.spec.name!r} got unknown ingress {message!r}"
+                )
+
+        # A hand-off begun on the final interval must complete (install the
+        # shipped state, release the buffered tuples) before EOS.
+        self.controller.finish_pending()
+        self._draining = True
+        for guarded_queue in self.guarded_queues:
+            guarded_queue.put(EndOfStream(collect_state=config.collect_final_state))
+        self.finals = self._drained_finals + self.mailbox.collect(
+            FinalReport, self.spec.parallelism
+        )
+        self.interval_reports.extend(self.mailbox.drain(IntervalReport))
+
+    def _close_interval(self, interval: int) -> None:
+        if self.sanitizer is not None:
+            self.sanitizer.on_close(interval)
+        # Finish any hand-off BEFORE the markers: tuples released by resume()
+        # belong to this interval and must precede its EndInterval in the
+        # FIFO queues to be counted in it.
+        self.controller.finish_pending()
+        for guarded_queue in self.guarded_queues:
+            guarded_queue.put(EndInterval(interval=interval))
+        if self.config.calibrate_pacing and interval == 0:
+            self._calibrate()
+        if self.supervisor is not None and self.supervisor.checkpoint_due(interval):
+            self._take_checkpoint(interval)
+        # The closing interval's own accounting bucket: early batches of the
+        # next interval (fast upstream producers) are already parked in
+        # their own bucket and do not pollute this one.
+        account = self.router.pop_interval(interval)
+        if self._scale is not None:
+            # The placement diff of a pending resize needs every key this
+            # stage ever routed.
+            self.seen_keys.update(account.freqs.keys())
+        # Split-key bookkeeping is per interval inside the partitioner and is
+        # reset by its on_interval_end — fold it into the lifetime totals now.
+        self.router.snapshot_split_stats()
+        migration = self.controller.end_interval(
+            self._interval_stats(interval, account.freqs)
+        )
+        if (
+            self._scale is not None
+            and not self._scale_done
+            and interval == self._scale.interval
+        ):
+            self._scale_done = True
+            self.scale_events.append(execute_scale(self, self._scale))
+        now = time.monotonic()
+        # The account's dense per-task arrays convert to the report's
+        # ``{task: value}`` dict shape only here, at interval close.
+        self.interval_rows.append(
+            {
+                "interval": interval,
+                "offered_tuples": float(account.offered_tuples_by_task.sum()),
+                "offered_cost": account.offered_cost,
+                "shed": dict(account.shed),
+                "elapsed": now - self._interval_started,
+                "migration": migration,
+            }
+        )
+        self._interval_started = now
+        self.current_interval = interval + 1
+        self.router.begin_interval(interval + 1)
+
+    # -- resilience / elasticity ---------------------------------------------------
+
+    def _fire_kill(self) -> None:
+        """Inject the configured fault: SIGKILL the directive's worker.
+
+        Delivered as a :class:`CrashSelf` command through the victim's FIFO
+        inbound queue — behind the batches already dispatched to it — sent
+        through the bare abort-aware proxy so it is neither retained for
+        replay nor counted by the sanitizer.
+        """
+        self._killed = True
+        task = self._kill.task
+        if task >= len(self.workers):
+            raise ValueError(
+                f"kill directive {self._kill.spec()!r} names task {task} but "
+                f"stage {self.spec.name!r} has {len(self.workers)} workers"
+            )
+        self._abortable_queues[task].put(CrashSelf())
+
+    def _take_checkpoint(self, interval: int) -> None:
+        """Snapshot every task's ``KeyedState`` at this interval boundary.
+
+        The snapshot command rides the FIFO queues right behind the
+        interval's ``EndInterval`` marker, so each shipped state covers
+        exactly the tuples up to the boundary (watermark = ``interval``).
+        The log cut is taken *before* the command is sent: everything the
+        checkpoint covers — and nothing it does not — is truncated once the
+        task's snapshot is durable.
+        """
+        supervisor = self.supervisor
+        tasks = range(len(self.workers))
+        cuts = {task: supervisor.log.cut(task) for task in tasks}
+        self._ckpt_awaiting = set(tasks)
+        with supervisor.log.suspended():
+            for guarded_queue in self.guarded_queues:
+                guarded_queue.put(ExtractKeys(keys=None, copy=True))
+            while self._ckpt_awaiting:
+                shipment = self.mailbox.collect(StateShipment, 1)[0]
+                task = shipment.worker_id
+                if task not in self._ckpt_awaiting:
+                    # Duplicate from a mid-checkpoint recovery (the original
+                    # arrived before the re-issued command's copy).
+                    continue
+                supervisor.store.save(
+                    task, interval, shipment.entries, shipment.counters
+                )
+                supervisor.log.truncate(task, cuts[task])
+                self._ckpt_awaiting.discard(task)
+        self._ckpt_awaiting = None
+
+    def checkpoint_pending(self, task: int) -> bool:
+        """True when a checkpoint round still awaits ``task``'s snapshot."""
+        return self._ckpt_awaiting is not None and task in self._ckpt_awaiting
+
+    def spawn_worker(self, task: int) -> Any:
+        """Start a replacement process for ``task`` on a *fresh* queue.
+
+        The dead worker's inbound queue cannot be reused: a process parked
+        in ``Queue.get`` holds the queue's reader lock, and a SIGKILL never
+        releases it — a replacement reading the same queue would deadlock.
+        Anything buffered in the abandoned queue is superseded by the
+        retention-log replay, so the swap loses nothing; the fresh queue is
+        swapped *into* the existing guarded chain, so a dispatch currently
+        blocked on the dead worker's full queue is redirected mid-wait.
+        """
+        queue = self.queue_factory()
+        self.raw_worker_queues[task] = queue
+        self._abortable_queues[task].replace(queue)
+        process = self.worker_factory(task, queue, self._service_us)
+        process.start()
+        self.workers[task] = process
+        self.spawned_processes.append(process)
+        return process
+
+    def attach_worker(self, task: int) -> None:
+        """Add a brand-new worker (elastic scale-out): queue, process, wraps."""
+        queue = self.queue_factory()
+        process = self.worker_factory(task, queue, self._service_us)
+        process.start()
+        self.raw_worker_queues.append(queue)
+        self.workers.append(process)
+        self.spawned_processes.append(process)
+        if self.supervisor is not None:
+            self.supervisor.log.ensure_task(task)
+        self.guarded_queues.append(self._guard(task, queue))
+
+    def detach_workers(self, new: int, old: int) -> None:
+        """Drain tasks ``new..old-1`` (elastic scale-in) with a normal EOS.
+
+        The drained workers' lifetime totals still reach the final
+        accounting through their stashed ``FinalReport`` s; their expected
+        exits are excluded from the dead-worker scan while in flight.
+        """
+        doomed = list(range(new, old))
+        self._detaching = set(doomed)
+        try:
+            for task in doomed:
+                self.guarded_queues[task].put(
+                    EndOfStream(collect_state=self.config.collect_final_state)
+                )
+            self._drained_finals.extend(
+                self.mailbox.collect(FinalReport, len(doomed))
+            )
+            if self.supervisor is not None:
+                for task in doomed:
+                    self.supervisor.log.drop_task(task)
+            del self.workers[new:old]
+            del self.raw_worker_queues[new:old]
+            del self.guarded_queues[new:old]
+            del self._abortable_queues[new:old]
+        finally:
+            self._detaching = set()
+
+    def set_upstream_producers(
+        self, origin: str, from_interval: int, count: int, done_delta: int
+    ) -> None:
+        """An upstream resize changed this stage's producer accounting.
+
+        Called from the *upstream* stage's thread at its interval boundary —
+        strictly before the resized group emits any mark for
+        ``from_interval``, so the timeline append cannot race a close that
+        depends on it.  ``origin`` names the resized edge (other upstream
+        origins' barriers are untouched); ``done_delta`` adjusts the
+        expected end-of-stream count (scale-out adds producers; scale-in's
+        drained workers still send their own ``UpstreamDone``, so shrink
+        passes zero).
+        """
+        self._barrier.resize(origin, from_interval, count, done_delta)
+        self.upstream_producers[origin] = int(count)
+
+    def _calibrate(self) -> None:
+        """Measure interval 0's unpaced processing and install the pacing.
+
+        Blocking: waits for every worker's interval-0 report (a one-off
+        barrier), then ships the new service time through the FIFO queues —
+        any interval-1 batches a fast upstream producer already queued run
+        unpaced, everything after the command is paced.  The drain time is the
+        workers' summed *busy* seconds, not the stage's wall-clock interval:
+        wall time would fold in upstream pipeline fill (inflating pacing
+        progressively down a chain) and, under an open-loop source, the
+        offer schedule itself (pacing would then cap capacity below the
+        offered rate and the run could never keep up).
+        """
+        reports = self.mailbox.collect(IntervalReport, self.spec.parallelism)
+        self.interval_reports.extend(reports)
+        cost = sum(report.cost for report in reports)
+        busy = sum(report.busy_seconds for report in reports)
+        service_us = calibrated_service_time_us(
+            cost, busy / self.spec.parallelism, self.spec.parallelism
+        )
+        if service_us > 0:
+            for guarded_queue in self.guarded_queues:
+                guarded_queue.put(SetServiceTime(service_time_us=service_us))
+            self.calibrated_us = service_us
+            self._service_us = service_us
+
+    def _interval_stats(
+        self, interval: int, freqs: Mapping[Key, float]
+    ) -> IntervalStats:
+        stats = IntervalStats(interval)
+        tuple_cost = self.spec.logic.tuple_cost
+        state_delta = self.spec.logic.state_delta
+        stats.record_bulk(
+            (key, float(count), count * tuple_cost(key), count * state_delta(key))
+            for key, count in freqs.items()
+            if count > 0
+        )
+        return stats
+
+    # -- aggregation ---------------------------------------------------------------
+
+    def aggregate(self, wall_seconds: float) -> RuntimeResult:
+        """Fold the loop's rows and the workers' reports into a RuntimeResult."""
+        result = fold_stage_result(
+            self.spec.name,
+            self.spec.parallelism,
+            wall_seconds,
+            self.interval_rows,
+            self.interval_reports + self.mailbox.drain(IntervalReport),
+            self.finals,
+        )
+        shed_ledger = self.router.shed_ledger
+        if self.sanitizer is not None:
+            self.sanitizer.finalize(
+                offered=float(result.tuples_offered),
+                processed=float(result.tuples_processed),
+                shed=shed_ledger.total,
+            )
+        if self.supervisor is not None or self.scale_events:
+            result.resilience = {
+                "incidents": (
+                    [incident.to_dict() for incident in self.supervisor.incidents]
+                    if self.supervisor is not None
+                    else []
+                ),
+                "scale_events": [event.to_dict() for event in self.scale_events],
+                "checkpoints": (
+                    self.supervisor.store.stats()
+                    if self.supervisor is not None
+                    else {"count": 0.0, "bytes_written": 0.0, "write_seconds": 0.0}
+                ),
+            }
+        result.tuples_shed = shed_ledger.total
+        result.shed_by_task = shed_ledger.by_task()
+        result.migrations = list(self.controller.migrations)
+        result.calibrated_service_time_us = self.calibrated_us
+        result.upstreams = len(self.upstream_producers)
+        result.split_stats = self.router.split_stats
+        return result

@@ -12,7 +12,7 @@ from repro.runtime.messages import (
     EndOfStream,
     TupleBatch,
 )
-from repro.runtime.topology import (
+from repro.runtime import (
     RuntimeConfig,
     StageSpec,
     TopologyRuntime,

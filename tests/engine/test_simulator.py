@@ -1,4 +1,4 @@
-"""Integration tests for the topology builder and the interval simulators."""
+"""Integration tests for the interval simulators."""
 
 import pytest
 
@@ -9,11 +9,11 @@ from repro.engine import (
     OperatorSimulator,
     PipelineSimulator,
     SimulationConfig,
-    Topology,
-    TopologyBuilder,
+    StageSpec,
+    TopologySpec,
 )
-from repro.engine.topology import PipelineStage
 from repro.operators import WindowedSelfJoin, WordCountOperator
+from repro.runtime import BENCH_TOPOLOGY_WORKLOADS, RuntimeSpec
 
 
 def skewed_workload(intervals=6, num_keys=300, hot=2, tuples=30_000):
@@ -24,52 +24,6 @@ def skewed_workload(intervals=6, num_keys=300, hot=2, tuples=30_000):
             snapshot[f"k{index}"] = tuples / (hot * 4)
         snapshots.append(snapshot)
     return snapshots
-
-
-class TestTopologyBuilder:
-    def test_build_single_stage(self):
-        topo = (
-            TopologyBuilder("wc")
-            .add_stage("count", WordCountOperator(), HashPartitioner(4))
-            .build()
-        )
-        assert len(topo) == 1
-        assert topo.stage("count").parallelism == 4
-        assert topo.stage_names() == ["count"]
-
-    def test_duplicate_stage_names_rejected(self):
-        builder = TopologyBuilder("bad")
-        builder.add_stage("s", WordCountOperator(), HashPartitioner(2))
-        builder.add_stage("s", WordCountOperator(), HashPartitioner(2))
-        with pytest.raises(ValueError):
-            builder.build()
-
-    def test_empty_topology_rejected(self):
-        with pytest.raises(ValueError):
-            TopologyBuilder("empty").build()
-
-    def test_unknown_stage_lookup(self):
-        topo = (
-            TopologyBuilder("wc")
-            .add_stage("count", WordCountOperator(), HashPartitioner(2))
-            .build()
-        )
-        with pytest.raises(KeyError):
-            topo.stage("nope")
-
-    def test_stage_validation(self):
-        with pytest.raises(ValueError):
-            PipelineStage("", WordCountOperator(), HashPartitioner(2))
-        with pytest.raises(ValueError):
-            PipelineStage("s", WordCountOperator(), HashPartitioner(2), selectivity=-1)
-
-    def test_key_mapper(self):
-        stage = PipelineStage(
-            "s", WordCountOperator(), HashPartitioner(2), key_mapper=lambda k: k * 2
-        )
-        assert stage.map_key(3) == 6
-        plain = PipelineStage("p", WordCountOperator(), HashPartitioner(2))
-        assert plain.map_key(3) == 3
 
 
 class TestOperatorSimulator:
@@ -153,17 +107,17 @@ class TestOperatorSimulator:
 
 class TestPipelineSimulator:
     def _two_stage_topology(self, parallelism=4):
-        return (
-            TopologyBuilder("pipeline")
-            .add_stage(
-                "join",
-                WindowedSelfJoin(window=2),
-                HashPartitioner(parallelism, seed=1),
-                selectivity=1.0,
-                key_mapper=lambda key: hash(key) % 10,
-            )
-            .add_stage("agg", WordCountOperator(), HashPartitioner(2, seed=2))
-            .build()
+        return TopologySpec(
+            "pipeline",
+            [
+                StageSpec(
+                    "join",
+                    WindowedSelfJoin(window=2),
+                    HashPartitioner(parallelism, seed=1),
+                    key_mapper=lambda key: hash(key) % 10,
+                ),
+                StageSpec("agg", WordCountOperator(), HashPartitioner(2, seed=2)),
+            ],
         )
 
     def test_two_stage_flow(self):
@@ -182,24 +136,44 @@ class TestPipelineSimulator:
         # Pipeline latency adds up across stages.
         assert result.pipeline.mean_latency_ms >= join.mean_latency_ms
 
-    def test_selectivity_scales_downstream_volume(self):
-        topo = (
-            TopologyBuilder("sel")
-            .add_stage(
-                "filter",
-                WordCountOperator(),
-                HashPartitioner(2, seed=1),
-                selectivity=0.5,
-            )
-            .add_stage("sink", WordCountOperator(), HashPartitioner(2, seed=2))
-            .build()
+    def test_key_mapper_rekeys_the_downstream_stream(self):
+        """A stage's output reaches the next stage under the mapped keys."""
+        seen = []
+
+        class RecordingPartitioner(HashPartitioner):
+            def route_snapshot(self, freqs, num_tasks):
+                seen.append(set(freqs))
+                return super().route_snapshot(freqs, num_tasks)
+
+        topo = TopologySpec(
+            "rekey",
+            [
+                StageSpec(
+                    "up",
+                    WordCountOperator(),
+                    HashPartitioner(2, seed=1),
+                    key_mapper=lambda key: int(key[1:]) % 3,
+                ),
+                StageSpec("down", WordCountOperator(), RecordingPartitioner(2, seed=2)),
+            ],
         )
         result = PipelineSimulator(topo, SimulationConfig(capacity_factor=2.0)).run(
-            skewed_workload(intervals=3)
+            skewed_workload(intervals=2)
         )
-        filter_out = result.stages["filter"].mean("processed_tuples")
-        sink_in = result.stages["sink"].mean("offered_tuples")
-        assert sink_in == pytest.approx(filter_out * 0.5, rel=1e-6)
+        assert seen and all(keys == {0, 1, 2} for keys in seen)
+        # Re-keying merges keys; it never changes the tuple volume.
+        assert result.stages["down"].mean("offered_tuples") == pytest.approx(
+            result.stages["up"].mean("processed_tuples"), rel=1e-6
+        )
+
+    def test_rejects_a_dag_spec(self):
+        """The fluid model is a chain model: the diamond cannot be simulated."""
+        spec = RuntimeSpec(workload="diamond", parallelism=2, scale="tiny")
+        diamond = BENCH_TOPOLOGY_WORKLOADS["diamond"].build_topology(
+            spec.resolve_scale(), spec, "storm", lambda name, tasks: HashPartitioner(tasks)
+        )
+        with pytest.raises(ValueError, match="'diamond' is not a chain"):
+            PipelineSimulator(diamond)
 
     def test_unknown_scale_out_stage_rejected(self):
         sim = PipelineSimulator(self._two_stage_topology(), SimulationConfig())

@@ -171,9 +171,10 @@ class TestQ5Topology:
             stages.CUSTOMER_JOIN,
             stages.REVENUE_AGG,
         ]
-        assert topo.stage(stages.ORDER_JOIN).parallelism == 4
+        by_name = {stage.name: stage for stage in topo}
+        assert by_name[stages.ORDER_JOIN].parallelism == 4
         # The aggregation stage is narrower (nation keys are few).
-        assert topo.stage(stages.REVENUE_AGG).parallelism <= 4
+        assert by_name[stages.REVENUE_AGG].parallelism <= 4
 
     def test_q5_key_mappers_follow_foreign_keys(self):
         dataset = generate_tpch(scale=0.001, seed=0)
@@ -181,12 +182,11 @@ class TestQ5Topology:
             dataset, lambda name, n: HashPartitioner(n), parallelism=4, window=2
         )
         stages = Q5Stage()
-        order_stage = topo.stage(stages.ORDER_JOIN)
-        customer_stage = topo.stage(stages.CUSTOMER_JOIN)
+        by_name = {stage.name: stage for stage in topo}
         order_key = 1
-        customer = order_stage.map_key(order_key)
+        customer = by_name[stages.ORDER_JOIN].key_mapper(order_key)
         assert customer == dataset.customer_of_order(order_key)
-        nation = customer_stage.map_key(customer)
+        nation = by_name[stages.CUSTOMER_JOIN].key_mapper(customer)
         assert nation == dataset.nation_of_customer(customer)
         assert 0 <= nation < 25
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.topology import StageSpec, TopologyRuntime, TopologySpec
+from repro.runtime import StageSpec, TopologyRuntime, TopologySpec
 
 
 @pytest.fixture(scope="session")

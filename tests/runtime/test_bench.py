@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.config import get_scale
 from repro.experiments.store import ResultsStore
+from repro.runtime import KillDirective, ScaleDirective, TopologyResult
 from repro.runtime.bench import (
     BENCH_DEFAULT_OVERRIDES,
     BENCH_TOPOLOGY_WORKLOADS,
@@ -16,7 +17,6 @@ from repro.runtime.bench import (
     RuntimeSpec,
     run_bench,
 )
-from repro.runtime.topology import TopologyResult
 
 #: A bench configuration small enough for tier-1 (two strategies, ~20k tuples).
 TINY = dict(
@@ -80,15 +80,15 @@ class TestRuntimeSpec:
         assert spec.scale_at == "2:order-join:+1"  # normalised sign
         assert RuntimeSpec.from_dict(spec.to_dict()) == spec
         config = spec.runtime_config()
-        assert config.kill_worker == ("revenue-agg", 0, 3)
-        assert config.scale_at == (2, "order-join", 1)
+        assert config.kill_worker == KillDirective("revenue-agg", 0, 3)
+        assert config.scale_at == ScaleDirective(2, "order-join", 1)
         assert config.checkpoint_every == 2
 
     def test_resilience_specs_fail_fast(self):
         # A one-stage workload takes the directives like any topology: its
         # only stage is named after the workload.
         spec = RuntimeSpec(workload="wordcount", kill_worker="wordcount:0@1")
-        assert spec.runtime_config().kill_worker == ("wordcount", 0, 1)
+        assert spec.runtime_config().kill_worker == KillDirective("wordcount", 0, 1)
         with pytest.raises(KeyError, match="unknown stage"):
             RuntimeSpec(workload="wordcount", kill_worker="a:0@1")
         with pytest.raises(KeyError, match="unknown stage"):

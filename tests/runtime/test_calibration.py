@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.hash_only import HashPartitioner
 from repro.operators.wordcount import WordCountOperator
-from repro.runtime.topology import (
+from repro.runtime import (
     RuntimeConfig,
     StageSpec,
     TopologyRuntime,
@@ -56,7 +56,6 @@ class TestCalibratedRun:
             queue_capacity=4,
             service_time_us=123.0,  # must be ignored when calibrating
             calibrate_pacing=True,
-            calibration_headroom=2.0,
         )
         stream = [
             [(key, None) for key in range(40) for _ in range(25)]

@@ -11,11 +11,15 @@ strategies are equivalent in both engines.
 import numpy as np
 import pytest
 
+from repro.baselines import HashPartitioner
 from repro.core.strategy import get_strategy
+from repro.engine import PipelineSimulator, SimulationConfig
 from repro.experiments.harness import run_simulation
+from repro.operators import build_q5_topology
 from repro.operators.wordcount import WordCountOperator
+from repro.runtime import RuntimeConfig, TopologyRuntime
 from repro.runtime.bench import _expand_snapshots
-from repro.runtime.topology import RuntimeConfig
+from repro.workloads import TPCHStreamWorkload, generate_tpch
 from repro.workloads.zipf import ZipfWorkload
 
 PARALLELISM = 4
@@ -108,3 +112,45 @@ class TestSkewSweepOrderingParity:
     def test_runtime_throughput_degrades_with_skew_for_hashing(self, measurements):
         # The fig07 shape, measured: static hashing slows down as z grows.
         assert measurements[1.2]["storm"][1] < measurements[0.1]["storm"][1] * 0.9
+
+
+class TestOneSpecBothEngines:
+    def test_one_q5_spec_is_simulated_and_executed(self):
+        """The same ``TopologySpec`` object feeds both engines.
+
+        Hash routing keeps no learned state, so the partitioners the fluid
+        run used are as good as fresh ones for the process run.
+        """
+        dataset = generate_tpch(scale=0.001, seed=0)
+        topology = build_q5_topology(
+            dataset,
+            lambda stage, tasks: HashPartitioner(tasks, seed=0),
+            parallelism=2,
+            window=2,
+        )
+        intervals = 3
+        snapshots = TPCHStreamWorkload(
+            dataset, tuples_per_interval=2_000, intervals=intervals, seed=0
+        ).take(intervals)
+        stream = _expand_snapshots(snapshots, np.random.default_rng(7), value=1.0)
+        total = sum(len(tuples) for tuples in stream)
+
+        simulated = PipelineSimulator(
+            topology, SimulationConfig(capacity_factor=2.0)
+        ).run(snapshots)
+        executed = TopologyRuntime(
+            topology, RuntimeConfig(batch_size=128, service_time_us=0.0)
+        ).run(stream)
+
+        assert list(simulated.stages) == list(executed.stages) == topology.stage_names()
+        # With capacity to spare neither engine sheds, and the foreign-key
+        # re-keying conserves tuples: every stage sees the whole stream.
+        assert executed.tuples_processed == executed.tuples_offered == total
+        for name in topology.stage_names():
+            assert executed.stages[name].tuples_offered == total
+            assert sum(simulated.stages[name].series("offered_tuples")) == (
+                pytest.approx(total, rel=0.01)
+            )
+        assert sum(simulated.pipeline.series("processed_tuples")) == (
+            pytest.approx(total, rel=0.01)
+        )

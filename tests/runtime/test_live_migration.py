@@ -12,7 +12,7 @@ import pytest
 from repro.baselines.base import Partitioner
 from repro.core.migration import KeyMove, MigrationPlan
 from repro.operators.windowed_aggregate import WindowedAggregate
-from repro.runtime.topology import RuntimeConfig
+from repro.runtime import RuntimeConfig
 
 
 class ForcedMovePartitioner(Partitioner):

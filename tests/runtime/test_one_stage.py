@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.hash_only import HashPartitioner
 from repro.operators.wordcount import WordCountOperator
-from repro.runtime.topology import RuntimeConfig
+from repro.runtime import RuntimeConfig
 
 
 def _stream(intervals=2, keys=40, repeats=25):

@@ -22,14 +22,16 @@ from repro.runtime.resilience.checkpoint import (
     atomic_write_bytes,
     atomic_write_json,
 )
-from repro.runtime.resilience.scaling import ScaleDirective, parse_scale_spec
-from repro.runtime.resilience.supervisor import KillDirective, parse_kill_spec
-from repro.runtime.topology import (
+from repro.runtime import (
+    KillDirective,
     RuntimeConfig,
+    ScaleDirective,
     StageSpec,
     TopologyRuntime,
     TopologySpec,
 )
+from repro.runtime.resilience.scaling import parse_scale_spec
+from repro.runtime.resilience.supervisor import parse_kill_spec
 
 
 def _bucket(key):
@@ -188,9 +190,33 @@ class TestDirectiveParsing:
         with pytest.raises(ValueError):
             parse_scale_spec(spec)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(stage="", task=0, interval=0),
+            dict(stage="agg", task=-1, interval=0),
+            dict(stage="agg", task=0, interval=-1),
+        ],
+    )
+    def test_kill_directive_validates_itself(self, fields):
+        with pytest.raises(ValueError, match="kill directive"):
+            KillDirective(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(interval=-1, stage="agg", delta=1),
+            dict(interval=0, stage="", delta=1),
+            dict(interval=0, stage="agg", delta=0),
+        ],
+    )
+    def test_scale_directive_validates_itself(self, fields):
+        with pytest.raises(ValueError, match="scale directive"):
+            ScaleDirective(**fields)
+
     def test_config_supplies_kill_directive(self):
         runtime = TopologyRuntime(
-            _two_stage_spec(), _config(kill_worker=("counter", 1, 2))
+            _two_stage_spec(), _config(kill_worker=KillDirective("counter", 1, 2))
         )
         kill, scale = runtime._directives()
         assert kill == KillDirective(stage="counter", task=1, interval=2)
@@ -198,7 +224,7 @@ class TestDirectiveParsing:
 
     def test_unknown_stage_in_directive_raises(self):
         runtime = TopologyRuntime(
-            _two_stage_spec(), _config(kill_worker=("nope", 0, 1))
+            _two_stage_spec(), _config(kill_worker=KillDirective("nope", 0, 1))
         )
         with pytest.raises(ValueError, match="unknown stage"):
             runtime._directives()
@@ -208,7 +234,9 @@ class TestDirectiveParsing:
 
 
 class TestSupervisedRecovery:
-    @pytest.mark.parametrize("kill", [("counter", 1, 1), ("agg", 0, 2)])
+    @pytest.mark.parametrize(
+        "kill", [KillDirective("counter", 1, 1), KillDirective("agg", 0, 2)]
+    )
     def test_crash_at_interval_matches_uninjected_run(self, base_run, kill):
         """A SIGKILLed worker is respawned, restored and replayed losslessly."""
         with tempfile.TemporaryDirectory() as checkpoint_dir:
@@ -220,8 +248,8 @@ class TestSupervisedRecovery:
         resilience = run.resilience
         assert len(resilience["incidents"]) == 1
         incident = resilience["incidents"][0]
-        assert incident["stage"] == kill[0]
-        assert incident["task"] == kill[1]
+        assert incident["stage"] == kill.stage
+        assert incident["task"] == kill.task
         assert incident["recovery_pause_seconds"] > 0
         assert incident["restore_seconds"] >= 0
         # The kill landed after at least one boundary checkpoint, so the
@@ -236,7 +264,7 @@ class TestSupervisedRecovery:
 
 class TestElasticScaling:
     @pytest.mark.parametrize(
-        "scale_at", [(2, "counter", 1), (3, "agg", -1)]
+        "scale_at", [ScaleDirective(2, "counter", 1), ScaleDirective(3, "agg", -1)]
     )
     def test_resize_preserves_state_and_counts(self, base_run, scale_at):
         """Scale-out and scale-in re-route keys without losing per-key state."""
@@ -247,9 +275,9 @@ class TestElasticScaling:
         resilience = run.resilience
         assert resilience is not None and len(resilience["scale_events"]) == 1
         event = resilience["scale_events"][0]
-        assert event["stage"] == scale_at[1]
-        assert event["interval"] == scale_at[0]
-        assert event["to_tasks"] == event["from_tasks"] + scale_at[2]
+        assert event["stage"] == scale_at.stage
+        assert event["interval"] == scale_at.interval
+        assert event["to_tasks"] == event["from_tasks"] + scale_at.delta
         assert event["moved_keys"] > 0
         assert event["rebalance_pause_seconds"] > 0
 
@@ -260,8 +288,8 @@ class TestElasticScaling:
                 _two_stage_spec(),
                 _config(
                     checkpoint_dir=checkpoint_dir,
-                    scale_at=(1, "counter", 1),
-                    kill_worker=("counter", 2, 3),
+                    scale_at=ScaleDirective(1, "counter", 1),
+                    kill_worker=KillDirective("counter", 2, 3),
                 ),
             ).run(_stream())
         _assert_matches_base(run, base_run)

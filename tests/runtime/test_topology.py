@@ -1,5 +1,6 @@
 """Multi-stage process topologies: chaining, re-keying, failure handling."""
 
+import multiprocessing
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from repro.baselines.hash_only import HashPartitioner
 from repro.engine.operator import OperatorLogic
 from repro.operators.windowed_aggregate import WindowedAggregate
 from repro.operators.wordcount import WordCountOperator
-from repro.runtime.topology import (
+from repro.runtime import (
     RuntimeConfig,
     StageSpec,
     TopologyRuntime,
@@ -143,7 +144,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             RuntimeConfig(offered_rate=0.0)
         with pytest.raises(ValueError):
-            RuntimeConfig(calibration_headroom=0.0)
+            RuntimeConfig(checkpoint_every=0)
 
 
 def _crashing_source(*args, **kwargs):
@@ -189,6 +190,37 @@ class TestFailurePaths:
         # The whole topology (source, both stages) must shut down promptly:
         # no hang on a queue nobody drains anymore.
         assert time.monotonic() - started < 25.0
+
+    def test_failed_process_start_surfaces_and_leaks_no_worker(self, monkeypatch):
+        # The second Process.start() fails (say, the fork limit).  The caller
+        # must see that error — not an AssertionError from joining the
+        # processes that never started — and the worker that did start must
+        # be reaped.
+        base = multiprocessing.process.BaseProcess
+        real_start = base.start
+        started = []
+
+        def flaky_start(process):
+            started.append(process.name)
+            if len(started) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            real_start(process)
+
+        monkeypatch.setattr(base, "start", flaky_start)
+        spec = TopologySpec(
+            "no-fork",
+            [
+                StageSpec(
+                    name="counter",
+                    logic=WordCountOperator(emit_updates=False),
+                    partitioner=HashPartitioner(2, seed=0),
+                )
+            ],
+        )
+        with pytest.raises(BlockingIOError):
+            TopologyRuntime(spec, _config()).run(_stream(intervals=1))
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
 
     def test_source_crash_surfaces_instead_of_hanging(self, monkeypatch):
         # A source process that dies before its end-of-stream mark must trip

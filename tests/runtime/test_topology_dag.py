@@ -1,6 +1,6 @@
 """DAG topologies: fan-in mark barrier, spec validation, diamond execution.
 
-The :class:`~repro.runtime.topology.MarkBarrier` is the protocol heart of
+The :class:`~repro.runtime.barrier.MarkBarrier` is the protocol heart of
 multi-upstream stages — an interval may close only once *every* upstream
 origin's expected producers marked it — so it gets property tests driving
 arbitrary mark/replay/resize interleavings, alongside an end-to-end diamond
@@ -18,9 +18,10 @@ from repro.operators.windowed_aggregate import (
     WindowedAggregate,
 )
 from repro.operators.wordcount import WordCountOperator
-from repro.runtime.topology import (
+from repro.runtime import (
     MarkBarrier,
     RuntimeConfig,
+    ScaleDirective,
     StageSpec,
     TopologyRuntime,
     TopologySpec,
@@ -396,7 +397,7 @@ class TestDiamondElasticResize:
             _config(
                 collect_final_state=True,
                 sanitize=True,
-                scale_at=(1, "branch-a", 1),
+                scale_at=ScaleDirective(1, "branch-a", 1),
             ),
         )
         return runtime.run(_stream())
