@@ -8,7 +8,10 @@ A_max = 3000, θ_max = 0.08, expected counts so every interval carries all
 
 * **route** — ``route_snapshot`` under the assignment in force (the key→task
   memo stays warm across rebalances; only re-routed keys are rewritten);
-* **stats** — ``IntervalStats.from_frequencies``;
+* **stats** — ``IntervalStats.from_frequencies``: one ``np.fromiter`` over the
+  snapshot's counts plus two vector multiplies (the frequency / cost / memory
+  columns; no per-key object — ``validate_bench.py`` requires ``stats < route``
+  at K = 100 000);
 * **should_rebalance** — the imbalance check (builds the interval's columns,
   evaluates ``F`` over the observed keys once);
 * **plan** — the planning round itself, reusing those columns;

@@ -59,6 +59,9 @@ REQUIRED_PLANNER_MICRO_ROW_KEYS = (
     "plan_ms",
     "interval_end_ms",
 )
+#: Key count of the paper's Tab. II; rows this large carry the speed-independent
+#: ``stats_ms < route_ms`` guard of ``_validate_planner_micro``.
+PAPER_SCALE_KEYS = 100_000
 
 
 def _fail(message: str):
@@ -321,7 +324,13 @@ def _validate_router_micro(micro) -> None:
 
 def _validate_planner_micro(micro) -> None:
     """The planner microbenchmark section: one complete row per key count,
-    each with at least one plan whose steps add up."""
+    each with at least one plan whose steps add up.
+
+    At the paper's key count (K >= 100 000) describing the interval must also
+    cost less than routing it (``stats_ms < route_ms``) — a ratio inside one
+    run, so it holds on any host: the statistics are three array fills, and
+    building one object per key again (~5x the routing pass) would fail it.
+    """
     if not isinstance(micro, dict):
         _fail("planner_micro must be an object")
     if not isinstance(micro.get("strategy"), str):
@@ -346,6 +355,12 @@ def _validate_planner_micro(micro) -> None:
             _fail(
                 f"{label}: interval_end_ms ({row['interval_end_ms']}) is below the "
                 f"plan_ms ({row['plan_ms']}) it contains"
+            )
+        if row["num_keys"] >= PAPER_SCALE_KEYS and row["stats_ms"] >= row["route_ms"]:
+            _fail(
+                f"{label}: stats_ms ({row['stats_ms']}) is not below route_ms "
+                f"({row['route_ms']}) at K = {row['num_keys']}: the interval "
+                f"statistics are no longer built column-wise"
             )
     counts = [row["num_keys"] for row in rows]
     if len(set(counts)) != len(counts):

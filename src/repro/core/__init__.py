@@ -42,7 +42,6 @@ from repro.core.llfd import LLFDResult, least_load_fit_decreasing
 from repro.core.load import (
     average_load,
     balance_indicator,
-    load_per_task,
     max_skewness,
     overloaded_tasks,
     safe_mean,
@@ -91,7 +90,6 @@ __all__ = [
     "gamma_index",
     "get_algorithm",
     "least_load_fit_decreasing",
-    "load_per_task",
     "max_skewness",
     "migration_cost",
     "overloaded_tasks",

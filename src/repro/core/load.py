@@ -17,12 +17,11 @@ loaded operator as empty.  ``max / L̄`` is therefore evaluated as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping
+from typing import Callable, Dict, Hashable, List, Mapping
 
 import numpy as np
 
 __all__ = [
-    "load_per_task",
     "load_from_costs",
     "load_from_columns",
     "total_load",
@@ -85,21 +84,6 @@ def load_from_columns(
         )
     loads = np.bincount(destinations, weights=cost, minlength=num_tasks)
     return dict(enumerate(loads.tolist()))
-
-
-def load_per_task(
-    stats: "IntervalStatsLike",
-    assignment: Assignment,
-    num_tasks: int,
-) -> Dict[int, float]:
-    """Compute ``{d: L_i(d, F)}`` from an interval snapshot.
-
-    ``stats`` may be any object with an ``items()`` yielding
-    ``(key, KeyStats)`` pairs (duck-typed so the compact representation can
-    reuse the same helpers).
-    """
-    costs = {key: stat.cost for key, stat in stats.items()}
-    return load_from_costs(costs, assignment, num_tasks)
 
 
 def total_load(loads: Mapping[int, float]) -> float:
@@ -199,10 +183,3 @@ def overloaded_tasks(loads: Mapping[int, float], theta_max: float) -> List[int]:
     return sorted(
         task for task, load in loads.items() if load * count > threshold + slack
     )
-
-
-class IntervalStatsLike:  # pragma: no cover - typing helper only
-    """Structural type for objects accepted by :func:`load_per_task`."""
-
-    def items(self) -> Iterable:  # noqa: D102 - protocol stub
-        raise NotImplementedError

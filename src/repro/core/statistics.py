@@ -10,7 +10,8 @@ The windowed memory ``S_i(k, w) = Σ_{j=i-w+1..i} s_j(k)`` measures the state
 that must be transferred when the key is migrated (only the last ``w`` intervals
 are retained by a stateful operator).
 
-:class:`IntervalStats` is the immutable snapshot of one interval.
+:class:`IntervalStats` is the snapshot of one interval, stored as aligned
+columns; :class:`KeyStats` is the per-key value object, built on demand.
 :class:`StatisticsStore` accumulates snapshots, keeps only the last ``w`` of
 them, and answers the windowed queries the planning algorithms need.
 """
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter
+from itertools import compress, repeat
 from types import MappingProxyType
 from typing import (
     Any,
@@ -34,6 +34,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -129,7 +130,8 @@ class KeyColumns:
         """
         if self.keys is not other.keys and self.keys == other.keys:
             self.keys = other.keys
-            self._index = other._index
+            if other._index is not None:
+                self._index = other._index
             self._key_set = other._key_set
 
     def with_memory(self, memory: np.ndarray) -> "KeyColumns":
@@ -144,13 +146,18 @@ class KeyColumns:
 class IntervalStats:
     """Statistics of every observed key for a single time interval ``T_i``.
 
+    Stored as columns: ``_table[:, i]`` holds ``g_i(k)``, ``c_i(k)`` and
+    ``s_i(k)`` of ``k = _keys[i]``, and :meth:`columns` hands the cost and
+    memory columns to the planner as they are.  A :class:`KeyStats` is built
+    only when a caller asks for one (:meth:`get`, :meth:`items`).
+
     The snapshot is conceptually immutable once handed to the planner; the
-    mutating helpers (:meth:`record`) are only used while the interval is being
-    measured (by tasks or by workload generators) and drop the cached
-    :meth:`columns`.
+    mutating helpers (:meth:`record`, :meth:`record_bulk`) are only used while
+    the interval is being measured and write to a copy once :meth:`columns`
+    has been served, so columns a reader holds never change.
     """
 
-    __slots__ = ("interval", "_stats", "_columns")
+    __slots__ = ("interval", "_keys", "_table", "_index", "_columns")
 
     def __init__(
         self,
@@ -158,8 +165,17 @@ class IntervalStats:
         stats: Optional[Mapping[Key, KeyStats]] = None,
     ) -> None:
         self.interval = int(interval)
-        self._stats: Dict[Key, KeyStats] = dict(stats) if stats else {}
+        self._keys: List[Key] = []
+        #: The frequency, cost and memory columns (float64), one position per
+        #: key; positions past ``len(self._keys)`` are spare capacity.
+        self._table = np.empty((3, 0))
+        #: ``{key: position}``, built on first use (see :meth:`_positions`).
+        self._index: Optional[Dict[Key, int]] = None
         self._columns: Optional[KeyColumns] = None
+        if stats:
+            self.record_bulk(
+                (key, stat.frequency, stat.cost, stat.memory) for key, stat in stats.items()
+            )
 
     # -- construction --------------------------------------------------------
 
@@ -169,24 +185,60 @@ class IntervalStats:
         interval: int,
         frequencies: Mapping[Key, float],
         *,
-        cost_per_tuple: float = 1.0,
-        memory_per_tuple: float = 1.0,
+        cost_per_tuple: Union[float, Sequence[float]] = 1.0,
+        memory_per_tuple: Union[float, Sequence[float]] = 1.0,
     ) -> "IntervalStats":
         """Build a snapshot from raw key frequencies.
 
-        This is the common path for synthetic workloads where the computation
-        cost and state growth are proportional to the number of tuples.
+        The common path for workloads whose computation cost and state growth
+        are proportional to the number of tuples: ``cost_per_tuple`` and
+        ``memory_per_tuple`` are one scalar for every key, or one value per
+        key in the mapping's order.  Keys with a zero count are left out; a
+        negative or NaN count, cost or memory raises ``ValueError``.
         """
-        stats = {
-            key: KeyStats(
-                frequency=float(freq),
-                cost=float(freq) * cost_per_tuple,
-                memory=float(freq) * memory_per_tuple,
-            )
-            for key, freq in frequencies.items()
-            if freq > 0
-        }
-        return cls(interval, stats)
+        stats = cls(interval)
+        keys = list(frequencies)
+        table = np.empty((3, len(keys)))
+        table[0] = np.fromiter(frequencies.values(), dtype=np.float64, count=len(keys))
+        _require_non_negative(table[0], cost_per_tuple, memory_per_tuple)
+        np.multiply(table[0], cost_per_tuple, out=table[1])
+        np.multiply(table[0], memory_per_tuple, out=table[2])
+        observed = table[0] > 0
+        if not observed.all():
+            keys = list(compress(keys, observed.tolist()))
+            table = table[:, observed]
+        stats._keys, stats._table = keys, table
+        return stats
+
+    @classmethod
+    def from_columns(
+        cls,
+        interval: int,
+        keys: Iterable[Key],
+        frequency: Sequence[float],
+        cost: Sequence[float],
+        memory: Sequence[float],
+    ) -> "IntervalStats":
+        """Build a snapshot from aligned columns (``frequency[i]``, ``cost[i]``
+        and ``memory[i]`` belong to ``keys[i]``).
+
+        For callers that already hold arrays.  The columns are copied; every
+        key is kept, zero counts included; a key listed twice has its values
+        summed, as :meth:`record_bulk` would; a negative or NaN value, or a
+        column of another length than ``keys``, raises ``ValueError``.
+        """
+        stats = cls(interval)
+        keys = list(keys)
+        table = np.array([frequency, cost, memory], dtype=np.float64)
+        if table.shape != (3, len(keys)):
+            raise ValueError(f"every column must hold one number for each of {len(keys)} keys")
+        _require_non_negative(table)
+        index = dict(zip(keys, range(len(keys))))
+        if len(index) < len(keys):
+            stats.record_bulk(zip(keys, *table.tolist()))
+        else:
+            stats._keys, stats._table, stats._index = keys, table, index
+        return stats
 
     def record(
         self,
@@ -197,88 +249,129 @@ class IntervalStats:
         memory: float = 0.0,
     ) -> None:
         """Accumulate a measurement for ``key`` into this interval."""
-        addition = KeyStats(frequency=frequency, cost=cost, memory=memory)
-        existing = self._stats.get(key)
-        self._stats[key] = addition if existing is None else existing.merged(addition)
-        self._columns = None
+        self.record_bulk(((key, frequency, cost, memory),))
 
     def record_bulk(
         self, entries: Iterable[Tuple[Key, float, float, float]]
     ) -> None:
         """Accumulate many ``(key, frequency, cost, memory)`` measurements.
 
-        The batch sibling of :meth:`record`, used by the fluid engine to fold a
-        whole routed snapshot into the interval with one :class:`KeyStats`
-        construction per key instead of two.
+        A key seen before has the measurement added to its own; a negative
+        value raises ``ValueError`` (the entries before it stay recorded).
         """
-        stats = self._stats
-        get = stats.get
-        self._columns = None
-        for key, frequency, cost, memory in entries:
-            addition = KeyStats(frequency=frequency, cost=cost, memory=memory)
-            existing = get(key)
-            stats[key] = addition if existing is None else existing.merged(addition)
+        if self._columns is not None:
+            # Served columns are a reader's picture of the interval: leave
+            # them as they are and write to a copy.
+            self._keys = list(self._keys)
+            self._table = self._filled().copy()
+            self._index = None if self._index is None else dict(self._index)
+            self._columns = None
+        keys = self._keys
+        positions = self._positions()
+        for key, *measured in entries:
+            if any(value < 0 for value in measured):
+                raise ValueError(f"key statistics must be non-negative: {key!r} {measured}")
+            at = positions.get(key)
+            if at is None:
+                at = positions[key] = len(keys)
+                if at == self._table.shape[1]:
+                    # Double the capacity: amortised O(1) per new key.
+                    self._table = np.concatenate([self._table, np.empty((3, max(8, at)))], axis=1)
+                keys.append(key)
+                self._table[:, at] = measured
+            else:
+                self._table[:, at] += measured
+
+    def _positions(self) -> Dict[Key, int]:
+        """``{key: position}`` — the index the served columns already built, if any
+        (a stationary key population shares one across intervals, see
+        :meth:`KeyColumns.share_keys`)."""
+        if self._index is None:
+            if self._columns is not None:
+                self._index = self._columns.index
+            else:
+                self._index = dict(zip(self._keys, range(len(self._keys))))
+        return self._index
+
+    def _filled(self) -> np.ndarray:
+        """The three columns without the spare capacity."""
+        return self._table[:, : len(self._keys)]
+
+    def _value(self, column: int, key: Key) -> float:
+        at = self._positions().get(key)
+        return 0.0 if at is None else float(self._table[column, at])
 
     # -- queries --------------------------------------------------------------
 
     def columns(self) -> KeyColumns:
-        """The snapshot as aligned columns, built once and shared until the
-        next :meth:`record` / :meth:`record_bulk`."""
+        """The snapshot's own cost and memory columns as a read-only view,
+        shared until the next :meth:`record` / :meth:`record_bulk`."""
         if self._columns is None:
-            values = self._stats.values()
-            count = len(values)
-            self._columns = KeyColumns(
-                list(self._stats),
-                np.fromiter(map(attrgetter("cost"), values), dtype=float, count=count),
-                np.fromiter(map(attrgetter("memory"), values), dtype=float, count=count),
-            )
+            _, cost, memory = self._filled()
+            self._columns = KeyColumns(self._keys, cost, memory)
+            self._columns._index = self._index
         return self._columns
 
-    def keys(self) -> Iterable[Key]:
-        return self._stats.keys()
+    def keys(self) -> Sequence[Key]:
+        """The observed keys in column order (shared, not to be written to)."""
+        return self._keys
 
-    def items(self) -> Iterable[Tuple[Key, KeyStats]]:
-        return self._stats.items()
+    def items(self) -> List[Tuple[Key, KeyStats]]:
+        """``(key, KeyStats)`` of every observed key, in column order."""
+        return list(zip(self._keys, map(KeyStats, *self._filled().tolist())))
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._stats
+        return key in self._positions()
 
     def __len__(self) -> int:
-        return len(self._stats)
+        return len(self._keys)
 
     def get(self, key: Key) -> KeyStats:
         """Return the stats of ``key`` (zeros if the key was not observed)."""
-        return self._stats.get(key, KeyStats())
+        return KeyStats(self.frequency(key), self.cost(key), self.memory(key))
 
     def frequency(self, key: Key) -> float:
         """``g_i(k)``."""
-        return self.get(key).frequency
+        return self._value(0, key)
 
     def cost(self, key: Key) -> float:
         """``c_i(k)``."""
-        return self.get(key).cost
+        return self._value(1, key)
 
     def memory(self, key: Key) -> float:
         """``s_i(k)``."""
-        return self.get(key).memory
+        return self._value(2, key)
 
-    def total_cost(self) -> float:
-        """Total computation cost of the interval over all keys."""
-        return sum(stat.cost for stat in self._stats.values())
+    # The totals add key by key, in key order (not np.sum's pairwise order),
+    # so they repeat bit for bit whatever produced the snapshot.
 
     def total_frequency(self) -> float:
         """Total number of tuples in the interval."""
-        return sum(stat.frequency for stat in self._stats.values())
+        return sum(self._filled()[0].tolist())
+
+    def total_cost(self) -> float:
+        """Total computation cost of the interval over all keys."""
+        return sum(self._filled()[1].tolist())
 
     def total_memory(self) -> float:
         """Total state produced during the interval."""
-        return sum(self.columns().memory.tolist())
+        return sum(self._filled()[2].tolist())
 
     def copy(self) -> "IntervalStats":
-        return IntervalStats(self.interval, self._stats)
+        clone = IntervalStats(self.interval)
+        clone._keys = list(self._keys)
+        clone._table = self._filled().copy()
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IntervalStats(interval={self.interval}, keys={len(self._stats)})"
+        return f"IntervalStats(interval={self.interval}, keys={len(self._keys)})"
+
+
+def _require_non_negative(*columns: Union[float, Sequence[float]]) -> None:
+    """One vectorised check per column: ``>= 0`` is false for NaN too."""
+    for column in columns:
+        if not np.all(np.greater_equal(column, 0)):
+            raise ValueError("key statistics must be non-negative numbers")
 
 
 @dataclass

@@ -5,20 +5,17 @@ CPU cost of processing it, how much windowed state it adds for the tuple's key,
 and (for the event-level API) the concrete processing function.  A
 :class:`Task` is one parallel instance of the operator: it owns a
 :class:`~repro.engine.state.KeyedState`, applies the logic to the tuples routed
-to it, and records the per-key measurements that the rebalance controller
-consumes at the end of every interval.
+to it and counts what it processed (:class:`TaskMetrics`).
 """
 
 from __future__ import annotations
 
 from abc import ABC
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.statistics import IntervalStats
 from repro.engine.state import KeyedState
 from repro.engine.tuples import StreamTuple
 
@@ -193,8 +190,25 @@ class TaskMetrics:
     migrations_out: int = 0
 
 
+def _running_sum(per_tuple: BatchCost, count: int) -> float:
+    """Left-to-right sum of a batch's per-tuple values (a scalar counts once
+    per tuple) — the additions the scalar path makes, in its order."""
+    values = per_tuple.tolist() if np.ndim(per_tuple) else [float(per_tuple)] * count
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class Task:
-    """One parallel instance of a logical operator."""
+    """One parallel instance of a logical operator.
+
+    A task runs the logic, owns the windowed state and keeps the
+    :class:`TaskMetrics` counters.  It does not measure per-key statistics:
+    the router (process runtime) and the simulator count the keys they route
+    and build the interval's :class:`~repro.core.statistics.IntervalStats`
+    from those counts.
+    """
 
     def __init__(self, task_id: int, logic: OperatorLogic) -> None:
         if task_id < 0:
@@ -203,19 +217,19 @@ class Task:
         self.logic = logic
         self.state = KeyedState(window=max(1, logic.window))
         self.metrics = TaskMetrics()
-        self._interval_stats: Optional[IntervalStats] = None
+        self._interval_open = False
         self._current_interval: Optional[int] = None
 
     # -- processing -------------------------------------------------------------------
 
     def begin_interval(self, interval: int) -> None:
-        """Open measurement for ``interval`` (called by the simulator)."""
+        """Open ``interval`` (called by the simulator)."""
         self._current_interval = interval
-        self._interval_stats = IntervalStats(interval)
+        self._interval_open = True
 
     def process(self, tup: StreamTuple) -> List[StreamTuple]:
         """Event-level processing of a single tuple."""
-        if self._interval_stats is None:
+        if not self._interval_open:
             self.begin_interval(tup.interval)
         cost = self.logic.tuple_cost(tup.key, tup.value)
         delta = self.logic.state_delta(tup.key, tup.value)
@@ -223,8 +237,6 @@ class Task:
         self.metrics.tuples_processed += 1
         self.metrics.cost_processed += cost
         self.metrics.state_installed += delta
-        assert self._interval_stats is not None
-        self._interval_stats.record(tup.key, frequency=1.0, cost=cost, memory=delta)
         return outputs
 
     def process_batch(
@@ -234,18 +246,16 @@ class Task:
 
         The batch sibling of :meth:`process`: the operator logic runs once
         per tuple (through :meth:`OperatorLogic.process_batch`, which hot
-        operators vectorise), but the metrics counters and the per-key
-        interval statistics are updated **once per batch** — a
-        :class:`~collections.Counter` over the keys plus the operator's
-        :meth:`~OperatorLogic.batch_cost` / :meth:`~OperatorLogic.
-        batch_state_delta`, instead of per-tuple dict updates.  Both batch
-        models default to exact per-tuple evaluation (value included) and
-        are evaluated **before** the processing mutates the windowed state,
-        matching the scalar path's ordering (a cost model that reads its own
-        accumulated state still sees pre-batch rather than pre-tuple state —
-        chunk granularity is the documented resolution of the batch path).
+        operators vectorise), but the metrics counters are updated **once
+        per batch** from the operator's :meth:`~OperatorLogic.batch_cost` /
+        :meth:`~OperatorLogic.batch_state_delta`.  Both batch models default
+        to exact per-tuple evaluation (value included) and are evaluated
+        **before** the processing mutates the windowed state, matching the
+        scalar path's ordering (a cost model that reads its own accumulated
+        state still sees pre-batch rather than pre-tuple state — chunk
+        granularity is the documented resolution of the batch path).
         """
-        if self._interval_stats is None:
+        if not self._interval_open:
             self.begin_interval(interval)
         logic = self.logic
         count = len(keys)
@@ -254,42 +264,13 @@ class Task:
             deltas = logic.batch_state_delta(keys, values)
         outputs = logic.process_batch(keys, values, interval, self.state, self.task_id)
         if count:
-            freqs = Counter(keys)
-            entries: List[Tuple[Key, float, float, float]] = []
-            total_cost = 0.0
-            total_delta = 0.0
-            if np.ndim(costs) == 0 and np.ndim(deltas) == 0:
-                unit_cost = float(costs)
-                unit_delta = float(deltas)
-                total_cost = unit_cost * count
-                total_delta = unit_delta * count
-                for key, freq in freqs.items():
-                    entries.append(
-                        (key, float(freq), unit_cost * freq, unit_delta * freq)
-                    )
-            else:
-                cost_seq = (
-                    costs.tolist() if np.ndim(costs) else [float(costs)] * count
-                )
-                delta_seq = (
-                    deltas.tolist() if np.ndim(deltas) else [float(deltas)] * count
-                )
-                cost_of: Dict[Key, float] = {}
-                delta_of: Dict[Key, float] = {}
-                for key, cost, delta in zip(keys, cost_seq, delta_seq):
-                    cost_of[key] = cost_of.get(key, 0.0) + cost
-                    delta_of[key] = delta_of.get(key, 0.0) + delta
-                    total_cost += cost
-                    total_delta += delta
-                entries.extend(
-                    (key, float(freq), cost_of[key], delta_of[key])
-                    for key, freq in freqs.items()
-                )
-            assert self._interval_stats is not None
-            self._interval_stats.record_bulk(entries)
             self.metrics.tuples_processed += count
-            self.metrics.cost_processed += total_cost
-            self.metrics.state_installed += total_delta
+            if np.ndim(costs) == 0 and np.ndim(deltas) == 0:
+                self.metrics.cost_processed += float(costs) * count
+                self.metrics.state_installed += float(deltas) * count
+            else:
+                self.metrics.cost_processed += _running_sum(costs, count)
+                self.metrics.state_installed += _running_sum(deltas, count)
         return outputs
 
     def ingest_counts(
@@ -306,57 +287,50 @@ class Task:
         delta precomputed by the caller (the simulator evaluates them once per
         snapshot and shares the maps across all tasks of the stage).
         """
-        if self._interval_stats is None or self._current_interval != interval:
+        if not self._interval_open or self._current_interval != interval:
             self.begin_interval(interval)
-        assert self._interval_stats is not None
         logic = self.logic
         stateful = logic.stateful
         state = self.state
-        entries = []
         tuples = 0
         total_cost = 0.0
         total_delta = 0.0
         for key, freq in frequencies.items():
             unit_cost = cost_of[key] if cost_of is not None else logic.tuple_cost(key)
             unit_delta = delta_of[key] if delta_of is not None else logic.state_delta(key)
-            cost = unit_cost * freq
             delta = unit_delta * freq
-            entries.append((key, freq, cost, delta))
             if stateful and delta > 0:
                 state.accumulate(key, interval, delta)
             tuples += int(freq)
-            total_cost += cost
+            total_cost += unit_cost * freq
             total_delta += delta
-        self._interval_stats.record_bulk(entries)
         self.metrics.tuples_processed += tuples
         self.metrics.cost_processed += total_cost
         self.metrics.state_installed += total_delta
 
     @property
     def has_open_interval(self) -> bool:
-        """True when tuples were measured since the last :meth:`end_interval`."""
-        return self._interval_stats is not None
+        """True when tuples were processed since the last :meth:`end_interval`."""
+        return self._interval_open
 
-    def end_interval(self, interval: Optional[int] = None) -> IntervalStats:
-        """Close the current interval and return its measurements (step 1).
+    def end_interval(self, interval: Optional[int] = None) -> None:
+        """Close the current interval: expire the state that left the window.
 
-        ``interval`` overrides the expiry horizon (default: the interval the
-        measurement opened on).  The process runtime passes the marker's
-        interval explicitly: in a pipelined topology the task may already
-        have processed tuples of a later interval from a fast upstream
-        producer, and expiring at that watermark would drop window state one
-        interval early.
+        ``interval`` overrides the expiry horizon (default: the interval that
+        was opened).  The process runtime passes the marker's interval
+        explicitly: in a pipelined topology the task may already have
+        processed tuples of a later interval from a fast upstream producer,
+        and expiring at that watermark would drop window state one interval
+        early.
         """
-        if self._interval_stats is None:
+        if not self._interval_open:
             raise RuntimeError("end_interval called before begin_interval")
-        stats = self._interval_stats
-        self._interval_stats = None
+        self._interval_open = False
         horizon = interval if interval is not None else self._current_interval
         if self.logic.stateful and horizon is not None:
             before = self.state.total_size()
             self.state.expire(horizon)
             self.metrics.state_evicted += before - self.state.total_size()
-        return stats
 
     # -- migration ------------------------------------------------------------------------
 

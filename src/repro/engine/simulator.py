@@ -285,11 +285,11 @@ class _StageRuntime:
                 processed_tuples *= 1.0 - tax
 
         # Operator-level statistics for the rebalancing strategies.
-        op_stats = IntervalStats(interval)
-        op_stats.record_bulk(
-            (key, count, count * cost_of[key], count * delta_of[key])
-            for key, count in in_freqs.items()
-            if count > 0
+        op_stats = IntervalStats.from_frequencies(
+            interval,
+            in_freqs,
+            cost_per_tuple=list(cost_of.values()),
+            memory_per_tuple=list(delta_of.values()),
         )
 
         rebalance = partitioner.on_interval_end(op_stats)

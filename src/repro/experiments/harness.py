@@ -138,10 +138,8 @@ def run_planner_sequence(
         discretization_degree=discretization_degree,
     )
     for index, snapshot in enumerate(workload):
-        stats = IntervalStats.from_frequencies(index, dict(snapshot))
-        loads = load_from_costs(
-            {k: s.cost for k, s in stats.items()}, partitioner.route, num_tasks
-        )
+        stats = IntervalStats.from_frequencies(index, snapshot)
+        loads = load_from_costs(stats.columns().cost_map, partitioner.route, num_tasks)
         run.skewness_before.append(max_balance_indicator(loads))
         if force_every_interval:
             partitioner.controller.observe(stats)

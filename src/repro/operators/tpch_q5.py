@@ -107,19 +107,31 @@ class DimensionJoin(WindowedJoin):
         state: KeyedState,
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
-        accumulate = state.accumulate
+        # One copy of a key's window list per distinct key of the batch, not
+        # per tuple: the batch's values are grouped by key in arrival order
+        # and the sizes summed tuple by tuple, as process() would.  Still
+        # copy-on-write — a checkpoint snapshot shares the payload lists.
         lookup = self.lookup
         state_per_tuple = self.state_per_tuple
+        arrived: Dict[Key, List[Any]] = {}
+        sizes: Dict[Key, float] = {}
         out_values: List[Any] = []
         append = out_values.append
         for key, value in zip(keys, values):
-            accumulate(
+            if key in arrived:
+                arrived[key].append(value)
+                sizes[key] += state_per_tuple
+            else:
+                arrived[key] = [value]
+                sizes[key] = state_per_tuple
+            append((value, lookup(key)))
+        for key, new_values in arrived.items():
+            state.accumulate(
                 key,
                 interval,
-                state_per_tuple,
-                payload_update=lambda old, value=value: (old or []) + [value],
+                sizes[key],
+                payload_update=lambda old, new_values=new_values: (old or []) + new_values,
             )
-            append((value, lookup(key)))
         return list(keys), out_values
 
 

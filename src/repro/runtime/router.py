@@ -80,7 +80,8 @@ class IntervalAccount:
     __slots__ = ("freqs", "offered_tuples_by_task", "offered_cost_by_task", "shed")
 
     def __init__(self, num_tasks: int) -> None:
-        #: Per-key dispatch counts (integer-exact; float view via ``freqs_dict``).
+        #: Per-key dispatch counts (integer-exact); the interval's statistics
+        #: are built from them at the close.
         self.freqs: Counter = Counter()
         self.offered_tuples_by_task = np.zeros(num_tasks, dtype=np.float64)
         self.offered_cost_by_task = np.zeros(num_tasks, dtype=np.float64)
@@ -115,10 +116,6 @@ class IntervalAccount:
     def offered_cost(self) -> Dict[int, float]:
         """Dense ``{task: offered cost}`` view (every task present)."""
         return dict(enumerate(self.offered_cost_by_task.tolist()))
-
-    def freqs_dict(self) -> Dict[Key, float]:
-        """The per-key dispatch counts as floats (scalar-reference shape)."""
-        return {key: float(count) for key, count in self.freqs.items()}
 
 
 class StreamRouter:

@@ -9,6 +9,7 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Seque
 
 from repro.analysis.sanitizer import SanitizedQueue, StageSanitizer
 from repro.core.statistics import IntervalStats
+from repro.engine.operator import OperatorLogic
 from repro.engine.topology import StageSpec
 from repro.runtime.barrier import MarkBarrier
 from repro.runtime.config import RuntimeConfig, calibrated_service_time_us
@@ -365,7 +366,7 @@ class _StageLoop(threading.Thread):
         # reset by its on_interval_end — fold it into the lifetime totals now.
         self.router.snapshot_split_stats()
         migration = self.controller.end_interval(
-            self._interval_stats(interval, account.freqs)
+            self._interval_stats(self.spec.logic, interval, account.freqs)
         )
         if (
             self._scale is not None
@@ -547,18 +548,20 @@ class _StageLoop(threading.Thread):
             self.calibrated_us = service_us
             self._service_us = service_us
 
+    @staticmethod
     def _interval_stats(
-        self, interval: int, freqs: Mapping[Key, float]
+        logic: OperatorLogic, interval: int, freqs: Mapping[Key, float]
     ) -> IntervalStats:
-        stats = IntervalStats(interval)
-        tuple_cost = self.spec.logic.tuple_cost
-        state_delta = self.spec.logic.state_delta
-        stats.record_bulk(
-            (key, float(count), count * tuple_cost(key), count * state_delta(key))
-            for key, count in freqs.items()
-            if count > 0
+        """The closing interval's statistics: the router's per-key dispatch
+        counts times the operator's batch cost / state models (one scalar
+        each for every constant model, else one value per key)."""
+        keys = list(freqs)
+        return IntervalStats.from_frequencies(
+            interval,
+            freqs,
+            cost_per_tuple=logic.batch_cost(keys),
+            memory_per_tuple=logic.batch_state_delta(keys),
         )
-        return stats
 
     # -- aggregation ---------------------------------------------------------------
 

@@ -11,7 +11,6 @@ from repro.core.load import (
     balance_indicators,
     load_ceiling,
     load_from_costs,
-    load_per_task,
     max_balance_indicator,
     max_skewness,
     overloaded_tasks,
@@ -40,9 +39,9 @@ class TestLoadModel:
         with pytest.raises(ValueError):
             load_from_costs({}, lambda k: 0, 0)
 
-    def test_load_per_task_from_interval_stats(self):
+    def test_load_from_interval_stats_cost_map(self):
         stats = IntervalStats.from_frequencies(0, {"a": 4, "b": 2})
-        loads = load_per_task(stats, lambda k: 0 if k == "a" else 1, 2)
+        loads = load_from_costs(stats.columns().cost_map, lambda k: 0 if k == "a" else 1, 2)
         assert loads == {0: 4.0, 1: 2.0}
 
     def test_average_and_indicator(self):

@@ -1,5 +1,6 @@
 """Tests for per-interval statistics and the rolling statistics store."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,74 @@ class TestIntervalStats:
         )
         assert stats.cost("a") == 10
         assert stats.memory("a") == 2
+
+    @pytest.mark.parametrize("count", [-1, -0.5, float("nan")])
+    def test_from_frequencies_rejects_negative_and_nan_counts(self, count):
+        # Like record(): such a count used to be dropped without a word.
+        with pytest.raises(ValueError):
+            IntervalStats.from_frequencies(0, {"a": 4, "b": count})
+
+    @pytest.mark.parametrize("per_tuple", ["cost_per_tuple", "memory_per_tuple"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_from_frequencies_rejects_negative_per_tuple_values(self, per_tuple, value):
+        with pytest.raises(ValueError):
+            IntervalStats.from_frequencies(0, {"a": 4}, **{per_tuple: value})
+        with pytest.raises(ValueError):  # also when no key would carry it
+            IntervalStats.from_frequencies(0, {}, **{per_tuple: value})
+
+    def test_from_frequencies_per_key_values_follow_the_mapping_order(self):
+        stats = IntervalStats.from_frequencies(
+            0, {"a": 4, "b": 0, "c": 2}, cost_per_tuple=[1.0, 9.0, 0.5], memory_per_tuple=2.0
+        )
+        assert list(stats.items()) == [("a", KeyStats(4, 4, 8)), ("c", KeyStats(2, 1, 4))]
+
+    def test_from_columns(self):
+        stats = IntervalStats.from_columns(2, ["a", "b"], [4, 0], [2.0, 0.0], [1.0, 3.0])
+        assert stats.interval == 2
+        assert list(stats.items()) == [("a", KeyStats(4, 2, 1)), ("b", KeyStats(0, 0, 3))]
+        assert "b" in stats  # every row is kept, zero counts included
+        assert stats.columns().cost.tolist() == [2.0, 0.0]
+
+    def test_from_columns_copies_its_input(self):
+        cost = np.array([2.0, 5.0])
+        stats = IntervalStats.from_columns(0, ["a", "b"], [1, 1], cost, [0, 0])
+        cost[0] = 99.0
+        assert stats.cost("a") == 2.0
+
+    def test_from_columns_merges_a_key_listed_twice(self):
+        stats = IntervalStats.from_columns(0, ["a", "b", "a"], [1, 2, 3], [1, 1, 1], [0, 0, 5])
+        assert list(stats.items()) == [("a", KeyStats(4, 2, 5)), ("b", KeyStats(2, 1, 0))]
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([1], [1, 2], [1, 2]),  # not aligned with the keys
+            ([1, 2], [-1, 2], [1, 2]),
+            ([1, 2], [1, 2], [1, float("nan")]),
+        ],
+    )
+    def test_from_columns_rejects_bad_columns(self, columns):
+        with pytest.raises(ValueError):
+            IntervalStats.from_columns(0, ["a", "b"], *columns)
+
+    def test_record_rejects_negative(self):
+        stats = IntervalStats(0)
+        with pytest.raises(ValueError):
+            stats.record("k", frequency=-1)
+        with pytest.raises(ValueError):
+            stats.record_bulk([("a", 1, 1, 1), ("b", 1, -1, 1)])
+        with pytest.raises(ValueError):  # a NaN beside it must not hide the negative
+            stats.record("k", frequency=float("nan"), cost=-1)
+        assert "a" in stats and "b" not in stats and "k" not in stats
+
+    def test_recording_leaves_served_columns_alone(self):
+        stats = IntervalStats.from_frequencies(0, {"a": 1})
+        served = stats.columns()
+        stats.record("a", cost=5)
+        stats.record("b", frequency=1, cost=1)
+        assert served.keys == ["a"] and served.cost.tolist() == [1.0]
+        assert stats.columns().keys == ["a", "b"]
+        assert stats.columns().cost.tolist() == [6.0, 1.0]
 
     def test_record_accumulates(self):
         stats = IntervalStats(0)

@@ -1,5 +1,7 @@
 """Tests for tasks, operator logic, the migration protocol and metrics."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.migration import KeyMove, MigrationPlan
@@ -12,27 +14,43 @@ from repro.engine.migration_protocol import (
 from repro.engine.operator import OperatorLogic, Task
 from repro.engine.tuples import StreamTuple
 from repro.operators import WordCountOperator
+from repro.runtime.stage_loop import _StageLoop
 
 
 class TestTask:
-    def test_event_level_processing_records_stats(self):
-        task = Task(0, WordCountOperator(window=2))
+    # A task no longer measures per-key statistics: the stage plans on what
+    # its router counted (``_StageLoop._interval_stats``), so the per-key
+    # assertions read that, over the keys the task was given.
+
+    def test_event_level_processing_and_stage_stats(self):
+        logic = WordCountOperator(window=2)
+        task = Task(0, logic)
         task.begin_interval(1)
-        for word in ["a", "a", "b"]:
+        words = ["a", "a", "b"]
+        for word in words:
             outputs = task.process(StreamTuple(key=word, interval=1))
             assert outputs and outputs[0].key == word
-        stats = task.end_interval()
+        assert task.end_interval() is None
+        stats = _StageLoop._interval_stats(logic, 1, Counter(words))
         assert stats.frequency("a") == 2
         assert stats.cost("b") == 1
+        assert stats.total_cost() == task.metrics.cost_processed
         assert task.metrics.tuples_processed == 3
         assert task.state_size == 3.0
 
     def test_ingest_counts_fluid_path(self):
-        task = Task(1, WordCountOperator(window=1))
-        task.ingest_counts(0, {"a": 10, "b": 5})
-        stats = task.end_interval()
+        logic = WordCountOperator(window=1)
+        task = Task(1, logic)
+        counts = {"a": 10, "b": 5}
+        task.ingest_counts(0, counts)
+        assert task.has_open_interval
+        task.end_interval()
+        assert not task.has_open_interval
+        stats = _StageLoop._interval_stats(logic, 0, counts)
         assert stats.frequency("a") == 10
         assert stats.memory("b") == 5
+        assert stats.total_memory() == task.metrics.state_installed == 15.0
+        assert task.metrics.tuples_processed == 15
         assert task.state_size == 15.0
 
     def test_state_expiry_on_interval_end(self):
@@ -80,7 +98,7 @@ class TestMigrationProtocol:
         tasks[0].ingest_counts(0, {"hot": 100, "warm": 10})
         tasks[1].ingest_counts(0, {"cold": 5})
         for task in tasks.values():
-            if task._interval_stats is not None:  # only tasks that ingested
+            if task.has_open_interval:  # only tasks that ingested
                 task.end_interval()
         return tasks
 

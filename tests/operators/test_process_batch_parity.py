@@ -1,12 +1,16 @@
 """Batch fast-path parity: ``process_batch`` must equal N scalar ``process``
-calls — emissions, windowed state, metrics and interval statistics — for
-every operator the repo ships (including the default ``OperatorLogic``).
+calls — emissions, windowed state and metrics — and the interval statistics
+the stage plans on (router counts x ``batch_cost`` / ``batch_state_delta``)
+must equal the per-key scalar models, for every operator the repo ships
+(including the default ``OperatorLogic``).
 
 The worker's hot loop now runs :meth:`repro.engine.operator.Task.
 process_batch` (one metrics update per batch, ``batch_cost`` instead of
 per-tuple ``tuple_cost``); any divergence from the scalar path would
 silently skew the measured runtime numbers, so this is pinned per operator.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from repro.operators.windowed_aggregate import (
 )
 from repro.operators.windowed_join import WindowedJoin, WindowedSelfJoin
 from repro.operators.wordcount import WordCountOperator
+from repro.runtime.stage_loop import _StageLoop
 
 
 def _nation_of(key):
@@ -70,21 +75,19 @@ def _stream(seed=7, tuples_per_interval=60, intervals=2, keys=8):
 def _run_scalar(logic, stream):
     task = Task(0, logic)
     outputs = []
-    stats = []
     for interval, keys, values in stream:
         for key, value in zip(keys, values):
             for tup in task.process(
                 StreamTuple(key=key, value=value, interval=interval)
             ):
                 outputs.append((tup.key, tup.value))
-        stats.append(task.end_interval(interval))
-    return task, outputs, stats
+        task.end_interval(interval)
+    return task, outputs
 
 
 def _run_batched(logic, stream, chunk=17):
     task = Task(0, logic)
     outputs = []
-    stats = []
     for interval, keys, values in stream:
         for start in range(0, len(keys), chunk):
             out_keys, out_values = task.process_batch(
@@ -93,8 +96,8 @@ def _run_batched(logic, stream, chunk=17):
                 interval,
             )
             outputs.extend(zip(out_keys, out_values))
-        stats.append(task.end_interval(interval))
-    return task, outputs, stats
+        task.end_interval(interval)
+    return task, outputs
 
 
 def _state_payloads(task):
@@ -105,12 +108,8 @@ def _state_payloads(task):
 class TestProcessBatchParity:
     def test_emissions_state_and_metrics_match_scalar(self, name):
         stream = _stream()
-        scalar_task, scalar_out, scalar_stats = _run_scalar(
-            OPERATORS[name](), stream
-        )
-        batch_task, batch_out, batch_stats = _run_batched(
-            OPERATORS[name](), stream
-        )
+        scalar_task, scalar_out = _run_scalar(OPERATORS[name](), stream)
+        batch_task, batch_out = _run_batched(OPERATORS[name](), stream)
 
         assert batch_out == scalar_out
         assert _state_payloads(batch_task) == _state_payloads(scalar_task)
@@ -127,16 +126,20 @@ class TestProcessBatchParity:
         assert batch_task.state_size == pytest.approx(
             scalar_task.state_size, rel=1e-12
         )
-        for got, expected in zip(batch_stats, scalar_stats):
-            assert set(got.keys()) == set(expected.keys())
-            for key in expected.keys():
-                assert got.frequency(key) == expected.frequency(key)
-                assert got.cost(key) == pytest.approx(
-                    expected.cost(key), rel=1e-12
-                )
-                assert got.memory(key) == pytest.approx(
-                    expected.memory(key), rel=1e-12
-                )
+
+    def test_stage_statistics_match_per_key_models(self, name):
+        # What the stage plans on: the router's per-key counts times the
+        # batch models, against one scalar model call per key.
+        logic = OPERATORS[name]()
+        for interval, keys, _ in _stream():
+            counts = Counter(keys)
+            stats = _StageLoop._interval_stats(logic, interval, counts)
+            assert stats.interval == interval
+            assert list(stats.keys()) == list(counts)
+            for key, count in counts.items():
+                assert stats.frequency(key) == count
+                assert stats.cost(key) == count * logic.tuple_cost(key)
+                assert stats.memory(key) == count * logic.state_delta(key)
 
     def test_batch_cost_matches_per_tuple_cost(self, name):
         logic = OPERATORS[name]()
@@ -154,6 +157,38 @@ class TestProcessBatchParity:
         task = Task(0, OPERATORS[name]())
         assert task.process_batch([], [], 0) == ([], [])
         assert task.metrics.tuples_processed == 0
+
+
+class TestDimensionJoinHotKey:
+    """One window-list copy per distinct key of a batch: a hot key's payload
+    order and sizes must still equal the tuple-by-tuple path's exactly."""
+
+    STREAM = [(0, ["hot", "hot", "cold", "hot"], [1, 2, 3, 4]), (0, ["hot", "cold"], [5, 6])]
+
+    def test_payloads_and_sizes_equal_scalar_path(self):
+        scalar = Task(0, DimensionJoin(lookup=_nation_of, window=2, state_per_tuple=0.5))
+        batched = Task(0, DimensionJoin(lookup=_nation_of, window=2, state_per_tuple=0.5))
+        for interval, keys, values in self.STREAM:
+            for key, value in zip(keys, values):
+                scalar.process(StreamTuple(key=key, value=value, interval=interval))
+            out_keys, out_values = batched.process_batch(keys, values, interval)
+            assert out_keys == keys
+            assert [value for value, _ in out_values] == values
+        assert _state_payloads(batched) == {"hot": [[1, 2, 4, 5]], "cold": [[3, 6]]}
+        assert _state_payloads(batched) == _state_payloads(scalar)
+        for key in ("hot", "cold"):
+            assert batched.state.key_size(key) == scalar.state.key_size(key)
+        assert batched.state_size == scalar.state_size
+
+    def test_window_list_is_replaced_not_extended(self):
+        # A checkpoint snapshot shares the payload list by reference and is
+        # pickled later: the next batch must not grow that list in place.
+        task = Task(0, DimensionJoin(lookup=_nation_of, window=2))
+        task.process_batch(["hot", "hot"], [1, 2], 0)
+        shared = task.state.latest_payload("hot")
+        task.process_batch(["hot"], [3], 0)
+        assert shared == [1, 2]
+        assert task.state.latest_payload("hot") == [1, 2, 3]
 
 
 class TestLogicProcessBatchDefault:

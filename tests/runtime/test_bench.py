@@ -417,6 +417,19 @@ class TestPlannerMicroSection:
             _load_validate_bench()._validate_planner_micro({**section, "rows": [row]})
 
 
+    def test_paper_scale_row_must_describe_faster_than_it_routes(self, section):
+        # The speed-independent guard: a ratio inside one run (31 ms route
+        # against 154 ms stats while every key cost one KeyStats object,
+        # ~3 ms since the statistics are columns).
+        validate = _load_validate_bench()._validate_planner_micro
+        row = {**section["rows"][0], "num_keys": 100_000, "route_ms": 31.0}
+        validate({**section, "rows": [{**row, "stats_ms": 2.8}]})
+        with pytest.raises(SystemExit):
+            validate({**section, "rows": [{**row, "stats_ms": 154.0}]})
+        # Below the paper's key count the ratio is not required.
+        validate({**section, "rows": [{**row, "num_keys": 10_000, "stats_ms": 154.0}]})
+
+
 class TestBenchCli:
     def test_bench_command_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

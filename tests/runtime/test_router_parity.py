@@ -148,9 +148,6 @@ def _assert_account_parity(router, reference, tags):
         expected = reference.account(tag)
         # dict == compares 2 and 2.0 equal, so Counter-vs-float is exact here.
         assert account.freqs == expected["freqs"], f"freqs of interval {tag}"
-        assert account.freqs_dict() == {
-            key: float(count) for key, count in expected["freqs"].items()
-        }
         assert account.offered_tuples == expected["offered_tuples"]
         assert account.offered_cost == expected["offered_cost"]
         assert account.shed == expected["shed"]
