@@ -79,14 +79,13 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
         sampled=False,
     ).take(intervals)
     partitioner = get_strategy(strategy).build(NUM_TASKS, seed=seed, **TUNABLES)
-    controller = partitioner.controller
     route_s: List[float] = []
     stats_s: List[float] = []
     check_s: List[float] = []
     plan_s: List[float] = []
     end_s: List[float] = []
-    controller.should_rebalance = _timed(controller.should_rebalance, check_s)
-    controller.rebalance = _timed(controller.rebalance, plan_s)
+    partitioner.should_rebalance = _timed(partitioner.should_rebalance, check_s)
+    partitioner.rebalance = _timed(partitioner.rebalance, plan_s)
     route = _timed(partitioner.route_snapshot, route_s)
     build = _timed(IntervalStats.from_frequencies, stats_s)
     end = _timed(partitioner.on_interval_end, end_s)

@@ -28,7 +28,6 @@ The package provides:
 """
 
 from repro.core.assignment import AssignmentFunction
-from repro.core.controller import RebalanceController
 from repro.core.hashing import ConsistentHashRing, UniversalHash
 from repro.core.planner import RebalanceResult, get_algorithm
 from repro.core.routing_table import RoutingTable
@@ -45,7 +44,6 @@ __all__ = [
     "AssignmentFunction",
     "ConsistentHashRing",
     "IntervalStats",
-    "RebalanceController",
     "RebalanceResult",
     "RoutingTable",
     "StatisticsStore",

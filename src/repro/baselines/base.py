@@ -1,7 +1,7 @@
-"""Common interface for workload partitioners.
+"""The partitioner interface and the one rebalance loop.
 
-The engine talks to every strategy — the paper's mixed-routing controller and
-all baselines — through this small protocol:
+The engine talks to every strategy through the small :class:`Partitioner`
+protocol:
 
 * :meth:`Partitioner.route` decides the destination task of one tuple;
 * :meth:`Partitioner.assign_batch` and :meth:`Partitioner.route_snapshot` are
@@ -15,9 +15,17 @@ all baselines — through this small protocol:
 * :meth:`Partitioner.supports_stateful` advertises whether the strategy keeps
   the key-contiguity guarantee stateful operators need (PKG does not).
 
+:class:`RebalancingPartitioner` is the paper's framework (Fig. 5) written
+once: observe the interval, compare ``θ`` with ``θ_max``, plan ``F′``, install
+it, hand back ``Δ(F, F′)``.  The paper's algorithms, the compact planner and
+the two table-based competitors (Readj, DKG) all use the same mixed hash +
+routing-table assignment and differ only in the planning step, so each is
+this class around a :class:`~repro.core.planner.Planner`; the registry
+builders in :mod:`repro.engine.strategies` say which.
+
 Strategies whose ``route`` is deterministic, side-effect free and
-key-contiguous (plain hashing, the mixed-routing controller, Readj, DKG)
-declare ``cache_routes = True``: the base class then memoises key→task results
+key-contiguous (plain hashing, every rebalancing strategy) declare
+``cache_routes = True``: the base class then memoises key→task results
 across intervals.  A rebalance re-routes only the keys whose routing-table
 entry changed, so :class:`RebalancingPartitioner` rewrites exactly those memo
 entries and keeps the rest; a resize (or any assignment change the base class
@@ -34,8 +42,9 @@ import numpy as np
 
 from repro.core.assignment import AssignmentFunction
 from repro.core.hashing import memo_key
-from repro.core.planner import RebalanceResult
-from repro.core.statistics import IntervalStats
+from repro.core.load import load_from_columns, max_balance_indicator
+from repro.core.planner import Planner, PlannerConfig, RebalanceResult
+from repro.core.statistics import IntervalStats, StatisticsStore
 
 __all__ = ["Partitioner", "RebalancingPartitioner"]
 
@@ -86,9 +95,9 @@ class Partitioner(ABC):
     def _route_epoch(self) -> object:
         """Token identifying the current assignment; a change drops the cache.
 
-        Static strategies return a constant; rebalancing strategies return
-        something that changes whenever their assignment function does (e.g.
-        ``(rounds, routing_table.version)``).
+        Static strategies return a constant; the rebalance loop returns
+        ``(rounds, routing_table.version)``, which changes whenever its
+        assignment function does.
         """
         return None
 
@@ -293,6 +302,11 @@ class Partitioner(ABC):
         """True when all tuples of a key are guaranteed to visit a single task."""
         return True
 
+    @property
+    def routing_table_size(self) -> int:
+        """Explicit routing entries in force (0 for strategies without a table)."""
+        return 0
+
     def scale_out(self, new_num_tasks: int) -> None:
         """Grow the downstream operator to ``new_num_tasks`` tasks.
 
@@ -324,25 +338,117 @@ class Partitioner(ABC):
 
 
 class RebalancingPartitioner(Partitioner):
-    """Base class for strategies that migrate keys between intervals.
+    """The rebalance loop of Fig. 5: a mixed assignment plus a planner.
 
-    Sub-classes implement :meth:`plan_rebalance` and expose the assignment
-    function in force as ``assignment``; the bookkeeping of applying the
-    produced assignment is shared here.
+    Every table-based strategy — the paper's algorithms, the compact planner,
+    Readj, DKG — routes through the same ``F(k) = A.get(k, h(k))`` and differs
+    only in how it plans ``F′``.  This class owns everything else: the
+    assignment in force, the statistics window, the ``θ > θ_max`` trigger,
+    installing the plan, the history of rounds, patching the route memo with
+    the keys the plan re-routed, and re-hashing on a resize.
+
+    Parameters
+    ----------
+    num_tasks:
+        Number of downstream tasks.
+    planner:
+        The planning heuristic (a :class:`~repro.core.planner.Planner`).
+    config:
+        ``θ_max``, ``A_max``, β and the state window ``w``; the defaults are
+        the paper's.
+    seed:
+        Hash seed of the implicit router ``h``.
     """
 
-    assignment: AssignmentFunction
+    cache_routes = True
 
-    @abstractmethod
-    def plan_rebalance(self, stats: IntervalStats) -> Optional[RebalanceResult]:
-        """Produce (and install) a new assignment from the interval statistics."""
+    def __init__(
+        self,
+        num_tasks: int,
+        planner: Planner,
+        config: Optional[PlannerConfig] = None,
+        seed: int = 0,
+    ) -> None:
+        super().__init__(num_tasks)
+        self.planner = planner
+        self.name = planner.name
+        self.config = config if config is not None else PlannerConfig()
+        self.assignment = AssignmentFunction.hashed(num_tasks, seed=seed)
+        # ``window=None`` means "the store's own window"; the loop's store keeps one.
+        self.stats = StatisticsStore(window=self.config.window or 1)
+        self.history: List[RebalanceResult] = []
 
-    def on_interval_end(self, stats: IntervalStats) -> Optional[RebalanceResult]:
+    # -- routing --------------------------------------------------------------
+
+    def route(self, key: Key) -> int:
+        return self.assignment(key)
+
+    def _route_epoch(self) -> object:
+        return (len(self.history), self.assignment.routing_table.version)
+
+    @property
+    def routing_table_size(self) -> int:
+        return self.assignment.routing_table.size
+
+    def scale_out(self, new_num_tasks: int) -> None:
+        """Add task instances; every explicit route is preserved.
+
+        The next planning round naturally spreads keys onto the new tasks
+        (their load is zero, so they are the least-loaded targets), which is
+        the scale-out behaviour measured in Fig. 15.
+        """
+        super().scale_out(new_num_tasks)
+        self._rehash()
+
+    def scale_in(self, new_num_tasks: int) -> None:
+        """Remove task instances; routes to surviving tasks are preserved.
+
+        Explicit routes onto the removed tasks are dropped, so those keys
+        fall back to the resized hash — the runtime migrates their state off
+        the drained workers as part of the same boundary.
+        """
+        super().scale_in(new_num_tasks)
+        self._rehash()
+
+    def _rehash(self) -> None:
+        """Resize ``h`` to ``num_tasks``, keeping the table entries still in range."""
+        table = self.assignment.routing_table.copy()
+        for key, task in list(table.items()):
+            if task >= self.num_tasks:
+                table.discard(key)
+        self.assignment = AssignmentFunction.hashed(
+            self.num_tasks, seed=self.assignment.hash_function.seed
+        ).with_table(table)
+
+    # -- the loop (steps 1–3 of Fig. 5) ---------------------------------------
+
+    def observe(self, stats: IntervalStats) -> None:
+        """Ingest the statistics of a finished interval."""
+        self.stats.push(stats)
+
+    def should_rebalance(self) -> bool:
+        """True when the latest interval's largest ``θ`` under ``F`` exceeds ``θ_max``."""
+        if not self.stats:
+            return False
+        columns = self.stats.columns()
+        _, routed = self.assignment.route_columns(columns)
+        loads = load_from_columns(routed, columns.cost, self.num_tasks)
+        return max_balance_indicator(loads) > self.config.theta_max
+
+    def rebalance(self) -> RebalanceResult:
+        """Unconditionally plan ``F′`` and install it."""
+        if not self.stats:
+            raise RuntimeError("cannot rebalance before any interval was observed")
         epoch = self._route_epoch()
         table = self.assignment.routing_table
-        result = self.plan_rebalance(stats)
-        if result is not None:
-            # F and F′ share the hash, so only keys whose table entry changed
-            # can route differently: the other memoised routes stay valid.
-            self._patch_route_cache(table.changed_keys(result.routing_table), epoch)
+        result = self.planner.plan(self.assignment, self.stats, self.config)
+        self.assignment = result.assignment
+        self.history.append(result)
+        # F and F′ share the hash, so only keys whose table entry changed
+        # can route differently: the other memoised routes stay valid.
+        self._patch_route_cache(table.changed_keys(result.routing_table), epoch)
         return result
+
+    def on_interval_end(self, stats: IntervalStats) -> Optional[RebalanceResult]:
+        self.observe(stats)
+        return self.rebalance() if self.should_rebalance() else None

@@ -1,7 +1,8 @@
 """Readj — re-implementation of Gedik's partitioning functions (VLDBJ 2014).
 
-Readj uses the same mixed hash + explicit-table routing model as the paper but
-a very different rebalancing procedure:
+Readj uses the same mixed hash + explicit-table routing model as the paper —
+so it runs in the same loop, :class:`~repro.baselines.base.RebalancingPartitioner`
+— but a very different planning procedure:
 
 1. it first tries to *move back* explicitly routed keys to their hash
    destination whenever that does not overload the receiving task (restoring
@@ -22,109 +23,39 @@ frequent distribution change) and Fig. 14 (it only matches Mixed under loose
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from repro.baselines.base import RebalancingPartitioner
 from repro.core.assignment import AssignmentFunction
 from repro.core.load import load_ceiling, load_from_costs, max_balance_indicator
-from repro.core.migration import build_migration_plan, migration_cost_fraction
-from repro.core.planner import RebalanceResult
-from repro.core.routing_table import RoutingTable
-from repro.core.statistics import IntervalStats, StatisticsStore
+from repro.core.planner import PlannerConfig, RebalanceResult, build_result, off_hash_entries
+from repro.core.statistics import StatisticsStore
 
-__all__ = ["ReadjPartitioner"]
+__all__ = ["ReadjPlanner"]
 
 Key = Hashable
 
 _EPS = 1e-9
 
 
-class ReadjPartitioner(RebalancingPartitioner):
-    """Pairwise swap/move rebalancer over hot keys.
+class ReadjPlanner:
+    """Pairwise swap/move search over hot keys (a :class:`~repro.core.planner.Planner`).
 
     Parameters
     ----------
-    num_tasks:
-        Number of downstream tasks.
-    theta_max:
-        Imbalance tolerance the search tries to reach.
     sigma:
         Hot-key threshold: keys with cost ≥ ``sigma ×`` (average key cost) are
         candidates for moves and swaps.
-    window:
-        State window used for migration costing.
     max_operations:
         Safety cap on the number of moves/swaps applied per planning round.
-    seed:
-        Hash seed (kept equal to the mixed-routing configuration for fair
-        comparisons).
     """
 
     name = "readj"
-    cache_routes = True
 
-    def __init__(
-        self,
-        num_tasks: int,
-        theta_max: float = 0.08,
-        sigma: float = 2.0,
-        window: int = 1,
-        max_operations: int = 2000,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(num_tasks)
-        if theta_max < 0:
-            raise ValueError("theta_max must be non-negative")
+    def __init__(self, sigma: float = 2.0, max_operations: int = 2000) -> None:
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
-        self.theta_max = float(theta_max)
         self.sigma = float(sigma)
-        self.window = int(window)
         self.max_operations = int(max_operations)
-        self.assignment = AssignmentFunction.hashed(num_tasks, seed=seed)
-        self.stats = StatisticsStore(window=window)
-        self.history: List[RebalanceResult] = []
-
-    # -- routing ----------------------------------------------------------------
-
-    def route(self, key: Key) -> int:
-        return self.assignment(key)
-
-    def _route_epoch(self) -> object:
-        return (len(self.history), self.assignment.routing_table.version)
-
-    def scale_out(self, new_num_tasks: int) -> None:
-        super().scale_out(new_num_tasks)
-        table = self.assignment.routing_table.copy()
-        self.assignment = AssignmentFunction.hashed(
-            new_num_tasks, seed=self.assignment.hash_function.seed
-        ).with_table(table)
-
-    def scale_in(self, new_num_tasks: int) -> None:
-        super().scale_in(new_num_tasks)
-        # Entries pointing at removed tasks fall back to the (resized) hash.
-        table = self.assignment.routing_table.copy()
-        for key, task in list(table.items()):
-            if task >= new_num_tasks:
-                table.discard(key)
-        self.assignment = AssignmentFunction.hashed(
-            new_num_tasks, seed=self.assignment.hash_function.seed
-        ).with_table(table)
-
-    # -- planning ----------------------------------------------------------------
-
-    def plan_rebalance(self, stats: IntervalStats) -> Optional[RebalanceResult]:
-        self.stats.push(stats)
-        costs = self.stats.cost_map()
-        if not costs:
-            return None
-        loads = load_from_costs(costs, self.assignment, self.num_tasks)
-        if max_balance_indicator(loads) <= self.theta_max:
-            return None
-        result = self._rebalance(costs)
-        self.history.append(result)
-        self.assignment = result.assignment
-        return result
 
     def _candidates(self, costs: Mapping[Key, float]) -> List[Key]:
         """Hot keys: cost at least ``sigma`` times the average key cost.
@@ -138,19 +69,26 @@ class ReadjPartitioner(RebalancingPartitioner):
         count = len(costs)
         return [key for key, cost in costs.items() if cost * count >= self.sigma * total]
 
-    def _rebalance(self, costs: Mapping[Key, float]) -> RebalanceResult:
-        start = time.perf_counter()
+    def plan(
+        self,
+        assignment: AssignmentFunction,
+        stats: StatisticsStore,
+        config: PlannerConfig,
+    ) -> RebalanceResult:
+        started = time.perf_counter()
+        costs = stats.cost_map()
+        num_tasks = assignment.num_tasks
         keys = list(costs)
-        working: Dict[Key, int] = dict(zip(keys, self.assignment.assign_batch(keys)))
-        loads = load_from_costs(costs, working.__getitem__, self.num_tasks)
-        ceiling = load_ceiling(loads, self.theta_max)
+        working: Dict[Key, int] = dict(zip(keys, assignment.assign_batch(keys)))
+        loads = load_from_costs(costs, working.__getitem__, num_tasks)
+        ceiling = load_ceiling(loads, config.theta_max)
 
         # Step 1: move explicitly routed keys back to their hash destination
         # whenever the receiving task has room.
-        for key in list(self.assignment.routing_table.keys()):
+        for key in list(assignment.routing_table.keys()):
             if key not in working:
                 continue
-            home = self.assignment.hash_destination(key)
+            home = assignment.hash_destination(key)
             current = working[key]
             if home == current:
                 continue
@@ -166,7 +104,7 @@ class ReadjPartitioner(RebalancingPartitioner):
         candidates = self._candidates(costs)
         operations = 0
         while operations < self.max_operations:
-            if max_balance_indicator(loads) <= self.theta_max:
+            if max_balance_indicator(loads) <= config.theta_max:
                 break
             best_gain = 0.0
             best_op: Optional[Tuple[str, Key, Optional[Key], int, int]] = None
@@ -195,7 +133,7 @@ class ReadjPartitioner(RebalancingPartitioner):
             for key in candidates:
                 source = working[key]
                 cost = costs[key]
-                for target in range(self.num_tasks):
+                for target in range(num_tasks):
                     if target == source:
                         continue
                     new_src = loads[source] - cost
@@ -234,27 +172,15 @@ class ReadjPartitioner(RebalancingPartitioner):
                 loads[task_b] += diff
             operations += 1
 
-        # Materialise the new assignment function and migration plan.
-        new_table = RoutingTable()
-        for key, task in self.assignment.routing_table.items():
-            if key not in working:
-                new_table.set(key, task, enforce_limit=False)
-        for key, task in working.items():
-            if task != self.assignment.hash_destination(key):
-                new_table.set(key, task, enforce_limit=False)
-        new_assignment = self.assignment.with_table(new_table)
-        plan = build_migration_plan(
-            self.assignment, new_assignment, working.keys(), self.stats, self.window
-        )
-        result = RebalanceResult(
-            algorithm=self.name,
-            assignment=new_assignment,
-            routing_table=new_table,
-            migration_plan=plan,
+        return build_result(
+            self.name,
+            assignment,
+            stats,
+            config,
+            off_hash_entries(assignment, working),
+            working.keys(),
             loads=dict(loads),
             balanced=max(loads.values(), default=0.0) <= ceiling + _EPS,
             max_theta=max_balance_indicator(loads),
-            migration_fraction=migration_cost_fraction(plan.keys, self.stats, self.window),
+            started=started,
         )
-        result.generation_time = time.perf_counter() - start
-        return result

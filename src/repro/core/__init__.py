@@ -22,13 +22,13 @@ This subpackage implements the mixed key-based workload partitioning framework:
   statistics representation (:mod:`repro.core.compact`) and the
   half-linear-half-exponential value discretisation
   (:mod:`repro.core.discretization`);
-* the rebalance controller that decides when to trigger a plan and orchestrates
-  its execution (:mod:`repro.core.controller`).
+* the planner contract and result assembly every planning heuristic shares
+  (:mod:`repro.core.planner`); the loop that decides when to trigger a plan
+  and installs it is :class:`repro.baselines.base.RebalancingPartitioner`.
 """
 
 from repro.core.assignment import AssignmentFunction
 from repro.core.compact import CompactRecord, CompactStatistics
-from repro.core.controller import ControllerConfig, RebalanceController
 from repro.core.criteria import (
     HighestCostFirst,
     LargestGammaFirst,
@@ -51,7 +51,7 @@ from repro.core.migration import MigrationPlan, migration_cost
 from repro.core.minmig import MinMigAlgorithm
 from repro.core.mintable import MinTableAlgorithm
 from repro.core.mixed import MixedAlgorithm, MixedBruteForceAlgorithm
-from repro.core.planner import RebalanceResult, get_algorithm
+from repro.core.planner import PlannerConfig, RebalanceResult, get_algorithm
 from repro.core.routing_table import RoutingTable
 from repro.core.simple import SimpleAlgorithm, simple_assign
 from repro.core.statistics import IntervalStats, KeyColumns, KeyStats, StatisticsStore
@@ -61,7 +61,6 @@ __all__ = [
     "CompactRecord",
     "CompactStatistics",
     "ConsistentHashRing",
-    "ControllerConfig",
     "HLHEDiscretizer",
     "HighestCostFirst",
     "IntervalStats",
@@ -75,7 +74,7 @@ __all__ = [
     "MixedAlgorithm",
     "MixedBruteForceAlgorithm",
     "NearestValueDiscretizer",
-    "RebalanceController",
+    "PlannerConfig",
     "RebalanceResult",
     "RoutingTable",
     "SelectionCriteria",

@@ -21,16 +21,14 @@ reduction at the price of a bounded load-estimation error.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.assignment import AssignmentFunction
 from repro.core.criteria import DEFAULT_BETA, gamma_index
 from repro.core.discretization import HLHEDiscretizer
 from repro.core.load import load_ceiling, load_from_costs, max_balance_indicator
-from repro.core.migration import build_migration_plan, migration_cost_fraction
-from repro.core.planner import PlannerConfig, RebalanceResult
-from repro.core.routing_table import RoutingTable
+from repro.core.planner import PlannerConfig, RebalanceResult, build_result, off_hash_entries
 from repro.core.statistics import StatisticsStore
 
 __all__ = [
@@ -178,16 +176,6 @@ class CompactStatistics:
         return loads
 
 
-@dataclass
-class CompactPlanOutcome:
-    """A :class:`RebalanceResult` plus compact-specific diagnostics."""
-
-    result: RebalanceResult
-    record_count: int
-    estimated_loads: Dict[int, float] = field(default_factory=dict)
-    load_estimation_error: float = 0.0
-
-
 class CompactMixedPlanner:
     """Adapted Mixed algorithm running over compact records.
 
@@ -222,26 +210,18 @@ class CompactMixedPlanner:
         assignment: AssignmentFunction,
         stats: StatisticsStore,
         config: Optional[PlannerConfig] = None,
-    ) -> CompactPlanOutcome:
-        """Run the adapted Mixed algorithm and expand the plan to concrete keys."""
+    ) -> RebalanceResult:
+        """Run the adapted Mixed algorithm and expand the plan to concrete keys.
+
+        The result's ``load_estimation_error`` is the Fig. 11(b) metric of
+        this round: how far the discretised loads the records were planned
+        with sit from the real loads of the expanded assignment.
+        """
         config = config if config is not None else PlannerConfig()
-        start = time.perf_counter()
+        started = time.perf_counter()
         compact = CompactStatistics.from_stats(
             stats, assignment, self.discretizer, config.window
         )
-        outcome = self._plan_over_records(assignment, stats, config, compact)
-        outcome.result.generation_time = time.perf_counter() - start
-        return outcome
-
-    # -- record-level Mixed ----------------------------------------------------------
-
-    def _plan_over_records(
-        self,
-        assignment: AssignmentFunction,
-        stats: StatisticsStore,
-        config: PlannerConfig,
-        compact: CompactStatistics,
-    ) -> CompactPlanOutcome:
         explicit_keys = sum(
             record.count for record in compact.records if record.is_explicit
         )
@@ -266,10 +246,11 @@ class CompactMixedPlanner:
                 break
             n = min(explicit_keys, max(n + 1, n + overflow))
 
-        outcome = self._expand(assignment, stats, config, compact, final_records)
-        outcome.result.cleaning_rounds = rounds
-        outcome.result.moved_back = n
-        return outcome
+        return self._expand(
+            assignment, stats, config, compact, final_records, started, rounds, n
+        )
+
+    # -- record-level Mixed ----------------------------------------------------------
 
     def _single_trial(
         self,
@@ -463,7 +444,10 @@ class CompactMixedPlanner:
         config: PlannerConfig,
         compact: CompactStatistics,
         final_records: List[CompactRecord],
-    ) -> CompactPlanOutcome:
+        started: float,
+        cleaning_rounds: int,
+        moved_back: int,
+    ) -> RebalanceResult:
         """Map record-level decisions back onto concrete keys and build F′."""
         # Consume keys group by group: records that keep d'==d leave their keys
         # in place; records that moved take keys from the front of the group.
@@ -474,7 +458,6 @@ class CompactMixedPlanner:
         # whatever keys remain — mirrors the paper's "picking up those needing
         # migration" step.
         moved = [r for r in final_records if r.next_dest is not None and r.next_dest != r.current]
-        staying = [r for r in final_records if r.next_dest is None or r.next_dest == r.current]
 
         for record in moved:
             group = compact.key_groups.get(record.signature, [])
@@ -490,43 +473,25 @@ class CompactMixedPlanner:
             for key in group[start:]:
                 placements.setdefault(key, signature[0])
 
-        # Build the new routing table: keep entries for unobserved keys, then
-        # pin every key whose final destination differs from its hash.
-        observed = set(placements)
-        new_table = RoutingTable(max_size=None)
-        for key, task in assignment.routing_table.items():
-            if key not in observed:
-                new_table.set(key, task, enforce_limit=False)
-        for key, task in placements.items():
-            if assignment.hash_destination(key) != task:
-                new_table.set(key, task, enforce_limit=False)
-
-        new_assignment = assignment.with_table(new_table)
-        plan = build_migration_plan(
-            assignment, new_assignment, observed, stats, config.window
+        # Every observed key is placed, so the real loads of F′ follow from
+        # the placements; the table pins the keys that left their hash.
+        actual_loads = load_from_costs(
+            stats.cost_map(), placements.__getitem__, assignment.num_tasks
         )
-        fraction = migration_cost_fraction(plan.keys, stats, config.window)
-
-        actual_loads = load_from_costs(stats.cost_map(), new_assignment, assignment.num_tasks)
-        estimated = {task: 0.0 for task in range(assignment.num_tasks)}
-        for record in final_records:
-            dest = record.next_dest if record.next_dest is not None else record.current
-            estimated[dest] += record.total_cost
-
-        result = RebalanceResult(
-            algorithm=self.name,
-            assignment=new_assignment,
-            routing_table=new_table,
-            migration_plan=plan,
+        estimated = compact.estimated_loads(final_records)
+        return build_result(
+            self.name,
+            assignment,
+            stats,
+            config,
+            off_hash_entries(assignment, placements),
+            set(placements),
             loads=actual_loads,
             balanced=max_balance_indicator(estimated) <= config.theta_max + 1e-6,
             max_theta=max_balance_indicator(actual_loads),
-            migration_fraction=fraction,
-        )
-        return CompactPlanOutcome(
-            result=result,
-            record_count=len(compact),
-            estimated_loads=estimated,
+            started=started,
+            cleaning_rounds=cleaning_rounds,
+            moved_back=moved_back,
             load_estimation_error=load_estimation_error(estimated, actual_loads),
         )
 

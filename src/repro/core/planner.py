@@ -15,9 +15,14 @@ Every algorithm of Section III follows the same three-phase template:
 :class:`~repro.core.minmig.MinMigAlgorithm`,
 :class:`~repro.core.mixed.MixedAlgorithm`, …) plug in their cleaning strategy
 and selection criteria.  :class:`RebalanceResult` carries everything the
-controller, the simulator and the benchmarks need: the new assignment, the
+rebalance loop, the simulator and the benchmarks need: the new assignment, the
 migration plan and its cost, the resulting loads, and the wall-clock time the
 planner itself took (the "average generation time" metric of Figs. 8–12).
+
+:class:`Planner` is the one contract between a planning heuristic and the
+loop that runs it (:class:`~repro.baselines.base.RebalancingPartitioner`);
+:func:`build_result` is the one place a set of routing entries becomes ``F′``,
+its migration plan and a :class:`RebalanceResult`.
 """
 
 from __future__ import annotations
@@ -25,13 +30,13 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Set, Type
+from typing import Collection, Dict, Hashable, Mapping, Optional, Protocol, Set, Type
 
 import numpy as np
 
 from repro.core.assignment import AssignmentFunction
 from repro.core.criteria import DEFAULT_BETA, SelectionCriteria
-from repro.core.llfd import LLFDResult, llfd_columns
+from repro.core.llfd import llfd_columns
 from repro.core.load import load_ceiling, load_from_columns
 from repro.core.migration import (
     MigrationPlan,
@@ -39,11 +44,14 @@ from repro.core.migration import (
     migration_cost_fraction,
 )
 from repro.core.routing_table import RoutingTable
-from repro.core.statistics import KeyColumns, StatisticsStore
+from repro.core.statistics import StatisticsStore
 
 __all__ = [
     "PlannerConfig",
     "RebalanceResult",
+    "Planner",
+    "build_result",
+    "off_hash_entries",
     "RebalanceAlgorithm",
     "register_algorithm",
     "get_algorithm",
@@ -102,6 +110,9 @@ class RebalanceResult:
     migration_fraction: float = 0.0
     cleaning_rounds: int = 0
     moved_back: int = 0
+    #: Divergence between the loads the plan was computed from and the real
+    #: ones (Fig. 11b); only planners working on approximated statistics set it.
+    load_estimation_error: Optional[float] = None
 
     @property
     def table_size(self) -> int:
@@ -123,6 +134,84 @@ class RebalanceResult:
         if max_table_size is None:
             return True
         return self.table_size <= max_table_size
+
+
+class Planner(Protocol):
+    """What a rebalancing strategy supplies: a name and a planning round.
+
+    ``plan`` reads the assignment ``F`` in force and the statistics window
+    and returns ``F′`` with its migration plan; it installs nothing — the
+    loop in :class:`~repro.baselines.base.RebalancingPartitioner` does.
+    """
+
+    name: str
+
+    def plan(
+        self,
+        assignment: AssignmentFunction,
+        stats: StatisticsStore,
+        config: PlannerConfig,
+    ) -> RebalanceResult:
+        ...
+
+
+def off_hash_entries(
+    assignment: AssignmentFunction, placements: Mapping[Key, int]
+) -> Dict[Key, int]:
+    """The placements a routing table has to pin: those that differ from ``h(k)``."""
+    hash_destination = assignment.hash_destination
+    return {key: task for key, task in placements.items() if task != hash_destination(key)}
+
+
+def build_result(
+    algorithm: str,
+    assignment: AssignmentFunction,
+    stats: StatisticsStore,
+    config: PlannerConfig,
+    entries: Mapping[Key, int],
+    observed: Collection[Key],
+    *,
+    loads: Dict[int, float],
+    balanced: bool,
+    max_theta: float,
+    retain_unobserved: bool = True,
+    started: Optional[float] = None,
+    **diagnostics: object,
+) -> RebalanceResult:
+    """Turn a planner's routing entries into ``F′``, ``Δ(F, F′)`` and a result.
+
+    ``entries`` are the observed keys placed off their hash destination, in
+    placement order; the caller has already dropped the on-hash ones.  With
+    ``retain_unobserved`` the old explicit entries of keys outside
+    ``observed`` are kept ahead of them — such keys carry no state in the
+    window, so leaving them pinned costs nothing, and dropping them would
+    silently reroute live keys (MinTable and DKG rebuild the table from
+    scratch instead).  The moves follow ``observed``'s iteration order.
+    ``started`` (a ``perf_counter`` reading) stamps the generation time.
+    """
+    new_table = RoutingTable(max_size=None)
+    if retain_unobserved:
+        for key, task in assignment.routing_table.items():
+            if key not in observed:
+                new_table.set(key, task, enforce_limit=False)
+    for key, task in entries.items():
+        new_table.set(key, task, enforce_limit=False)
+    new_assignment = assignment.with_table(new_table)
+    plan = build_migration_plan(assignment, new_assignment, observed, stats, config.window)
+    result = RebalanceResult(
+        algorithm=algorithm,
+        assignment=new_assignment,
+        routing_table=new_table,
+        migration_plan=plan,
+        loads=loads,
+        balanced=balanced,
+        max_theta=max_theta,
+        migration_fraction=migration_cost_fraction(plan.keys, stats, config.window),
+        **diagnostics,
+    )
+    if started is not None:
+        result.generation_time = time.perf_counter() - started
+    return result
 
 
 class RebalanceAlgorithm(ABC):
@@ -214,45 +303,17 @@ class RebalanceAlgorithm(ABC):
             columns, hashed, working, candidates, num_tasks, config.theta_max, criteria
         )
 
-        return self._build_result(assignment, stats, config, cleaned, llfd, columns)
-
-    # -- result assembly --------------------------------------------------------
-
-    def _build_result(
-        self,
-        assignment: AssignmentFunction,
-        stats: StatisticsStore,
-        config: PlannerConfig,
-        cleaned: Set[Key],
-        llfd: LLFDResult,
-        observed: KeyColumns,
-    ) -> RebalanceResult:
-        new_table = RoutingTable(max_size=None)
-        # Keep old explicit entries for keys outside the statistics window —
-        # they carry no state, so leaving them pinned costs nothing, and
-        # dropping them would silently reroute live keys.  MinTable overrides
-        # ``retain_unobserved_entries`` to drop them (full cleaning).
-        if self.retain_unobserved_entries:
-            for key, task in assignment.routing_table.items():
-                if key not in observed.index:
-                    new_table.set(key, task, enforce_limit=False)
-        for key, task in llfd.routing_entries.items():
-            new_table.set(key, task, enforce_limit=False)
-
-        new_assignment = assignment.with_table(new_table)
-        plan = build_migration_plan(
-            assignment, new_assignment, observed.key_set, stats, config.window
-        )
-        fraction = migration_cost_fraction(plan.keys, stats, config.window)
-        return RebalanceResult(
-            algorithm=self.name,
-            assignment=new_assignment,
-            routing_table=new_table,
-            migration_plan=plan,
+        return build_result(
+            self.name,
+            assignment,
+            stats,
+            config,
+            llfd.routing_entries,
+            columns.key_set,
             loads=dict(llfd.loads),
             balanced=llfd.balanced,
             max_theta=llfd.max_theta,
-            migration_fraction=fraction,
+            retain_unobserved=self.retain_unobserved_entries,
             moved_back=len(cleaned),
         )
 

@@ -1,7 +1,7 @@
 """Strategy registry — the single source of truth for partitioning strategies.
 
-Every strategy of the evaluation (the paper's mixed-routing controller
-variants and all baselines) is described by one :class:`StrategySpec`: its
+Every strategy of the evaluation (the paper's rebalancing algorithms and all
+baselines) is described by one :class:`StrategySpec`: its
 evaluation label, the tunables it understands (``theta_max``, ``beta``,
 ``readj_sigma``, the table cap, the state window, …) and a builder producing a
 configured :class:`~repro.baselines.base.Partitioner`.  The experiment
@@ -18,10 +18,17 @@ harness code::
     def _build_mystrat(num_tasks, *, theta_max=0.08, seed=0):
         return MyPartitioner(num_tasks, theta_max=theta_max, seed=seed)
 
+A *rebalancing* strategy is the one loop,
+:class:`~repro.baselines.base.RebalancingPartitioner`, around a
+:class:`~repro.core.planner.Planner`, so plugging in a new planning heuristic
+means writing its ``plan(assignment, stats, config)`` and registering a
+builder that hands it to the loop (README, "One rebalance loop").
+
 The built-in strategies are declared in :mod:`repro.engine.strategies` (they
-need the baselines and the engine adapter, which live above ``repro.core`` in
-the layering); the accessors below import that module lazily, mirroring how
-:func:`repro.core.planner.get_algorithm` loads the concrete algorithms.
+need the partitioner classes of :mod:`repro.baselines`, which live above
+``repro.core`` in the layering); the accessors below import that module
+lazily, mirroring how :func:`repro.core.planner.get_algorithm` loads the
+concrete algorithms.
 """
 
 from __future__ import annotations
@@ -79,8 +86,8 @@ class StrategySpec:
     core_algorithm:
         Name of the core rebalancing algorithm (in the
         :func:`repro.core.planner.get_algorithm` registry) that drives the
-        strategy, for controller variants ("mixed", "mintable", …); ``None``
-        for baselines and static strategies.
+        strategy's planner ("mixed", "mintable", …); ``None`` for the other
+        planners (compact, readj, dkg) and for static strategies.
     rebalancing:
         True when the built partitioner replans at interval ends, i.e. it can
         be streamed through a planner sweep.
@@ -172,7 +179,7 @@ def register_strategy(
 
 
 def _load_builtins() -> None:
-    # The built-in strategy declarations live with the engine adapter; import
+    # The built-in strategy declarations live above the core layer; import
     # them lazily so `repro.core` keeps no static dependency on the layers
     # above it (same pattern as planner.get_algorithm).
     from repro.engine import strategies  # noqa: F401

@@ -17,15 +17,13 @@ simulator:
 * the interval-driven simulators used by the experiments
   (:mod:`repro.engine.simulator`) and metric collection
   (:mod:`repro.engine.metrics`),
-* the adapter exposing the paper's rebalance controller as an engine
-  partitioner (:mod:`repro.engine.routing`).
+* the built-in strategy declarations (:mod:`repro.engine.strategies`).
 """
 
 from repro.engine.executor import ExecutorConfig, TaskExecutor
 from repro.engine.metrics import IntervalMetrics, MetricsCollector
 from repro.engine.migration_protocol import MigrationProtocol, MigrationReport
 from repro.engine.operator import OperatorLogic, Task
-from repro.engine.routing import MixedRoutingPartitioner
 from repro.engine.simulator import OperatorSimulator, PipelineSimulator, SimulationConfig
 from repro.engine.state import KeyedState
 from repro.engine.topology import StageSpec, TopologySpec
@@ -39,7 +37,6 @@ __all__ = [
     "MetricsCollector",
     "MigrationProtocol",
     "MigrationReport",
-    "MixedRoutingPartitioner",
     "OperatorLogic",
     "OperatorSimulator",
     "PipelineSimulator",

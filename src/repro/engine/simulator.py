@@ -297,7 +297,6 @@ class _StageRuntime:
         migrated_state = 0.0
         migration_fraction = 0.0
         generation_time = 0.0
-        table_size = 0
         if rebalance is not None:
             report = self.protocol.execute(
                 rebalance.migration_plan,
@@ -309,9 +308,6 @@ class _StageRuntime:
             migrated_state = report.moved_state
             migration_fraction = rebalance.migration_fraction
             generation_time = rebalance.generation_time
-            table_size = rebalance.table_size
-        elif hasattr(partitioner, "routing_table_size"):
-            table_size = partitioner.routing_table_size
 
         record = IntervalMetrics(
             interval=interval,
@@ -327,7 +323,7 @@ class _StageRuntime:
             migration_fraction=migration_fraction,
             migration_seconds=migration_seconds,
             generation_time=generation_time,
-            routing_table_size=table_size,
+            routing_table_size=partitioner.routing_table_size,
             rebalanced=rebalance is not None,
             num_tasks=num_tasks,
             per_task_load=dict(offered_cost),

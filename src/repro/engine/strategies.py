@@ -1,9 +1,12 @@
 """Built-in strategy declarations for the :mod:`repro.core.strategy` registry.
 
-One :class:`~repro.core.strategy.StrategySpec` per evaluation label: the
-static/baseline partitioners, the paper's mixed-routing controller variants
-(one per core rebalancing algorithm) and the compact-representation
-controller.  Importing this module populates the registry; the accessors in
+One :class:`~repro.core.strategy.StrategySpec` per evaluation label.  The
+static strategies (storm, ideal, pkg) are their own partitioner classes; every
+rebalancing strategy is the one loop,
+:class:`~repro.baselines.base.RebalancingPartitioner`, handed a different
+planner: a core algorithm (mixed, mintable, minmig, mixedbf, simple), Mixed
+over the compact representation, Readj's pairwise search or DKG's heavy-key
+placement.  Importing this module populates the registry; the accessors in
 :mod:`repro.core.strategy` do so lazily.
 """
 
@@ -12,17 +15,19 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines import (
-    DKGPartitioner,
+    DKGPlanner,
     HashPartitioner,
     PartialKeyGrouping,
     Partitioner,
-    ReadjPartitioner,
+    ReadjPlanner,
+    RebalancingPartitioner,
     ShufflePartitioner,
 )
-from repro.core.controller import ControllerConfig
+from repro.core.compact import CompactMixedPlanner
 from repro.core.criteria import DEFAULT_BETA
+from repro.core.discretization import HLHEDiscretizer
+from repro.core.planner import Planner, PlannerConfig, get_algorithm
 from repro.core.strategy import register_strategy
-from repro.engine.routing import MixedRoutingPartitioner
 
 __all__: list = []
 
@@ -56,6 +61,11 @@ def _build_pkg(num_tasks: int, *, seed: int = 0) -> Partitioner:
     return PartialKeyGrouping(num_tasks, seed=seed)
 
 
+def _loop(num_tasks: int, planner: Planner, seed: int, **knobs) -> Partitioner:
+    """The rebalance loop around ``planner``; ``knobs`` are :class:`PlannerConfig` fields."""
+    return RebalancingPartitioner(num_tasks, planner, PlannerConfig(**knobs), seed=seed)
+
+
 @register_strategy(
     "readj",
     tunables=("theta_max", "readj_sigma", "window", "seed"),
@@ -70,8 +80,8 @@ def _build_readj(
     window: int = 1,
     seed: int = 0,
 ) -> Partitioner:
-    return ReadjPartitioner(
-        num_tasks, theta_max=theta_max, sigma=readj_sigma, window=window, seed=seed
+    return _loop(
+        num_tasks, ReadjPlanner(sigma=readj_sigma), seed, theta_max=theta_max, window=window
     )
 
 
@@ -84,10 +94,10 @@ def _build_readj(
 def _build_dkg(
     num_tasks: int, *, theta_max: float = 0.08, window: int = 1, seed: int = 0
 ) -> Partitioner:
-    return DKGPartitioner(num_tasks, theta_max=theta_max, window=window, seed=seed)
+    return _loop(num_tasks, DKGPlanner(), seed, theta_max=theta_max, window=window)
 
 
-def _controller_builder(algorithm: str):
+def _algorithm_builder(algorithm: str):
     def build(
         num_tasks: int,
         *,
@@ -97,34 +107,35 @@ def _controller_builder(algorithm: str):
         window: int = 1,
         seed: int = 0,
     ) -> Partitioner:
-        config = ControllerConfig(
+        return _loop(
+            num_tasks,
+            get_algorithm(algorithm),
+            seed,
             theta_max=theta_max,
             max_table_size=max_table_size,
             beta=beta,
             window=window,
-            algorithm=algorithm,
         )
-        return MixedRoutingPartitioner(num_tasks, config, seed=seed)
 
     return build
 
 
-_CONTROLLER_DESCRIPTIONS = {
-    "mixed": "the paper's Mixed algorithm behind the mixed-routing controller",
-    "mintable": "MinTable (smallest routing table) controller variant",
-    "minmig": "MinMig (no cleaning, minimum migration) controller variant",
-    "mixedbf": "brute-force Mixed (exhaustive cleaning trials) controller variant",
-    "simple": "single-criterion simple rebalancer controller variant",
+_ALGORITHM_DESCRIPTIONS = {
+    "mixed": "the paper's Mixed algorithm (incremental cleaning, γ-ranked migration)",
+    "mintable": "MinTable (smallest routing table)",
+    "minmig": "MinMig (no cleaning, minimum migration)",
+    "mixedbf": "brute-force Mixed (exhaustive cleaning trials)",
+    "simple": "single-criterion simple rebalancer",
 }
 
-for _algorithm, _description in _CONTROLLER_DESCRIPTIONS.items():
+for _algorithm, _description in _ALGORITHM_DESCRIPTIONS.items():
     register_strategy(
         _algorithm,
         tunables=("theta_max", "max_table_size", "beta", "window", "seed"),
         description=_description,
         core_algorithm=_algorithm,
         rebalancing=True,
-    )(_controller_builder(_algorithm))
+    )(_algorithm_builder(_algorithm))
 
 
 @register_strategy(
@@ -150,12 +161,16 @@ def _build_compact(
     seed: int = 0,
     discretization_degree: Optional[int] = 8,
 ) -> Partitioner:
-    config = ControllerConfig(
+    # ``None`` keeps the original key space (the Fig. 11(a) baseline).
+    discretizer = (
+        HLHEDiscretizer(discretization_degree) if discretization_degree is not None else None
+    )
+    return _loop(
+        num_tasks,
+        CompactMixedPlanner(discretizer),
+        seed,
         theta_max=theta_max,
         max_table_size=max_table_size,
         beta=beta,
         window=window,
-        use_compact=True,
-        discretization_degree=discretization_degree,
     )
-    return MixedRoutingPartitioner(num_tasks, config, seed=seed)

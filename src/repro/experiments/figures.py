@@ -314,13 +314,12 @@ def _fig11(
 
     def compact_run(degree: Optional[int], theta: float, force: bool = False):
         return run_planner_sequence(
-            "mixed",
+            "compact",
             workload,
             num_tasks=scale.num_tasks,
             theta_max=theta,
             max_table_size=scale.max_table_size,
             window=scale.window,
-            use_compact=True,
             discretization_degree=degree,
             force_every_interval=force,
             seed=seed,

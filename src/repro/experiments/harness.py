@@ -3,9 +3,9 @@
 Two kinds of runs are needed:
 
 * *Planner sweeps* (Figs. 8–12, 17–21): only the rebalancing algorithms are
-  exercised — a synthetic workload is streamed through a controller (or a
-  baseline rebalancer) and the plan-generation time, migration cost and routing
-  table size are measured per adjustment.  No engine simulation is involved, so
+  exercised — a synthetic workload is streamed through a rebalancing strategy
+  and the plan-generation time, migration cost and routing table size are
+  measured per adjustment.  No engine simulation is involved, so
   these are fast and scale to large key domains.
 * *System simulations* (Figs. 13–16): a topology is run through the fluid
   engine simulator and throughput/latency are measured.
@@ -101,7 +101,6 @@ def run_planner_sequence(
     max_table_size: Optional[int] = None,
     beta: float = 1.5,
     window: int = 1,
-    use_compact: bool = False,
     discretization_degree: Optional[int] = 8,
     readj_sigma: float = 2.0,
     seed: int = 0,
@@ -110,18 +109,16 @@ def run_planner_sequence(
     """Stream interval snapshots through a rebalancer and collect planner metrics.
 
     ``algorithm`` is any rebalancing strategy in the
-    :mod:`repro.core.strategy` registry — a core controller variant
-    (``"mixed"``, ``"mintable"``, ``"minmig"``, ``"mixedbf"``, ``"simple"``)
-    or a self-contained rebalancing baseline (``"readj"``, ``"dkg"``) — built
-    by the registry and streamed through its own ``on_interval_end``.  With
-    ``use_compact`` the registered ``compact`` strategy (Mixed over the
-    compact representation) runs instead (``discretization_degree=None``
-    keeps the original key space).  ``force_every_interval`` triggers a
-    planning round even when the operator is already balanced (used by the
-    routing-table-growth experiment; controller-backed strategies only).
+    :mod:`repro.core.strategy` registry (``"mixed"``, ``"mintable"``,
+    ``"minmig"``, ``"mixedbf"``, ``"simple"``, ``"compact"``, ``"readj"``,
+    ``"dkg"``, or a third-party one), built by the registry and streamed
+    through ``on_interval_end``; ``discretization_degree`` reaches
+    ``"compact"`` only (``None`` keeps the original key space).
+    ``force_every_interval`` plans every interval even when the operator is
+    already balanced (the routing-table-growth and Fig. 11(b) experiments).
     """
-    run = PlannerRun(algorithm=algorithm if not use_compact else "compact-mixed")
-    spec = get_strategy("compact" if use_compact else algorithm)
+    run = PlannerRun(algorithm=algorithm)
+    spec = get_strategy(algorithm)
     if not spec.rebalancing:
         raise KeyError(
             f"strategy {algorithm!r} never rebalances; a planner sweep "
@@ -142,8 +139,8 @@ def run_planner_sequence(
         loads = load_from_costs(stats.columns().cost_map, partitioner.route, num_tasks)
         run.skewness_before.append(max_balance_indicator(loads))
         if force_every_interval:
-            partitioner.controller.observe(stats)
-            result = partitioner.controller.rebalance()
+            partitioner.observe(stats)
+            result = partitioner.rebalance()
         else:
             result = partitioner.on_interval_end(stats)
         if result is None:
@@ -153,10 +150,8 @@ def run_planner_sequence(
         run.migration_fractions.append(result.migration_fraction)
         run.table_sizes.append(result.table_size)
         run.max_thetas.append(result.max_theta)
-        if use_compact:
-            run.load_estimation_errors.append(
-                partitioner.controller.load_estimation_error
-            )
+        if result.load_estimation_error is not None:
+            run.load_estimation_errors.append(result.load_estimation_error)
     return run
 
 

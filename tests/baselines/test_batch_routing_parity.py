@@ -16,18 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import (
-    DKGPartitioner,
-    HashPartitioner,
-    PartialKeyGrouping,
-    ReadjPartitioner,
-    ShufflePartitioner,
-)
-from repro.core.controller import ControllerConfig
+from repro.baselines import HashPartitioner, PartialKeyGrouping, ShufflePartitioner
 from repro.core.statistics import IntervalStats
-from repro.engine.routing import MixedRoutingPartitioner
+from repro.core.strategy import get_strategy, list_strategies
 
 NUM_TASKS = 4
+
+#: Every rebalancing strategy in the registry (a newly registered one is covered).
+REBALANCING = tuple(spec.name for spec in list_strategies() if spec.rebalancing)
 
 #: strategy name -> zero-argument factory producing a fresh partitioner.
 FACTORIES = {
@@ -36,17 +32,10 @@ FACTORIES = {
     "shuffle": lambda: ShufflePartitioner(NUM_TASKS),
     "shuffle-least-loaded": lambda: ShufflePartitioner(NUM_TASKS, least_loaded=True),
     "pkg": lambda: PartialKeyGrouping(NUM_TASKS, seed=7),
-    "readj": lambda: ReadjPartitioner(NUM_TASKS, theta_max=0.05, seed=7),
-    "dkg": lambda: DKGPartitioner(NUM_TASKS, theta_max=0.05, seed=7),
-    "mixed": lambda: MixedRoutingPartitioner(
-        NUM_TASKS, ControllerConfig(theta_max=0.05, algorithm="mixed"), seed=7
-    ),
-    "mintable": lambda: MixedRoutingPartitioner(
-        NUM_TASKS, ControllerConfig(theta_max=0.05, algorithm="mintable"), seed=7
-    ),
-    "minmig": lambda: MixedRoutingPartitioner(
-        NUM_TASKS, ControllerConfig(theta_max=0.05, algorithm="minmig"), seed=7
-    ),
+    **{
+        name: lambda name=name: get_strategy(name).build(NUM_TASKS, theta_max=0.05, seed=7)
+        for name in REBALANCING
+    },
 }
 
 keys_strategy = st.lists(
@@ -158,9 +147,7 @@ def test_route_cache_invalidated_on_scale_out():
 
 def test_route_cache_follows_rebalance():
     """A skewed snapshot forces a rebalance; memoised routes must follow F'."""
-    partitioner = MixedRoutingPartitioner(
-        NUM_TASKS, ControllerConfig(theta_max=0.01, algorithm="mixed"), seed=3
-    )
+    partitioner = get_strategy("mixed").build(NUM_TASKS, theta_max=0.01, seed=3)
     snapshot = {key: 1.0 for key in range(40)}
     snapshot[0] = 10_000.0
     partitioner.route_snapshot(snapshot)
@@ -174,8 +161,6 @@ def test_route_cache_follows_rebalance():
 
 
 # -- memo patching: a rebalance rewrites only the re-routed keys ----------------------
-
-REBALANCING = ("mixed", "mintable", "minmig", "readj", "dkg")
 
 #: Probe batches: all-int (the raw-key bulk memo), mixed types (the boxed memo),
 #: each holding keys the snapshots below can and cannot contain.
@@ -243,9 +228,7 @@ def test_patched_memo_matches_cold_partitioner(strategy, operations):
 def test_memo_follows_an_entry_mintable_drops_while_unobserved():
     """MinTable drops the table entries of keys the window did not see; a
     memoised route of such a key must fall back to the hash with the table."""
-    partitioner = MixedRoutingPartitioner(
-        NUM_TASKS, ControllerConfig(theta_max=0.01, algorithm="mintable"), seed=3
-    )
+    partitioner = get_strategy("mintable").build(NUM_TASKS, theta_max=0.01, seed=3)
     first = {key: 1.0 for key in range(40)}
     first[0] = first[1] = first[2] = 500.0
     partitioner.route_snapshot(first)

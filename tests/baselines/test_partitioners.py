@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import (
-    DKGPartitioner,
+    DKGPlanner,
     HashPartitioner,
     PartialKeyGrouping,
-    ReadjPartitioner,
+    ReadjPlanner,
+    RebalancingPartitioner,
     ShufflePartitioner,
 )
 from repro.core.load import load_from_costs, max_balance_indicator
+from repro.core.planner import PlannerConfig
 from repro.core.statistics import IntervalStats
+from repro.core.strategy import get_strategy
 
 
 def _skewed(num_keys=200, seed=0):
@@ -147,9 +150,9 @@ class TestPartialKeyGrouping:
         assert all(task < 6 for task in part.candidate_tasks("x"))
 
 
-class TestReadjPartitioner:
+class TestReadj:
     def test_rebalances_skewed_workload(self):
-        part = ReadjPartitioner(5, theta_max=0.1, sigma=2.0, seed=1)
+        part = get_strategy("readj").build(5, theta_max=0.1, readj_sigma=2.0, seed=1)
         stats = IntervalStats.from_frequencies(0, _skewed())
         before = max_balance_indicator(
             load_from_costs(_skewed(), part.route, 5)
@@ -163,18 +166,16 @@ class TestReadjPartitioner:
             assert part.route(key) == result.assignment(key)
 
     def test_no_plan_when_balanced(self):
-        part = ReadjPartitioner(5, theta_max=0.5, seed=1)
+        part = get_strategy("readj").build(5, theta_max=0.5, seed=1)
         stats = IntervalStats.from_frequencies(0, {f"k{i}": 10.0 for i in range(500)})
         assert part.on_interval_end(stats) is None
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ReadjPartitioner(5, theta_max=-1)
-        with pytest.raises(ValueError):
-            ReadjPartitioner(5, sigma=-1)
+            ReadjPlanner(sigma=-1)
 
     def test_scale_out_keeps_table(self):
-        part = ReadjPartitioner(5, theta_max=0.05, seed=1)
+        part = get_strategy("readj").build(5, theta_max=0.05, seed=1)
         part.on_interval_end(IntervalStats.from_frequencies(0, _skewed()))
         table_before = part.assignment.routing_table.size
         part.scale_out(6)
@@ -182,9 +183,11 @@ class TestReadjPartitioner:
         assert part.assignment.routing_table.size == table_before
 
 
-class TestDKGPartitioner:
+class TestDKG:
     def test_rebalances_heavy_keys(self):
-        part = DKGPartitioner(5, heavy_factor=5.0, theta_max=0.1, seed=1)
+        part = RebalancingPartitioner(
+            5, DKGPlanner(heavy_factor=5.0), PlannerConfig(theta_max=0.1), seed=1
+        )
         stats = IntervalStats.from_frequencies(0, _skewed())
         before = max_balance_indicator(load_from_costs(_skewed(), part.route, 5))
         result = part.on_interval_end(stats)
@@ -193,11 +196,11 @@ class TestDKGPartitioner:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            DKGPartitioner(5, heavy_factor=0)
+            DKGPlanner(heavy_factor=0)
 
     @given(st.integers(2, 10))
     @settings(max_examples=20, deadline=None)
     def test_routes_in_range(self, num_tasks):
-        part = DKGPartitioner(num_tasks)
+        part = get_strategy("dkg").build(num_tasks)
         for key in range(50):
             assert 0 <= part.route(key) < num_tasks

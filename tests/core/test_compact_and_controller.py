@@ -1,4 +1,4 @@
-"""Tests for the compact representation, the adapted Mixed planner and the controller."""
+"""Tests for the compact representation, the adapted Mixed planner and the rebalance loop."""
 
 import random
 
@@ -11,11 +11,11 @@ from repro.core.compact import (
     CompactStatistics,
     load_estimation_error,
 )
-from repro.core.controller import ControllerConfig, RebalanceController
 from repro.core.discretization import HLHEDiscretizer
 from repro.core.load import load_from_costs, max_balance_indicator
 from repro.core.planner import PlannerConfig
 from repro.core.statistics import IntervalStats, StatisticsStore
+from repro.core.strategy import get_strategy
 
 
 def _skewed(num_keys=200, seed=0):
@@ -85,38 +85,29 @@ class TestCompactMixedPlanner:
         store = _store(_skewed())
         assignment = AssignmentFunction.hashed(5, seed=42)
         before = max_balance_indicator(load_from_costs(store.cost_map(), assignment, 5))
-        outcome = CompactMixedPlanner(HLHEDiscretizer(8)).plan(
+        result = CompactMixedPlanner(HLHEDiscretizer(8)).plan(
             assignment, store, PlannerConfig(theta_max=0.1, max_table_size=200)
         )
-        assert outcome.result.max_theta < before
-        assert outcome.record_count > 0
-        assert outcome.result.generation_time > 0
-        assert 0 <= outcome.load_estimation_error < 0.05
+        assert result.max_theta < before
+        assert result.generation_time > 0
+        assert 0 <= result.load_estimation_error < 0.05
 
     def test_coarser_degree_fewer_records(self):
         store = _store(_skewed(num_keys=500))
         assignment = AssignmentFunction.hashed(5, seed=42)
-        fine = CompactMixedPlanner(HLHEDiscretizer(1)).plan(
-            assignment, store, PlannerConfig(theta_max=0.1)
-        )
-        coarse = CompactMixedPlanner(HLHEDiscretizer(64)).plan(
-            assignment, store, PlannerConfig(theta_max=0.1)
-        )
-        assert coarse.record_count <= fine.record_count
+        fine = CompactStatistics.from_stats(store, assignment, HLHEDiscretizer(1))
+        coarse = CompactStatistics.from_stats(store, assignment, HLHEDiscretizer(64))
+        assert 0 < len(coarse) <= len(fine)
 
     def test_migration_matches_assignment_change(self):
         store = _store(_skewed())
         assignment = AssignmentFunction.hashed(5, seed=42)
-        outcome = CompactMixedPlanner(HLHEDiscretizer(8)).plan(
+        result = CompactMixedPlanner(HLHEDiscretizer(8)).plan(
             assignment, store, PlannerConfig(theta_max=0.1)
         )
         observed = set(store.cost_map())
-        delta = {
-            key
-            for key in observed
-            if assignment(key) != outcome.result.assignment(key)
-        }
-        assert delta == outcome.result.migrated_keys
+        delta = {key for key in observed if assignment(key) != result.assignment(key)}
+        assert delta == result.migrated_keys
 
 
 class TestLoadEstimationError:
@@ -131,69 +122,43 @@ class TestLoadEstimationError:
         assert error == pytest.approx(0.1)
 
 
-class TestRebalanceController:
+class TestRebalanceLoop:
+    """The loop every rebalancing strategy shares (RebalancingPartitioner)."""
+
     def test_requires_observation_before_rebalance(self):
-        controller = RebalanceController(AssignmentFunction.hashed(5, seed=1))
+        loop = get_strategy("mixed").build(5, seed=1)
         with pytest.raises(RuntimeError):
-            controller.rebalance()
-        assert controller.maybe_rebalance() is None
+            loop.rebalance()
+        assert not loop.should_rebalance()
 
     def test_triggers_only_when_imbalanced(self):
-        controller = RebalanceController(
-            AssignmentFunction.hashed(5, seed=1),
-            ControllerConfig(theta_max=0.2),
-        )
-        controller.observe(
-            IntervalStats.from_frequencies(1, {f"k{i}": 10 for i in range(5000)})
-        )
-        assert controller.current_imbalance() < 0.2
-        assert controller.maybe_rebalance() is None
-        controller.observe(IntervalStats.from_frequencies(2, _skewed()))
-        result = controller.maybe_rebalance()
+        loop = get_strategy("mixed").build(5, theta_max=0.2, seed=1)
+        balanced = IntervalStats.from_frequencies(1, {f"k{i}": 10 for i in range(5000)})
+        assert loop.on_interval_end(balanced) is None
+        assert not loop.should_rebalance()
+        result = loop.on_interval_end(IntervalStats.from_frequencies(2, _skewed()))
         assert result is not None
-        assert controller.history == [result]
-        assert controller.assignment is result.assignment
+        assert loop.history == [result]
+        assert loop.assignment is result.assignment
 
-    def test_cooldown_blocks_back_to_back_rebalances(self):
-        controller = RebalanceController(
-            AssignmentFunction.hashed(5, seed=1),
-            ControllerConfig(theta_max=0.01, cooldown_intervals=2),
+    def test_compact_planner_in_the_loop(self):
+        loop = get_strategy("compact").build(
+            5, theta_max=0.1, discretization_degree=8, seed=1
         )
-        controller.observe(IntervalStats.from_frequencies(1, _skewed(seed=1)))
-        assert controller.maybe_rebalance() is not None
-        controller.observe(IntervalStats.from_frequencies(2, _skewed(seed=2)))
-        assert controller.maybe_rebalance() is None  # cooling down
-        controller.observe(IntervalStats.from_frequencies(3, _skewed(seed=3)))
-        assert controller.maybe_rebalance() is None
-        controller.observe(IntervalStats.from_frequencies(4, _skewed(seed=4)))
-        assert controller.maybe_rebalance() is not None
-
-    def test_compact_controller_path(self):
-        controller = RebalanceController(
-            AssignmentFunction.hashed(5, seed=1),
-            ControllerConfig(theta_max=0.1, use_compact=True, discretization_degree=8),
-        )
-        controller.observe(IntervalStats.from_frequencies(1, _skewed()))
-        result = controller.maybe_rebalance()
+        result = loop.on_interval_end(IntervalStats.from_frequencies(1, _skewed()))
         assert result is not None
         assert result.algorithm == "compact-mixed"
+        assert result.load_estimation_error is not None
 
-    def test_reporting_properties(self):
-        controller = RebalanceController(
-            AssignmentFunction.hashed(5, seed=1), ControllerConfig(theta_max=0.05)
-        )
-        assert controller.average_generation_time == 0.0
-        controller.observe(IntervalStats.from_frequencies(1, _skewed()))
-        controller.rebalance()
-        assert controller.average_generation_time > 0
-        assert controller.total_migrated_state > 0
-        assert controller.current_skewness() >= 1.0
+    def test_forced_round_reports_time_and_migration(self):
+        loop = get_strategy("mixed").build(5, theta_max=0.05, seed=1)
+        loop.observe(IntervalStats.from_frequencies(1, _skewed()))
+        result = loop.rebalance()
+        assert result.generation_time > 0
+        assert result.migration_cost > 0
+        assert result.load_estimation_error is None
 
     def test_algorithm_selection(self):
-        controller = RebalanceController(
-            AssignmentFunction.hashed(5, seed=1),
-            ControllerConfig(theta_max=0.05, algorithm="mintable"),
-        )
-        controller.observe(IntervalStats.from_frequencies(1, _skewed()))
-        result = controller.rebalance()
-        assert result.algorithm == "mintable"
+        loop = get_strategy("mintable").build(5, theta_max=0.05, seed=1)
+        loop.observe(IntervalStats.from_frequencies(1, _skewed()))
+        assert loop.rebalance().algorithm == "mintable"

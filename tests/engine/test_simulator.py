@@ -3,9 +3,8 @@
 import pytest
 
 from repro.baselines import HashPartitioner, PartialKeyGrouping, ShufflePartitioner
-from repro.core.controller import ControllerConfig
+from repro.core.strategy import get_strategy, list_strategies
 from repro.engine import (
-    MixedRoutingPartitioner,
     OperatorSimulator,
     PipelineSimulator,
     SimulationConfig,
@@ -14,6 +13,7 @@ from repro.engine import (
 )
 from repro.operators import WindowedSelfJoin, WordCountOperator
 from repro.runtime import BENCH_TOPOLOGY_WORKLOADS, RuntimeSpec
+from repro.workloads import ZipfWorkload
 
 
 def skewed_workload(intervals=6, num_keys=300, hot=2, tuples=30_000):
@@ -45,9 +45,7 @@ class TestOperatorSimulator:
         )
 
     def test_mixed_partitioner_rebalances_and_migrates_state(self):
-        part = MixedRoutingPartitioner(
-            4, ControllerConfig(theta_max=0.1, max_table_size=200), seed=1
-        )
+        part = get_strategy("mixed").build(4, theta_max=0.1, max_table_size=200, seed=1)
         sim = OperatorSimulator(part, WordCountOperator(), SimulationConfig(capacity_factor=1.1))
         metrics = sim.run(skewed_workload())
         assert metrics.rebalance_count >= 1
@@ -63,12 +61,37 @@ class TestOperatorSimulator:
             HashPartitioner(4, seed=1), WordCountOperator(), config
         ).run(skewed_workload())
         mixed_metrics = OperatorSimulator(
-            MixedRoutingPartitioner(4, ControllerConfig(theta_max=0.05), seed=1),
+            get_strategy("mixed").build(4, theta_max=0.05, seed=1),
             WordCountOperator(),
             config,
         ).run(skewed_workload())
         assert mixed_metrics.mean_throughput >= hash_metrics.mean_throughput
         assert mixed_metrics.mean_latency_ms <= hash_metrics.mean_latency_ms
+
+    @pytest.mark.parametrize(
+        "strategy", [spec.name for spec in list_strategies() if spec.rebalancing]
+    )
+    def test_table_size_recorded_on_intervals_without_a_plan(self, strategy):
+        """A live routing table is reported every interval, not only on the
+        ones that replan (regression: Readj / DKG used to record 0)."""
+        part = get_strategy(strategy).build(8, theta_max=0.3, seed=3)
+        sim = OperatorSimulator(part, WordCountOperator(), SimulationConfig(capacity_factor=1.1))
+        workload = ZipfWorkload(
+            num_keys=2000, skew=0.85, tuples_per_interval=20_000, fluctuation=0.3,
+            num_tasks=8, intervals=10, seed=3, sampled=False,
+        ).take(10)
+        sizes = []
+
+        def stream():
+            for snapshot in workload:
+                yield snapshot  # the simulator closes the interval before resuming us
+                sizes.append(part.assignment.routing_table.size)
+
+        records = sim.run(stream()).intervals
+        first = next(index for index, record in enumerate(records) if record.rebalanced)
+        assert any(not record.rebalanced for record in records[first + 1 :])
+        for record, size in zip(records[first:], sizes[first:]):
+            assert record.routing_table_size == size > 0
 
     def test_shuffle_is_perfectly_balanced(self):
         metrics = OperatorSimulator(
@@ -88,9 +111,7 @@ class TestOperatorSimulator:
         assert pkg.mean_throughput < ideal.mean_throughput
 
     def test_scale_out_uses_new_task(self):
-        part = MixedRoutingPartitioner(
-            3, ControllerConfig(theta_max=0.1, max_table_size=500), seed=2
-        )
+        part = get_strategy("mixed").build(3, theta_max=0.1, max_table_size=500, seed=2)
         sim = OperatorSimulator(part, WordCountOperator(), SimulationConfig(capacity_factor=1.2))
         metrics = sim.run(skewed_workload(intervals=8), scale_out_at={4: 4})
         assert metrics.intervals[3].num_tasks == 3

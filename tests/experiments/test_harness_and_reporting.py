@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.strategy import get_strategy, strategy_names
+from repro.core.strategy import get_strategy, list_strategies, strategy_names
 from repro.experiments import (
     ExperimentResult,
     format_table,
@@ -112,15 +112,14 @@ class TestRunPlannerSequence:
 
     def test_compact_run_records_estimation_error(self):
         run = run_planner_sequence(
-            "mixed",
+            "compact",
             _workload(intervals=3),
             num_tasks=5,
             theta_max=0.05,
-            use_compact=True,
             discretization_degree=8,
         )
-        assert run.algorithm == "compact-mixed"
-        assert run.load_estimation_errors
+        assert run.algorithm == "compact"
+        assert len(run.load_estimation_errors) == run.rebalances >= 1
         assert all(error < 0.1 for error in run.load_estimation_errors)
 
     def test_force_every_interval(self):
@@ -133,6 +132,22 @@ class TestRunPlannerSequence:
         )
         assert lazy.rebalances == 0
         assert forced.rebalances == 3
+
+    @pytest.mark.parametrize(
+        "strategy", [spec.name for spec in list_strategies() if spec.rebalancing]
+    )
+    def test_forced_planning_works_for_every_rebalancing_strategy(self, strategy):
+        """One plan per interval whatever the planner (regression: Readj / DKG
+        raised AttributeError), labelled with the strategy that ran."""
+        forced = run_planner_sequence(
+            strategy,
+            _workload(intervals=3, fluctuation=0.0),
+            num_tasks=5,
+            theta_max=10.0,
+            force_every_interval=True,
+        )
+        assert forced.algorithm == strategy
+        assert forced.rebalances == len(forced.table_sizes) == 3
 
 
 class TestRunSimulation:
