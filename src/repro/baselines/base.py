@@ -26,11 +26,15 @@ builders in :mod:`repro.engine.strategies` say which.
 Strategies whose ``route`` is deterministic, side-effect free and
 key-contiguous (plain hashing, every rebalancing strategy) declare
 ``cache_routes = True``: the base class then memoises key→task results
-across intervals.  A rebalance re-routes only the keys whose routing-table
-entry changed, so :class:`RebalancingPartitioner` rewrites exactly those memo
-entries and keeps the rest; a resize (or any assignment change the base class
-did not see — the cache epoch of :meth:`Partitioner._route_epoch` moved) drops
-the memo.
+across intervals in **one** memo, ``{exact key class: {raw key: task}}`` for
+``str`` / ``bytes`` / ``int`` keys (a dict per class keeps ``1`` / ``True`` /
+``1.0`` apart; ``float`` and container keys are routed uncached), read by one
+miss-filling lookup behind :meth:`Partitioner.assign_batch`,
+:meth:`Partitioner.assign_batch_array` and :meth:`Partitioner.route_snapshot`.
+A rebalance re-routes only the keys whose routing-table entry changed, so
+:class:`RebalancingPartitioner` rewrites exactly those memo entries and keeps
+the rest; a resize (or any assignment change the base class did not see — the
+epoch of :meth:`Partitioner._route_epoch` moved) drops the memo.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.assignment import AssignmentFunction
-from repro.core.hashing import memo_key
 from repro.core.load import load_from_columns, max_balance_indicator
 from repro.core.planner import Planner, PlannerConfig, RebalanceResult
 from repro.core.statistics import IntervalStats, StatisticsStore
@@ -50,21 +53,22 @@ __all__ = ["Partitioner", "RebalancingPartitioner"]
 
 Key = Hashable
 
-#: Sentinel marking a route cache whose epoch has never been sampled.
+#: Sentinel marking a route memo whose epoch has never been sampled.
 _EPOCH_UNSET = object()
 
-#: Bound on memoised key→task entries (matches the digest-cache cap): a
-#: workload that keeps minting fresh keys must not grow the memo without limit.
-_ROUTE_CACHE_MAX = 1 << 20
+#: Bound on memoised key→task entries per key class (matches the digest-cache
+#: cap): a workload that keeps minting fresh keys must not grow the memo
+#: without limit.
+_ROUTE_MEMO_MAX = 1 << 20
 
-#: Key types eligible for the raw-key bulk route memo.  A per-type dict keyed
-#: by the *raw* key needs no :func:`memo_key` boxing, so a whole batch reads
-#: as one C-level ``map(cache.get, keys)`` — but it is only collision-safe
-#: when every key of the batch has exactly that type (``1``/``True``/``1.0``
-#: are equal dict keys that hash differently; the homogeneity check in
-#: :meth:`Partitioner.assign_batch` rules the mix out, and ``float`` stays
-#: excluded entirely because ``0.0``/``-0.0`` collide even within the type).
-_BULK_MEMO_TYPES = frozenset((str, bytes, int))
+#: Key classes the route memo holds.  One dict per *exact* class keeps equal
+#: keys that hash differently apart (``1`` / ``True`` / ``1.0`` are the same
+#: dict key); ``float`` stays out because ``0.0`` / ``-0.0`` collide even
+#: within the class, and container keys are routed uncached.
+_MEMO_CLASSES = (str, bytes, int)
+
+#: What a key of any other class is looked up in: always a miss.
+_NO_MEMO: Mapping[Key, int] = {}
 
 
 class Partitioner(ABC):
@@ -74,17 +78,16 @@ class Partitioner(ABC):
     name: str = "partitioner"
 
     #: True when ``route`` is deterministic, side-effect free and
-    #: key-contiguous, enabling the shared key→task memo used by the batch API.
+    #: key-contiguous, enabling the key→task memo used by the batch API.
     cache_routes: bool = False
 
     def __init__(self, num_tasks: int) -> None:
         if num_tasks <= 0:
             raise ValueError(f"num_tasks must be positive, got {num_tasks}")
         self.num_tasks = int(num_tasks)
-        self._route_cache: Dict[Key, int] = {}
-        #: Raw-key memos for homogeneously-typed batches (see _BULK_MEMO_TYPES).
-        self._typed_route_caches: Dict[type, Dict[Key, int]] = {}
-        self._route_cache_epoch: object = _EPOCH_UNSET
+        #: The key→task memo: ``{exact key class: {raw key: task}}``.
+        self._route_memo: Dict[type, Dict[Key, int]] = {cls: {} for cls in _MEMO_CLASSES}
+        self._route_memo_epoch: object = _EPOCH_UNSET
 
     @abstractmethod
     def route(self, key: Key) -> int:
@@ -93,7 +96,7 @@ class Partitioner(ABC):
     # -- batch routing ------------------------------------------------------
 
     def _route_epoch(self) -> object:
-        """Token identifying the current assignment; a change drops the cache.
+        """Token identifying the current assignment; a change drops the memo.
 
         Static strategies return a constant; the rebalance loop returns
         ``(rounds, routing_table.version)``, which changes whenever its
@@ -103,9 +106,9 @@ class Partitioner(ABC):
 
     def invalidate_route_cache(self) -> None:
         """Drop all memoised key→task results (after a resize)."""
-        self._route_cache.clear()
-        self._typed_route_caches.clear()
-        self._route_cache_epoch = _EPOCH_UNSET
+        for memo in self._route_memo.values():
+            memo.clear()
+        self._route_memo_epoch = _EPOCH_UNSET
 
     def _patch_route_cache(self, keys: Iterable[Key], synced_epoch: object) -> None:
         """Re-route the memo entries of ``keys`` — the only keys the assignment
@@ -115,50 +118,59 @@ class Partitioner(ABC):
         a memo that was not in sync with it holds entries of unknown age and
         is dropped instead.
         """
-        if self._route_cache_epoch != synced_epoch:
+        if self._route_memo_epoch != synced_epoch:
             self.invalidate_route_cache()
             return
         for key in keys:
-            task = self.route(key)
-            memo = memo_key(key)
-            if memo in self._route_cache:
-                self._route_cache[memo] = task
-            typed = self._typed_route_caches.get(key.__class__)
-            if typed is not None and key in typed:
-                typed[key] = task
-        self._route_cache_epoch = self._route_epoch()
+            memo = self._route_memo.get(key.__class__)
+            if memo is not None and key in memo:
+                memo[key] = self.route(key)
+        self._route_memo_epoch = self._route_epoch()
 
-    def _check_snapshot_num_tasks(self, num_tasks: Optional[int]) -> None:
-        """Reject a caller whose view of the parallelism is out of sync."""
-        if num_tasks is not None and int(num_tasks) != self.num_tasks:
-            raise ValueError(
-                f"snapshot routed for {num_tasks} tasks but partitioner has "
-                f"{self.num_tasks}"
-            )
-
-    def _sync_route_epoch(self) -> None:
-        """Drop every memo if the assignment epoch moved."""
+    def _synced_route_memo(self) -> Dict[type, Dict[Key, int]]:
+        """The memo, emptied first if the assignment epoch moved (or it is full)."""
         epoch = self._route_epoch()
-        if epoch != self._route_cache_epoch:
-            self._route_cache.clear()
-            self._typed_route_caches.clear()
-            self._route_cache_epoch = epoch
+        if epoch != self._route_memo_epoch:
+            self.invalidate_route_cache()
+            self._route_memo_epoch = epoch
+        for memo in self._route_memo.values():
+            if len(memo) >= _ROUTE_MEMO_MAX:
+                memo.clear()
+        return self._route_memo
 
-    def _valid_route_cache(self) -> Dict[Key, int]:
-        """The memo dict, cleared first if the assignment epoch moved."""
-        self._sync_route_epoch()
-        if len(self._route_cache) >= _ROUTE_CACHE_MAX:
-            self._route_cache.clear()
-        return self._route_cache
+    def _memo_routes(self, keys: Sequence[Key]) -> List[int]:
+        """``[self.route(k) for k in keys]``, answered from the memo.
+
+        A batch of one memoised key class reads as a single C-level
+        ``map(memo.get, keys)``; a mixed batch picks the class's memo per
+        key.  Either way only the misses reach :meth:`route` (keys of an
+        unmemoised class always do), and what they return is memoised.
+        """
+        memos = self._synced_route_memo()
+        classes = set(map(type, keys))
+        if len(classes) == 1:
+            out = list(map(memos.get(classes.pop(), _NO_MEMO).get, keys))
+        else:
+            out = [memos.get(key.__class__, _NO_MEMO).get(key) for key in keys]
+        if None in out:
+            route = self.route
+            for index, task in enumerate(out):
+                if task is None:
+                    key = keys[index]
+                    memo = memos.get(key.__class__)
+                    if memo is None:
+                        task = route(key)
+                    elif (task := memo.get(key)) is None:  # else filled earlier in this batch
+                        task = memo[key] = route(key)
+                    out[index] = task
+        return out
 
     def assign_batch(self, keys: Iterable[Key]) -> List[int]:
         """Destination task of every key in ``keys`` (one call, in order).
 
         Semantically identical to ``[self.route(k) for k in keys]``; cached
-        strategies answer repeated keys from the key→task memo.  A batch
-        whose keys are homogeneously ``str``/``bytes``/``int`` takes the
-        **bulk memo path**: one C-level ``map`` over a raw-key dict, with a
-        Python-level loop only over the cache misses — this is what lets the
+        strategies answer repeated keys from the key→task memo, with a
+        Python-level loop only over the misses — this is what lets the
         runtime router dispatch a chunk without per-key Python work.
         """
         if not self.cache_routes:
@@ -166,67 +178,23 @@ class Partitioner(ABC):
             return [route(key) for key in keys]
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
-        if keys and len(types := set(map(type, keys))) == 1:
-            (cls,) = types
-            if cls in _BULK_MEMO_TYPES:
-                return self._assign_batch_bulk(keys, cls)
-        cache = self._valid_route_cache()
-        cache_get = cache.get
-        route = self.route
-        out: List[int] = []
-        for key in keys:
-            memo = memo_key(key)
-            if memo is None:
-                out.append(route(key))
-                continue
-            task = cache_get(memo)
-            if task is None:
-                task = cache[memo] = route(key)
-            out.append(task)
-        return out
-
-    def _bulk_route_cache(self, cls: type) -> Dict[Key, int]:
-        """The raw-key memo dict of one key type (epoch-synced, capped)."""
-        self._sync_route_epoch()
-        cache = self._typed_route_caches.get(cls)
-        if cache is None:
-            cache = self._typed_route_caches[cls] = {}
-        elif len(cache) >= _ROUTE_CACHE_MAX:
-            cache.clear()
-        return cache
-
-    def _assign_batch_bulk(self, keys: Sequence[Key], cls: type) -> List[int]:
-        """Raw-key memo lookup of a homogeneously-``cls``-typed batch."""
-        cache = self._bulk_route_cache(cls)
-        out = list(map(cache.get, keys))
-        if None in out:  # first sighting of some keys under this assignment
-            route = self.route
-            cache_get = cache.get
-            for index, task in enumerate(out):
-                if task is None:
-                    key = keys[index]
-                    task = cache_get(key)
-                    if task is None:
-                        task = cache[key] = route(key)
-                    out[index] = task
-        return out
+        return self._memo_routes(keys)
 
     def assign_batch_array(self, keys: Sequence[Key]) -> np.ndarray:
         """Destinations as an ``intp`` ndarray (the router's dispatch shape).
 
-        Same semantics as :meth:`assign_batch`; on the all-hits bulk path the
-        array is filled straight from the raw-key memo (one C-level
-        ``fromiter`` over ``map(cache.get, …)``) without materialising the
-        intermediate Python list.
+        Same semantics as :meth:`assign_batch`; when every key of a
+        single-class batch is already memoised the array is filled straight
+        from the memo (one C-level ``fromiter`` over ``map(memo.get, …)``)
+        without materialising the intermediate Python list.
         """
         if self.cache_routes and isinstance(keys, (list, tuple)) and keys:
-            if len(types := set(map(type, keys))) == 1:
-                (cls,) = types
-                if cls in _BULK_MEMO_TYPES:
-                    cache = self._bulk_route_cache(cls)
+            if len(classes := set(map(type, keys))) == 1:
+                memo = self._synced_route_memo().get(classes.pop())
+                if memo is not None:
                     try:
                         return np.fromiter(
-                            map(cache.get, keys), dtype=np.intp, count=len(keys)
+                            map(memo.get, keys), dtype=np.intp, count=len(keys)
                         )
                     except TypeError:
                         # A miss surfaced as None; fall through to the list
@@ -234,11 +202,7 @@ class Partitioner(ABC):
                         pass
         return np.asarray(self.assign_batch(keys), dtype=np.intp)
 
-    def route_snapshot(
-        self,
-        snapshot: Mapping[Key, float],
-        num_tasks: Optional[int] = None,
-    ) -> Dict[int, Dict[Key, float]]:
+    def route_snapshot(self, snapshot: Mapping[Key, float]) -> Dict[int, Dict[Key, float]]:
         """Route a whole ``{key: count}`` interval snapshot in one call.
 
         Returns ``{task: {key: count}}`` with an (initially empty) bucket for
@@ -246,28 +210,14 @@ class Partitioner(ABC):
         shuffle) spread each key's batch over several buckets exactly like
         :meth:`route_bulk` does; key-contiguous strategies send the whole
         count to the key's single destination.  Non-positive counts are
-        skipped.  ``num_tasks``, when given, must match the partitioner's
-        current parallelism (it exists so callers can assert their view of the
-        operator is in sync).
+        skipped.
         """
-        self._check_snapshot_num_tasks(num_tasks)
         per_task: Dict[int, Dict[Key, float]] = {
             task: {} for task in range(self.num_tasks)
         }
         if self.cache_routes:
-            cache = self._valid_route_cache()
-            cache_get = cache.get
-            route = self.route
-            for key, count in snapshot.items():
-                if count <= 0:
-                    continue
-                memo = memo_key(key)
-                if memo is None:
-                    task = route(key)
-                else:
-                    task = cache_get(memo)
-                    if task is None:
-                        task = cache[memo] = route(key)
+            live = {key: count for key, count in snapshot.items() if count > 0}
+            for (key, count), task in zip(live.items(), self._memo_routes(list(live))):
                 per_task[task][key] = count
             return per_task
         for key, count in snapshot.items():

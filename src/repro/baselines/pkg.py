@@ -15,7 +15,7 @@ and its bookkeeping.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List
 
 from repro.baselines.base import Partitioner
 from repro.core.hashing import UniversalHash, memo_key
@@ -25,7 +25,7 @@ __all__ = ["PartialKeyGrouping"]
 
 Key = Hashable
 
-#: Bound on memoised candidate lists (mirrors the base route-cache cap).
+#: Bound on memoised candidate lists (mirrors the base route-memo cap).
 _CANDIDATES_CACHE_MAX = 1 << 20
 
 
@@ -36,34 +36,19 @@ class PartialKeyGrouping(Partitioner):
     ----------
     num_tasks:
         Number of downstream tasks.
-    choices:
-        Number of candidate tasks per key (2 in the original paper; the
-        follow-up work "when two choices are not enough" uses more, which is
-        supported here for completeness).
-    merge_period_ms:
-        The ``p`` parameter of the open-source PKG bolt: interval between two
-        consecutive partial-result merges.  Only used by the operator model to
-        account for the added latency; 10 ms is the value the paper selects.
     seed:
         Hash seed.
     """
 
     name = "pkg"
 
-    def __init__(
-        self,
-        num_tasks: int,
-        choices: int = 2,
-        merge_period_ms: float = 10.0,
-        seed: int = 0,
-    ) -> None:
+    #: The ``p`` parameter of the open-source PKG bolt: interval between two
+    #: consecutive partial-result merges.  Only the operator model reads it,
+    #: to account for the added latency; 10 ms is the value the paper selects.
+    merge_period_ms = 10.0
+
+    def __init__(self, num_tasks: int, seed: int = 0) -> None:
         super().__init__(num_tasks)
-        if choices < 1:
-            raise ValueError("choices must be >= 1")
-        if merge_period_ms < 0:
-            raise ValueError("merge_period_ms must be non-negative")
-        self.choices = int(choices)
-        self.merge_period_ms = float(merge_period_ms)
         self.seed = int(seed)
         self._hash = UniversalHash(num_tasks, seed=seed)
         self._loads: Dict[int, float] = {task: 0.0 for task in range(num_tasks)}
@@ -78,17 +63,15 @@ class PartialKeyGrouping(Partitioner):
     # -- routing ---------------------------------------------------------------------
 
     def candidate_tasks(self, key: Key) -> List[int]:
-        """The candidate tasks of ``key`` (its ``choices`` hash positions)."""
+        """The candidate tasks of ``key`` (its two hash positions)."""
         memo = memo_key(key)
         if memo is None:
-            return self._hash.candidates(key, self.choices)
+            return self._hash.candidates(key)
         candidates = self._candidates_cache.get(memo)
         if candidates is None:
             if len(self._candidates_cache) >= _CANDIDATES_CACHE_MAX:
                 self._candidates_cache.clear()
-            candidates = self._candidates_cache[memo] = self._hash.candidates(
-                key, self.choices
-            )
+            candidates = self._candidates_cache[memo] = self._hash.candidates(key)
         # Copy so a caller mutating the result cannot corrupt the cache.
         return list(candidates)
 
@@ -146,22 +129,6 @@ class PartialKeyGrouping(Partitioner):
     def total_partials(self) -> int:
         """Total number of (key, task) partial-state pairs this interval."""
         return sum(len(tasks) for tasks in self.split_counts.values())
-
-    def split_assignment(self) -> Dict[Key, Tuple[int, ...]]:
-        """The interval's split placement: each routed key's partial-holding
-        tasks, sorted.
-
-        A key routed to a single task maps to a 1-tuple; a *split* key (the
-        hot keys the two-choices rule actually fans out) maps to several.
-        This is the explicit form of the placement the downstream merge
-        stage reconstructs from the ``(source, partial)`` tags — exposed so
-        benches and tests can assert how many keys were split and how wide,
-        without reverse-engineering :attr:`split_counts`.
-        """
-        return {
-            key: tuple(sorted(per_task))
-            for key, per_task in self.split_counts.items()
-        }
 
     # -- lifecycle --------------------------------------------------------------------
 

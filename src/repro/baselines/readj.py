@@ -30,11 +30,14 @@ from repro.core.load import load_ceiling, load_from_costs, max_balance_indicator
 from repro.core.planner import PlannerConfig, RebalanceResult, build_result, off_hash_entries
 from repro.core.statistics import StatisticsStore
 
-__all__ = ["ReadjPlanner"]
+__all__ = ["DEFAULT_SIGMA", "ReadjPlanner"]
 
 Key = Hashable
 
 _EPS = 1e-9
+
+#: Default hot-key threshold σ (the ``readj_sigma`` tunable of the registry).
+DEFAULT_SIGMA = 2.0
 
 
 class ReadjPlanner:
@@ -51,7 +54,7 @@ class ReadjPlanner:
 
     name = "readj"
 
-    def __init__(self, sigma: float = 2.0, max_operations: int = 2000) -> None:
+    def __init__(self, sigma: float = DEFAULT_SIGMA, max_operations: int = 2000) -> None:
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
         self.sigma = float(sigma)

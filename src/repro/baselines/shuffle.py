@@ -1,19 +1,17 @@
 """Shuffle grouping — the "Ideal" upper bound of Fig. 13.
 
-Tuples are spread over the tasks regardless of their key (round-robin, or
-join-the-least-loaded when load feedback is enabled), so the workload is
-perfectly balanced by construction.  The price is that key contiguity is lost:
-the strategy cannot be used for stateful key-based operators (aggregations,
-joins) without an additional merge stage, which is exactly why the paper uses
-it only as a theoretical performance bound.
+Tuples are spread over the tasks round-robin regardless of their key, so the
+workload is perfectly balanced by construction.  The price is that key
+contiguity is lost: the strategy cannot be used for stateful key-based
+operators (aggregations, joins) without an additional merge stage, which is
+exactly why the paper uses it only as a theoretical performance bound.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, Mapping
 
 from repro.baselines.base import Partitioner
-from repro.core.statistics import IntervalStats
 
 __all__ = ["ShufflePartitioner"]
 
@@ -21,33 +19,17 @@ Key = Hashable
 
 
 class ShufflePartitioner(Partitioner):
-    """Key-oblivious tuple spreading.
-
-    Parameters
-    ----------
-    num_tasks:
-        Number of downstream tasks.
-    least_loaded:
-        When True, each tuple joins the task with the least load routed so far
-        in the current interval (a fluid approximation of Storm's local
-        shuffle + backpressure); otherwise strict round-robin.
-    """
+    """Key-oblivious round-robin tuple spreading over ``num_tasks`` tasks."""
 
     name = "shuffle"
 
-    def __init__(self, num_tasks: int, least_loaded: bool = False) -> None:
+    def __init__(self, num_tasks: int) -> None:
         super().__init__(num_tasks)
-        self.least_loaded = bool(least_loaded)
         self._next = 0
-        self._interval_load: Dict[int, float] = {task: 0.0 for task in range(num_tasks)}
 
     def route(self, key: Key) -> int:
-        if self.least_loaded:
-            task = min(self._interval_load, key=lambda d: (self._interval_load[d], d))
-            self._interval_load[task] += 1.0
-            return task
-        task = self._next
-        self._next = (self._next + 1) % self.num_tasks
+        task = self._next % self.num_tasks  # a scale-in may have left the cursor out of range
+        self._next = task + 1
         return task
 
     def route_bulk(self, key: Key, count: float) -> Dict[int, float]:
@@ -57,45 +39,13 @@ class ShufflePartitioner(Partitioner):
         if count == 0:
             return {}
         share = count / self.num_tasks
-        for task in range(self.num_tasks):
-            self._interval_load[task] += share
         return {task: share for task in range(self.num_tasks)}
 
-    def route_snapshot(
-        self,
-        snapshot,
-        num_tasks=None,
-    ) -> Dict[int, Dict[Key, float]]:
+    def route_snapshot(self, snapshot: Mapping[Key, float]) -> Dict[int, Dict[Key, float]]:
         """Vectorised even spread: every task receives ``count / N`` per key."""
-        self._check_snapshot_num_tasks(num_tasks)
         n = self.num_tasks
-        shares = {
-            key: count / n for key, count in snapshot.items() if count > 0
-        }
-        per_task_total = sum(shares.values())
-        per_task: Dict[int, Dict[Key, float]] = {}
-        for task in range(n):
-            per_task[task] = dict(shares)
-            self._interval_load[task] += per_task_total
-        return per_task
-
-    def on_interval_end(self, stats: IntervalStats) -> None:
-        # Reset the per-interval load estimate; shuffle never migrates state.
-        self._interval_load = {task: 0.0 for task in range(self.num_tasks)}
-        return None
+        shares = {key: count / n for key, count in snapshot.items() if count > 0}
+        return {task: dict(shares) for task in range(n)}
 
     def supports_stateful(self) -> bool:
         return False
-
-    def scale_out(self, new_num_tasks: int) -> None:
-        super().scale_out(new_num_tasks)
-        for task in range(new_num_tasks):
-            self._interval_load.setdefault(task, 0.0)
-
-    def scale_in(self, new_num_tasks: int) -> None:
-        super().scale_in(new_num_tasks)
-        self._interval_load = {
-            task: load
-            for task, load in self._interval_load.items()
-            if task < new_num_tasks
-        }

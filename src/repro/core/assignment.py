@@ -6,14 +6,14 @@ entry, the universal hash ``h(k)`` decides the destination::
     F(k) = A[k]   if (k, d) ∈ A
          = h(k)   otherwise
 
-The class also provides the bookkeeping the planner needs: the set of keys
-whose destination changes between two assignment functions (``Δ(F, F′)``), and
-construction helpers for a rebalanced copy.
+The class also provides what the planner needs: batch and columnar evaluation
+of ``F`` and ``h``, and construction helpers for a rebalanced copy (``Δ(F, F′)``
+itself comes from the routing-table diff, see :mod:`repro.core.migration`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -150,45 +150,7 @@ class AssignmentFunction:
         """True when ``key`` is routed by the table rather than the hash."""
         return key in self._table
 
-    def destinations(self, keys: Iterable[Key]) -> Dict[Key, int]:
-        """Evaluate ``F`` over many keys at once."""
-        keys = list(keys)
-        return dict(zip(keys, self.assign_batch(keys)))
-
-    def keys_of_task(self, task: int, keys: Iterable[Key]) -> List[Key]:
-        """Subset of ``keys`` currently assigned to ``task``."""
-        keys = list(keys)
-        return [
-            key
-            for key, destination in zip(keys, self.assign_batch(keys))
-            if destination == task
-        ]
-
-    def partition(self, keys: Iterable[Key]) -> Dict[int, List[Key]]:
-        """Group ``keys`` by destination task."""
-        groups: Dict[int, List[Key]] = {task: [] for task in self.tasks}
-        keys = list(keys)
-        for key, destination in zip(keys, self.assign_batch(keys)):
-            groups[destination].append(key)
-        return groups
-
     # -- rebalancing helpers -----------------------------------------------------
-
-    def delta(self, other: "AssignmentFunction", keys: Iterable[Key]) -> Set[Key]:
-        """``Δ(F, F′)``: keys whose destination differs between the two functions.
-
-        Only keys in ``keys`` (typically the keys observed in the statistics
-        window) are considered — unseen keys carry no state and therefore incur
-        no migration.
-        """
-        keys = list(keys)
-        return {
-            key
-            for key, mine, theirs in zip(
-                keys, self.assign_batch(keys), other.assign_batch(keys)
-            )
-            if mine != theirs
-        }
 
     def with_table(self, table: RoutingTable) -> "AssignmentFunction":
         """Return a new assignment function sharing ``h`` but with ``table``."""
@@ -199,18 +161,6 @@ class AssignmentFunction:
         return AssignmentFunction(
             self._hash, self._table.copy(), num_tasks=self._num_tasks
         )
-
-    def normalized_table(self) -> RoutingTable:
-        """Return a copy of the table with redundant entries removed.
-
-        An entry ``(k, d)`` is redundant when ``d == h(k)``; dropping it does
-        not change ``F`` but shrinks ``N_A``.
-        """
-        table = self._table.copy()
-        for key in list(table.keys()):
-            if table[key] == self._hash(key):
-                table.discard(key)
-        return table
 
     # -- construction helpers ----------------------------------------------------
 
@@ -228,29 +178,6 @@ class AssignmentFunction:
             RoutingTable(max_size=max_table_size),
             num_tasks=num_tasks,
         )
-
-    @classmethod
-    def from_mapping(
-        cls,
-        hash_function: HashFunction,
-        mapping: Mapping[Key, int],
-        *,
-        num_tasks: Optional[int] = None,
-        max_table_size: Optional[int] = None,
-    ) -> "AssignmentFunction":
-        """Create an assignment that pins ``mapping`` on top of ``hash_function``.
-
-        Entries agreeing with the hash are dropped to keep the table minimal.
-        """
-        function = cls(
-            hash_function,
-            RoutingTable(max_size=max_table_size),
-            num_tasks=num_tasks,
-        )
-        for key, task in mapping.items():
-            if task != hash_function(key):
-                function.routing_table.set(key, task, enforce_limit=False)
-        return function
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

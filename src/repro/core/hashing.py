@@ -182,10 +182,6 @@ class UniversalHash:
         self._last_array = (keys, hashed)
         return hashed
 
-    def with_num_tasks(self, num_tasks: int) -> "UniversalHash":
-        """Return a new hash over ``num_tasks`` tasks with the same seed."""
-        return UniversalHash(num_tasks, seed=self._seed)
-
     def candidates(self, key: Hashable, choices: int = 2) -> List[int]:
         """Return ``choices`` distinct candidate tasks for ``key``.
 

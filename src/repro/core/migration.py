@@ -82,13 +82,6 @@ class MigrationPlan:
             groups.setdefault(move.source, []).append(move)
         return groups
 
-    def moves_by_target(self) -> Dict[int, List[KeyMove]]:
-        """Group the moves by the task that must receive state."""
-        groups: Dict[int, List[KeyMove]] = {}
-        for move in self.moves:
-            groups.setdefault(move.target, []).append(move)
-        return groups
-
     def affected_tasks(self) -> Set[int]:
         """All tasks that either send or receive state."""
         tasks: Set[int] = set()

@@ -129,12 +129,6 @@ class RebalanceResult:
         """``M_i(w, F, F′)`` — total state volume to transfer."""
         return self.migration_plan.total_state
 
-    def within_table_limit(self, max_table_size: Optional[int]) -> bool:
-        """True when the new table respects ``A_max``."""
-        if max_table_size is None:
-            return True
-        return self.table_size <= max_table_size
-
 
 class Planner(Protocol):
     """What a rebalancing strategy supplies: a name and a planning round.

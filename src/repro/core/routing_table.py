@@ -147,10 +147,6 @@ class RoutingTable:
             return 0
         return max(0, len(self._entries) - self._max_size)
 
-    def within_limit(self) -> bool:
-        """True when the table respects its ``max_size`` bound."""
-        return self.overflow() == 0
-
     def copy(self, *, max_size: Optional[int] = "unchanged") -> "RoutingTable":  # type: ignore[assignment]
         """Return a deep copy; ``max_size`` may be overridden."""
         new_max = self._max_size if max_size == "unchanged" else max_size

@@ -11,18 +11,25 @@ harness, the figure drivers, the process-runtime bench and the
 :func:`register_strategy` is immediately usable everywhere without touching
 harness code::
 
+    from repro.baselines import RebalancingPartitioner
+    from repro.core.planner import PlannerConfig
     from repro.core.strategy import register_strategy
 
-    @register_strategy("mystrat", tunables=("theta_max", "seed"),
-                       description="my partitioner")
-    def _build_mystrat(num_tasks, *, theta_max=0.08, seed=0):
-        return MyPartitioner(num_tasks, theta_max=theta_max, seed=seed)
+    @register_strategy("mystrat", tunables=("theta_max", "window", "seed"),
+                       description="my planner in the rebalance loop", rebalancing=True)
+    def _build_mystrat(num_tasks, *, seed=0, **config):
+        return RebalancingPartitioner(num_tasks, MyPlanner(), PlannerConfig(**config), seed=seed)
 
 A *rebalancing* strategy is the one loop,
 :class:`~repro.baselines.base.RebalancingPartitioner`, around a
 :class:`~repro.core.planner.Planner`, so plugging in a new planning heuristic
 means writing its ``plan(assignment, stats, config)`` and registering a
-builder that hands it to the loop (README, "One rebalance loop").
+builder that hands it to the loop (README, "One rebalance loop").  The builder
+names only what is its own — the hash seed, its planner's constructor
+arguments; the shared knobs (``theta_max``, ``max_table_size``, ``beta``,
+``window``) arrive as ``**config`` and become
+:class:`~repro.core.planner.PlannerConfig`, the one place their names and
+defaults are written.
 
 The built-in strategies are declared in :mod:`repro.engine.strategies` (they
 need the partitioner classes of :mod:`repro.baselines`, which live above

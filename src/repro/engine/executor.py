@@ -145,9 +145,5 @@ class TaskExecutor:
         pause_penalty = paused_fraction * interval_ms / 2.0
         return service + queueing + pause_penalty
 
-    def reset(self) -> None:
-        """Drop any queued backlog (used when an operator is re-deployed)."""
-        self.backlog = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TaskExecutor(capacity={self.config.capacity}, backlog={self.backlog:.1f})"

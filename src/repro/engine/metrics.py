@@ -107,10 +107,6 @@ class MetricsCollector:
         return self.mean("skewness")
 
     @property
-    def total_migrated_state(self) -> float:
-        return sum(self.series("migrated_state"))
-
-    @property
     def mean_migration_fraction(self) -> float:
         """Average migration fraction over the intervals that rebalanced."""
         fractions = [
@@ -129,10 +125,6 @@ class MetricsCollector:
     @property
     def rebalance_count(self) -> int:
         return sum(1 for record in self.intervals if record.rebalanced)
-
-    @property
-    def total_shed_tuples(self) -> float:
-        return sum(self.series("shed_tuples"))
 
     def shed_by_task(self) -> Dict[int, float]:
         """Cumulative shed-tuple totals per task across the whole run."""

@@ -21,45 +21,23 @@ simulator can charge them to the next interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Hashable, Mapping, Set
 
 from repro.core.migration import MigrationPlan
 from repro.engine.operator import Task
 
-__all__ = ["MigrationConfig", "MigrationReport", "MigrationProtocol"]
+__all__ = ["MigrationReport", "MigrationProtocol"]
 
 Key = Hashable
 
 
-@dataclass(frozen=True)
-class MigrationConfig:
-    """Cost parameters of the migration path.
-
-    Attributes
-    ----------
-    bytes_per_state_unit:
-        Serialised size of one abstract memory unit of state.
-    bandwidth_bytes_per_second:
-        Network bandwidth available for state transfer between two tasks.
-    pause_overhead_seconds:
-        Fixed protocol overhead (pause/resume round trips, acknowledgements).
-    parallel_transfers:
-        Whether transfers between disjoint task pairs proceed in parallel
-        (duration = slowest pair) or sequentially (duration = sum).
-    """
-
-    bytes_per_state_unit: float = 100.0
-    bandwidth_bytes_per_second: float = 50e6
-    pause_overhead_seconds: float = 0.05
-    parallel_transfers: bool = True
-
-    def __post_init__(self) -> None:
-        if self.bytes_per_state_unit < 0:
-            raise ValueError("bytes_per_state_unit must be non-negative")
-        if self.bandwidth_bytes_per_second <= 0:
-            raise ValueError("bandwidth_bytes_per_second must be positive")
-        if self.pause_overhead_seconds < 0:
-            raise ValueError("pause_overhead_seconds must be non-negative")
+#: Cost parameters of the migration path: serialised size of one abstract
+#: memory unit of state, the network bandwidth between two tasks, and the
+#: fixed protocol overhead (pause/resume round trips, acknowledgements).
+#: Transfers between disjoint task pairs proceed in parallel.
+BYTES_PER_STATE_UNIT = 100.0
+BANDWIDTH_BYTES_PER_SECOND = 50e6
+PAUSE_OVERHEAD_SECONDS = 0.05
 
 
 @dataclass
@@ -73,16 +51,9 @@ class MigrationReport:
     #: Fraction of the next interval each affected task spends on the hand-off.
     pause_fraction_by_task: Dict[int, float] = field(default_factory=dict)
 
-    @property
-    def affected_tasks(self) -> Set[int]:
-        return set(self.pause_fraction_by_task)
-
 
 class MigrationProtocol:
     """Executes migration plans against in-memory task instances."""
-
-    def __init__(self, config: Optional[MigrationConfig] = None) -> None:
-        self.config = config if config is not None else MigrationConfig()
 
     def execute(
         self,
@@ -120,23 +91,19 @@ class MigrationProtocol:
             report.moved_keys += 1
             report.moved_state += size
             report.paused_keys.add(move.key)
-            volume = size * self.config.bytes_per_state_unit
+            volume = size * BYTES_PER_STATE_UNIT
             per_pair_bytes[(move.source, move.target)] = (
                 per_pair_bytes.get((move.source, move.target), 0.0) + volume
             )
             per_task_bytes[move.source] = per_task_bytes.get(move.source, 0.0) + volume
             per_task_bytes[move.target] = per_task_bytes.get(move.target, 0.0) + volume
 
-        bandwidth = self.config.bandwidth_bytes_per_second
-        if self.config.parallel_transfers:
-            transfer_seconds = max(
-                (volume / bandwidth for volume in per_pair_bytes.values()), default=0.0
-            )
-        else:
-            transfer_seconds = sum(per_pair_bytes.values()) / bandwidth
-        report.duration_seconds = transfer_seconds + self.config.pause_overhead_seconds
+        transfer_seconds = max(
+            volume / BANDWIDTH_BYTES_PER_SECOND for volume in per_pair_bytes.values()
+        )
+        report.duration_seconds = transfer_seconds + PAUSE_OVERHEAD_SECONDS
 
         for task_id, volume in per_task_bytes.items():
-            busy = volume / bandwidth + self.config.pause_overhead_seconds
+            busy = volume / BANDWIDTH_BYTES_PER_SECOND + PAUSE_OVERHEAD_SECONDS
             report.pause_fraction_by_task[task_id] = min(1.0, busy / interval_seconds)
         return report

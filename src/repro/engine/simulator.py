@@ -34,7 +34,7 @@ from repro.engine.backpressure import ShedLedger
 from repro.core.statistics import IntervalStats
 from repro.engine.executor import ExecutorConfig, TaskExecutor
 from repro.engine.metrics import IntervalMetrics, MetricsCollector
-from repro.engine.migration_protocol import MigrationConfig, MigrationProtocol
+from repro.engine.migration_protocol import MigrationProtocol
 from repro.engine.operator import OperatorLogic, Task
 from repro.engine.topology import StageSpec, TopologySpec
 
@@ -69,8 +69,6 @@ class SimulationConfig:
     max_backlog_intervals:
         Queue bound per task, in multiples of its per-interval capacity
         (Storm's max-pending behaviour); work beyond it is shed.
-    migration:
-        Cost parameters of the migration protocol.
     """
 
     interval_seconds: float = 10.0
@@ -78,7 +76,6 @@ class SimulationConfig:
     fixed_capacity: Optional[float] = None
     service_time_ms: float = 1.0
     max_backlog_intervals: float = 2.0
-    migration: MigrationConfig = field(default_factory=MigrationConfig)
 
     def __post_init__(self) -> None:
         if self.interval_seconds <= 0:
@@ -115,7 +112,7 @@ class _StageRuntime:
             task_id: Task(task_id, stage.logic) for task_id in range(stage.parallelism)
         }
         self.executors: Dict[int, TaskExecutor] = {}
-        self.protocol = MigrationProtocol(config.migration)
+        self.protocol = MigrationProtocol()
         self.pending_pause: Dict[int, float] = {}
         #: Tuples admitted but not yet processed, per task and key (the tuple-
         #: level view of the executor's cost backlog) — they are forwarded
@@ -193,7 +190,7 @@ class _StageRuntime:
         assert self.capacity is not None
 
         # Route the whole snapshot through the partitioner's batch fast path.
-        per_task_freqs = partitioner.route_snapshot(in_freqs, num_tasks)
+        per_task_freqs = partitioner.route_snapshot(in_freqs)
 
         offered_cost: Dict[int, float] = {}
         offered_tuples: Dict[int, float] = {}

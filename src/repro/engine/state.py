@@ -172,10 +172,6 @@ class KeyedState:
         """
         return self._total_size
 
-    def size_map(self) -> Dict[Key, float]:
-        """``{key: S(k, w)}`` for every key with state on this task."""
-        return {key: self.key_size(key) for key in self._per_key}
-
     # -- migration ---------------------------------------------------------------------
 
     def snapshot(self, key: Key) -> KeyStateSnapshot:

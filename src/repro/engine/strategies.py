@@ -6,8 +6,11 @@ rebalancing strategy is the one loop,
 :class:`~repro.baselines.base.RebalancingPartitioner`, handed a different
 planner: a core algorithm (mixed, mintable, minmig, mixedbf, simple), Mixed
 over the compact representation, Readj's pairwise search or DKG's heavy-key
-placement.  Importing this module populates the registry; the accessors in
-:mod:`repro.core.strategy` do so lazily.
+placement.  A builder names only what is its own (the seed of ``h``, the
+planner's constructor arguments); the shared knobs arrive as ``**config`` and
+become :class:`~repro.core.planner.PlannerConfig`, the one place their names
+and defaults are written.  Importing this module populates the registry; the
+accessors in :mod:`repro.core.strategy` do so lazily.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from repro.baselines import (
     RebalancingPartitioner,
     ShufflePartitioner,
 )
+from repro.baselines.readj import DEFAULT_SIGMA
 from repro.core.compact import CompactMixedPlanner
-from repro.core.criteria import DEFAULT_BETA
 from repro.core.discretization import HLHEDiscretizer
-from repro.core.planner import Planner, PlannerConfig, get_algorithm
+from repro.core.planner import PlannerConfig, get_algorithm
 from repro.core.strategy import register_strategy
 
 __all__: list = []
@@ -61,11 +64,6 @@ def _build_pkg(num_tasks: int, *, seed: int = 0) -> Partitioner:
     return PartialKeyGrouping(num_tasks, seed=seed)
 
 
-def _loop(num_tasks: int, planner: Planner, seed: int, **knobs) -> Partitioner:
-    """The rebalance loop around ``planner``; ``knobs`` are :class:`PlannerConfig` fields."""
-    return RebalancingPartitioner(num_tasks, planner, PlannerConfig(**knobs), seed=seed)
-
-
 @register_strategy(
     "readj",
     tunables=("theta_max", "readj_sigma", "window", "seed"),
@@ -73,15 +71,10 @@ def _loop(num_tasks: int, planner: Planner, seed: int, **knobs) -> Partitioner:
     rebalancing=True,
 )
 def _build_readj(
-    num_tasks: int,
-    *,
-    theta_max: float = 0.08,
-    readj_sigma: float = 2.0,
-    window: int = 1,
-    seed: int = 0,
+    num_tasks: int, *, seed: int = 0, readj_sigma: float = DEFAULT_SIGMA, **config
 ) -> Partitioner:
-    return _loop(
-        num_tasks, ReadjPlanner(sigma=readj_sigma), seed, theta_max=theta_max, window=window
+    return RebalancingPartitioner(
+        num_tasks, ReadjPlanner(sigma=readj_sigma), PlannerConfig(**config), seed=seed
     )
 
 
@@ -91,30 +84,14 @@ def _build_readj(
     description="DKG baseline (distribution-aware key grouping)",
     rebalancing=True,
 )
-def _build_dkg(
-    num_tasks: int, *, theta_max: float = 0.08, window: int = 1, seed: int = 0
-) -> Partitioner:
-    return _loop(num_tasks, DKGPlanner(), seed, theta_max=theta_max, window=window)
+def _build_dkg(num_tasks: int, *, seed: int = 0, **config) -> Partitioner:
+    return RebalancingPartitioner(num_tasks, DKGPlanner(), PlannerConfig(**config), seed=seed)
 
 
 def _algorithm_builder(algorithm: str):
-    def build(
-        num_tasks: int,
-        *,
-        theta_max: float = 0.08,
-        max_table_size: Optional[int] = None,
-        beta: float = DEFAULT_BETA,
-        window: int = 1,
-        seed: int = 0,
-    ) -> Partitioner:
-        return _loop(
-            num_tasks,
-            get_algorithm(algorithm),
-            seed,
-            theta_max=theta_max,
-            max_table_size=max_table_size,
-            beta=beta,
-            window=window,
+    def build(num_tasks: int, *, seed: int = 0, **config) -> Partitioner:
+        return RebalancingPartitioner(
+            num_tasks, get_algorithm(algorithm), PlannerConfig(**config), seed=seed
         )
 
     return build
@@ -152,25 +129,12 @@ for _algorithm, _description in _ALGORITHM_DESCRIPTIONS.items():
     rebalancing=True,
 )
 def _build_compact(
-    num_tasks: int,
-    *,
-    theta_max: float = 0.08,
-    max_table_size: Optional[int] = None,
-    beta: float = DEFAULT_BETA,
-    window: int = 1,
-    seed: int = 0,
-    discretization_degree: Optional[int] = 8,
+    num_tasks: int, *, seed: int = 0, discretization_degree: Optional[int] = 8, **config
 ) -> Partitioner:
     # ``None`` keeps the original key space (the Fig. 11(a) baseline).
     discretizer = (
         HLHEDiscretizer(discretization_degree) if discretization_degree is not None else None
     )
-    return _loop(
-        num_tasks,
-        CompactMixedPlanner(discretizer),
-        seed,
-        theta_max=theta_max,
-        max_table_size=max_table_size,
-        beta=beta,
-        window=window,
+    return RebalancingPartitioner(
+        num_tasks, CompactMixedPlanner(discretizer), PlannerConfig(**config), seed=seed
     )

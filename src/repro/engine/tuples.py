@@ -37,23 +37,3 @@ class StreamTuple:
     interval: int = 0
     timestamp: Optional[float] = None
     stream: str = "default"
-
-    def with_stream(self, stream: str) -> "StreamTuple":
-        """Return a copy tagged as belonging to ``stream``."""
-        return StreamTuple(
-            key=self.key,
-            value=self.value,
-            interval=self.interval,
-            timestamp=self.timestamp,
-            stream=stream,
-        )
-
-    def rekey(self, key: Hashable) -> "StreamTuple":
-        """Return a copy routed by a different ``key`` (downstream re-keying)."""
-        return StreamTuple(
-            key=key,
-            value=self.value,
-            interval=self.interval,
-            timestamp=self.timestamp,
-            stream=self.stream,
-        )

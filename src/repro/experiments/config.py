@@ -11,7 +11,9 @@ the ``paper`` preset restores the published defaults for full runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Any, Dict
+
+from repro.core.planner import PlannerConfig
 
 __all__ = ["ExperimentScale", "SCALES", "get_scale"]
 
@@ -37,12 +39,21 @@ class ExperimentScale:
     skew: float = 0.85
     #: Default fluctuation rate f.
     fluctuation: float = 1.0
-    #: Default imbalance tolerance θ_max.
-    theta_max: float = 0.08
-    #: Default γ weight β.
-    beta: float = 1.5
+    #: Default imbalance tolerance θ_max (the planner's own default: Tab. II).
+    theta_max: float = PlannerConfig.theta_max
+    #: Default γ weight β (likewise).
+    beta: float = PlannerConfig.beta
     #: Default state window w.
     window: int = 1
+
+    def tunables(self) -> Dict[str, Any]:
+        """The scale's strategy tunables, as ``StrategySpec.build`` keywords."""
+        return {
+            "theta_max": self.theta_max,
+            "max_table_size": self.max_table_size,
+            "beta": self.beta,
+            "window": self.window,
+        }
 
     def scaled(self, **overrides) -> "ExperimentScale":
         """Return a copy with some fields overridden."""

@@ -134,33 +134,25 @@ def _nd_theta_k_sweep(
     windows: Sequence[int],
     sweep_name: str,
     sweep_values: Sequence,
-    num_tasks_of=None,
-    theta_of=None,
-    num_keys_of=None,
     seed: int = 0,
 ) -> ExperimentResult:
-    """Shared Figs. 8–10 shape: one workload axis crossed with the window axis."""
-
-    def _num_tasks(axis):
-        return num_tasks_of(axis[sweep_name]) if num_tasks_of else scale.num_tasks
-
+    """Shared Figs. 8–10 shape: ``num_tasks``, ``theta_max`` or ``num_keys``
+    crossed with the window axis."""
     result.rows.extend(
         planner_sweep(
+            scale,
             axes={sweep_name: sweep_values, "window": windows},
             algorithms=strategies,
             workload=lambda axis: zipf_workload(
                 scale,
-                num_keys=num_keys_of(axis[sweep_name]) if num_keys_of else scale.num_keys,
-                num_tasks=_num_tasks(axis),
+                num_keys=axis.get("num_keys"),
+                num_tasks=axis.get("num_tasks"),
                 seed=seed,
             ),
-            planner_kwargs=lambda axis: dict(
-                num_tasks=_num_tasks(axis),
-                theta_max=theta_of(axis[sweep_name]) if theta_of else scale.theta_max,
-                max_table_size=scale.max_table_size,
-                beta=scale.beta,
-                window=axis["window"],
-            ),
+            # The key domain only shapes the workload; the other axes configure the strategy.
+            varied=lambda axis: {
+                name: value for name, value in axis.items() if name != "num_keys"
+            },
             row=lambda run, axis: _planner_metric_columns(run),
             seed=seed,
         )
@@ -198,7 +190,6 @@ def _fig08(
         windows=windows,
         sweep_name="num_tasks",
         sweep_values=task_counts,
-        num_tasks_of=lambda value: value,
         seed=seed,
     )
 
@@ -232,7 +223,6 @@ def _fig09(
         windows=windows,
         sweep_name="theta_max",
         sweep_values=thetas,
-        theta_of=lambda value: value,
         seed=seed,
     )
 
@@ -273,7 +263,6 @@ def _fig10(
         windows=windows,
         sweep_name="num_keys",
         sweep_values=key_domains,
-        num_keys_of=lambda value: value,
         seed=seed,
     )
 
@@ -317,12 +306,9 @@ def _fig11(
             "compact",
             workload,
             num_tasks=scale.num_tasks,
-            theta_max=theta,
-            max_table_size=scale.max_table_size,
-            window=scale.window,
-            discretization_degree=degree,
-            force_every_interval=force,
             seed=seed,
+            force_every_interval=force,
+            **{**scale.tunables(), "theta_max": theta, "discretization_degree": degree},
         )
 
     # Panel (a): generation time vs R (plus the uncompacted baseline).
@@ -368,7 +354,7 @@ def _fig12(
     result = ExperimentResult(
         figure="Fig. 12",
         title="Scheduling efficiency and migration cost with varying distribution change frequency",
-        parameters={"theta_max": 0.08, "K": scale.num_keys, "scale": scale.name},
+        parameters={"theta_max": scale.theta_max, "K": scale.num_keys, "scale": scale.name},
         notes=(
             "Expected shape: Readj and MixedBF generation times are orders of "
             "magnitude above Mixed/MinTable; Mixed's migration cost grows slowest "
@@ -377,17 +363,11 @@ def _fig12(
     )
     result.rows.extend(
         planner_sweep(
+            scale,
             axes={"fluctuation": fluctuations},
             algorithms=strategies,
             workload=lambda axis: zipf_workload(
                 scale, fluctuation=axis["fluctuation"], seed=seed
-            ),
-            planner_kwargs=lambda axis: dict(
-                num_tasks=scale.num_tasks,
-                theta_max=0.08,
-                max_table_size=scale.max_table_size,
-                beta=scale.beta,
-                window=scale.window,
             ),
             row=lambda run, axis: {
                 "avg_generation_time_ms": run.avg_generation_time * 1e3,
@@ -662,10 +642,8 @@ def _fig16(
             def factory(stage_name: str, parallelism: int, _spec=spec, _theta=theta):
                 return _spec.build(
                     parallelism,
-                    theta_max=_theta,
-                    max_table_size=scale.max_table_size,
-                    window=q5_window,
                     seed=seed,
+                    **{**scale.tunables(), "theta_max": _theta, "window": q5_window},
                 )
 
             topology = build_q5_topology(
@@ -719,17 +697,15 @@ def _fig17(
     workload = zipf_workload(scale, seed=seed)
     result.rows.extend(
         planner_sweep(
+            scale,
             axes={"theta_max": thetas, "cap_exponent": cap_exponents},
             algorithms=("mixed",),
             include_algorithm=False,
             workload=lambda axis: workload,
-            planner_kwargs=lambda axis: dict(
-                num_tasks=scale.num_tasks,
-                theta_max=axis["theta_max"],
-                max_table_size=2 ** axis["cap_exponent"],
-                beta=scale.beta,
-                window=scale.window,
-            ),
+            varied=lambda axis: {
+                "theta_max": axis["theta_max"],
+                "max_table_size": 2 ** axis["cap_exponent"],
+            },
             row=lambda run, axis: {
                 "table_cap": 2 ** axis["cap_exponent"],
                 "migration_cost_pct": run.avg_migration_fraction * 100,
@@ -770,17 +746,13 @@ def _fig18(
     )
     result.rows.extend(
         planner_sweep(
+            scale,
             axes={"theta_max": thetas},
             algorithms=("minmig",),
             include_algorithm=False,
             workload=lambda axis: zipf_workload(scale, intervals=adjustments, seed=seed),
-            planner_kwargs=lambda axis: dict(
-                num_tasks=scale.num_tasks,
-                theta_max=axis["theta_max"],
-                max_table_size=None,
-                beta=scale.beta,
-                window=scale.window,
-            ),
+            # Unbounded table: the figure is about how far it grows.
+            varied=lambda axis: {"theta_max": axis["theta_max"], "max_table_size": None},
             row=lambda run, axis: [
                 {"adjustment": adjustment, "routing_table_size": size}
                 for adjustment, size in enumerate(run.table_sizes, start=1)
@@ -815,18 +787,13 @@ def _fig19(
     )
     result.rows.extend(
         planner_sweep(
+            scale,
             axes={"window": windows},
             algorithms=strategies,
             workload=lambda axis: zipf_workload(
                 scale, intervals=max(scale.intervals, axis["window"] + 3), seed=seed
             ),
-            planner_kwargs=lambda axis: dict(
-                num_tasks=scale.num_tasks,
-                theta_max=scale.theta_max,
-                max_table_size=scale.max_table_size,
-                beta=scale.beta,
-                window=axis["window"],
-            ),
+            varied=lambda axis: {"window": axis["window"]},
             row=lambda run, axis: {
                 "migration_cost_pct": run.avg_migration_fraction * 100
             },
@@ -845,17 +812,17 @@ def _beta_sweep(
     """Shared Figs. 20/21 sweep: MinMig over β × θ_max, forced every interval."""
     workload = zipf_workload(scale, seed=seed)
     return planner_sweep(
+        scale,
         axes={"theta_max": thetas, "beta": betas},
         algorithms=("minmig",),
         include_algorithm=False,
         workload=lambda axis: workload,
-        planner_kwargs=lambda axis: dict(
-            num_tasks=scale.num_tasks,
-            theta_max=axis["theta_max"],
-            max_table_size=None,
-            beta=axis["beta"],
-            window=scale.window,
-        ),
+        # Unbounded table, as in Fig. 18: β's effect on its size is the subject.
+        varied=lambda axis: {
+            "theta_max": axis["theta_max"],
+            "beta": axis["beta"],
+            "max_table_size": None,
+        },
         row=lambda run, axis: {
             "routing_table_size": run.avg_table_size,
             "migration_cost_pct": run.avg_migration_fraction * 100,

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional
 
-from repro.core.load import load_from_costs, max_balance_indicator
+from repro.core.load import load_from_columns, max_balance_indicator
 from repro.core.statistics import IntervalStats
 from repro.core.strategy import get_strategy
 from repro.engine.metrics import MetricsCollector
@@ -97,25 +97,21 @@ def run_planner_sequence(
     workload: Iterable[WorkloadSnapshot],
     *,
     num_tasks: int,
-    theta_max: float = 0.08,
-    max_table_size: Optional[int] = None,
-    beta: float = 1.5,
-    window: int = 1,
-    discretization_degree: Optional[int] = 8,
-    readj_sigma: float = 2.0,
     seed: int = 0,
     force_every_interval: bool = False,
+    **tunables: Any,
 ) -> PlannerRun:
     """Stream interval snapshots through a rebalancer and collect planner metrics.
 
     ``algorithm`` is any rebalancing strategy in the
     :mod:`repro.core.strategy` registry (``"mixed"``, ``"mintable"``,
     ``"minmig"``, ``"mixedbf"``, ``"simple"``, ``"compact"``, ``"readj"``,
-    ``"dkg"``, or a third-party one), built by the registry and streamed
-    through ``on_interval_end``; ``discretization_degree`` reaches
-    ``"compact"`` only (``None`` keeps the original key space).
-    ``force_every_interval`` plans every interval even when the operator is
-    already balanced (the routing-table-growth and Fig. 11(b) experiments).
+    ``"dkg"``, or a third-party one), built by the registry from ``tunables``
+    (any :data:`~repro.core.strategy.STANDARD_TUNABLES`; what is left out
+    keeps the strategy's own default) and streamed through
+    ``on_interval_end``.  ``force_every_interval`` plans every interval even
+    when the operator is already balanced (the routing-table-growth and
+    Fig. 11(b) experiments).
     """
     run = PlannerRun(algorithm=algorithm)
     spec = get_strategy(algorithm)
@@ -124,19 +120,12 @@ def run_planner_sequence(
             f"strategy {algorithm!r} never rebalances; a planner sweep "
             "needs a rebalancing strategy"
         )
-    partitioner = spec.build(
-        num_tasks,
-        theta_max=theta_max,
-        max_table_size=max_table_size,
-        beta=beta,
-        window=window,
-        seed=seed,
-        readj_sigma=readj_sigma,
-        discretization_degree=discretization_degree,
-    )
+    partitioner = spec.build(num_tasks, seed=seed, **tunables)
     for index, snapshot in enumerate(workload):
         stats = IntervalStats.from_frequencies(index, snapshot)
-        loads = load_from_costs(stats.columns().cost_map, partitioner.route, num_tasks)
+        columns = stats.columns()
+        routed = partitioner.assign_batch_array(columns.keys)
+        loads = load_from_columns(routed, columns.cost, num_tasks)
         run.skewness_before.append(max_balance_indicator(loads))
         if force_every_interval:
             partitioner.observe(stats)
@@ -161,36 +150,22 @@ def run_simulation(
     logic: OperatorLogic,
     *,
     num_tasks: int,
-    theta_max: float = 0.08,
-    max_table_size: Optional[int] = None,
-    beta: float = 1.5,
-    window: int = 1,
-    readj_sigma: float = 2.0,
     capacity_factor: float = 1.15,
-    interval_seconds: float = 10.0,
     seed: int = 0,
     scale_out_at: Optional[Mapping[int, int]] = None,
+    **tunables: Any,
 ) -> MetricsCollector:
     """Run one strategy on one operator over the given workload.
 
-    ``beta`` and ``readj_sigma`` reach the underlying partitioner, so a
-    simulated readj/mixed run can match a planner-sweep configuration exactly.
+    ``tunables`` reach the strategy's builder exactly as in
+    :func:`run_planner_sequence`, so a simulated readj/mixed run can match a
+    planner-sweep configuration.
     """
-    partitioner = get_strategy(strategy).build(
-        num_tasks,
-        theta_max=theta_max,
-        max_table_size=max_table_size,
-        beta=beta,
-        window=window,
-        seed=seed,
-        readj_sigma=readj_sigma,
-    )
+    partitioner = get_strategy(strategy).build(num_tasks, seed=seed, **tunables)
     simulator = OperatorSimulator(
         partitioner,
         logic,
-        SimulationConfig(
-            capacity_factor=capacity_factor, interval_seconds=interval_seconds
-        ),
+        SimulationConfig(capacity_factor=capacity_factor),
         name=logic.name,
     )
     collector = simulator.run(workload, scale_out_at=scale_out_at)

@@ -7,7 +7,7 @@ declare *what* varies:
 * :func:`planner_sweep` — stream a workload through rebalancers over the
   cartesian product of one or more parameter axes (Figs. 8–12, 17–21);
 * :func:`simulate` — run one strategy through the fluid engine simulator with
-  the scale preset supplying every untouched knob (Figs. 13–15);
+  the scale preset supplying every knob the figure does not vary (Figs. 13–15);
 * :func:`percentile_points` — collapse a sample list into the CDF percentile
   points the skewness figures plot (Fig. 7).
 
@@ -82,11 +82,12 @@ def percentile_points(
 
 
 def planner_sweep(
+    scale: ExperimentScale,
     *,
     axes: Mapping[str, Sequence[Any]],
     workload: Callable[[Dict[str, Any]], List[Dict[Any, float]]],
-    planner_kwargs: Callable[[Dict[str, Any]], Dict[str, Any]],
     row: Callable[[PlannerRun, Dict[str, Any]], Any],
+    varied: Callable[[Dict[str, Any]], Dict[str, Any]] = lambda axis: {},
     algorithms: Sequence[str] = ("mixed",),
     include_algorithm: bool = True,
     force_every_interval: bool = False,
@@ -97,26 +98,28 @@ def planner_sweep(
     For every axis combination (iterated first-axis-major, matching the
     figures' nesting) the ``workload`` factory materialises the interval
     snapshots, each algorithm in ``algorithms`` is streamed through
-    :func:`~repro.experiments.harness.run_planner_sequence` with the knobs
-    produced by ``planner_kwargs``, and ``row`` maps the finished
-    :class:`~repro.experiments.harness.PlannerRun` onto its metric columns —
-    either one ``{column: value}`` dict or a list of them (for per-adjustment
-    figures).  Each emitted row starts with the axis columns, then the
-    ``algorithm`` column (unless ``include_algorithm`` is off), then the
-    metric columns.
+    :func:`~repro.experiments.harness.run_planner_sequence` with the scale's
+    ``num_tasks`` and tunables — except what ``varied`` returns for the
+    combination, the knobs this figure sweeps or pins — and ``row`` maps the
+    finished :class:`~repro.experiments.harness.PlannerRun` onto its metric
+    columns: either one ``{column: value}`` dict or a list of them (for
+    per-adjustment figures).  Each emitted row starts with the axis columns,
+    then the ``algorithm`` column (unless ``include_algorithm`` is off), then
+    the metric columns.
     """
     rows: List[Dict[str, Any]] = []
     names = list(axes.keys())
     for combo in itertools.product(*axes.values()):
         axis = dict(zip(names, combo))
         snapshots = workload(axis)
+        knobs = {"num_tasks": scale.num_tasks, **scale.tunables(), **varied(axis)}
         for algorithm in algorithms:
             run = run_planner_sequence(
                 algorithm,
                 snapshots,
                 seed=seed,
                 force_every_interval=force_every_interval,
-                **planner_kwargs(axis),
+                **knobs,
             )
             metrics = row(run, axis)
             for columns in metrics if isinstance(metrics, list) else [metrics]:
@@ -134,30 +137,21 @@ def simulate(
     workload: Iterable[WorkloadSnapshot],
     logic: OperatorLogic,
     *,
-    theta_max: Optional[float] = None,
-    max_table_size: Optional[int] = -1,
-    window: Optional[int] = None,
     seed: int = 0,
-    **kwargs: Any,
+    scale_out_at: Optional[Mapping[int, int]] = None,
+    **varied: Any,
 ) -> MetricsCollector:
-    """Run one strategy through the fluid simulator with scale-preset defaults.
+    """Run one strategy through the fluid simulator at the scale's settings.
 
-    Every knob left unset falls back to the scale preset (``max_table_size``
-    uses the ``-1`` sentinel so an explicit ``None`` still means "unbounded
-    table").  Extra keyword arguments (``beta``, ``readj_sigma``,
-    ``scale_out_at``, ``capacity_factor``, …) pass straight through to
-    :func:`~repro.experiments.harness.run_simulation`.
+    ``num_tasks`` and every tunable come from the scale preset; ``varied``
+    names the ones this figure sweeps.
     """
     return run_simulation(
         strategy,
         workload,
         logic,
         num_tasks=scale.num_tasks,
-        theta_max=theta_max if theta_max is not None else scale.theta_max,
-        max_table_size=(
-            max_table_size if max_table_size != -1 else scale.max_table_size
-        ),
-        window=window if window is not None else scale.window,
         seed=seed,
-        **kwargs,
+        scale_out_at=scale_out_at,
+        **{**scale.tunables(), **varied},
     )

@@ -122,13 +122,6 @@ class WindowedAggregate(OperatorLogic):
             )
         return list(keys), out_values
 
-    def windowed_value(self, state: KeyedState, key: Key) -> Any:
-        """Fold the per-interval aggregates of ``key`` across the window."""
-        result: Any = None
-        for payload in state.payloads(key):
-            result = self.reducer(result, payload)
-        return result
-
 
 class PartialWindowedAggregate(WindowedAggregate):
     """The upstream half of the PKG execution mode.

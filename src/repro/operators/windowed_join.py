@@ -71,20 +71,16 @@ class WindowedJoin(OperatorLogic):
         self.match_factor = float(match_factor)
         self.left_stream = left_stream
         self.right_stream = right_stream
-        #: Rolling estimate of the average number of retained tuples per key,
-        #: used by the fluid cost model (updated by the simulator's statistics).
-        self._avg_window_occupancy = 1.0
 
     # -- fluid model -----------------------------------------------------------------
 
     def tuple_cost(self, key: Key, value: Any = None) -> float:
-        probing = self.cost_per_match * self._avg_window_occupancy * self.match_factor
-        return self.cost_per_tuple + probing
+        # One retained tuple per key is the fluid model's probe fan-out.
+        return self.cost_per_tuple + self.cost_per_match * self.match_factor
 
     def batch_cost(
         self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
     ) -> BatchCost:
-        # Affine in the (batch-constant) window occupancy: still one scalar.
         return self.tuple_cost(None)
 
     def state_delta(self, key: Key, value: Any = None) -> float:
@@ -94,12 +90,6 @@ class WindowedJoin(OperatorLogic):
         self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
     ) -> BatchCost:
         return self.state_per_tuple
-
-    def observe_occupancy(self, average_tuples_per_key: float) -> None:
-        """Let the workload/simulator update the expected probe fan-out."""
-        if average_tuples_per_key < 0:
-            raise ValueError("average_tuples_per_key must be non-negative")
-        self._avg_window_occupancy = float(average_tuples_per_key)
 
     # -- event-level model -----------------------------------------------------------------
 

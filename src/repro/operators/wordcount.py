@@ -113,10 +113,6 @@ class WordCountOperator(OperatorLogic):
         ]
         return list(keys), counts
 
-    def windowed_count(self, state: KeyedState, key: Key) -> int:
-        """Total appearances of ``key`` across the retained window."""
-        return int(sum(state.payloads(key)))
-
     # -- PKG support -------------------------------------------------------------------
 
     def merge_overhead(self, distinct_partials: int) -> float:

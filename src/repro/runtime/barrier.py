@@ -57,11 +57,6 @@ class MarkBarrier:
         with self._lock:
             return self._done >= self._expected_done
 
-    def expected_marks(self, origin: str, interval: int) -> int:
-        """``origin``'s producer count in effect for ``interval``'s marks."""
-        with self._lock:
-            return self._expected_locked(origin, interval)
-
     def _expected_locked(self, origin: str, interval: int) -> int:
         timeline = self._counts[origin]
         expected = timeline[0][1]

@@ -743,12 +743,7 @@ def run_bench(
 
     def build(strategy_name: str, parallelism: int) -> Partitioner:
         return get_strategy(strategy_name).build(
-            parallelism,
-            theta_max=scale.theta_max,
-            max_table_size=scale.max_table_size,
-            beta=scale.beta,
-            window=scale.window,
-            seed=spec.seed,
+            parallelism, seed=spec.seed, **scale.tunables()
         )
 
     def run_strategy(name: str, config: RuntimeConfig) -> TopologyResult:

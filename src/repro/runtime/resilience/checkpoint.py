@@ -177,10 +177,6 @@ class CheckpointStore:
     # -- aggregates ---------------------------------------------------------------
 
     @property
-    def checkpoint_count(self) -> int:
-        return len(self.records)
-
-    @property
     def bytes_written(self) -> int:
         return sum(record.bytes_written for record in self.records)
 
@@ -191,7 +187,7 @@ class CheckpointStore:
     def stats(self) -> Dict[str, float]:
         """Headline write-side numbers for the bench report."""
         return {
-            "count": float(self.checkpoint_count),
+            "count": float(len(self.records)),
             "bytes_written": float(self.bytes_written),
             "write_seconds": self.write_seconds,
         }

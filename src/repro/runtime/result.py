@@ -112,10 +112,6 @@ class TopologyResult:
         return self.stages[next(reversed(self.stages))]
 
     @property
-    def first(self) -> RuntimeResult:
-        return self.stages[next(iter(self.stages))]
-
-    @property
     def e2e_latency(self) -> LatencyHistogram:
         return self.final.e2e_latency
 
@@ -268,7 +264,7 @@ def fold_stage_result(
                 ),
                 migration_seconds=migration.pause_seconds if migration else 0.0,
                 generation_time=migration.generation_time if migration else 0.0,
-                routing_table_size=migration.table_size if migration else 0,
+                routing_table_size=row["routing_table_size"],
                 rebalanced=migration is not None,
                 num_tasks=parallelism,
                 per_task_load=offered_cost,

@@ -386,6 +386,7 @@ class _StageLoop(threading.Thread):
                 "shed": dict(account.shed),
                 "elapsed": now - self._interval_started,
                 "migration": migration,
+                "routing_table_size": self.spec.partitioner.routing_table_size,
             }
         )
         self._interval_started = now

@@ -208,8 +208,8 @@ def _worker_loop(
             count = len(message.keys)
             histogram.record(latency_us, count)
             if final_stage:
-                origin = message.origin_at or message.sent_at
-                e2e_histogram.record(max(done - origin, 0.0) * 1e6, count)
+                born_at = message.origin_at or message.sent_at
+                e2e_histogram.record(max(done - born_at, 0.0) * 1e6, count)
             bucket = _mark(interval)
             bucket[0] += count
             bucket[1] += cost

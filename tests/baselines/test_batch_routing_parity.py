@@ -30,7 +30,6 @@ FACTORIES = {
     "hash": lambda: HashPartitioner(NUM_TASKS, seed=7),
     "hash-consistent": lambda: HashPartitioner(NUM_TASKS, seed=7, consistent=True),
     "shuffle": lambda: ShufflePartitioner(NUM_TASKS),
-    "shuffle-least-loaded": lambda: ShufflePartitioner(NUM_TASKS, least_loaded=True),
     "pkg": lambda: PartialKeyGrouping(NUM_TASKS, seed=7),
     **{
         name: lambda name=name: get_strategy(name).build(NUM_TASKS, theta_max=0.05, seed=7)
@@ -102,18 +101,11 @@ def test_route_snapshot_matches_scalar_loop(strategy, snapshots):
     batch_part = FACTORIES[strategy]()
     for interval, snapshot in enumerate(snapshots):
         scalar = scalar_route_snapshot(scalar_part, snapshot)
-        batch = batch_part.route_snapshot(snapshot, NUM_TASKS)
+        batch = batch_part.route_snapshot(snapshot)
         assert_routing_equal(scalar, batch, strategy)
         stats = IntervalStats.from_frequencies(interval, snapshot)
         scalar_part.on_interval_end(stats)
         batch_part.on_interval_end(stats.copy())
-
-
-@pytest.mark.parametrize("strategy", sorted(FACTORIES))
-def test_route_snapshot_rejects_mismatched_num_tasks(strategy):
-    partitioner = FACTORIES[strategy]()
-    with pytest.raises(ValueError):
-        partitioner.route_snapshot({1: 1.0}, NUM_TASKS + 1)
 
 
 def test_mixed_type_keys_do_not_collide_in_route_memo():
@@ -162,8 +154,9 @@ def test_route_cache_follows_rebalance():
 
 # -- memo patching: a rebalance rewrites only the re-routed keys ----------------------
 
-#: Probe batches: all-int (the raw-key bulk memo), mixed types (the boxed memo),
-#: each holding keys the snapshots below can and cannot contain.
+#: Probe batches: all-int (one C-level pass over the int memo) and mixed classes
+#: (per-key memo choice, some never memoised), each holding keys the snapshots
+#: below can and cannot contain.
 INT_PROBE = list(range(0, 40))
 MIXED_PROBE = [0, 3, 19, 33, "alpha", "beta", 2.5, (1, 2), True]
 
@@ -272,20 +265,65 @@ def test_rebalance_rewrites_at_most_the_table_diff(strategy):
     keys = list(range(200))
     snapshot = {key: 1.0 + (key % 7) for key in keys}
     snapshot[0] = snapshot[1] = 4_000.0
-    partitioner.route_snapshot(snapshot)  # warms the boxed memo
-    partitioner.assign_batch(keys)  # warms the raw-key int memo
-    boxed = partitioner._route_cache = _CountingMemo(partitioner._route_cache)
-    typed = partitioner._typed_route_caches[int] = _CountingMemo(
-        partitioner._typed_route_caches[int]
-    )
+    partitioner.route_snapshot(snapshot)  # warms the int memo
+    memo = partitioner._route_memo[int] = _CountingMemo(partitioner._route_memo[int])
     table_before = partitioner.assignment.routing_table
     result = partitioner.on_interval_end(IntervalStats.from_frequencies(0, snapshot))
     assert result is not None and len(result.migration_plan) > 0
     diff = table_before.changed_keys(result.routing_table)
     assert len(result.migrated_keys) <= len(diff) < len(keys)
-    for memo in (boxed, typed):
-        assert memo.clears == 0 and len(memo) == len(keys)
-        assert memo.writes <= len(diff)
-    assert partitioner._route_cache is boxed
+    assert memo.clears == 0 and len(memo) == len(keys)
+    assert memo.writes <= len(diff)
     assert partitioner.assign_batch(keys) == [partitioner.route(key) for key in keys]
-    assert typed.writes <= len(diff) and typed.clears == 0
+    assert partitioner._route_memo[int] is memo
+    assert memo.writes <= len(diff) and memo.clears == 0
+
+
+# -- one memo: equal keys of different classes stay apart ------------------------------
+
+#: Keys that are equal as dict keys (``1 == True == 1.0``, ``0.0 == -0.0``) or
+#: look alike (``"1"`` / ``b"1"`` / ``(1,)``) but hash to different tasks.
+LOOKALIKES = [1, True, "1", b"1", 1.0, -0.0, 0.0, (1,), 0, False]
+
+#: Every registered strategy that memoises its routes.
+MEMOISING = tuple(
+    spec.name for spec in list_strategies() if spec.build(NUM_TASKS).cache_routes
+)
+
+
+@pytest.mark.parametrize("strategy", MEMOISING)
+@given(
+    batch=st.lists(st.sampled_from(LOOKALIKES), min_size=1, max_size=12),
+    hot=st.sampled_from([1, "1", b"1", 7]),
+)
+@settings(max_examples=25, deadline=None)
+def test_heterogeneous_batch_equals_scalar_route(strategy, batch, hot):
+    """``assign_batch`` / ``assign_batch_array`` / ``route_snapshot`` answer a
+    batch of look-alike keys like ``route`` does — cold, warm, after a
+    rebalance and after a resize each way."""
+
+    def build():
+        return get_strategy(strategy).build(NUM_TASKS, theta_max=0.05, seed=7)
+
+    warm, cold = build(), build()  # ``cold`` is only ever asked key by key
+    skewed = {**{key: 1.0 for key in range(2, 40)}, hot: 5_000.0}
+    snapshot = dict.fromkeys(batch, 1.0)  # keeps the first of each group of equal keys
+    steps = (
+        lambda part: None,
+        lambda part: part.on_interval_end(IntervalStats.from_frequencies(0, skewed)),
+        lambda part: part.scale_out(NUM_TASKS + 2),
+        lambda part: part.scale_in(NUM_TASKS - 1),
+    )
+    for step in steps:
+        step(warm)
+        step(cold)
+        expected = [cold.route(key) for key in batch]
+        for _ in range(2):  # the first round fills the memo, the second reads it
+            assert warm.assign_batch(batch) == expected
+            assert warm.assign_batch_array(batch).tolist() == expected
+            routed = warm.route_snapshot(snapshot)
+            assert routed == scalar_route_snapshot(cold, snapshot)
+            for task, bucket in routed.items():
+                assert [type(key) for key in bucket] == [
+                    type(key) for key in snapshot if cold.route(key) == task
+                ]

@@ -71,12 +71,6 @@ class TestShufflePartitioner:
         part = ShufflePartitioner(3)
         assert [part.route("x") for _ in range(6)] == [0, 1, 2, 0, 1, 2]
 
-    def test_least_loaded_mode(self):
-        part = ShufflePartitioner(3, least_loaded=True)
-        destinations = [part.route("x") for _ in range(9)]
-        counts = {task: destinations.count(task) for task in range(3)}
-        assert set(counts.values()) == {3}
-
     def test_route_bulk_spreads_evenly(self):
         part = ShufflePartitioner(4)
         shares = part.route_bulk("k", 100)
@@ -87,13 +81,16 @@ class TestShufflePartitioner:
         assert not ShufflePartitioner(2).supports_stateful()
 
     def test_interval_end_resets_and_scale_out(self):
-        part = ShufflePartitioner(2, least_loaded=True)
+        part = ShufflePartitioner(2)
         part.route_bulk("k", 10)
-        part.on_interval_end(IntervalStats(0))
+        assert part.on_interval_end(IntervalStats(0)) is None
         part.scale_out(3)
         shares = part.route_bulk("k", 30)
         assert sum(shares.values()) == pytest.approx(30)
         assert len(shares) == 3
+        assert [part.route("x") for _ in range(3)] == [0, 1, 2]
+        part.scale_in(2)  # the cursor stood at 3
+        assert [part.route("x") for _ in range(3)] == [1, 0, 1]
 
 
 class TestPartialKeyGrouping:
@@ -138,11 +135,9 @@ class TestPartialKeyGrouping:
         assert part.total_partials() == 0
 
     def test_not_stateful_and_params(self):
-        part = PartialKeyGrouping(4, merge_period_ms=10.0)
+        part = PartialKeyGrouping(4)
         assert not part.supports_stateful()
         assert part.merge_period_ms == 10.0
-        with pytest.raises(ValueError):
-            PartialKeyGrouping(4, choices=0)
 
     def test_scale_out(self):
         part = PartialKeyGrouping(4, seed=0)

@@ -170,7 +170,7 @@ class TestAlgorithmContracts:
         config = PlannerConfig(theta_max=0.05, max_table_size=60)
         mixed = get_algorithm("mixed").plan(warm.assignment, store2, config)
         brute = get_algorithm("mixedbf").plan(warm.assignment, store2, config)
-        if mixed.within_table_limit(60) and brute.within_table_limit(60):
+        if mixed.table_size <= 60 and brute.table_size <= 60:
             assert brute.migration_cost <= mixed.migration_cost + 1e-9
 
     def test_migration_plan_matches_assignment_diff(self):

@@ -34,40 +34,8 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             AssignmentFunction(UniversalHash(3), num_tasks=0)
 
-    def test_destinations_and_partition(self):
-        assignment = AssignmentFunction.hashed(3, seed=0)
-        keys = list(range(30))
-        destinations = assignment.destinations(keys)
-        partition = assignment.partition(keys)
-        assert set(destinations) == set(keys)
-        for task, members in partition.items():
-            for key in members:
-                assert destinations[key] == task
-        assert sorted(sum(partition.values(), [])) == keys
-
-    def test_keys_of_task(self):
-        assignment = AssignmentFunction.hashed(3, seed=0)
-        keys = list(range(50))
-        for task in assignment.tasks:
-            for key in assignment.keys_of_task(task, keys):
-                assert assignment(key) == task
-
 
 class TestDeltaAndTables:
-    def test_delta_empty_for_identical(self):
-        assignment = AssignmentFunction.hashed(4, seed=2)
-        assert assignment.delta(assignment.copy(), range(100)) == set()
-
-    def test_delta_detects_reroutes(self):
-        a = AssignmentFunction.hashed(4, seed=2)
-        b = a.copy()
-        moved = []
-        for key in range(10):
-            new_task = (a(key) + 1) % 4
-            b.routing_table.set(key, new_task)
-            moved.append(key)
-        assert a.delta(b, range(100)) == set(moved)
-
     def test_with_table_shares_hash(self):
         a = AssignmentFunction.hashed(4, seed=2)
         table = RoutingTable({"x": 1})
@@ -80,22 +48,6 @@ class TestDeltaAndTables:
         b = a.copy()
         b.routing_table.set("x", 0)
         assert "x" not in a.routing_table
-
-    def test_normalized_table_drops_redundant_entries(self):
-        a = AssignmentFunction.hashed(4, seed=2)
-        a.routing_table.set("same", a.hash_destination("same"))
-        a.routing_table.set("diff", (a.hash_destination("diff") + 1) % 4)
-        normalized = a.normalized_table()
-        assert "same" not in normalized
-        assert "diff" in normalized
-
-    def test_from_mapping_drops_hash_agreeing_entries(self):
-        hash_fn = UniversalHash(4, seed=9)
-        mapping = {key: hash_fn(key) for key in range(10)}
-        mapping[3] = (hash_fn(3) + 1) % 4
-        assignment = AssignmentFunction.from_mapping(hash_fn, mapping)
-        assert assignment.routing_table.size == 1
-        assert assignment(3) == mapping[3]
 
     @given(st.integers(1, 16), st.lists(st.integers(), min_size=1, max_size=50))
     @settings(max_examples=50)

@@ -43,12 +43,11 @@ class TestUniversalHash:
         with pytest.raises(ValueError):
             UniversalHash(0)
 
-    def test_equality_and_with_num_tasks(self):
+    def test_equality(self):
         a = UniversalHash(5, seed=2)
         b = UniversalHash(5, seed=2)
         assert a == b and hash(a) == hash(b)
-        c = a.with_num_tasks(9)
-        assert c.num_tasks == 9 and c.seed == 2
+        assert a != UniversalHash(9, seed=2)
 
     def test_reasonable_balance_over_many_keys(self):
         hash_fn = UniversalHash(10, seed=0)

@@ -100,7 +100,6 @@ class TestMigration:
         assert plan.keys == {"a", "b", "c"}
         assert plan.total_state == 9.0
         assert set(plan.moves_by_source()) == {0, 2}
-        assert set(plan.moves_by_target()) == {1, 2}
         assert plan.affected_tasks() == {0, 1, 2}
         assert bool(plan)
 

@@ -14,7 +14,7 @@ class TestBasics:
         assert table.size == 0
         assert "k" not in table
         assert table.get("k") is None
-        assert table.within_limit()
+        assert table.overflow() == 0
 
     def test_set_get_remove(self):
         table = RoutingTable()
@@ -80,7 +80,6 @@ class TestMaxSize:
         table.set("b", 1, enforce_limit=False)
         assert table.size == 2
         assert table.overflow() == 1
-        assert not table.within_limit()
 
     def test_copy_preserves_and_overrides_limit(self):
         table = RoutingTable({"a": 1}, max_size=5)

@@ -68,10 +68,9 @@ class TestSimulatorExposesShedPerTask:
             assert sum(record.per_task_shed.values()) == pytest.approx(
                 record.shed_tuples
             )
-        assert sum(collector.shed_by_task().values()) == pytest.approx(
-            collector.total_shed_tuples
-        )
-        assert collector.total_shed_tuples > 0
+        total_shed = sum(collector.series("shed_tuples"))
+        assert sum(collector.shed_by_task().values()) == pytest.approx(total_shed)
+        assert total_shed > 0
 
     def test_stage_ledger_matches_collector(self, overloaded_run):
         collector, _, simulator = overloaded_run

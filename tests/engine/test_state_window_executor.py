@@ -12,12 +12,9 @@ from repro.engine.window import SlidingWindow
 
 
 class TestStreamTuple:
-    def test_rekey_and_with_stream(self):
+    def test_defaults(self):
         tup = StreamTuple(key="a", value=1, interval=3)
-        assert tup.rekey("b").key == "b"
-        assert tup.rekey("b").value == 1
-        assert tup.with_stream("left").stream == "left"
-        assert tup.stream == "default"
+        assert (tup.timestamp, tup.stream) == (None, "default")
 
 
 class TestSlidingWindow:
@@ -69,7 +66,6 @@ class TestKeyedState:
         state.update("a", 2, payload={"x": 2}, size=3.0)
         assert state.key_size("a") == 8.0
         assert state.total_size() == 8.0
-        assert state.size_map() == {"a": 8.0}
         assert state.latest_payload("a") == {"x": 2}
 
     def test_window_expiry(self):
@@ -157,21 +153,19 @@ class TestTaskExecutor:
         assert outcome.shed == 80
 
     def test_latency_grows_with_utilization(self):
-        executor = TaskExecutor(ExecutorConfig(capacity=100, interval_seconds=1))
-        light = executor.run_interval(20).latency_ms
-        executor.reset()
-        heavy = executor.run_interval(95).latency_ms
-        executor.reset()
-        overloaded = executor.run_interval(300).latency_ms
-        assert light < heavy < overloaded
+        def latency_ms(offered):  # a fresh executor each: no backlog carried over
+            executor = TaskExecutor(ExecutorConfig(capacity=100, interval_seconds=1))
+            return executor.run_interval(offered).latency_ms
+
+        assert latency_ms(20) < latency_ms(95) < latency_ms(300)
 
     def test_pause_reduces_capacity_and_adds_latency(self):
         executor = TaskExecutor(ExecutorConfig(capacity=100, interval_seconds=1))
         paused = executor.run_interval(100, paused_fraction=0.5)
         assert paused.processed == 50
         assert paused.paused_fraction == 0.5
-        executor.reset()
-        unpaused = executor.run_interval(100)
+        fresh = TaskExecutor(ExecutorConfig(capacity=100, interval_seconds=1))
+        unpaused = fresh.run_interval(100)
         assert paused.latency_ms > unpaused.latency_ms
 
     def test_negative_offered_rejected(self):

@@ -7,7 +7,9 @@ import pytest
 from repro.core.migration import KeyMove, MigrationPlan
 from repro.engine.metrics import IntervalMetrics, MetricsCollector
 from repro.engine.migration_protocol import (
-    MigrationConfig,
+    BANDWIDTH_BYTES_PER_SECOND,
+    BYTES_PER_STATE_UNIT,
+    PAUSE_OVERHEAD_SECONDS,
     MigrationProtocol,
     MigrationReport,
 )
@@ -107,7 +109,7 @@ class TestMigrationProtocol:
         report = protocol.execute(MigrationPlan(), self._tasks())
         assert report.moved_keys == 0
         assert report.duration_seconds == 0.0
-        assert report.affected_tasks == set()
+        assert report.pause_fraction_by_task == {}
 
     def test_state_actually_moves(self):
         tasks = self._tasks()
@@ -121,33 +123,26 @@ class TestMigrationProtocol:
         assert set(report.pause_fraction_by_task) == {0, 2}
 
     def test_duration_scales_with_volume(self):
-        config = MigrationConfig(
-            bytes_per_state_unit=1000,
-            bandwidth_bytes_per_second=10_000,
-            pause_overhead_seconds=0.0,
-        )
         tasks = self._tasks()
         plan = MigrationPlan([KeyMove("hot", 0, 2, state_size=100)])
-        report = MigrationProtocol(config).execute(plan, tasks, interval_seconds=10)
-        assert report.duration_seconds == pytest.approx(100 * 1000 / 10_000)
+        report = MigrationProtocol().execute(plan, tasks, interval_seconds=10)
+        transfer = 100 * BYTES_PER_STATE_UNIT / BANDWIDTH_BYTES_PER_SECOND
+        assert report.duration_seconds == pytest.approx(transfer + PAUSE_OVERHEAD_SECONDS)
         assert 0 < report.pause_fraction_by_task[0] <= 1.0
 
-    def test_sequential_vs_parallel_transfers(self):
+    def test_disjoint_pairs_transfer_in_parallel(self):
         plan = MigrationPlan(
             [KeyMove("hot", 0, 2, state_size=100), KeyMove("warm", 0, 1, state_size=10)]
         )
-        base = dict(
-            bytes_per_state_unit=1000,
-            bandwidth_bytes_per_second=10_000,
-            pause_overhead_seconds=0.0,
+        both = MigrationProtocol().execute(plan, self._tasks(), interval_seconds=10)
+        slowest = MigrationProtocol().execute(
+            MigrationPlan([KeyMove("hot", 0, 2, state_size=100)]),
+            self._tasks(),
+            interval_seconds=10,
         )
-        parallel = MigrationProtocol(MigrationConfig(**base, parallel_transfers=True)).execute(
-            plan, self._tasks(), interval_seconds=10
-        )
-        sequential = MigrationProtocol(
-            MigrationConfig(**base, parallel_transfers=False)
-        ).execute(plan, self._tasks(), interval_seconds=10)
-        assert sequential.duration_seconds > parallel.duration_seconds
+        assert both.duration_seconds == pytest.approx(slowest.duration_seconds)
+        # ...while the task sending both keys is busy for the sum.
+        assert both.pause_fraction_by_task[0] > slowest.pause_fraction_by_task[0]
 
     def test_unknown_task_rejected(self):
         plan = MigrationPlan([KeyMove("hot", 0, 9, state_size=1)])
@@ -159,12 +154,6 @@ class TestMigrationProtocol:
         plan = MigrationPlan([KeyMove("unknown", 1, 2, state_size=42)])
         report = MigrationProtocol().execute(plan, tasks)
         assert report.moved_state == 42.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MigrationConfig(bandwidth_bytes_per_second=0)
-        with pytest.raises(ValueError):
-            MigrationConfig(bytes_per_state_unit=-1)
 
 
 class TestMetricsCollector:

@@ -8,7 +8,8 @@ move — must hold even at the reduced scale.
 
 import pytest
 
-from repro.experiments import ExperimentSpec, run
+from repro.core.strategy import StrategySpec
+from repro.experiments import ExperimentSpec, experiment_names, run
 from repro.experiments.config import ExperimentScale
 
 #: An extra-small preset so the full figure suite stays fast under pytest.
@@ -197,3 +198,40 @@ class TestSimulationFigures:
             [row["throughput"] for row in result.filter(strategy="storm", theta_max=0.1)]
         )
         assert mixed > storm
+
+
+# -- scale overrides (`repro run figNN --set beta=3`) reach the strategy builders ----------
+
+#: The knobs a figure sweeps itself (an override of those is the figure's to ignore).
+SWEPT = {
+    "theta_max": {"fig09", "fig11", "fig14", "fig15", "fig16", "fig17", "fig18", "fig20", "fig21"},
+    "beta": {"fig20", "fig21"},
+}
+OVERRIDES = {"beta": 3.0, "theta_max": 0.2}
+#: Seconds each at ``tiny``; the rest run in the fast CI subset.
+SLOW_FIGURES = {"fig11", "fig13", "fig14", "fig15", "fig16"}
+
+
+@pytest.mark.parametrize(
+    "fig_id",
+    [
+        pytest.param(fig_id, marks=pytest.mark.slow if fig_id in SLOW_FIGURES else ())
+        for fig_id in experiment_names()
+    ],
+)
+def test_scale_overrides_reach_every_rebalancing_builder(fig_id, monkeypatch):
+    received = []
+    build = StrategySpec.build
+
+    def spy(spec, num_tasks, **params):
+        if spec.rebalancing:
+            received.append((spec, params))
+        return build(spec, num_tasks, **params)
+
+    monkeypatch.setattr(StrategySpec, "build", spy)
+    run(ExperimentSpec(fig_id, scale="tiny", overrides=OVERRIDES))
+    for knob, value in OVERRIDES.items():
+        if fig_id in SWEPT[knob]:
+            continue
+        for spec, params in received:
+            assert params.get(knob) == value, (fig_id, spec.name, knob, params)

@@ -25,14 +25,14 @@ class TestWordCount:
             outputs = op.process(StreamTuple(key="w", interval=1), state, 0)
         assert outputs[0].value == 3
         op.process(StreamTuple(key="w", interval=2), state, 0)
-        assert op.windowed_count(state, "w") == 4
+        assert sum(state.payloads("w")) == 4
 
     def test_window_expiry_limits_count(self):
         op = WordCountOperator(window=1)
         state = KeyedState(window=1)
         op.process(StreamTuple(key="w", interval=1), state, 0)
         op.process(StreamTuple(key="w", interval=2), state, 0)
-        assert op.windowed_count(state, "w") == 1
+        assert sum(state.payloads("w")) == 1
 
     def test_cost_and_state_models(self):
         op = WordCountOperator(cost_per_tuple=2.0, state_per_tuple=0.5)
@@ -59,7 +59,7 @@ class TestWindowedAggregate:
         out = op.process(StreamTuple(key="k", value=7, interval=1), state, 0)
         assert out[0].value == 12
         op.process(StreamTuple(key="k", value=1, interval=2), state, 0)
-        assert op.windowed_value(state, "k") == 13
+        assert list(state.payloads("k")) == [12, 1]
 
     def test_default_reducer_counts(self):
         op = WindowedAggregate()
@@ -137,19 +137,16 @@ class TestWindowedJoin:
         # The 4th tuple matches the 3 earlier ones.
         assert len(outputs) == 3
 
-    def test_cost_grows_with_occupancy(self):
-        op = WindowedJoin(cost_per_tuple=1.0, cost_per_match=0.5)
-        base = op.tuple_cost("k")
-        op.observe_occupancy(10)
-        assert op.tuple_cost("k") > base
+    def test_cost_grows_with_match_factor(self):
+        base = WindowedJoin(cost_per_tuple=1.0, cost_per_match=0.5)
+        wide = WindowedJoin(cost_per_tuple=1.0, cost_per_match=0.5, match_factor=10.0)
+        assert wide.tuple_cost("k") > base.tuple_cost("k") == 1.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             WindowedJoin(cost_per_tuple=0)
         with pytest.raises(ValueError):
             WindowedJoin(cost_per_match=-1)
-        with pytest.raises(ValueError):
-            WindowedJoin().observe_occupancy(-1)
 
 
 class TestQ5Topology:

@@ -132,6 +132,7 @@ class TestFoldWithoutProcesses:
                 "shed": {},
                 "elapsed": 0.5,
                 "migration": None,
+                "routing_table_size": 0,
             }
             for interval, offered in ((0, 3), (1, 5))
         ]

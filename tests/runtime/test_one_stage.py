@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.hash_only import HashPartitioner
+from repro.core.strategy import get_strategy
 from repro.operators.wordcount import WordCountOperator
 from repro.runtime import RuntimeConfig
 
@@ -89,6 +90,30 @@ class TestMeasurements:
         assert set(result.final_state) == set(range(10))
 
 
+class TestRoutingTableSize:
+    def test_every_interval_reports_the_table_in_force(self, run_one_stage):
+        """A rebalancing stage's table does not vanish on the intervals it
+        does not replan (the runtime twin of the simulator's PR 16 fix)."""
+        # Four warm keys hashed onto task 0 force a plan after interval 0; the
+        # same stream is balanced under F', so the later intervals plan nothing.
+        partitioner = get_strategy("mixed").build(2, theta_max=0.2, seed=0)
+        warm = [key for key in range(40) if partitioner.route(key) == 0][:4]
+        interval = [(key, None) for key in range(40) for _ in range(5)]
+        interval += [(key, None) for key in warm for _ in range(55)]
+        result = run_one_stage(
+            WordCountOperator(emit_updates=False),
+            partitioner,
+            RuntimeConfig(batch_size=64, queue_capacity=4, service_time_us=5.0),
+            [list(interval) for _ in range(4)],
+        )
+        records = list(result.metrics)
+        assert records[0].rebalanced and records[0].routing_table_size > 0
+        assert not any(record.rebalanced for record in records[1:])
+        assert [record.routing_table_size for record in records[1:]] == [
+            partitioner.routing_table_size
+        ] * 3
+
+
 class TestShedding:
     def test_overload_with_shed_timeout_drops_and_records(self, _run):
         # One slow worker (1 ms/tuple), tiny queues, and a dispatch timeout:
@@ -106,7 +131,7 @@ class TestShedding:
         assert result.shed_by_task
         assert sum(result.shed_by_task.values()) == pytest.approx(result.tuples_shed)
         # The shed totals are observable per interval in the metrics too.
-        assert result.metrics.total_shed_tuples == pytest.approx(result.tuples_shed)
+        assert sum(result.metrics.series("shed_tuples")) == pytest.approx(result.tuples_shed)
         assert result.metrics.shed_by_task() == result.shed_by_task
 
 

@@ -152,7 +152,7 @@ class TestCheckpointRoundTrip:
         blobs = [name for name in os.listdir(store.root) if name.endswith(".ckpt")]
         assert len(blobs) == 1
         assert store.latest(0).interval == 2
-        assert store.checkpoint_count == 3
+        assert store.stats()["count"] == 3
         assert store.bytes_written > 0
 
     def test_atomic_writes_leave_no_tmp_files(self, tmp_path):

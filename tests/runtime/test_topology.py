@@ -78,7 +78,7 @@ class TestChainedExecution:
 
     def test_stage_order_and_names(self, outcome):
         assert outcome.stage_names == ["counter", "agg"]
-        assert outcome.first.label == "counter"
+        assert outcome.stages["counter"].label == "counter"
         assert outcome.final.label == "agg"
         assert outcome.tuples_processed == outcome.final.tuples_processed
 
@@ -86,10 +86,10 @@ class TestChainedExecution:
         # The counter's output is re-keyed modulo 5, so the aggregation
         # stage's state lives entirely in the mapped key domain.
         assert set(outcome.final.final_state) == set(range(5))
-        assert set(outcome.first.final_state) == set(range(40))
+        assert set(outcome.stages["counter"].final_state) == set(range(40))
 
     def test_end_to_end_latency_measured_at_final_stage_only(self, outcome):
-        assert outcome.first.e2e_latency.total == 0
+        assert outcome.stages["counter"].e2e_latency.total == 0
         assert outcome.final.e2e_latency.total == 3 * 40 * 25
         # End-to-end spans both stages, so it dominates the final stage's
         # own dispatch-to-completion latency.
