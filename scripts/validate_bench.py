@@ -125,6 +125,7 @@ def validate_report(payload: dict) -> int:
 
     _validate_rate_sweep(spec, rows)
     _validate_resilience(spec, per_strategy)
+    _validate_messages(per_strategy)
     _validate_fan_in(rows, payload.get("sanitizer"))
     if "router_micro" in payload:
         _validate_router_micro(payload["router_micro"])
@@ -302,6 +303,64 @@ def _validate_resilience(spec: dict, per_strategy: dict) -> None:
                 f"{label}: spec.kill_worker set but no checkpoint bytes "
                 f"were written"
             )
+
+
+#: Transport counters every stage report carries (``stages.<name>.messages``).
+REQUIRED_MESSAGE_KEYS = (
+    "ingress",
+    "chunks",
+    "to_workers",
+    "tuples_to_workers",
+    "tuples_per_worker_message",
+)
+
+
+def _iter_stage_reports(strategy: str, report: dict):
+    """``(label, stage report)`` of one strategy, rate-sweep runs included."""
+    if "rate_sweep" in report:
+        for entry in report["rate_sweep"]:
+            yield from _iter_stage_reports(
+                f"{strategy}@{entry.get('offered_rate')}", entry
+            )
+        return
+    for name, stage in (report.get("stages") or {}).items():
+        yield f"per_strategy[{strategy!r}].stages[{name!r}]", stage
+
+
+def _validate_messages(per_strategy: dict) -> None:
+    """The per-stage transport counters, and the books they must balance.
+
+    Every tuple the router accounted as offered either reached a worker
+    queue or was shed, so at end of run ``tuples_to_workers == tuples_offered
+    - shed_tuples`` exactly (paused tuples are released before end of
+    stream; a recovery replays the retention log past the router).  A stage
+    that moved no message did not run.
+    """
+    for strategy, report in per_strategy.items():
+        for label, stage in _iter_stage_reports(strategy, report):
+            messages = stage.get("messages") if isinstance(stage, dict) else None
+            if not isinstance(messages, dict):
+                _fail(f"{label} has no 'messages' section")
+            for key in REQUIRED_MESSAGE_KEYS:
+                if key not in messages:
+                    _fail(f"{label}.messages is missing {key!r}")
+                _check_number(f"{label}.messages", key, messages[key])
+            if min(messages["ingress"], messages["chunks"], messages["to_workers"]) <= 0:
+                _fail(f"{label}.messages: the stage moved no message: {messages}")
+            _check_number(label, "tuples_offered", stage.get("tuples_offered"))
+            shed = stage.get("summary", {}).get("shed_tuples", 0)
+            if messages["tuples_to_workers"] != stage["tuples_offered"] - shed:
+                _fail(
+                    f"{label}: tuples_to_workers ({messages['tuples_to_workers']}) "
+                    f"!= tuples_offered ({stage['tuples_offered']}) - shed ({shed})"
+                )
+            mean = messages["tuples_to_workers"] / messages["to_workers"]
+            if abs(mean - messages["tuples_per_worker_message"]) > 1e-6 * mean:
+                _fail(
+                    f"{label}: tuples_per_worker_message "
+                    f"({messages['tuples_per_worker_message']}) does not match "
+                    f"tuples_to_workers / to_workers ({mean})"
+                )
 
 
 def _validate_router_micro(micro) -> None:

@@ -696,6 +696,12 @@ def _topology_rows(name: str, outcome: TopologyResult) -> List[Dict[str, Any]]:
             row["max_partials_per_key"] = stage.split_stats[
                 "max_partials_per_key"
             ]
+        # Transport: ingress batches accepted, dispatch chunks they were
+        # merged into, and the size of what the workers were sent.
+        row["ingress_messages"] = stage.messages["ingress"]
+        row["chunks"] = stage.messages["chunks"]
+        row["worker_messages"] = stage.messages["to_workers"]
+        row["tuples_per_worker_message"] = stage.tuples_per_worker_message
         rows.append(row)
     return rows
 
@@ -870,6 +876,11 @@ def _stage_report(stage: RuntimeResult) -> Dict[str, Any]:
         },
         "migrations": [report.to_dict() for report in stage.migrations],
         "calibrated_service_time_us": stage.calibrated_service_time_us,
+        "tuples_offered": stage.tuples_offered,
+        "messages": {
+            **stage.messages,
+            "tuples_per_worker_message": stage.tuples_per_worker_message,
+        },
     }
     if stage.resilience is not None:
         report["resilience"] = stage.resilience

@@ -22,7 +22,10 @@ class RuntimeConfig:
         Still accepted (and validated positive) because ``perf/`` passes it;
         to be removed with the next benchmark revision.
     batch_size:
-        Tuples per dispatched micro-batch.
+        Tuples per dispatched micro-batch: the size of the source's batches,
+        the most a router routes in one chunk, and therefore also the most
+        tuples of waiting ingress batches a stage's router merges into one
+        dispatch (a stage never sends a worker more than this per message).
     queue_capacity:
         Bound of each worker's inbound queue and of every inter-stage egress
         queue, in batches; a full queue blocks the producer (backpressure)

@@ -174,7 +174,8 @@ class EmittedBatch:
     ``origin_at`` the source-offer stamp of the batch's oldest tuple.  The
     downstream stage's router re-keys nothing (the producer already applied
     its stage's key mapper) — it only assigns destinations and re-stamps
-    ``sent_at``.
+    ``sent_at``; it may route several waiting batches of one interval as one
+    chunk, which then carries the oldest of their ``origin_at`` stamps.
     """
 
     interval: int

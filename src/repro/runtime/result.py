@@ -53,6 +53,17 @@ class RuntimeResult:
     #: Cumulative split-key routing statistics (``None`` unless the stage's
     #: partitioner splits keys — see :meth:`StreamRouter.snapshot_split_stats`).
     split_stats: Optional[Dict[str, float]] = None
+    #: Transport counters of the stage's router thread: ``ingress`` batches
+    #: accepted, dispatch ``chunks`` routed (fewer than ``ingress`` when
+    #: waiting batches were merged), ``TupleBatch`` messages ``to_workers``
+    #: and the ``tuples_to_workers`` in them (= offered − shed at end of run).
+    messages: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def tuples_per_worker_message(self) -> float:
+        """Mean size of the messages the stage's workers were sent."""
+        sent = self.messages.get("to_workers", 0)
+        return self.messages.get("tuples_to_workers", 0) / sent if sent else 0.0
 
     @property
     def tuples_per_second(self) -> float:
@@ -183,11 +194,14 @@ def fold_stage_result(
     interval_rows: Sequence[Mapping[str, Any]],
     interval_reports: Iterable[IntervalReport],
     finals: Iterable[FinalReport],
+    messages: Optional[Mapping[str, int]] = None,
 ) -> RuntimeResult:
     """Fold a stage loop's interval rows and its workers' reports.
 
-    What only the live loop knows (shed ledger, migrations, calibration,
-    resilience, split-key statistics) is added by ``_StageLoop.aggregate``.
+    ``messages`` are the loop's and its router's transport counters (see
+    :attr:`RuntimeResult.messages`).  What else only the live loop knows
+    (shed ledger, migrations, calibration, resilience, split-key statistics)
+    is added by ``_StageLoop.aggregate``.
     """
     # Keep-last per (interval, worker): a recovery replays EndInterval
     # markers, so a respawned worker re-sends interval reports the dead
@@ -283,4 +297,5 @@ def fold_stage_result(
         final_state=final_state,
         interval_latency=interval_latency,
         e2e_latency=e2e,
+        messages=dict(messages or {}),
     )

@@ -1,9 +1,14 @@
 """Batch dispatcher feeding the worker queues.
 
 The router is the runtime twin of the simulator's snapshot routing: it groups
-each micro-batch of tuples by destination with the partitioner's memoised
+each chunk of tuples by destination with the partitioner's memoised
 :meth:`~repro.baselines.base.Partitioner.assign_batch` fast path and enqueues
-one :class:`~repro.runtime.messages.TupleBatch` per destination worker.
+one :class:`~repro.runtime.messages.TupleBatch` per destination worker.  A
+chunk is whatever the stage loop hands to :meth:`StreamRouter.dispatch`, cut
+at ``batch_size``: one ingress message when the router keeps up with its
+producers, several small ones merged (``stage_loop.coalesce_ingress``) when
+they were already waiting — so the per-chunk and per-message costs below are
+paid per ``batch_size`` tuples, not per upstream message.
 
 The dispatch path is **chunk-vectorised**: per chunk it performs one
 ``assign_batch`` call, one :class:`collections.Counter` update over the keys,
@@ -142,6 +147,11 @@ class StreamRouter:
         self.batch_size = int(batch_size)
         self.shed_timeout_seconds = shed_timeout_seconds
         self.shed_ledger = ShedLedger()
+        #: Lifetime transport counters: routed chunks, and the ``TupleBatch``
+        #: messages (and the tuples in them) the worker queues accepted.
+        self.chunks = 0
+        self.worker_messages = 0
+        self.worker_tuples = 0
 
         self._paused_keys: set = set()
         #: Held tuples of paused keys: ``(key, value, interval, buffered_at,
@@ -189,13 +199,15 @@ class StreamRouter:
         """Route and enqueue a columnar tuple batch in micro-batch chunks.
 
         ``keys``/``values`` are the parallel lists of one
-        :class:`~repro.runtime.messages.EmittedBatch` (or any materialised
-        columnar stream slice).  ``pump`` is called between micro-batches;
+        :class:`~repro.runtime.messages.EmittedBatch`, of several of the same
+        interval the stage loop merged, or of any materialised columnar
+        stream slice.  ``pump`` is called between micro-batches;
         the coordinator uses it to advance an in-flight migration hand-off
         while dispatch continues.  ``interval`` tags the dispatched batches
         (default: the router's current interval — in a pipelined topology an
         upstream stage may still emit tuples of an earlier interval);
-        ``origin_at`` carries the source-offer stamp for end-to-end latency.
+        ``origin_at`` carries the source-offer stamp of the oldest tuple for
+        end-to-end latency.
         """
         if len(keys) != len(values):
             raise ValueError(
@@ -222,6 +234,7 @@ class StreamRouter:
         interval: Optional[int] = None,
         origin_at: Optional[float] = None,
     ) -> None:
+        self.chunks += 1
         destinations = self.partitioner.assign_batch_array(keys)
         now = time.monotonic()
         tag = self._interval if interval is None else int(interval)
@@ -336,16 +349,21 @@ class StreamRouter:
             )
 
     def _put(self, task: int, batch: TupleBatch) -> None:
+        count = len(batch.keys)
         if self.shed_timeout_seconds is None:
             self.abortable_queues[task].put(batch)
-            return
-        try:
-            self.abortable_queues[task].put(batch, timeout=self.shed_timeout_seconds)
-        except queue_module.Full:
-            count = len(batch.keys)
-            self.shed_ledger.record(task, count)
-            shed = self._account(batch.interval).shed
-            shed[task] = shed.get(task, 0.0) + count
+        else:
+            try:
+                self.abortable_queues[task].put(
+                    batch, timeout=self.shed_timeout_seconds
+                )
+            except queue_module.Full:
+                self.shed_ledger.record(task, count)
+                shed = self._account(batch.interval).shed
+                shed[task] = shed.get(task, 0.0) + count
+                return
+        self.worker_messages += 1
+        self.worker_tuples += count
 
     # -- split-key routing statistics ---------------------------------------------
 

@@ -1,4 +1,17 @@
-"""The per-stage coordinator thread of a running topology."""
+"""The per-stage coordinator thread of a running topology.
+
+A stage's ingress carries what its upstream producers emitted, one message
+per producer per routed chunk: a router upstream splits every chunk over its
+P workers and each worker forwards what it emitted from its share, so without
+further care messages would shrink by P per stage down a chain while the
+per-message transport cost (queue hop, pickle header, one dispatch) stayed
+the same.  The loop therefore dispatches **what is already waiting** as one
+chunk: after taking a batch it keeps taking without ever waiting
+(:func:`coalesce_ingress`) and merges the batches of the same interval up to
+``batch_size`` tuples.  A router that keeps up with its producers finds the
+queue empty and dispatches each message alone, exactly as before; one that is
+behind pays its per-chunk costs once per ``batch_size`` tuples again.
+"""
 
 from __future__ import annotations
 
@@ -48,11 +61,56 @@ __all__: list = []  # coordinator internals; TopologyRuntime is the entry point
 Key = Hashable
 
 
+def coalesce_ingress(
+    first: EmittedBatch,
+    poll: Callable[[], Any],
+    batch_size: int,
+    accept: Callable[[EmittedBatch], bool],
+) -> Tuple[List[Key], List[Any], float, Any]:
+    """Merge the batches already waiting behind ``first`` into one chunk.
+
+    ``first`` is an accepted batch; ``poll`` returns the next ingress message
+    without waiting (``None`` = nothing there).  Batches of ``first``'s
+    interval join the chunk, in arrival order, while it stays within
+    ``batch_size`` tuples; each is passed to ``accept`` first, and one it
+    refuses (a replayed duplicate) is dropped without ending the merge.
+    Whatever else ``poll`` yields — a mark, an end-of-stream, a batch of
+    another interval or one that would overflow — ends the merge and is
+    returned as ``held``, *unaccepted*, for the caller to handle next: it
+    stays behind the data it followed and ahead of everything after it.
+
+    Returns ``(keys, values, origin_at, held)``; ``origin_at`` is the oldest
+    stamp of the merged batches.  A chunk exceeds ``batch_size`` only when
+    ``first`` alone does.
+    """
+    keys, values, origin_at = first.keys, first.values, first.origin_at
+    while len(keys) < batch_size:
+        message = poll()
+        if message is None:
+            break
+        if (
+            not isinstance(message, EmittedBatch)
+            or message.interval != first.interval
+            or len(keys) + len(message.keys) > batch_size
+        ):
+            return keys, values, origin_at, message
+        if not accept(message):
+            continue
+        if keys is first.keys:
+            # The first extension copies: ``first`` keeps its own lists.
+            keys, values = list(keys), list(values)
+        keys.extend(message.keys)
+        values.extend(message.values)
+        origin_at = min(origin_at, message.origin_at)
+    return keys, values, origin_at, None
+
+
 class _StageLoop(threading.Thread):
     """The router thread of one stage: ingress → route → workers.
 
     Consumes the stage's shared ingress queue (fed by the source and/or by
-    every upstream stage's workers), dispatches batches through the stage's
+    every upstream stage's workers), dispatches what waits there — merged
+    into chunks of up to ``batch_size`` tuples — through the stage's
     :class:`StreamRouter`, closes intervals when every upstream origin's
     producers have marked them (planning + live migration via the stage's
     :class:`RuntimeController`), and finally collects the workers' reports.
@@ -150,6 +208,8 @@ class _StageLoop(threading.Thread):
         #: per (origin, producer) edge.  Mark floors and the per-origin
         #: producer-count timelines live in the barrier.
         self._last_seq: Dict[Tuple[str, int], int] = {}
+        #: Ingress batches accepted (post replay-dedup) over the run.
+        self.ingress_messages = 0
         self._barrier = MarkBarrier(self.upstream_producers)
         #: Single-upstream back-compat: messages without an ``origin`` label
         #: (linear chains, hand-built tests) resolve to the sole edge; with
@@ -276,41 +336,67 @@ class _StageLoop(threading.Thread):
             f"upstreams but got an unlabelled ingress {message!r}"
         )
 
+    def _poll_ingress(self) -> Any:
+        """The next ingress message if one is already there, else ``None``."""
+        try:
+            return self.ingress.get_nowait()
+        except queue_module.Empty:
+            return None
+
+    def _accept(self, message: EmittedBatch) -> bool:
+        """The per-message ingress steps; ``False`` drops a replayed batch.
+
+        Runs once for every batch taken from the ingress, before its tuples
+        join a dispatch chunk: the kill-directive trigger, the replay dedup
+        and the sanitizer's fan-in book all count *messages*, whatever the
+        chunking.
+        """
+        if (
+            self._kill is not None
+            and not self._killed
+            and message.interval >= self._kill.interval
+        ):
+            self._fire_kill()
+        origin = self._origin_of(message)
+        producer = message.producer_id
+        if producer >= 0 and message.producer_seq >= 0:
+            # Post-recovery replay dedup: a replayed batch carries the same
+            # (origin, producer, seq) as the original, so anything at or
+            # below the accepted floor was already dispatched; re-emissions
+            # of batches the dead process's queue feeder lost arrive *above*
+            # the floor and pass.
+            edge = (origin, producer)
+            if message.producer_seq <= self._last_seq.get(edge, -1):
+                return False
+            self._last_seq[edge] = message.producer_seq
+        if self.sanitizer is not None:
+            self.sanitizer.on_ingress_batch(origin, len(message.keys))
+        self.ingress_messages += 1
+        return True
+
     def _loop(self) -> None:
         config = self.config
         self.router.begin_interval(0)
         self._interval_started = time.monotonic()
 
+        #: What ended the last merge: taken from the ingress but not handled
+        #: yet, so it goes first — never back into the queue.
+        held: Any = None
         while not self._barrier.finished:
-            message = self._next_ingress()
+            message = self._next_ingress() if held is None else held
+            held = None
             if isinstance(message, EmittedBatch):
-                if (
-                    self._kill is not None
-                    and not self._killed
-                    and message.interval >= self._kill.interval
-                ):
-                    self._fire_kill()
-                producer = message.producer_id
-                if producer >= 0 and message.producer_seq >= 0:
-                    # Post-recovery replay dedup: a replayed batch carries
-                    # the same (origin, producer, seq) as the original, so
-                    # anything at or below the accepted floor was already
-                    # dispatched; re-emissions of batches the dead process's
-                    # queue feeder lost arrive *above* the floor and pass.
-                    edge = (self._origin_of(message), producer)
-                    if message.producer_seq <= self._last_seq.get(edge, -1):
-                        continue
-                    self._last_seq[edge] = message.producer_seq
-                if self.sanitizer is not None:
-                    self.sanitizer.on_ingress_batch(
-                        self._origin_of(message), len(message.keys)
-                    )
+                if not self._accept(message):
+                    continue
+                keys, values, origin_at, held = coalesce_ingress(
+                    message, self._poll_ingress, config.batch_size, self._accept
+                )
                 self.router.dispatch(
-                    message.keys,
-                    message.values,
+                    keys,
+                    values,
                     pump=self._pump,
                     interval=message.interval,
-                    origin_at=message.origin_at,
+                    origin_at=origin_at,
                 )
             elif isinstance(message, UpstreamMark):
                 origin = self._origin_of(message)
@@ -575,6 +661,12 @@ class _StageLoop(threading.Thread):
             self.interval_rows,
             self.interval_reports + self.mailbox.drain(IntervalReport),
             self.finals,
+            messages={
+                "ingress": self.ingress_messages,
+                "chunks": self.router.chunks,
+                "to_workers": self.router.worker_messages,
+                "tuples_to_workers": self.router.worker_tuples,
+            },
         )
         shed_ledger = self.router.shed_ledger
         if self.sanitizer is not None:

@@ -19,8 +19,15 @@ transparently).
 operator's emitted tuples — re-keyed by the stage's key mapper — onto the
 consumers' shared bounded *egress* queues as columnar
 :class:`~repro.runtime.messages.EmittedBatch`
-messages, and propagates interval/end-of-stream markers so each downstream
-router can close intervals.  With several consumers (a DAG fan-out) data
+messages, one per inbound batch that emitted anything, and propagates
+interval/end-of-stream markers so each downstream router can close
+intervals.  Emission boundaries are thus a function of the inbound sequence
+alone — what lets a post-recovery replay re-emit the same ``producer_seq`` s —
+and re-batching is the *consumer's* job: its router merges the batches it
+finds waiting into one dispatch chunk (``stage_loop.coalesce_ingress``), so a
+worker's small messages do not stay small down the chain.
+
+With several consumers (a DAG fan-out) data
 batches round-robin across the egress queues — so consecutive batches of a
 hot key land on *different* branches, the split-key premise of the paper's
 Fig. 2 — while every marker is replicated to every consumer (each one runs

@@ -294,6 +294,25 @@ class TestChainBench:
         payload = json.loads((root / "BENCH_runtime.json").read_text())
         assert validate_bench.validate_report(payload) == 8  # 2 strategies × 4 rows
 
+    def test_message_counters_are_reported_per_stage_and_must_balance(self, outcome):
+        _, _, run, _, root = outcome
+        for row in run.result.rows:
+            if row["stage"] != "chain":
+                assert row["worker_messages"] >= row["chunks"] > 0
+                assert row["tuples_per_worker_message"] > 0
+        validate_bench = _load_validate_bench()
+        payload = json.loads((root / "BENCH_runtime.json").read_text())
+        stage = payload["per_strategy"]["storm"]["stages"]["customer-join"]
+        assert stage["messages"]["tuples_to_workers"] == stage["tuples_offered"]
+        # A tuple the router offered that reached no worker queue (and was
+        # not shed) is a lost tuple, whatever the processed count says.
+        stage["messages"]["tuples_to_workers"] -= 1
+        with pytest.raises(SystemExit):
+            validate_bench.validate_report(payload)
+        del stage["messages"]
+        with pytest.raises(SystemExit):
+            validate_bench.validate_report(payload)
+
     def test_per_stage_artifacts_are_stored(self, outcome):
         _, store, run, _, _ = outcome
         names = store.artifact_names(run.metadata.run_id)

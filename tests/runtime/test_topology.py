@@ -3,10 +3,12 @@
 import multiprocessing
 import time
 
+import numpy as np
 import pytest
 
 from repro.baselines.hash_only import HashPartitioner
 from repro.engine.operator import OperatorLogic
+from repro.operators import build_q5_topology
 from repro.operators.windowed_aggregate import WindowedAggregate
 from repro.operators.wordcount import WordCountOperator
 from repro.runtime import (
@@ -15,6 +17,8 @@ from repro.runtime import (
     TopologyRuntime,
     TopologySpec,
 )
+from repro.runtime.bench import _expand_snapshots
+from repro.workloads import TPCHStreamWorkload, generate_tpch
 
 
 def _bucket(key):
@@ -304,3 +308,65 @@ class TestBackpressureChaining:
         # finish faster than that floor.
         floor_seconds = (total / 2) * service_us / 1e6
         assert outcome.wall_seconds >= floor_seconds * 0.8
+
+
+class TestUnpacedChainCoalescing:
+    """An unpaced Q5 chain: workers are faster than the routers, so batches
+    pile up in the downstream ingresses and are dispatched merged."""
+
+    INTERVALS = 4
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        dataset = generate_tpch(scale=0.001, seed=0)
+        topology = build_q5_topology(
+            dataset,
+            lambda stage, tasks: HashPartitioner(tasks, seed=0),
+            parallelism=2,
+            window=2,
+        )
+        snapshots = TPCHStreamWorkload(
+            dataset, tuples_per_interval=6_000, intervals=self.INTERVALS, seed=0
+        ).take(self.INTERVALS)
+        stream = _expand_snapshots(snapshots, np.random.default_rng(7), value=1.0)
+        outcome = TopologyRuntime(
+            topology,
+            RuntimeConfig(
+                batch_size=128,
+                service_time_us=0.0,
+                collect_final_state=True,
+                sanitize=True,
+            ),
+        ).run(stream)
+        return outcome, sum(len(tuples) for tuples in stream)
+
+    def test_every_stage_sees_the_whole_stream(self, run):
+        outcome, total = run
+        assert outcome.sanitizer["violations"] == []
+        assert outcome.final.tuples_processed == total
+        for stage in outcome.stages.values():
+            assert stage.tuples_processed == stage.tuples_offered == total
+        assert outcome.final.final_state
+
+    def test_intervals_close_once_and_in_order(self, run):
+        outcome, _ = run
+        for stage in outcome.stages.values():
+            closed = [int(row.interval) for row in stage.metrics]
+            assert closed == list(range(self.INTERVALS))
+
+    def test_message_counters_balance(self, run):
+        outcome, total = run
+        stages = list(outcome.stages.values())
+        for stage in stages:
+            messages = stage.messages
+            assert messages["tuples_to_workers"] == total
+            assert messages["to_workers"] >= messages["chunks"] > 0
+            assert stage.tuples_per_worker_message == total / messages["to_workers"]
+        # Source batches are exactly batch_size: nothing to merge up front.
+        assert stages[0].messages["chunks"] == stages[0].messages["ingress"]
+        # Downstream a chunk is one or more ingress messages, never a part
+        # of one (workers emit at most a chunk's worth per message), and
+        # each stage's ingress is what its upstream's workers were sent.
+        for upstream, stage in zip(stages, stages[1:]):
+            assert stage.messages["chunks"] <= stage.messages["ingress"]
+            assert stage.messages["ingress"] == upstream.messages["to_workers"]
