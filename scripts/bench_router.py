@@ -10,8 +10,10 @@ implementations run on the identical stream:
   (chunk-level Counter/np.bincount accounting, batched costs, one-pass
   grouping);
 * **per-tuple reference** — a faithful port of the pre-vectorization
-  dispatch loop (per-tuple dict updates and ``setdefault`` grouping), kept
-  here so the speedup stays a *tracked number* in the benchmark trajectory.
+  dispatch loop (per-tuple dict updates, one cost call per tuple and
+  ``setdefault`` grouping): ``tests/runtime/reference_router.py``, the oracle
+  of ``test_router_parity.py``, timed here so the speedup stays a *tracked
+  number* in the benchmark trajectory.
 
 Usage::
 
@@ -32,17 +34,17 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "tests" / "runtime"))
 
 import numpy as np  # noqa: E402
+from reference_router import ReferenceRouter  # noqa: E402
 
 from repro.baselines.hash_only import HashPartitioner  # noqa: E402
-from repro.core.hashing import memo_key  # noqa: E402
-from repro.engine.operator import OperatorLogic  # noqa: E402
 from repro.operators.windowed_join import WindowedJoin  # noqa: E402
-from repro.runtime.messages import TupleBatch  # noqa: E402
 from repro.runtime.router import StreamRouter  # noqa: E402
 
 Key = Hashable
@@ -58,83 +60,6 @@ class _SinkQueue:
 
     def put(self, item: Any, timeout: Optional[float] = None) -> None:
         self.batches += 1
-
-
-class _ReferenceRouter:
-    """The pre-vectorization dispatch loop (per-tuple accounting), verbatim.
-
-    Port of the old ``StreamRouter._dispatch_chunk`` *and* the old
-    ``Partitioner.assign_batch``: one :func:`memo_key`-boxed memo lookup per
-    key, one dict update per tuple for freqs / offered tuples / offered
-    cost, one ``tuple_cost`` call per tuple, a per-tuple paused-key
-    membership test and ``per_task.setdefault`` grouping.  Exists purely as
-    the baseline this benchmark compares against (the shipped router now
-    does all of this chunk-at-a-time).
-    """
-
-    def __init__(
-        self,
-        partitioner: HashPartitioner,
-        logic: OperatorLogic,
-        worker_queues: List[_SinkQueue],
-        batch_size: int,
-    ) -> None:
-        self.partitioner = partitioner
-        self.logic = logic
-        self.worker_queues = worker_queues
-        self.batch_size = batch_size
-        self.freqs: Dict[Key, float] = {}
-        self.offered_tuples: Dict[int, float] = {
-            task: 0.0 for task in range(len(worker_queues))
-        }
-        self.offered_cost: Dict[int, float] = {
-            task: 0.0 for task in range(len(worker_queues))
-        }
-        self._paused_keys: set = set()
-        self._route_cache: Dict[Any, int] = {}
-
-    def _assign_batch(self, keys: List[Key]) -> List[int]:
-        """The pre-PR memoised batch assignment (per-key memo_key boxing)."""
-        cache = self._route_cache
-        cache_get = cache.get
-        route = self.partitioner.route
-        out: List[int] = []
-        for key in keys:
-            memo = memo_key(key)
-            if memo is None:
-                out.append(route(key))
-                continue
-            task = cache_get(memo)
-            if task is None:
-                task = cache[memo] = route(key)
-            out.append(task)
-        return out
-
-    def dispatch(self, pairs: List[Tuple[Key, Any]]) -> None:
-        for start in range(0, len(pairs), self.batch_size):
-            self._dispatch_chunk(pairs[start : start + self.batch_size])
-
-    def _dispatch_chunk(self, chunk: List[Tuple[Key, Any]]) -> None:
-        tuple_cost = self.logic.tuple_cost
-        destinations = self._assign_batch([key for key, _ in chunk])
-        per_task: Dict[int, List[Tuple[Key, Any]]] = {}
-        now = time.monotonic()
-        freqs = self.freqs
-        offered_tuples = self.offered_tuples
-        offered_cost = self.offered_cost
-        for (key, value), task in zip(chunk, destinations):
-            freqs[key] = freqs.get(key, 0.0) + 1.0
-            offered_tuples[task] = offered_tuples.get(task, 0.0) + 1.0
-            offered_cost[task] = offered_cost.get(task, 0.0) + tuple_cost(key, value)
-            if key in self._paused_keys:
-                continue
-            per_task.setdefault(task, []).append((key, value))
-        for task, batch in per_task.items():
-            keys = [key for key, _ in batch]
-            values = [value for _, value in batch]
-            self.worker_queues[task].put(
-                TupleBatch(interval=0, sent_at=now, keys=keys, values=values)
-            )
 
 
 def _zipf_keys(
@@ -178,11 +103,13 @@ def run_benchmark(
     """
     keys = _zipf_keys(num_tuples, num_keys, skew, seed)
     values = [1.0] * num_tuples
-    pairs = list(zip(keys, values))
     # The cost model of the Q5 chain's join stages (DimensionJoin subclasses
     # WindowedJoin): an affine per-tuple cost, which the vectorized path
     # evaluates once per chunk and the reference once per tuple.
     logic = WindowedJoin(window=2, cost_per_tuple=0.75, cost_per_match=0.05)
+
+    def join_cost(key: Key, value: Any) -> float:
+        return 0.75 + 0.05 * 1.0
 
     # Steady-state dispatch: the router a coordinator thread runs all day,
     # route memos warm (they persist across intervals in situ).  Both
@@ -194,11 +121,8 @@ def run_benchmark(
         batch_size=batch_size,
     )
     router.begin_interval(0)
-    reference = _ReferenceRouter(
-        HashPartitioner(num_tasks, seed=seed),
-        logic,
-        [_SinkQueue() for _ in range(num_tasks)],
-        batch_size,
+    reference = ReferenceRouter(
+        HashPartitioner(num_tasks, seed=seed), join_cost, num_tasks, batch_size
     )
 
     def run_vectorized() -> None:
@@ -209,8 +133,8 @@ def run_benchmark(
         router.dispatch(keys, values)
 
     def run_reference() -> None:
-        reference.freqs.clear()
-        reference.dispatch(pairs)
+        reference.clear()
+        reference.dispatch(keys, values, 0)
 
     # Warm the route memo / hash-digest caches out of the measurement.
     run_vectorized()

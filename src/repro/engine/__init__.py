@@ -4,10 +4,11 @@ The engine provides everything the paper's evaluation environment (Apache
 Storm on a 21-node cluster) contributed to the experiments, re-implemented as a
 simulator:
 
-* the data model (:mod:`repro.engine.tuples`), keyed windowed state
-  (:mod:`repro.engine.state`, :mod:`repro.engine.window`),
-* logical operators, task instances and the topology description shared with
-  the process runtime (:mod:`repro.engine.operator`,
+* keyed windowed state (:mod:`repro.engine.state`,
+  :mod:`repro.engine.window`); tuples travel as parallel key / value columns,
+  there is no per-tuple object,
+* the batch-only operator contract, task instances and the topology
+  description shared with the process runtime (:mod:`repro.engine.operator`,
   :mod:`repro.engine.topology`: one ``TopologySpec`` is simulated here and
   executed by :mod:`repro.runtime`),
 * a fluid per-interval execution model with queueing, backpressure and latency
@@ -27,7 +28,6 @@ from repro.engine.operator import OperatorLogic, Task
 from repro.engine.simulator import OperatorSimulator, PipelineSimulator, SimulationConfig
 from repro.engine.state import KeyedState
 from repro.engine.topology import StageSpec, TopologySpec
-from repro.engine.tuples import StreamTuple
 from repro.engine.window import SlidingWindow
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "SimulationConfig",
     "SlidingWindow",
     "StageSpec",
-    "StreamTuple",
     "Task",
     "TaskExecutor",
     "TopologySpec",

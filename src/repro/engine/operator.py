@@ -1,40 +1,53 @@
 """Logical operators and their task instances.
 
-An :class:`OperatorLogic` describes *what* an operator does with a tuple: the
-CPU cost of processing it, how much windowed state it adds for the tuple's key,
-and (for the event-level API) the concrete processing function.  A
-:class:`Task` is one parallel instance of the operator: it owns a
+An :class:`OperatorLogic` is written once, batch-wise.  It states the two
+quantities the paper's planner consumes — the computation cost ``c(k)`` and
+the windowed state ``S(k, w)`` a tuple adds — as two attributes
+(:attr:`~OperatorLogic.cost_per_tuple`, :attr:`~OperatorLogic.state_per_tuple`)
+and implements :meth:`~OperatorLogic.process_batch`: apply a batch of tuples
+to the task-local keyed state, return the emissions.  There is no per-tuple
+twin of any of the three; the per-tuple semantics the batches must equal live
+in ``tests/operators/reference_operators.py`` as the oracle.
+
+A :class:`Task` is one parallel instance of the operator: it owns a
 :class:`~repro.engine.state.KeyedState`, applies the logic to the tuples routed
-to it and counts what it processed (:class:`TaskMetrics`).
+to it and counts what it processed (:class:`TaskMetrics`).  It has two ways
+in: :meth:`Task.process_batch` (the process runtime) and
+:meth:`Task.ingest_counts` (the fluid simulator).
 """
 
 from __future__ import annotations
 
 from abc import ABC
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Any, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.engine.state import KeyedState
-from repro.engine.tuples import StreamTuple
 
-__all__ = ["BatchCost", "OperatorLogic", "Task", "TaskMetrics"]
+__all__ = ["BatchCost", "OperatorLogic", "Task", "TaskMetrics", "UnitModel", "unit_values"]
 
 Key = Hashable
 
-#: A whole batch's processing cost: either one scalar (the shared per-tuple
-#: cost — every constant/affine cost model) or an array of per-tuple costs
-#: aligned with the batch's keys.
+#: A batch model's answer: either one scalar (the shared per-tuple value —
+#: every constant/affine model, i.e. every shipped operator) or an array of
+#: per-tuple values aligned with the batch's keys.
 BatchCost = Union[float, np.ndarray]
+
+#: The same answer as the fluid simulator hands it to its tasks: the scalar,
+#: or ``{key: unit value}`` over the interval's snapshot.
+UnitModel = Union[float, Mapping[Key, float]]
 
 
 class OperatorLogic(ABC):
     """Behavioural description of a logical operator.
 
-    Sub-classes override the cost/state models and, when event-level execution
-    is wanted, :meth:`process`.  The defaults describe a stateless map-like
-    operator with unit cost.
+    A sub-class sets :attr:`cost_per_tuple` / :attr:`state_per_tuple` (class
+    attributes or in ``__init__``) and implements :meth:`process_batch`.  The
+    defaults describe a unit-cost operator that forwards its input and, when
+    :attr:`stateful`, retains one unit of state per tuple.
     """
 
     #: Operator name (topology display / metrics).
@@ -44,75 +57,30 @@ class OperatorLogic(ABC):
     stateful: bool = False
     #: Number of intervals of state retained per key.
     window: int = 1
-
-    # -- fluid model ---------------------------------------------------------------
-
-    def tuple_cost(self, key: Key, value: Any = None) -> float:
-        """CPU cost units consumed by one tuple with ``key``."""
-        return 1.0
-
-    def state_delta(self, key: Key, value: Any = None) -> float:
-        """Memory units of state added by one tuple with ``key``."""
-        return 1.0 if self.stateful else 0.0
+    #: CPU cost units consumed by one tuple — the planner's ``c(k)`` per tuple.
+    cost_per_tuple: float = 1.0
+    #: Memory units of windowed state one tuple adds — ``S(k, w)`` per tuple
+    #: (read as zero while the operator is not :attr:`stateful`).
+    state_per_tuple: float = 1.0
 
     def batch_cost(
         self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
     ) -> BatchCost:
-        """Processing cost of a whole batch of tuples (router/worker hot path).
+        """Processing cost of a batch, per tuple (router / worker / simulator).
 
-        Returns either a **scalar** — the shared per-tuple cost when every
-        tuple of the batch costs the same, which is true of every constant or
-        affine cost model in the repo (word count, windowed aggregate, the
-        TPC-H joins) — or an ndarray of per-tuple costs aligned with
-        ``keys``.  Callers multiply a scalar by per-destination tuple counts
-        (no per-tuple work at all) and ``np.bincount``-reduce an array.
-
-        The default falls back to one :meth:`tuple_cost` call per tuple, so
-        any operator with a genuinely key/value-dependent cost stays correct
-        without overriding anything.
+        The scalar :attr:`cost_per_tuple`: callers multiply it by tuple
+        counts, no per-tuple work at all.  An operator whose cost really
+        depends on the key or the value overrides this to return an ndarray
+        of per-tuple costs aligned with ``keys``, which callers
+        ``np.bincount``-reduce.
         """
-        if values is None:
-            iterator = (self.tuple_cost(key) for key in keys)
-        else:
-            iterator = (
-                self.tuple_cost(key, value) for key, value in zip(keys, values)
-            )
-        return np.fromiter(iterator, dtype=np.float64, count=len(keys))
+        return self.cost_per_tuple
 
     def batch_state_delta(
         self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
     ) -> BatchCost:
-        """State added by a whole batch of tuples (same shape as batch_cost).
-
-        Scalar when every tuple adds the same state (all shipped operators);
-        the default falls back to one :meth:`state_delta` call per tuple —
-        value included — so value-dependent state models stay exact.
-        """
-        if values is None:
-            iterator = (self.state_delta(key) for key in keys)
-        else:
-            iterator = (
-                self.state_delta(key, value) for key, value in zip(keys, values)
-            )
-        return np.fromiter(iterator, dtype=np.float64, count=len(keys))
-
-    # -- event-level model ------------------------------------------------------------
-
-    def process(
-        self,
-        tup: StreamTuple,
-        state: KeyedState,
-        task_id: int,
-    ) -> List[StreamTuple]:
-        """Process one tuple against the task-local ``state``.
-
-        Returns the tuples emitted downstream.  The default implementation
-        forwards the tuple unchanged and, for stateful operators, accumulates
-        ``state_delta`` units of state for the key.
-        """
-        if self.stateful:
-            state.accumulate(tup.key, tup.interval, self.state_delta(tup.key, tup.value))
-        return [tup]
+        """State added by a batch, per tuple (same shape as :meth:`batch_cost`)."""
+        return self.state_per_tuple if self.stateful else 0.0
 
     def process_batch(
         self,
@@ -122,25 +90,20 @@ class OperatorLogic(ABC):
         state: KeyedState,
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
-        """Process a whole batch; returns the emissions columnar.
+        """Apply a batch of tuples, in order, to the task-local ``state``.
 
-        Semantically identical to calling :meth:`process` once per tuple (in
-        order) and flattening the emitted tuples into parallel
-        ``(out_keys, out_values)`` lists — which is exactly what this default
-        does, so every operator is batch-callable.  Hot operators override it
-        to skip the per-tuple :class:`StreamTuple` boxing, the kwargs dict
-        and the output-list allocation of the scalar path.
+        Returns the tuples emitted downstream as parallel ``(out_keys,
+        out_values)`` lists.  The result must not depend on where a stream is
+        cut into batches.  The default forwards the batch unchanged and, for
+        stateful operators, accumulates what :meth:`batch_state_delta` says
+        each tuple adds.
         """
-        out_keys: List[Key] = []
-        out_values: List[Any] = []
-        process = self.process
-        for key, value in zip(keys, values):
-            for tup in process(
-                StreamTuple(key=key, value=value, interval=interval), state, task_id
-            ):
-                out_keys.append(tup.key)
-                out_values.append(tup.value)
-        return out_keys, out_values
+        if self.stateful:
+            deltas = self.batch_state_delta(keys, values)
+            per_tuple = deltas.tolist() if np.ndim(deltas) else repeat(float(deltas))
+            for key, delta in zip(keys, per_tuple):
+                state.accumulate(key, interval, delta)
+        return list(keys), list(values)
 
     #: Whether the operator participates in the split-key execution mode:
     #: its emissions are *partial* aggregates that a downstream merge stage
@@ -184,20 +147,15 @@ class TaskMetrics:
 
     tuples_processed: int = 0
     cost_processed: float = 0.0
-    state_installed: float = 0.0
-    state_evicted: float = 0.0
     migrations_in: int = 0
     migrations_out: int = 0
 
 
-def _running_sum(per_tuple: BatchCost, count: int) -> float:
-    """Left-to-right sum of a batch's per-tuple values (a scalar counts once
-    per tuple) — the additions the scalar path makes, in its order."""
-    values = per_tuple.tolist() if np.ndim(per_tuple) else [float(per_tuple)] * count
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def unit_values(unit: UnitModel, frequencies: Mapping[Key, float]) -> Iterable[float]:
+    """``unit`` as one value per key of ``frequencies``, in its order."""
+    if isinstance(unit, Mapping):
+        return map(unit.__getitem__, frequencies)
+    return repeat(unit)
 
 
 class Task:
@@ -207,7 +165,8 @@ class Task:
     :class:`TaskMetrics` counters.  It does not measure per-key statistics:
     the router (process runtime) and the simulator count the keys they route
     and build the interval's :class:`~repro.core.statistics.IntervalStats`
-    from those counts.
+    from those counts.  How much state it holds is
+    :attr:`state_size`, read off the :class:`KeyedState` itself.
     """
 
     def __init__(self, task_id: int, logic: OperatorLogic) -> None:
@@ -227,86 +186,56 @@ class Task:
         self._current_interval = interval
         self._interval_open = True
 
-    def process(self, tup: StreamTuple) -> List[StreamTuple]:
-        """Event-level processing of a single tuple."""
-        if not self._interval_open:
-            self.begin_interval(tup.interval)
-        cost = self.logic.tuple_cost(tup.key, tup.value)
-        delta = self.logic.state_delta(tup.key, tup.value)
-        outputs = self.logic.process(tup, self.state, self.task_id)
-        self.metrics.tuples_processed += 1
-        self.metrics.cost_processed += cost
-        self.metrics.state_installed += delta
-        return outputs
-
     def process_batch(
         self, keys: Sequence[Key], values: Sequence[Any], interval: int
     ) -> Tuple[List[Key], List[Any]]:
-        """Event-level processing of a whole batch (runtime worker hot path).
+        """Event-level processing of a batch (the runtime worker's way in).
 
-        The batch sibling of :meth:`process`: the operator logic runs once
-        per tuple (through :meth:`OperatorLogic.process_batch`, which hot
-        operators vectorise), but the metrics counters are updated **once
-        per batch** from the operator's :meth:`~OperatorLogic.batch_cost` /
-        :meth:`~OperatorLogic.batch_state_delta`.  Both batch models default
-        to exact per-tuple evaluation (value included) and are evaluated
-        **before** the processing mutates the windowed state, matching the
-        scalar path's ordering (a cost model that reads its own accumulated
-        state still sees pre-batch rather than pre-tuple state — chunk
-        granularity is the documented resolution of the batch path).
+        One :meth:`OperatorLogic.process_batch` call and one counter update
+        per batch.  :meth:`~OperatorLogic.batch_cost` is evaluated **before**
+        the processing mutates the windowed state, so a cost model that reads
+        its own accumulated state sees pre-batch state.
         """
         if not self._interval_open:
             self.begin_interval(interval)
-        logic = self.logic
         count = len(keys)
-        if count:
-            costs = logic.batch_cost(keys, values)
-            deltas = logic.batch_state_delta(keys, values)
-        outputs = logic.process_batch(keys, values, interval, self.state, self.task_id)
-        if count:
-            self.metrics.tuples_processed += count
-            if np.ndim(costs) == 0 and np.ndim(deltas) == 0:
-                self.metrics.cost_processed += float(costs) * count
-                self.metrics.state_installed += float(deltas) * count
-            else:
-                self.metrics.cost_processed += _running_sum(costs, count)
-                self.metrics.state_installed += _running_sum(deltas, count)
+        costs = self.logic.batch_cost(keys, values) if count else 0.0
+        outputs = self.logic.process_batch(keys, values, interval, self.state, self.task_id)
+        self.metrics.tuples_processed += count
+        self.metrics.cost_processed += (
+            float(np.sum(costs)) if np.ndim(costs) else float(costs) * count
+        )
         return outputs
 
     def ingest_counts(
         self,
         interval: int,
-        frequencies: Dict[Key, float],
-        cost_of: Optional[Dict[Key, float]] = None,
-        delta_of: Optional[Dict[Key, float]] = None,
+        frequencies: Mapping[Key, float],
+        unit_cost: UnitModel,
+        unit_delta: UnitModel,
     ) -> None:
         """Fluid-model ingestion: account for ``frequencies`` without running
-        the event-level logic (used by the interval simulator for speed).
+        the event-level logic (the interval simulator's way in).
 
-        ``cost_of``/``delta_of`` optionally carry per-key unit cost and state
-        delta precomputed by the caller (the simulator evaluates them once per
-        snapshot and shares the maps across all tasks of the stage).
+        ``unit_cost`` / ``unit_delta`` are the operator's per-tuple cost and
+        state models as the simulator evaluated them once for the whole
+        snapshot: the scalar, or ``{key: value}`` covering ``frequencies``.
         """
         if not self._interval_open or self._current_interval != interval:
             self.begin_interval(interval)
-        logic = self.logic
-        stateful = logic.stateful
-        state = self.state
+        costs = unit_values(unit_cost, frequencies)
+        deltas = unit_values(unit_delta, frequencies)
+        accumulate = self.state.accumulate
         tuples = 0
         total_cost = 0.0
-        total_delta = 0.0
-        for key, freq in frequencies.items():
-            unit_cost = cost_of[key] if cost_of is not None else logic.tuple_cost(key)
-            unit_delta = delta_of[key] if delta_of is not None else logic.state_delta(key)
-            delta = unit_delta * freq
-            if stateful and delta > 0:
-                state.accumulate(key, interval, delta)
+        for (key, freq), cost, delta in zip(frequencies.items(), costs, deltas):
+            added = delta * freq
+            if added > 0:
+                accumulate(key, interval, added)
             tuples += int(freq)
-            total_cost += unit_cost * freq
-            total_delta += delta
+            total_cost += cost * freq
         self.metrics.tuples_processed += tuples
         self.metrics.cost_processed += total_cost
-        self.metrics.state_installed += total_delta
 
     @property
     def has_open_interval(self) -> bool:
@@ -328,9 +257,7 @@ class Task:
         self._interval_open = False
         horizon = interval if interval is not None else self._current_interval
         if self.logic.stateful and horizon is not None:
-            before = self.state.total_size()
             self.state.expire(horizon)
-            self.metrics.state_evicted += before - self.state.total_size()
 
     # -- migration ------------------------------------------------------------------------
 

@@ -26,7 +26,10 @@ as the TPC-H Q5 topology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.baselines.base import Partitioner
 from repro.core.load import max_balance_indicator, max_skewness
@@ -35,7 +38,7 @@ from repro.core.statistics import IntervalStats
 from repro.engine.executor import ExecutorConfig, TaskExecutor
 from repro.engine.metrics import IntervalMetrics, MetricsCollector
 from repro.engine.migration_protocol import MigrationProtocol
-from repro.engine.operator import OperatorLogic, Task
+from repro.engine.operator import BatchCost, OperatorLogic, Task, UnitModel, unit_values
 from repro.engine.topology import StageSpec, TopologySpec
 
 __all__ = [
@@ -47,6 +50,17 @@ __all__ = [
 
 Key = Hashable
 WorkloadSnapshot = Mapping[Key, float]
+
+
+def _unit_model(model: BatchCost, keys: List[Key]) -> UnitModel:
+    """A batch model's answer over a snapshot's ``keys`` in the shape every
+    per-task sub-snapshot can read: the scalar, or ``{key: unit value}``."""
+    return dict(zip(keys, model.tolist())) if np.ndim(model) else float(model)
+
+
+def _weighted_sum(freqs: WorkloadSnapshot, unit: UnitModel) -> float:
+    """``Σ count × unit value`` over ``freqs``, added in its order."""
+    return sum(map(mul, freqs.values(), unit_values(unit, freqs)))
 
 
 @dataclass(frozen=True)
@@ -153,10 +167,10 @@ class _StageRuntime:
         Returns the stage's full (no capacity limit) output snapshot so the
         next stage can calibrate in turn.
         """
-        logic = self.stage.logic
-        total_cost = sum(count * logic.tuple_cost(key) for key, count in in_freqs.items())
         if self.capacity is None:
-            self._calibrate(total_cost)
+            keys = list(in_freqs)
+            unit_cost = _unit_model(self.stage.logic.batch_cost(keys), keys)
+            self._calibrate(_weighted_sum(in_freqs, unit_cost))
         return self._rekeyed([in_freqs])
 
     def scale_out(self, new_parallelism: int) -> None:
@@ -177,16 +191,16 @@ class _StageRuntime:
         partitioner = self.stage.partitioner
         num_tasks = partitioner.num_tasks
 
-        # Per-key unit cost / state delta, evaluated once per snapshot and
+        # The operator's cost / state models, asked once per snapshot and
         # shared by every consumer below (routing, executors, statistics).
-        tuple_cost = logic.tuple_cost
-        state_delta = logic.state_delta
-        cost_of: Dict[Key, float] = {key: tuple_cost(key) for key in in_freqs}
-        delta_of: Dict[Key, float] = {key: state_delta(key) for key in in_freqs}
+        keys = list(in_freqs)
+        batch_cost = logic.batch_cost(keys)
+        batch_delta = logic.batch_state_delta(keys)
+        unit_cost = _unit_model(batch_cost, keys)
+        unit_delta = _unit_model(batch_delta, keys)
 
-        total_cost = sum(count * cost_of[key] for key, count in in_freqs.items())
         if self.capacity is None:
-            self._calibrate(total_cost)
+            self._calibrate(_weighted_sum(in_freqs, unit_cost))
         assert self.capacity is not None
 
         # Route the whole snapshot through the partitioner's batch fast path.
@@ -196,9 +210,7 @@ class _StageRuntime:
         offered_tuples: Dict[int, float] = {}
         for task_id in range(num_tasks):
             freqs = per_task_freqs.get(task_id, {})
-            offered_cost[task_id] = sum(
-                count * cost_of[key] for key, count in freqs.items()
-            )
+            offered_cost[task_id] = _weighted_sum(freqs, unit_cost)
             offered_tuples[task_id] = sum(freqs.values())
 
         # Execute the interval on every task.
@@ -215,7 +227,7 @@ class _StageRuntime:
             executor = self.executors[task_id]
             start_backlog = executor.backlog
             freqs = per_task_freqs.get(task_id, {})
-            task.ingest_counts(interval, freqs, cost_of=cost_of, delta_of=delta_of)
+            task.ingest_counts(interval, freqs, unit_cost, unit_delta)
 
             # Merge the new arrivals into the task's pending tuple mix.
             pending = self.pending_freqs.setdefault(task_id, {})
@@ -285,8 +297,8 @@ class _StageRuntime:
         op_stats = IntervalStats.from_frequencies(
             interval,
             in_freqs,
-            cost_per_tuple=list(cost_of.values()),
-            memory_per_tuple=list(delta_of.values()),
+            cost_per_tuple=batch_cost,
+            memory_per_tuple=batch_delta,
         )
 
         rebalance = partitioner.on_interval_end(op_stats)

@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import Partitioner
-from repro.engine.operator import OperatorLogic
 from repro.engine.state import KeyedState
 from repro.engine.topology import StageSpec, TopologySpec
-from repro.engine.tuples import StreamTuple
 from repro.operators.windowed_aggregate import WindowedAggregate
 from repro.operators.windowed_join import WindowedJoin
 from repro.workloads.tpch import ForeignKeyLookup, TPCHDataset
@@ -61,11 +59,10 @@ class DimensionJoin(WindowedJoin):
     The streaming side keeps its tuples in windowed state (so key migration has
     a real cost); the dimension side is a broadcast lookup table (as a real
     deployment would hold the small TPC-H dimensions replicated on every task).
-    The event-level output enriches the tuple with the dimension attributes.
+    The output enriches each tuple with the dimension attribute.
     """
 
     name = "dimension-join"
-    stateful = True
 
     def __init__(
         self,
@@ -83,22 +80,6 @@ class DimensionJoin(WindowedJoin):
         )
         self.lookup = lookup
 
-    def process(
-        self, tup: StreamTuple, state: KeyedState, task_id: int
-    ) -> List[StreamTuple]:
-        # Keep the streaming tuple in the window (join state) and emit it
-        # enriched with the dimension attribute.
-        def update(old: Optional[List[Any]]) -> List[Any]:
-            return (old or []) + [tup.value]
-
-        state.accumulate(
-            tup.key, tup.interval, self.state_per_tuple, payload_update=update
-        )
-        enriched = (tup.value, self.lookup(tup.key))
-        return [
-            StreamTuple(key=tup.key, value=enriched, interval=tup.interval, stream="joined")
-        ]
-
     def process_batch(
         self,
         keys: Sequence[Key],
@@ -107,10 +88,12 @@ class DimensionJoin(WindowedJoin):
         state: KeyedState,
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
-        # One copy of a key's window list per distinct key of the batch, not
-        # per tuple: the batch's values are grouped by key in arrival order
-        # and the sizes summed tuple by tuple, as process() would.  Still
-        # copy-on-write — a checkpoint snapshot shares the payload lists.
+        # Keep each streaming tuple in the window (join state) and emit it
+        # enriched with the dimension attribute.  One copy of a key's window
+        # list per distinct key of the batch, not per tuple: the batch's
+        # values are grouped by key in arrival order and the sizes summed
+        # tuple by tuple.  Still copy-on-write — a checkpoint snapshot shares
+        # the payload lists.
         lookup = self.lookup
         state_per_tuple = self.state_per_tuple
         arrived: Dict[Key, List[Any]] = {}

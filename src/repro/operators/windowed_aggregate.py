@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.engine.operator import BatchCost, OperatorLogic
+from repro.engine.operator import OperatorLogic
 from repro.engine.state import KeyedState
-from repro.engine.tuples import StreamTuple
 
 __all__ = ["WindowedAggregate", "PartialWindowedAggregate", "MergeOperator"]
 
@@ -68,36 +67,6 @@ class WindowedAggregate(OperatorLogic):
         self.cost_per_tuple = float(cost_per_tuple)
         self.state_per_tuple = float(state_per_tuple)
 
-    def tuple_cost(self, key: Key, value: Any = None) -> float:
-        return self.cost_per_tuple
-
-    def batch_cost(
-        self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
-    ) -> BatchCost:
-        # Constant cost model: one scalar covers the whole batch.
-        return self.cost_per_tuple
-
-    def state_delta(self, key: Key, value: Any = None) -> float:
-        return self.state_per_tuple
-
-    def batch_state_delta(
-        self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
-    ) -> BatchCost:
-        return self.state_per_tuple
-
-    def process(
-        self, tup: StreamTuple, state: KeyedState, task_id: int
-    ) -> List[StreamTuple]:
-        aggregate = state.accumulate(
-            tup.key,
-            tup.interval,
-            self.state_per_tuple,
-            payload_update=lambda old: self.reducer(old, tup.value),
-        )
-        return [
-            StreamTuple(key=tup.key, value=aggregate, interval=tup.interval, stream="aggregates")
-        ]
-
     def process_batch(
         self,
         keys: Sequence[Key],
@@ -106,21 +75,20 @@ class WindowedAggregate(OperatorLogic):
         state: KeyedState,
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
+        # Emits the key's aggregate after each tuple, in arrival order.
         accumulate = state.accumulate
         reducer = self.reducer
         state_per_tuple = self.state_per_tuple
-        out_values: List[Any] = []
-        append = out_values.append
-        for key, value in zip(keys, values):
-            append(
-                accumulate(
-                    key,
-                    interval,
-                    state_per_tuple,
-                    payload_update=lambda old, value=value: reducer(old, value),
-                )
+        aggregates = [
+            accumulate(
+                key,
+                interval,
+                state_per_tuple,
+                payload_update=lambda old, value=value: reducer(old, value),
             )
-        return list(keys), out_values
+            for key, value in zip(keys, values)
+        ]
+        return list(keys), aggregates
 
 
 class PartialWindowedAggregate(WindowedAggregate):
@@ -160,24 +128,6 @@ class PartialWindowedAggregate(WindowedAggregate):
     def _partial_id(self, task_id: int) -> Any:
         return (self.source_tag, task_id) if self.source_tag else task_id
 
-    def process(
-        self, tup: StreamTuple, state: KeyedState, task_id: int
-    ) -> List[StreamTuple]:
-        partial = state.accumulate(
-            tup.key,
-            tup.interval,
-            self.state_per_tuple,
-            payload_update=lambda old: self.reducer(old, tup.value),
-        )
-        return [
-            StreamTuple(
-                key=tup.key,
-                value=(self._partial_id(task_id), partial),
-                interval=tup.interval,
-                stream="partials",
-            )
-        ]
-
     def process_batch(
         self,
         keys: Sequence[Key],
@@ -186,23 +136,11 @@ class PartialWindowedAggregate(WindowedAggregate):
         state: KeyedState,
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
-        # Same loop as the parent, but emissions are tagged with the
-        # producing task so the downstream merger can deduplicate.
-        accumulate = state.accumulate
-        reducer = self.reducer
-        state_per_tuple = self.state_per_tuple
+        # The parent's aggregates, each tagged with the producing task so the
+        # downstream merger can deduplicate.
+        out_keys, partials = super().process_batch(keys, values, interval, state, task_id)
         partial_id = self._partial_id(task_id)
-        out_values: List[Any] = []
-        append = out_values.append
-        for key, value in zip(keys, values):
-            partial = accumulate(
-                key,
-                interval,
-                state_per_tuple,
-                payload_update=lambda old, value=value: reducer(old, value),
-            )
-            append((partial_id, partial))
-        return list(keys), out_values
+        return out_keys, [(partial_id, partial) for partial in partials]
 
     def merge(self, key: Key, partials: Sequence[Any]) -> Any:
         """Fold split-key partials of ``key`` with the aggregate's reducer."""
@@ -230,6 +168,8 @@ class MergeOperator(OperatorLogic):
     name = "merge"
     stateful = True
     mergeable = True
+    #: The merger only keeps the combined aggregate per key, not the tuples.
+    state_per_tuple = 0.1
 
     def __init__(
         self,
@@ -241,24 +181,7 @@ class MergeOperator(OperatorLogic):
             raise ValueError("cost_per_partial must be positive")
         self.reducer = reducer if reducer is not None else _default_reducer
         self.window = int(window)
-        self.cost_per_partial = float(cost_per_partial)
-
-    def tuple_cost(self, key: Key, value: Any = None) -> float:
-        return self.cost_per_partial
-
-    def batch_cost(
-        self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
-    ) -> BatchCost:
-        return self.cost_per_partial
-
-    def state_delta(self, key: Key, value: Any = None) -> float:
-        # The merger only keeps the combined aggregate per key, not the tuples.
-        return 0.1
-
-    def batch_state_delta(
-        self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
-    ) -> BatchCost:
-        return self.state_delta(None)
+        self.cost_per_tuple = float(cost_per_partial)
 
     def merge(self, key: Key, partials: Sequence[Any]) -> Any:
         """Fold the collected per-producer partials of ``key`` into one value."""
@@ -281,17 +204,9 @@ class MergeOperator(OperatorLogic):
             return merged
 
         partials = state.accumulate(
-            key, interval, self.state_delta(key), payload_update=update
+            key, interval, self.state_per_tuple, payload_update=update
         )
         return self.merge(key, list(partials.values()))
-
-    def process(
-        self, tup: StreamTuple, state: KeyedState, task_id: int
-    ) -> List[StreamTuple]:
-        combined = self._absorb(tup.key, tup.value, tup.interval, state)
-        return [
-            StreamTuple(key=tup.key, value=combined, interval=tup.interval, stream="merged")
-        ]
 
     def process_batch(
         self,

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
-from repro.engine.operator import BatchCost, OperatorLogic
+from repro.engine.operator import OperatorLogic
 from repro.engine.state import KeyedState
-from repro.engine.tuples import StreamTuple
 
 __all__ = ["WordCountOperator"]
 
@@ -38,9 +37,9 @@ class WordCountOperator(OperatorLogic):
         Memory units added per tuple; word count keeps the tuple reference for
         the windowed count, so the default is 1 unit per tuple.
     emit_updates:
-        When True the event-level :meth:`process` emits ``(word, count)``
-        update tuples downstream (as the Storm topology does); otherwise the
-        operator is a sink.
+        When True :meth:`process_batch` emits ``(word, count)`` update
+        tuples downstream (as the Storm topology does); otherwise the operator
+        is a sink.
     """
 
     name = "wordcount"
@@ -61,37 +60,6 @@ class WordCountOperator(OperatorLogic):
         self.cost_per_tuple = float(cost_per_tuple)
         self.state_per_tuple = float(state_per_tuple)
         self.emit_updates = bool(emit_updates)
-
-    # -- fluid model ------------------------------------------------------------
-
-    def tuple_cost(self, key: Key, value: Any = None) -> float:
-        return self.cost_per_tuple
-
-    def batch_cost(
-        self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
-    ) -> BatchCost:
-        # Constant cost model: one scalar covers the whole batch.
-        return self.cost_per_tuple
-
-    def state_delta(self, key: Key, value: Any = None) -> float:
-        return self.state_per_tuple
-
-    def batch_state_delta(
-        self, keys: Sequence[Key], values: Optional[Sequence[Any]] = None
-    ) -> BatchCost:
-        return self.state_per_tuple
-
-    # -- event-level model ----------------------------------------------------------
-
-    def process(
-        self, tup: StreamTuple, state: KeyedState, task_id: int
-    ) -> List[StreamTuple]:
-        count = state.accumulate(
-            tup.key, tup.interval, self.state_per_tuple, payload_update=_increment
-        )
-        if not self.emit_updates:
-            return []
-        return [StreamTuple(key=tup.key, value=count, interval=tup.interval, stream="counts")]
 
     def process_batch(
         self,

@@ -19,7 +19,7 @@ producer protocol, so stage 0 is not a special case.
 
 Everything here must pickle cheaply: batches are **columnar** — parallel
 ``keys``/``values`` lists rather than a list of ``(key, value)`` 2-tuples or
-:class:`~repro.engine.tuples.StreamTuple` objects.  Two flat lists pickle
+per-tuple objects.  Two flat lists pickle
 (and unpickle) measurably cheaper than one list of per-tuple containers, and
 they hand the router/worker fast paths the exact shape their vectorised
 chunk operations want, with no per-tuple unzipping on the hot path.

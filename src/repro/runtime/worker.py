@@ -8,12 +8,10 @@ measured against the batch's enqueue stamp and recorded into a
 the histogram ships with every :class:`~repro.runtime.messages.IntervalReport`
 so latency-over-time plots come from measured buckets, not just means.
 
-Tuple batches run through the **batch fast path**: one
-:meth:`~repro.engine.operator.Task.process_batch` call per micro-batch, so
-the inner loop allocates no per-tuple :class:`~repro.engine.tuples.
-StreamTuple` and updates metrics once per batch (operators without a
-vectorised ``process_batch`` override fall back to scalar ``process`` calls
-transparently).
+Tuple batches run through the operators' one way in: one
+:meth:`~repro.engine.operator.Task.process_batch` call per micro-batch — the
+columns of the message go to the operator as they are, no per-tuple object is
+built, and the metrics counters move once per batch.
 
 **Emission.**  When the stage has downstream stages, the worker forwards the
 operator's emitted tuples — re-keyed by the stage's key mapper — onto the
@@ -195,11 +193,9 @@ def _worker_loop(
                 interval = floor_interval
             else:
                 floor_interval = interval
-            # Batch fast path: one Task.process_batch call per micro-batch
-            # (metrics updated once per batch, no per-tuple StreamTuple).
-            # A final stage (no egress) drops the returned emissions; their
-            # accumulation is bounded by one micro-batch and still cheaper
-            # than the per-tuple StreamTuple lists the scalar path built.
+            # One Task.process_batch call per micro-batch (metrics updated
+            # once per batch).  A final stage (no egress) drops the returned
+            # emissions; their accumulation is bounded by one micro-batch.
             out_keys, out_values = task.process_batch(
                 message.keys, message.values, interval
             )

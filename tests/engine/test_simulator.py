@@ -1,5 +1,6 @@
 """Integration tests for the interval simulators."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import HashPartitioner, PartialKeyGrouping, ShufflePartitioner
@@ -11,6 +12,7 @@ from repro.engine import (
     StageSpec,
     TopologySpec,
 )
+from repro.engine.operator import OperatorLogic
 from repro.operators import WindowedSelfJoin, WordCountOperator
 from repro.runtime import BENCH_TOPOLOGY_WORKLOADS, RuntimeSpec
 from repro.workloads import ZipfWorkload
@@ -43,6 +45,33 @@ class TestOperatorSimulator:
         assert metrics.mean("processed_tuples") == pytest.approx(
             metrics.mean("offered_tuples"), rel=1e-6
         )
+
+    def test_per_key_models_are_charged_key_by_key(self):
+        """An operator whose batch models answer one value per key (the array
+        shape) is simulated with exactly those values: offered cost, the
+        tasks' counters and the retained state are Σ count × the key's own
+        unit cost / state."""
+
+        class Weighted(OperatorLogic):
+            name, stateful = "weighted", True
+
+            def batch_cost(self, keys, values=None):
+                return np.array([1.0 + int(key[1:]) % 3 for key in keys])
+
+            def batch_state_delta(self, keys, values=None):
+                return np.array([0.5 * (1 + int(key[1:]) % 2) for key in keys])
+
+        snapshot = skewed_workload(intervals=1, num_keys=40)[0]
+        sim = OperatorSimulator(
+            HashPartitioner(4, seed=1), Weighted(), SimulationConfig(capacity_factor=2.0)
+        )
+        sim.run([snapshot])
+        expected_cost = sum(count * (1.0 + int(key[1:]) % 3) for key, count in snapshot.items())
+        expected_state = sum(count * 0.5 * (1 + int(key[1:]) % 2) for key, count in snapshot.items())
+        tasks = sim.tasks.values()
+        assert sum(task.metrics.cost_processed for task in tasks) == pytest.approx(expected_cost)
+        assert sum(task.state_size for task in tasks) == pytest.approx(expected_state)
+        assert sum(task.state.key_size("k7") for task in tasks) == snapshot["k7"] * 1.0
 
     def test_mixed_partitioner_rebalances_and_migrates_state(self):
         part = get_strategy("mixed").build(4, theta_max=0.1, max_table_size=200, seed=1)

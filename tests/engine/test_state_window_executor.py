@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from repro.engine.backpressure import admissible_fraction
 from repro.engine.executor import ExecutorConfig, TaskExecutor
 from repro.engine.state import KeyedState
-from repro.engine.tuples import StreamTuple
 from repro.engine.window import SlidingWindow
-
-
-class TestStreamTuple:
-    def test_defaults(self):
-        tup = StreamTuple(key="a", value=1, interval=3)
-        assert (tup.timestamp, tup.stream) == (None, "default")
 
 
 class TestSlidingWindow:

@@ -14,7 +14,6 @@ from repro.engine.migration_protocol import (
     MigrationReport,
 )
 from repro.engine.operator import OperatorLogic, Task
-from repro.engine.tuples import StreamTuple
 from repro.operators import WordCountOperator
 from repro.runtime.stage_loop import _StageLoop
 
@@ -29,9 +28,8 @@ class TestTask:
         task = Task(0, logic)
         task.begin_interval(1)
         words = ["a", "a", "b"]
-        for word in words:
-            outputs = task.process(StreamTuple(key=word, interval=1))
-            assert outputs and outputs[0].key == word
+        out_keys, _ = task.process_batch(words, [None] * 3, 1)
+        assert out_keys == words
         assert task.end_interval() is None
         stats = _StageLoop._interval_stats(logic, 1, Counter(words))
         assert stats.frequency("a") == 2
@@ -44,22 +42,22 @@ class TestTask:
         logic = WordCountOperator(window=1)
         task = Task(1, logic)
         counts = {"a": 10, "b": 5}
-        task.ingest_counts(0, counts)
+        task.ingest_counts(0, counts, logic.cost_per_tuple, logic.state_per_tuple)
         assert task.has_open_interval
         task.end_interval()
         assert not task.has_open_interval
         stats = _StageLoop._interval_stats(logic, 0, counts)
         assert stats.frequency("a") == 10
         assert stats.memory("b") == 5
-        assert stats.total_memory() == task.metrics.state_installed == 15.0
+        assert stats.total_memory() == task.state_size == 15.0
+        assert stats.total_cost() == task.metrics.cost_processed == 15.0
         assert task.metrics.tuples_processed == 15
-        assert task.state_size == 15.0
 
     def test_state_expiry_on_interval_end(self):
         task = Task(0, WordCountOperator(window=1))
-        task.ingest_counts(0, {"a": 10})
+        task.ingest_counts(0, {"a": 10}, 1.0, 1.0)
         task.end_interval()
-        task.ingest_counts(5, {"b": 1})
+        task.ingest_counts(5, {"b": 1}, 1.0, 1.0)
         task.end_interval()
         # Window is 1 interval: the state from interval 0 is gone.
         assert task.state.key_size("a") == 0.0
@@ -67,7 +65,7 @@ class TestTask:
     def test_extract_install_updates_metrics(self):
         source = Task(0, WordCountOperator(window=1))
         target = Task(1, WordCountOperator(window=1))
-        source.ingest_counts(0, {"hot": 100})
+        source.ingest_counts(0, {"hot": 100}, 1.0, 1.0)
         source.end_interval()
         snapshot = source.extract_key("hot")
         target.install_key("hot", snapshot)
@@ -89,16 +87,15 @@ class TestTask:
 
         task = Task(0, Passthrough())
         task.begin_interval(0)
-        outputs = task.process(StreamTuple(key="x", value=1, interval=0))
-        assert outputs[0].key == "x"
+        assert task.process_batch(["x"], [1], 0) == (["x"], [1])
         assert task.state_size == 0.0
 
 
 class TestMigrationProtocol:
     def _tasks(self):
         tasks = {i: Task(i, WordCountOperator(window=2)) for i in range(3)}
-        tasks[0].ingest_counts(0, {"hot": 100, "warm": 10})
-        tasks[1].ingest_counts(0, {"cold": 5})
+        tasks[0].ingest_counts(0, {"hot": 100, "warm": 10}, 1.0, 1.0)
+        tasks[1].ingest_counts(0, {"cold": 5}, 1.0, 1.0)
         for task in tasks.values():
             if task.has_open_interval:  # only tasks that ingested
                 task.end_interval()

@@ -1,22 +1,27 @@
-"""Batch fast-path parity: ``process_batch`` must equal N scalar ``process``
-calls — emissions, windowed state and metrics — and the interval statistics
-the stage plans on (router counts x ``batch_cost`` / ``batch_state_delta``)
-must equal the per-key scalar models, for every operator the repo ships
-(including the default ``OperatorLogic``).
+"""Operator parity: the shipped ``process_batch`` must equal one per-tuple
+reference call per tuple — emissions, windowed state and metrics — and the
+interval statistics the stage plans on (router counts x ``batch_cost`` /
+``batch_state_delta``) must equal the per-tuple reference models, for every
+operator the repo ships (including the default ``OperatorLogic``).
 
-The worker's hot loop now runs :meth:`repro.engine.operator.Task.
-process_batch` (one metrics update per batch, ``batch_cost`` instead of
-per-tuple ``tuple_cost``); any divergence from the scalar path would
-silently skew the measured runtime numbers, so this is pinned per operator.
+``src/`` holds the batch contract only; the per-tuple semantics are the
+oracle in ``reference_operators.py``.  The worker's hot loop runs
+:meth:`repro.engine.operator.Task.process_batch` (one metrics update per
+batch); any divergence from the per-tuple meaning would silently skew the
+measured runtime numbers, so this is pinned per operator — and, since a
+router cuts a stream wherever its ingress happens to be empty, for *every*
+way of cutting an interval into batches (``TestChunkSplitInvariance``).
 """
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_operators import PER_TUPLE, PerTuple, ReferenceTask, forward_and_retain, per_tuple_of
 
 from repro.engine.operator import OperatorLogic, Task
-from repro.engine.tuples import StreamTuple
 from repro.operators.tpch_q5 import DimensionJoin
 from repro.operators.windowed_aggregate import (
     MergeOperator,
@@ -33,18 +38,32 @@ def _nation_of(key):
     return hash(key) % 5
 
 
+def _value_cost(logic, key, value=None):
+    return 0.25 * (1 + ((value or 0) & 3))
+
+
+def _value_state(logic, key, value=None):
+    return 0.5 * (1 + ((value or 0) & 1))
+
+
 class ValueDependentOperator(OperatorLogic):
-    """Cost and state both depend on the tuple *value*: pins the batch
-    fallbacks (batch_cost / batch_state_delta) to per-tuple evaluation."""
+    """Cost and state both depend on the tuple *value*: pins the array branch
+    of the batch models (and the base ``process_batch``, which accumulates
+    what ``batch_state_delta`` says) to per-tuple evaluation."""
 
     name = "value-dependent"
     stateful = True
 
-    def tuple_cost(self, key, value=None):
-        return 0.25 * (1 + ((value or 0) & 3))
+    def batch_cost(self, keys, values=None):
+        values = [None] * len(keys) if values is None else values
+        return np.array([_value_cost(self, key, value) for key, value in zip(keys, values)])
 
-    def state_delta(self, key, value=None):
-        return 0.5 * (1 + ((value or 0) & 1))
+    def batch_state_delta(self, keys, values=None):
+        values = [None] * len(keys) if values is None else values
+        return np.array([_value_state(self, key, value) for key, value in zip(keys, values)])
+
+
+PER_TUPLE[ValueDependentOperator] = PerTuple(_value_cost, _value_state, forward_and_retain)
 
 
 #: Factories (fresh instance per test — operators carry mutable config).
@@ -73,14 +92,11 @@ def _stream(seed=7, tuples_per_interval=60, intervals=2, keys=8):
 
 
 def _run_scalar(logic, stream):
-    task = Task(0, logic)
+    task = ReferenceTask(0, logic)
     outputs = []
     for interval, keys, values in stream:
         for key, value in zip(keys, values):
-            for tup in task.process(
-                StreamTuple(key=key, value=value, interval=interval)
-            ):
-                outputs.append((tup.key, tup.value))
+            outputs.extend(task.process(key, value, interval))
         task.end_interval(interval)
     return task, outputs
 
@@ -120,17 +136,15 @@ class TestProcessBatchParity:
         assert batch_task.metrics.cost_processed == pytest.approx(
             scalar_task.metrics.cost_processed, rel=1e-12
         )
-        assert batch_task.metrics.state_installed == pytest.approx(
-            scalar_task.metrics.state_installed, rel=1e-12
-        )
         assert batch_task.state_size == pytest.approx(
             scalar_task.state_size, rel=1e-12
         )
 
     def test_stage_statistics_match_per_key_models(self, name):
         # What the stage plans on: the router's per-key counts times the
-        # batch models, against one scalar model call per key.
+        # batch models, against one per-tuple model call per key.
         logic = OPERATORS[name]()
+        reference = per_tuple_of(logic)
         for interval, keys, _ in _stream():
             counts = Counter(keys)
             stats = _StageLoop._interval_stats(logic, interval, counts)
@@ -138,16 +152,15 @@ class TestProcessBatchParity:
             assert list(stats.keys()) == list(counts)
             for key, count in counts.items():
                 assert stats.frequency(key) == count
-                assert stats.cost(key) == count * logic.tuple_cost(key)
-                assert stats.memory(key) == count * logic.state_delta(key)
+                assert stats.cost(key) == count * reference.cost(logic, key)
+                assert stats.memory(key) == count * reference.state(logic, key)
 
     def test_batch_cost_matches_per_tuple_cost(self, name):
         logic = OPERATORS[name]()
         _, keys, values = _stream(seed=11)[0]
         costs = logic.batch_cost(keys, values)
-        expected = [
-            logic.tuple_cost(key, value) for key, value in zip(keys, values)
-        ]
+        reference = per_tuple_of(logic)
+        expected = [reference.cost(logic, key, value) for key, value in zip(keys, values)]
         if np.ndim(costs) == 0:
             assert [float(costs)] * len(keys) == expected
         else:
@@ -159,6 +172,55 @@ class TestProcessBatchParity:
         assert task.metrics.tuples_processed == 0
 
 
+def _run_split(logic, stream, cuts_of):
+    """One task fed ``stream`` with interval ``i`` cut at ``cuts_of(i, n)``."""
+    task = Task(0, logic)
+    outputs = []
+    for interval, keys, values in stream:
+        bounds = [0, *sorted(cuts_of(interval, len(keys))), len(keys)]
+        for start, stop in zip(bounds, bounds[1:]):
+            out_keys, out_values = task.process_batch(keys[start:stop], values[start:stop], interval)
+            assert len(out_keys) == len(out_values)
+            outputs.extend(zip(out_keys, out_values))
+        task.end_interval(interval)
+    return task, outputs
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+class TestChunkSplitInvariance:
+    """A router dispatches whatever is waiting, so where an interval is cut
+    into batches is an accident of timing: any split into consecutive chunks —
+    all of size 1 included — must leave the same emissions, window payloads,
+    state size and processed cost as one call per interval.  (The group-by-key
+    copy-on-write of ``DimensionJoin`` and the self-join's reads of its own
+    batch are the cases that could break.)"""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_split_equals_one_call(self, name, data):
+        # Four intervals against a window of two, so slots are evicted by a
+        # batch's first tuple of a key while later tuples still read them.
+        tuples = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 9)), max_size=24)
+        stream = [
+            (interval, [key for key, _ in pairs], [value for _, value in pairs])
+            for interval, pairs in enumerate(data.draw(st.lists(tuples, min_size=1, max_size=4)))
+        ]
+        cuts = {
+            interval: data.draw(st.sets(st.integers(1, max(1, len(keys) - 1))), label="cuts")
+            for interval, keys, _ in stream
+        }
+        whole_task, whole_out = _run_split(OPERATORS[name](), stream, lambda i, n: ())
+        for cuts_of in (lambda i, n: [c for c in cuts[i] if c < n], lambda i, n: range(1, n)):
+            task, out = _run_split(OPERATORS[name](), stream, cuts_of)
+            assert out == whole_out
+            assert _state_payloads(task) == _state_payloads(whole_task)
+            assert task.state.total_size() == whole_task.state.total_size()
+            assert task.metrics.tuples_processed == whole_task.metrics.tuples_processed
+            assert task.metrics.cost_processed == pytest.approx(
+                whole_task.metrics.cost_processed, rel=1e-12
+            )
+
+
 class TestDimensionJoinHotKey:
     """One window-list copy per distinct key of a batch: a hot key's payload
     order and sizes must still equal the tuple-by-tuple path's exactly."""
@@ -166,11 +228,11 @@ class TestDimensionJoinHotKey:
     STREAM = [(0, ["hot", "hot", "cold", "hot"], [1, 2, 3, 4]), (0, ["hot", "cold"], [5, 6])]
 
     def test_payloads_and_sizes_equal_scalar_path(self):
-        scalar = Task(0, DimensionJoin(lookup=_nation_of, window=2, state_per_tuple=0.5))
+        scalar = ReferenceTask(0, DimensionJoin(lookup=_nation_of, window=2, state_per_tuple=0.5))
         batched = Task(0, DimensionJoin(lookup=_nation_of, window=2, state_per_tuple=0.5))
         for interval, keys, values in self.STREAM:
             for key, value in zip(keys, values):
-                scalar.process(StreamTuple(key=key, value=value, interval=interval))
+                scalar.process(key, value, interval)
             out_keys, out_values = batched.process_batch(keys, values, interval)
             assert out_keys == keys
             assert [value for value, _ in out_values] == values
@@ -193,8 +255,8 @@ class TestDimensionJoinHotKey:
 
 class TestLogicProcessBatchDefault:
     def test_default_flattens_multi_tuple_emissions(self):
-        # The self-join emits one tuple per retained match: the default
-        # process_batch must flatten exactly like the scalar loop does.
+        # The self-join emits one tuple per retained match: its process_batch
+        # must flatten them in arrival order, oldest match first.
         logic = WindowedSelfJoin(window=2)
         task = Task(0, logic)
         out_keys, out_values = task.process_batch(

@@ -137,7 +137,7 @@ class TestRuntimeSpec:
         topology = workload.build_topology(scale, spec, "storm", build)
         assert topology.stage_names() == list(workload.stages)
         key, _ = stream[0][0]
-        assert topology.stages[0].logic.tuple_cost(key) > 0
+        assert topology.stages[0].logic.batch_cost([key]) > 0
 
     def test_stage_parallelism_validation(self):
         spec = RuntimeSpec(

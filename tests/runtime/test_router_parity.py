@@ -3,7 +3,8 @@ the per-tuple scalar reference exactly.
 
 ``StreamRouter._dispatch_chunk`` replaced per-tuple dict updates with one
 Counter/``np.bincount``/batched-cost pass per chunk; these property tests pin
-the refactor to a faithful scalar port of the old loop — same freqs, same
+the refactor to a faithful scalar port of the old loop
+(``reference_router.py``, the one ``scripts/bench_router.py`` times) — same freqs, same
 per-task offered tuples/cost, same shed charges and the same per-task batch
 streams (including under pause/resume, mixed interval tags and shedding).
 
@@ -14,13 +15,19 @@ are bit-identical, and the comparisons below are exact ``==``, not approx.
 
 import queue as queue_module
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_router import ReferenceRouter
 
 from repro.baselines.hash_only import HashPartitioner
 from repro.engine.operator import OperatorLogic
 from repro.operators.windowed_aggregate import WindowedAggregate
 from repro.runtime.router import StreamRouter
+
+
+def _varying_cost(key, value=None):
+    return 0.25 * ((hash(key) & 3) + 1)
 
 
 class VaryingCostOperator(OperatorLogic):
@@ -29,8 +36,8 @@ class VaryingCostOperator(OperatorLogic):
     name = "varying-cost"
     stateful = True
 
-    def tuple_cost(self, key, value=None):
-        return 0.25 * ((hash(key) & 3) + 1)
+    def batch_cost(self, keys, values=None):
+        return np.array([_varying_cost(key) for key in keys])
 
 
 class _CaptureQueue:
@@ -48,90 +55,6 @@ class _FullQueue:
 
     def put(self, item, timeout=None):
         raise queue_module.Full
-
-
-class ScalarReference:
-    """Faithful per-tuple port of the pre-vectorization dispatch accounting.
-
-    One dict update per tuple for freqs / offered tuples / offered cost, a
-    per-tuple paused-key test, ``setdefault`` grouping — plus the *intended*
-    resume semantics (buffer grouped by interval tag before re-dispatch).
-    """
-
-    def __init__(self, partitioner, logic, num_tasks, batch_size, failing=()):
-        self.partitioner = partitioner
-        self.logic = logic
-        self.num_tasks = num_tasks
-        self.batch_size = batch_size
-        self.failing = set(failing)
-        self.accounts = {}
-        self.batches = {task: [] for task in range(num_tasks)}
-        self.paused = set()
-        self.buffer = []
-
-    def account(self, tag):
-        account = self.accounts.get(tag)
-        if account is None:
-            account = self.accounts[tag] = {
-                "freqs": {},
-                "offered_tuples": {t: 0.0 for t in range(self.num_tasks)},
-                "offered_cost": {t: 0.0 for t in range(self.num_tasks)},
-                "shed": {},
-            }
-        return account
-
-    def dispatch(self, keys, values, interval):
-        pairs = list(zip(keys, values))
-        for start in range(0, len(pairs), self.batch_size):
-            self._chunk(pairs[start : start + self.batch_size], interval)
-
-    def _chunk(self, chunk, tag):
-        account = self.account(tag)
-        destinations = self.partitioner.assign_batch([key for key, _ in chunk])
-        tuple_cost = self.logic.tuple_cost
-        per_task = {}
-        for (key, value), task in zip(chunk, destinations):
-            account["freqs"][key] = account["freqs"].get(key, 0.0) + 1.0
-            account["offered_tuples"][task] += 1.0
-            account["offered_cost"][task] += tuple_cost(key, value)
-            if key in self.paused:
-                self.buffer.append((key, value, tag))
-                continue
-            per_task.setdefault(task, []).append((key, value))
-        for task, batch in per_task.items():
-            self._put(task, tag, batch)
-
-    def _put(self, task, tag, batch):
-        if task in self.failing:
-            shed = self.account(tag)["shed"]
-            shed[task] = shed.get(task, 0.0) + len(batch)
-            return
-        self.batches[task].append(
-            (tag, [key for key, _ in batch], [value for _, value in batch])
-        )
-
-    def pause(self, keys):
-        self.paused.update(keys)
-
-    def resume(self):
-        self.paused.clear()
-        buffered, self.buffer = self.buffer, []
-        by_tag = {}
-        for entry in buffered:
-            by_tag.setdefault(entry[2], []).append(entry)
-        for tag in sorted(by_tag):
-            entries = by_tag[tag]
-            for start in range(0, len(entries), self.batch_size):
-                chunk = entries[start : start + self.batch_size]
-                destinations = self.partitioner.assign_batch(
-                    [key for key, _, _ in chunk]
-                )
-                per_task = {}
-                for (key, value, _), task in zip(chunk, destinations):
-                    per_task.setdefault(task, []).append((key, value))
-                for task, batch in per_task.items():
-                    self._put(task, tag, batch)
-        return len(buffered)
 
 
 def _captured(queues):
@@ -205,8 +128,10 @@ class TestDispatchParity:
             shed_timeout_seconds=0.001 if failing else None,
         )
         router.begin_interval(0)
-        reference = ScalarReference(
-            partitioner, logic, num_tasks, batch_size, failing
+        # The reference charges its own per-tuple formula, not the operator's.
+        cost_of = (lambda key, value: 0.75) if constant_cost else _varying_cost
+        reference = ReferenceRouter(
+            partitioner, cost_of, num_tasks, batch_size, failing
         )
 
         for index, (tag, keys) in enumerate(segments):

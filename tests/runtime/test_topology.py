@@ -162,10 +162,10 @@ class _PoisonOperator(OperatorLogic):
     name = "poison"
     stateful = True
 
-    def process(self, tup, state, task_id):
-        if tup.key == 13:
+    def process_batch(self, keys, values, interval, state, task_id):
+        if 13 in keys:
             raise ValueError("poisoned tuple")
-        return []
+        return [], []
 
 
 class TestFailurePaths:
