@@ -94,15 +94,19 @@ class OperatorLogic(ABC):
 
         Returns the tuples emitted downstream as parallel ``(out_keys,
         out_values)`` lists.  The result must not depend on where a stream is
-        cut into batches.  The default forwards the batch unchanged and, for
-        stateful operators, accumulates what :meth:`batch_state_delta` says
-        each tuple adds.
+        cut into batches.  State goes through
+        :meth:`~repro.engine.state.KeyedState.accumulate_batch` — one window
+        write per distinct key of the batch — and belongs to the task: a list
+        or dict payload may be grown in place, and no emitted value may be an
+        object the state holds.  The default forwards the batch unchanged
+        and, for stateful operators, accumulates what
+        :meth:`batch_state_delta` says each tuple adds.
         """
         if self.stateful:
             deltas = self.batch_state_delta(keys, values)
-            per_tuple = deltas.tolist() if np.ndim(deltas) else repeat(float(deltas))
-            for key, delta in zip(keys, per_tuple):
-                state.accumulate(key, interval, delta)
+            state.accumulate_batch(
+                keys, values, interval, deltas.tolist() if np.ndim(deltas) else float(deltas)
+            )
         return list(keys), list(values)
 
     #: Whether the operator participates in the split-key execution mode:

@@ -6,11 +6,20 @@ the paper) plus a size estimate in abstract "memory units" — the quantity the
 migration cost model is expressed in.  When a key is migrated, its entire
 windowed state is extracted on the source task and installed on the target
 task (steps 5–6 of Fig. 5).
+
+**Ownership.**  A payload stored here belongs to the state: an operator may
+grow a list / dict payload in place (its fold returns the object it was
+handed) and must never emit that object downstream.  The ways out are
+:meth:`KeyedState.snapshot`, which copies, and :meth:`KeyedState.extract`,
+which gives the payloads up; :meth:`KeyedState.install` takes ownership of
+what it is given.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from copy import copy
+from itertools import repeat
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 from repro.engine.window import SlidingWindow
 
@@ -85,9 +94,11 @@ class KeyedState:
     ) -> Any:
         """Grow the state of ``key`` in ``interval`` by ``delta_size``.
 
-        ``payload_update`` is an optional callable ``old_payload -> new_payload``
-        (``old_payload`` is ``None`` the first time); when omitted, the payload
-        is a plain counter of accumulated size.  Returns the new payload.
+        The one-tuple case of :meth:`accumulate_batch`.  ``payload_update`` is
+        an optional callable ``old_payload -> new_payload`` (``old_payload``
+        is ``None`` the first time; it may return ``old_payload`` itself,
+        grown in place); when omitted, the payload is a plain counter of
+        accumulated size.  Returns the new payload.
         """
         window = self._per_key.get(key)
         existing = window.get(interval) if window is not None else None
@@ -104,6 +115,64 @@ class KeyedState:
             self._per_key[key] = window
         self._store(window, interval, new_payload, new_size, old_size)
         return new_payload
+
+    def accumulate_batch(
+        self,
+        keys: Iterable[Key],
+        values: Iterable[Any],
+        interval: int,
+        delta_size: Union[float, Iterable[float]],
+        fold: Optional[Callable[[Any, Any], Any]] = None,
+    ) -> List[Any]:
+        """Apply a batch of tuples, in order, to ``interval``: one window
+        write per distinct key.
+
+        Each tuple grows its key's state by ``delta_size`` (one scalar, or
+        one value per tuple) and replaces the key's payload with ``fold(old,
+        value)`` (``old`` is ``None`` the first time; without ``fold`` the
+        payload counts the accumulated size).  Payload and size are kept in a
+        batch-local running pair per key and stored once, so sizes and
+        payloads equal one :meth:`accumulate` per tuple bit for bit;
+        :meth:`total_size` moves once per key and equals the per-tuple total
+        up to float summation order.  Returns the payload after each tuple —
+        for a ``fold`` that grows its payload in place these are all the one
+        state-owned object, which the caller must not emit.
+
+        A delta that drives a key's size negative raises ``ValueError`` before
+        anything is stored: no window and no size has changed (an in-place
+        ``fold`` has by then grown the containers it owns).  An ``interval``
+        older than a key's newest is the caller's bug and raises from that
+        key's window write, after the keys before it were stored.
+        """
+        per_key = self._per_key
+        deltas = repeat(delta_size) if isinstance(delta_size, (int, float)) else delta_size
+        #: key -> [payload, size, size before the batch, the key's window]
+        running: Dict[Key, List[Any]] = {}
+        find = running.get
+        after: List[Any] = []
+        emit = after.append
+        for key, value, delta in zip(keys, values, deltas):
+            slot = find(key)
+            if slot is None:
+                window = per_key.get(key)
+                existing = window.get(interval) if window is not None else None
+                payload, size = existing if existing is not None else (None, 0.0)
+                slot = running[key] = [payload, size, size, window]
+            if fold is not None:
+                payload = fold(slot[0], value)
+            else:
+                payload = (slot[0] or 0) + delta
+            size = slot[1] + delta
+            if size < 0:
+                raise ValueError("state size must be non-negative")
+            slot[0] = payload
+            slot[1] = size
+            emit(payload)
+        for key, (payload, size, old_size, window) in running.items():
+            if window is None:
+                window = per_key[key] = SlidingWindow(self.window)
+            self._store(window, interval, payload, size, old_size)
+        return after
 
     def expire(self, newest_interval: int) -> None:
         """Drop state older than ``newest_interval − window + 1`` and empty keys."""
@@ -153,15 +222,16 @@ class KeyedState:
 
     def latest_payload(self, key: Key) -> Optional[Any]:
         """Most recent payload of ``key`` (``None`` when the key is unknown)."""
-        payloads = self.payloads(key)
-        return payloads[-1] if payloads else None
+        window = self._per_key.get(key)
+        newest = window.newest() if window is not None else None
+        return newest[0] if newest is not None else None
 
     def key_size(self, key: Key) -> float:
         """Total windowed state size of ``key`` (``S(k, w)``)."""
         window = self._per_key.get(key)
         if window is None:
             return 0.0
-        return sum(size for _, size in window.payloads())
+        return sum(size for _, (_, size) in window.items())
 
     def total_size(self) -> float:
         """Total state held by this task (tracked incrementally; O(1)).
@@ -179,23 +249,26 @@ class KeyedState:
 
         The non-destructive twin of :meth:`extract`, used by checkpointing:
         the returned snapshot has exactly the shipped-state shape, but the
-        key keeps serving tuples on this task.  Payloads are shared by
-        reference; the caller serialises them before the state mutates again
-        (the worker loop ships the snapshot before touching the next batch).
+        key keeps serving tuples on this task.  Every payload is a shallow
+        copy (``copy.copy``), detached from the state: the worker puts the
+        snapshot on an ``mp.Queue``, whose feeder thread pickles it some time
+        later — the worker loop does not wait for that before it grows the
+        live payloads with the next batch.
         """
         window = self._per_key.get(key)
         if window is None:
             return []
         return [
-            (interval, payload, size)
+            (interval, copy(payload), size)
             for interval, (payload, size) in window.items()
         ]
 
     def extract(self, key: Key) -> KeyStateSnapshot:
         """Remove and return the full windowed state of ``key``.
 
-        Returns an empty snapshot when the key holds no state (migrating a
-        stateless key is a no-op).
+        The payloads leave with the snapshot — ownership moves to the caller,
+        nothing is copied.  Returns an empty snapshot when the key holds no
+        state (migrating a stateless key is a no-op).
         """
         window = self._per_key.pop(key, None)
         if window is None:
@@ -215,7 +288,8 @@ class KeyedState:
 
         Installing over existing state merges interval-wise (the incoming
         snapshot wins on conflicts), which matches the at-most-once hand-off of
-        the pause/resume protocol.
+        the pause/resume protocol.  The state owns the snapshot's payloads
+        from here on.
         """
         for interval, payload, size in snapshot:
             self.update(key, interval, payload, size)

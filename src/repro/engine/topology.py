@@ -17,13 +17,24 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.baselines.base import Partitioner
 from repro.engine.operator import OperatorLogic
 
-__all__ = ["SOURCE_ORIGIN", "StageSpec", "TopologySpec"]
+__all__ = ["SOURCE_ORIGIN", "StageSpec", "TopologySpec", "map_keys"]
 
 Key = Hashable
 
 #: Edge label of the source (the runtime's source process stamps it onto its
 #: messages); reserved — no stage of a topology may take this name.
 SOURCE_ORIGIN = "source"
+
+
+def map_keys(mapper: Callable[[Key], Key], keys: Sequence[Key]) -> List[Key]:
+    """``mapper`` over a batch of keys.
+
+    A mapper is a per-key callable; one that can answer a whole batch without
+    a Python call per key says so with a ``map_batch(keys)`` method (e.g.
+    :class:`~repro.workloads.tpch.ForeignKeyLookup`).
+    """
+    map_batch = getattr(mapper, "map_batch", None)
+    return map_batch(keys) if map_batch is not None else list(map(mapper, keys))
 
 
 @dataclass(frozen=True)

@@ -38,17 +38,21 @@ class SlidingWindow(Generic[T]):
         """Like :meth:`append` but returns the evicted ``(interval, payload)``
         pairs, letting callers (e.g. the keyed state's incremental size
         accounting) see what fell out of the window without a second lookup."""
-        if self._slots:
-            newest = next(reversed(self._slots))
+        slots = self._slots
+        if slots:
+            newest = next(reversed(slots))
+            if interval == newest:
+                # Re-writing the newest slot: order and length are unchanged.
+                slots[interval] = payload
+                return []
             if interval < newest:
                 raise ValueError(
                     f"intervals must be non-decreasing: got {interval} after {newest}"
                 )
-        self._slots[interval] = payload
-        self._slots.move_to_end(interval)
+        slots[interval] = payload
         evicted: List[Tuple[int, T]] = []
-        while len(self._slots) > self.size:
-            evicted.append(self._slots.popitem(last=False))
+        while len(slots) > self.size:
+            evicted.append(slots.popitem(last=False))
         return evicted
 
     def get(self, interval: int) -> Optional[T]:
@@ -60,6 +64,12 @@ class SlidingWindow(Generic[T]):
         if not self._slots:
             return None
         return next(iter(self._slots))
+
+    def newest(self) -> Optional[T]:
+        """Payload of the newest retained interval (``None`` when empty)."""
+        if not self._slots:
+            return None
+        return next(reversed(self._slots.values()))
 
     def intervals(self) -> Tuple[int, ...]:
         """Retained interval indices, oldest first."""

@@ -21,13 +21,13 @@ effect the experiment measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import Partitioner
 from repro.engine.state import KeyedState
-from repro.engine.topology import StageSpec, TopologySpec
+from repro.engine.topology import StageSpec, TopologySpec, map_keys
 from repro.operators.windowed_aggregate import WindowedAggregate
-from repro.operators.windowed_join import WindowedJoin
+from repro.operators.windowed_join import WindowedJoin, retain
 from repro.workloads.tpch import ForeignKeyLookup, TPCHDataset
 
 __all__ = [
@@ -89,33 +89,9 @@ class DimensionJoin(WindowedJoin):
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
         # Keep each streaming tuple in the window (join state) and emit it
-        # enriched with the dimension attribute.  One copy of a key's window
-        # list per distinct key of the batch, not per tuple: the batch's
-        # values are grouped by key in arrival order and the sizes summed
-        # tuple by tuple.  Still copy-on-write — a checkpoint snapshot shares
-        # the payload lists.
-        lookup = self.lookup
-        state_per_tuple = self.state_per_tuple
-        arrived: Dict[Key, List[Any]] = {}
-        sizes: Dict[Key, float] = {}
-        out_values: List[Any] = []
-        append = out_values.append
-        for key, value in zip(keys, values):
-            if key in arrived:
-                arrived[key].append(value)
-                sizes[key] += state_per_tuple
-            else:
-                arrived[key] = [value]
-                sizes[key] = state_per_tuple
-            append((value, lookup(key)))
-        for key, new_values in arrived.items():
-            state.accumulate(
-                key,
-                interval,
-                sizes[key],
-                payload_update=lambda old, new_values=new_values: (old or []) + new_values,
-            )
-        return list(keys), out_values
+        # enriched with the dimension attribute.
+        state.accumulate_batch(keys, values, interval, self.state_per_tuple, retain)
+        return list(keys), list(zip(values, map_keys(self.lookup, keys)))
 
 
 def q5_revenue_of(value: Any) -> float:

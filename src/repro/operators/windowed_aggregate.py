@@ -76,18 +76,9 @@ class WindowedAggregate(OperatorLogic):
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
         # Emits the key's aggregate after each tuple, in arrival order.
-        accumulate = state.accumulate
-        reducer = self.reducer
-        state_per_tuple = self.state_per_tuple
-        aggregates = [
-            accumulate(
-                key,
-                interval,
-                state_per_tuple,
-                payload_update=lambda old, value=value: reducer(old, value),
-            )
-            for key, value in zip(keys, values)
-        ]
+        aggregates = state.accumulate_batch(
+            keys, values, interval, self.state_per_tuple, self.reducer
+        )
         return list(keys), aggregates
 
 
@@ -190,24 +181,6 @@ class MergeOperator(OperatorLogic):
             combined = self.reducer(combined, value)
         return combined
 
-    def _absorb(
-        self, key: Key, value: Any, interval: int, state: KeyedState
-    ) -> Any:
-        if isinstance(value, tuple) and len(value) == 2:
-            source, partial = value
-        else:  # plain value (e.g. unit test feeding raw numbers)
-            source, partial = 0, value
-
-        def update(old: Optional[Dict[Any, Any]]) -> Dict[Any, Any]:
-            merged = dict(old) if old else {}
-            merged[source] = partial
-            return merged
-
-        partials = state.accumulate(
-            key, interval, self.state_per_tuple, payload_update=update
-        )
-        return self.merge(key, list(partials.values()))
-
     def process_batch(
         self,
         keys: Sequence[Key],
@@ -216,6 +189,23 @@ class MergeOperator(OperatorLogic):
         state: KeyedState,
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
-        absorb = self._absorb
-        out_values = [absorb(key, value, interval, state) for key, value in zip(keys, values)]
+        # A key's payload is its ``{producer: partial}`` dict, updated in
+        # place; what is emitted after each tuple is the fold of the dict's
+        # values at that moment, so it is taken inside the fold.
+        merge = self.merge
+        out_values: List[Any] = []
+        emit = out_values.append
+
+        def absorb(old: Optional[Dict[Any, Any]], keyed: Tuple[Key, Any]) -> Dict[Any, Any]:
+            key, value = keyed
+            if isinstance(value, tuple) and len(value) == 2:
+                source, partial = value
+            else:  # plain value (e.g. unit test feeding raw numbers)
+                source, partial = 0, value
+            partials = {} if old is None else old
+            partials[source] = partial
+            emit(merge(key, list(partials.values())))
+            return partials
+
+        state.accumulate_batch(keys, zip(keys, values), interval, self.state_per_tuple, absorb)
         return list(keys), out_values

@@ -21,9 +21,18 @@ from typing import Any, Hashable, List, Optional, Sequence, Tuple
 from repro.engine.operator import BatchCost, OperatorLogic
 from repro.engine.state import KeyedState
 
-__all__ = ["WindowedJoin", "WindowedSelfJoin"]
+__all__ = ["WindowedJoin", "WindowedSelfJoin", "retain"]
 
 Key = Hashable
+
+
+def retain(old: Optional[List[Any]], value: Any) -> List[Any]:
+    """Fold keeping a join's streaming tuples: the key's list for the
+    interval grows in place (the task owns it — see ``engine/state.py``)."""
+    if old is None:
+        return [value]
+    old.append(value)
+    return old
 
 
 class WindowedJoin(OperatorLogic):
@@ -98,8 +107,8 @@ class WindowedSelfJoin(WindowedJoin):
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
         # Tuple by tuple: a tuple's matches include the batch's own earlier
-        # tuples of its key, and the copy of the key's window list is no
-        # larger than the emissions it comes with.
+        # tuples of its key.  The emitted pairs are built from the retained
+        # lists' elements, never the lists themselves.
         state_per_tuple = self.state_per_tuple
         out_keys: List[Key] = []
         out_values: List[Any] = []
@@ -111,6 +120,6 @@ class WindowedSelfJoin(WindowedJoin):
                 key,
                 interval,
                 state_per_tuple,
-                payload_update=lambda old, value=value: (old or []) + [value],
+                payload_update=lambda old, value=value: retain(old, value),
             )
         return out_keys, out_values

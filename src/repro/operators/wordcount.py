@@ -19,8 +19,8 @@ __all__ = ["WordCountOperator"]
 Key = Hashable
 
 
-def _increment(old: Optional[int]) -> int:
-    """Payload update of one appearance (module-level: no per-tuple closure)."""
+def _increment(old: Optional[int], _value: Any) -> int:
+    """Fold of one appearance (module-level: no per-tuple closure)."""
     return (old or 0) + 1
 
 
@@ -69,16 +69,11 @@ class WordCountOperator(OperatorLogic):
         state: KeyedState,
         task_id: int,
     ) -> Tuple[List[Key], List[Any]]:
-        accumulate = state.accumulate
-        state_per_tuple = self.state_per_tuple
+        counts = state.accumulate_batch(
+            keys, values, interval, self.state_per_tuple, _increment
+        )
         if not self.emit_updates:
-            for key in keys:
-                accumulate(key, interval, state_per_tuple, payload_update=_increment)
             return [], []
-        counts = [
-            accumulate(key, interval, state_per_tuple, payload_update=_increment)
-            for key in keys
-        ]
         return list(keys), counts
 
     # -- PKG support -------------------------------------------------------------------

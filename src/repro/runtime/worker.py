@@ -56,6 +56,7 @@ import traceback
 from typing import Any, Callable, Hashable, Optional
 
 from repro.engine.operator import OperatorLogic, Task
+from repro.engine.topology import map_keys
 from repro.runtime.histogram import LatencyHistogram
 from repro.runtime.queues import QueueAborted, abortable_get, abortable_put
 from repro.runtime.messages import (
@@ -221,7 +222,7 @@ def _worker_loop(
             bucket[4].record(latency_us, count)
             if egresses and out_keys:
                 if key_mapper is not None:
-                    out_keys = [key_mapper(key) for key in out_keys]
+                    out_keys = map_keys(key_mapper, out_keys)
                 # Round-robin by emission sequence: deterministic (so a
                 # post-recovery replay re-emits each batch onto the same
                 # edge, keeping per-edge sequences dense for the dedup) and

@@ -18,7 +18,7 @@ join/aggregation structure and the foreign-key skew, not TPC-H's full schema.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,18 @@ class ForeignKeyLookup:
     def __call__(self, key: int) -> int:
         value = self.mapping.get(key)
         return value if value is not None else key % self.modulus
+
+    def map_batch(self, keys: Sequence[int]) -> List[int]:
+        """``[self(key) for key in keys]`` as one C-level map (the form
+        :func:`repro.engine.topology.map_keys` looks for)."""
+        mapped = list(map(self.mapping.get, keys))
+        if None in mapped:
+            modulus = self.modulus
+            mapped = [
+                key % modulus if value is None else value
+                for key, value in zip(keys, mapped)
+            ]
+        return mapped
 
     def __getstate__(self):
         return (self.mapping, self.modulus)

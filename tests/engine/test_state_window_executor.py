@@ -36,6 +36,25 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             window.append(4, "b")
 
+    def test_rewriting_the_newest_slot_evicts_nothing_and_keeps_order(self):
+        window = SlidingWindow(2)
+        window.append(1, "a")
+        window.append(2, "b")
+        assert window.append_evict(2, "c") == []
+        assert window.intervals() == (1, 2)
+        assert window.payloads() == ["a", "c"]
+        assert window.newest() == "c"
+        # ... an older interval still raises, retained or not,
+        for older in (1, 0):
+            with pytest.raises(ValueError):
+                window.append_evict(older, "late")
+        # ... and the first append of a new interval still evicts.
+        assert window.append_evict(3, "d") == [(1, "a")]
+        assert window.intervals() == (2, 3)
+
+    def test_newest_of_an_empty_window(self):
+        assert SlidingWindow(2).newest() is None
+
     def test_contains_and_clear(self):
         window = SlidingWindow(2)
         window.append(1, "a")
@@ -86,6 +105,20 @@ class TestKeyedState:
         state.accumulate("a", 1, 1.0, payload_update=lambda old: (old or []) + ["x"])
         state.accumulate("a", 1, 1.0, payload_update=lambda old: (old or []) + ["y"])
         assert state.latest_payload("a") == ["x", "y"]
+
+    def test_latest_payload_and_key_size_of_an_unknown_key(self):
+        state = KeyedState(window=2)
+        assert state.latest_payload("missing") is None
+        assert state.key_size("missing") == 0.0
+
+    def test_snapshot_copies_and_extract_hands_over(self):
+        state = KeyedState(window=2)
+        state.accumulate_batch(["a", "a"], [1, 2], 0, 1.0, lambda old, v: (old or []) + [v])
+        live = state.latest_payload("a")
+        (interval, copied, size), = state.snapshot("a")
+        assert (interval, copied, size) == (0, [1, 2], 2.0) and copied is not live
+        (_, moved, _), = state.extract("a")
+        assert moved is live and "a" not in state
 
     def test_extract_install_roundtrip(self):
         source = KeyedState(window=3)

@@ -11,6 +11,7 @@ equal the per-tuple meaning, however the stream is cut, is
 ``test_process_batch_parity.py``.)
 """
 
+import copy
 import inspect
 import pickle
 
@@ -93,3 +94,38 @@ class TestOperatorContract:
             assert task.state_size == pytest.approx(deltas.sum())
         else:
             assert len(task.state) == 0 and task.state_size == 0.0
+
+
+STATEFUL = [name for name in OPERATORS if OPERATORS[name].stateful]
+
+
+@pytest.mark.parametrize("name", STATEFUL)
+class TestStateOwnership:
+    """The task owns its keyed state: an operator may grow a list / dict
+    payload in place, so the two ways a payload object could leak — a
+    checkpoint snapshot and an emission — must hand out something else."""
+
+    def test_snapshot_is_detached_from_later_batches(self, name):
+        task = Task(0, _build(name))
+        task.process_batch(KEYS, VALUES, 0)
+        task.end_interval(0)
+        task.process_batch(KEYS, VALUES, 1)
+        snapshots = {key: task.snapshot_key(key) for key in task.state.keys()}
+        frozen = copy.deepcopy(snapshots)
+        assert set(snapshots) == set(KEYS) and all(snapshots.values())
+        task.process_batch(KEYS, VALUES, 1)
+        task.process_batch(KEYS[::-1], VALUES[::-1], 1)
+        assert snapshots == frozen
+
+    def test_no_emission_is_a_state_owned_object(self, name):
+        task = Task(0, _build(name))
+        emitted = []
+        for interval in (0, 0, 1):
+            emitted.extend(task.process_batch(KEYS, VALUES, interval)[1])
+        held = {
+            id(payload)
+            for key in task.state.keys()
+            for payload in task.state.payloads(key)
+            if isinstance(payload, (list, dict, set))
+        }
+        assert not held.intersection(map(id, emitted))

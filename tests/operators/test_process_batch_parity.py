@@ -191,30 +191,49 @@ class TestChunkSplitInvariance:
     """A router dispatches whatever is waiting, so where an interval is cut
     into batches is an accident of timing: any split into consecutive chunks —
     all of size 1 included — must leave the same emissions, window payloads,
-    state size and processed cost as one call per interval.  (The group-by-key
-    copy-on-write of ``DimensionJoin`` and the self-join's reads of its own
-    batch are the cases that could break.)"""
+    per-key state sizes and processed cost as one call per interval.  (The
+    batch-local running ``(payload, size)`` of ``accumulate_batch``, the lists
+    and dicts grown in place and the self-join's reads of its own batch are
+    the cases that could break.)  ``total_size()`` moves once per key per
+    batch, so for a non-dyadic ``state_per_tuple`` it is split-invariant up
+    to float summation order only."""
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_any_split_equals_one_call(self, name, data):
         # Four intervals against a window of two, so slots are evicted by a
         # batch's first tuple of a key while later tuples still read them.
+        # Key 0 opens, halves and closes every interval and the cuts isolate
+        # its first and last tuple: one key is hit by >= 3 chunks.
         tuples = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 9)), max_size=24)
-        stream = [
-            (interval, [key for key, _ in pairs], [value for _, value in pairs])
-            for interval, pairs in enumerate(data.draw(st.lists(tuples, min_size=1, max_size=4)))
-        ]
+        stream = []
+        for interval, pairs in enumerate(data.draw(st.lists(tuples, min_size=1, max_size=4))):
+            half = len(pairs) // 2
+            pairs = [(0, 1), *pairs[:half], (0, 2), *pairs[half:], (0, 3)]
+            stream.append((interval, [key for key, _ in pairs], [value for _, value in pairs]))
         cuts = {
-            interval: data.draw(st.sets(st.integers(1, max(1, len(keys) - 1))), label="cuts")
+            interval: {1, len(keys) - 1}
+            | data.draw(st.sets(st.integers(1, len(keys) - 1)), label="cuts")
             for interval, keys, _ in stream
         }
-        whole_task, whole_out = _run_split(OPERATORS[name](), stream, lambda i, n: ())
-        for cuts_of in (lambda i, n: [c for c in cuts[i] if c < n], lambda i, n: range(1, n)):
-            task, out = _run_split(OPERATORS[name](), stream, cuts_of)
+        state_per_tuple = data.draw(st.sampled_from([None, 0.1, 0.3]), label="state_per_tuple")
+
+        def build():
+            logic = OPERATORS[name]()
+            if state_per_tuple is not None:
+                logic.state_per_tuple = state_per_tuple
+            return logic
+
+        whole_task, whole_out = _run_split(build(), stream, lambda i, n: ())
+        for cuts_of in (lambda i, n: cuts[i], lambda i, n: range(1, n)):
+            task, out = _run_split(build(), stream, cuts_of)
             assert out == whole_out
             assert _state_payloads(task) == _state_payloads(whole_task)
-            assert task.state.total_size() == whole_task.state.total_size()
+            for key in whole_task.state.keys():
+                assert task.state.key_size(key) == whole_task.state.key_size(key)
+            assert task.state.total_size() == pytest.approx(
+                whole_task.state.total_size(), rel=1e-12
+            )
             assert task.metrics.tuples_processed == whole_task.metrics.tuples_processed
             assert task.metrics.cost_processed == pytest.approx(
                 whole_task.metrics.cost_processed, rel=1e-12
@@ -222,8 +241,9 @@ class TestChunkSplitInvariance:
 
 
 class TestDimensionJoinHotKey:
-    """One window-list copy per distinct key of a batch: a hot key's payload
-    order and sizes must still equal the tuple-by-tuple path's exactly."""
+    """A hot key's window list grows in place, written once per batch: its
+    payload order and sizes must still equal the tuple-by-tuple path's
+    exactly."""
 
     STREAM = [(0, ["hot", "hot", "cold", "hot"], [1, 2, 3, 4]), (0, ["hot", "cold"], [5, 6])]
 
@@ -242,14 +262,16 @@ class TestDimensionJoinHotKey:
             assert batched.state.key_size(key) == scalar.state.key_size(key)
         assert batched.state_size == scalar.state_size
 
-    def test_window_list_is_replaced_not_extended(self):
-        # A checkpoint snapshot shares the payload list by reference and is
-        # pickled later: the next batch must not grow that list in place.
+    def test_snapshot_is_detached_from_later_batches(self):
+        # The task owns its window lists and grows them in place; a
+        # checkpoint snapshot goes onto an mp.Queue, whose feeder thread
+        # pickles it after the loop has moved on to the next batch, so the
+        # snapshot must hold copies.
         task = Task(0, DimensionJoin(lookup=_nation_of, window=2))
         task.process_batch(["hot", "hot"], [1, 2], 0)
-        shared = task.state.latest_payload("hot")
+        snapshot = task.snapshot_key("hot")
         task.process_batch(["hot"], [3], 0)
-        assert shared == [1, 2]
+        assert snapshot == [(0, [1, 2], 2.0)]
         assert task.state.latest_payload("hot") == [1, 2, 3]
 
 

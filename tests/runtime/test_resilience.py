@@ -14,6 +14,7 @@ import tempfile
 import pytest
 
 from repro.baselines.hash_only import HashPartitioner
+from repro.operators.tpch_q5 import DimensionJoin
 from repro.operators.windowed_aggregate import WindowedAggregate
 from repro.operators.wordcount import WordCountOperator
 from repro.runtime.resilience.checkpoint import (
@@ -32,6 +33,7 @@ from repro.runtime import (
 )
 from repro.runtime.resilience.scaling import parse_scale_spec
 from repro.runtime.resilience.supervisor import parse_kill_spec
+from repro.workloads.tpch import ForeignKeyLookup
 
 
 def _bucket(key):
@@ -349,6 +351,65 @@ class TestRecoveryBehindAnUnpacedUpstream:
             (kill.stage, kill.task)
         ]
         assert incidents[0]["restored_keys"] > 0
+
+
+class TestRecoveryOfListPayloadState:
+    """A join's per-key payload is a list the task grows in place; the other
+    recovery tests only ever restore counters and floats.  One key-contiguous
+    final stage, so the state is a pure function of the stream: after a kill,
+    a restore from the last checkpoint and the replay of the retention log,
+    every retained list must equal the uninjected run's element for element.
+
+    (That a snapshot is detached from the live lists is pinned in-process by
+    ``tests/operators/test_operator_contract.py``: the router waits for every
+    shipment before it dispatches again, so in today's protocol a worker has
+    nothing to process while the feeder thread pickles its checkpoint.)"""
+
+    @staticmethod
+    def _spec():
+        return TopologySpec(
+            "dimension-join",
+            [
+                StageSpec(
+                    name="join",
+                    logic=DimensionJoin(lookup=ForeignKeyLookup({}, 5), window=3),
+                    partitioner=HashPartitioner(2, seed=0),
+                )
+            ],
+        )
+
+    @staticmethod
+    def _stream(intervals=5, keys=40, repeats=60):
+        # Every tuple carries a distinct value: a lost, doubled or reordered
+        # element shows in the lists.
+        return [
+            [(key, (interval, index)) for index in range(repeats) for key in range(keys)]
+            for interval in range(intervals)
+        ]
+
+    def test_crash_restores_every_list_element_for_element(self):
+        base = TopologyRuntime(self._spec(), _config(service_time_us=0.0)).run(self._stream())
+        assert base.sanitizer["violations"] == []
+        with tempfile.TemporaryDirectory() as checkpoint_dir:
+            run = TopologyRuntime(
+                self._spec(),
+                _config(
+                    service_time_us=0.0,
+                    checkpoint_dir=checkpoint_dir,
+                    checkpoint_every=1,
+                    kill_worker=KillDirective("join", 0, 3),
+                ),
+            ).run(self._stream())
+        assert run.sanitizer["violations"] == []
+        incidents = run.resilience["incidents"]
+        assert [(i["stage"], i["task"]) for i in incidents] == [("join", 0)]
+        assert incidents[0]["restored_keys"] > 0
+        assert run.stages["join"].tuples_processed == 5 * 40 * 60
+        final = run.stages["join"].final_state
+        assert set(final) == set(range(40))
+        # Window of three: intervals 2-4 are retained, 60 tuples each.
+        assert all([len(kept) for kept in lists] == [60, 60, 60] for lists in final.values())
+        assert final == base.stages["join"].final_state
 
 
 # -- elastic scaling ---------------------------------------------------------------

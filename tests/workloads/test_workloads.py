@@ -1,5 +1,7 @@
 """Tests for the workload generators (Zipf, fluctuation, Social, Stock, TPC-H)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from repro.workloads import (
     generate_tpch,
     zipf_frequencies,
 )
+from repro.engine.topology import map_keys
 from repro.workloads.fluctuation import per_task_loads
+from repro.workloads.tpch import ForeignKeyLookup
 
 
 class TestZipfFrequencies:
@@ -181,6 +185,24 @@ class TestTPCH:
         assert 0 <= dataset.region_of_nation(7) < 5
         # Unknown keys fall back deterministically instead of raising.
         assert dataset.customer_of_order(10**9) < dataset.num_customers
+
+    def test_foreign_key_lookup_answers_a_batch_like_one_call_per_key(self):
+        lookup = ForeignKeyLookup({1: 7, 2: 9, 30: 0}, 25)
+        known, unknown = [2, 1, 30, 1], [26, 10**9, 3]
+        for keys in (known, unknown, known + unknown + known, []):
+            assert lookup.map_batch(keys) == [lookup(key) for key in keys]
+            assert map_keys(lookup, keys) == lookup.map_batch(keys)
+        # A mapped value of 0 is an answer, not a miss; misses spread by modulus.
+        assert lookup.map_batch([30, 26]) == [0, 1]
+        # A plain callable has no batch form: one call per key.
+        assert map_keys(lambda key: key + 1, [1, 2]) == [2, 3]
+
+    def test_foreign_key_lookup_pickles_its_mapping_and_modulus_only(self):
+        lookup = ForeignKeyLookup({1: 7}, 25)
+        assert lookup.__getstate__() == ({1: 7}, 25)
+        clone = pickle.loads(pickle.dumps(lookup))
+        assert (clone.mapping, clone.modulus) == ({1: 7}, 25)
+        assert clone.map_batch([1, 26]) == [7, 1]
 
     def test_q5_reference_answer_structure(self):
         dataset = generate_tpch(scale=0.002, seed=1)
