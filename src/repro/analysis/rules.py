@@ -12,7 +12,8 @@ Rule index
 RPL001  cross-process message discipline — only registered message types
         may cross a process boundary.
 RPL002  blocking-call discipline — no bare ``get()``/``put(x)`` without a
-        timeout on queue-like receivers outside the sanctioned wrappers.
+        timeout on queue-like receivers outside the sanctioned wrappers, and
+        no queue but ``runtime.queues.Channel`` built under ``repro/runtime``.
 RPL003  pause/resume pairing — every path that pauses keys must reach a
         resume, a pending-migration handoff, or an abort/raise.
 RPL004  fork-safety — no module-level mutable state or global RNG mutated
@@ -47,7 +48,10 @@ __all__ = [
 ]
 
 #: Receiver-name fragments that mark an object as an inter-process queue.
-_QUEUE_HINTS = ("queue", "egress", "ingress", "mailbox")
+_QUEUE_HINTS = ("queue", "channel", "egress", "ingress", "mailbox")
+
+#: Constructors of the queues the runtime no longer moves messages on.
+_FOREIGN_QUEUES = {"Queue", "SimpleQueue", "JoinableQueue"}
 
 #: Receiver-name fragments that mark a queue as already abort-aware (the
 #: coordinator-side proxies), exempting it from RPL002.
@@ -270,7 +274,7 @@ class MessageDisciplineRule(Rule):
 
 
 class BlockingCallRule(Rule):
-    """RPL002: no bare blocking ``get()``/``put(x)`` on inter-process queues.
+    """RPL002: no bare blocking ``get()``/``put(x)``; one transport under runtime/.
 
     A timeout-less blocking queue operation waits on a peer process; if that
     peer crashed, the wait never ends and the run hangs instead of failing.
@@ -280,6 +284,12 @@ class BlockingCallRule(Rule):
     recognises by receiver names containing ``abortable``/``guarded``.
     Explicit ``timeout=``/``block=`` keywords and the ``*_nowait`` variants
     are always fine.
+
+    Under ``repro/runtime`` the rule also flags building any other queue
+    (``multiprocessing.Queue`` / ``<context>.Queue(...)`` / ``SimpleQueue``):
+    the runtime has one transport, :class:`repro.runtime.queues.Channel`,
+    whose waits are all abort-aware — a second one would bring back a feeder
+    thread and the unbounded waits with it.
     """
 
     rule_id = "RPL002"
@@ -290,6 +300,14 @@ class BlockingCallRule(Rule):
 
     def _check(self, node: ast.Call) -> None:
         if self.module.relpath.endswith("runtime/queues.py"):
+            return
+        built = _terminal_name(node.func)
+        if "repro/runtime/" in self.module.relpath and built in _FOREIGN_QUEUES:
+            self.report(
+                node,
+                f"{built}(...) built under repro/runtime: the runtime's one "
+                "transport is repro.runtime.queues.Channel",
+            )
             return
         if not isinstance(node.func, ast.Attribute):
             return

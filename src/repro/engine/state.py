@@ -250,10 +250,12 @@ class KeyedState:
         The non-destructive twin of :meth:`extract`, used by checkpointing:
         the returned snapshot has exactly the shipped-state shape, but the
         key keeps serving tuples on this task.  Every payload is a shallow
-        copy (``copy.copy``), detached from the state: the worker puts the
-        snapshot on an ``mp.Queue``, whose feeder thread pickles it some time
-        later — the worker loop does not wait for that before it grows the
-        live payloads with the next batch.
+        copy (``copy.copy``), detached from the state — the ownership
+        contract: the task grows its live payloads in place with the next
+        batch, and whoever holds a snapshot (an in-process caller, a test, a
+        checkpoint writer) must not see it move.  The runtime's own wire
+        pickles the snapshot inside ``put``, before the next batch runs, so
+        it alone would not need the copy.
         """
         window = self._per_key.get(key)
         if window is None:

@@ -138,13 +138,14 @@ class SetServiceTime:
 class CrashSelf:
     """Fault injection: die by SIGKILL when this message is dequeued.
 
-    The worker flushes its outbound queue feeders first, then SIGKILLs its
-    own process — no final report, no state hand-off, no Python cleanup.
-    The flush keeps the *shared* egress/report queues' writer locks and
-    capacity slots out of the blast radius (a process SIGKILLed mid-``send``
-    would poison them for every sibling producer forever — a
-    ``multiprocessing.Queue`` artifact; real deployments lose a socket,
-    which dies with its process).  Everything else about the death is a
+    The worker SIGKILLs its own process — no final report, no state
+    hand-off, no Python cleanup.  The command is handled *between* messages,
+    never inside a ``put``, which keeps the *shared* egress/report channels'
+    write locks out of the blast radius (a process SIGKILLed in mid-frame
+    would leave a torn frame and a held lock behind for every sibling
+    producer — an artifact of sharing one pipe; real deployments lose a
+    socket, which dies with its process), and everything the worker emitted
+    before it is already on the wire.  Everything else about the death is a
     hard crash: in-memory state, accounting and queued inbound messages are
     gone, and recovery must rebuild them from checkpoint + replay.
     """
@@ -185,9 +186,10 @@ class EmittedBatch:
     #: Producing worker id and its per-producer emission sequence number.
     #: Workers stamp every batch with a monotone ``producer_seq`` (restored
     #: from the checkpoint after a recovery), so the downstream router can
-    #: drop the duplicates a post-crash replay re-emits — and accept the
-    #: re-emissions of batches the dead worker's queue feeder lost.  ``-1``
-    #: (the source process) disables the dedup.
+    #: drop the duplicates a post-crash replay re-emits — what the dead
+    #: worker emitted is on the wire (a ``put`` that returned is readable),
+    #: so the replay's first new sequence number is the first batch the
+    #: crash cut short.  ``-1`` (the source process) disables the dedup.
     producer_id: int = -1
     producer_seq: int = -1
     #: Name of the producing stage ("source" for the source process).  In a

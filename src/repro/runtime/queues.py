@@ -1,53 +1,80 @@
-"""Abort-aware blocking queue operations — the sanctioned RPL002 wrappers.
+"""The runtime's one transport and its abort-aware waits (RPL002's home).
 
-A bare ``Queue.get()`` / ``Queue.put(item)`` without a timeout is a
-hang-on-crash hazard in this runtime: every blocking queue operation waits on
-a *peer* (the coordinator for a worker's inbound queue, a downstream stage for
-an egress queue), and if that peer crashed or wedged, the wait never ends —
-the process survives its own topology and the run hangs instead of failing.
+**The channel.**  Every message that crosses a process boundary — stage
+ingress, worker inbound, stage outbound — travels on a :class:`Channel`: a
+bounded multi-producer / single-consumer pipe.  ``put`` does all of its work
+in the calling thread: it takes one capacity slot (a process-shared semaphore
+counted in *messages*), pickles the message, takes the write lock and writes
+one length-prefixed frame to the pipe.  When ``put`` returns the message is
+on the wire; no thread is started, nothing is pickled later, and an
+unpicklable message raises at the ``put`` that sent it.  ``get`` reads ahead:
+the single consumer moves whatever the pipe holds into a private buffer, hands
+out complete frames one at a time and frees one slot per message *handed
+out*, so the number of un-got messages never exceeds the capacity.
 
-The helpers here poll with a short timeout and re-check an abort predicate
-between waits, so a queue operation whose peer is gone unwinds with
-:class:`QueueAborted` instead of blocking forever.  The default predicate,
-:func:`parent_process_died`, detects the orphaned-child case: worker and
-source processes are children of the coordinator process, so a dead parent
-means nobody will ever feed (or drain) their queues again.
+**The waits.**  A blocking operation waits on a *peer* (the coordinator for a
+worker's inbound channel, a downstream stage for an egress channel); if that
+peer crashed or wedged, an unbounded wait would turn a failed run into a hung
+one.  So no wait here is unbounded: capacity, write lock, pipe space and read
+each wake every :data:`POLL_SECONDS` and re-check the caller's abort
+predicate.  :func:`abortable_get` / :func:`abortable_put` are the child-side
+wrappers (default predicate :func:`parent_process_died`: workers and the
+source are children of the coordinator, so a dead parent means nobody will
+feed or drain their channels again); ``_AbortableQueue`` is the coordinator's
+put-side proxy, whose predicate is the stage's watchdog.  They work on any
+object with ``queue.Queue``'s ``get`` / ``put`` — only a :class:`Channel` can
+be interrupted in mid-frame, so only it is handed the predicate.
 
 The ``RPL002`` lint rule (:mod:`repro.analysis.rules`) flags bare blocking
-``get``/``put`` calls on queue-like receivers everywhere *except* this
-module — new runtime code must route its blocking queue traffic through these
-wrappers (or through an abort-aware proxy such as the coordinator-side
-``_AbortableQueue`` below, whose receivers the rule recognises by name).
-The coordinator's first-error latch (``_AbortFlag``) and reply demultiplexer
-(``_Mailbox``) live here too: every "poll, then re-check an abort predicate"
-loop of the runtime is in this module.
+``get``/``put`` calls on queue-like receivers, and any other queue constructed
+under ``repro/runtime``, everywhere *except* this module.  The coordinator's
+first-error latch (``_AbortFlag``) and reply demultiplexer (``_Mailbox``) live
+here too: every "poll, then re-check an abort predicate" loop of the runtime
+is in this module.
 
-The hot path pays nothing for the safety: the abort predicate is evaluated
-only after a poll interval expires, never between back-to-back messages.
+The hot path pays nothing for the safety: a message that finds capacity, the
+lock and pipe space costs one pickle and one ``write``; one that is already
+in the pipe costs one ``read`` and one unpickle.  Pollers are built once per
+process and channel and only waited on when there is something to wait for;
+the abort predicate is evaluated only after a poll interval expires.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import pickle
 import queue as queue_module
+import select
+import struct
 import threading
 import time
+from functools import partial
+from multiprocessing.synchronize import SEM_VALUE_MAX
 from typing import Any, Callable, List, Optional, Type
 
 from repro.runtime.messages import WorkerError
 
 __all__ = [
+    "Channel",
+    "MAX_FRAME_BYTES",
     "POLL_SECONDS",
     "QueueAborted",
     "abortable_get",
     "abortable_put",
-    "drain_queue",
     "parent_process_died",
 ]
 
 #: Poll period of abort-aware blocking queue operations, seconds.  Bounds how
 #: long a wedged process outlives its peer.
 POLL_SECONDS = 0.1
+
+#: Largest frame a channel carries.  A header announcing more is a torn
+#: stream (or a protocol bug), not something to allocate.
+MAX_FRAME_BYTES = 1 << 30
+
+_HEADER = struct.Struct("<I")
+_READ_BYTES = 1 << 16
 
 AbortCheck = Callable[[], bool]
 
@@ -60,6 +87,218 @@ def parent_process_died() -> bool:
     """True when this process's parent exited (the orphaned-worker case)."""
     parent = multiprocessing.parent_process()
     return parent is not None and not parent.is_alive()
+
+
+class Channel:
+    """A bounded multi-producer / single-consumer pipe of pickled messages.
+
+    ``role`` names the channel in errors (``ingress:<stage>``,
+    ``worker:<stage>:<task>``, ``out:<stage>``); ``capacity`` bounds the
+    messages put and not yet handed out (``0`` = unbounded in messages — the
+    pipe still bounds the bytes in flight).  Any number of processes may
+    ``put``; exactly one may ``get`` — read-ahead keeps bytes in that
+    process's private buffer, so a second consumer is refused at once.
+
+    The endpoints are ``multiprocessing`` connections and the counters
+    ``multiprocessing`` primitives, so a channel crosses a ``fork`` or
+    ``spawn`` boundary like a ``multiprocessing.Queue`` does.  What a process
+    builds for itself (read buffer, pollers) is keyed by pid and never
+    inherited.
+    """
+
+    def __init__(self, context: Any, capacity: int = 0, role: str = "channel") -> None:
+        self.role = role
+        self.capacity = capacity if capacity > 0 else SEM_VALUE_MAX
+        self._reader, self._writer = context.Pipe(duplex=False)
+        # O_NONBLOCK belongs to the open file description: every process
+        # that inherits or receives these ends shares it.
+        os.set_blocking(self._reader.fileno(), False)
+        os.set_blocking(self._writer.fileno(), False)
+        self._slots = context.BoundedSemaphore(self.capacity)
+        self._write_lock = context.Lock()
+        self._consumer = context.Value("q", 0)
+        self._start_over(0)
+
+    # -- per-process state ---------------------------------------------------------
+
+    def _start_over(self, pid: int) -> None:
+        self._pid = pid
+        self._buffer: Optional[bytearray] = None
+        self._read_poller: Any = None
+        self._write_poller: Any = None
+
+    def _local(self) -> None:
+        """Nothing a process built for itself survives a fork into another."""
+        pid = os.getpid()
+        if self._pid != pid:
+            self._start_over(pid)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.update(_pid=0, _buffer=None, _read_poller=None, _write_poller=None)
+        return state
+
+    def _check(self, abort: Optional[AbortCheck], what: str) -> None:
+        """A wait's poll interval expired: give up if the caller says so."""
+        if abort is not None and abort():
+            raise QueueAborted(
+                f"channel {self.role}: put abandoned waiting for {what}: "
+                "the peer process is gone"
+            )
+
+    # -- producer side ---------------------------------------------------------------
+
+    def put(
+        self,
+        item: Any,
+        block: bool = True,
+        timeout: Optional[float] = None,
+        *,
+        abort: Optional[AbortCheck] = None,
+    ) -> None:
+        """Put ``item`` on the wire; it is readable when this returns.
+
+        ``timeout`` bounds the wait for a capacity slot only — the one wait
+        that ends in ``queue.Full``, before a byte is written.  Once the
+        frame is begun it is finished: the waits for the write lock and for
+        pipe space end only in success or, when ``abort`` fires, in
+        :class:`QueueAborted` (the channel then holds a torn frame and is of
+        no further use — its consumer is gone).
+        """
+        self._local()
+        if block and timeout is None:
+            while not self._slots.acquire(True, POLL_SECONDS):
+                self._check(abort, "capacity")
+        elif not self._slots.acquire(block, timeout):
+            raise queue_module.Full
+        on_wire = False
+        try:
+            payload = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+            if len(payload) > MAX_FRAME_BYTES:
+                raise ValueError(
+                    f"channel {self.role}: a {len(payload)}-byte message exceeds "
+                    f"the {MAX_FRAME_BYTES}-byte frame ceiling"
+                )
+            frame = memoryview(_HEADER.pack(len(payload)) + payload)
+            while not self._write_lock.acquire(True, POLL_SECONDS):
+                self._check(abort, "the write lock")
+            try:
+                fd = self._writer.fileno()
+                while frame:
+                    try:
+                        sent = os.write(fd, frame)
+                    except BlockingIOError:
+                        if not self._pipe_space():
+                            self._check(abort, "pipe space")
+                        continue
+                    except BrokenPipeError:
+                        raise QueueAborted(
+                            f"channel {self.role}: no process holds the read end"
+                        ) from None
+                    on_wire = True
+                    frame = frame[sent:]
+            finally:
+                self._write_lock.release()
+        except BaseException:
+            if not on_wire:
+                self._slots.release()
+            raise
+
+    def _pipe_space(self) -> bool:
+        """Wait up to ``POLL_SECONDS`` for the pipe to take more bytes."""
+        if self._write_poller is None:
+            self._write_poller = select.poll()
+            self._write_poller.register(self._writer.fileno(), select.POLLOUT)
+        return bool(self._write_poller.poll(POLL_SECONDS * 1000.0))
+
+    # -- consumer side ---------------------------------------------------------------
+
+    def get(self, block: bool = True, timeout: Optional[float] = None) -> Any:
+        """The next message; ``queue.Empty`` if none is *whole* in time.
+
+        A half-arrived frame stays buffered and counts as nothing there.
+        """
+        self._local()
+        if self._buffer is None:
+            self._claim()
+        buffer = self._buffer
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            if len(buffer) >= _HEADER.size:
+                (size,) = _HEADER.unpack_from(buffer)
+                if size > MAX_FRAME_BYTES:
+                    raise RuntimeError(
+                        f"channel {self.role}: torn stream — a frame header "
+                        f"announces {size} bytes (ceiling {MAX_FRAME_BYTES})"
+                    )
+                end = _HEADER.size + size
+                if len(buffer) >= end:
+                    payload = buffer[_HEADER.size : end]
+                    del buffer[:end]
+                    self._slots.release()
+                    return pickle.loads(payload)
+            if not block:
+                wait_ms: Optional[float] = 0.0
+            elif deadline is None:
+                wait_ms = None
+            else:
+                wait_ms = max(deadline - time.monotonic(), 0.0) * 1000.0
+            if not self._read_poller.poll(wait_ms):
+                raise queue_module.Empty
+            chunk = os.read(self._reader.fileno(), _READ_BYTES)
+            if not chunk:
+                raise RuntimeError(
+                    f"channel {self.role}: every producer closed the pipe"
+                    + (f" in mid-frame ({len(buffer)} bytes buffered)" if buffer else "")
+                )
+            buffer += chunk
+
+    def get_nowait(self) -> Any:
+        return self.get(False)
+
+    def _claim(self) -> None:
+        """Become the channel's consumer, or refuse: there is only one."""
+        pid = os.getpid()
+        with self._consumer.get_lock():
+            owner = self._consumer.value
+            if owner not in (0, pid):
+                raise RuntimeError(
+                    f"channel {self.role}: process {pid} called get, but process "
+                    f"{owner} is already its consumer (read-ahead allows one)"
+                )
+            self._consumer.value = pid
+        self._buffer = bytearray()
+        self._read_poller = select.poll()
+        self._read_poller.register(self._reader.fileno(), select.POLLIN)
+
+    def backlog(self) -> int:
+        """Messages put and not yet handed out.
+
+        Supervised recovery counts what a dead worker left un-got this way —
+        by asking, not by reading: the dead reader may have taken half a
+        frame into its private buffer, so what is left in the pipe need not
+        start at a frame boundary.  Nothing has to be waited for either: a
+        ``put`` that returned holds its slot until the message is handed out.
+        The count is a report field, so where the platform cannot answer
+        (macOS has no ``sem_getvalue``) it reads 0.
+        """
+        try:
+            return self.capacity - self._slots.get_value()
+        except NotImplementedError:
+            return 0
+
+
+def _put(queue: Any, item: Any, timeout: float, check: AbortCheck) -> None:
+    """One bounded attempt: ``queue.Full`` if no capacity within ``timeout``.
+
+    A plain queue's put is all-or-nothing, so the caller's retry loop is the
+    whole story; a :class:`Channel` may have to wait in mid-frame and takes
+    the predicate along.
+    """
+    if isinstance(queue, Channel):
+        queue.put(item, timeout=timeout, abort=check)
+    else:
+        queue.put(item, timeout=timeout)
 
 
 def abortable_get(
@@ -86,34 +325,6 @@ def abortable_get(
                 ) from None
 
 
-def drain_queue(
-    queue: Any,
-    *,
-    quiet_seconds: float = 0.2,
-    poll_seconds: float = 0.05,
-) -> int:
-    """Discard everything readable from ``queue``; return the drained count.
-
-    Used by supervised recovery to empty a dead worker's inbound queue
-    before the respawned process attaches to it: the discarded backlog is
-    re-created exactly by replaying the supervisor's retention log, so
-    leaving it in place would double-process those batches.  A
-    ``multiprocessing.Queue`` can surface items with a small pipe latency,
-    hence the quiet window: the drain only stops after ``quiet_seconds``
-    without a message.
-    """
-    drained = 0
-    deadline = time.monotonic() + quiet_seconds
-    while time.monotonic() < deadline:
-        try:
-            queue.get(timeout=poll_seconds)
-        except queue_module.Empty:
-            continue
-        drained += 1
-        deadline = time.monotonic() + quiet_seconds
-    return drained
-
-
 def abortable_put(
     queue: Any,
     item: Any,
@@ -129,7 +340,7 @@ def abortable_put(
     check = parent_process_died if should_abort is None else should_abort
     while True:
         try:
-            return queue.put(item, timeout=poll_seconds)
+            return _put(queue, item, poll_seconds, check)
         except queue_module.Full:
             if check():
                 raise QueueAborted(
@@ -182,30 +393,38 @@ class _AbortableQueue:
     def replace(self, queue: Any) -> None:
         """Swap the inner queue in place (worker respawned on a fresh one).
 
-        A put blocked on the dead worker's full queue re-reads ``_queue``
-        every retry, so the swap redirects it mid-wait — the wrapping
-        logged/sanitized chain and every list holding this proxy stay valid.
+        A put blocked on the dead worker's channel — for capacity or in
+        mid-frame — sees the swap at its next wake-up and starts over on the
+        new one, so the wrapping logged/sanitized chain and every list
+        holding this proxy stay valid.
         """
         self._queue = queue
 
+    def _swapped(self, queue: Any) -> bool:
+        """The abort check of a put in progress on ``queue``.
+
+        The checker may heal a dead worker, which swaps the queue: a frame
+        begun on the old one is then abandoned with it.
+        """
+        self._checker()
+        return self._queue is not queue
+
     def put(self, item: Any, timeout: Optional[float] = None) -> None:
-        if timeout is not None:
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise queue_module.Full
-                try:
-                    return self._queue.put(
-                        item, timeout=min(remaining, POLL_SECONDS)
-                    )
-                except queue_module.Full:
-                    self._checker()
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
+            queue = self._queue
+            wait = POLL_SECONDS
+            if deadline is not None:
+                wait = min(deadline - time.monotonic(), POLL_SECONDS)
+                if wait <= 0:
+                    raise queue_module.Full
             try:
-                return self._queue.put(item, timeout=POLL_SECONDS)
+                return _put(queue, item, wait, partial(self._swapped, queue))
             except queue_module.Full:
                 self._checker()
+            except QueueAborted:
+                if self._queue is queue:
+                    raise
 
 
 class _Mailbox:

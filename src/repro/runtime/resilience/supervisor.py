@@ -4,11 +4,12 @@ The coordinator normally aborts the topology when a worker process dies
 (``_StageLoop._watchdog`` raises).  With a :class:`StageSupervisor`
 attached, the same detection point instead *heals* the stage:
 
-1. the dead worker's inbound queue is drained and abandoned (its backlog is
-   re-created exactly by the replay below),
-2. a fresh process is spawned on a **fresh** queue — a SIGKILLed getter holds
-   the old queue's reader lock forever (``_StageLoop.spawn_worker``) — and
-   the new queue is swapped into the existing guarded send path,
+1. the dead worker's inbound channel is counted and abandoned (its backlog
+   is re-created exactly by the replay below),
+2. a fresh process is spawned on a **fresh** channel — a SIGKILLed reader can
+   die holding half a frame in its private read-ahead buffer
+   (``_StageLoop.spawn_worker``) — and the new channel is swapped into the
+   existing guarded send path,
 3. the latest durable checkpoint is restored (state + lifetime counters,
    including the emission sequence number),
 4. the per-task :class:`RetentionLog` — every coordinator→worker message
@@ -19,9 +20,10 @@ Replay is exactly-once end to end: the restored counters make the respawned
 worker's accounting continue where the checkpoint left it, and the restored
 emission sequence means replayed batches carry the *same* ``producer_seq``
 numbers as the originals — the downstream router keeps the copy it already
-saw and accepts only the re-emissions of batches the dead process's queue
-feeder thread lost in the crash (a SIGKILL loses a suffix of the pipe
-buffer; monotone per-producer sequences heal exactly that shape of loss).
+saw (a ``put`` that returned is on the wire: a SIGKILL takes nothing the
+worker emitted with it) and accepts what the crash cut short, which the
+replay emits for the first time.  Monotone per-producer sequences are what
+tell the two apart.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.runtime.messages import (
     StateShipment,
     TupleBatch,
 )
-from repro.runtime.queues import drain_queue
 from repro.runtime.resilience.checkpoint import CheckpointStore
 
 __all__ = [
@@ -257,8 +258,9 @@ class StageSupervisor:
             interval=loop.current_interval,
         )
         # The dead process's backlog is re-created exactly by the replay
-        # below; anything still readable must go.
-        incident.drained_messages = drain_queue(loop.raw_worker_queues[task])
+        # below; what it left un-got is counted and abandoned with its
+        # channel (``spawn_worker`` swaps in a fresh one).
+        incident.drained_messages = loop.raw_worker_queues[task].backlog()
         loop.spawn_worker(task)
         if loop.sanitizer is not None:
             loop.sanitizer.on_respawn(task)

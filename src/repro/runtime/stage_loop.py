@@ -130,7 +130,7 @@ class _StageLoop(threading.Thread):
         sanitizer: Optional[StageSanitizer] = None,
         supervisor: Optional[StageSupervisor] = None,
         worker_factory: Optional[Callable[[int, Any, float], Any]] = None,
-        queue_factory: Optional[Callable[[], Any]] = None,
+        queue_factory: Optional[Callable[[int], Any]] = None,
         initial_service_us: float = 0.0,
         kill: Optional[KillDirective] = None,
         scale: Optional[ScaleDirective] = None,
@@ -301,9 +301,10 @@ class _StageLoop(threading.Thread):
                 and time.monotonic() - idle_since > self.config.join_timeout_seconds
             ):
                 # The source is gone and its remaining messages would have
-                # drained long ago — its end-of-stream mark was lost (e.g. a
-                # queue feeder pickling failure swallowed it).  Fail loudly
-                # instead of polling forever.
+                # drained long ago — it died before its end-of-stream mark
+                # (a message it could not pickle raised in its ``put``; a
+                # kill needs no reason).  Fail loudly instead of polling
+                # forever.
                 raise RuntimeError(
                     "source process exited but its end-of-stream mark never "
                     "arrived (message lost in the source queue?)"
@@ -362,9 +363,10 @@ class _StageLoop(threading.Thread):
         if producer >= 0 and message.producer_seq >= 0:
             # Post-recovery replay dedup: a replayed batch carries the same
             # (origin, producer, seq) as the original, so anything at or
-            # below the accepted floor was already dispatched; re-emissions
-            # of batches the dead process's queue feeder lost arrive *above*
-            # the floor and pass.
+            # below the accepted floor was already dispatched (whatever the
+            # dead process put is on the wire); the batches its crash cut
+            # short are emitted for the first time, *above* the floor, and
+            # pass.
             edge = (origin, producer)
             if message.producer_seq <= self._last_seq.get(edge, -1):
                 return False
@@ -534,17 +536,18 @@ class _StageLoop(threading.Thread):
         return self._ckpt_awaiting is not None and task in self._ckpt_awaiting
 
     def spawn_worker(self, task: int) -> Any:
-        """Start a replacement process for ``task`` on a *fresh* queue.
+        """Start a replacement process for ``task`` on a *fresh* channel.
 
-        The dead worker's inbound queue cannot be reused: a process parked
-        in ``Queue.get`` holds the queue's reader lock, and a SIGKILL never
-        releases it — a replacement reading the same queue would deadlock.
-        Anything buffered in the abandoned queue is superseded by the
-        retention-log replay, so the swap loses nothing; the fresh queue is
-        swapped *into* the existing guarded chain, so a dispatch currently
-        blocked on the dead worker's full queue is redirected mid-wait.
+        The dead worker's inbound channel cannot be reused: its reader reads
+        ahead into a private buffer, so a SIGKILL can take half a frame with
+        it — what is left in the pipe need not start at a frame boundary —
+        and the channel admits one consumer pid.  Anything left in the
+        abandoned channel is superseded by the retention-log replay, so the
+        swap loses nothing; the fresh channel is swapped *into* the existing
+        guarded chain, so a dispatch currently blocked on the dead worker's
+        channel (full, or in mid-frame) is redirected at its next wake-up.
         """
-        queue = self.queue_factory()
+        queue = self.queue_factory(task)
         self.raw_worker_queues[task] = queue
         self._abortable_queues[task].replace(queue)
         process = self.worker_factory(task, queue, self._service_us)
@@ -555,7 +558,7 @@ class _StageLoop(threading.Thread):
 
     def attach_worker(self, task: int) -> None:
         """Add a brand-new worker (elastic scale-out): queue, process, wraps."""
-        queue = self.queue_factory()
+        queue = self.queue_factory(task)
         process = self.worker_factory(task, queue, self._service_us)
         process.start()
         self.raw_worker_queues.append(queue)

@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from functools import partial
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.analysis.sanitizer import SanitizerReport, StageSanitizer
 from repro.engine.topology import SOURCE_ORIGIN, StageSpec, TopologySpec
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.queues import _AbortFlag
+from repro.runtime.queues import Channel, _AbortFlag
 from repro.runtime.resilience.checkpoint import CheckpointStore
 from repro.runtime.resilience.scaling import ScaleDirective
 from repro.runtime.resilience.supervisor import (
@@ -112,13 +113,17 @@ class TopologyRuntime:
 
         stages = self.spec.stages
         kill, scale = self._directives()
+        # The one transport: every queue of the run is built by this factory.
+        channel = partial(Channel, context)
         # One bounded ingress queue per stage: every upstream edge (source
         # and/or producer stages) funnels into the consumer's shared queue,
         # so backpressure — and chained starvation — propagates along every
         # edge of the DAG: a full consumer queue blocks each of its
         # producers' emit puts.
         ingresses: Dict[str, Any] = {
-            stage.name: context.Queue(maxsize=max(2, config.queue_capacity))
+            stage.name: channel(
+                max(2, config.queue_capacity), f"ingress:{stage.name}"
+            )
             for stage in stages
         }
         source_fed = [
@@ -142,15 +147,19 @@ class TopologyRuntime:
 
         initial_service_us = 0.0 if config.calibrate_pacing else config.service_time_us
 
-        def queue_factory() -> Any:
-            return context.Queue(maxsize=config.queue_capacity)
-
         parallelism_of = {stage.name: stage.parallelism for stage in stages}
         all_workers: List[Any] = []
         loops: List[_StageLoop] = []
         for index, stage in enumerate(stages):
-            worker_queues = [queue_factory() for _ in range(stage.parallelism)]
-            out_queue = context.Queue()
+
+            def queue_factory(task: int, _name: str = stage.name) -> Any:
+                return channel(config.queue_capacity, f"worker:{_name}:{task}")
+
+            worker_queues = [queue_factory(task) for task in range(stage.parallelism)]
+            # Unbounded in messages: a report waits for the coordinator's
+            # attention only once the pipe is full of unread ones, and the
+            # stage's watchdog pumps the mailbox whenever its thread waits.
+            out_queue = channel(0, f"out:{stage.name}")
             consumers = self.spec.consumers_of(stage.name)
             egresses = [ingresses[name] for name in consumers] or None
 

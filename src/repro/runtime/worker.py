@@ -370,15 +370,11 @@ def _worker_loop(
             service_time_s = max(message.service_time_us, 0.0) / 1e6
 
         elif isinstance(message, CrashSelf):
-            # Hard crash on command (fault injection).  Flush the shared
-            # outbound queues' feeder threads so the SIGKILL cannot strand
-            # their writer locks for the sibling producers, then die with no
-            # cleanup: state, accounting and the rest of the inbound queue
-            # are simply gone.
-            for shared in (*egresses, out_queue):
-                if shared is not None:
-                    shared.close()
-                    shared.join_thread()
+            # Hard crash on command (fault injection): die with no cleanup —
+            # state, accounting and the rest of the inbound channel are
+            # simply gone.  The command is handled between messages, never
+            # inside a ``put``, so no shared write lock dies with us and
+            # everything already emitted is on the wire.
             os.kill(os.getpid(), signal.SIGKILL)
 
         elif isinstance(message, EndOfStream):

@@ -188,6 +188,46 @@ def lookup(marks):
         )
         assert findings == []
 
+    def test_flags_a_second_transport_under_the_runtime(self):
+        findings = run_rule(
+            BlockingCallRule,
+            """
+def wire(context, capacity):
+    inbound = context.Queue(maxsize=capacity)
+    replies = multiprocessing.SimpleQueue()
+    return inbound, replies
+""",
+            relpath="src/repro/runtime/topology.py",
+        )
+        assert [f.rule for f in findings] == ["RPL002", "RPL002"]
+        assert all("Channel" in f.message for f in findings)
+
+    def test_the_channel_and_queues_outside_the_runtime_pass(self):
+        source = """
+def wire(context, capacity):
+    inbound = Channel(context, capacity, "worker:join:0")
+    inbound.put(batch, timeout=0.1)
+    return context.Queue(maxsize=capacity)
+"""
+        # The same constructor is the probe's business under perf/ and the
+        # channel module's own under runtime/queues.py.
+        for relpath in ("perf/probes.py", "src/repro/runtime/queues.py"):
+            assert run_rule(BlockingCallRule, source, relpath=relpath) == []
+        flagged = run_rule(
+            BlockingCallRule, source, relpath="src/repro/runtime/topology.py"
+        )
+        assert [f.line for f in flagged] == [4]
+
+    def test_channel_receivers_are_queueish(self):
+        findings = run_rule(
+            BlockingCallRule,
+            """
+def pump(channel):
+    return channel.get()
+""",
+        )
+        assert [f.rule for f in findings] == ["RPL002"]
+
 
 class TestRPL003PauseResumePairing:
     def test_flags_pause_then_return(self):

@@ -263,10 +263,9 @@ class TestDimensionJoinHotKey:
         assert batched.state_size == scalar.state_size
 
     def test_snapshot_is_detached_from_later_batches(self):
-        # The task owns its window lists and grows them in place; a
-        # checkpoint snapshot goes onto an mp.Queue, whose feeder thread
-        # pickles it after the loop has moved on to the next batch, so the
-        # snapshot must hold copies.
+        # The task owns its window lists and grows them in place; whoever
+        # holds a snapshot keeps it while the task moves on to the next
+        # batch, so the snapshot must hold copies.
         task = Task(0, DimensionJoin(lookup=_nation_of, window=2))
         task.process_batch(["hot", "hot"], [1, 2], 0)
         snapshot = task.snapshot_key("hot")

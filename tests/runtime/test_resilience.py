@@ -362,8 +362,8 @@ class TestRecoveryOfListPayloadState:
 
     (That a snapshot is detached from the live lists is pinned in-process by
     ``tests/operators/test_operator_contract.py``: the router waits for every
-    shipment before it dispatches again, so in today's protocol a worker has
-    nothing to process while the feeder thread pickles its checkpoint.)"""
+    shipment before it dispatches again, and the channel pickles a checkpoint
+    inside the worker's ``put``, so the wire itself never sees a moving list.)"""
 
     @staticmethod
     def _spec():
