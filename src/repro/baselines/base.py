@@ -6,8 +6,8 @@ protocol:
 * :meth:`Partitioner.route` decides the destination task of one tuple;
 * :meth:`Partitioner.assign_batch` and :meth:`Partitioner.route_snapshot` are
   the batch fast path: an entire ``{key: count}`` interval snapshot is routed
-  in a single call (one pass, memoised key→task results for deterministic
-  strategies) instead of one Python call per key;
+  in a single call (memoised key→task results for deterministic strategies)
+  instead of one Python call per key;
 * :meth:`Partitioner.on_interval_end` hands the partitioner the statistics of
   the finished interval and lets it rebalance; it returns a
   :class:`~repro.core.planner.RebalanceResult` when keys (and their state) were
@@ -35,12 +35,29 @@ A rebalance re-routes only the keys whose routing-table entry changed, so
 :class:`RebalancingPartitioner` rewrites exactly those memo entries and keeps
 the rest; a resize (or any assignment change the base class did not see — the
 epoch of :meth:`Partitioner._route_epoch` moved) drops the memo.
+
+:meth:`Partitioner.route_snapshot` of a memoising strategy keeps one
+:class:`_SnapshotPlan` — the last live key list it routed, grouped by task —
+across intervals.  A stationary key population is then routed by gathering
+each task's counts out of the snapshot in one C-level call; the keys a
+rebalance re-routed are handed to the plan with the memo patch and moved
+between tasks on the next call; any other change rebuilds the plan.  Only
+a key list of the memo's classes is kept: equal ``float`` or container keys
+can route apart, so such a list is routed afresh on every call.  The
+buckets are :class:`KeyCounts`: read-only mappings over two aligned tuples.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
+from bisect import bisect_left, insort
+from collections import abc
+from itertools import compress
+from operator import itemgetter
+from typing import (
+    Any, Callable, Collection, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -49,7 +66,7 @@ from repro.core.load import load_from_columns, max_balance_indicator
 from repro.core.planner import Planner, PlannerConfig, RebalanceResult
 from repro.core.statistics import IntervalStats, StatisticsStore
 
-__all__ = ["Partitioner", "RebalancingPartitioner"]
+__all__ = ["KeyCounts", "Partitioner", "RebalancingPartitioner"]
 
 Key = Hashable
 
@@ -71,6 +88,130 @@ _MEMO_CLASSES = (str, bytes, int)
 _NO_MEMO: Mapping[Key, int] = {}
 
 
+class KeyCounts(abc.Mapping):
+    """A read-only ``{key: count}`` bucket stored as two aligned tuples.
+
+    Iteration, ``len`` and the ``values()`` / ``items()`` views run over the
+    tuples; the ``{key: count}`` index behind ``[]``, ``get`` and ``in`` is
+    built on the first lookup.  Equal to any mapping with the same items.
+    """
+
+    __slots__ = ("_keys", "_counts", "_index")
+
+    def __init__(self, keys: Tuple[Key, ...], counts: Tuple[float, ...]) -> None:
+        self._keys = keys
+        self._counts = counts
+        self._index: Optional[Dict[Key, float]] = None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self) -> Iterator[Key]:
+        return iter(self._keys)
+
+    def __getitem__(self, key: Key) -> float:
+        if self._index is None:
+            self._index = dict(zip(self._keys, self._counts))
+        return self._index[key]
+
+    def values(self) -> abc.ValuesView:
+        return _CountsView(self)
+
+    def items(self) -> abc.ItemsView:
+        return _ItemsView(self)
+
+    def __reduce__(self) -> tuple:
+        return KeyCounts, (self._keys, self._counts)
+
+    def __repr__(self) -> str:
+        return f"KeyCounts({dict(self.items())!r})"
+
+
+class _CountsView(abc.ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping._counts)
+
+
+class _ItemsView(abc.ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Tuple[Key, float]]:
+        return zip(self._mapping._keys, self._mapping._counts)
+
+
+def _gather(positions: List[int]) -> Callable[[Sequence[Any]], Sequence[Any]]:
+    """One C-level call picking ``positions`` out of a sequence.
+
+    ``itemgetter`` returns a bare item for one position and needs at least
+    one, so those two cases take a slice (a list; callers apply ``tuple``).
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0, 0))
+
+
+class _SnapshotPlan:
+    """The last live key list :meth:`Partitioner.route_snapshot` routed, by task.
+
+    ``positions[t]`` lists, ascending, where task ``t``'s keys sit in
+    ``keys``; ``key_tuples[t]`` holds those keys (the plan's key objects,
+    equal to the snapshot's class for class) and ``gathers[t]`` picks the
+    same positions out of the interval's aligned counts.  The plan is valid
+    for the assignment of ``epoch`` once the keys in ``pending`` (whose
+    routing-table entry changed since) are re-routed by :meth:`reroute`.
+    Only a plan whose keys are all of the memo's classes is ``reusable``:
+    an equal key of the same class routes alike there, but not for floats
+    (``0.0`` / ``-0.0``) or containers (``(1,)`` / ``(True,)``).
+    """
+
+    __slots__ = (
+        "keys", "classes", "reusable", "epoch", "tasks", "positions", "key_tuples", "gathers",
+        "pending", "_index",
+    )
+
+    def __init__(self, keys: List[Key], tasks: np.ndarray, num_tasks: int, epoch: object) -> None:
+        self.keys = keys
+        self.classes = list(map(type, keys))
+        self.reusable = set(self.classes).issubset(_MEMO_CLASSES)
+        self.epoch = epoch
+        self.tasks: List[int] = tasks.tolist()
+        bounds = np.cumsum(np.bincount(tasks, minlength=num_tasks))[:-1]
+        order = np.argsort(tasks, kind="stable")
+        self.positions: List[List[int]] = [chunk.tolist() for chunk in np.split(order, bounds)]
+        self.gathers = [_gather(positions) for positions in self.positions]
+        self.key_tuples = [tuple(gather(keys)) for gather in self.gathers]
+        self.pending: List[Key] = []
+        #: ``{key: position}``, built by the first :meth:`reroute`.
+        self._index: Optional[Dict[Key, int]] = None
+
+    def matches(self, keys: List[Key], epoch: object) -> bool:
+        """True when ``keys`` is this plan's list, class for class, under ``epoch``."""
+        return epoch == self.epoch and keys == self.keys and list(map(type, keys)) == self.classes
+
+    def reroute(self, routes: Callable[[List[Key]], List[int]]) -> None:
+        """Move the pending keys of this plan to the tasks ``routes`` gives
+        them, re-gathering only the tasks one of them left or joined."""
+        if self._index is None:
+            self._index = dict(zip(self.keys, range(len(self.keys))))
+        index = self._index
+        candidates = sorted({index[key] for key in self.pending if key in index})
+        self.pending = []
+        touched = set()
+        for position, task in zip(candidates, routes([self.keys[p] for p in candidates])):
+            old = self.tasks[position]
+            if task != old:
+                left = self.positions[old]
+                del left[bisect_left(left, position)]
+                insort(self.positions[task], position)
+                self.tasks[position] = task
+                touched.update((old, task))
+        for task in touched:
+            gather = self.gathers[task] = _gather(self.positions[task])
+            self.key_tuples[task] = tuple(gather(self.keys))
+
+
 class Partitioner(ABC):
     """Strategy deciding which downstream task processes each tuple."""
 
@@ -88,6 +229,7 @@ class Partitioner(ABC):
         #: The key→task memo: ``{exact key class: {raw key: task}}``.
         self._route_memo: Dict[type, Dict[Key, int]] = {cls: {} for cls in _MEMO_CLASSES}
         self._route_memo_epoch: object = _EPOCH_UNSET
+        self._snapshot_plan: Optional[_SnapshotPlan] = None
 
     @abstractmethod
     def route(self, key: Key) -> int:
@@ -105,27 +247,43 @@ class Partitioner(ABC):
         return None
 
     def invalidate_route_cache(self) -> None:
-        """Drop all memoised key→task results (after a resize)."""
+        """Drop all memoised key→task results and the snapshot plan (after a resize)."""
         for memo in self._route_memo.values():
             memo.clear()
         self._route_memo_epoch = _EPOCH_UNSET
+        self._snapshot_plan = None
 
-    def _patch_route_cache(self, keys: Iterable[Key], synced_epoch: object) -> None:
+    def _patch_route_cache(self, keys: Collection[Key], synced_epoch: object) -> None:
         """Re-route the memo entries of ``keys`` — the only keys the assignment
         change just installed can have moved — and adopt the new epoch.
 
         ``synced_epoch`` is the epoch the assignment had before the change;
         a memo that was not in sync with it holds entries of unknown age and
-        is dropped instead.
+        is dropped instead.  A table entry answers every key equal to its own
+        (``2`` and ``2.0``), so an equal key memoised under another class is
+        forgotten (a miss routes it again).  The snapshot plan is handed
+        ``keys`` to re-route on its next use (dropped likewise, or once
+        rebuilding it is cheaper).
         """
         if self._route_memo_epoch != synced_epoch:
             self.invalidate_route_cache()
             return
         for key in keys:
-            memo = self._route_memo.get(key.__class__)
-            if memo is not None and key in memo:
-                memo[key] = self.route(key)
+            for cls, memo in self._route_memo.items():
+                if key in memo:
+                    if key.__class__ is cls:
+                        memo[key] = self.route(key)
+                    else:
+                        del memo[key]
         self._route_memo_epoch = self._route_epoch()
+        plan = self._snapshot_plan
+        if plan is None:
+            return
+        if plan.epoch == synced_epoch and len(plan.pending) + len(keys) <= len(plan.keys):
+            plan.pending.extend(keys)
+            plan.epoch = self._route_memo_epoch
+        else:
+            self._snapshot_plan = None
 
     def _synced_route_memo(self) -> Dict[type, Dict[Key, int]]:
         """The memo, emptied first if the assignment epoch moved (or it is full)."""
@@ -202,26 +360,51 @@ class Partitioner(ABC):
                         pass
         return np.asarray(self.assign_batch(keys), dtype=np.intp)
 
-    def route_snapshot(self, snapshot: Mapping[Key, float]) -> Dict[int, Dict[Key, float]]:
+    def route_snapshot(self, snapshot: Mapping[Key, float]) -> Mapping[int, Mapping[Key, float]]:
         """Route a whole ``{key: count}`` interval snapshot in one call.
 
-        Returns ``{task: {key: count}}`` with an (initially empty) bucket for
-        every task in ``0..num_tasks-1``.  Key-splitting strategies (PKG,
-        shuffle) spread each key's batch over several buckets exactly like
-        :meth:`route_bulk` does; key-contiguous strategies send the whole
-        count to the key's single destination.  Non-positive counts are
-        skipped.
+        Returns ``{task: {key: count}}`` with a bucket, possibly empty, for
+        every task in ``0..num_tasks-1``, each listing its keys in the
+        snapshot's order.  Key-splitting strategies (PKG, shuffle) spread each
+        key's batch over several buckets exactly like :meth:`route_bulk` does;
+        key-contiguous strategies send the whole count — the snapshot's own
+        object — to the key's single destination.  Non-positive and NaN counts
+        are skipped.  Buckets are read-only; a caller that needs to mutate one
+        copies it with ``dict(bucket)``.
+
+        Memoising strategies answer from the snapshot plan (see the module
+        docstring): when the live keys are the plan's, class for class, the
+        call costs two list copies, one vector comparison and one gather per
+        task, plus the re-routing of the keys a rebalance handed the plan.
+        A kept plan's buckets hold its own key objects, equal to the
+        snapshot's class for class; a key list holding a float or container
+        key is never kept, but routed afresh.
         """
+        if self.cache_routes:
+            keys = list(snapshot)
+            counts = list(snapshot.values())
+            live = np.fromiter(counts, dtype=np.float64, count=len(counts)) > 0
+            if not live.all():
+                mask = live.tolist()
+                keys = list(compress(keys, mask))
+                counts = list(compress(counts, mask))
+            epoch = self._route_epoch()
+            plan = self._snapshot_plan
+            if plan is None or not plan.matches(keys, epoch):
+                tasks = self.assign_batch_array(keys)
+                plan = _SnapshotPlan(keys, tasks, self.num_tasks, epoch)
+                self._snapshot_plan = plan if plan.reusable else None
+            elif plan.pending:
+                plan.reroute(self._memo_routes)
+            return {
+                task: KeyCounts(task_keys, tuple(gather(counts)))
+                for task, (task_keys, gather) in enumerate(zip(plan.key_tuples, plan.gathers))
+            }
         per_task: Dict[int, Dict[Key, float]] = {
             task: {} for task in range(self.num_tasks)
         }
-        if self.cache_routes:
-            live = {key: count for key, count in snapshot.items() if count > 0}
-            for (key, count), task in zip(live.items(), self._memo_routes(list(live))):
-                per_task[task][key] = count
-            return per_task
         for key, count in snapshot.items():
-            if count <= 0:
+            if not count > 0:
                 continue
             for task, share in self.route_bulk(key, count).items():
                 bucket = per_task[task]

@@ -112,6 +112,18 @@ def memo_key(key: Hashable):
     return None
 
 
+#: Exact key classes whose equal keys always encode alike in ``_key_bytes``.
+_VALUE_ENCODED_TYPES = frozenset((str, bytes, int))
+
+
+def _hash_alike(old: List[Hashable], new: List[Hashable]) -> bool:
+    """True when ``new`` equals ``old`` and every key is sure to hash like its twin."""
+    if old != new:
+        return False
+    classes = list(map(type, new))
+    return classes == list(map(type, old)) and _VALUE_ENCODED_TYPES.issuperset(classes)
+
+
 def stable_hash(key: Hashable, seed: int = 0) -> int:
     """Deterministic 64-bit hash of an arbitrary (hashable) key."""
     typed_key = memo_key(key)
@@ -172,10 +184,14 @@ class UniversalHash:
         The planner hashes the observed keys of every interval; the hash is
         immutable, so the answer for the most recent key list is kept and a
         stationary key population (the same keys in the same order) is hashed
-        once, not once per interval.
+        once, not once per interval.  Equal keys can hash differently
+        (``True`` / ``1``, ``0.0`` / ``-0.0``, ``(1,)`` / ``(True,)``), so an
+        equal list that is not the same list object is reused only when it
+        matches class for class and every key is a ``str``, ``bytes`` or
+        ``int``.
         """
         last = self._last_array
-        if last is not None and (last[0] is keys or last[0] == keys):
+        if last is not None and (last[0] is keys or _hash_alike(last[0], keys)):
             return last[1]
         hashed = np.asarray(self.assign_batch(keys), dtype=np.intp)
         hashed.flags.writeable = False

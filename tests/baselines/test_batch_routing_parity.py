@@ -12,11 +12,12 @@ the comparison valid for stateful strategies (PKG's load estimates, shuffle's
 round-robin pointer) whose routing decisions depend on their own history.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import HashPartitioner, PartialKeyGrouping, ShufflePartitioner
+from repro.baselines import HashPartitioner, PartialKeyGrouping, ShufflePartitioner, base
 from repro.core.statistics import IntervalStats
 from repro.core.strategy import get_strategy, list_strategies
 
@@ -59,7 +60,7 @@ def scalar_route_snapshot(partitioner, snapshot):
     """The pre-batch-API inner loop of the simulator (reference semantics)."""
     per_task = {task: {} for task in range(partitioner.num_tasks)}
     for key, count in snapshot.items():
-        if count <= 0:
+        if not count > 0:  # non-positive and NaN counts carry no tuples
             continue
         for task, share in partitioner.route_bulk(key, count).items():
             bucket = per_task.setdefault(task, {})
@@ -67,7 +68,25 @@ def scalar_route_snapshot(partitioner, snapshot):
     return per_task
 
 
-def assert_routing_equal(scalar, batch, strategy):
+def assert_routed_exactly(routed, reference, snapshot):
+    """``routed`` is ``reference`` exactly: the same tasks in the same order,
+    and per task the same keys in the same order and of the same classes,
+    each holding the snapshot's own count object."""
+    assert list(routed) == list(reference)
+    for task, bucket in reference.items():
+        got = routed[task]
+        assert list(got) == list(bucket), task
+        assert list(map(type, got)) == list(map(type, bucket)), task
+        assert list(got.values()) == list(bucket.values()), task
+        assert all(count is snapshot[key] for key, count in got.items()), task
+
+
+def assert_routing_equal(scalar, batch, strategy, snapshot):
+    """Memoising strategies route exactly like the reference; key-splitting
+    ones (PKG, shuffle) to within float rounding of their shares."""
+    if FACTORIES[strategy]().cache_routes:
+        assert_routed_exactly(batch, scalar, snapshot)
+        return
     assert set(scalar) == set(batch), strategy
     for task in scalar:
         assert set(scalar[task]) == set(batch[task]), (strategy, task)
@@ -102,7 +121,7 @@ def test_route_snapshot_matches_scalar_loop(strategy, snapshots):
     for interval, snapshot in enumerate(snapshots):
         scalar = scalar_route_snapshot(scalar_part, snapshot)
         batch = batch_part.route_snapshot(snapshot)
-        assert_routing_equal(scalar, batch, strategy)
+        assert_routing_equal(scalar, batch, strategy, snapshot)
         stats = IntervalStats.from_frequencies(interval, snapshot)
         scalar_part.on_interval_end(stats)
         batch_part.on_interval_end(stats.copy())
@@ -244,6 +263,19 @@ def test_memo_follows_an_entry_mintable_drops_while_unobserved():
     assert partitioner.assign_batch_array(pinned).tolist() == hashed
 
 
+@pytest.mark.parametrize("strategy", REBALANCING)
+def test_rebalancing_an_equal_key_of_another_class_repatches_the_memo(strategy):
+    """A table entry for ``2.0`` routes ``2`` too (the table is a dict), so
+    the memoised route of an int must follow a rebalance of its float twin."""
+    partitioner = FACTORIES[strategy]()
+    ints = list(range(40))
+    partitioner.assign_batch(ints)  # memoises every int
+    snapshot = {key: 1.0 for key in range(10, 40)}
+    snapshot.update({float(key): 800.0 * (key + 1) for key in range(10)})
+    assert partitioner.on_interval_end(IntervalStats.from_frequencies(0, snapshot)) is not None
+    assert partitioner.assign_batch(ints) == [partitioner.route(key) for key in ints]
+
+
 class _CountingMemo(dict):
     """A route memo that counts its rewrites and clears."""
 
@@ -322,8 +354,193 @@ def test_heterogeneous_batch_equals_scalar_route(strategy, batch, hot):
             assert warm.assign_batch(batch) == expected
             assert warm.assign_batch_array(batch).tolist() == expected
             routed = warm.route_snapshot(snapshot)
-            assert routed == scalar_route_snapshot(cold, snapshot)
+            assert_routed_exactly(routed, scalar_route_snapshot(cold, snapshot), snapshot)
             for task, bucket in routed.items():
                 assert [type(key) for key in bucket] == [
                     type(key) for key in snapshot if cold.route(key) == task
                 ]
+
+
+# -- the snapshot plan: kept across intervals, patched with what moved -----------------
+
+#: Keys of the interval sequence below: ints (0 and 1 have bool look-alikes) and strings.
+PLAN_KEYS = [*range(22), "alpha", "beta"]
+
+#: The int keys a ``reclass`` step swaps (the first two have the look-alikes).
+RECLASSED = [0, 1, 2, 9]
+
+#: What the int key ``k`` at a position may become: itself, an equal key of
+#: another class, or a float / tuple form whose look-alike of the same class
+#: hashes apart (``0.0`` / ``-0.0``, ``(1,)`` / ``(True,)``).
+RECLASS = {
+    "int": lambda key: key,
+    "bool": lambda key: bool(key) if key in (0, 1) else key,
+    "float": float,
+    "negative zero": lambda key: -0.0 if key == 0 else float(key),
+    "int64": np.int64,
+    "tuple": lambda key: (key,),
+    "bool tuple": lambda key: (bool(key),) if key in (0, 1) else (key,),
+}
+
+plan_steps_strategy = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("recount"),
+            st.lists(
+                st.sampled_from([1.0, 2.0, 3, 7.5, 40.0, 900.0]),
+                min_size=len(PLAN_KEYS),
+                max_size=len(PLAN_KEYS),
+            ),
+        ),
+        st.tuples(st.just("reorder"), st.permutations(range(len(PLAN_KEYS)))),
+        st.tuples(st.just("reclass"), st.sampled_from(RECLASSED), st.sampled_from(sorted(RECLASS))),
+        st.tuples(
+            st.just("skip"),
+            st.integers(0, len(PLAN_KEYS) - 1),
+            st.sampled_from([0.0, 0, -3.0, float("nan")]),
+        ),
+        st.tuples(st.just("interval_end")),
+        st.tuples(st.just("rebalance_twice")),
+        st.tuples(st.just("table_edit"), st.integers(0, len(PLAN_KEYS) - 1), st.integers(0, 7)),
+        st.tuples(st.just("scale_out"), st.integers(1, 2)),
+        st.tuples(st.just("scale_in"), st.integers(1, 2)),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class _IntervalSequence:
+    """One key list with its counts, and the partitioner steps between snapshots."""
+
+    def __init__(self):
+        self.keys = list(PLAN_KEYS)
+        self.base_keys = list(PLAN_KEYS)  # what a reclassed key was, position for position
+        self.counts = [1.0 + (index % 5) * 30.0 for index in range(len(self.keys))]
+        self.counts[3] = 2_000.0
+        self.interval = 0
+
+    def snapshot(self):
+        return dict(zip(self.keys, self.counts))
+
+    def stats(self):
+        self.interval += 1
+        live = {key: count for key, count in self.snapshot().items() if count > 0}
+        return IntervalStats.from_frequencies(self.interval, live)
+
+    def step(self, step, twins):
+        kind, *args = step
+        if kind == "recount":
+            self.counts = list(args[0])
+        elif kind == "reorder":
+            self.keys = [self.keys[index] for index in args[0]]
+            self.base_keys = [self.base_keys[index] for index in args[0]]
+            self.counts = [self.counts[index] for index in args[0]]
+        elif kind == "reclass":
+            key, name = args
+            self.keys[self.base_keys.index(key)] = RECLASS[name](key)
+        elif kind == "skip":
+            position, count = args
+            self.counts[position] = count
+        elif kind in ("interval_end", "rebalance_twice"):
+            if not any(count > 0 for count in self.counts):
+                return
+            rebalancing = hasattr(twins[0], "rebalance")
+            for _ in range(1 if kind == "interval_end" else 2):
+                stats = self.stats()
+                for partitioner in twins:
+                    if kind == "interval_end":
+                        partitioner.on_interval_end(stats.copy())
+                    elif rebalancing:
+                        partitioner.observe(stats.copy())
+                        partitioner.rebalance()
+        elif kind == "table_edit":
+            position, task = args
+            for partitioner in twins:
+                if hasattr(partitioner, "assignment"):
+                    partitioner.assignment.routing_table.set(
+                        self.keys[position], task % partitioner.num_tasks, enforce_limit=False
+                    )
+        elif kind == "scale_out":
+            for partitioner in twins:
+                partitioner.scale_out(partitioner.num_tasks + args[0])
+        elif twins[0].num_tasks - args[0] >= 1:
+            for partitioner in twins:
+                partitioner.scale_in(partitioner.num_tasks - args[0])
+
+
+@pytest.mark.parametrize("strategy", MEMOISING)
+@given(steps=plan_steps_strategy)
+@settings(max_examples=30, deadline=None)
+def test_snapshot_plan_matches_scalar_routing_across_intervals(strategy, steps):
+    """After every step, ``route_snapshot`` of a partitioner that keeps its
+    snapshot plan is the reference loop over a cold twin, exactly — whether
+    the step changed the counts, the key order, a key's class, which counts
+    are live, or the assignment (an interval end, two rebalances in a row, a
+    direct routing-table edit, a resize)."""
+
+    def build():
+        return get_strategy(strategy).build(NUM_TASKS, theta_max=0.05, seed=7)
+
+    warm, cold = build(), build()
+    sequence = _IntervalSequence()
+    for step in [*steps, None]:
+        snapshot = sequence.snapshot()
+        routed = warm.route_snapshot(snapshot)
+        assert_routed_exactly(routed, scalar_route_snapshot(cold, snapshot), snapshot)
+        if step is not None:
+            sequence.step(step, (warm, cold))
+
+
+@pytest.mark.parametrize("strategy", MEMOISING)
+@pytest.mark.parametrize(
+    "first, second",
+    [([0.0, 5, "a"], [-0.0, 5, "a"]), ([(0,), (1,), 5], [(False,), (True,), 5])],
+)
+def test_snapshot_plan_routes_lookalike_keys_by_their_own_hash(strategy, first, second):
+    """An equal key list of the same classes may still hash apart (``0.0`` /
+    ``-0.0``, ``(0,)`` / ``(False,)``): a list holding a float or container
+    key is routed afresh, not answered from the plan of its look-alike."""
+
+    def build():
+        return get_strategy(strategy).build(NUM_TASKS, theta_max=0.05, seed=7)
+
+    warm, cold = build(), build()
+    assert first == second
+    assert [cold.route(key) for key in first] != [cold.route(key) for key in second]
+    for keys in (first, second, first):
+        snapshot = dict.fromkeys(keys, 1.0)
+        routed = warm.route_snapshot(snapshot)
+        assert_routed_exactly(routed, scalar_route_snapshot(cold, snapshot), snapshot)
+        assert warm.assign_batch_array(keys).tolist() == [cold.route(key) for key in keys]
+
+
+@pytest.mark.parametrize("strategy", REBALANCING)
+def test_snapshot_plan_is_built_once_and_patched_per_task(strategy, monkeypatch):
+    """Over a stationary key list the plan is built once; each rebalance's
+    re-routed keys re-gather only the tasks they left or joined."""
+    gathers = []
+    gather = base._gather
+    monkeypatch.setattr(base, "_gather", lambda positions: gathers.append(1) or gather(positions))
+    partitioner = FACTORIES[strategy]()
+    keys = list(range(300))
+    plan = None
+    regathered = 0
+    for interval in range(8):
+        hot = keys[(37 * interval) % len(keys)]
+        snapshot = {key: 1.0 + (key % 7) for key in keys}
+        snapshot[hot] = 3_000.0
+        before = None if plan is None else [list(positions) for positions in plan.positions]
+        gathers.clear()
+        routed = partitioner.route_snapshot(snapshot)
+        if plan is None:
+            plan = partitioner._snapshot_plan
+            assert len(gathers) == NUM_TASKS
+        else:
+            assert partitioner._snapshot_plan is plan
+            touched = [task for task in range(NUM_TASKS) if plan.positions[task] != before[task]]
+            assert len(gathers) == len(touched)
+            regathered += len(touched)
+        assert_routed_exactly(routed, scalar_route_snapshot(partitioner, snapshot), snapshot)
+        partitioner.on_interval_end(IntervalStats.from_frequencies(interval, snapshot))
+    assert regathered > 0, "no rebalance re-routed a key: the patch was never exercised"

@@ -1,5 +1,6 @@
 """Tests for the universal hash and the consistent-hash ring."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,32 @@ class TestUniversalHash:
     @settings(max_examples=100)
     def test_always_in_range(self, num_tasks, key):
         assert 0 <= UniversalHash(num_tasks)(key) < num_tasks
+
+    def test_assign_array_reuses_the_same_list(self):
+        hash_fn = UniversalHash(10, seed=3)
+        keys = list(range(50))
+        first = hash_fn.assign_array(keys)
+        assert hash_fn.assign_array(keys) is first
+        assert hash_fn.assign_array(list(range(50))) is first  # equal, class for class
+        assert first.tolist() == [hash_fn(key) for key in keys]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ([1, 2], [True, 2]),
+            (list(range(20)), [np.int64(key) for key in range(20)]),
+            ([0, 1, 2.0, 3], [0, 1, 2, 3]),
+            ([0.0, 1], [-0.0, 1]),
+            ([(1,), "a"], [(True,), "a"]),
+        ],
+    )
+    def test_assign_array_rehashes_an_equal_list_of_other_classes(self, first, second):
+        """An equal key list whose keys differ in class, or that holds a
+        float or container key, hashes by its own keys."""
+        hash_fn = UniversalHash(10, seed=3)
+        hash_fn.assign_array(first)
+        assert first == second
+        assert hash_fn.assign_array(second).tolist() == [hash_fn(key) for key in second]
 
 
 class TestConsistentHashRing:
