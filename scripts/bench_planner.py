@@ -15,6 +15,10 @@ A_max = 3000, θ_max = 0.08, expected counts so every interval carries all
 * **should_rebalance** — the imbalance check (builds the interval's columns,
   evaluates ``F`` over the observed keys once);
 * **plan** — the planning round itself, reusing those columns;
+* **delta** — the part of **plan** that finds ``Δ(F, F′)`` and costs it:
+  ``build_migration_plan`` (read off the routing-table diff) plus the
+  window's total state the migration fraction divides by, summed over every
+  call one planning round makes (Mixed builds one result per cleaning trial);
 * **interval_end** — the whole ``on_interval_end`` (check + plan + memo patch),
   over the same closes as **plan**: those that planned.
 
@@ -42,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import repro.core.planner as planner_module  # noqa: E402
 from repro.core.statistics import IntervalStats  # noqa: E402
 from repro.core.strategy import get_strategy  # noqa: E402
 from repro.workloads.zipf import ZipfWorkload  # noqa: E402
@@ -85,25 +90,36 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
     check_s: List[float] = []
     plan_s: List[float] = []
     end_s: List[float] = []
+    delta_s: List[float] = []
     partitioner.should_rebalance = _timed(partitioner.should_rebalance, check_s)
     partitioner.rebalance = _timed(partitioner.rebalance, plan_s)
     route = _timed(partitioner.route_snapshot, route_s)
     build = _timed(IntervalStats.from_frequencies, stats_s)
     end = _timed(partitioner.on_interval_end, end_s)
+    stats = partitioner.stats
+    stats.total_windowed_memory = _timed(stats.total_windowed_memory, delta_s)
     results = []
-    # Steady-state (interval >= 1) closes that planned: the plan's seconds
-    # and those of the ``on_interval_end`` call containing it, pairwise.
+    # Steady-state (interval >= 1) closes that planned: the plan's seconds,
+    # the Δ seconds inside it and those of the ``on_interval_end`` call
+    # containing it, pairwise.
     planning_plan_s: List[float] = []
+    planning_delta_s: List[float] = []
     planning_end_s: List[float] = []
-    for interval, snapshot in enumerate(snapshots):
-        route(snapshot)
-        plans_before = len(plan_s)
-        result = end(build(interval, snapshot))
-        if result is not None:
-            results.append(result)
-        if interval and len(plan_s) > plans_before:
-            planning_plan_s.append(plan_s[-1])
-            planning_end_s.append(end_s[-1])
+    build_migration_plan = planner_module.build_migration_plan
+    planner_module.build_migration_plan = _timed(build_migration_plan, delta_s)
+    try:
+        for interval, snapshot in enumerate(snapshots):
+            route(snapshot)
+            plans_before, deltas_before = len(plan_s), len(delta_s)
+            result = end(build(interval, snapshot))
+            if result is not None:
+                results.append(result)
+            if interval and len(plan_s) > plans_before:
+                planning_plan_s.append(plan_s[-1])
+                planning_delta_s.append(sum(delta_s[deltas_before:]))
+                planning_end_s.append(end_s[-1])
+    finally:
+        planner_module.build_migration_plan = build_migration_plan
     return {
         "num_keys": num_keys,
         "intervals": intervals,
@@ -119,6 +135,7 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
         # is never below the plan time it contains (an interval that does not
         # plan closes in microseconds and would drag one median, not both).
         "plan_ms": _median_ms(planning_plan_s),
+        "delta_ms": _median_ms(planning_delta_s),
         "interval_end_ms": _median_ms(planning_end_s),
     }
 
@@ -157,7 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         strategy=args.strategy, key_counts=args.keys, intervals=args.intervals, seed=args.seed
     )
     print(
-        f"{'K':>8} {'route':>8} {'stats':>8} {'check':>8} {'plan':>8} {'end':>8}  "
+        f"{'K':>8} {'route':>8} {'stats':>8} {'check':>8} {'plan':>8} {'delta':>8} {'end':>8}  "
         f"ms (median), {result['strategy']}",
         file=sys.stderr,
     )
@@ -165,7 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"{row['num_keys']:>8} {row['route_ms']:>8.1f} {row['stats_ms']:>8.1f} "
             f"{row['should_rebalance_ms']:>8.1f} {row['plan_ms']:>8.1f} "
-            f"{row['interval_end_ms']:>8.1f}  {row['plans']} plans, "
+            f"{row['delta_ms']:>8.1f} {row['interval_end_ms']:>8.1f}  {row['plans']} plans, "
             f"{row['moved_keys']} keys moved, table {row['table_size']}",
             file=sys.stderr,
         )

@@ -57,6 +57,7 @@ REQUIRED_PLANNER_MICRO_ROW_KEYS = (
     "stats_ms",
     "should_rebalance_ms",
     "plan_ms",
+    "delta_ms",
     "interval_end_ms",
 )
 #: Key count of the paper's Tab. II; rows this large carry the speed-independent
@@ -414,6 +415,11 @@ def _validate_planner_micro(micro) -> None:
             _fail(
                 f"{label}: interval_end_ms ({row['interval_end_ms']}) is below the "
                 f"plan_ms ({row['plan_ms']}) it contains"
+            )
+        if not 0 <= row["delta_ms"] <= row["plan_ms"]:
+            _fail(
+                f"{label}: delta_ms ({row['delta_ms']}) is not within the "
+                f"plan_ms ({row['plan_ms']}) it is part of"
             )
         if row["num_keys"] >= PAPER_SCALE_KEYS and row["stats_ms"] >= row["route_ms"]:
             _fail(

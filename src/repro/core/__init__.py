@@ -47,7 +47,7 @@ from repro.core.load import (
     safe_mean,
     total_load,
 )
-from repro.core.migration import MigrationPlan, migration_cost
+from repro.core.migration import MigrationPlan
 from repro.core.minmig import MinMigAlgorithm
 from repro.core.mintable import MinTableAlgorithm
 from repro.core.mixed import MixedAlgorithm, MixedBruteForceAlgorithm
@@ -90,7 +90,6 @@ __all__ = [
     "get_algorithm",
     "least_load_fit_decreasing",
     "max_skewness",
-    "migration_cost",
     "overloaded_tasks",
     "simple_assign",
 ]

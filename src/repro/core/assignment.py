@@ -156,12 +156,6 @@ class AssignmentFunction:
         """Return a new assignment function sharing ``h`` but with ``table``."""
         return AssignmentFunction(self._hash, table, num_tasks=self._num_tasks)
 
-    def copy(self) -> "AssignmentFunction":
-        """Deep-copy (the routing table is copied; the hash is shared)."""
-        return AssignmentFunction(
-            self._hash, self._table.copy(), num_tasks=self._num_tasks
-        )
-
     # -- construction helpers ----------------------------------------------------
 
     @classmethod

@@ -485,7 +485,7 @@ class CompactMixedPlanner:
             stats,
             config,
             off_hash_entries(assignment, placements),
-            set(placements),
+            placements.keys(),
             loads=actual_loads,
             balanced=max_balance_indicator(estimated) <= config.theta_max + 1e-6,
             max_theta=max_balance_indicator(actual_loads),

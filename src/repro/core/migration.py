@@ -1,4 +1,4 @@
-"""Migration bookkeeping: ``Δ(F, F′)``, migration plans and migration cost.
+"""Migration bookkeeping: ``Δ(F, F′)`` and migration plans.
 
 When the controller replaces the assignment function ``F`` with ``F′``, every
 key whose destination changes must have its state (the last ``w`` intervals of
@@ -6,26 +6,21 @@ it) moved from the old task to the new one.  The migration cost of the plan is
 
     M_i(w, F, F′) = Σ_{k ∈ Δ(F, F′)} S_i(k, w)
 
-and the evaluation reports it as a *percentage* of the total state held by the
-operator, which is what :func:`migration_cost_fraction` computes.
+— :attr:`MigrationPlan.total_state`, the sum of the moves' state sizes.  The
+evaluation reports it as a *percentage* of the total state held by the
+operator (``RebalanceResult.migration_fraction``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Container, Dict, Hashable, List, Optional, Set
 
 from repro.core.assignment import AssignmentFunction
 from repro.core.statistics import StatisticsStore
 
-__all__ = [
-    "KeyMove",
-    "MigrationPlan",
-    "migration_cost",
-    "migration_cost_fraction",
-    "build_migration_plan",
-]
+__all__ = ["KeyMove", "MigrationPlan", "build_migration_plan"]
 
 Key = Hashable
 
@@ -82,59 +77,29 @@ class MigrationPlan:
             groups.setdefault(move.source, []).append(move)
         return groups
 
-    def affected_tasks(self) -> Set[int]:
-        """All tasks that either send or receive state."""
-        tasks: Set[int] = set()
-        for move in self.moves:
-            tasks.add(move.source)
-            tasks.add(move.target)
-        return tasks
-
-
-def migration_cost(
-    delta: Iterable[Key],
-    stats: StatisticsStore,
-    window: Optional[int] = None,
-) -> float:
-    """``M_i(w, F, F′) = Σ_{k ∈ Δ} S_i(k, w)``."""
-    return sum(stats.windowed_memory(key, window) for key in delta)
-
-
-def migration_cost_fraction(
-    delta: Iterable[Key],
-    stats: StatisticsStore,
-    window: Optional[int] = None,
-) -> float:
-    """Migration cost as a fraction of the operator's total retained state.
-
-    This is the "Migration Cost (%)" metric of Figs. 8–12 and 17–21 (divided by
-    100).  Returns 0.0 when the operator holds no state at all.
-    """
-    total = stats.total_windowed_memory(window)
-    if total <= 0.0:
-        return 0.0
-    return migration_cost(delta, stats, window) / total
-
 
 def build_migration_plan(
     old: AssignmentFunction,
     new: AssignmentFunction,
-    keys: Iterable[Key],
+    observed: Container[Key],
     stats: Optional[StatisticsStore] = None,
     window: Optional[int] = None,
 ) -> MigrationPlan:
-    """Construct the :class:`MigrationPlan` realising ``F → F′`` over ``keys``.
+    """Construct the :class:`MigrationPlan` realising ``F → F′`` over ``observed``.
 
     ``F`` and ``F′`` share the hash ``h``, so only a key whose routing-table
     entry was added, dropped or retargeted can change destination: the moves
-    are found among the table diff (in ``keys`` iteration order), not by
-    evaluating both functions on every key.
+    are read off the table diff, in its order (see
+    :meth:`~repro.core.routing_table.RoutingTable.changed_keys`), keeping the
+    keys that are ``in observed``.  ``observed`` is only asked for membership,
+    so Δ costs O(|A| + |A′|), however many keys were observed.
     """
     if old.hash_function != new.hash_function:
         raise ValueError("a migration plan needs both assignments to share the hash function")
-    changed = old.routing_table.changed_keys(new.routing_table)
     moves: List[KeyMove] = []
-    for key in filter(changed.__contains__, keys):
+    for key in old.routing_table.changed_keys(new.routing_table):
+        if key not in observed:
+            continue
         source = old(key)
         target = new(key)
         if source == target:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Hashable, Mapping, Optional, Protocol, Set, Type
+from typing import Container, Dict, Hashable, Mapping, Optional, Protocol, Set, Type
 
 import numpy as np
 
@@ -38,11 +38,7 @@ from repro.core.assignment import AssignmentFunction
 from repro.core.criteria import DEFAULT_BETA, SelectionCriteria
 from repro.core.llfd import llfd_columns
 from repro.core.load import load_ceiling, load_from_columns
-from repro.core.migration import (
-    MigrationPlan,
-    build_migration_plan,
-    migration_cost_fraction,
-)
+from repro.core.migration import MigrationPlan, build_migration_plan
 from repro.core.routing_table import RoutingTable
 from repro.core.statistics import StatisticsStore
 
@@ -163,7 +159,7 @@ def build_result(
     stats: StatisticsStore,
     config: PlannerConfig,
     entries: Mapping[Key, int],
-    observed: Collection[Key],
+    observed: Container[Key],
     *,
     loads: Dict[int, float],
     balanced: bool,
@@ -180,8 +176,12 @@ def build_result(
     ``observed`` are kept ahead of them — such keys carry no state in the
     window, so leaving them pinned costs nothing, and dropping them would
     silently reroute live keys (MinTable and DKG rebuild the table from
-    scratch instead).  The moves follow ``observed``'s iteration order.
-    ``started`` (a ``perf_counter`` reading) stamps the generation time.
+    scratch instead).  ``observed`` is only asked for membership: the moves
+    are read off the diff between the old and new tables, in table-diff
+    order (:func:`~repro.core.migration.build_migration_plan`), so ``Δ`` and
+    its cost fraction ``M_i / Σ_k S_i(k, w)`` cost O(|A| + |A′|) on top of
+    the window's total.  ``started`` (a ``perf_counter`` reading) stamps the
+    generation time.
     """
     new_table = RoutingTable(max_size=None)
     if retain_unobserved:
@@ -192,6 +192,7 @@ def build_result(
         new_table.set(key, task, enforce_limit=False)
     new_assignment = assignment.with_table(new_table)
     plan = build_migration_plan(assignment, new_assignment, observed, stats, config.window)
+    total_state = stats.total_windowed_memory(config.window)
     result = RebalanceResult(
         algorithm=algorithm,
         assignment=new_assignment,
@@ -200,7 +201,7 @@ def build_result(
         loads=loads,
         balanced=balanced,
         max_theta=max_theta,
-        migration_fraction=migration_cost_fraction(plan.keys, stats, config.window),
+        migration_fraction=plan.total_state / total_state if total_state > 0.0 else 0.0,
         **diagnostics,
     )
     if started is not None:
@@ -303,7 +304,7 @@ class RebalanceAlgorithm(ABC):
             stats,
             config,
             llfd.routing_entries,
-            columns.key_set,
+            columns.index,
             loads=dict(llfd.loads),
             balanced=llfd.balanced,
             max_theta=llfd.max_theta,

@@ -9,7 +9,7 @@ workload (Section II of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = ["RoutingTable", "RoutingTableOverflowError"]
 
@@ -141,12 +141,6 @@ class RoutingTable:
         """Current number of entries (``N_A``)."""
         return len(self._entries)
 
-    def overflow(self) -> int:
-        """Number of entries in excess of ``max_size`` (0 when unbounded)."""
-        if self._max_size is None:
-            return 0
-        return max(0, len(self._entries) - self._max_size)
-
     def copy(self, *, max_size: Optional[int] = "unchanged") -> "RoutingTable":  # type: ignore[assignment]
         """Return a deep copy; ``max_size`` may be overridden."""
         new_max = self._max_size if max_size == "unchanged" else max_size
@@ -156,13 +150,18 @@ class RoutingTable:
         table._version = self._version
         return table
 
-    def changed_keys(self, other: "RoutingTable") -> Set[Key]:
+    def changed_keys(self, other: "RoutingTable") -> List[Key]:
         """Keys whose entry differs between the two tables (added, dropped or
         retargeted) — the only keys two assignment functions sharing a hash
-        can route differently."""
+        can route differently.
+
+        The table-diff order: this table's dropped or retargeted entries in
+        its entry order, then ``other``'s additions in its entry order — a
+        function of the two tables alone, built in O(|self| + |other|).
+        """
         mine, theirs = self._entries, other._entries
-        changed = {key for key, task in mine.items() if theirs.get(key) != task}
-        changed.update(key for key in theirs if key not in mine)
+        changed = [key for key, task in mine.items() if theirs.get(key) != task]
+        changed.extend(key for key in theirs if key not in mine)
         return changed
 
     def as_dict(self) -> Dict[Key, int]:

@@ -75,7 +75,7 @@ class KeyColumns:
     structures are built on first use.
     """
 
-    __slots__ = ("keys", "cost", "memory", "_index", "_key_set", "_cost_map", "_memory_map")
+    __slots__ = ("keys", "cost", "memory", "_index", "_cost_map", "_memory_map")
 
     def __init__(self, keys: List[Key], cost: np.ndarray, memory: np.ndarray) -> None:
         cost.flags.writeable = False
@@ -84,7 +84,6 @@ class KeyColumns:
         self.cost = cost
         self.memory = memory
         self._index: Optional[Dict[Key, int]] = None
-        self._key_set: Optional[Set[Key]] = None
         self._cost_map: Optional[Mapping[Key, float]] = None
         self._memory_map: Optional[Mapping[Key, float]] = None
 
@@ -94,18 +93,6 @@ class KeyColumns:
         if self._index is None:
             self._index = dict(zip(self.keys, range(len(self.keys))))
         return self._index
-
-    @property
-    def key_set(self) -> Set[Key]:
-        """The keys as a set.
-
-        Built from a dict with the snapshot's key order, exactly like the
-        ``set(cost_map)`` the planner used to iterate, so the iteration order
-        — and with it the order of a migration plan's moves — is unchanged.
-        """
-        if self._key_set is None:
-            self._key_set = set(self.index)
-        return self._key_set
 
     @property
     def cost_map(self) -> Mapping[Key, float]:
@@ -125,20 +112,18 @@ class KeyColumns:
         """Adopt ``other``'s key structures when both list the same keys in order.
 
         A stationary key population re-lists the same keys interval after
-        interval; sharing the list, the position index and the key set saves
-        rebuilding them (and lets per-key-list memos hit by identity).
+        interval; sharing the list and the position index saves rebuilding
+        them (and lets per-key-list memos hit by identity).
         """
         if self.keys is not other.keys and self.keys == other.keys:
             self.keys = other.keys
             if other._index is not None:
                 self._index = other._index
-            self._key_set = other._key_set
 
     def with_memory(self, memory: np.ndarray) -> "KeyColumns":
         """Same keys and costs with another memory column (windowed state)."""
         clone = KeyColumns(self.keys, self.cost, memory)
         clone._index = self.index
-        clone._key_set = self._key_set
         clone._cost_map = self._cost_map
         return clone
 
@@ -342,20 +327,27 @@ class IntervalStats:
         """``s_i(k)``."""
         return self._value(2, key)
 
-    # The totals add key by key, in key order (not np.sum's pairwise order),
-    # so they repeat bit for bit whatever produced the snapshot.
+    # The totals add key by key, in key order, so they repeat bit for bit
+    # whatever produced the snapshot: np.add.accumulate is a strict left fold
+    # (np.sum adds pairwise), and the trailing ``+ 0.0`` turns a -0.0 total
+    # into 0.0 as a fold starting from 0 does.
+
+    def _total(self, column: int) -> float:
+        if not self._keys:
+            return 0.0
+        return float(np.add.accumulate(self._table[column, : len(self._keys)])[-1]) + 0.0
 
     def total_frequency(self) -> float:
         """Total number of tuples in the interval."""
-        return sum(self._filled()[0].tolist())
+        return self._total(0)
 
     def total_cost(self) -> float:
         """Total computation cost of the interval over all keys."""
-        return sum(self._filled()[1].tolist())
+        return self._total(1)
 
     def total_memory(self) -> float:
         """Total state produced during the interval."""
-        return sum(self._filled()[2].tolist())
+        return self._total(2)
 
     def copy(self) -> "IntervalStats":
         clone = IntervalStats(self.interval)

@@ -5,9 +5,14 @@ columns (``plan_with_cleaning`` + ``_build_result``, ``least_load_fit_decreasing
 ``build_migration_plan``, ``StatisticsStore.cost_map`` / ``memory_map``,
 ``SelectionCriteria.sort`` and Mixed's ``_cleaning_order``), unchanged apart
 from their names: every step walks all observed keys in per-key dicts and
-per-task Python sets.  Nothing under ``src/`` calls them;
-``test_planner_oracle.py`` asserts that the columnar planner returns the same
-plans, field for field and bit for bit.
+per-task Python sets.  Two contracts have moved since, and the bodies follow
+them: a plan's moves come in table-diff order (the old table's dropped or
+retargeted entries in its order, then the new table's additions in theirs),
+and the migration fraction is ``M_i`` summed over the moves in that order
+(``migration_cost`` / ``migration_cost_fraction``, which ``src/`` no longer
+ships).  Nothing under ``src/`` calls them; ``test_planner_oracle.py`` asserts
+that the columnar planner returns the same plans, field for field and bit for
+bit.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, 
 from repro.core.assignment import AssignmentFunction
 from repro.core.criteria import HighestCostFirst, SelectionCriteria, SmallestMemoryFirst
 from repro.core.load import load_ceiling, load_from_costs, max_balance_indicator
-from repro.core.migration import KeyMove, MigrationPlan, migration_cost_fraction
+from repro.core.migration import KeyMove, MigrationPlan
 from repro.core.planner import (
     PlannerConfig,
     RebalanceAlgorithm,
@@ -32,7 +37,6 @@ from repro.core.statistics import StatisticsStore
 
 Key = Hashable
 HashFunction = Callable[[Key], int]
-Assignment = Callable[[Key], int]
 
 _EPS = 1e-9
 
@@ -245,14 +249,45 @@ def reference_llfd(
     return result
 
 
+def migration_cost(
+    delta: Iterable[Key],
+    stats: StatisticsStore,
+    window: Optional[int] = None,
+) -> float:
+    """``M_i(w, F, F′) = Σ_{k ∈ Δ} S_i(k, w)``, added in ``delta``'s order."""
+    return sum(stats.windowed_memory(key, window) for key in delta)
+
+
+def migration_cost_fraction(
+    delta: Iterable[Key],
+    stats: StatisticsStore,
+    window: Optional[int] = None,
+) -> float:
+    """Migration cost as a fraction of the operator's total retained state
+    (0.0 when the operator holds no state at all)."""
+    total = stats.total_windowed_memory(window)
+    if total <= 0.0:
+        return 0.0
+    return migration_cost(delta, stats, window) / total
+
+
+def table_diff_rank(old: RoutingTable, new: RoutingTable) -> Callable[[Key], int]:
+    """A key's position in table-diff order: its entry position in ``old``,
+    or ``len(old)`` plus its entry position in ``new`` for a key ``old`` has
+    no entry for."""
+    old_at = {key: at for at, key in enumerate(old.keys())}
+    new_at = {key: len(old_at) + at for at, key in enumerate(new.keys())}
+    return lambda key: old_at[key] if key in old_at else new_at[key]
+
+
 def reference_build_migration_plan(
-    old: Assignment,
-    new: Assignment,
+    old: AssignmentFunction,
+    new: AssignmentFunction,
     keys: Iterable[Key],
     stats: Optional[StatisticsStore] = None,
     window: Optional[int] = None,
 ) -> MigrationPlan:
-    """``Δ(F, F′)`` by evaluating both functions on every key."""
+    """``Δ(F, F′)`` by evaluating both functions on every key, in table-diff order."""
     moves: List[KeyMove] = []
     for key in keys:
         source = old(key)
@@ -261,6 +296,8 @@ def reference_build_migration_plan(
             continue
         state = stats.windowed_memory(key, window) if stats is not None else 0.0
         moves.append(KeyMove(key=key, source=source, target=target, state_size=state))
+    rank = table_diff_rank(old.routing_table, new.routing_table)
+    moves.sort(key=lambda move: rank(move.key))
     return MigrationPlan(moves=moves)
 
 
@@ -349,7 +386,7 @@ def _reference_build_result(
     plan = reference_build_migration_plan(
         assignment, new_assignment, observed, stats, config.window
     )
-    fraction = migration_cost_fraction(plan.keys, stats, config.window)
+    fraction = migration_cost_fraction([move.key for move in plan.moves], stats, config.window)
     return RebalanceResult(
         algorithm=self.name,
         assignment=new_assignment,

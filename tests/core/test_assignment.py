@@ -43,9 +43,9 @@ class TestDeltaAndTables:
         assert b("x") == 1
         assert b.hash_destination("x") == a.hash_destination("x")
 
-    def test_copy_is_deep_for_table(self):
+    def test_with_copied_table_is_independent(self):
         a = AssignmentFunction.hashed(4, seed=2)
-        b = a.copy()
+        b = a.with_table(a.routing_table.copy())
         b.routing_table.set("x", 0)
         assert "x" not in a.routing_table
 

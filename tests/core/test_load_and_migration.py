@@ -15,14 +15,29 @@ from repro.core.load import (
     max_skewness,
     overloaded_tasks,
 )
-from repro.core.migration import (
-    KeyMove,
-    MigrationPlan,
-    build_migration_plan,
-    migration_cost,
-    migration_cost_fraction,
-)
+from repro.core.migration import KeyMove, MigrationPlan, build_migration_plan
+from repro.core.planner import PlannerConfig, build_result
+from repro.core.routing_table import RoutingTable
 from repro.core.statistics import IntervalStats, StatisticsStore
+
+
+class MembershipOnly:
+    """A key collection that answers ``in`` (and counts the questions) but
+    cannot be walked."""
+
+    def __init__(self, keys):
+        self._keys = set(keys)
+        self.asked = 0
+
+    def __contains__(self, key):
+        self.asked += 1
+        return key in self._keys
+
+    def __iter__(self):
+        raise AssertionError("the observed keys were walked")
+
+    def __len__(self):
+        raise AssertionError("the observed keys were counted")
 
 
 class TestLoadModel:
@@ -100,34 +115,43 @@ class TestMigration:
         assert plan.keys == {"a", "b", "c"}
         assert plan.total_state == 9.0
         assert set(plan.moves_by_source()) == {0, 2}
-        assert plan.affected_tasks() == {0, 1, 2}
         assert bool(plan)
 
     def test_empty_plan(self):
         plan = MigrationPlan()
         assert not plan
         assert plan.total_state == 0.0
-        assert plan.affected_tasks() == set()
 
     def test_migration_cost_and_fraction(self):
         store = StatisticsStore(window=2)
         store.push(IntervalStats.from_frequencies(1, {"a": 10, "b": 30}))
         store.push(IntervalStats.from_frequencies(2, {"a": 10, "b": 10}))
-        assert migration_cost({"a"}, store) == 20.0
-        assert migration_cost_fraction({"a"}, store) == pytest.approx(20.0 / 60.0)
-        assert migration_cost_fraction({"a"}, store, window=1) == pytest.approx(10.0 / 20.0)
+        old = AssignmentFunction.hashed(3, seed=1)
+        entries = {"a": (old("a") + 1) % 3}
+        for window, cost, total in ((None, 20.0, 60.0), (1, 10.0, 20.0)):
+            result = build_result(
+                "test", old, store, PlannerConfig(window=window), entries, {"a", "b"},
+                loads={}, balanced=True, max_theta=0.0,
+            )
+            assert result.migration_cost == cost
+            assert result.migration_fraction == cost / total
 
     def test_fraction_zero_when_no_state(self):
         store = StatisticsStore(window=1)
         store.push(IntervalStats(0))
-        assert migration_cost_fraction({"a"}, store) == 0.0
+        old = AssignmentFunction.hashed(3, seed=1)
+        result = build_result(
+            "test", old, store, PlannerConfig(), {"a": (old("a") + 1) % 3}, {"a"},
+            loads={}, balanced=True, max_theta=0.0,
+        )
+        assert result.migrated_keys == {"a"}
+        assert result.migration_fraction == 0.0
 
     def test_build_migration_plan(self):
         store = StatisticsStore(window=1)
         store.push(IntervalStats.from_frequencies(1, {"a": 4, "b": 6}))
         old = AssignmentFunction.hashed(3, seed=1)
-        new = old.copy()
-        new.routing_table.set("a", (old("a") + 1) % 3)
+        new = old.with_table(RoutingTable({"a": (old("a") + 1) % 3}))
         plan = build_migration_plan(old, new, ["a", "b"], store)
         assert plan.keys == {"a"}
         assert plan.total_state == 4.0
@@ -136,8 +160,34 @@ class TestMigration:
 
     def test_build_plan_without_stats_has_zero_sizes(self):
         old = AssignmentFunction.hashed(3, seed=1)
-        new = old.copy()
-        new.routing_table.set("a", (old("a") + 1) % 3)
+        new = old.with_table(RoutingTable({"a": (old("a") + 1) % 3}))
         plan = build_migration_plan(old, new, ["a"])
         assert plan.total_state == 0.0
         assert plan.keys == {"a"}
+
+    def test_plan_only_asks_observed_for_membership(self):
+        # Δ is read off the table diff: the observed keys are never walked,
+        # and asked about once per changed entry, however many there are.
+        old = AssignmentFunction.hashed(4, seed=3)
+        keys = [f"k{i}" for i in range(40)]
+        old_table = {key: (old(key) + 1) % 4 for key in keys[:10]}
+        new_table = dict(old_table)
+        del new_table["k0"]  # dropped: back to its hash
+        new_table["k1"] = (old_table["k1"] + 1) % 4  # retargeted
+        new_table["k2"] = old("k2")  # pinned on its hash: no move
+        new_table.update({key: (old(key) + 2) % 4 for key in keys[20:25]})  # added
+        new_table["k99"] = (old("k99") + 1) % 4  # added, never observed
+        old = old.with_table(RoutingTable(old_table))
+        new = old.with_table(RoutingTable(new_table))
+        store = StatisticsStore(window=1)
+        store.push(IntervalStats.from_frequencies(0, {key: 1 + i for i, key in enumerate(keys)}))
+        observed = MembershipOnly(keys)
+        plan = build_migration_plan(old, new, observed, store)
+        expected = [
+            KeyMove(key, old(key), new(key), store.windowed_memory(key))
+            for key in ["k0", "k1", "k2", *keys[20:25]]
+            if old(key) != new(key)
+        ]
+        assert plan.moves == expected
+        assert [move.key for move in expected][:2] == ["k0", "k1"]
+        assert observed.asked == len(old.routing_table.changed_keys(new.routing_table))

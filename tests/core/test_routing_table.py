@@ -14,7 +14,6 @@ class TestBasics:
         assert table.size == 0
         assert "k" not in table
         assert table.get("k") is None
-        assert table.overflow() == 0
 
     def test_set_get_remove(self):
         table = RoutingTable()
@@ -79,7 +78,7 @@ class TestMaxSize:
         table.set("a", 0)
         table.set("b", 1, enforce_limit=False)
         assert table.size == 2
-        assert table.overflow() == 1
+        assert table.max_size == 1
 
     def test_copy_preserves_and_overrides_limit(self):
         table = RoutingTable({"a": 1}, max_size=5)
@@ -110,9 +109,34 @@ class TestPropertyBased:
         st.integers(0, 29),
     )
     @settings(max_examples=60)
-    def test_overflow_never_negative(self, entries, max_size):
+    def test_unenforced_sets_may_exceed_the_bound(self, entries, max_size):
         table = RoutingTable(max_size=max_size)
         for key, task in entries.items():
             table.set(key, task, enforce_limit=False)
-        assert table.overflow() == max(0, len(entries) - max_size)
-        assert table.overflow() >= 0
+        assert table.size == len(entries)
+        assert table.max_size == max_size
+
+
+class TestChangedKeys:
+    def test_table_diff_order(self):
+        old = RoutingTable({"a": 0, "b": 1, "c": 2, "d": 3})
+        new = RoutingTable({"e": 0, "c": 1, "a": 0, "f": 2})
+        # Old entries dropped or retargeted in old order, then new additions
+        # in new order; "a" kept its task.
+        assert old.changed_keys(new) == ["b", "c", "d", "e", "f"]
+        assert new.changed_keys(old) == ["e", "c", "f", "b", "d"]
+        assert old.changed_keys(old) == []
+
+    @given(
+        st.dictionaries(st.integers(0, 30), st.integers(0, 3), max_size=20),
+        st.dictionaries(st.integers(0, 30), st.integers(0, 3), max_size=20),
+    )
+    @settings(max_examples=60)
+    def test_equal_table_pairs_give_the_same_list(self, old, new):
+        first = RoutingTable(old).changed_keys(RoutingTable(new))
+        second = RoutingTable(dict(old.items())).changed_keys(RoutingTable(dict(new.items())))
+        assert first == second
+        assert len(set(first)) == len(first)
+        assert set(first) == {
+            key for key in set(old) | set(new) if old.get(key) != new.get(key)
+        }

@@ -121,6 +121,20 @@ class TestIntervalStats:
         assert stats.total_memory() == 10
         assert len(stats) == 2
 
+    def test_totals_are_a_left_fold_in_key_order(self):
+        # 1e16 absorbs every 1.0 added to it one at a time; np.sum adds
+        # pairwise, sums some of the 1.0s first and ends higher.  The totals
+        # must repeat the fold bit for bit.
+        column = np.array(([1e16] + [1.0] * 15) * 64)
+        assert np.sum(column) != sum(column.tolist())
+        keys = list(range(len(column)))
+        stats = IntervalStats.from_columns(0, keys, column, column, column)
+        for total in (stats.total_frequency(), stats.total_cost(), stats.total_memory()):
+            assert total.hex() == sum(column.tolist()).hex()
+        zeros = IntervalStats.from_columns(0, [0, 1], [-0.0] * 2, [-0.0] * 2, [-0.0] * 2)
+        assert zeros.total_memory().hex() == sum([-0.0, -0.0]).hex()
+        assert IntervalStats(0).total_memory() == 0.0
+
     def test_unknown_key_is_zero(self):
         stats = IntervalStats(0)
         assert stats.cost("nope") == 0.0
