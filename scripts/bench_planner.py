@@ -19,6 +19,9 @@ A_max = 3000, θ_max = 0.08, expected counts so every interval carries all
   ``build_migration_plan`` (read off the routing-table diff) plus the
   window's total state the migration fraction divides by, summed over every
   call one planning round makes (Mixed builds one result per cleaning trial);
+* **rank** — the part of **plan** that scores and ranks keys: every step of a
+  ``SelectionCriteria.ranked`` generator (γ over the ranked positions, the
+  sort, the tie runs it reaches), summed per planning round like **delta**;
 * **interval_end** — the whole ``on_interval_end`` (check + plan + memo patch),
   over the same closes as **plan**: those that planned.
 
@@ -47,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro.core.planner as planner_module  # noqa: E402
+from repro.core.criteria import SelectionCriteria  # noqa: E402
 from repro.core.statistics import IntervalStats  # noqa: E402
 from repro.core.strategy import get_strategy  # noqa: E402
 from repro.workloads.zipf import ZipfWorkload  # noqa: E402
@@ -64,6 +68,25 @@ def _timed(method: Callable[..., Any], sink: List[float]) -> Callable[..., Any]:
             return method(*args)
         finally:
             sink.append(time.perf_counter() - started)
+
+    return call
+
+
+def _timed_steps(method: Callable[..., Any], sink: List[float]) -> Callable[..., Any]:
+    """Generator ``method`` recording the seconds of each step into ``sink``
+    (the consumer's work between steps is not counted)."""
+
+    def call(*args: Any) -> Any:
+        steps = method(*args)
+        while True:
+            started = time.perf_counter()
+            try:
+                item = next(steps)
+            except StopIteration:
+                return
+            finally:
+                sink.append(time.perf_counter() - started)
+            yield item
 
     return call
 
@@ -91,6 +114,7 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
     plan_s: List[float] = []
     end_s: List[float] = []
     delta_s: List[float] = []
+    rank_s: List[float] = []
     partitioner.should_rebalance = _timed(partitioner.should_rebalance, check_s)
     partitioner.rebalance = _timed(partitioner.rebalance, plan_s)
     route = _timed(partitioner.route_snapshot, route_s)
@@ -100,26 +124,31 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
     stats.total_windowed_memory = _timed(stats.total_windowed_memory, delta_s)
     results = []
     # Steady-state (interval >= 1) closes that planned: the plan's seconds,
-    # the Δ seconds inside it and those of the ``on_interval_end`` call
-    # containing it, pairwise.
+    # the Δ and ranking seconds inside it and those of the ``on_interval_end``
+    # call containing it, pairwise.
     planning_plan_s: List[float] = []
     planning_delta_s: List[float] = []
+    planning_rank_s: List[float] = []
     planning_end_s: List[float] = []
     build_migration_plan = planner_module.build_migration_plan
+    ranked = SelectionCriteria.ranked
     planner_module.build_migration_plan = _timed(build_migration_plan, delta_s)
+    SelectionCriteria.ranked = _timed_steps(ranked, rank_s)
     try:
         for interval, snapshot in enumerate(snapshots):
             route(snapshot)
-            plans_before, deltas_before = len(plan_s), len(delta_s)
+            plans_before, deltas_before, ranks_before = len(plan_s), len(delta_s), len(rank_s)
             result = end(build(interval, snapshot))
             if result is not None:
                 results.append(result)
             if interval and len(plan_s) > plans_before:
                 planning_plan_s.append(plan_s[-1])
                 planning_delta_s.append(sum(delta_s[deltas_before:]))
+                planning_rank_s.append(sum(rank_s[ranks_before:]))
                 planning_end_s.append(end_s[-1])
     finally:
         planner_module.build_migration_plan = build_migration_plan
+        SelectionCriteria.ranked = ranked
     return {
         "num_keys": num_keys,
         "intervals": intervals,
@@ -136,6 +165,7 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
         # plan closes in microseconds and would drag one median, not both).
         "plan_ms": _median_ms(planning_plan_s),
         "delta_ms": _median_ms(planning_delta_s),
+        "rank_ms": _median_ms(planning_rank_s),
         "interval_end_ms": _median_ms(planning_end_s),
     }
 
@@ -174,7 +204,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         strategy=args.strategy, key_counts=args.keys, intervals=args.intervals, seed=args.seed
     )
     print(
-        f"{'K':>8} {'route':>8} {'stats':>8} {'check':>8} {'plan':>8} {'delta':>8} {'end':>8}  "
+        f"{'K':>8} {'route':>8} {'stats':>8} {'check':>8} {'plan':>8} {'delta':>8} "
+        f"{'rank':>8} {'end':>8}  "
         f"ms (median), {result['strategy']}",
         file=sys.stderr,
     )
@@ -182,7 +213,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"{row['num_keys']:>8} {row['route_ms']:>8.1f} {row['stats_ms']:>8.1f} "
             f"{row['should_rebalance_ms']:>8.1f} {row['plan_ms']:>8.1f} "
-            f"{row['delta_ms']:>8.1f} {row['interval_end_ms']:>8.1f}  {row['plans']} plans, "
+            f"{row['delta_ms']:>8.1f} {row['rank_ms']:>8.1f} {row['interval_end_ms']:>8.1f}  "
+            f"{row['plans']} plans, "
             f"{row['moved_keys']} keys moved, table {row['table_size']}",
             file=sys.stderr,
         )

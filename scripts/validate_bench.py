@@ -58,6 +58,7 @@ REQUIRED_PLANNER_MICRO_ROW_KEYS = (
     "should_rebalance_ms",
     "plan_ms",
     "delta_ms",
+    "rank_ms",
     "interval_end_ms",
 )
 #: Key count of the paper's Tab. II; rows this large carry the speed-independent
@@ -416,11 +417,12 @@ def _validate_planner_micro(micro) -> None:
                 f"{label}: interval_end_ms ({row['interval_end_ms']}) is below the "
                 f"plan_ms ({row['plan_ms']}) it contains"
             )
-        if not 0 <= row["delta_ms"] <= row["plan_ms"]:
-            _fail(
-                f"{label}: delta_ms ({row['delta_ms']}) is not within the "
-                f"plan_ms ({row['plan_ms']}) it is part of"
-            )
+        for part in ("delta_ms", "rank_ms"):
+            if not 0 <= row[part] <= row["plan_ms"]:
+                _fail(
+                    f"{label}: {part} ({row[part]}) is not within the "
+                    f"plan_ms ({row['plan_ms']}) it is part of"
+                )
         if row["num_keys"] >= PAPER_SCALE_KEYS and row["stats_ms"] >= row["route_ms"]:
             _fail(
                 f"{label}: stats_ms ({row['stats_ms']}) is not below route_ms "

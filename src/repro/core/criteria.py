@@ -96,23 +96,30 @@ class SelectionCriteria(ABC):
 
         ``cost`` and ``memory`` are aligned with ``keys``; ``among`` restricts
         the ranking to those positions.  Lazy: callers stop after the few keys
-        they need, so only the runs of equal priority actually reached are
-        repr-sorted.
+        they need, so the ranking is handed to Python in chunks that double,
+        and only the runs of equal priority actually reached are repr-sorted.
         """
         if among is None:
             among = np.arange(len(keys))
         score = -self.priorities(cost[among], memory[among])
         by_score = np.argsort(score, kind="stable")
-        ranked = among[by_score].tolist()
+        ranked = among[by_score]
         score = score[by_score]
-        run_starts = np.flatnonzero(score[1:] != score[:-1]) + 1
-        start = 0
-        for end in run_starts.tolist() + [len(ranked)]:
-            if end - start == 1:
-                yield ranked[start]
-            else:
-                yield from sorted(ranked[start:end], key=lambda at: repr(keys[at]))
-            start = end
+        run_ends = np.append(np.flatnonzero(score[1:] != score[:-1]) + 1, len(ranked))
+        start, taken, chunk = 0, 0, 16
+        while taken < len(run_ends):
+            ends = run_ends[taken : taken + chunk].tolist()
+            positions = ranked[start : ends[-1]].tolist()
+            offset = start
+            for end in ends:
+                if end - start == 1:
+                    yield positions[start - offset]
+                else:
+                    run = positions[start - offset : end - offset]
+                    yield from sorted(run, key=lambda at: repr(keys[at]))
+                start = end
+            taken += chunk
+            chunk *= 2
 
     def sort(
         self,
@@ -160,12 +167,15 @@ class LargestGammaFirst(SelectionCriteria):
     def priorities(self, cost: np.ndarray, memory: np.ndarray) -> np.ndarray:
         if (cost < 0).any() or (memory < 0).any():
             raise ValueError("cost and memory must be non-negative")
-        # The power goes through Python's float pow (one C-level map):
-        # np.power rounds differently from libm in the last bit, which would
-        # reorder near-ties against the scalar gamma_index.
-        powered = np.fromiter(
-            map(pow, cost.tolist(), repeat(self.beta)), dtype=float, count=len(cost)
-        )
+        # np.float_power is one C loop calling libm pow, so it equals the
+        # scalar ``cost ** beta`` bit for bit.  np.power may dispatch to SIMD
+        # kernels (SVML) that differ in the last bit, which would reorder
+        # near-ties against gamma_index.  Overflow raises, as the scalar does.
+        with np.errstate(over="raise"):
+            try:
+                powered = np.float_power(cost, self.beta)
+            except FloatingPointError:
+                raise OverflowError(f"cost ** {self.beta} overflows") from None
         return powered / np.maximum(memory, _MEMORY_FLOOR)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -193,28 +193,33 @@ def llfd_columns(
     # Position → task of every key LLFD placed, in placement order (a key
     # displaced by an exchange leaves and re-enters at the end).
     touched: Dict[int, int] = {}
-    settled = np.ones(len(keys), dtype=bool)
-    settled[[index[key] for key in candidate_set]] = False
-    invalid = settled & ((destinations < 0) | (destinations >= num_tasks))
+    unsettled = np.fromiter(
+        (index[key] for key in candidate_set), dtype=np.intp, count=len(candidate_set)
+    )
+    # A candidate counts on task 0 with weight 0.0 until it is placed.
+    destinations[unsettled] = 0
+    invalid = (destinations < 0) | (destinations >= num_tasks)
     if invalid.any():
         at = int(np.flatnonzero(invalid)[0])
         raise ValueError(
             f"assignment routes key {keys[at]!r} to invalid task {int(destinations[at])}"
         )
-    destinations[~settled] = -1
     # One bincount, adding in column order on top of the base loads — the same
-    # float additions a per-key loop over the settled keys would make.
-    tasks = np.arange(num_tasks)
+    # float additions a per-key loop over the settled keys would make, since
+    # adding the candidates' +0.0 to a sum that starts at +0.0 changes no bit.
     base = [float(base_loads.get(task, 0.0)) if base_loads else 0.0 for task in range(num_tasks)]
+    weights = np.concatenate((base, cost))
+    weights[num_tasks + unsettled] = 0.0
     loads: Dict[int, float] = dict(
         enumerate(
             np.bincount(
-                np.concatenate((tasks, destinations[settled])),
-                weights=np.concatenate((base, cost[settled])),
+                np.concatenate((np.arange(num_tasks), destinations)),
+                weights=weights,
                 minlength=num_tasks,
             ).tolist()
         )
     )
+    destinations[unsettled] = -1
 
     # The ceiling is fixed from the *total* load (which never changes during
     # the run): L_max = (1 + θ_max) · L̄_{i-1}.  Note the final division can

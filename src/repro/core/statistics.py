@@ -142,7 +142,7 @@ class IntervalStats:
     has been served, so columns a reader holds never change.
     """
 
-    __slots__ = ("interval", "_keys", "_table", "_index", "_columns")
+    __slots__ = ("interval", "_keys", "_table", "_index", "_columns", "_totals")
 
     def __init__(
         self,
@@ -157,6 +157,8 @@ class IntervalStats:
         #: ``{key: position}``, built on first use (see :meth:`_positions`).
         self._index: Optional[Dict[Key, int]] = None
         self._columns: Optional[KeyColumns] = None
+        #: The three column totals, each folded on first use (see :meth:`_total`).
+        self._totals: List[Optional[float]] = [None, None, None]
         if stats:
             self.record_bulk(
                 (key, stat.frequency, stat.cost, stat.memory) for key, stat in stats.items()
@@ -251,6 +253,7 @@ class IntervalStats:
             self._table = self._filled().copy()
             self._index = None if self._index is None else dict(self._index)
             self._columns = None
+        self._totals = [None, None, None]
         keys = self._keys
         positions = self._positions()
         for key, *measured in entries:
@@ -330,12 +333,17 @@ class IntervalStats:
     # The totals add key by key, in key order, so they repeat bit for bit
     # whatever produced the snapshot: np.add.accumulate is a strict left fold
     # (np.sum adds pairwise), and the trailing ``+ 0.0`` turns a -0.0 total
-    # into 0.0 as a fold starting from 0 does.
+    # into 0.0 as a fold starting from 0 does.  Each is folded once per
+    # snapshot: every planning step of an interval reads the same totals,
+    # and recording into the snapshot drops them.
 
     def _total(self, column: int) -> float:
-        if not self._keys:
-            return 0.0
-        return float(np.add.accumulate(self._table[column, : len(self._keys)])[-1]) + 0.0
+        total = self._totals[column]
+        if total is None:
+            filled = self._table[column, : len(self._keys)]
+            total = float(np.add.accumulate(filled)[-1]) + 0.0 if len(filled) else 0.0
+            self._totals[column] = total
+        return total
 
     def total_frequency(self) -> float:
         """Total number of tuples in the interval."""

@@ -78,8 +78,8 @@ class IntervalAccount:
     Per-task quantities are **dense arrays** indexed by task id — the
     vectorised dispatch adds whole ``np.bincount`` results to them — and are
     converted to the ``{task: value}`` dict shape consumers expect only when
-    the interval closes (the :attr:`offered_tuples`/:attr:`offered_cost`
-    views), keeping the report schemas unchanged.
+    the interval closes (the :attr:`offered_cost` view), keeping the report
+    schemas unchanged.
     """
 
     __slots__ = ("freqs", "offered_tuples_by_task", "offered_cost_by_task", "shed")
@@ -111,11 +111,6 @@ class IntervalAccount:
             self.offered_cost_by_task = np.concatenate(
                 [self.offered_cost_by_task, pad]
             )
-
-    @property
-    def offered_tuples(self) -> Dict[int, float]:
-        """Dense ``{task: offered tuple count}`` view (every task present)."""
-        return dict(enumerate(self.offered_tuples_by_task.tolist()))
 
     @property
     def offered_cost(self) -> Dict[int, float]:

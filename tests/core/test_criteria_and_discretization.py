@@ -1,5 +1,8 @@
 """Tests for the selection criteria (γ index) and the HLHE discretisation."""
 
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +75,47 @@ class TestCriteria:
 
     def test_default_beta_value(self):
         assert DEFAULT_BETA == pytest.approx(1.5)
+
+
+#: Costs up to 1e12: any float (subnormals included), exact integers, and the
+#: smallest subnormals, whose powers underflow.
+_COSTS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e12),
+    st.integers(min_value=0, max_value=10**12).map(float),
+    st.sampled_from([5e-324, 1e-310, 2.0**-1022]),
+)
+#: Memories down to 0, below the γ floor.
+_MEMORIES = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e12))
+
+
+class TestGammaColumn:
+    """``LargestGammaFirst.priorities`` is the scalar ``gamma_index``, bit for bit.
+
+    Plans tie-break on exact γ equality, so a column kernel that rounds one
+    power differently (a SIMD ``pow``) would reorder keys silently.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_COSTS, _MEMORIES), min_size=1, max_size=40),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    )
+    def test_column_equals_scalar_bit_for_bit(self, pairs, beta):
+        cost = np.array([c for c, _ in pairs])
+        memory = np.array([m for _, m in pairs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            column = LargestGammaFirst(beta).priorities(cost, memory)
+        scalar = np.array([gamma_index(c, m, beta) for c, m in pairs])
+        assert column.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+
+    def test_overflow_raises_on_both_paths(self):
+        with pytest.raises(OverflowError):
+            gamma_index(1e300, 1.0, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                LargestGammaFirst(1.5).priorities(np.array([2.0, 1e300]), np.ones(2))
 
 
 class TestRepresentativeValues:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,7 @@ from repro.core.mixed import _cleaning_order
 from repro.core.planner import PlannerConfig, RebalanceResult, get_algorithm
 from repro.core.routing_table import RoutingTable
 from repro.core.statistics import IntervalStats, KeyStats, StatisticsStore
+from repro.workloads.zipf import ZipfWorkload
 
 Key = Hashable
 
@@ -161,9 +163,47 @@ def test_llfd_front_door_matches_reference(data, criteria, kind, num_tasks):
     assert actual.fallback_placements == expected.fallback_placements
 
 
+@pytest.mark.parametrize("name", ["mixed", "minmig"])
+def test_planner_matches_reference_at_zipf_magnitudes(name):
+    # The hypothesis scenarios draw a dozen hand-picked values; here γ is
+    # ranked over thousands of Zipf-shaped costs whose powers nearly tie
+    # (Tab. II's shape at K = 5 000, expected counts, a two-interval window).
+    snapshots = ZipfWorkload(
+        num_keys=5_000,
+        skew=0.85,
+        tuples_per_interval=50_000,
+        fluctuation=1.0,
+        num_tasks=10,
+        intervals=6,
+        seed=3,
+        sampled=False,
+    ).take(6)
+    config = PlannerConfig(theta_max=0.08, max_table_size=300, beta=1.5, window=2)
+    actual_f = AssignmentFunction(UniversalHash(10, seed=3), RoutingTable())
+    expected_f = actual_f.with_table(RoutingTable())
+    actual_stats = StatisticsStore(window=2)
+    expected_stats = StatisticsStore(window=2)
+    moved = 0
+    for interval, snapshot in enumerate(snapshots):
+        for store in (actual_stats, expected_stats):
+            store.push(
+                IntervalStats.from_frequencies(interval, snapshot, memory_per_tuple=0.25)
+            )
+        actual = get_algorithm(name).plan(actual_f, actual_stats, config)
+        expected = reference_algorithm(name).plan(expected_f, expected_stats, config)
+        _assert_same_plan(actual, expected)
+        moved += len(actual.migration_plan.moves)
+        actual_f, expected_f = actual.assignment, expected.assignment
+    assert moved > 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.tuples(_VALUES, _VALUES), max_size=30),
+    st.one_of(
+        st.lists(st.tuples(_VALUES, _VALUES), max_size=30),
+        # Enough distinct γ runs that the lazy ranking hands out several chunks.
+        st.lists(st.tuples(_VALUES, _VALUES), min_size=60, max_size=200),
+    ),
     st.sampled_from(
         [HighestCostFirst(), LargestGammaFirst(1.5), LargestGammaFirst(0.7), SmallestMemoryFirst()]
     ),

@@ -135,6 +135,26 @@ class TestIntervalStats:
         assert zeros.total_memory().hex() == sum([-0.0, -0.0]).hex()
         assert IntervalStats(0).total_memory() == 0.0
 
+    def test_recording_refolds_totals_that_were_read(self):
+        totals = (
+            IntervalStats.total_frequency,
+            IntervalStats.total_cost,
+            IntervalStats.total_memory,
+        )
+        stats = IntervalStats.from_frequencies(0, {"a": 1e16})
+        assert [total(stats) for total in totals] == [1e16] * 3
+        clone = stats.copy()
+        stats.record("b", frequency=1.0, cost=1.0, memory=1.0)
+        stats.record_bulk([("a", 2.0, 2.0, 2.0), ("c", 1.0, 1.0, 1.0)])
+        # Left fold in key order: 1e16 + 2 + 1 + 1, one addition at a time.
+        expected = ((1e16 + 2.0) + 1.0) + 1.0
+        assert [total(stats) for total in totals] == [expected] * 3
+        # The clone neither sees the records nor shares the refolded cache.
+        assert [total(clone) for total in totals] == [1e16] * 3
+        clone.record("d", frequency=4.0, cost=4.0, memory=4.0)
+        assert [total(clone) for total in totals] == [1e16 + 4.0] * 3
+        assert [total(stats) for total in totals] == [expected] * 3
+
     def test_unknown_key_is_zero(self):
         stats = IntervalStats(0)
         assert stats.cost("nope") == 0.0

@@ -435,6 +435,15 @@ class TestPlannerMicroSection:
         with pytest.raises(SystemExit):
             _load_validate_bench()._validate_planner_micro({**section, "rows": [row]})
 
+    @pytest.mark.parametrize("part", ["delta_ms", "rank_ms"])
+    def test_part_of_the_plan_must_lie_within_it(self, section, part):
+        validate = _load_validate_bench()._validate_planner_micro
+        row = {**section["rows"][0], "plan_ms": 5.0, "interval_end_ms": 6.0}
+        validate({**section, "rows": [{**row, part: 0.0}]})
+        validate({**section, "rows": [{**row, part: 5.0}]})
+        for outside in (-0.1, 5.1):
+            with pytest.raises(SystemExit):
+                validate({**section, "rows": [{**row, part: outside}]})
 
     def test_paper_scale_row_must_describe_faster_than_it_routes(self, section):
         # The speed-independent guard: a ratio inside one run (31 ms route

@@ -71,7 +71,8 @@ def _assert_account_parity(router, reference, tags):
         expected = reference.account(tag)
         # dict == compares 2 and 2.0 equal, so Counter-vs-float is exact here.
         assert account.freqs == expected["freqs"], f"freqs of interval {tag}"
-        assert account.offered_tuples == expected["offered_tuples"]
+        offered = dict(enumerate(account.offered_tuples_by_task.tolist()))
+        assert offered == expected["offered_tuples"]
         assert account.offered_cost == expected["offered_cost"]
         assert account.shed == expected["shed"]
 
