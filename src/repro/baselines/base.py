@@ -26,11 +26,11 @@ builders in :mod:`repro.engine.strategies` say which.
 Strategies whose ``route`` is deterministic, side-effect free and
 key-contiguous (plain hashing, every rebalancing strategy) declare
 ``cache_routes = True``: the base class then memoises key→task results
-across intervals in **one** memo, ``{exact key class: {raw key: task}}`` for
-``str`` / ``bytes`` / ``int`` keys (a dict per class keeps ``1`` / ``True`` /
-``1.0`` apart; ``float`` and container keys are routed uncached), read by one
-miss-filling lookup behind :meth:`Partitioner.assign_batch`,
+across intervals in **one** ``{key: task}`` memo, read by one miss-filling
+``map(memo.get, keys)`` behind :meth:`Partitioner.assign_batch`,
 :meth:`Partitioner.assign_batch_array` and :meth:`Partitioner.route_snapshot`.
+Keys that are one dict key hash alike (:mod:`repro.core.hashing`) and share
+one routing-table entry, so they share one route and one memo entry.
 A rebalance re-routes only the keys whose routing-table entry changed, so
 :class:`RebalancingPartitioner` rewrites exactly those memo entries and keeps
 the rest; a resize (or any assignment change the base class did not see — the
@@ -41,9 +41,7 @@ epoch of :meth:`Partitioner._route_epoch` moved) drops the memo.
 across intervals.  A stationary key population is then routed by gathering
 each task's counts out of the snapshot in one C-level call; the keys a
 rebalance re-routed are handed to the plan with the memo patch and moved
-between tasks on the next call; any other change rebuilds the plan.  Only
-a key list of the memo's classes is kept: equal ``float`` or container keys
-can route apart, so such a list is routed afresh on every call.  The
+between tasks on the next call; any other change rebuilds the plan.  The
 buckets are :class:`KeyCounts`: read-only mappings over two aligned tuples.
 """
 
@@ -62,6 +60,7 @@ from typing import (
 import numpy as np
 
 from repro.core.assignment import AssignmentFunction
+from repro.core.hashing import key_list_hash
 from repro.core.load import load_from_columns, max_balance_indicator
 from repro.core.planner import Planner, PlannerConfig, RebalanceResult
 from repro.core.statistics import IntervalStats, StatisticsStore
@@ -73,19 +72,10 @@ Key = Hashable
 #: Sentinel marking a route memo whose epoch has never been sampled.
 _EPOCH_UNSET = object()
 
-#: Bound on memoised key→task entries per key class (matches the digest-cache
-#: cap): a workload that keeps minting fresh keys must not grow the memo
-#: without limit.
+#: Bound on memoised key→task entries (matches the digest-cache cap): a
+#: workload that keeps minting fresh keys must not grow the memo without
+#: limit.
 _ROUTE_MEMO_MAX = 1 << 20
-
-#: Key classes the route memo holds.  One dict per *exact* class keeps equal
-#: keys that hash differently apart (``1`` / ``True`` / ``1.0`` are the same
-#: dict key); ``float`` stays out because ``0.0`` / ``-0.0`` collide even
-#: within the class, and container keys are routed uncached.
-_MEMO_CLASSES = (str, bytes, int)
-
-#: What a key of any other class is looked up in: always a miss.
-_NO_MEMO: Mapping[Key, int] = {}
 
 
 class KeyCounts(abc.Mapping):
@@ -157,24 +147,22 @@ class _SnapshotPlan:
 
     ``positions[t]`` lists, ascending, where task ``t``'s keys sit in
     ``keys``; ``key_tuples[t]`` holds those keys (the plan's key objects,
-    equal to the snapshot's class for class) and ``gathers[t]`` picks the
-    same positions out of the interval's aligned counts.  The plan is valid
-    for the assignment of ``epoch`` once the keys in ``pending`` (whose
-    routing-table entry changed since) are re-routed by :meth:`reroute`.
-    Only a plan whose keys are all of the memo's classes is ``reusable``:
-    an equal key of the same class routes alike there, but not for floats
-    (``0.0`` / ``-0.0``) or containers (``(1,)`` / ``(True,)``).
+    equal to the snapshot's) and ``gathers[t]`` picks the same positions out
+    of the interval's aligned counts.  The plan is valid for the assignment
+    of ``epoch`` once the keys in ``pending`` (whose routing-table entry
+    changed since) are re-routed by :meth:`reroute`.
     """
 
     __slots__ = (
-        "keys", "classes", "reusable", "epoch", "tasks", "positions", "key_tuples", "gathers",
-        "pending", "_index",
+        "keys", "key_hash", "epoch", "tasks", "positions", "key_tuples", "gathers", "pending",
+        "_index",
     )
 
-    def __init__(self, keys: List[Key], tasks: np.ndarray, num_tasks: int, epoch: object) -> None:
+    def __init__(
+        self, keys: Tuple[Key, ...], tasks: np.ndarray, num_tasks: int, epoch: object
+    ) -> None:
         self.keys = keys
-        self.classes = list(map(type, keys))
-        self.reusable = set(self.classes).issubset(_MEMO_CLASSES)
+        self.key_hash = key_list_hash(keys)
         self.epoch = epoch
         self.tasks: List[int] = tasks.tolist()
         bounds = np.cumsum(np.bincount(tasks, minlength=num_tasks))[:-1]
@@ -186,9 +174,14 @@ class _SnapshotPlan:
         #: ``{key: position}``, built by the first :meth:`reroute`.
         self._index: Optional[Dict[Key, int]] = None
 
-    def matches(self, keys: List[Key], epoch: object) -> bool:
-        """True when ``keys`` is this plan's list, class for class, under ``epoch``."""
-        return epoch == self.epoch and keys == self.keys and list(map(type, keys)) == self.classes
+    def matches(self, keys: Tuple[Key, ...], epoch: object) -> bool:
+        """True when ``keys`` lists this plan's keys in order under ``epoch``.
+
+        The :func:`~repro.core.hashing.key_list_hash` fingerprint is compared
+        before ``==``, which also keeps ``==`` from raising on a numpy scalar
+        against a longer tuple.
+        """
+        return epoch == self.epoch and key_list_hash(keys) == self.key_hash and keys == self.keys
 
     def reroute(self, routes: Callable[[List[Key]], List[int]]) -> None:
         """Move the pending keys of this plan to the tasks ``routes`` gives
@@ -226,8 +219,8 @@ class Partitioner(ABC):
         if num_tasks <= 0:
             raise ValueError(f"num_tasks must be positive, got {num_tasks}")
         self.num_tasks = int(num_tasks)
-        #: The key→task memo: ``{exact key class: {raw key: task}}``.
-        self._route_memo: Dict[type, Dict[Key, int]] = {cls: {} for cls in _MEMO_CLASSES}
+        #: The key→task memo.
+        self._route_memo: Dict[Key, int] = {}
         self._route_memo_epoch: object = _EPOCH_UNSET
         self._snapshot_plan: Optional[_SnapshotPlan] = None
 
@@ -248,8 +241,7 @@ class Partitioner(ABC):
 
     def invalidate_route_cache(self) -> None:
         """Drop all memoised key→task results and the snapshot plan (after a resize)."""
-        for memo in self._route_memo.values():
-            memo.clear()
+        self._route_memo.clear()
         self._route_memo_epoch = _EPOCH_UNSET
         self._snapshot_plan = None
 
@@ -259,22 +251,16 @@ class Partitioner(ABC):
 
         ``synced_epoch`` is the epoch the assignment had before the change;
         a memo that was not in sync with it holds entries of unknown age and
-        is dropped instead.  A table entry answers every key equal to its own
-        (``2`` and ``2.0``), so an equal key memoised under another class is
-        forgotten (a miss routes it again).  The snapshot plan is handed
-        ``keys`` to re-route on its next use (dropped likewise, or once
-        rebuilding it is cheaper).
+        is dropped instead.  The snapshot plan is handed ``keys`` to re-route
+        on its next use (dropped likewise, or once rebuilding it is cheaper).
         """
         if self._route_memo_epoch != synced_epoch:
             self.invalidate_route_cache()
             return
+        memo = self._route_memo
         for key in keys:
-            for cls, memo in self._route_memo.items():
-                if key in memo:
-                    if key.__class__ is cls:
-                        memo[key] = self.route(key)
-                    else:
-                        del memo[key]
+            if key in memo:
+                memo[key] = self.route(key)
         self._route_memo_epoch = self._route_epoch()
         plan = self._snapshot_plan
         if plan is None:
@@ -285,40 +271,30 @@ class Partitioner(ABC):
         else:
             self._snapshot_plan = None
 
-    def _synced_route_memo(self) -> Dict[type, Dict[Key, int]]:
+    def _synced_route_memo(self) -> Dict[Key, int]:
         """The memo, emptied first if the assignment epoch moved (or it is full)."""
         epoch = self._route_epoch()
         if epoch != self._route_memo_epoch:
             self.invalidate_route_cache()
             self._route_memo_epoch = epoch
-        for memo in self._route_memo.values():
-            if len(memo) >= _ROUTE_MEMO_MAX:
-                memo.clear()
+        if len(self._route_memo) >= _ROUTE_MEMO_MAX:
+            self._route_memo.clear()
         return self._route_memo
 
     def _memo_routes(self, keys: Sequence[Key]) -> List[int]:
         """``[self.route(k) for k in keys]``, answered from the memo.
 
-        A batch of one memoised key class reads as a single C-level
-        ``map(memo.get, keys)``; a mixed batch picks the class's memo per
-        key.  Either way only the misses reach :meth:`route` (keys of an
-        unmemoised class always do), and what they return is memoised.
+        One C-level ``map(memo.get, keys)``; only the misses reach
+        :meth:`route`, and what they return is memoised.
         """
-        memos = self._synced_route_memo()
-        classes = set(map(type, keys))
-        if len(classes) == 1:
-            out = list(map(memos.get(classes.pop(), _NO_MEMO).get, keys))
-        else:
-            out = [memos.get(key.__class__, _NO_MEMO).get(key) for key in keys]
+        memo = self._synced_route_memo()
+        out = list(map(memo.get, keys))
         if None in out:
             route = self.route
             for index, task in enumerate(out):
                 if task is None:
                     key = keys[index]
-                    memo = memos.get(key.__class__)
-                    if memo is None:
-                        task = route(key)
-                    elif (task := memo.get(key)) is None:  # else filled earlier in this batch
+                    if (task := memo.get(key)) is None:  # else filled earlier in this batch
                         task = memo[key] = route(key)
                     out[index] = task
         return out
@@ -341,23 +317,19 @@ class Partitioner(ABC):
     def assign_batch_array(self, keys: Sequence[Key]) -> np.ndarray:
         """Destinations as an ``intp`` ndarray (the router's dispatch shape).
 
-        Same semantics as :meth:`assign_batch`; when every key of a
-        single-class batch is already memoised the array is filled straight
-        from the memo (one C-level ``fromiter`` over ``map(memo.get, …)``)
-        without materialising the intermediate Python list.
+        Same semantics as :meth:`assign_batch`; when every key is already
+        memoised the array is filled straight from the memo (one C-level
+        ``fromiter`` over ``map(memo.get, …)``) without materialising the
+        intermediate Python list.
         """
-        if self.cache_routes and isinstance(keys, (list, tuple)) and keys:
-            if len(classes := set(map(type, keys))) == 1:
-                memo = self._synced_route_memo().get(classes.pop())
-                if memo is not None:
-                    try:
-                        return np.fromiter(
-                            map(memo.get, keys), dtype=np.intp, count=len(keys)
-                        )
-                    except TypeError:
-                        # A miss surfaced as None; fall through to the list
-                        # path, which computes and memoises the new routes.
-                        pass
+        if self.cache_routes and isinstance(keys, (list, tuple)):
+            memo = self._synced_route_memo()
+            try:
+                return np.fromiter(map(memo.get, keys), dtype=np.intp, count=len(keys))
+            except TypeError:
+                # A miss surfaced as None; fall through to the list path,
+                # which computes and memoises the new routes.
+                pass
         return np.asarray(self.assign_batch(keys), dtype=np.intp)
 
     def route_snapshot(self, snapshot: Mapping[Key, float]) -> Mapping[int, Mapping[Key, float]]:
@@ -373,27 +345,26 @@ class Partitioner(ABC):
         copies it with ``dict(bucket)``.
 
         Memoising strategies answer from the snapshot plan (see the module
-        docstring): when the live keys are the plan's, class for class, the
-        call costs two list copies, one vector comparison and one gather per
-        task, plus the re-routing of the keys a rebalance handed the plan.
-        A kept plan's buckets hold its own key objects, equal to the
-        snapshot's class for class; a key list holding a float or container
-        key is never kept, but routed afresh.
+        docstring): when the live keys are the plan's, the call costs two
+        copies, one vector comparison, one hash of the key tuple and one
+        gather per task, plus the re-routing of the keys a rebalance handed
+        the plan.  A kept plan's buckets hold its own key objects, equal to
+        the snapshot's.
         """
         if self.cache_routes:
-            keys = list(snapshot)
+            keys = tuple(snapshot)
             counts = list(snapshot.values())
             live = np.fromiter(counts, dtype=np.float64, count=len(counts)) > 0
             if not live.all():
                 mask = live.tolist()
-                keys = list(compress(keys, mask))
+                keys = tuple(compress(keys, mask))
                 counts = list(compress(counts, mask))
             epoch = self._route_epoch()
             plan = self._snapshot_plan
             if plan is None or not plan.matches(keys, epoch):
-                tasks = self.assign_batch_array(keys)
-                plan = _SnapshotPlan(keys, tasks, self.num_tasks, epoch)
-                self._snapshot_plan = plan if plan.reusable else None
+                self._snapshot_plan = plan = _SnapshotPlan(
+                    keys, self.assign_batch_array(keys), self.num_tasks, epoch
+                )
             elif plan.pending:
                 plan.reroute(self._memo_routes)
             return {

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List
 
 from repro.baselines.base import Partitioner
-from repro.core.hashing import UniversalHash, memo_key
+from repro.core.hashing import UniversalHash
 from repro.core.statistics import IntervalStats
 
 __all__ = ["PartialKeyGrouping"]
@@ -64,14 +64,11 @@ class PartialKeyGrouping(Partitioner):
 
     def candidate_tasks(self, key: Key) -> List[int]:
         """The candidate tasks of ``key`` (its two hash positions)."""
-        memo = memo_key(key)
-        if memo is None:
-            return self._hash.candidates(key)
-        candidates = self._candidates_cache.get(memo)
+        candidates = self._candidates_cache.get(key)
         if candidates is None:
             if len(self._candidates_cache) >= _CANDIDATES_CACHE_MAX:
                 self._candidates_cache.clear()
-            candidates = self._candidates_cache[memo] = self._hash.candidates(key)
+            candidates = self._candidates_cache[key] = self._hash.candidates(key)
         # Copy so a caller mutating the result cannot corrupt the cache.
         return list(candidates)
 

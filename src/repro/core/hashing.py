@@ -14,16 +14,24 @@ Two implementations are provided:
   to reproduce the paper's statement that even consistent hashing does not
   account for key granularities, and to support task addition/removal in the
   scale-out experiments (Fig. 15).
+
+Keys that are one dict key hash alike (``1`` / ``True`` / ``1.0`` /
+``np.int64(1)``, ``0.0`` / ``-0.0``, ``(1,)`` / ``(True,)``; see
+:func:`_key_bytes`).  So a key is one unit wherever it is looked up: the
+routing table, an operator's keyed state, and every ``{key: result}`` cache
+over the hash — the digest cache here, the partitioners' route memo and PKG's
+candidate cache.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from numbers import Real
 from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["UniversalHash", "ConsistentHashRing", "fnv1a_64", "stable_hash", "memo_key"]
+__all__ = ["UniversalHash", "ConsistentHashRing", "fnv1a_64", "key_list_hash", "stable_hash"]
 
 _FNV_OFFSET_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -61,82 +69,78 @@ def fnv1a_64(data: bytes, seed: int = 0) -> int:
     return _avalanche(h)
 
 
+def _int_bytes(key: int) -> bytes:
+    return b"i" + key.to_bytes((key.bit_length() + 8) // 8 + 1, "little", signed=True)
+
+
 def _key_bytes(key: Hashable) -> bytes:
-    """Encode a key into bytes in a type-stable way."""
+    """Encode a key into bytes so that keys which compare equal encode alike.
+
+    A ``str`` encodes as UTF-8, ``bytes`` as themselves, an ``int`` (``bool``
+    included) as its two's-complement bytes.  Any other real number (numpy
+    scalars and bools, ``float``, ``Fraction``) encodes as the ``int`` it
+    equals, or else as ``repr(float(key))``.  A tuple encodes element by
+    element.
+
+    A key of any other class encodes as its ``repr``.  Such a class must give
+    equal keys equal ``repr`` strings — the rule Python's ``hash`` imposes on
+    equal keys — or equal keys may hash apart.  ``complex`` and ``Decimal``
+    are not :class:`numbers.Real`, so ``1 + 0j`` and ``Decimal(1)`` break the
+    rule against ``1``.
+    """
     if isinstance(key, bytes):
         return key
     if isinstance(key, str):
         return key.encode("utf-8")
-    if isinstance(key, bool):
-        # bool is an int subclass; disambiguate so True != 1 in hash space.
-        return b"b" + (b"1" if key else b"0")
     if isinstance(key, int):
-        return b"i" + key.to_bytes((key.bit_length() + 8) // 8 + 1, "little", signed=True)
-    if isinstance(key, float):
-        return b"f" + repr(key).encode("ascii")
+        return _int_bytes(key)
     if isinstance(key, tuple):
         out = b"t"
         for item in key:
             part = _key_bytes(item)
             out += len(part).to_bytes(4, "little") + part
         return out
+    if isinstance(key, (Real, np.bool_)):
+        try:
+            whole = int(key)
+        except (OverflowError, ValueError):  # ±inf, nan
+            whole = None
+        if whole is not None and whole == key:
+            return _int_bytes(whole)
+        return b"f" + repr(float(key)).encode("ascii")
     return b"r" + repr(key).encode("utf-8", errors="backslashreplace")
 
 
-#: Memoised digests for the common scalar key types.  Snapshot routing hashes
-#: the same keys interval after interval; caching the digest turns the FNV loop
-#: into a dict lookup on the hot path.  Cacheability policy lives in
-#: :func:`memo_key`: the cache key carries the key's exact class because
-#: ``_key_bytes`` is type-sensitive (``True`` and ``1`` collide as dict keys
-#: but hash differently); container keys (tuples, …) are left uncached since
-#: their element types are not captured by ``type(key)``, and ``0.0``/``-0.0``
-#: are left uncached because they are equal as dict keys but ``repr``-encode
-#: (and therefore hash) differently.
+def key_list_hash(keys: Sequence[Hashable]) -> int:
+    """Python's ``hash`` of ``keys`` as a tuple: a fingerprint of the dict keys listed.
+
+    ``==`` alone does not tell two key lists apart the way a dict tells keys
+    apart: numpy compares a scalar with a tuple elementwise, so
+    ``[np.int64(2)] == [(2,)]`` although the two are different keys that hash
+    apart.  Keys that are one dict key have one ``hash``, so two lists that
+    are ``==`` and share this fingerprint list the same keys in the same order
+    (up to a 64-bit hash collision).
+    """
+    return hash(tuple(keys))
+
+
+#: Memoised digests, keyed by ``(seed, key)``.  Snapshot routing hashes the
+#: same keys interval after interval; caching the digest turns the FNV loop
+#: into a dict lookup on the hot path.
 _DIGEST_CACHE: dict = {}
 _DIGEST_CACHE_MAX = 1 << 20
-_CACHED_KEY_TYPES = frozenset((str, bytes, int, float))
-
-
-def memo_key(key: Hashable):
-    """Collision-safe memo key for per-key caches, or ``None`` if uncacheable.
-
-    Plain dicts conflate equal keys that hash differently here (``1`` vs
-    ``1.0`` vs ``True``, ``0.0`` vs ``-0.0``); prefixing the exact class — and
-    refusing the ambiguous cases — keeps any key→result memo consistent with
-    :func:`stable_hash`.  Shared by the digest cache below, the partitioners'
-    route memos and PKG's candidate cache.
-    """
-    cls = key.__class__
-    if cls in _CACHED_KEY_TYPES and not (cls is float and key == 0.0):
-        return (cls, key)
-    return None
-
-
-#: Exact key classes whose equal keys always encode alike in ``_key_bytes``.
-_VALUE_ENCODED_TYPES = frozenset((str, bytes, int))
-
-
-def _hash_alike(old: List[Hashable], new: List[Hashable]) -> bool:
-    """True when ``new`` equals ``old`` and every key is sure to hash like its twin."""
-    if old != new:
-        return False
-    classes = list(map(type, new))
-    return classes == list(map(type, old)) and _VALUE_ENCODED_TYPES.issuperset(classes)
 
 
 def stable_hash(key: Hashable, seed: int = 0) -> int:
     """Deterministic 64-bit hash of an arbitrary (hashable) key."""
-    typed_key = memo_key(key)
-    if typed_key is not None:
-        cache_key = (seed, typed_key)
-        digest = _DIGEST_CACHE.get(cache_key)
-        if digest is None:
-            digest = fnv1a_64(_key_bytes(key), seed=seed)
-            if len(_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
-                _DIGEST_CACHE.clear()
-            _DIGEST_CACHE[cache_key] = digest
-        return digest
-    return fnv1a_64(_key_bytes(key), seed=seed)
+    cache_key = (seed, key)
+    digest = _DIGEST_CACHE.get(cache_key)
+    if digest is None:
+        digest = fnv1a_64(_key_bytes(key), seed=seed)
+        if len(_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
+            _DIGEST_CACHE.clear()
+        _DIGEST_CACHE[cache_key] = digest
+    return digest
 
 
 class UniversalHash:
@@ -156,8 +160,9 @@ class UniversalHash:
             raise ValueError(f"num_tasks must be positive, got {num_tasks}")
         self._num_tasks = int(num_tasks)
         self._seed = int(seed)
-        #: The last key list hashed by :meth:`assign_array` and its result.
-        self._last_array: Optional[Tuple[List[Hashable], np.ndarray]] = None
+        #: The last key list hashed by :meth:`assign_array`, its
+        #: :func:`key_list_hash` and the result.
+        self._last_array: Optional[Tuple[List[Hashable], int, np.ndarray]] = None
 
     @property
     def num_tasks(self) -> int:
@@ -183,19 +188,18 @@ class UniversalHash:
 
         The planner hashes the observed keys of every interval; the hash is
         immutable, so the answer for the most recent key list is kept and a
-        stationary key population (the same keys in the same order) is hashed
-        once, not once per interval.  Equal keys can hash differently
-        (``True`` / ``1``, ``0.0`` / ``-0.0``, ``(1,)`` / ``(True,)``), so an
-        equal list that is not the same list object is reused only when it
-        matches class for class and every key is a ``str``, ``bytes`` or
-        ``int``.
+        stationary key population (the same list, or one listing the same
+        dict keys in the same order) is hashed once, not once per interval.
         """
         last = self._last_array
-        if last is not None and (last[0] is keys or _hash_alike(last[0], keys)):
-            return last[1]
+        if last is not None and last[0] is keys:
+            return last[2]
+        fingerprint = key_list_hash(keys)
+        if last is not None and last[1] == fingerprint and last[0] == keys:
+            return last[2]
         hashed = np.asarray(self.assign_batch(keys), dtype=np.intp)
         hashed.flags.writeable = False
-        self._last_array = (keys, hashed)
+        self._last_array = (keys, fingerprint, hashed)
         return hashed
 
     def candidates(self, key: Hashable, choices: int = 2) -> List[int]:

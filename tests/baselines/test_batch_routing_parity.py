@@ -12,12 +12,17 @@ the comparison valid for stateful strategies (PKG's load estimates, shuffle's
 round-robin pointer) whose routing decisions depend on their own history.
 """
 
+from fractions import Fraction
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import HashPartitioner, PartialKeyGrouping, ShufflePartitioner, base
+from repro.core import hashing
+from repro.core.hashing import ConsistentHashRing, UniversalHash, stable_hash
 from repro.core.statistics import IntervalStats
 from repro.core.strategy import get_strategy, list_strategies
 
@@ -70,13 +75,12 @@ def scalar_route_snapshot(partitioner, snapshot):
 
 def assert_routed_exactly(routed, reference, snapshot):
     """``routed`` is ``reference`` exactly: the same tasks in the same order,
-    and per task the same keys in the same order and of the same classes,
-    each holding the snapshot's own count object."""
+    and per task equal keys in the same order, each holding the snapshot's
+    own count object."""
     assert list(routed) == list(reference)
     for task, bucket in reference.items():
         got = routed[task]
         assert list(got) == list(bucket), task
-        assert list(map(type, got)) == list(map(type, bucket)), task
         assert list(got.values()) == list(bucket.values()), task
         assert all(count is snapshot[key] for key, count in got.items()), task
 
@@ -128,21 +132,22 @@ def test_route_snapshot_matches_scalar_loop(strategy, snapshots):
 
 
 def test_mixed_type_keys_do_not_collide_in_route_memo():
-    """1, 1.0, True and ±0.0 are equal as dict keys but hash differently —
-    the route memo must not conflate them (regression)."""
+    """1, 1.0 and True (and 0.0 / -0.0) are one dict key and hash alike: they
+    share one memo entry and route alike."""
     keys = [1, 1.0, True, 0.0, -0.0, "1"]
     part = FACTORIES["hash"]()
     batch = part.assign_batch(keys)
     fresh = FACTORIES["hash"]()
     assert batch == [fresh.route(key) for key in keys]
+    assert batch[0] == batch[1] == batch[2] and batch[3] == batch[4]
 
 
 def test_mixed_type_keys_do_not_collide_in_pkg_candidates():
     pkg = FACTORIES["pkg"]()
     pkg.candidate_tasks(2)  # prime the cache with the int key
     fresh = FACTORIES["pkg"]()
-    assert pkg.candidate_tasks(2.0) == fresh.candidate_tasks(2.0)
-    assert pkg.candidate_tasks(True) == fresh.candidate_tasks(True)
+    assert pkg.candidate_tasks(2.0) == fresh.candidate_tasks(2.0) == pkg.candidate_tasks(2)
+    assert pkg.candidate_tasks(True) == fresh.candidate_tasks(True) == fresh.candidate_tasks(1)
 
 
 def test_route_cache_invalidated_on_scale_out():
@@ -298,7 +303,7 @@ def test_rebalance_rewrites_at_most_the_table_diff(strategy):
     snapshot = {key: 1.0 + (key % 7) for key in keys}
     snapshot[0] = snapshot[1] = 4_000.0
     partitioner.route_snapshot(snapshot)  # warms the int memo
-    memo = partitioner._route_memo[int] = _CountingMemo(partitioner._route_memo[int])
+    memo = partitioner._route_memo = _CountingMemo(partitioner._route_memo)
     table_before = partitioner.assignment.routing_table
     result = partitioner.on_interval_end(IntervalStats.from_frequencies(0, snapshot))
     assert result is not None and len(result.migration_plan) > 0
@@ -307,15 +312,24 @@ def test_rebalance_rewrites_at_most_the_table_diff(strategy):
     assert memo.clears == 0 and len(memo) == len(keys)
     assert memo.writes <= len(diff)
     assert partitioner.assign_batch(keys) == [partitioner.route(key) for key in keys]
-    assert partitioner._route_memo[int] is memo
+    assert partitioner._route_memo is memo
     assert memo.writes <= len(diff) and memo.clears == 0
 
 
-# -- one memo: equal keys of different classes stay apart ------------------------------
+# -- one memo: equal keys of different classes route alike ------------------------------
 
-#: Keys that are equal as dict keys (``1 == True == 1.0``, ``0.0 == -0.0``) or
-#: look alike (``"1"`` / ``b"1"`` / ``(1,)``) but hash to different tasks.
-LOOKALIKES = [1, True, "1", b"1", 1.0, -0.0, 0.0, (1,), 0, False]
+#: Keys that look alike: one dict key across classes (``1 == True == 1.0 ==
+#: np.int64(1) == Fraction(1)``, ``0.0 == -0.0``, ``(1,) == (True,)``) or not
+#: equal at all (``"1"`` / ``b"1"`` / ``((1.0,),)``).
+LOOKALIKES = [
+    1, True, 1.0, np.int64(1), np.float64(1.0), Fraction(1), 0, False, 0.0, -0.0,
+    1.5, np.float64(1.5), Fraction(3, 2), (1,), (True,), ((1.0,),), "1", b"1",
+]
+
+#: Every ordered pair of look-alikes that are one dict key.  ``==`` alone would
+#: also pair ``np.int64(1)`` with ``(1,)``: numpy compares a scalar with a
+#: tuple elementwise, though the two are different keys.
+EQUAL_PAIRS = [(a, b) for a, b in permutations(LOOKALIKES, 2) if len({a: 0, b: 0}) == 1]
 
 #: Every registered strategy that memoises its routes.
 MEMOISING = tuple(
@@ -355,10 +369,73 @@ def test_heterogeneous_batch_equals_scalar_route(strategy, batch, hot):
             assert warm.assign_batch_array(batch).tolist() == expected
             routed = warm.route_snapshot(snapshot)
             assert_routed_exactly(routed, scalar_route_snapshot(cold, snapshot), snapshot)
-            for task, bucket in routed.items():
-                assert [type(key) for key in bucket] == [
-                    type(key) for key in snapshot if cold.route(key) == task
-                ]
+
+
+def _cold(compute, key):
+    """``compute(key)`` with the digest cache emptied first, so a digest an
+    equal key left there cannot answer for ``key``."""
+    hashing._DIGEST_CACHE.clear()
+    return compute(key)
+
+
+@given(pair=st.sampled_from(EQUAL_PAIRS), seed=st.integers(0, 10_000), num_tasks=st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_equal_keys_share_one_digest(pair, seed, num_tasks):
+    """``stable_hash``, both hash functions and PKG's candidates agree on two
+    keys that are one dict key, each computed from a cold digest cache."""
+    universal = UniversalHash(num_tasks, seed)
+    ring = ConsistentHashRing(range(num_tasks), replicas=16, seed=seed)
+    for compute in (
+        lambda key: stable_hash(key, seed),
+        universal,
+        ring,
+        lambda key: PartialKeyGrouping(num_tasks, seed).candidate_tasks(key),
+    ):
+        assert _cold(compute, pair[0]) == _cold(compute, pair[1])
+
+
+@pytest.mark.parametrize("strategy", MEMOISING)
+@given(pair=st.sampled_from(EQUAL_PAIRS))
+@settings(max_examples=20, deadline=None)
+def test_equal_keys_route_alike(strategy, pair):
+    """Every batch entry point of a memoising strategy answers a key like an
+    equal key of another class: cold, and after a rebalance that gave the
+    first of the two a routing-table entry."""
+    first, second = pair
+    skewed = {**dict.fromkeys(range(2, 40), 1.0), first: 5_000.0}
+
+    def answers(key):
+        hashing._DIGEST_CACHE.clear()
+        partitioner = get_strategy(strategy).build(NUM_TASKS, theta_max=0.05, seed=7)
+        rounds = []
+        for rebalance in (False, True):
+            if rebalance:
+                partitioner.on_interval_end(IntervalStats.from_frequencies(0, skewed))
+            routed = partitioner.route_snapshot({key: 1.0})
+            rounds.append((
+                partitioner.route(key),
+                partitioner.assign_batch([key]),
+                partitioner.assign_batch_array([key]).tolist(),
+                [task for task, bucket in routed.items() if bucket],
+            ))
+        return rounds
+
+    assert answers(first) == answers(second)
+
+
+def test_planner_columns_of_an_equal_key_list_route_like_its_keys():
+    """``KeyColumns.share_keys`` adopts the previous interval's key list when
+    the new one is equal; equal keys hash alike, so ``F`` over the adopted
+    list is ``route`` over the interval's own keys."""
+    partitioner = get_strategy("mixed").build(NUM_TASKS, seed=7)
+    first = dict.fromkeys(range(1, 40), 1.0)
+    second = {True: 1.0, 2: 1.0, 3.0: 1.0, np.int64(4): 1.0, **dict.fromkeys(range(5, 40), 1.0)}
+    assert list(first) == list(second)
+    for interval, snapshot in enumerate((first, second)):
+        partitioner.on_interval_end(IntervalStats.from_frequencies(interval, snapshot))
+    store = partitioner.stats
+    _, routed = partitioner.assignment.route_columns(store.columns())
+    assert routed.tolist() == [partitioner.route(key) for key in store.latest.keys()]
 
 
 # -- the snapshot plan: kept across intervals, patched with what moved -----------------
@@ -370,8 +447,8 @@ PLAN_KEYS = [*range(22), "alpha", "beta"]
 RECLASSED = [0, 1, 2, 9]
 
 #: What the int key ``k`` at a position may become: itself, an equal key of
-#: another class, or a float / tuple form whose look-alike of the same class
-#: hashes apart (``0.0`` / ``-0.0``, ``(1,)`` / ``(True,)``).
+#: another class, or a float / tuple form and its look-alike of the same
+#: class (``0.0`` / ``-0.0``, ``(1,)`` / ``(True,)``).
 RECLASS = {
     "int": lambda key: key,
     "bool": lambda key: bool(key) if key in (0, 1) else key,
@@ -494,25 +571,34 @@ def test_snapshot_plan_matches_scalar_routing_across_intervals(strategy, steps):
 
 @pytest.mark.parametrize("strategy", MEMOISING)
 @pytest.mark.parametrize(
-    "first, second",
-    [([0.0, 5, "a"], [-0.0, 5, "a"]), ([(0,), (1,), 5], [(False,), (True,), 5])],
+    "first, second, kept",
+    [
+        ([0.0, 5, "a"], [-0.0, 5, "a"], True),
+        ([(0,), (1,), 5], [(False,), (True,), 5], True),
+        ([np.int64(2), 5, "a"], [(2,), 5, "a"], False),
+    ],
 )
-def test_snapshot_plan_routes_lookalike_keys_by_their_own_hash(strategy, first, second):
-    """An equal key list of the same classes may still hash apart (``0.0`` /
-    ``-0.0``, ``(0,)`` / ``(False,)``): a list holding a float or container
-    key is routed afresh, not answered from the plan of its look-alike."""
+def test_snapshot_plan_routes_lookalike_keys_by_their_own_hash(strategy, first, second, kept):
+    """Equal keys (``0.0`` / ``-0.0``, ``(0,)`` / ``(False,)``) route alike, so
+    an equal key list is answered from the plan of its look-alike.  A list
+    that is ``==`` only because numpy compares a scalar with a tuple
+    elementwise holds other keys, and is routed afresh."""
 
     def build():
         return get_strategy(strategy).build(NUM_TASKS, theta_max=0.05, seed=7)
 
     warm, cold = build(), build()
     assert first == second
-    assert [cold.route(key) for key in first] != [cold.route(key) for key in second]
+    if kept:
+        assert [cold.route(key) for key in first] == [cold.route(key) for key in second]
+    plans = []
     for keys in (first, second, first):
         snapshot = dict.fromkeys(keys, 1.0)
         routed = warm.route_snapshot(snapshot)
         assert_routed_exactly(routed, scalar_route_snapshot(cold, snapshot), snapshot)
         assert warm.assign_batch_array(keys).tolist() == [cold.route(key) for key in keys]
+        plans.append(warm._snapshot_plan)
+    assert (plans[0] is plans[1] is plans[2]) == kept
 
 
 @pytest.mark.parametrize("strategy", REBALANCING)

@@ -77,8 +77,8 @@ def _assert_account_parity(router, reference, tags):
         assert account.shed == expected["shed"]
 
 
-#: Key pool mixing types: homogeneous chunks take the bulk route memo,
-#: mixed chunks the memo_key fallback — parity must hold either way.
+#: Key pool mixing types (``True`` and ``1`` are one key): parity must hold
+#: for any mix.
 KEYS = st.one_of(
     st.integers(min_value=0, max_value=12),
     st.sampled_from(["alpha", "beta", "gamma", "delta"]),
@@ -198,8 +198,8 @@ class TestResumeIntervalGrouping:
 
 
 class TestBulkRouteMemoSafety:
-    """The raw-key bulk memo must never conflate equal-but-differently-typed
-    keys (1 / True / 1.0) — the very collisions memo_key exists to avoid."""
+    """The bulk memo answers equal keys of other classes (1 / True / 1.0) and
+    look-alikes of other values (0, "1", b"1", (1,)) exactly like ``route``."""
 
     def test_mixed_type_batch_matches_scalar_route(self):
         partitioner = HashPartitioner(7, seed=11)
