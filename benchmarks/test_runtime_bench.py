@@ -1,9 +1,8 @@
-"""Wall-clock process-runtime benchmark (the `repro bench` trajectory).
+"""Wall-clock process-runtime benchmark (`repro bench`): mixed beats storm.
 
 Unlike the figure benchmarks (fluid model), this one spawns real worker
-processes and measures tuples/sec and latency percentiles per strategy —
-the first measured data points of the benchmark trajectory.  Marked ``slow``
-(like every file in this directory); run with::
+processes and measures tuples/sec and latency percentiles per strategy.
+Marked ``slow`` (like every file in this directory); run with::
 
     REPRO_BENCH_SCALE=tiny pytest benchmarks/test_runtime_bench.py -s
 """
@@ -11,16 +10,14 @@ the first measured data points of the benchmark trajectory.  Marked ``slow``
 from repro.runtime.bench import RuntimeSpec, run_bench
 
 
-def test_runtime_bench_wordcount(bench_scale, tmp_path):
+def test_runtime_bench_wordcount(bench_scale):
     spec = RuntimeSpec(
         workload="wordcount",
         strategies=["storm", "mixed"],
         parallelism=4,
         scale=bench_scale,
     )
-    run, outcomes = run_bench(
-        spec, output_path=tmp_path / "BENCH_runtime.json"
-    )
+    run, outcomes = run_bench(spec)
     print()
     print(run.result.to_text())
 
@@ -37,10 +34,9 @@ def test_runtime_bench_wordcount(bench_scale, tmp_path):
         > by_strategy["storm"]["tuples_per_second"]
     )
     assert outcomes["mixed"].final.moved_keys_total > 0
-    assert (tmp_path / "BENCH_runtime.json").is_file()
 
 
-def test_runtime_bench_tpch_q5_chain(bench_scale, tmp_path):
+def test_runtime_bench_tpch_q5_chain(bench_scale):
     """The Fig. 16 experiment on the process topology: chained starvation.
 
     The skewed customer-join starves the whole order-join → customer-join →
@@ -54,7 +50,7 @@ def test_runtime_bench_tpch_q5_chain(bench_scale, tmp_path):
         parallelism=2,
         scale=bench_scale,
     )
-    run, outcomes = run_bench(spec, output_path=tmp_path / "BENCH_runtime.json")
+    run, outcomes = run_bench(spec)
     print()
     print(run.result.to_text())
 
@@ -79,4 +75,3 @@ def test_runtime_bench_tpch_q5_chain(bench_scale, tmp_path):
         if name != "revenue-agg"
     )
     assert join_moves > 0
-    assert (tmp_path / "BENCH_runtime.json").is_file()

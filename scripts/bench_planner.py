@@ -10,8 +10,8 @@ A_max = 3000, θ_max = 0.08, expected counts so every interval carries all
   memo stays warm across rebalances; only re-routed keys are rewritten);
 * **stats** — ``IntervalStats.from_frequencies``: one ``np.fromiter`` over the
   snapshot's counts plus two vector multiplies (the frequency / cost / memory
-  columns; no per-key object — ``validate_bench.py`` requires ``stats < route``
-  at K = 100 000);
+  columns; no per-key object — ``tests/runtime/test_bench.py`` requires
+  ``stats < route`` at K = 100 000);
 * **should_rebalance** — the imbalance check (builds the interval's columns,
   evaluates ``F`` over the observed keys once);
 * **plan** — the planning round itself, reusing those columns;
@@ -29,12 +29,9 @@ Usage::
 
     python scripts/bench_planner.py
     python scripts/bench_planner.py --keys 10000 100000 --intervals 12
-    python scripts/bench_planner.py --merge-into BENCH_runtime.json
 
-``--merge-into`` folds the result into an existing ``BENCH_runtime.json``
-report under the ``planner_micro`` key (validated by
-``scripts/validate_bench.py``); without it the JSON payload prints to
-stdout.  CI runs this in the bench-trajectory job on every push.
+The table prints to stderr and the JSON payload to stdout.  The checks on its
+rows are tier-1 tests (``tests/runtime/test_bench.py``).
 """
 
 from __future__ import annotations
@@ -190,12 +187,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--keys", type=int, nargs="+", default=[10_000, 30_000, 100_000])
     parser.add_argument("--intervals", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--merge-into",
-        default=None,
-        metavar="BENCH_runtime.json",
-        help="fold the result into an existing bench report (planner_micro key)",
-    )
     args = parser.parse_args(argv)
     if args.intervals < 2:
         parser.error("--intervals must be at least 2 (the first one is the cold start)")
@@ -218,14 +209,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{row['moved_keys']} keys moved, table {row['table_size']}",
             file=sys.stderr,
         )
-    if args.merge_into:
-        path = Path(args.merge_into)
-        payload = json.loads(path.read_text())
-        payload["planner_micro"] = result
-        path.write_text(json.dumps(payload, indent=1))
-        print(f"merged planner_micro into {path}", file=sys.stderr)
-    else:
-        print(json.dumps(result, indent=1))
+    print(json.dumps(result, indent=1))
     return 0
 
 

@@ -20,8 +20,8 @@ Commands::
 ``./results``) containing ``run.json`` (spec + metadata + rows, re-runnable
 with ``repro run <dir>/run.json``) and ``report.txt`` (the rendered table).
 ``bench`` executes a workload on the process-parallel runtime (real worker
-processes, measured tuples/sec and latency percentiles) and additionally
-writes the standalone ``BENCH_runtime.json`` report.
+processes, measured tuples/sec and latency percentiles), stores it like a
+``run`` and exits 1 when the sanitizer recorded a violation.
 """
 
 from __future__ import annotations
@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "enable the runtime protocol sanitizer (invariant checks on "
-            "every send, interval close and pause/resume; violations are "
-            "recorded in the report, and a non-empty report fails the run)"
+            "every send, interval close and pause/resume; any violation is "
+            "printed and fails the run)"
         ),
     )
     benchp.add_argument(
@@ -312,11 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="checkpoint at every N-th interval boundary (default 1)",
-    )
-    benchp.add_argument(
-        "--output",
-        default="BENCH_runtime.json",
-        help="standalone JSON report path (default ./BENCH_runtime.json)",
     )
     benchp.add_argument(
         "--results-dir", default="results", help="ResultsStore root (default ./results)"
@@ -461,8 +456,7 @@ def _rerun_bench(args: argparse.Namespace, payload: Dict[str, Any]) -> int:
     """Re-execute a stored process-runtime bench (`repro run <run>/run.json`)."""
     import dataclasses
 
-    from repro.experiments.store import ResultsStore
-    from repro.runtime.bench import RuntimeSpec, run_bench
+    from repro.runtime.bench import RuntimeSpec
 
     spec = RuntimeSpec.from_dict(payload)
     replacements: Dict[str, Any] = {}
@@ -476,17 +470,7 @@ def _rerun_bench(args: argparse.Namespace, payload: Dict[str, Any]) -> int:
         ]
     if replacements:
         spec = dataclasses.replace(spec, **replacements)
-    store = None if args.no_save else ResultsStore(args.results_dir)
-    run, _ = run_bench(spec, store=store, output_path=None)
-    if not args.quiet:
-        print(run.result.to_text())
-    meta = run.metadata
-    location = f" -> {Path(args.results_dir) / meta.run_id}" if store is not None else ""
-    print(
-        f"[bench {spec.workload} engine={meta.engine} cpus={meta.host_cpu_count} "
-        f"{meta.wall_time_seconds:.1f}s{location}]"
-    )
-    return 0
+    return _run_bench(args, spec)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -517,8 +501,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.store import ResultsStore
-    from repro.runtime.bench import RuntimeSpec, merged_sanitizer_report, run_bench
+    from repro.runtime.bench import RuntimeSpec
 
     strategies = None  # the workload's own comparison set
     if args.strategies is not None:
@@ -545,6 +528,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
+    return _run_bench(args, spec)
+
+
+def _run_bench(args: argparse.Namespace, spec: Any) -> int:
+    """Run ``spec``, print its tables, store it unless ``--no-save``.
+
+    Returns 1 when the sanitizer recorded a violation, else 0.
+    """
+    from repro.experiments.store import ResultsStore
+    from repro.runtime.bench import merged_sanitizer_report, run_bench
+
     store = None if args.no_save else ResultsStore(args.results_dir)
 
     def progress(name: str, outcome) -> None:
@@ -559,37 +553,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"pause={summary['pause_seconds']:.3f}s]"
         )
 
-    run, outcomes = run_bench(
-        spec, store=store, output_path=args.output, on_result=progress
-    )
+    run, outcomes = run_bench(spec, store=store, on_result=progress)
     if not args.quiet:
         print(run.result.to_text())
     meta = run.metadata
     location = f" -> {Path(args.results_dir) / meta.run_id}" if store is not None else ""
     print(
         f"[bench {spec.workload} engine={meta.engine} cpus={meta.host_cpu_count} "
-        f"{meta.wall_time_seconds:.1f}s report={args.output}{location}]"
+        f"{meta.wall_time_seconds:.1f}s{location}]"
     )
     sanitizer = merged_sanitizer_report(outcomes)
-    if sanitizer is not None:
-        checks = ", ".join(
-            f"{check}={count}"
-            for check, count in sorted(sanitizer["checks"].items())
-        )
-        status = (
-            "clean"
-            if sanitizer["ok"]
-            else f"{len(sanitizer['violations'])} violation(s)"
-        )
-        print(f"[sanitizer: {status}; checks: {checks}]")
-        for violation in sanitizer["violations"]:
-            print(
-                f"  ! {violation['check']} @ {violation['stage']}: "
-                f"{violation['message']}"
-            )
-        if not sanitizer["ok"]:
-            return 1
-    return 0
+    if sanitizer is None:
+        return 0
+    checks = ", ".join(
+        f"{check}={count}" for check, count in sorted(sanitizer["checks"].items())
+    )
+    status = "clean" if sanitizer["ok"] else f"{len(sanitizer['violations'])} violation(s)"
+    print(f"[sanitizer: {status}; checks: {checks}]")
+    for violation in sanitizer["violations"]:
+        print(f"  ! {violation['check']} @ {violation['stage']}: {violation['message']}")
+    return 0 if sanitizer["ok"] else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

@@ -37,12 +37,7 @@ imbalance even when the host has fewer cores than workers, because paced
 
 from repro.engine.topology import StageSpec, TopologySpec
 from repro.runtime.barrier import MarkBarrier
-from repro.runtime.bench import (
-    BENCH_TOPOLOGY_WORKLOADS,
-    RuntimeSpec,
-    run_bench,
-    write_bench_report,
-)
+from repro.runtime.bench import BENCH_TOPOLOGY_WORKLOADS, RuntimeSpec, run_bench
 from repro.runtime.config import RuntimeConfig, calibrated_service_time_us
 from repro.runtime.controller import LiveMigrationReport, RuntimeController
 from repro.runtime.histogram import LatencyHistogram
@@ -70,5 +65,4 @@ __all__ = [
     "TopologySpec",
     "calibrated_service_time_us",
     "run_bench",
-    "write_bench_report",
 ]

@@ -7,14 +7,13 @@ executes each strategy on the *same* materialised tuple stream.  The outcome
 is an :class:`~repro.experiments.specs.ExperimentRun` whose rows carry
 **measured** tuples/sec and p50/p99 latency per strategy (``engine:
 "process"`` in the metadata), persisted through the ordinary
-:class:`~repro.experiments.store.ResultsStore` plus a standalone
-``BENCH_runtime.json`` report for the benchmark trajectory.
+:class:`~repro.experiments.store.ResultsStore`.
 
 Every workload is an entry of :data:`BENCH_TOPOLOGY_WORKLOADS` — a stream
 builder plus a topology factory — and runs through a
 :class:`~repro.runtime.topology.TopologyRuntime` process pipeline with
 bounded inter-stage queues, per-stage rebalancing controllers and one
-open-loop source; every report carries one ``chain`` row plus one row per
+open-loop source; every run carries one ``chain`` row plus one row per
 stage:
 
 * ``wordcount`` / ``windowed_aggregate`` / ``tpch_q5`` are **one-stage**
@@ -44,7 +43,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -77,7 +75,7 @@ from repro.operators.wordcount import WordCountOperator
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.resilience.scaling import parse_scale_spec
 from repro.runtime.resilience.supervisor import parse_kill_spec
-from repro.runtime.result import RuntimeResult, TopologyResult
+from repro.runtime.result import TopologyResult
 from repro.runtime.topology import TopologyRuntime
 from repro.workloads.tpch import (
     TPCHDataset,
@@ -94,13 +92,9 @@ __all__ = [
     "RuntimeSpec",
     "merged_sanitizer_report",
     "run_bench",
-    "write_bench_report",
 ]
 
 Key = Hashable
-
-#: Default output file of the standalone benchmark report.
-DEFAULT_BENCH_REPORT = "BENCH_runtime.json"
 
 #: Scale-field defaults of the bench stream, merged under any user overrides.
 #: The planner-sweep presets default to ``f = 1.0`` (full per-interval
@@ -160,8 +154,8 @@ class RuntimeSpec:
         Queueing knobs, see :class:`~repro.runtime.config.RuntimeConfig`.
     sanitize:
         Run every strategy under the runtime protocol sanitizer
-        (:mod:`repro.analysis.sanitizer`); the merged violation report is
-        embedded in the bench JSON under ``"sanitizer"``.
+        (:mod:`repro.analysis.sanitizer`); see
+        :func:`merged_sanitizer_report`.
     kill_worker:
         Fault-injection spec ``STAGE:TASK@INTERVAL``: SIGKILL that worker
         the first time its stage handles the interval.  Requires
@@ -212,8 +206,7 @@ class RuntimeSpec:
         if self.rate_sweep is not None:
             rates = [float(rate) for rate in self.rate_sweep]
             if len(rates) < 2:
-                # A one-point "sweep" has no knee; the CLI and the report
-                # validator (scripts/validate_bench.py) require >= 2 too.
+                # A one-point "sweep" has no knee; the CLI requires >= 2 too.
                 raise ValueError("rate_sweep needs at least two rates")
             if any(rate <= 0 for rate in rates):
                 raise ValueError("rate_sweep rates must be positive")
@@ -687,8 +680,7 @@ def _topology_rows(name: str, outcome: TopologyResult) -> List[Dict[str, Any]]:
         row: Dict[str, Any] = {"strategy": name, "stage": stage_name}
         row.update(stage.summary())
         row["mean_skewness"] = stage.metrics.mean_skewness
-        # DAG shape: ≥ 2 marks a fan-in consumer (validators require its
-        # sanitized runs to have exercised the fan-in checks).
+        # DAG shape: ≥ 2 marks a fan-in consumer.
         row["upstreams"] = stage.upstreams
         if stage.split_stats is not None:
             row["split_keys"] = stage.split_stats["split_keys"]
@@ -710,7 +702,6 @@ def run_bench(
     spec: RuntimeSpec,
     *,
     store: Optional[Any] = None,
-    output_path: Optional[Union[str, Path]] = DEFAULT_BENCH_REPORT,
     on_result: Optional[Callable[[str, TopologyResult], None]] = None,
 ) -> Tuple[ExperimentRun, Dict[str, Any]]:
     """Run every strategy of ``spec`` on the same stream; measure wall clock.
@@ -721,8 +712,7 @@ def run_bench(
     :class:`~repro.runtime.result.TopologyResult`, or ``{rate: result}``
     under a rate sweep.  When ``store`` is given the run is saved with the
     per-stage :class:`~repro.engine.metrics.MetricsCollector` and latency
-    histograms as artifacts; when ``output_path`` is given the standalone
-    JSON report is written there (``None`` disables it).
+    histograms as artifacts.
     """
     scale = spec.resolve_scale()
     workload = BENCH_TOPOLOGY_WORKLOADS[spec.workload]
@@ -730,7 +720,7 @@ def run_bench(
     # Resilience: every strategy run (and every rate of a sweep) checkpoints
     # under its own subdirectory, so no run can restore a sibling's state.
     # A kill without an explicit checkpoint root gets a temporary run-scoped
-    # one, removed afterwards — the report carries the measured numbers.
+    # one, removed afterwards — the result carries the measured numbers.
     checkpoint_root = spec.checkpoint_dir
     temp_checkpoint_root: Optional[str] = None
     if checkpoint_root is None and spec.kill_worker is not None:
@@ -862,67 +852,18 @@ def run_bench(
                 report.to_dict() for report in outcome.migrations
             ]
         store.save(run, artifacts=artifacts)
-
-    if output_path is not None:
-        write_bench_report(run, outcomes, output_path)
     return run, outcomes
-
-
-def _stage_report(stage: RuntimeResult) -> Dict[str, Any]:
-    report = {
-        "summary": stage.summary(),
-        "shed_by_task": {
-            str(task): shed for task, shed in stage.shed_by_task.items()
-        },
-        "migrations": [report.to_dict() for report in stage.migrations],
-        "calibrated_service_time_us": stage.calibrated_service_time_us,
-        "tuples_offered": stage.tuples_offered,
-        "messages": {
-            **stage.messages,
-            "tuples_per_worker_message": stage.tuples_per_worker_message,
-        },
-    }
-    if stage.resilience is not None:
-        report["resilience"] = stage.resilience
-    return report
-
-
-def _strategy_report(outcome: Any) -> Dict[str, Any]:
-    if isinstance(outcome, dict):  # rate sweep: {rate: outcome}
-        return {
-            "rate_sweep": [
-                {"offered_rate": rate, **_strategy_report(outcome[rate])}
-                for rate in sorted(outcome)
-            ]
-        }
-    report = {
-        "summary": outcome.summary(),
-        "stages": {
-            name: _stage_report(stage) for name, stage in outcome.stages.items()
-        },
-    }
-    if outcome.resilience is not None:
-        report["resilience"] = outcome.resilience
-    return report
-
-
-def _iter_sanitizer_reports(outcome: Any) -> List[Dict[str, Any]]:
-    if isinstance(outcome, dict):  # rate sweep: {rate: outcome}
-        return [
-            report
-            for nested in outcome.values()
-            for report in _iter_sanitizer_reports(nested)
-        ]
-    return [outcome.sanitizer] if outcome.sanitizer else []
 
 
 def merged_sanitizer_report(outcomes: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
     """Fold every run's sanitizer report into one dict (None = sanitizer off)."""
-    reports = [
-        report
+    runs = [
+        run
         for outcome in outcomes.values()
-        for report in _iter_sanitizer_reports(outcome)
+        # A rate sweep's outcome is ``{rate: TopologyResult}``.
+        for run in (outcome.values() if isinstance(outcome, dict) else [outcome])
     ]
+    reports = [run.sanitizer for run in runs if run.sanitizer]
     if not reports:
         return None
     checks: Dict[str, int] = {}
@@ -938,24 +879,3 @@ def merged_sanitizer_report(outcomes: Mapping[str, Any]) -> Optional[Dict[str, A
         "violations": violations,
     }
 
-
-def write_bench_report(
-    run: ExperimentRun,
-    outcomes: Mapping[str, Any],
-    path: Union[str, Path] = DEFAULT_BENCH_REPORT,
-) -> Path:
-    """Write the standalone ``BENCH_runtime.json`` benchmark report."""
-    payload = {
-        "metadata": run.metadata.to_dict(),
-        "spec": run.spec.params.get("runtime_spec", {}),
-        "rows": [dict(row) for row in run.result.rows],
-        "per_strategy": {
-            name: _strategy_report(outcome) for name, outcome in outcomes.items()
-        },
-    }
-    sanitizer = merged_sanitizer_report(outcomes)
-    if sanitizer is not None:
-        payload["sanitizer"] = sanitizer
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=1))
-    return target

@@ -202,7 +202,7 @@ class TestSanitizedChainBench:
             service_time_us=0.0,
             sanitize=True,
         )
-        _, outcomes = run_bench(spec, output_path=None)
+        _, outcomes = run_bench(spec)
         report = merged_sanitizer_report(outcomes)
         assert report is not None and report["enabled"]
         assert report["violations"] == []

@@ -1,15 +1,10 @@
-"""The per-tuple dispatch loop, kept as the oracle (and the timing baseline)
-for the chunk-vectorised ``StreamRouter`` in ``src/``.
+"""The per-tuple dispatch loop, kept as the oracle for the chunk-vectorised
+``StreamRouter`` in ``src/``.
 
-One class for both users — there were two near-copies, one in
-``test_router_parity.py`` and one (with a private route memo) in
-``scripts/bench_router.py``:
-
-* ``test_router_parity.py`` asserts that the shipped router's accounts and
-  per-task batch streams equal this loop's exactly, under pause / resume,
-  mixed interval tags and shedding;
-* ``scripts/bench_router.py`` times it against the shipped router so the
-  speedup stays a tracked number (``router_micro`` in ``BENCH_runtime.json``).
+``test_router_parity.py`` asserts that the shipped router's accounts and
+per-task batch streams equal this loop's exactly, under pause / resume, mixed
+interval tags and shedding.  The router's speed is measured by ``perf/``
+(``runtime.router.dispatch_tps.*``), not against this loop.
 
 Nothing under ``src/`` uses it, and it uses nothing of an operator: the cost
 of a tuple is ``cost_of(key, value)``, the caller's own per-tuple formula.
@@ -52,12 +47,6 @@ class ReferenceRouter:
         }
         self.paused: Set[Key] = set()
         self.buffer: List[Tuple[Key, Any, int]] = []
-
-    def clear(self) -> None:
-        """Forget what was dispatched (a fresh pass of the timing loop)."""
-        self.accounts.clear()
-        for stream in self.batches.values():
-            stream.clear()
 
     def account(self, tag):
         account = self.accounts.get(tag)

@@ -1,11 +1,11 @@
 """RuntimeSpec serialisation, run_bench persistence and the `repro bench` CLI."""
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
 
+import repro.runtime.bench as bench_module
 from repro.cli import main
 from repro.experiments.config import get_scale
 from repro.experiments.store import ResultsStore
@@ -34,10 +34,6 @@ def _load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _load_validate_bench():
-    return _load_script("validate_bench")
 
 
 class TestRuntimeSpec:
@@ -169,7 +165,7 @@ class TestRuntimeSpec:
         assert RuntimeSpec.from_dict(spec.to_dict()) == spec
 
     def test_rate_sweep_validation_and_round_trip(self):
-        # One-point sweeps are rejected everywhere (spec, CLI, validator).
+        # One-point sweeps are rejected by the spec and the CLI alike.
         with pytest.raises(ValueError, match="at least two"):
             RuntimeSpec(rate_sweep=[])
         with pytest.raises(ValueError, match="at least two"):
@@ -193,13 +189,11 @@ class TestRunBench:
         root = tmp_path_factory.mktemp("bench")
         spec = RuntimeSpec(workload="wordcount", strategies=["storm", "mixed"], **TINY)
         store = ResultsStore(root / "results")
-        run, results = run_bench(
-            spec, store=store, output_path=root / "BENCH_runtime.json"
-        )
-        return spec, store, run, results, root
+        run, results = run_bench(spec, store=store)
+        return spec, store, run, results
 
     def test_rows_carry_measured_numbers(self, outcome):
-        _, _, run, results, _ = outcome
+        _, _, run, results = outcome
         # A one-stage workload reports like any topology: chain row + stage row.
         assert [(row["strategy"], row["stage"]) for row in run.result.rows] == [
             ("storm", "chain"),
@@ -214,13 +208,13 @@ class TestRunBench:
         assert set(results) == {"storm", "mixed"}
 
     def test_metadata_records_process_engine_and_host(self, outcome):
-        _, _, run, _, _ = outcome
+        _, _, run, _ = outcome
         assert run.metadata.engine == "process"
         assert run.metadata.host_cpu_count >= 1
         assert run.metadata.figure == "bench"
 
     def test_persisted_run_reloads_with_artifacts(self, outcome):
-        spec, store, run, _, _ = outcome
+        spec, store, run, _ = outcome
         loaded = store.load(run.metadata.run_id)
         assert loaded.metadata.engine == "process"
         assert RuntimeSpec.from_dict(loaded.spec.params["runtime_spec"]) == spec
@@ -229,14 +223,6 @@ class TestRunBench:
         assert "storm.wordcount.metrics" in names
         histogram = store.load_artifact(run.metadata.run_id, "mixed.wordcount.latency")
         assert histogram.total == 10_000
-
-    def test_bench_report_file(self, outcome):
-        _, _, run, _, root = outcome
-        payload = json.loads((root / "BENCH_runtime.json").read_text())
-        assert payload["metadata"]["engine"] == "process"
-        assert payload["spec"]["workload"] == "wordcount"
-        assert len(payload["rows"]) == 4
-        assert set(payload["per_strategy"]) == {"storm", "mixed"}
 
 
 class TestChainBench:
@@ -251,13 +237,11 @@ class TestChainBench:
             **TINY,
         )
         store = ResultsStore(root / "results")
-        run, results = run_bench(
-            spec, store=store, output_path=root / "BENCH_runtime.json"
-        )
-        return spec, store, run, results, root
+        run, results = run_bench(spec, store=store)
+        return spec, store, run, results
 
     def test_rows_cover_chain_and_every_stage(self, outcome):
-        _, _, run, results, _ = outcome
+        _, _, run, results = outcome
         for name in ("storm", "mixed"):
             stages = [
                 row["stage"] for row in run.result.rows if row["strategy"] == name
@@ -272,7 +256,7 @@ class TestChainBench:
         )
 
     def test_chain_conserves_tuples_across_stages(self, outcome):
-        _, _, _, results, _ = outcome
+        _, _, _, results = outcome
         total = TINY["overrides"]["tuples_per_interval"] * TINY["overrides"]["sim_intervals"]
         for result in results.values():
             assert result.tuples_offered == total
@@ -280,7 +264,7 @@ class TestChainBench:
                 assert stage.tuples_processed == total
 
     def test_revenue_lands_in_the_nation_domain(self, outcome):
-        _, _, _, results, _ = outcome
+        _, _, _, results = outcome
         # The final stage is keyed by nation (25 keys) after two re-keyings.
         final = results["storm"].final
         total_keys = sum(
@@ -288,33 +272,23 @@ class TestChainBench:
         )
         assert 0 < total_keys <= 25
 
-    def test_report_passes_the_ci_schema_validation(self, outcome):
-        _, _, _, _, root = outcome
-        validate_bench = _load_validate_bench()
-        payload = json.loads((root / "BENCH_runtime.json").read_text())
-        assert validate_bench.validate_report(payload) == 8  # 2 strategies × 4 rows
-
     def test_message_counters_are_reported_per_stage_and_must_balance(self, outcome):
-        _, _, run, _, root = outcome
+        _, _, run, results = outcome
         for row in run.result.rows:
             if row["stage"] != "chain":
                 assert row["worker_messages"] >= row["chunks"] > 0
                 assert row["tuples_per_worker_message"] > 0
-        validate_bench = _load_validate_bench()
-        payload = json.loads((root / "BENCH_runtime.json").read_text())
-        stage = payload["per_strategy"]["storm"]["stages"]["customer-join"]
-        assert stage["messages"]["tuples_to_workers"] == stage["tuples_offered"]
         # A tuple the router offered that reached no worker queue (and was
         # not shed) is a lost tuple, whatever the processed count says.
-        stage["messages"]["tuples_to_workers"] -= 1
-        with pytest.raises(SystemExit):
-            validate_bench.validate_report(payload)
-        del stage["messages"]
-        with pytest.raises(SystemExit):
-            validate_bench.validate_report(payload)
+        for result in results.values():
+            for stage in result.stages.values():
+                assert (
+                    stage.messages["tuples_to_workers"]
+                    == stage.tuples_offered - stage.tuples_shed
+                )
 
     def test_per_stage_artifacts_are_stored(self, outcome):
-        _, store, run, _, _ = outcome
+        _, store, run, _ = outcome
         names = store.artifact_names(run.metadata.run_id)
         for strategy in ("storm", "mixed"):
             for stage in Q5_CHAIN_STAGES:
@@ -329,19 +303,17 @@ class TestRateSweep:
     """run_bench with a rate_sweep: one measured row per offered rate."""
 
     @pytest.fixture(scope="class")
-    def outcome(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("sweep-bench")
+    def outcome(self):
         spec = RuntimeSpec(
             workload="wordcount",
             strategies=["storm"],
             rate_sweep=[20_000.0, 80_000.0],
             **TINY,
         )
-        run, results = run_bench(spec, output_path=root / "BENCH_sweep.json")
-        return spec, run, results, root
+        return run_bench(spec)
 
     def test_one_row_per_rate_with_ascending_rates(self, outcome):
-        _, run, results, _ = outcome
+        run, results = outcome
         rows = run.result.rows
         assert [row["offered_rate"] for row in rows] == [20_000.0, 80_000.0]
         for row in rows:
@@ -353,109 +325,45 @@ class TestRateSweep:
         assert set(results["storm"]) == {20_000.0, 80_000.0}
 
     def test_open_loop_pacing_caps_measured_throughput(self, outcome):
-        _, _, results, _ = outcome
+        _, results = outcome
         slow = results["storm"][20_000.0]
         # 10k tuples offered at 20k/s must take at least ~0.5 s of schedule.
         assert slow.wall_seconds > 0.4
         assert slow.summary()["tuples_per_second"] < 25_000
 
-    def test_sweep_report_passes_the_ci_schema_validation(self, outcome):
-        _, _, _, root = outcome
-        validate_bench = _load_validate_bench()
-        payload = json.loads((root / "BENCH_sweep.json").read_text())
-        assert payload["spec"]["rate_sweep"] == [20_000.0, 80_000.0]
-        assert validate_bench.validate_report(payload) == 2
-        sweep = payload["per_strategy"]["storm"]["rate_sweep"]
-        assert [entry["offered_rate"] for entry in sweep] == [20_000.0, 80_000.0]
-
-    def test_validator_rejects_unordered_sweep_rows(self, outcome):
-        _, _, _, root = outcome
-        validate_bench = _load_validate_bench()
-        payload = json.loads((root / "BENCH_sweep.json").read_text())
-        payload["rows"] = list(reversed(payload["rows"]))
-        with pytest.raises(SystemExit):
-            validate_bench.validate_report(payload)
-
-
-class TestSanitizerSectionValidation:
-    """validate_bench on the optional 'sanitizer' report section."""
-
-    def _clean_section(self):
-        return {
-            "enabled": True,
-            "ok": True,
-            "checks": {"message_type": 100, "watermark": 10, "conservation": 2},
-            "violations": [],
-        }
-
-    def test_clean_section_passes(self):
-        validate_bench = _load_validate_bench()
-        validate_bench._validate_sanitizer(self._clean_section())
-
-    def test_violations_fail(self):
-        validate_bench = _load_validate_bench()
-        section = self._clean_section()
-        section["ok"] = False
-        section["violations"] = [
-            {"check": "watermark", "stage": "agg", "message": "went backwards"}
-        ]
-        with pytest.raises(SystemExit):
-            validate_bench._validate_sanitizer(section)
-
-    def test_zero_checks_fail_even_when_clean(self):
-        # All-zero counters mean the hooks never fired: a wiring regression
-        # masquerading as a clean run.
-        validate_bench = _load_validate_bench()
-        section = self._clean_section()
-        section["checks"] = {}
-        with pytest.raises(SystemExit):
-            validate_bench._validate_sanitizer(section)
-
 
 class TestPlannerMicroSection:
-    """scripts/bench_planner.py output against validate_bench's 'planner_micro' check."""
+    """The rows of scripts/bench_planner.py: every step timed, parts nested."""
 
     @pytest.fixture(scope="class")
     def section(self):
-        return _load_script("bench_planner").run_benchmark(key_counts=[400, 900], intervals=4)
+        return _load_script("bench_planner").run_benchmark(
+            key_counts=[400, 900, 100_000], intervals=4
+        )
 
-    def test_toy_run_produces_a_valid_section(self, section):
-        _load_validate_bench()._validate_planner_micro(section)
-        assert [row["num_keys"] for row in section["rows"]] == [400, 900]
-        assert all(row["moved_keys"] > 0 for row in section["rows"])
-
-    def test_row_without_a_plan_fails(self, section):
-        broken = {**section, "rows": [{**section["rows"][0], "plans": 0}]}
-        with pytest.raises(SystemExit):
-            _load_validate_bench()._validate_planner_micro(broken)
-
-    def test_missing_step_fails(self, section):
-        row = dict(section["rows"][0])
-        del row["should_rebalance_ms"]
-        with pytest.raises(SystemExit):
-            _load_validate_bench()._validate_planner_micro({**section, "rows": [row]})
+    def test_every_key_count_planned_and_moved_keys(self, section):
+        assert [row["num_keys"] for row in section["rows"]] == [400, 900, 100_000]
+        for row in section["rows"]:
+            assert row["plans"] >= 1
+            assert row["moved_keys"] > 0
+            for step in ("route_ms", "stats_ms", "should_rebalance_ms", "plan_ms"):
+                assert row[step] > 0, step
 
     @pytest.mark.parametrize("part", ["delta_ms", "rank_ms"])
     def test_part_of_the_plan_must_lie_within_it(self, section, part):
-        validate = _load_validate_bench()._validate_planner_micro
-        row = {**section["rows"][0], "plan_ms": 5.0, "interval_end_ms": 6.0}
-        validate({**section, "rows": [{**row, part: 0.0}]})
-        validate({**section, "rows": [{**row, part: 5.0}]})
-        for outside in (-0.1, 5.1):
-            with pytest.raises(SystemExit):
-                validate({**section, "rows": [{**row, part: outside}]})
+        for row in section["rows"]:
+            assert 0 <= row[part] <= row["plan_ms"]
+
+    def test_interval_end_contains_the_plan(self, section):
+        for row in section["rows"]:
+            assert row["interval_end_ms"] >= row["plan_ms"]
 
     def test_paper_scale_row_must_describe_faster_than_it_routes(self, section):
         # The speed-independent guard: a ratio inside one run (31 ms route
         # against 154 ms stats while every key cost one KeyStats object,
         # ~3 ms since the statistics are columns).
-        validate = _load_validate_bench()._validate_planner_micro
-        row = {**section["rows"][0], "num_keys": 100_000, "route_ms": 31.0}
-        validate({**section, "rows": [{**row, "stats_ms": 2.8}]})
-        with pytest.raises(SystemExit):
-            validate({**section, "rows": [{**row, "stats_ms": 154.0}]})
-        # Below the paper's key count the ratio is not required.
-        validate({**section, "rows": [{**row, "num_keys": 10_000, "stats_ms": 154.0}]})
+        [row] = [row for row in section["rows"] if row["num_keys"] == 100_000]
+        assert row["stats_ms"] < row["route_ms"]
 
 
 class TestBenchCli:
@@ -481,15 +389,12 @@ class TestBenchCli:
                 "storm",
                 "--results-dir",
                 str(tmp_path / "results"),
-                "--output",
-                str(tmp_path / "BENCH_runtime.json"),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "tuples/s" in out
         assert "engine=process" in out
-        assert (tmp_path / "BENCH_runtime.json").is_file()
         store = ResultsStore(tmp_path / "results")
         assert len(store) == 1
         assert store.list_runs()[0].engine == "process"
@@ -557,7 +462,7 @@ class TestBenchCli:
     def test_stored_bench_run_is_rerunnable(self, tmp_path, capsys):
         spec = RuntimeSpec(workload="wordcount", strategies=["storm"], **TINY)
         store = ResultsStore(tmp_path / "results")
-        run, _ = run_bench(spec, store=store, output_path=None)
+        run, _ = run_bench(spec, store=store)
         run_json = tmp_path / "results" / run.metadata.run_id / "run.json"
         assert run_json.is_file()
         code = main(
@@ -572,3 +477,30 @@ class TestBenchCli:
         assert code == 0
         assert "engine=process" in capsys.readouterr().out
         assert len(store) == 2  # the original bench run plus the re-run
+
+    def test_rerun_of_a_sanitized_bench_fails_on_a_violation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = RuntimeSpec(
+            workload="wordcount", strategies=["storm"], sanitize=True, **TINY
+        )
+        run, _ = run_bench(spec, store=ResultsStore(tmp_path / "results"))
+        run_json = tmp_path / "results" / run.metadata.run_id / "run.json"
+        argv = ["run", str(run_json), "--no-save", "--quiet"]
+        assert main(argv) == 0
+        assert "[sanitizer: clean; checks: " in capsys.readouterr().out
+
+        measured = bench_module.run_bench
+
+        def run_with_a_violation(rerun_spec, **kwargs):
+            rerun, outcomes = measured(rerun_spec, **kwargs)
+            outcomes["storm"].sanitizer["violations"].append(
+                {"check": "conservation", "stage": "wordcount", "message": "lost"}
+            )
+            return rerun, outcomes
+
+        monkeypatch.setattr(bench_module, "run_bench", run_with_a_violation)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "[sanitizer: 1 violation(s)" in out
+        assert "! conservation @ wordcount: lost" in out

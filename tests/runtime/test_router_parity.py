@@ -4,9 +4,9 @@ the per-tuple scalar reference exactly.
 ``StreamRouter._dispatch_chunk`` replaced per-tuple dict updates with one
 Counter/``np.bincount``/batched-cost pass per chunk; these property tests pin
 the refactor to a faithful scalar port of the old loop
-(``reference_router.py``, the one ``scripts/bench_router.py`` times) — same freqs, same
-per-task offered tuples/cost, same shed charges and the same per-task batch
-streams (including under pause/resume, mixed interval tags and shedding).
+(``reference_router.py``) — same freqs, same per-task offered tuples/cost,
+same shed charges and the same per-task batch streams (including under
+pause/resume, mixed interval tags and shedding).
 
 Costs in these tests are dyadic rationals (multiples of 0.25), so scalar
 repeated addition and the vectorized ``counts × cost`` / ``bincount`` sums
