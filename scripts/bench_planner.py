@@ -6,12 +6,16 @@ step by step, at the paper's Tab. II shape (Zipf z = 0.85, f = 1.0, N_D = 10,
 A_max = 3000, θ_max = 0.08, expected counts so every interval carries all
 ``K`` keys) for several ``K``:
 
-* **route** — ``route_snapshot`` under the assignment in force (the key→task
-  memo stays warm across rebalances; only re-routed keys are rewritten);
-* **stats** — ``IntervalStats.from_frequencies``: one ``np.fromiter`` over the
-  snapshot's counts plus two vector multiplies (the frequency / cost / memory
-  columns; no per-key object — ``tests/runtime/test_bench.py`` requires
-  ``stats < route`` at K = 100 000);
+* **edge** — ``Snapshot.of`` over the interval as a ``{key: count}`` dict: the
+  one dict → columns conversion a caller holding dicts pays per interval
+  (the runtime's stage loop does); the generator's snapshots skip it;
+* **route** — ``route_snapshot`` of the generator's ``Snapshot`` under the
+  assignment in force (the snapshot plan is kept while the key tuple is
+  shared; only re-routed keys move between its tasks);
+* **stats** — ``IntervalStats.from_frequencies`` of the same snapshot: its
+  count column, validated and multiplied twice into the frequency / cost /
+  memory columns, under its live key tuple (no per-key work —
+  ``tests/runtime/test_bench.py`` requires ``stats < route`` at K = 100 000);
 * **should_rebalance** — the imbalance check (builds the interval's columns,
   evaluates ``F`` over the observed keys once);
 * **plan** — the planning round itself, reusing those columns;
@@ -48,6 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro.core.planner as planner_module  # noqa: E402
 from repro.core.criteria import SelectionCriteria  # noqa: E402
+from repro.core.snapshot import Snapshot  # noqa: E402
 from repro.core.statistics import IntervalStats  # noqa: E402
 from repro.core.strategy import get_strategy  # noqa: E402
 from repro.workloads.zipf import ZipfWorkload  # noqa: E402
@@ -105,6 +110,7 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
         sampled=False,
     ).take(intervals)
     partitioner = get_strategy(strategy).build(NUM_TASKS, seed=seed, **TUNABLES)
+    edge_s: List[float] = []
     route_s: List[float] = []
     stats_s: List[float] = []
     check_s: List[float] = []
@@ -114,6 +120,7 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
     rank_s: List[float] = []
     partitioner.should_rebalance = _timed(partitioner.should_rebalance, check_s)
     partitioner.rebalance = _timed(partitioner.rebalance, plan_s)
+    edge = _timed(Snapshot.of, edge_s)
     route = _timed(partitioner.route_snapshot, route_s)
     build = _timed(IntervalStats.from_frequencies, stats_s)
     end = _timed(partitioner.on_interval_end, end_s)
@@ -133,6 +140,7 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
     SelectionCriteria.ranked = _timed_steps(ranked, rank_s)
     try:
         for interval, snapshot in enumerate(snapshots):
+            edge(dict(snapshot.items()))
             route(snapshot)
             plans_before, deltas_before, ranks_before = len(plan_s), len(delta_s), len(rank_s)
             result = end(build(interval, snapshot))
@@ -154,6 +162,7 @@ def run_row(strategy: str, num_keys: int, intervals: int, seed: int) -> Dict[str
         "table_size": results[-1].table_size if results else 0,
         # The first interval routes and hashes every key cold; medians over
         # the rest are the steady state a long-running stage sees.
+        "edge_ms": _median_ms(edge_s[1:]),
         "route_ms": _median_ms(route_s[1:]),
         "stats_ms": _median_ms(stats_s[1:]),
         "should_rebalance_ms": _median_ms(check_s[1:]),
@@ -195,14 +204,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         strategy=args.strategy, key_counts=args.keys, intervals=args.intervals, seed=args.seed
     )
     print(
-        f"{'K':>8} {'route':>8} {'stats':>8} {'check':>8} {'plan':>8} {'delta':>8} "
-        f"{'rank':>8} {'end':>8}  "
+        f"{'K':>8} {'edge':>8} {'route':>8} {'stats':>8} {'check':>8} {'plan':>8} "
+        f"{'delta':>8} {'rank':>8} {'end':>8}  "
         f"ms (median), {result['strategy']}",
         file=sys.stderr,
     )
     for row in result["rows"]:
         print(
-            f"{row['num_keys']:>8} {row['route_ms']:>8.1f} {row['stats_ms']:>8.1f} "
+            f"{row['num_keys']:>8} {row['edge_ms']:>8.1f} {row['route_ms']:>8.1f} "
+            f"{row['stats_ms']:>8.1f} "
             f"{row['should_rebalance_ms']:>8.1f} {row['plan_ms']:>8.1f} "
             f"{row['delta_ms']:>8.1f} {row['rank_ms']:>8.1f} {row['interval_end_ms']:>8.1f}  "
             f"{row['plans']} plans, "

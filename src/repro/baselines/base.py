@@ -36,31 +36,29 @@ A rebalance re-routes only the keys whose routing-table entry changed, so
 the rest; a resize (or any assignment change the base class did not see — the
 epoch of :meth:`Partitioner._route_epoch` moved) drops the memo.
 
-:meth:`Partitioner.route_snapshot` of a memoising strategy keeps one
-:class:`_SnapshotPlan` — the last live key list it routed, grouped by task —
-across intervals.  A stationary key population is then routed by gathering
-each task's counts out of the snapshot in one C-level call; the keys a
-rebalance re-routed are handed to the plan with the memo patch and moved
-between tasks on the next call; any other change rebuilds the plan.  The
-buckets are :class:`KeyCounts`: read-only mappings over two aligned tuples.
+:meth:`Partitioner.route_snapshot` of a memoising strategy reads the
+snapshot's columns (:class:`~repro.core.snapshot.Snapshot`; a mapping is
+converted once) and keeps one :class:`_SnapshotPlan` — the last live key
+list it routed, grouped by task — across intervals.  A stationary key
+population (the same key tuple, or one listing the same keys) is then routed
+by one numpy ``take`` of each task's counts out of the count column; the
+keys a rebalance re-routed are handed to the plan with the memo patch and
+moved between tasks on the next call; any other change rebuilds the plan.
+The buckets are :class:`KeyCounts`: read-only mappings over aligned key and
+count sequences.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_left, insort
-from collections import abc
-from itertools import compress
-from operator import itemgetter
 from typing import (
-    Any, Callable, Collection, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
-    Sequence, Tuple,
+    Callable, Collection, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
 from repro.core.assignment import AssignmentFunction
-from repro.core.hashing import key_list_hash
+from repro.core.snapshot import KeyCounts, Snapshot, WorkloadSnapshot, same_key_list
 from repro.core.load import load_from_columns, max_balance_indicator
 from repro.core.planner import Planner, PlannerConfig, RebalanceResult
 from repro.core.statistics import IntervalStats, StatisticsStore
@@ -78,110 +76,50 @@ _EPOCH_UNSET = object()
 _ROUTE_MEMO_MAX = 1 << 20
 
 
-class KeyCounts(abc.Mapping):
-    """A read-only ``{key: count}`` bucket stored as two aligned tuples.
-
-    Iteration, ``len`` and the ``values()`` / ``items()`` views run over the
-    tuples; the ``{key: count}`` index behind ``[]``, ``get`` and ``in`` is
-    built on the first lookup.  Equal to any mapping with the same items.
-    """
-
-    __slots__ = ("_keys", "_counts", "_index")
-
-    def __init__(self, keys: Tuple[Key, ...], counts: Tuple[float, ...]) -> None:
-        self._keys = keys
-        self._counts = counts
-        self._index: Optional[Dict[Key, float]] = None
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __iter__(self) -> Iterator[Key]:
-        return iter(self._keys)
-
-    def __getitem__(self, key: Key) -> float:
-        if self._index is None:
-            self._index = dict(zip(self._keys, self._counts))
-        return self._index[key]
-
-    def values(self) -> abc.ValuesView:
-        return _CountsView(self)
-
-    def items(self) -> abc.ItemsView:
-        return _ItemsView(self)
-
-    def __reduce__(self) -> tuple:
-        return KeyCounts, (self._keys, self._counts)
-
-    def __repr__(self) -> str:
-        return f"KeyCounts({dict(self.items())!r})"
-
-
-class _CountsView(abc.ValuesView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._mapping._counts)
-
-
-class _ItemsView(abc.ItemsView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[Tuple[Key, float]]:
-        return zip(self._mapping._keys, self._mapping._counts)
-
-
-def _gather(positions: List[int]) -> Callable[[Sequence[Any]], Sequence[Any]]:
-    """One C-level call picking ``positions`` out of a sequence.
-
-    ``itemgetter`` returns a bare item for one position and needs at least
-    one, so those two cases take a slice (a list; callers apply ``tuple``).
-    """
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0, 0))
+def _gather(tasks: np.ndarray, task: int) -> np.ndarray:
+    """Where ``task``'s keys sit, ascending: the index one numpy ``take``
+    gathers that task's counts (and, when the plan is built, keys) with."""
+    return np.flatnonzero(tasks == task)
 
 
 class _SnapshotPlan:
     """The last live key list :meth:`Partitioner.route_snapshot` routed, by task.
 
-    ``positions[t]`` lists, ascending, where task ``t``'s keys sit in
-    ``keys``; ``key_tuples[t]`` holds those keys (the plan's key objects,
-    equal to the snapshot's) and ``gathers[t]`` picks the same positions out
-    of the interval's aligned counts.  The plan is valid for the assignment
-    of ``epoch`` once the keys in ``pending`` (whose routing-table entry
-    changed since) are re-routed by :meth:`reroute`.
+    ``keys`` is the key tuple of the live :class:`Snapshot` the plan was
+    built from; ``tasks[i]`` is the task of ``keys[i]``.
+    ``gathers[t]`` lists, ascending, the positions of task ``t``'s keys and
+    ``key_tuples[t]`` holds those keys (the plan's key objects, equal to the
+    snapshot's).  The plan is valid for the assignment of ``epoch`` once the
+    keys in ``pending`` (whose routing-table entry changed since) are
+    re-routed by :meth:`reroute`.
     """
 
     __slots__ = (
-        "keys", "key_hash", "epoch", "tasks", "positions", "key_tuples", "gathers", "pending",
-        "_index",
+        "keys", "epoch", "tasks", "gathers", "key_tuples", "pending",
+        "_key_column", "_index",
     )
 
     def __init__(
         self, keys: Tuple[Key, ...], tasks: np.ndarray, num_tasks: int, epoch: object
     ) -> None:
         self.keys = keys
-        self.key_hash = key_list_hash(keys)
         self.epoch = epoch
-        self.tasks: List[int] = tasks.tolist()
-        bounds = np.cumsum(np.bincount(tasks, minlength=num_tasks))[:-1]
-        order = np.argsort(tasks, kind="stable")
-        self.positions: List[List[int]] = [chunk.tolist() for chunk in np.split(order, bounds)]
-        self.gathers = [_gather(positions) for positions in self.positions]
-        self.key_tuples = [tuple(gather(keys)) for gather in self.gathers]
+        self.tasks = np.array(tasks, dtype=np.intp)
+        self._key_column = np.fromiter(self.keys, dtype=object, count=len(self.keys))
+        self.gathers = [_gather(self.tasks, task) for task in range(num_tasks)]
+        self.key_tuples = [self._task_keys(gather) for gather in self.gathers]
         self.pending: List[Key] = []
         #: ``{key: position}``, built by the first :meth:`reroute`.
         self._index: Optional[Dict[Key, int]] = None
 
-    def matches(self, keys: Tuple[Key, ...], epoch: object) -> bool:
-        """True when ``keys`` lists this plan's keys in order under ``epoch``.
+    def _task_keys(self, gather: np.ndarray) -> Tuple[Key, ...]:
+        return tuple(self._key_column.take(gather).tolist())
 
-        The :func:`~repro.core.hashing.key_list_hash` fingerprint is compared
-        before ``==``, which also keeps ``==`` from raising on a numpy scalar
-        against a longer tuple.
-        """
-        return epoch == self.epoch and key_list_hash(keys) == self.key_hash and keys == self.keys
+    def matches(self, keys: Tuple[Key, ...], epoch: object) -> bool:
+        """True when ``keys`` lists this plan's keys in order under ``epoch``
+        (:func:`~repro.core.snapshot.same_key_list`: the same key tuple, or
+        one listing the same dict keys)."""
+        return epoch == self.epoch and same_key_list(keys, self.keys)
 
     def reroute(self, routes: Callable[[List[Key]], List[int]]) -> None:
         """Move the pending keys of this plan to the tasks ``routes`` gives
@@ -193,16 +131,13 @@ class _SnapshotPlan:
         self.pending = []
         touched = set()
         for position, task in zip(candidates, routes([self.keys[p] for p in candidates])):
-            old = self.tasks[position]
+            old = self.tasks.item(position)
             if task != old:
-                left = self.positions[old]
-                del left[bisect_left(left, position)]
-                insort(self.positions[task], position)
                 self.tasks[position] = task
                 touched.update((old, task))
         for task in touched:
-            gather = self.gathers[task] = _gather(self.positions[task])
-            self.key_tuples[task] = tuple(gather(self.keys))
+            gather = self.gathers[task] = _gather(self.tasks, task)
+            self.key_tuples[task] = self._task_keys(gather)
 
 
 class Partitioner(ABC):
@@ -332,43 +267,40 @@ class Partitioner(ABC):
                 pass
         return np.asarray(self.assign_batch(keys), dtype=np.intp)
 
-    def route_snapshot(self, snapshot: Mapping[Key, float]) -> Mapping[int, Mapping[Key, float]]:
+    def route_snapshot(self, snapshot: WorkloadSnapshot) -> Mapping[int, Mapping[Key, float]]:
         """Route a whole ``{key: count}`` interval snapshot in one call.
 
         Returns ``{task: {key: count}}`` with a bucket, possibly empty, for
         every task in ``0..num_tasks-1``, each listing its keys in the
         snapshot's order.  Key-splitting strategies (PKG, shuffle) spread each
         key's batch over several buckets exactly like :meth:`route_bulk` does;
-        key-contiguous strategies send the whole count — the snapshot's own
-        object — to the key's single destination.  Non-positive and NaN counts
-        are skipped.  Buckets are read-only; a caller that needs to mutate one
+        key-contiguous strategies send the whole count, as a Python float, to
+        the key's single destination.  Non-positive and NaN counts are
+        skipped.  Buckets are read-only; a caller that needs to mutate one
         copies it with ``dict(bucket)``.
 
-        Memoising strategies answer from the snapshot plan (see the module
-        docstring): when the live keys are the plan's, the call costs two
-        copies, one vector comparison, one hash of the key tuple and one
-        gather per task, plus the re-routing of the keys a rebalance handed
-        the plan.  A kept plan's buckets hold its own key objects, equal to
-        the snapshot's.
+        Memoising strategies read the snapshot's columns
+        (:meth:`Snapshot.of <repro.core.snapshot.Snapshot.of>` converts a
+        mapping once) and answer from the snapshot plan (see the module
+        docstring): when the live keys are the plan's, the call costs one
+        ``take`` and one ``tolist`` per task, plus the re-routing of the keys
+        a rebalance handed the plan — no per-key Python work.  A kept plan's
+        buckets hold its own key objects, equal to the snapshot's.
         """
         if self.cache_routes:
-            keys = tuple(snapshot)
-            counts = list(snapshot.values())
-            live = np.fromiter(counts, dtype=np.float64, count=len(counts)) > 0
-            if not live.all():
-                mask = live.tolist()
-                keys = tuple(compress(keys, mask))
-                counts = list(compress(counts, mask))
+            live = Snapshot.of(snapshot).live()
             epoch = self._route_epoch()
             plan = self._snapshot_plan
+            keys = live.key_tuple
             if plan is None or not plan.matches(keys, epoch):
                 self._snapshot_plan = plan = _SnapshotPlan(
                     keys, self.assign_batch_array(keys), self.num_tasks, epoch
                 )
             elif plan.pending:
                 plan.reroute(self._memo_routes)
+            counts = live.counts
             return {
-                task: KeyCounts(task_keys, tuple(gather(counts)))
+                task: KeyCounts(task_keys, counts.take(gather).tolist())
                 for task, (task_keys, gather) in enumerate(zip(plan.key_tuples, plan.gathers))
             }
         per_task: Dict[int, Dict[Key, float]] = {

@@ -31,7 +31,9 @@ from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["UniversalHash", "ConsistentHashRing", "fnv1a_64", "key_list_hash", "stable_hash"]
+from repro.core.snapshot import same_key_list
+
+__all__ = ["UniversalHash", "ConsistentHashRing", "fnv1a_64", "stable_hash"]
 
 _FNV_OFFSET_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -111,19 +113,6 @@ def _key_bytes(key: Hashable) -> bytes:
     return b"r" + repr(key).encode("utf-8", errors="backslashreplace")
 
 
-def key_list_hash(keys: Sequence[Hashable]) -> int:
-    """Python's ``hash`` of ``keys`` as a tuple: a fingerprint of the dict keys listed.
-
-    ``==`` alone does not tell two key lists apart the way a dict tells keys
-    apart: numpy compares a scalar with a tuple elementwise, so
-    ``[np.int64(2)] == [(2,)]`` although the two are different keys that hash
-    apart.  Keys that are one dict key have one ``hash``, so two lists that
-    are ``==`` and share this fingerprint list the same keys in the same order
-    (up to a 64-bit hash collision).
-    """
-    return hash(tuple(keys))
-
-
 #: Memoised digests, keyed by ``(seed, key)``.  Snapshot routing hashes the
 #: same keys interval after interval; caching the digest turns the FNV loop
 #: into a dict lookup on the hot path.
@@ -160,9 +149,8 @@ class UniversalHash:
             raise ValueError(f"num_tasks must be positive, got {num_tasks}")
         self._num_tasks = int(num_tasks)
         self._seed = int(seed)
-        #: The last key list hashed by :meth:`assign_array`, its
-        #: :func:`key_list_hash` and the result.
-        self._last_array: Optional[Tuple[List[Hashable], int, np.ndarray]] = None
+        #: The last key list hashed by :meth:`assign_array` and the result.
+        self._last_array: Optional[Tuple[Sequence[Hashable], np.ndarray]] = None
 
     @property
     def num_tasks(self) -> int:
@@ -183,23 +171,22 @@ class UniversalHash:
         num_tasks = self._num_tasks
         return [stable_hash(key, seed) % num_tasks for key in keys]
 
-    def assign_array(self, keys: List[Hashable]) -> np.ndarray:
+    def assign_array(self, keys: Sequence[Hashable]) -> np.ndarray:
         """``h(k)`` over ``keys`` as a read-only ``intp`` array.
 
         The planner hashes the observed keys of every interval; the hash is
         immutable, so the answer for the most recent key list is kept and a
         stationary key population (the same list, or one listing the same
-        dict keys in the same order) is hashed once, not once per interval.
+        dict keys in the same order, see
+        :func:`~repro.core.snapshot.same_key_list`) is hashed once, not once
+        per interval.
         """
         last = self._last_array
-        if last is not None and last[0] is keys:
-            return last[2]
-        fingerprint = key_list_hash(keys)
-        if last is not None and last[1] == fingerprint and last[0] == keys:
-            return last[2]
+        if last is not None and same_key_list(last[0], keys):
+            return last[1]
         hashed = np.asarray(self.assign_batch(keys), dtype=np.intp)
         hashed.flags.writeable = False
-        self._last_array = (keys, fingerprint, hashed)
+        self._last_array = (keys, hashed)
         return hashed
 
     def candidates(self, key: Hashable, choices: int = 2) -> List[int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import repeat
 from types import MappingProxyType
 from typing import (
     Any,
@@ -38,6 +38,8 @@ from typing import (
 )
 
 import numpy as np
+
+from repro.core.snapshot import Snapshot, WorkloadSnapshot, same_key_list
 
 __all__ = ["KeyStats", "KeyColumns", "IntervalStats", "StatisticsStore"]
 
@@ -77,7 +79,7 @@ class KeyColumns:
 
     __slots__ = ("keys", "cost", "memory", "_index", "_cost_map", "_memory_map")
 
-    def __init__(self, keys: List[Key], cost: np.ndarray, memory: np.ndarray) -> None:
+    def __init__(self, keys: Sequence[Key], cost: np.ndarray, memory: np.ndarray) -> None:
         cost.flags.writeable = False
         memory.flags.writeable = False
         self.keys = keys
@@ -113,9 +115,10 @@ class KeyColumns:
 
         A stationary key population re-lists the same keys interval after
         interval; sharing the list and the position index saves rebuilding
-        them (and lets per-key-list memos hit by identity).
+        them (and lets per-key-list memos hit by identity).  Snapshots that
+        share one key tuple share the list already.
         """
-        if self.keys is not other.keys and self.keys == other.keys:
+        if same_key_list(self.keys, other.keys):
             self.keys = other.keys
             if other._index is not None:
                 self._index = other._index
@@ -139,7 +142,9 @@ class IntervalStats:
     The snapshot is conceptually immutable once handed to the planner; the
     mutating helpers (:meth:`record`, :meth:`record_bulk`) are only used while
     the interval is being measured and write to a copy once :meth:`columns`
-    has been served, so columns a reader holds never change.
+    has been served, so columns a reader holds never change.  Built from a
+    :class:`~repro.core.snapshot.Snapshot`, the keys are that snapshot's
+    live key tuple, shared, until the first write lists them afresh.
     """
 
     __slots__ = ("interval", "_keys", "_table", "_index", "_columns", "_totals")
@@ -150,7 +155,8 @@ class IntervalStats:
         stats: Optional[Mapping[Key, KeyStats]] = None,
     ) -> None:
         self.interval = int(interval)
-        self._keys: List[Key] = []
+        #: A list, or a snapshot's live key tuple until the first write.
+        self._keys: Sequence[Key] = []
         #: The frequency, cost and memory columns (float64), one position per
         #: key; positions past ``len(self._keys)`` are spare capacity.
         self._table = np.empty((3, 0))
@@ -170,7 +176,7 @@ class IntervalStats:
     def from_frequencies(
         cls,
         interval: int,
-        frequencies: Mapping[Key, float],
+        frequencies: WorkloadSnapshot,
         *,
         cost_per_tuple: Union[float, Sequence[float]] = 1.0,
         memory_per_tuple: Union[float, Sequence[float]] = 1.0,
@@ -182,19 +188,22 @@ class IntervalStats:
         ``memory_per_tuple`` are one scalar for every key, or one value per
         key in the mapping's order.  Keys with a zero count are left out; a
         negative or NaN count, cost or memory raises ``ValueError``.
+        ``frequencies`` is read as a :class:`~repro.core.snapshot.Snapshot`
+        (a mapping is converted once): its count column and its live key
+        tuple, which the statistics share.
         """
         stats = cls(interval)
-        keys = list(frequencies)
-        table = np.empty((3, len(keys)))
-        table[0] = np.fromiter(frequencies.values(), dtype=np.float64, count=len(keys))
-        _require_non_negative(table[0], cost_per_tuple, memory_per_tuple)
-        np.multiply(table[0], cost_per_tuple, out=table[1])
-        np.multiply(table[0], memory_per_tuple, out=table[2])
-        observed = table[0] > 0
-        if not observed.all():
-            keys = list(compress(keys, observed.tolist()))
-            table = table[:, observed]
-        stats._keys, stats._table = keys, table
+        snapshot = Snapshot.of(frequencies)
+        counts = snapshot.counts
+        _require_non_negative(counts, cost_per_tuple, memory_per_tuple)
+        live = snapshot.live()
+        table = np.empty((3, len(counts)))
+        table[0] = counts
+        np.multiply(counts, cost_per_tuple, out=table[1])
+        np.multiply(counts, memory_per_tuple, out=table[2])
+        if live is not snapshot:
+            table = table[:, counts > 0]
+        stats._keys, stats._table = live.key_tuple, table
         return stats
 
     @classmethod
@@ -253,6 +262,8 @@ class IntervalStats:
             self._table = self._filled().copy()
             self._index = None if self._index is None else dict(self._index)
             self._columns = None
+        elif type(self._keys) is not list:
+            self._keys = list(self._keys)  # the shared key tuple
         self._totals = [None, None, None]
         keys = self._keys
         positions = self._positions()
@@ -514,7 +525,7 @@ class StatisticsStore:
         memory = np.zeros(len(keys))
         for snapshot in snapshots:
             columns = snapshot.columns()
-            if columns.keys is keys or columns.keys == keys:
+            if same_key_list(columns.keys, keys):
                 memory += columns.memory
                 continue
             position = np.fromiter(

@@ -5,7 +5,8 @@ scale-out, behaviour under distribution change) are produced by running a
 topology against a workload source with a *fluid* per-interval model:
 
 * the workload source yields, for every interval, a ``{key: tuple count}``
-  snapshot for the spout;
+  snapshot for the spout (a :class:`~repro.core.snapshot.Snapshot`, or a
+  mapping each stage converts once);
 * each stage routes the snapshot through its partitioner in a single
   :meth:`~repro.baselines.base.Partitioner.route_snapshot` call (the batch
   fast path: key→task results are memoised across intervals until the
@@ -27,14 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.base import Partitioner
 from repro.core.load import max_balance_indicator, max_skewness
-from repro.engine.backpressure import ShedLedger
+from repro.core.snapshot import Snapshot, WorkloadSnapshot
 from repro.core.statistics import IntervalStats
+from repro.engine.backpressure import ShedLedger
 from repro.engine.executor import ExecutorConfig, TaskExecutor
 from repro.engine.metrics import IntervalMetrics, MetricsCollector
 from repro.engine.migration_protocol import MigrationProtocol
@@ -49,10 +51,9 @@ __all__ = [
 ]
 
 Key = Hashable
-WorkloadSnapshot = Mapping[Key, float]
 
 
-def _unit_model(model: BatchCost, keys: List[Key]) -> UnitModel:
+def _unit_model(model: BatchCost, keys: Sequence[Key]) -> UnitModel:
     """A batch model's answer over a snapshot's ``keys`` in the shape every
     per-task sub-snapshot can read: the scalar, or ``{key: unit value}``."""
     return dict(zip(keys, model.tolist())) if np.ndim(model) else float(model)
@@ -191,9 +192,12 @@ class _StageRuntime:
         partitioner = self.stage.partitioner
         num_tasks = partitioner.num_tasks
 
+        # One set of columns for the interval, read by the router and the
+        # statistics alike.
+        in_freqs = Snapshot.of(in_freqs)
         # The operator's cost / state models, asked once per snapshot and
         # shared by every consumer below (routing, executors, statistics).
-        keys = list(in_freqs)
+        keys = in_freqs.key_tuple
         batch_cost = logic.batch_cost(keys)
         batch_delta = logic.batch_state_delta(keys)
         unit_cost = _unit_model(batch_cost, keys)
@@ -397,7 +401,7 @@ class PipelineSimulator:
                     self._runtime(stage_name).scale_out(parallelism)
 
             stage_records: List[IntervalMetrics] = []
-            current: Dict[Key, float] = dict(snapshot)
+            current = snapshot
             for runtime in self.runtimes:
                 record, current = runtime.run_interval(interval, current)
                 stage_records.append(record)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional
 
 from repro.core.load import load_from_columns, max_balance_indicator
+from repro.core.snapshot import WorkloadSnapshot
 from repro.core.statistics import IntervalStats
 from repro.core.strategy import get_strategy
 from repro.engine.metrics import MetricsCollector
@@ -32,7 +33,6 @@ from repro.experiments.reporting import mean
 __all__ = ["PlannerRun", "run_planner_sequence", "run_simulation"]
 
 Key = Hashable
-WorkloadSnapshot = Mapping[Key, float]
 
 
 @dataclass

@@ -21,6 +21,7 @@ import itertools
 import math
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.snapshot import Snapshot, WorkloadSnapshot
 from repro.engine.metrics import MetricsCollector
 from repro.engine.operator import OperatorLogic
 from repro.experiments.config import ExperimentScale
@@ -33,8 +34,6 @@ __all__ = [
     "simulate",
 ]
 
-WorkloadSnapshot = Mapping[Any, float]
-
 
 def zipf_workload(
     scale: ExperimentScale,
@@ -45,7 +44,7 @@ def zipf_workload(
     intervals: Optional[int] = None,
     skew: Optional[float] = None,
     seed: int = 0,
-) -> List[Dict[int, float]]:
+) -> List[Snapshot]:
     """Materialise a Zipf workload with the scale's defaults and overrides."""
     from repro.workloads import ZipfWorkload
 
@@ -85,7 +84,7 @@ def planner_sweep(
     scale: ExperimentScale,
     *,
     axes: Mapping[str, Sequence[Any]],
-    workload: Callable[[Dict[str, Any]], List[Dict[Any, float]]],
+    workload: Callable[[Dict[str, Any]], List[WorkloadSnapshot]],
     row: Callable[[PlannerRun, Dict[str, Any]], Any],
     varied: Callable[[Dict[str, Any]], Dict[str, Any]] = lambda axis: {},
     algorithms: Sequence[str] = ("mixed",),

@@ -21,6 +21,7 @@ import time
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.sanitizer import SanitizedQueue, StageSanitizer
+from repro.core.snapshot import Snapshot
 from repro.core.statistics import IntervalStats
 from repro.engine.operator import OperatorLogic
 from repro.engine.topology import StageSpec
@@ -644,11 +645,13 @@ class _StageLoop(threading.Thread):
     ) -> IntervalStats:
         """The closing interval's statistics: the router's per-key dispatch
         counts times the operator's batch cost / state models (one scalar
-        each for every constant model, else one value per key)."""
-        keys = list(freqs)
+        each for every constant model, else one value per key).  The dict
+        becomes columns once, at the snapshot edge."""
+        snapshot = Snapshot.of(freqs)
+        keys = snapshot.key_tuple
         return IntervalStats.from_frequencies(
             interval,
-            freqs,
+            snapshot,
             cost_per_tuple=logic.batch_cost(keys),
             memory_per_tuple=logic.batch_state_delta(keys),
         )

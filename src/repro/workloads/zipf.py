@@ -6,6 +6,11 @@ generator perturbs the distribution until the per-task workload change reaches
 the fluctuation rate ``f`` (``|L_i(d) − L_{i−1}(d)| / L̄ ≥ f``), exactly as the
 paper describes — frequencies are *swapped* between keys that hash to different
 tasks, so the total workload stays constant while its placement shifts.
+
+The generator's state is columns: a key tuple, shared by every snapshot while
+the keys do not change, the count column and the task column fluctuation
+swaps across.  Each interval is a :class:`~repro.core.snapshot.Snapshot` over
+them, so the router and the statistics read the columns as they are.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional
 
 import numpy as np
 
-from repro.workloads.fluctuation import apply_fluctuation
+from repro.core.snapshot import Snapshot
+from repro.workloads.fluctuation import fluctuate, task_column
 
 __all__ = ["zipf_frequencies", "ZipfWorkload"]
 
@@ -45,6 +51,18 @@ def zipf_frequencies(
         When True the expected (deterministic) counts are returned instead of a
         multinomial draw — useful for property tests.
     """
+    counts = _zipf_counts(num_keys, skew, total_tuples, rng, exact)
+    return {int(key): float(count) for key, count in enumerate(counts) if count > 0}
+
+
+def _zipf_counts(
+    num_keys: int,
+    skew: float,
+    total_tuples: int,
+    rng: Optional[np.random.Generator],
+    exact: bool,
+) -> np.ndarray:
+    """The count column of :func:`zipf_frequencies`: one entry per key ``0 .. K-1``."""
     if num_keys <= 0:
         raise ValueError("num_keys must be positive")
     if skew < 0:
@@ -55,11 +73,9 @@ def zipf_frequencies(
     weights = ranks ** (-skew)
     weights /= weights.sum()
     if exact:
-        counts = weights * total_tuples
-    else:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        counts = rng.multinomial(total_tuples, weights).astype(np.float64)
-    return {int(key): float(count) for key, count in enumerate(counts) if count > 0}
+        return weights * total_tuples
+    rng = rng if rng is not None else np.random.default_rng(0)
+    return rng.multinomial(total_tuples, weights).astype(np.float64)
 
 
 class ZipfWorkload:
@@ -118,51 +134,49 @@ class ZipfWorkload:
         self.seed = int(seed)
         self.sampled = bool(sampled)
 
-    def __iter__(self) -> Iterator[Dict[int, float]]:
+    def __iter__(self) -> Iterator[Snapshot]:
         rng = np.random.default_rng(self.seed)
         # The base popularity ranking; fluctuation permutes which key holds
         # which rank, so the marginal distribution stays Zipf(z).
-        base = zipf_frequencies(
-            self.num_keys,
-            self.skew,
-            self.tuples_per_interval,
-            rng,
-            exact=not self.sampled,
+        counts = _zipf_counts(
+            self.num_keys, self.skew, self.tuples_per_interval, rng, exact=not self.sampled
         )
-        current = dict(base)
+        base = Snapshot(tuple(range(self.num_keys)), counts).live()
+        keys, counts = base.key_tuple, base.counts
+        tasks = None  # the task column of ``keys``, computed on first use
         produced = 0
         while self.intervals is None or produced < self.intervals:
-            yield dict(current)
+            yield Snapshot(keys, counts)
             produced += 1
             if self.intervals is not None and produced >= self.intervals:
                 break
             if self.fluctuation > 0:
-                current = apply_fluctuation(
-                    current,
+                if tasks is None:
+                    tasks = task_column(keys, self.task_of)
+                counts = fluctuate(
+                    counts,
+                    tasks,
                     fluctuation=self.fluctuation,
-                    task_of=self.task_of,
                     num_tasks=self.num_tasks,
                     rng=rng,
                 )
             if self.sampled:
                 # Re-draw the sampling noise on top of the (possibly permuted)
                 # expected frequencies.
-                keys = list(current.keys())
-                weights = np.array([current[key] for key in keys], dtype=np.float64)
-                total = weights.sum()
+                total = counts.sum()
                 if total > 0:
-                    draws = rng.multinomial(self.tuples_per_interval, weights / total)
-                    current = {
-                        key: float(count)
-                        for key, count in zip(keys, draws)
-                        if count > 0
-                    }
+                    draws = rng.multinomial(self.tuples_per_interval, counts / total)
+                    drawn = Snapshot(keys, draws).live()
+                    if tasks is not None and drawn.key_tuple is not keys:
+                        tasks = tasks[draws > 0]
+                    keys, counts = drawn.key_tuple, drawn.counts
 
-    def take(self, intervals: int) -> List[Dict[int, float]]:
+    def take(self, intervals: int) -> List[Snapshot]:
         """Materialise the first ``intervals`` snapshots as a list."""
-        result: List[Dict[int, float]] = []
+        result: List[Snapshot] = []
         for snapshot in self:
             result.append(snapshot)
             if len(result) >= intervals:
                 break
         return result
+

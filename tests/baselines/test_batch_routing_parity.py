@@ -12,6 +12,8 @@ the comparison valid for stateful strategies (PKG's load estimates, shuffle's
 round-robin pointer) whose routing decisions depend on their own history.
 """
 
+import operator
+import struct
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from repro.baselines import HashPartitioner, PartialKeyGrouping, ShufflePartitioner, base
 from repro.core import hashing
 from repro.core.hashing import ConsistentHashRing, UniversalHash, stable_hash
+from repro.core.snapshot import Snapshot
 from repro.core.statistics import IntervalStats
 from repro.core.strategy import get_strategy, list_strategies
 
@@ -73,16 +76,50 @@ def scalar_route_snapshot(partitioner, snapshot):
     return per_task
 
 
+def _bits(count):
+    return struct.pack("<d", count)
+
+
 def assert_routed_exactly(routed, reference, snapshot):
     """``routed`` is ``reference`` exactly: the same tasks in the same order,
     and per task equal keys in the same order, each holding the snapshot's
-    own count object."""
+    count as a Python float, bit for bit."""
     assert list(routed) == list(reference)
     for task, bucket in reference.items():
         got = routed[task]
         assert list(got) == list(bucket), task
         assert list(got.values()) == list(bucket.values()), task
-        assert all(count is snapshot[key] for key, count in got.items()), task
+        assert all(
+            type(count) is float and _bits(count) == _bits(float(snapshot[key]))
+            for key, count in got.items()
+        ), task
+
+
+#: How a snapshot reaches ``route_snapshot``: the dict itself, a ``Snapshot``
+#: built from it (a fresh key tuple each time), or a ``Snapshot`` over a key
+#: tuple kept while the keys are the same objects (as a columnar generator
+#: shares it).
+SNAPSHOT_INPUTS = ("dict", "Snapshot", "shared")
+
+
+class _SnapshotInput:
+    """``snapshot`` (a dict) in the form ``kind`` names."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.keys = None
+
+    def __call__(self, snapshot):
+        if self.kind == "dict":
+            return snapshot
+        if self.kind == "Snapshot":
+            return Snapshot.of(snapshot)
+        keys = tuple(snapshot)
+        if self.keys is None or len(keys) != len(self.keys) or not all(
+            map(operator.is_, keys, self.keys)
+        ):
+            self.keys = keys
+        return Snapshot(self.keys, list(snapshot.values()))
 
 
 def assert_routing_equal(scalar, batch, strategy, snapshot):
@@ -546,10 +583,11 @@ class _IntervalSequence:
                 partitioner.scale_in(partitioner.num_tasks - args[0])
 
 
+@pytest.mark.parametrize("kind", SNAPSHOT_INPUTS)
 @pytest.mark.parametrize("strategy", MEMOISING)
 @given(steps=plan_steps_strategy)
 @settings(max_examples=30, deadline=None)
-def test_snapshot_plan_matches_scalar_routing_across_intervals(strategy, steps):
+def test_snapshot_plan_matches_scalar_routing_across_intervals(strategy, kind, steps):
     """After every step, ``route_snapshot`` of a partitioner that keeps its
     snapshot plan is the reference loop over a cold twin, exactly — whether
     the step changed the counts, the key order, a key's class, which counts
@@ -561,14 +599,16 @@ def test_snapshot_plan_matches_scalar_routing_across_intervals(strategy, steps):
 
     warm, cold = build(), build()
     sequence = _IntervalSequence()
+    as_input = _SnapshotInput(kind)
     for step in [*steps, None]:
-        snapshot = sequence.snapshot()
+        snapshot = as_input(sequence.snapshot())
         routed = warm.route_snapshot(snapshot)
         assert_routed_exactly(routed, scalar_route_snapshot(cold, snapshot), snapshot)
         if step is not None:
             sequence.step(step, (warm, cold))
 
 
+@pytest.mark.parametrize("kind", SNAPSHOT_INPUTS)
 @pytest.mark.parametrize("strategy", MEMOISING)
 @pytest.mark.parametrize(
     "first, second, kept",
@@ -578,7 +618,9 @@ def test_snapshot_plan_matches_scalar_routing_across_intervals(strategy, steps):
         ([np.int64(2), 5, "a"], [(2,), 5, "a"], False),
     ],
 )
-def test_snapshot_plan_routes_lookalike_keys_by_their_own_hash(strategy, first, second, kept):
+def test_snapshot_plan_routes_lookalike_keys_by_their_own_hash(
+    strategy, first, second, kept, kind
+):
     """Equal keys (``0.0`` / ``-0.0``, ``(0,)`` / ``(False,)``) route alike, so
     an equal key list is answered from the plan of its look-alike.  A list
     that is ``==`` only because numpy compares a scalar with a tuple
@@ -592,8 +634,9 @@ def test_snapshot_plan_routes_lookalike_keys_by_their_own_hash(strategy, first, 
     if kept:
         assert [cold.route(key) for key in first] == [cold.route(key) for key in second]
     plans = []
+    as_input = _SnapshotInput(kind)
     for keys in (first, second, first):
-        snapshot = dict.fromkeys(keys, 1.0)
+        snapshot = as_input(dict.fromkeys(keys, 1.0))
         routed = warm.route_snapshot(snapshot)
         assert_routed_exactly(routed, scalar_route_snapshot(cold, snapshot), snapshot)
         assert warm.assign_batch_array(keys).tolist() == [cold.route(key) for key in keys]
@@ -601,22 +644,26 @@ def test_snapshot_plan_routes_lookalike_keys_by_their_own_hash(strategy, first, 
     assert (plans[0] is plans[1] is plans[2]) == kept
 
 
+@pytest.mark.parametrize("kind", SNAPSHOT_INPUTS)
 @pytest.mark.parametrize("strategy", REBALANCING)
-def test_snapshot_plan_is_built_once_and_patched_per_task(strategy, monkeypatch):
-    """Over a stationary key list the plan is built once; each rebalance's
-    re-routed keys re-gather only the tasks they left or joined."""
+def test_snapshot_plan_is_built_once_and_patched_per_task(strategy, kind, monkeypatch):
+    """Over a stationary key list the plan is built once, one gather per
+    task; each rebalance's re-routed keys re-gather only the tasks they left
+    or joined."""
     gathers = []
     gather = base._gather
-    monkeypatch.setattr(base, "_gather", lambda positions: gathers.append(1) or gather(positions))
+    monkeypatch.setattr(base, "_gather", lambda *args: gathers.append(1) or gather(*args))
     partitioner = FACTORIES[strategy]()
     keys = list(range(300))
     plan = None
     regathered = 0
+    as_input = _SnapshotInput(kind)
     for interval in range(8):
         hot = keys[(37 * interval) % len(keys)]
         snapshot = {key: 1.0 + (key % 7) for key in keys}
         snapshot[hot] = 3_000.0
-        before = None if plan is None else [list(positions) for positions in plan.positions]
+        snapshot = as_input(snapshot)
+        before = None if plan is None else plan.tasks.copy()
         gathers.clear()
         routed = partitioner.route_snapshot(snapshot)
         if plan is None:
@@ -624,9 +671,14 @@ def test_snapshot_plan_is_built_once_and_patched_per_task(strategy, monkeypatch)
             assert len(gathers) == NUM_TASKS
         else:
             assert partitioner._snapshot_plan is plan
-            touched = [task for task in range(NUM_TASKS) if plan.positions[task] != before[task]]
+            moved = np.flatnonzero(plan.tasks != before)
+            touched = {int(before[at]) for at in moved} | {int(plan.tasks[at]) for at in moved}
             assert len(gathers) == len(touched)
             regathered += len(touched)
+        for task in range(NUM_TASKS):
+            positions = np.flatnonzero(plan.tasks == task)
+            assert plan.gathers[task].tolist() == positions.tolist()
+            assert plan.key_tuples[task] == tuple(plan.keys[at] for at in positions)
         assert_routed_exactly(routed, scalar_route_snapshot(partitioner, snapshot), snapshot)
         partitioner.on_interval_end(IntervalStats.from_frequencies(interval, snapshot))
     assert regathered > 0, "no rebalance re-routed a key: the patch was never exercised"

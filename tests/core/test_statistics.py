@@ -102,8 +102,8 @@ class TestIntervalStats:
         served = stats.columns()
         stats.record("a", cost=5)
         stats.record("b", frequency=1, cost=1)
-        assert served.keys == ["a"] and served.cost.tolist() == [1.0]
-        assert stats.columns().keys == ["a", "b"]
+        assert list(served.keys) == ["a"] and served.cost.tolist() == [1.0]
+        assert list(stats.columns().keys) == ["a", "b"]
         assert stats.columns().cost.tolist() == [6.0, 1.0]
 
     def test_record_accumulates(self):
@@ -223,6 +223,22 @@ class TestStatisticsStore:
         store.push(IntervalStats.from_frequencies(1, {"a": 1}))
         store.push(IntervalStats.from_frequencies(2, {"b": 1}))
         assert store.observed_keys() == {"a", "b"}
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_columns_do_not_adopt_a_key_list_equal_only_by_numpy_broadcasting(self, window):
+        """``[np.int64(2)] == [(2,)]`` (numpy compares a scalar with a tuple
+        elementwise), but the two are different keys: the columns of
+        ``{(2,): 1.0}`` keep their own key list and position index, and the
+        window's memory column does not read ``np.int64(2)``'s state as
+        ``(2,)``'s."""
+        store = StatisticsStore(window=window)
+        store.push(IntervalStats.from_frequencies(0, {np.int64(2): 5.0}))
+        assert np.int64(2) in store.columns().index
+        store.push(IntervalStats.from_frequencies(1, {(2,): 1.0}))
+        columns = store.columns()
+        assert (2,) in columns.index and np.int64(2) not in columns.index
+        assert columns.keys == ((2,),)
+        assert columns.memory.tolist() == [1.0]
 
     def test_copy_independent(self):
         store = StatisticsStore(window=2)

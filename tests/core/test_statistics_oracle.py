@@ -47,7 +47,7 @@ def _stat_bits(stat: KeyStats):
 
 
 def _assert_same_columns(actual, expected) -> None:
-    assert actual.keys == expected.keys
+    assert list(actual.keys) == list(expected.keys)
     assert actual.cost.tobytes() == expected.cost.tobytes()
     assert actual.memory.tobytes() == expected.memory.tobytes()
     assert not actual.cost.flags.writeable and not actual.memory.flags.writeable

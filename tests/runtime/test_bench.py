@@ -346,7 +346,7 @@ class TestPlannerMicroSection:
         for row in section["rows"]:
             assert row["plans"] >= 1
             assert row["moved_keys"] > 0
-            for step in ("route_ms", "stats_ms", "should_rebalance_ms", "plan_ms"):
+            for step in ("edge_ms", "route_ms", "stats_ms", "should_rebalance_ms", "plan_ms"):
                 assert row[step] > 0, step
 
     @pytest.mark.parametrize("part", ["delta_ms", "rank_ms"])

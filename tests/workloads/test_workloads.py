@@ -17,8 +17,9 @@ from repro.workloads import (
     zipf_frequencies,
 )
 from repro.engine.topology import map_keys
-from repro.workloads.fluctuation import per_task_loads
 from repro.workloads.tpch import ForeignKeyLookup
+
+from reference_generator import per_task_loads
 
 
 class TestZipfFrequencies:
