@@ -4,8 +4,8 @@ The engine provides everything the paper's evaluation environment (Apache
 Storm on a 21-node cluster) contributed to the experiments, re-implemented as a
 simulator:
 
-* keyed windowed state (:mod:`repro.engine.state`,
-  :mod:`repro.engine.window`); tuples travel as parallel key / value columns,
+* keyed windowed state, one table per retained interval
+  (:mod:`repro.engine.state`); tuples travel as parallel key / value columns,
   there is no per-tuple object,
 * the batch-only operator contract, task instances and the topology
   description shared with the process runtime (:mod:`repro.engine.operator`,
@@ -28,7 +28,6 @@ from repro.engine.operator import OperatorLogic, Task
 from repro.engine.simulator import OperatorSimulator, PipelineSimulator, SimulationConfig
 from repro.engine.state import KeyedState
 from repro.engine.topology import StageSpec, TopologySpec
-from repro.engine.window import SlidingWindow
 
 __all__ = [
     "ExecutorConfig",
@@ -41,7 +40,6 @@ __all__ = [
     "OperatorSimulator",
     "PipelineSimulator",
     "SimulationConfig",
-    "SlidingWindow",
     "StageSpec",
     "Task",
     "TaskExecutor",

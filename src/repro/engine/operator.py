@@ -95,8 +95,8 @@ class OperatorLogic(ABC):
         Returns the tuples emitted downstream as parallel ``(out_keys,
         out_values)`` lists.  The result must not depend on where a stream is
         cut into batches.  State goes through
-        :meth:`~repro.engine.state.KeyedState.accumulate_batch` — one window
-        write per distinct key of the batch — and belongs to the task: a list
+        :meth:`~repro.engine.state.KeyedState.accumulate_batch` — one lookup
+        into the interval's table per tuple — and belongs to the task: a list
         or dict payload may be grown in place, and no emitted value may be an
         object the state holds.  The default forwards the batch unchanged
         and, for stateful operators, accumulates what
@@ -229,15 +229,18 @@ class Task:
             self.begin_interval(interval)
         costs = unit_values(unit_cost, frequencies)
         deltas = unit_values(unit_delta, frequencies)
-        accumulate = self.state.accumulate
+        keys: List[Key] = []
+        added: List[float] = []
         tuples = 0
         total_cost = 0.0
         for (key, freq), cost, delta in zip(frequencies.items(), costs, deltas):
-            added = delta * freq
-            if added > 0:
-                accumulate(key, interval, added)
+            amount = delta * freq
+            if amount > 0:
+                keys.append(key)
+                added.append(amount)
             tuples += int(freq)
             total_cost += cost * freq
+        self.state.accumulate_batch(keys, added, interval, added)
         self.metrics.tuples_processed += tuples
         self.metrics.cost_processed += total_cost
 

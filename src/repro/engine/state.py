@@ -1,11 +1,22 @@
 """Keyed, windowed operator state.
 
-Each task of a stateful operator owns a :class:`KeyedState`: for every active
-key it keeps one payload per retained interval (the ``w``-interval window of
-the paper) plus a size estimate in abstract "memory units" — the quantity the
-migration cost model is expressed in.  When a key is migrated, its entire
-windowed state is extracted on the source task and installed on the target
-task (steps 5–6 of Fig. 5).
+Each task of a stateful operator owns a :class:`KeyedState`: one table per
+retained interval, ``{interval: {key: [payload, size]}}`` oldest first, plus
+the running total of every retained size.  A key's windowed state — the
+``S(k, w)`` of the paper, in abstract "memory units", the quantity the
+migration cost model is expressed in — is its slots across those tables.
+When a key is migrated, its entire windowed state is extracted on the source
+task and installed on the target task (steps 5–6 of Fig. 5).
+
+**Retention.**  The paper's task "erases the state from time interval
+``T_{i−w}`` after finishing the computation on all tuples in ``T_i``".  Here
+that is one clock rule: once interval ``i`` is open, nothing older than
+``i − w + 1`` is held, for every key alike, written in ``i`` or not.  A write
+that opens a newer table drops the tables that left the window, and
+:meth:`KeyedState.expire` drops them at an interval's close.  A batch write
+to an interval older than the newest one the task holds raises (the runtime
+worker clamps each batch to its watermark, the simulator writes in order);
+:meth:`KeyedState.install` merges into any retained interval.
 
 **Ownership.**  A payload stored here belongs to the state: an operator may
 grow a list / dict payload in place (its fold returns the object it was
@@ -18,10 +29,9 @@ what it is given.
 from __future__ import annotations
 
 from copy import copy
-from itertools import repeat
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union
-
-from repro.engine.window import SlidingWindow
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["KeyedState", "KeyStateSnapshot"]
 
@@ -31,6 +41,13 @@ Key = Hashable
 #: a list of ``(interval, payload, size)`` triples.
 KeyStateSnapshot = List[Tuple[int, Any, float]]
 
+_size_of = itemgetter(1)
+
+
+def _count(old: Any, delta: float) -> Any:
+    """The payload without a fold: the accumulated size."""
+    return (old or 0) + delta
+
 
 class KeyedState:
     """Per-task store of windowed per-key state."""
@@ -39,9 +56,11 @@ class KeyedState:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = int(window)
-        self._per_key: Dict[Key, SlidingWindow[Tuple[Any, float]]] = {}
-        #: Running total of all retained sizes, so :meth:`total_size` is O(1)
-        #: instead of a full scan per interval.
+        #: interval -> {key: [payload, size]}, oldest interval first.
+        self._tables: Dict[int, Dict[Key, List[Any]]] = {}
+        #: The last key of ``_tables`` (``None`` while it is empty).
+        self._newest: Optional[int] = None
+        #: Running total of all retained sizes, so :meth:`total_size` is O(1).
         self._total_size = 0.0
 
     # -- updates -----------------------------------------------------------------
@@ -57,33 +76,7 @@ class KeyedState:
 
         ``size`` is the memory footprint of the payload in abstract units.
         """
-        if size < 0:
-            raise ValueError("state size must be non-negative")
-        window = self._per_key.get(key)
-        if window is None:
-            window = SlidingWindow(self.window)
-            self._per_key[key] = window
-        existing = window.get(interval)
-        replaced_size = existing[1] if existing is not None else 0.0
-        self._store(window, interval, payload, float(size), replaced_size)
-
-    def _store(
-        self,
-        window: SlidingWindow,
-        interval: int,
-        payload: Any,
-        size: float,
-        replaced_size: float,
-    ) -> None:
-        """Write one ``(payload, size)`` slot and keep ``_total_size`` exact.
-
-        ``replaced_size`` is the size previously stored for ``interval`` (0.0
-        when the slot is new); capacity-evicted slots are subtracted too.
-        """
-        evicted = window.append_evict(interval, (payload, size))
-        self._total_size += size - replaced_size
-        for _, (_, evicted_size) in evicted:
-            self._total_size -= evicted_size
+        self.install(key, [(interval, payload, size)])
 
     def accumulate(
         self,
@@ -100,138 +93,131 @@ class KeyedState:
         grown in place); when omitted, the payload is a plain counter of
         accumulated size.  Returns the new payload.
         """
-        window = self._per_key.get(key)
-        existing = window.get(interval) if window is not None else None
-        old_payload, old_size = existing if existing is not None else (None, 0.0)
-        if payload_update is not None:
-            new_payload = payload_update(old_payload)
-        else:
-            new_payload = (old_payload or 0) + delta_size
-        new_size = old_size + delta_size
-        if new_size < 0:
-            raise ValueError("state size must be non-negative")
-        if window is None:
-            window = SlidingWindow(self.window)
-            self._per_key[key] = window
-        self._store(window, interval, new_payload, new_size, old_size)
-        return new_payload
+        fold = None if payload_update is None else (lambda old, _: payload_update(old))
+        return self.accumulate_batch((key,), (None,), interval, delta_size, fold)[0]
 
     def accumulate_batch(
         self,
-        keys: Iterable[Key],
+        keys: Sequence[Key],
         values: Iterable[Any],
         interval: int,
-        delta_size: Union[float, Iterable[float]],
+        delta_size: Union[float, Sequence[float]],
         fold: Optional[Callable[[Any, Any], Any]] = None,
     ) -> List[Any]:
-        """Apply a batch of tuples, in order, to ``interval``: one window
-        write per distinct key.
+        """Apply a batch of tuples, in order, to ``interval``: one lookup into
+        the interval's table per tuple.
 
         Each tuple grows its key's state by ``delta_size`` (one scalar, or
         one value per tuple) and replaces the key's payload with ``fold(old,
         value)`` (``old`` is ``None`` the first time; without ``fold`` the
-        payload counts the accumulated size).  Payload and size are kept in a
-        batch-local running pair per key and stored once, so sizes and
-        payloads equal one :meth:`accumulate` per tuple bit for bit;
-        :meth:`total_size` moves once per key and equals the per-tuple total
-        up to float summation order.  Returns the payload after each tuple —
-        for a ``fold`` that grows its payload in place these are all the one
-        state-owned object, which the caller must not emit.
+        payload counts the accumulated size).  Returns the payload after each
+        tuple — for a ``fold`` that grows its payload in place these are all
+        the one state-owned object, which the caller must not emit.
+        :meth:`total_size` moves once per batch and equals the per-tuple
+        total up to float summation order.
 
-        A delta that drives a key's size negative raises ``ValueError`` before
-        anything is stored: no window and no size has changed (an in-place
-        ``fold`` has by then grown the containers it owns).  An ``interval``
-        older than a key's newest is the caller's bug and raises from that
-        key's window write, after the keys before it were stored.
+        An ``interval`` older than the newest one held raises ``ValueError``,
+        and so does a delta that drives a key's size negative; both before
+        anything is stored.  An empty batch opens no table.
         """
-        per_key = self._per_key
-        deltas = repeat(delta_size) if isinstance(delta_size, (int, float)) else delta_size
-        #: key -> [payload, size, size before the batch, the key's window]
-        running: Dict[Key, List[Any]] = {}
-        find = running.get
+        if not len(keys):
+            return []
+        newest = self._newest
+        if newest is not None and interval < newest:
+            raise ValueError(
+                f"batch interval {interval} is older than the newest held, {newest}"
+            )
+        scalar = isinstance(delta_size, (int, float))
+        deltas = repeat(float(delta_size)) if scalar else delta_size
+        if (delta_size if scalar else min(delta_size)) < 0:
+            self._check_sizes(keys, deltas, self._tables.get(interval, {}))
+        if fold is None:
+            fold, values = _count, deltas
+        table = self._tables[interval] if interval == newest else self._open(interval)
+        find = table.get
         after: List[Any] = []
         emit = after.append
         for key, value, delta in zip(keys, values, deltas):
             slot = find(key)
             if slot is None:
-                window = per_key.get(key)
-                existing = window.get(interval) if window is not None else None
-                payload, size = existing if existing is not None else (None, 0.0)
-                slot = running[key] = [payload, size, size, window]
-            if fold is not None:
-                payload = fold(slot[0], value)
+                payload = fold(None, value)
+                table[key] = [payload, 0.0 + delta]
             else:
-                payload = (slot[0] or 0) + delta
-            size = slot[1] + delta
-            if size < 0:
-                raise ValueError("state size must be non-negative")
-            slot[0] = payload
-            slot[1] = size
+                payload = slot[0] = fold(slot[0], value)
+                slot[1] += delta
             emit(payload)
-        for key, (payload, size, old_size, window) in running.items():
-            if window is None:
-                window = per_key[key] = SlidingWindow(self.window)
-            self._store(window, interval, payload, size, old_size)
+        self._total_size += float(delta_size) * len(keys) if scalar else sum(delta_size)
         return after
 
+    def _check_sizes(
+        self, keys: Sequence[Key], deltas: Iterable[float], table: Dict[Key, List[Any]]
+    ) -> None:
+        """Raise if a batch with a negative delta would drive a size below zero
+        (the write loop's own additions, in its order, on scratch sizes)."""
+        sizes: Dict[Key, float] = {}
+        for key, delta in zip(keys, deltas):
+            size = sizes.get(key)
+            if size is None:
+                slot = table.get(key)
+                size = slot[1] if slot is not None else 0.0
+            size += delta
+            if size < 0:
+                raise ValueError("state size must be non-negative")
+            sizes[key] = size
+
+    def _open(self, interval: int) -> Dict[Key, List[Any]]:
+        """Open the table of ``interval``, newer than every one held: the clock
+        moves, and the tables that left the window are dropped."""
+        self.expire(interval)
+        table = self._tables[interval] = {}
+        self._newest = interval
+        return table
+
     def expire(self, newest_interval: int) -> None:
-        """Drop state older than ``newest_interval − window + 1`` and empty keys."""
+        """Drop every table older than ``newest_interval − window + 1``."""
         cutoff = newest_interval - self.window + 1
-        stale_keys: List[Key] = []
-        for key, window in self._per_key.items():
-            oldest = window.oldest_interval()
-            if oldest is None or oldest >= cutoff:
-                # Nothing stale for this key — the common case, since a key
-                # touched this interval was already trimmed by the window's
-                # capacity eviction.
-                continue
-            rebuilt: SlidingWindow[Tuple[Any, float]] = SlidingWindow(self.window)
-            for interval, payload in window.items():
-                if interval >= cutoff:
-                    rebuilt.append(interval, payload)
-                else:
-                    self._total_size -= payload[1]
-            if len(rebuilt):
-                self._per_key[key] = rebuilt
-            else:
-                stale_keys.append(key)
-        for key in stale_keys:
-            del self._per_key[key]
-        if not self._per_key:
+        tables = self._tables
+        for interval in [interval for interval in tables if interval < cutoff]:
+            self._total_size -= sum(map(_size_of, tables.pop(interval).values()))
+        if not tables:
+            self._newest = None
             # Re-anchor the running total so an empty state reports exactly
             # 0.0 even after float drift at extreme size magnitudes.
             self._total_size = 0.0
 
     # -- queries --------------------------------------------------------------------
 
+    def _slots(self, key: Key) -> Iterable[Tuple[int, List[Any]]]:
+        """``(interval, [payload, size])`` of every table holding ``key``, oldest first."""
+        return (
+            (interval, table[key]) for interval, table in self._tables.items() if key in table
+        )
+
     def keys(self) -> Iterable[Key]:
-        return self._per_key.keys()
+        """Every key with retained state (the union of the tables)."""
+        return dict.fromkeys(chain.from_iterable(self._tables.values())).keys()
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._per_key
+        return any(key in table for table in self._tables.values())
 
     def __len__(self) -> int:
-        return len(self._per_key)
+        return len(self.keys())
 
     def payloads(self, key: Key) -> List[Any]:
         """All retained payloads of ``key``, oldest interval first."""
-        window = self._per_key.get(key)
-        if window is None:
-            return []
-        return [payload for payload, _ in window.payloads()]
+        return [slot[0] for _, slot in self._slots(key)]
 
     def latest_payload(self, key: Key) -> Optional[Any]:
         """Most recent payload of ``key`` (``None`` when the key is unknown)."""
-        window = self._per_key.get(key)
-        newest = window.newest() if window is not None else None
-        return newest[0] if newest is not None else None
+        for table in reversed(self._tables.values()):
+            slot = table.get(key)
+            if slot is not None:
+                return slot[0]
+        return None
 
     def key_size(self, key: Key) -> float:
         """Total windowed state size of ``key`` (``S(k, w)``)."""
-        window = self._per_key.get(key)
-        if window is None:
-            return 0.0
-        return sum(size for _, (_, size) in window.items())
+        return sum(slot[1] for _, slot in self._slots(key))
 
     def total_size(self) -> float:
         """Total state held by this task (tracked incrementally; O(1)).
@@ -257,13 +243,7 @@ class KeyedState:
         pickles the snapshot inside ``put``, before the next batch runs, so
         it alone would not need the copy.
         """
-        window = self._per_key.get(key)
-        if window is None:
-            return []
-        return [
-            (interval, copy(payload), size)
-            for interval, (payload, size) in window.items()
-        ]
+        return [(interval, copy(payload), size) for interval, (payload, size) in self._slots(key)]
 
     def extract(self, key: Key) -> KeyStateSnapshot:
         """Remove and return the full windowed state of ``key``.
@@ -272,33 +252,48 @@ class KeyedState:
         nothing is copied.  Returns an empty snapshot when the key holds no
         state (migrating a stateless key is a no-op).
         """
-        window = self._per_key.pop(key, None)
-        if window is None:
-            return []
-        snapshot = [
-            (interval, payload, size)
-            for interval, (payload, size) in window.items()
-        ]
-        for _, _, size in snapshot:
-            self._total_size -= size
-        if not self._per_key:
+        snapshot = []
+        for interval, table in self._tables.items():
+            slot = table.pop(key, None)
+            if slot is not None:
+                snapshot.append((interval, slot[0], slot[1]))
+                self._total_size -= slot[1]
+        if snapshot and not any(self._tables.values()):
             self._total_size = 0.0
         return snapshot
 
     def install(self, key: Key, snapshot: KeyStateSnapshot) -> None:
         """Install a previously extracted snapshot for ``key``.
 
-        Installing over existing state merges interval-wise (the incoming
-        snapshot wins on conflicts), which matches the at-most-once hand-off of
-        the pause/resume protocol.  The state owns the snapshot's payloads
-        from here on.
+        Each slot is a write into its interval's table: installing over
+        existing state merges interval-wise (the incoming snapshot wins on
+        conflicts), which matches the at-most-once hand-off of the
+        pause/resume protocol.  A slot newer than every held interval opens
+        its table (and moves the clock); one outside the window is not
+        held.  The state owns the snapshot's payloads from here on.
         """
+        if any(size < 0 for _, _, size in snapshot):
+            raise ValueError("state size must be non-negative")
+        tables = self._tables
         for interval, payload, size in snapshot:
-            self.update(key, interval, payload, size)
+            table = tables.get(interval)
+            if table is None:
+                newest = self._newest
+                if newest is None or interval > newest:
+                    table = self._open(interval)
+                elif interval > newest - self.window:
+                    tables[interval] = table = {}
+                    self._tables = tables = dict(sorted(tables.items()))
+                else:
+                    continue
+            replaced = table.get(key)
+            table[key] = [payload, float(size)]
+            self._total_size += size - (replaced[1] if replaced is not None else 0.0)
 
     def clear(self) -> None:
-        self._per_key.clear()
+        self._tables.clear()
+        self._newest = None
         self._total_size = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KeyedState(window={self.window}, keys={len(self._per_key)})"
+        return f"KeyedState(window={self.window}, intervals={list(self._tables)})"

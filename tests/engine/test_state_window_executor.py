@@ -1,4 +1,8 @@
-"""Tests for keyed state, sliding windows, the executor model and backpressure."""
+"""Tests for keyed state, the executor model and backpressure.
+
+The sliding window tested here is the one the per-key reference state in
+``reference_state.py`` keeps; the keyed-state oracle relies on it.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,8 @@ from hypothesis import strategies as st
 from repro.engine.backpressure import admissible_fraction
 from repro.engine.executor import ExecutorConfig, TaskExecutor
 from repro.engine.state import KeyedState
-from repro.engine.window import SlidingWindow
+
+from reference_state import SlidingWindow
 
 
 class TestSlidingWindow:
@@ -141,6 +146,43 @@ class TestKeyedState:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             KeyedState(window=0)
+
+    def test_install_over_a_newer_interval_merges(self):
+        state = KeyedState(window=3)
+        state.accumulate("a", 5, 1.0)
+        state.install("a", [(4, 4.0, 4.0), (5, 9.0, 2.0)])
+        assert state.snapshot("a") == [(4, 4.0, 4.0), (5, 9.0, 2.0)]
+        assert state.key_size("a") == 6.0 and state.total_size() == 6.0
+        # ... and a slot outside the window is not held.
+        state.install("b", [(2, 1.0, 1.0), (3, 2.0, 2.0)])
+        assert state.snapshot("b") == [(3, 2.0, 2.0)] and state.total_size() == 8.0
+
+    def test_opening_an_interval_drops_what_left_the_window_for_every_key(self):
+        # w = 2: once interval 3 is open nothing older than 2 is held, for
+        # the key written in 3 and for the ones that were not.
+        state = KeyedState(window=2)
+        state.accumulate("a", 1, 1.0)
+        state.accumulate("b", 2, 2.0)
+        state.accumulate("b", 3, 4.0)
+        assert state.snapshot("a") == [] and "a" not in state
+        assert state.snapshot("b") == [(2, 2.0, 2.0), (3, 4.0, 4.0)]
+        assert len(state) == 1 and list(state.keys()) == ["b"]
+        assert state.total_size() == 6.0
+
+    def test_a_batch_older_than_the_newest_interval_raises_for_any_key(self):
+        state = KeyedState(window=3)
+        state.accumulate_batch(["a"], [1], 5, 1.0)
+        with pytest.raises(ValueError):
+            state.accumulate_batch(["b"], [1], 4, 1.0)
+        assert "b" not in state and state.total_size() == 1.0
+
+    def test_an_empty_batch_opens_no_table(self):
+        state = KeyedState(window=1)
+        state.accumulate("a", 1, 1.0)
+        assert state.accumulate_batch([], [], 2, 1.0) == []
+        assert state.payloads("a") == [1.0]
+        state.accumulate("a", 1, 1.0)  # interval 1 is still the newest
+        assert state.payloads("a") == [2.0]
 
 
 class TestTaskExecutor:
