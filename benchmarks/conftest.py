@@ -1,31 +1,26 @@
-"""Shared machinery for the figure benchmarks.
+"""Shared machinery for the benchmarks.
 
-Every benchmark regenerates one figure of the paper at the benchmark scale
-(``REPRO_BENCH_SCALE`` environment variable, default ``tiny``) and prints the
-resulting series so the run doubles as a reproduction report.  The figure
-drivers are macro-benchmarks, so each is executed once per run
+Every benchmark runs at the benchmark scale (``REPRO_BENCH_SCALE`` environment
+variable, default ``tiny``) and prints its series, so the run doubles as a
+reproduction report.  The figures (``test_paper_figures.py``) and the
+ablations are macro-benchmarks, each executed once per run
 (``benchmark.pedantic`` with a single round) rather than micro-benchmarked.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
-from repro.experiments.config import get_scale  # noqa: E402
+from repro.experiments.config import get_scale
 
 _BENCHMARKS_DIR = Path(__file__).resolve().parent
 
 
 def pytest_collection_modifyitems(items):
-    """Mark every figure benchmark ``slow`` so CI can deselect the directory."""
+    """Mark every benchmark ``slow`` so CI can deselect the directory."""
     for item in items:
         if _BENCHMARKS_DIR in Path(str(item.fspath)).resolve().parents:
             item.add_marker(pytest.mark.slow)
@@ -33,13 +28,13 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture(scope="session")
 def bench_scale():
-    """Workload scale preset used by every figure benchmark."""
+    """Workload scale preset used by every benchmark."""
     return get_scale(os.environ.get("REPRO_BENCH_SCALE", "tiny"))
 
 
 @pytest.fixture
 def run_figure(benchmark, bench_scale):
-    """Run a figure driver once under pytest-benchmark and print its series."""
+    """Run an ablation driver once under pytest-benchmark and print its series."""
 
     def _run(driver, **kwargs):
         result = benchmark.pedantic(

@@ -29,12 +29,14 @@ from repro.experiments.harness import (
 )
 from repro.experiments.reporting import ExperimentResult, format_table, mean
 from repro.experiments.specs import (
+    Claim,
     ExperimentRun,
     ExperimentSpec,
     RunMetadata,
     experiment_names,
     get_experiment,
     list_experiments,
+    register_claim,
     register_experiment,
     run,
     run_batch,
@@ -48,6 +50,7 @@ from repro.experiments.sweeps import (
 )
 
 __all__ = [
+    "Claim",
     "ExperimentResult",
     "ExperimentRun",
     "ExperimentScale",
@@ -64,6 +67,7 @@ __all__ = [
     "mean",
     "percentile_points",
     "planner_sweep",
+    "register_claim",
     "register_experiment",
     "run",
     "run_batch",

@@ -12,19 +12,23 @@ or from the command line (``python -m repro run fig08 --scale tiny``).  The
 builders lean on the shared sweep helpers in
 :mod:`repro.experiments.sweeps`; each returns an
 :class:`~repro.experiments.reporting.ExperimentResult` whose rows are the
-data points of the corresponding figure.  The ``scale`` preset (see
-:mod:`repro.experiments.config`) sizes the workloads — "tiny" and "small"
-preserve the shape of the curves at laptop runtimes, "paper" matches Tab. II.
+data points of the corresponding figure.  Beside each builder,
+:func:`~repro.experiments.specs.register_claim` writes the figure's expected
+shape once, as checks on those rows (``CLAIMS.md`` lists them).  The
+``scale`` preset (see :mod:`repro.experiments.config`) sizes the workloads —
+"tiny" and "small" preserve the shape of the curves at laptop runtimes,
+"paper" matches Tab. II.
 """
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.load import load_from_costs, max_skewness
 from repro.core.strategy import get_strategy
 from repro.experiments.config import ExperimentScale
 from repro.experiments.harness import run_planner_sequence
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.specs import register_experiment
+from repro.experiments.reporting import ExperimentResult, mean
+from repro.experiments.specs import register_claim, register_experiment
 from repro.experiments.sweeps import (
     percentile_points,
     planner_sweep,
@@ -42,6 +46,12 @@ from repro.workloads import (
 __all__: list = []  # the figures are reached through the experiment registry
 
 _PERCENTILES = (20, 40, 60, 80, 100)
+
+
+def _mean_where(result: ExperimentResult, column: str, **criteria) -> float:
+    """Mean of ``column`` over the rows matching ``criteria`` (NaN, which no
+    claim's comparison passes, when none match)."""
+    return mean(row[column] for row in result.filter(**criteria))
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +115,41 @@ def _fig07(
                 percentile=percentile,
                 skewness=skewness,
             )
-    result.notes = (
-        "Expected shape: skewness grows with the number of task instances and "
-        "shrinks as the key domain grows."
-    )
     return result
+
+
+def _fig07_extremes(result: ExperimentResult, panel: str) -> List[float]:
+    """Mean skewness of the panel's series with the smallest and the largest
+    swept value (``ND=5`` … ``ND=40``, ``K=100`` … ``K=20000``)."""
+    series = {row["series"] for row in result.filter(panel=panel)}
+    smallest, *_, largest = sorted(series, key=lambda name: int(name.split("=")[1]))
+    return [_mean_where(result, "skewness", series=name) for name in (smallest, largest)]
+
+
+@register_claim(
+    "fig07", "skewness grows with N_D: (a)'s largest N_D has a higher mean than its smallest"
+)
+def _fig07_skew_grows_with_tasks(result: ExperimentResult) -> bool:
+    fewest, most = _fig07_extremes(result, "a")
+    return most > fewest
+
+
+@register_claim(
+    "fig07", "skewness shrinks as K grows: (b)'s smallest K has a higher mean than its largest"
+)
+def _fig07_skew_shrinks_with_keys(result: ExperimentResult) -> bool:
+    smallest, largest = _fig07_extremes(result, "b")
+    return smallest > largest
+
+
+@register_claim("fig07", "every series is a CDF: skewness never falls as the percentile rises")
+def _fig07_cdf_is_monotone(result: ExperimentResult) -> bool:
+    for series in {row["series"] for row in result.rows}:
+        rows = sorted(result.filter(series=series), key=lambda row: row["percentile"])
+        values = [row["skewness"] for row in rows]
+        if values != sorted(values):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +217,6 @@ def _fig08(
         figure="Fig. 8",
         title="Scheduling efficiency and migration cost with varying number of task instances",
         parameters={"theta_max": scale.theta_max, "K": scale.num_keys, "scale": scale.name},
-        notes=(
-            "Expected shape: Mixed pays slightly more generation time than MinTable "
-            "but much lower migration cost until the table cap forces it towards "
-            "MinTable behaviour at large N_D."
-        ),
     )
     return _nd_theta_k_sweep(
         scale,
@@ -192,6 +227,16 @@ def _fig08(
         sweep_values=task_counts,
         seed=seed,
     )
+
+
+@register_claim(
+    "fig08", "Mixed migrates no more than MinTable (mean migration cost over the sweep)"
+)
+def _fig08_mixed_below_mintable(result: ExperimentResult) -> bool:
+    mixed, mintable = (
+        _mean_where(result, "migration_cost_pct", algorithm=name) for name in ("mixed", "mintable")
+    )
+    return mixed <= mintable + 1e-9
 
 
 @register_experiment(
@@ -211,10 +256,6 @@ def _fig09(
         figure="Fig. 9",
         title="Scheduling efficiency and migration cost with varying theta_max",
         parameters={"N_D": scale.num_tasks, "K": scale.num_keys, "scale": scale.name},
-        notes=(
-            "Expected shape: both metrics shrink as theta_max is relaxed; MinTable "
-            "pays roughly 3x Mixed's migration cost at tight theta_max."
-        ),
     )
     return _nd_theta_k_sweep(
         scale,
@@ -225,6 +266,18 @@ def _fig09(
         sweep_values=thetas,
         seed=seed,
     )
+
+
+@register_claim(
+    "fig09", "Mixed migrates no more at the loosest theta_max than at the tightest (mean cost)"
+)
+def _fig09_cost_falls_with_theta(result: ExperimentResult) -> bool:
+    thetas = result.column("theta_max")
+    loose, tight = (
+        _mean_where(result, "migration_cost_pct", algorithm="mixed", theta_max=theta)
+        for theta in (max(thetas), min(thetas))
+    )
+    return loose <= tight + 1e-9
 
 
 @register_experiment(
@@ -251,10 +304,6 @@ def _fig10(
         figure="Fig. 10",
         title="Scheduling efficiency and migration cost under different key-domain sizes",
         parameters={"N_D": scale.num_tasks, "theta_max": scale.theta_max, "scale": scale.name},
-        notes=(
-            "Expected shape: generation time grows with K; Mixed's migration cost "
-            "stays well below MinTable's across domain sizes."
-        ),
     )
     return _nd_theta_k_sweep(
         scale,
@@ -265,6 +314,15 @@ def _fig10(
         sweep_values=key_domains,
         seed=seed,
     )
+
+
+@register_claim("fig10", "each of the four key domains has Mixed and MinTable rows")
+def _fig10_both_algorithms_per_domain(result: ExperimentResult) -> bool:
+    domains = set(result.column("num_keys"))
+    pairs = {(row["num_keys"], row["algorithm"]) for row in result.rows}
+    return len(domains) == 4 and pairs == {
+        (domain, algorithm) for domain in domains for algorithm in ("mixed", "mintable")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +351,6 @@ def _fig11(
         figure="Fig. 11",
         title="Compact representation: planning efficiency and load-estimation error vs R",
         parameters={"N_D": scale.num_tasks, "K": scale.num_keys, "scale": scale.name},
-        notes=(
-            "Expected shape: generation time drops by roughly an order of magnitude "
-            "from the original key space to moderate R; the estimation error grows "
-            "with R but stays below 1%."
-        ),
     )
     workload = zipf_workload(scale, seed=seed)
 
@@ -334,6 +387,32 @@ def _fig11(
     return result
 
 
+@register_claim(
+    "fig11", "(a) has the original-key-space point and one point per R, each timed above 0"
+)
+def _fig11_panel_a_series(result: ExperimentResult) -> bool:
+    panel_a = result.filter(panel="a")
+    baseline, *degrees = [row["degree"] for row in panel_a]
+    return (
+        baseline == "original-key-space"
+        and sorted(degrees) == sorted(set(result.column("degree")) - {baseline, None})
+        and all(row["avg_generation_time_ms"] > 0 for row in panel_a)
+    )
+
+
+@register_claim("fig11", "the error grows with R: (a)'s largest R errs at least as its smallest")
+def _fig11_error_grows_with_degree(result: ExperimentResult) -> bool:
+    _, *compacted = result.filter(panel="a")
+    finest, *_, coarsest = sorted(compacted, key=lambda row: row["degree"])
+    return coarsest["load_estimation_error_pct"] >= finest["load_estimation_error_pct"]
+
+
+@register_claim("fig11", "at R = 8 the load-estimation error is below 5 % for every theta_max (b)")
+def _fig11_error_small_at_r8(result: ExperimentResult) -> bool:
+    errors = [row["load_estimation_error_pct"] for row in result.filter(panel="b", degree=8)]
+    return bool(errors) and all(error < 5.0 for error in errors)
+
+
 # ---------------------------------------------------------------------------
 # Fig. 12 — planner comparison under varying fluctuation rate f
 # ---------------------------------------------------------------------------
@@ -355,11 +434,6 @@ def _fig12(
         figure="Fig. 12",
         title="Scheduling efficiency and migration cost with varying distribution change frequency",
         parameters={"theta_max": scale.theta_max, "K": scale.num_keys, "scale": scale.name},
-        notes=(
-            "Expected shape: Readj and MixedBF generation times are orders of "
-            "magnitude above Mixed/MinTable; Mixed's migration cost grows slowest "
-            "with f."
-        ),
     )
     result.rows.extend(
         planner_sweep(
@@ -378,6 +452,14 @@ def _fig12(
         )
     )
     return result
+
+
+@register_claim("fig12", "Readj plans slower than Mixed (mean generation time over the sweep)")
+def _fig12_readj_slower_than_mixed(result: ExperimentResult) -> bool:
+    readj, mixed = (
+        _mean_where(result, "avg_generation_time_ms", algorithm=name) for name in ("readj", "mixed")
+    )
+    return readj > mixed
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +483,6 @@ def _fig13(
         figure="Fig. 13",
         title="Throughput and latency with varying distribution change frequency",
         parameters={"theta_max": scale.theta_max, "scale": scale.name},
-        notes=(
-            "Expected shape: Ideal bounds everything from above; Mixed stays close "
-            "to Ideal while Readj and Storm degrade as f grows."
-        ),
     )
     for fluctuation in fluctuations:
         workload = zipf_workload(
@@ -431,6 +509,30 @@ def _fig13(
     return result
 
 
+def _fig13_at_smallest_f(result: ExperimentResult) -> Dict[str, Dict]:
+    smallest = min(result.column("fluctuation"))
+    return {row["strategy"]: row for row in result.filter(fluctuation=smallest)}
+
+
+@register_claim("fig13", "at the smallest f, throughput Ideal >= Mixed >= Storm (to 1e-6)")
+def _fig13_throughput_order(result: ExperimentResult) -> bool:
+    rows = _fig13_at_smallest_f(result)
+    ideal, mixed, storm = (rows[name]["throughput"] for name in ("ideal", "mixed", "storm"))
+    return ideal >= mixed - 1e-6 and mixed >= storm - 1e-6
+
+
+@register_claim("fig13", "at the smallest f, Mixed's latency is no higher than Storm's")
+def _fig13_latency_order(result: ExperimentResult) -> bool:
+    rows = _fig13_at_smallest_f(result)
+    return rows["mixed"]["latency_ms"] <= rows["storm"]["latency_ms"]
+
+
+@register_claim("fig13", "at the smallest f, Ideal's skewness is 1 (relative 1e-6)")
+def _fig13_ideal_is_balanced(result: ExperimentResult) -> bool:
+    skewness = _fig13_at_smallest_f(result)["ideal"]["skewness"]
+    return math.isclose(skewness, 1.0, rel_tol=1e-6, abs_tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Fig. 14 — throughput on the Social and Stock workloads vs theta_max
 # ---------------------------------------------------------------------------
@@ -453,12 +555,6 @@ def _fig14(
         figure="Fig. 14",
         title="Throughput on real-world surrogate workloads vs theta_max",
         parameters={"N_D": scale.num_tasks, "scale": scale.name},
-        notes=(
-            "Expected shape: Mixed leads on both workloads (best at the tightest "
-            "theta_max); PKG (Social only) is theta-insensitive but below Mixed; "
-            "Readj only catches up under loose balance requirements; MinTable "
-            "loses throughput to its migration volume."
-        ),
     )
     social = SocialFeedWorkload(
         num_words=scale.num_keys,
@@ -509,6 +605,19 @@ def _fig14(
     return result
 
 
+@register_claim("fig14", "on Social at theta_max = 0.08, Mixed's throughput is at least Storm's")
+def _fig14_mixed_beats_storm_on_social(result: ExperimentResult) -> bool:
+    rows = result.filter(panel="a-social", theta_max=0.08)
+    throughput = {row["strategy"]: row["throughput"] for row in rows}
+    return throughput["mixed"] >= throughput["storm"]
+
+
+@register_claim("fig14", "the Stock panel runs Storm, Readj, Mixed and MinTable")
+def _fig14_stock_strategies(result: ExperimentResult) -> bool:
+    stock = {row["strategy"] for row in result.filter(panel="b-stock")}
+    return stock == {"storm", "readj", "mixed", "mintable"}
+
+
 # ---------------------------------------------------------------------------
 # Fig. 15 — throughput over time during scale-out
 # ---------------------------------------------------------------------------
@@ -536,11 +645,6 @@ def _fig15(
             "added_at_interval": add_at,
             "scale": scale.name,
         },
-        notes=(
-            "Expected shape: Mixed re-balances onto the new instance within one "
-            "planning round; Readj takes much longer; Storm never uses the new "
-            "instance for existing keys."
-        ),
     )
     social = SocialFeedWorkload(
         num_words=scale.num_keys,
@@ -589,6 +693,19 @@ def _fig15(
     return result
 
 
+@register_claim(
+    "fig15",
+    "no lasting collapse: Mixed on Social (theta_max = 0.1) keeps >= 90 % of its mean "
+    "throughput before the scale-out from two intervals after it",
+)
+def _fig15_mixed_recovers(result: ExperimentResult) -> bool:
+    add_at = result.parameters["added_at_interval"]
+    rows = result.filter(panel="a-social", strategy="mixed", theta_max=0.1)
+    before = mean(row["throughput"] for row in rows if row["interval"] < add_at)
+    after = mean(row["throughput"] for row in rows if row["interval"] > add_at + 1)
+    return after >= before * 0.9
+
+
 # ---------------------------------------------------------------------------
 # Fig. 16 — continuous TPC-H Q5 throughput over time
 # ---------------------------------------------------------------------------
@@ -628,11 +745,6 @@ def _fig16(
             "change_every": change_every,
             "scale": scale.name,
         },
-        notes=(
-            "Expected shape: Mixed recovers quickly after every triggered "
-            "distribution change and sustains the best throughput; Storm has no "
-            "balancing and stays lowest."
-        ),
     )
     q5_window = 5
     for theta in thetas:
@@ -667,6 +779,15 @@ def _fig16(
     return result
 
 
+@register_claim("fig16", "at theta_max = 0.1, Mixed's mean throughput beats Storm's")
+def _fig16_mixed_beats_storm(result: ExperimentResult) -> bool:
+    mixed, storm = (
+        _mean_where(result, "throughput", theta_max=0.1, strategy=name)
+        for name in ("mixed", "storm")
+    )
+    return mixed > storm
+
+
 # ---------------------------------------------------------------------------
 # Figs. 17-21 — appendix parameter studies
 # ---------------------------------------------------------------------------
@@ -688,11 +809,6 @@ def _fig17(
         figure="Fig. 17",
         title="Migration cost of Mixed under different routing-table caps",
         parameters={"K": scale.num_keys, "scale": scale.name},
-        notes=(
-            "Expected shape: tight caps force Mixed to behave like MinTable "
-            "(high migration cost); relaxing the cap past the needed size drops "
-            "the cost sharply, earlier for looser theta_max."
-        ),
     )
     workload = zipf_workload(scale, seed=seed)
     result.rows.extend(
@@ -717,6 +833,17 @@ def _fig17(
     return result
 
 
+@register_claim(
+    "fig17", "at theta_max = 0.08, a loose cap (2^11) migrates no more than a tight one (2^1)"
+)
+def _fig17_loose_cap_cheaper(result: ExperimentResult) -> bool:
+    loose, tight = (
+        _mean_where(result, "migration_cost_pct", theta_max=0.08, cap_exponent=exponent)
+        for exponent in (11, 1)
+    )
+    return loose <= tight + 1e-9
+
+
 @register_experiment(
     "fig18",
     description="routing-table growth of MinMig along successive adjustments",
@@ -739,10 +866,6 @@ def _fig18(
             "convergence_bound": (scale.num_tasks - 1) / scale.num_tasks * scale.num_keys,
             "scale": scale.name,
         },
-        notes=(
-            "Expected shape: the table grows fastest for the tightest theta_max and "
-            "converges towards (N_D-1)/N_D * K entries because MinMig never cleans."
-        ),
     )
     result.rows.extend(
         planner_sweep(
@@ -764,6 +887,18 @@ def _fig18(
     return result
 
 
+@register_claim(
+    "fig18", "per theta_max, MinMig's table never shrinks and stays within (N_D-1)/N_D * K"
+)
+def _fig18_table_grows_within_bound(result: ExperimentResult) -> bool:
+    bound = result.parameters["convergence_bound"]
+    for theta in set(result.column("theta_max")):
+        sizes = [row["routing_table_size"] for row in result.filter(theta_max=theta)]
+        if sizes != sorted(sizes) or max(sizes) > bound:
+            return False
+    return True
+
+
 @register_experiment(
     "fig19",
     description="migration cost vs state window size w",
@@ -780,10 +915,6 @@ def _fig19(
         figure="Fig. 19",
         title="Migration cost with varying window size",
         parameters={"theta_max": scale.theta_max, "K": scale.num_keys, "scale": scale.name},
-        notes=(
-            "Expected shape: larger windows give Mixed more low-cost migration "
-            "candidates, so its cost stays below MinTable's at every w."
-        ),
     )
     result.rows.extend(
         planner_sweep(
@@ -801,6 +932,15 @@ def _fig19(
         )
     )
     return result
+
+
+@register_claim("fig19", "at every window w, Mixed migrates no more than MinTable")
+def _fig19_mixed_below_mintable(result: ExperimentResult) -> bool:
+    return all(
+        _mean_where(result, "migration_cost_pct", window=window, algorithm="mixed")
+        <= _mean_where(result, "migration_cost_pct", window=window, algorithm="mintable") + 1e-9
+        for window in set(result.column("window"))
+    )
 
 
 def _beta_sweep(
@@ -848,10 +988,6 @@ def _fig20(
         figure="Fig. 20",
         title="Routing table size for different beta",
         parameters={"K": scale.num_keys, "scale": scale.name},
-        notes=(
-            "Expected shape: larger beta prefers heavy keys, so fewer entries are "
-            "needed; the size stabilises for beta in [1.5, 2.0]."
-        ),
     )
     for row in _beta_sweep(scale, betas, thetas, seed):
         result.add_row(
@@ -860,6 +996,14 @@ def _fig20(
             routing_table_size=row["routing_table_size"],
         )
     return result
+
+
+@register_claim("fig20", "at theta_max = 0.08, beta = 2.0 needs a table no larger than beta = 1.0")
+def _fig20_larger_beta_smaller_table(result: ExperimentResult) -> bool:
+    large, small = (
+        _mean_where(result, "routing_table_size", theta_max=0.08, beta=beta) for beta in (2.0, 1.0)
+    )
+    return large <= small + 1e-9
 
 
 @register_experiment(
@@ -878,10 +1022,6 @@ def _fig21(
         figure="Fig. 21",
         title="Migration cost for different beta",
         parameters={"K": scale.num_keys, "scale": scale.name},
-        notes=(
-            "Expected shape: migration cost grows with beta (heavier keys carry "
-            "more state); tight theta_max pays more at every beta."
-        ),
     )
     for row in _beta_sweep(scale, betas, thetas, seed):
         result.add_row(
@@ -890,3 +1030,10 @@ def _fig21(
             migration_cost_pct=row["migration_cost_pct"],
         )
     return result
+
+
+@register_claim("fig21", "one row per (theta_max, beta) pair of the sweep")
+def _fig21_one_row_per_pair(result: ExperimentResult) -> bool:
+    pairs = {(row["theta_max"], row["beta"]) for row in result.rows}
+    thetas, betas = set(result.column("theta_max")), set(result.column("beta"))
+    return len(result) == len(pairs) == len(thetas) * len(betas)

@@ -5,7 +5,8 @@ The public experiment API has three pieces:
 * an **experiment registry**: every figure driver registers itself with
   :func:`register_experiment` under its id (``"fig07"`` … ``"fig21"``), so
   the CLI, the examples and the benchmarks can enumerate and resolve
-  experiments by name;
+  experiments by name; :func:`register_claim` attaches the figure's
+  expected shape to it, each claim one check on the figure's rows;
 * :class:`ExperimentSpec` — a declarative description of one run: experiment
   name, scale preset plus field overrides, seed, an optional strategy list
   and sweep axes, and free-form driver parameters.  Specs serialise to/from
@@ -58,11 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.store import ResultsStore
 
 __all__ = [
+    "Claim",
     "ExperimentDefinition",
     "ExperimentSpec",
     "ExperimentRun",
     "RunMetadata",
     "register_experiment",
+    "register_claim",
     "get_experiment",
     "list_experiments",
     "experiment_names",
@@ -76,12 +79,22 @@ ExperimentBuilder = Callable[..., ExperimentResult]
 
 
 @dataclass(frozen=True)
+class Claim:
+    """One expected property of a figure, checked on the figure's rows."""
+
+    text: str
+    holds: Callable[[ExperimentResult], bool]
+
+
+@dataclass(frozen=True)
 class ExperimentDefinition:
-    """A registered experiment: name, one-line description and builder."""
+    """A registered experiment: name, one-line description, builder and the
+    claims its rows must satisfy (see ``CLAIMS.md``)."""
 
     name: str
     builder: ExperimentBuilder
     description: str = ""
+    claims: List[Claim] = field(default_factory=list)
 
 
 _EXPERIMENTS: Dict[str, ExperimentDefinition] = {}
@@ -99,6 +112,19 @@ def register_experiment(
             name=name, builder=builder, description=description
         )
         return builder
+
+    return decorator
+
+
+def register_claim(
+    name: str, text: str
+) -> Callable[[Callable[[ExperimentResult], bool]], Callable[[ExperimentResult], bool]]:
+    """Decorator attaching ``holds(result) -> bool`` to experiment ``name``
+    as the claim ``text``."""
+
+    def decorator(holds: Callable[[ExperimentResult], bool]):
+        _EXPERIMENTS[name].claims.append(Claim(text, holds))
+        return holds
 
     return decorator
 

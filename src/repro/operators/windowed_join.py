@@ -110,16 +110,12 @@ class WindowedSelfJoin(WindowedJoin):
         # tuples of its key.  The emitted pairs are built from the retained
         # lists' elements, never the lists themselves.
         state_per_tuple = self.state_per_tuple
+        accumulate = state.accumulate_batch
         out_keys: List[Key] = []
         out_values: List[Any] = []
         for key, value in zip(keys, values):
             for retained in state.payloads(key):
                 out_keys.extend([key] * len(retained))
                 out_values.extend([(value, match) for match in retained])
-            state.accumulate(
-                key,
-                interval,
-                state_per_tuple,
-                payload_update=lambda old, value=value: retain(old, value),
-            )
+            accumulate((key,), (value,), interval, state_per_tuple, retain)
         return out_keys, out_values

@@ -1,14 +1,15 @@
 """``KeyedState.accumulate_batch`` against its oracle: one ``accumulate`` per tuple.
 
-The batch write keeps a running ``(payload, size)`` per distinct key and
-stores it once; nothing about that may be visible from outside.  Whatever the
-interleaving of keys, however many intervals pass a window of two (so a
-batch's first tuple of a key evicts a slot) and with or without a ``fold``,
-the payload returned after each tuple, the retained payloads and every key's
-size must equal the per-tuple path's bit for bit.  ``total_size()`` moves
-once per key per batch instead of once per tuple, so it is compared exactly
-for dyadic deltas (whose sums are exact) and to float summation order
-otherwise.
+The batch write looks each tuple's key up once in the batch interval's table
+and grows that ``[payload, size]`` slot in place, in tuple order; a batch for
+a newer interval first opens its table, dropping every table that left the
+window.  Whatever the interleaving of keys, however many intervals pass a
+window of two (so a newer batch drops the oldest table) and with or without
+a ``fold``, the payload returned after each tuple, the retained payloads and
+every key's size must equal the per-tuple path's bit for bit.
+``total_size()`` moves once per batch instead of once per tuple, so it is
+compared exactly for dyadic deltas (whose sums are exact) and to float
+summation order otherwise.
 """
 
 import pytest
@@ -89,7 +90,7 @@ class TestAccumulateBatchOracle:
 class TestNegativeSize:
     """A delta that drives a key's size below zero raises, as ``accumulate``
     does — and the batch is atomic for the store: the check runs on the
-    running sizes, before the first window write."""
+    running sizes, before the first table write."""
 
     def _seeded(self):
         state = KeyedState(window=2)

@@ -8,6 +8,9 @@ same values — except wall-clock timing columns, which are inherently
 non-deterministic and are excluded from the comparison.  Golden files store
 columns alphabetically (``sort_keys``), so column *sets* are compared rather
 than column order.
+
+The same ``tiny`` run, read from the session's figure cache (the one the
+figure benchmarks print), must also satisfy each of its figure's claims.
 """
 
 import json
@@ -16,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ExperimentSpec, experiment_names, run
+from repro.experiments import ExperimentSpec, experiment_names, get_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+CLAIMS_MD = Path(__file__).resolve().parents[2] / "CLAIMS.md"
 
 #: Wall-clock measurements: real on every run, but never reproducible.
 TIMING_COLUMNS = {"avg_generation_time_ms"}
@@ -49,10 +53,14 @@ def _values_match(expected, actual) -> bool:
     return expected == actual
 
 
+def _tiny(fig_id, figure_cache):
+    return figure_cache.run(ExperimentSpec(fig_id, scale="tiny")).result
+
+
 @pytest.mark.parametrize("fig_id", ALL_PARAMS)
-def test_figure_matches_golden(fig_id):
+def test_figure_matches_golden(fig_id, figure_cache):
     golden = json.loads((GOLDEN_DIR / f"{fig_id}.json").read_text())
-    result = run(ExperimentSpec(fig_id, scale="tiny")).result
+    result = _tiny(fig_id, figure_cache)
 
     assert result.figure == golden["figure"]
     assert result.title == golden["title"]
@@ -72,6 +80,15 @@ def test_figure_matches_golden(fig_id):
             )
 
 
+@pytest.mark.parametrize("fig_id", ALL_PARAMS)
+def test_claims_hold_at_tiny(fig_id, figure_cache):
+    result = _tiny(fig_id, figure_cache)
+    claims = get_experiment(fig_id).claims
+    assert claims, f"{fig_id} has no claim"
+    failing = [claim.text for claim in claims if not claim.holds(result)]
+    assert not failing, f"{fig_id}: {failing}"
+
+
 def test_every_figure_has_a_golden():
     missing = [
         fig_id
@@ -79,3 +96,14 @@ def test_every_figure_has_a_golden():
         if not (GOLDEN_DIR / f"{fig_id}.json").is_file()
     ]
     assert not missing, f"golden files missing for: {missing}"
+
+
+def test_claims_md_lists_every_claim():
+    table = CLAIMS_MD.read_text()
+    missing = [
+        (fig_id, claim.text)
+        for fig_id in experiment_names()
+        for claim in get_experiment(fig_id).claims
+        if f"| {int(fig_id[3:])} | {claim.text} |" not in table
+    ]
+    assert not missing, f"CLAIMS.md does not list: {missing}"
