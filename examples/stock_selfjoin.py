@@ -57,8 +57,9 @@ def main() -> None:
         print(f"{interval:>8} | {row}{marker}")
 
     print()
-    print("Expected: mixed re-balances onto the new instance within one interval;")
-    print("readj takes longer; storm's hash never uses the new instance at all.")
+    print("Expected: every strategy re-hashes onto the new instance when it is added")
+    print("and pays a short pause to migrate the state that moved; mixed and readj")
+    print("then keep rebalancing as before.")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ protocol:
   :class:`~repro.core.planner.RebalanceResult` when keys (and their state) were
   migrated, or ``None`` when nothing changed;
 * :meth:`Partitioner.supports_stateful` advertises whether the strategy keeps
-  the key-contiguity guarantee stateful operators need (PKG does not).
+  the key-contiguity guarantee stateful operators need (PKG does not);
+* :meth:`Partitioner.resize` scales the strategy and returns the placement
+  diff the resize makes — the keys whose state both engines migrate.
 
 :class:`RebalancingPartitioner` is the paper's framework (Fig. 5) written
 once: observe the interval, compare ``θ`` with ``θ_max``, plan ``F′``, install
@@ -346,8 +348,9 @@ class Partitioner(ABC):
     def scale_out(self, new_num_tasks: int) -> None:
         """Grow the downstream operator to ``new_num_tasks`` tasks.
 
-        Static strategies simply update their hash range; rebalancing
-        strategies additionally fold the change into their next planning round.
+        The hash range grows, so keys re-hash onto the new tasks at once;
+        both engines resize through :meth:`resize`, which migrates the
+        resulting placement diff.
         """
         if new_num_tasks < self.num_tasks:
             raise ValueError("scale_out cannot shrink the operator")
@@ -368,6 +371,30 @@ class Partitioner(ABC):
             raise ValueError("scale_in needs at least one remaining task")
         self.num_tasks = int(new_num_tasks)
         self.invalidate_route_cache()
+
+    def resize(self, new_num_tasks: int, keys: Iterable[Key]) -> List[Tuple[Key, int, int]]:
+        """Scale to ``new_num_tasks`` tasks; return the moves the resize makes.
+
+        The one resize rule of both engines: ``keys`` are placed before and
+        after :meth:`scale_out` / :meth:`scale_in`, and each key whose task
+        changed comes back as ``(key, source, target)`` — the state the
+        caller migrates.  A split-key strategy (:meth:`supports_stateful` is
+        False) gives no key one owner, so it is resized without being asked
+        to route: asking would count phantom tuples in its load estimates.
+        """
+        scale = self.scale_out if new_num_tasks >= self.num_tasks else self.scale_in
+        if not self.supports_stateful():
+            scale(new_num_tasks)
+            return []
+        keys = list(keys)
+        before = self.assign_batch(keys)
+        scale(new_num_tasks)
+        after = self.assign_batch(keys)
+        return [
+            (key, source, target)
+            for key, source, target in zip(keys, before, after)
+            if source != target
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(num_tasks={self.num_tasks})"
@@ -429,9 +456,10 @@ class RebalancingPartitioner(Partitioner):
     def scale_out(self, new_num_tasks: int) -> None:
         """Add task instances; every explicit route is preserved.
 
-        The next planning round naturally spreads keys onto the new tasks
-        (their load is zero, so they are the least-loaded targets), which is
-        the scale-out behaviour measured in Fig. 15.
+        ``h`` is re-hashed over the new range, so every key outside the table
+        may change task at once; both engines migrate that placement diff
+        (:meth:`~Partitioner.resize`), which is the scale-out measured in
+        Fig. 15.
         """
         super().scale_out(new_num_tasks)
         self._rehash()

@@ -13,18 +13,20 @@ When the controller decides on a new assignment function, the affected keys
 Tuples of *unaffected* keys flow normally throughout.  The protocol therefore
 costs (a) a transfer time proportional to the migrated state volume and (b) a
 processing pause — limited to the affected keys — on the sending and receiving
-tasks.  :class:`MigrationProtocol` executes the state hand-off on the in-memory
-:class:`~repro.engine.operator.Task` objects and reports both costs so the
-simulator can charge them to the next interval.
+tasks.  :class:`MigrationProtocol` is the fluid simulator's cost model of it: a
+move ships the ``S(k, w)`` its plan carries (:attr:`KeyMove.state_size
+<repro.core.migration.KeyMove.state_size>`, read off the statistics window),
+and the report holds both costs so the simulator can charge them to the next
+interval.  The process runtime moves real state over the same steps
+(:mod:`repro.runtime.controller`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Set
+from typing import Dict, Hashable, Set
 
 from repro.core.migration import MigrationPlan
-from repro.engine.operator import Task
 
 __all__ = ["MigrationReport", "MigrationProtocol"]
 
@@ -53,16 +55,16 @@ class MigrationReport:
 
 
 class MigrationProtocol:
-    """Executes migration plans against in-memory task instances."""
+    """Costs migration plans: transfer volume, duration and per-task pause."""
 
     def execute(
         self,
         plan: MigrationPlan,
-        tasks: Mapping[int, Task],
+        num_tasks: int,
         *,
         interval_seconds: float = 10.0,
     ) -> MigrationReport:
-        """Move the state of every key in ``plan`` between the given tasks.
+        """Ship the state of every key in ``plan`` among ``num_tasks`` tasks.
 
         Returns a report with the transfer volume, the wall-clock duration of
         the hand-off and the per-task pause fractions (relative to
@@ -75,23 +77,15 @@ class MigrationProtocol:
         per_pair_bytes: Dict[tuple, float] = {}
         per_task_bytes: Dict[int, float] = {}
         for move in plan:
-            source = tasks.get(move.source)
-            target = tasks.get(move.target)
-            if source is None or target is None:
+            if not (0 <= move.source < num_tasks and 0 <= move.target < num_tasks):
                 raise KeyError(
                     f"migration plan references unknown task(s) "
                     f"{move.source}->{move.target}"
                 )
-            snapshot = source.extract_key(move.key)
-            actual_size = sum(size for _, _, size in snapshot)
-            # Prefer the actual state held by the task; fall back to the
-            # planner's estimate for keys whose state lives off-simulation.
-            size = actual_size if actual_size > 0 else move.state_size
-            target.install_key(move.key, snapshot)
             report.moved_keys += 1
-            report.moved_state += size
+            report.moved_state += move.state_size
             report.paused_keys.add(move.key)
-            volume = size * BYTES_PER_STATE_UNIT
+            volume = move.state_size * BYTES_PER_STATE_UNIT
             per_pair_bytes[(move.source, move.target)] = (
                 per_pair_bytes.get((move.source, move.target), 0.0) + volume
             )

@@ -11,23 +11,22 @@ in ``tests/operators/reference_operators.py`` as the oracle.
 
 A :class:`Task` is one parallel instance of the operator: it owns a
 :class:`~repro.engine.state.KeyedState`, applies the logic to the tuples routed
-to it and counts what it processed (:class:`TaskMetrics`).  It has two ways
-in: :meth:`Task.process_batch` (the process runtime) and
-:meth:`Task.ingest_counts` (the fluid simulator).
+to it and counts what it processed (:class:`TaskMetrics`).  Its one way in is
+:meth:`Task.process_batch` (the process runtime); the fluid simulator runs no
+tasks and keeps the windowed state as statistics only.
 """
 
 from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Any, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.engine.state import KeyedState
 
-__all__ = ["BatchCost", "OperatorLogic", "Task", "TaskMetrics", "UnitModel", "unit_values"]
+__all__ = ["BatchCost", "OperatorLogic", "Task", "TaskMetrics"]
 
 Key = Hashable
 
@@ -35,10 +34,6 @@ Key = Hashable
 #: every constant/affine model, i.e. every shipped operator) or an array of
 #: per-tuple values aligned with the batch's keys.
 BatchCost = Union[float, np.ndarray]
-
-#: The same answer as the fluid simulator hands it to its tasks: the scalar,
-#: or ``{key: unit value}`` over the interval's snapshot.
-UnitModel = Union[float, Mapping[Key, float]]
 
 
 class OperatorLogic(ABC):
@@ -155,13 +150,6 @@ class TaskMetrics:
     migrations_out: int = 0
 
 
-def unit_values(unit: UnitModel, frequencies: Mapping[Key, float]) -> Iterable[float]:
-    """``unit`` as one value per key of ``frequencies``, in its order."""
-    if isinstance(unit, Mapping):
-        return map(unit.__getitem__, frequencies)
-    return repeat(unit)
-
-
 class Task:
     """One parallel instance of a logical operator.
 
@@ -181,14 +169,8 @@ class Task:
         self.state = KeyedState(window=max(1, logic.window))
         self.metrics = TaskMetrics()
         self._interval_open = False
-        self._current_interval: Optional[int] = None
 
     # -- processing -------------------------------------------------------------------
-
-    def begin_interval(self, interval: int) -> None:
-        """Open ``interval`` (called by the simulator)."""
-        self._current_interval = interval
-        self._interval_open = True
 
     def process_batch(
         self, keys: Sequence[Key], values: Sequence[Any], interval: int
@@ -200,8 +182,7 @@ class Task:
         the processing mutates the windowed state, so a cost model that reads
         its own accumulated state sees pre-batch state.
         """
-        if not self._interval_open:
-            self.begin_interval(interval)
+        self._interval_open = True
         count = len(keys)
         costs = self.logic.batch_cost(keys, values) if count else 0.0
         outputs = self.logic.process_batch(keys, values, interval, self.state, self.task_id)
@@ -211,60 +192,25 @@ class Task:
         )
         return outputs
 
-    def ingest_counts(
-        self,
-        interval: int,
-        frequencies: Mapping[Key, float],
-        unit_cost: UnitModel,
-        unit_delta: UnitModel,
-    ) -> None:
-        """Fluid-model ingestion: account for ``frequencies`` without running
-        the event-level logic (the interval simulator's way in).
-
-        ``unit_cost`` / ``unit_delta`` are the operator's per-tuple cost and
-        state models as the simulator evaluated them once for the whole
-        snapshot: the scalar, or ``{key: value}`` covering ``frequencies``.
-        """
-        if not self._interval_open or self._current_interval != interval:
-            self.begin_interval(interval)
-        costs = unit_values(unit_cost, frequencies)
-        deltas = unit_values(unit_delta, frequencies)
-        keys: List[Key] = []
-        added: List[float] = []
-        tuples = 0
-        total_cost = 0.0
-        for (key, freq), cost, delta in zip(frequencies.items(), costs, deltas):
-            amount = delta * freq
-            if amount > 0:
-                keys.append(key)
-                added.append(amount)
-            tuples += int(freq)
-            total_cost += cost * freq
-        self.state.accumulate_batch(keys, added, interval, added)
-        self.metrics.tuples_processed += tuples
-        self.metrics.cost_processed += total_cost
-
     @property
     def has_open_interval(self) -> bool:
         """True when tuples were processed since the last :meth:`end_interval`."""
         return self._interval_open
 
-    def end_interval(self, interval: Optional[int] = None) -> None:
-        """Close the current interval: expire the state that left the window.
+    def end_interval(self, interval: int) -> None:
+        """Close ``interval``: expire the state that left the window.
 
-        ``interval`` overrides the expiry horizon (default: the interval that
-        was opened).  The process runtime passes the marker's interval
-        explicitly: in a pipelined topology the task may already have
-        processed tuples of a later interval from a fast upstream producer,
-        and expiring at that watermark would drop window state one interval
+        The horizon is the closing marker's interval, not the newest one the
+        task saw: in a pipelined topology the task may already have processed
+        tuples of a later interval from a fast upstream producer, and
+        expiring at that watermark would drop window state one interval
         early.
         """
         if not self._interval_open:
-            raise RuntimeError("end_interval called before begin_interval")
+            raise RuntimeError("end_interval called before any batch was processed")
         self._interval_open = False
-        horizon = interval if interval is not None else self._current_interval
-        if self.logic.stateful and horizon is not None:
-            self.state.expire(horizon)
+        if self.logic.stateful:
+            self.state.expire(interval)
 
     # -- migration ------------------------------------------------------------------------
 

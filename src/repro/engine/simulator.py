@@ -14,8 +14,13 @@ topology against a workload source with a *fluid* per-interval model:
   executors (single-server fluid queues), and feeds the processed share,
   re-keyed, to the next stage;
 * at the end of the interval the stage's partitioner sees the operator-level
-  statistics and may rebalance; the migration protocol is executed on the
-  in-memory task state and its pause cost is charged to the next interval;
+  statistics and may rebalance; the migration protocol costs the plan's
+  moves and its pause is charged to the next interval;
+* a stage keeps no per-key state: the statistics window it pushes every
+  interval holds each key's ``S(k, w)``, which is what a move ships.  A
+  resize migrates its placement diff
+  (:meth:`~repro.baselines.base.Partitioner.resize`, as the process runtime
+  does) at ``S(k, w)`` per key and charges it like a rebalance;
 * per-interval metrics are collected for every stage and for the pipeline as a
   whole.
 
@@ -27,20 +32,22 @@ as the TPC-H Q5 topology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import mul
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.baselines.base import Partitioner
 from repro.core.load import max_balance_indicator, max_skewness
+from repro.core.migration import KeyMove, MigrationPlan
 from repro.core.snapshot import Snapshot, WorkloadSnapshot
-from repro.core.statistics import IntervalStats
+from repro.core.statistics import IntervalStats, StatisticsStore
 from repro.engine.backpressure import ShedLedger
 from repro.engine.executor import ExecutorConfig, TaskExecutor
 from repro.engine.metrics import IntervalMetrics, MetricsCollector
-from repro.engine.migration_protocol import MigrationProtocol
-from repro.engine.operator import BatchCost, OperatorLogic, Task, UnitModel, unit_values
+from repro.engine.migration_protocol import MigrationProtocol, MigrationReport
+from repro.engine.operator import BatchCost, OperatorLogic
 from repro.engine.topology import StageSpec, TopologySpec
 
 __all__ = [
@@ -52,6 +59,10 @@ __all__ = [
 
 Key = Hashable
 
+#: A batch model's answer as every per-task sub-snapshot reads it: the scalar,
+#: or ``{key: unit value}`` over the interval's snapshot.
+UnitModel = Union[float, Mapping[Key, float]]
+
 
 def _unit_model(model: BatchCost, keys: Sequence[Key]) -> UnitModel:
     """A batch model's answer over a snapshot's ``keys`` in the shape every
@@ -61,7 +72,8 @@ def _unit_model(model: BatchCost, keys: Sequence[Key]) -> UnitModel:
 
 def _weighted_sum(freqs: WorkloadSnapshot, unit: UnitModel) -> float:
     """``Σ count × unit value`` over ``freqs``, added in its order."""
-    return sum(map(mul, freqs.values(), unit_values(unit, freqs)))
+    values = map(unit.__getitem__, freqs) if isinstance(unit, Mapping) else repeat(unit)
+    return sum(map(mul, freqs.values(), values))
 
 
 @dataclass(frozen=True)
@@ -123,12 +135,14 @@ class _StageRuntime:
         self.stage = stage
         self.config = config
         self.capacity: Optional[float] = config.fixed_capacity
-        self.tasks: Dict[int, Task] = {
-            task_id: Task(task_id, stage.logic) for task_id in range(stage.parallelism)
-        }
+        #: The stage's only record of state: the last ``w`` intervals'
+        #: statistics, whose ``S(k, w)`` is what a moved key ships.
+        self.window = StatisticsStore(window=max(1, stage.logic.window))
         self.executors: Dict[int, TaskExecutor] = {}
         self.protocol = MigrationProtocol()
         self.pending_pause: Dict[int, float] = {}
+        #: The resize migration charged to the interval about to run.
+        self.resize_report = MigrationReport()
         #: Tuples admitted but not yet processed, per task and key (the tuple-
         #: level view of the executor's cost backlog) — they are forwarded
         #: downstream in the interval they are eventually served.
@@ -149,7 +163,7 @@ class _StageRuntime:
             service_time_ms=self.config.service_time_ms,
             max_backlog=self.capacity * self.config.max_backlog_intervals,
         )
-        for task_id in self.tasks:
+        for task_id in range(self.stage.partitioner.num_tasks):
             if task_id not in self.executors:
                 self.executors[task_id] = TaskExecutor(executor_config)
 
@@ -175,11 +189,27 @@ class _StageRuntime:
         return self._rekeyed([in_freqs])
 
     def scale_out(self, new_parallelism: int) -> None:
-        """Grow the stage; new tasks reuse the calibrated per-task capacity."""
-        self.stage.partitioner.scale_out(new_parallelism)
-        for task_id in range(new_parallelism):
-            if task_id not in self.tasks:
-                self.tasks[task_id] = Task(task_id, self.stage.logic)
+        """Grow the stage; new tasks reuse the calibrated per-task capacity.
+
+        The keys the resize re-homes ship their ``S(k, w)`` as a rebalance's
+        do: the pause is added to the next interval's, and the moved state
+        and seconds to that interval's record.
+        """
+        partitioner = self.stage.partitioner
+        if new_parallelism < partitioner.num_tasks:
+            raise ValueError("the fluid simulator only scales out")
+        sizes = self.window.memory_map()
+        plan = MigrationPlan([
+            KeyMove(key, source, target, sizes[key])
+            for key, source, target in partitioner.resize(new_parallelism, sizes)
+        ])
+        self.resize_report = report = self.protocol.execute(
+            plan, new_parallelism, interval_seconds=self.config.interval_seconds
+        )
+        for task_id, fraction in report.pause_fraction_by_task.items():
+            self.pending_pause[task_id] = min(
+                1.0, self.pending_pause.get(task_id, 0.0) + fraction
+            )
         if self.capacity is not None:
             self._build_executors()
 
@@ -201,7 +231,6 @@ class _StageRuntime:
         batch_cost = logic.batch_cost(keys)
         batch_delta = logic.batch_state_delta(keys)
         unit_cost = _unit_model(batch_cost, keys)
-        unit_delta = _unit_model(batch_delta, keys)
 
         if self.capacity is None:
             self._calibrate(_weighted_sum(in_freqs, unit_cost))
@@ -227,11 +256,9 @@ class _StageRuntime:
         #: Per-task tuples served this interval, by key (drives the output stream).
         served_freqs: Dict[int, Dict[Key, float]] = {}
         for task_id in range(num_tasks):
-            task = self.tasks[task_id]
             executor = self.executors[task_id]
             start_backlog = executor.backlog
             freqs = per_task_freqs.get(task_id, {})
-            task.ingest_counts(interval, freqs, unit_cost, unit_delta)
 
             # Merge the new arrivals into the task's pending tuple mix.
             pending = self.pending_freqs.setdefault(task_id, {})
@@ -276,7 +303,6 @@ class _StageRuntime:
                 self.shed_ledger.record(task_id, task_shed_tuples)
             backlog_total += outcome.backlog
             latency_weighted += outcome.latency_ms * max(task_processed_tuples, 0.0)
-            task.end_interval()
         self.pending_pause = {}
 
         mean_latency = (
@@ -304,21 +330,23 @@ class _StageRuntime:
             cost_per_tuple=batch_cost,
             memory_per_tuple=batch_delta,
         )
+        self.window.push(op_stats)
 
         rebalance = partitioner.on_interval_end(op_stats)
-        migration_seconds = 0.0
-        migrated_state = 0.0
+        migration_seconds = self.resize_report.duration_seconds
+        migrated_state = self.resize_report.moved_state
+        self.resize_report = MigrationReport()
         migration_fraction = 0.0
         generation_time = 0.0
         if rebalance is not None:
             report = self.protocol.execute(
                 rebalance.migration_plan,
-                self.tasks,
+                num_tasks,
                 interval_seconds=self.config.interval_seconds,
             )
             self.pending_pause = dict(report.pause_fraction_by_task)
-            migration_seconds = report.duration_seconds
-            migrated_state = report.moved_state
+            migration_seconds += report.duration_seconds
+            migrated_state += report.moved_state
             migration_fraction = rebalance.migration_fraction
             generation_time = rebalance.generation_time
 
@@ -480,8 +508,3 @@ class OperatorSimulator:
             }
         result = self.simulator.run(workload, scale_out_schedule=schedule)
         return result.primary_stage
-
-    @property
-    def tasks(self) -> Dict[int, Task]:
-        """The operator's task instances (for state inspection in tests)."""
-        return self.simulator.runtimes[0].tasks

@@ -166,11 +166,11 @@ class RuntimeController:
         )
 
     def execute_moves(
-        self, interval: int, moves: Dict[Key, Tuple[int, int]]
+        self, interval: int, moves: Sequence[Tuple[Key, int, int]]
     ) -> LiveMigrationReport:
         """Run one *synchronous* hand-off of explicit key moves.
 
-        ``moves`` maps ``key -> (source task, target task)``.  Used by
+        ``moves`` lists ``(key, source task, target task)``.  Used by
         elastic scaling, where the move set comes from diffing the
         partitioner's placement across a resize rather than from a
         rebalancing plan; the wire protocol (pause → extract → install →
@@ -187,7 +187,7 @@ class RuntimeController:
             return report
         target_of: Dict[Key, int] = {}
         by_source: Dict[int, List[Key]] = {}
-        for key, (source, target) in moves.items():
+        for key, source, target in moves:
             target_of[key] = target
             by_source.setdefault(source, []).append(key)
         self._start_handoff(target_of, by_source, report)

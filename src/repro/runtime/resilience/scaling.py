@@ -7,14 +7,14 @@ interval-close window — dispatch is quiescent, so the whole resize is one
 synchronous rebalance:
 
 * **scale-out** — spawn the new workers on fresh queues, resize the
-  partitioner (:meth:`~repro.baselines.base.Partitioner.scale_out`
-  preserves learned routing tables), then live-migrate exactly the keys
-  whose assignment changed onto the new tasks;
-* **scale-in** — resize the partitioner first
-  (:meth:`~repro.baselines.base.Partitioner.scale_in`), live-migrate every
-  key off the doomed tasks, then drain those workers with an ordinary
-  end-of-stream hand-shake so their lifetime totals still reach the final
-  accounting.
+  partitioner, then live-migrate exactly the keys whose assignment changed;
+* **scale-in** — resize the partitioner, live-migrate every key off the
+  doomed tasks, then drain those workers with an ordinary end-of-stream
+  hand-shake so their lifetime totals still reach the final accounting.
+
+The moves are :meth:`~repro.baselines.base.Partitioner.resize`'s placement
+diff, the rule the fluid simulator resizes by too (learned routing tables
+survive; a split-key strategy moves nothing).
 
 Either way the state hand-off reuses the existing migration wire protocol
 (pause → extract → install → ack → resume) and the measured pause is
@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 __all__ = ["ScaleDirective", "ScaleEvent", "execute_scale", "parse_scale_spec"]
 
@@ -112,24 +112,14 @@ def execute_scale(loop: Any, directive: ScaleDirective) -> ScaleEvent:
     # Any in-flight skew-driven migration must settle before the resize
     # reshuffles ownership underneath it.
     loop.controller.finish_pending()
-    # Placement before the resize, for every key this stage ever routed —
-    # the diff against the post-resize placement is the migration plan.
-    seen = sorted(loop.seen_keys, key=repr)
-    old_assign = partitioner.assign_batch(seen)
+    for task in range(old, new):
+        loop.attach_worker(task)
+    # The placement diff over every key this stage ever routed is the
+    # migration plan.
+    moves = partitioner.resize(new, sorted(loop.seen_keys, key=repr))
     if directive.delta > 0:
-        for task in range(old, new):
-            loop.attach_worker(task)
-        partitioner.scale_out(new)
         loop.router.set_queues(loop.guarded_queues)
         loop.controller.set_queues(loop.guarded_queues)
-    else:
-        partitioner.scale_in(new)
-    new_assign = partitioner.assign_batch(seen)
-    moves: Dict[Any, Tuple[int, int]] = {
-        key: (source, target)
-        for key, source, target in zip(seen, old_assign, new_assign)
-        if source != target
-    }
     report = loop.controller.execute_moves(loop.current_interval, moves)
     if directive.delta < 0:
         loop.detach_workers(new, old)

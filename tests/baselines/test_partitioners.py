@@ -17,7 +17,7 @@ from repro.baselines import (
 from repro.core.load import load_from_costs, max_balance_indicator
 from repro.core.planner import PlannerConfig
 from repro.core.statistics import IntervalStats
-from repro.core.strategy import get_strategy
+from repro.core.strategy import get_strategy, list_strategies
 
 
 def _skewed(num_keys=200, seed=0):
@@ -143,6 +143,42 @@ class TestPartialKeyGrouping:
         part = PartialKeyGrouping(4, seed=0)
         part.scale_out(6)
         assert all(task < 6 for task in part.candidate_tasks("x"))
+
+
+class TestResize:
+    """``Partitioner.resize``: the placement diff both engines migrate."""
+
+    @pytest.mark.parametrize("strategy", [spec.name for spec in list_strategies()])
+    def test_moves_are_the_placement_diff(self, strategy):
+        part, twin = (get_strategy(strategy).build(5, theta_max=0.05, seed=1) for _ in "ab")
+        for each in (part, twin):
+            each.on_interval_end(IntervalStats.from_frequencies(0, _skewed()))
+        keys = list(_skewed())
+        for new in (7, 3):
+            moves = part.resize(new, keys)
+            assert part.num_tasks == new
+            if not part.supports_stateful():
+                assert moves == []
+                continue
+            before = twin.assign_batch(keys)
+            (twin.scale_out if new > twin.num_tasks else twin.scale_in)(new)
+            after = twin.assign_batch(keys)
+            assert moves == [
+                (key, source, target)
+                for key, source, target in zip(keys, before, after)
+                if source != target
+            ]
+            assert moves
+
+    def test_split_key_resize_routes_nothing(self):
+        part = PartialKeyGrouping(4, seed=1)
+        part.assign_batch(["a", "b", "a", "c"])
+        loads = dict(part._loads)
+        splits = {key: dict(tasks) for key, tasks in part.split_counts.items()}
+        assert part.resize(6, ["a", "b", "c", "d"]) == []
+        assert part.num_tasks == 6
+        assert part._loads == {**loads, 4: 0.0, 5: 0.0}
+        assert part.split_counts == splits
 
 
 class TestReadj:

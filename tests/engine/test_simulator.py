@@ -48,9 +48,9 @@ class TestOperatorSimulator:
 
     def test_per_key_models_are_charged_key_by_key(self):
         """An operator whose batch models answer one value per key (the array
-        shape) is simulated with exactly those values: offered cost, the
-        tasks' counters and the retained state are Σ count × the key's own
-        unit cost / state."""
+        shape) is simulated with exactly those values: the offered cost and
+        the stage window's state ``S(k, w)`` are Σ count × the key's own unit
+        cost / state."""
 
         class Weighted(OperatorLogic):
             name, stateful = "weighted", True
@@ -65,13 +65,13 @@ class TestOperatorSimulator:
         sim = OperatorSimulator(
             HashPartitioner(4, seed=1), Weighted(), SimulationConfig(capacity_factor=2.0)
         )
-        sim.run([snapshot])
+        [record] = sim.run([snapshot])
         expected_cost = sum(count * (1.0 + int(key[1:]) % 3) for key, count in snapshot.items())
         expected_state = sum(count * 0.5 * (1 + int(key[1:]) % 2) for key, count in snapshot.items())
-        tasks = sim.tasks.values()
-        assert sum(task.metrics.cost_processed for task in tasks) == pytest.approx(expected_cost)
-        assert sum(task.state_size for task in tasks) == pytest.approx(expected_state)
-        assert sum(task.state.key_size("k7") for task in tasks) == snapshot["k7"] * 1.0
+        window = sim.simulator.runtimes[0].window
+        assert sum(record.per_task_load.values()) == pytest.approx(expected_cost)
+        assert window.total_windowed_memory() == pytest.approx(expected_state)
+        assert window.windowed_memory("k7") == snapshot["k7"] * 1.0
 
     def test_mixed_partitioner_rebalances_and_migrates_state(self):
         part = get_strategy("mixed").build(4, theta_max=0.1, max_table_size=200, seed=1)
@@ -149,10 +149,17 @@ class TestOperatorSimulator:
         last = metrics.intervals[-1]
         assert last.per_task_load.get(3, 0.0) > 0.0
 
+    def test_scale_out_cannot_shrink(self):
+        part = get_strategy("mixed").build(3, seed=2)
+        sim = OperatorSimulator(part, WordCountOperator(), SimulationConfig())
+        with pytest.raises(ValueError):
+            sim.run(skewed_workload(intervals=3), scale_out_at={1: 2})
+
     def test_tasks_accessible(self):
         sim = OperatorSimulator(HashPartitioner(2), WordCountOperator(), SimulationConfig())
-        sim.run(skewed_workload(intervals=2))
-        assert set(sim.tasks) == {0, 1}
+        metrics = sim.run(skewed_workload(intervals=2))
+        assert [record.num_tasks for record in metrics] == [2, 2]
+        assert set(metrics.intervals[-1].per_task_load) == {0, 1}
 
 
 class TestPipelineSimulator:

@@ -11,7 +11,6 @@ from repro.engine.migration_protocol import (
     BYTES_PER_STATE_UNIT,
     PAUSE_OVERHEAD_SECONDS,
     MigrationProtocol,
-    MigrationReport,
 )
 from repro.engine.operator import OperatorLogic, Task
 from repro.operators import WordCountOperator
@@ -26,47 +25,36 @@ class TestTask:
     def test_event_level_processing_and_stage_stats(self):
         logic = WordCountOperator(window=2)
         task = Task(0, logic)
-        task.begin_interval(1)
+        assert not task.has_open_interval
         words = ["a", "a", "b"]
         out_keys, _ = task.process_batch(words, [None] * 3, 1)
         assert out_keys == words
-        assert task.end_interval() is None
+        assert task.has_open_interval
+        assert task.end_interval(1) is None
+        assert not task.has_open_interval
         stats = _StageLoop._interval_stats(logic, 1, Counter(words))
         assert stats.frequency("a") == 2
         assert stats.cost("b") == 1
+        assert stats.memory("a") == 2
         assert stats.total_cost() == task.metrics.cost_processed
+        assert stats.total_memory() == task.state_size == 3.0
         assert task.metrics.tuples_processed == 3
-        assert task.state_size == 3.0
-
-    def test_ingest_counts_fluid_path(self):
-        logic = WordCountOperator(window=1)
-        task = Task(1, logic)
-        counts = {"a": 10, "b": 5}
-        task.ingest_counts(0, counts, logic.cost_per_tuple, logic.state_per_tuple)
-        assert task.has_open_interval
-        task.end_interval()
-        assert not task.has_open_interval
-        stats = _StageLoop._interval_stats(logic, 0, counts)
-        assert stats.frequency("a") == 10
-        assert stats.memory("b") == 5
-        assert stats.total_memory() == task.state_size == 15.0
-        assert stats.total_cost() == task.metrics.cost_processed == 15.0
-        assert task.metrics.tuples_processed == 15
 
     def test_state_expiry_on_interval_end(self):
         task = Task(0, WordCountOperator(window=1))
-        task.ingest_counts(0, {"a": 10}, 1.0, 1.0)
-        task.end_interval()
-        task.ingest_counts(5, {"b": 1}, 1.0, 1.0)
-        task.end_interval()
+        task.process_batch(["a"] * 10, [None] * 10, 0)
+        task.end_interval(0)
+        task.process_batch(["b"], [None], 5)
+        task.end_interval(5)
         # Window is 1 interval: the state from interval 0 is gone.
         assert task.state.key_size("a") == 0.0
+        assert task.state.key_size("b") == 1.0
 
     def test_extract_install_updates_metrics(self):
         source = Task(0, WordCountOperator(window=1))
         target = Task(1, WordCountOperator(window=1))
-        source.ingest_counts(0, {"hot": 100}, 1.0, 1.0)
-        source.end_interval()
+        source.process_batch(["hot"] * 100, [None] * 100, 0)
+        source.end_interval(0)
         snapshot = source.extract_key("hot")
         target.install_key("hot", snapshot)
         assert source.metrics.migrations_out == 1
@@ -75,7 +63,7 @@ class TestTask:
 
     def test_end_interval_without_begin_raises(self):
         with pytest.raises(RuntimeError):
-            Task(0, WordCountOperator()).end_interval()
+            Task(0, WordCountOperator()).end_interval(0)
 
     def test_invalid_task_id(self):
         with pytest.raises(ValueError):
@@ -86,43 +74,28 @@ class TestTask:
             name = "noop"
 
         task = Task(0, Passthrough())
-        task.begin_interval(0)
         assert task.process_batch(["x"], [1], 0) == (["x"], [1])
         assert task.state_size == 0.0
 
 
 class TestMigrationProtocol:
-    def _tasks(self):
-        tasks = {i: Task(i, WordCountOperator(window=2)) for i in range(3)}
-        tasks[0].ingest_counts(0, {"hot": 100, "warm": 10}, 1.0, 1.0)
-        tasks[1].ingest_counts(0, {"cold": 5}, 1.0, 1.0)
-        for task in tasks.values():
-            if task.has_open_interval:  # only tasks that ingested
-                task.end_interval()
-        return tasks
-
     def test_empty_plan_is_noop(self):
-        protocol = MigrationProtocol()
-        report = protocol.execute(MigrationPlan(), self._tasks())
+        report = MigrationProtocol().execute(MigrationPlan(), 3)
         assert report.moved_keys == 0
         assert report.duration_seconds == 0.0
         assert report.pause_fraction_by_task == {}
 
-    def test_state_actually_moves(self):
-        tasks = self._tasks()
+    def test_report_counts_the_moved_keys_and_paused_tasks(self):
         plan = MigrationPlan([KeyMove("hot", 0, 2, state_size=100)])
-        report = MigrationProtocol().execute(plan, tasks, interval_seconds=10)
+        report = MigrationProtocol().execute(plan, 3, interval_seconds=10)
         assert report.moved_keys == 1
         assert report.moved_state == 100.0
-        assert tasks[0].state.key_size("hot") == 0.0
-        assert tasks[2].state.key_size("hot") == 100.0
         assert report.paused_keys == {"hot"}
         assert set(report.pause_fraction_by_task) == {0, 2}
 
     def test_duration_scales_with_volume(self):
-        tasks = self._tasks()
         plan = MigrationPlan([KeyMove("hot", 0, 2, state_size=100)])
-        report = MigrationProtocol().execute(plan, tasks, interval_seconds=10)
+        report = MigrationProtocol().execute(plan, 3, interval_seconds=10)
         transfer = 100 * BYTES_PER_STATE_UNIT / BANDWIDTH_BYTES_PER_SECOND
         assert report.duration_seconds == pytest.approx(transfer + PAUSE_OVERHEAD_SECONDS)
         assert 0 < report.pause_fraction_by_task[0] <= 1.0
@@ -131,26 +104,27 @@ class TestMigrationProtocol:
         plan = MigrationPlan(
             [KeyMove("hot", 0, 2, state_size=100), KeyMove("warm", 0, 1, state_size=10)]
         )
-        both = MigrationProtocol().execute(plan, self._tasks(), interval_seconds=10)
+        both = MigrationProtocol().execute(plan, 3, interval_seconds=10)
         slowest = MigrationProtocol().execute(
-            MigrationPlan([KeyMove("hot", 0, 2, state_size=100)]),
-            self._tasks(),
-            interval_seconds=10,
+            MigrationPlan([KeyMove("hot", 0, 2, state_size=100)]), 3, interval_seconds=10
         )
         assert both.duration_seconds == pytest.approx(slowest.duration_seconds)
         # ...while the task sending both keys is busy for the sum.
         assert both.pause_fraction_by_task[0] > slowest.pause_fraction_by_task[0]
 
     def test_unknown_task_rejected(self):
-        plan = MigrationPlan([KeyMove("hot", 0, 9, state_size=1)])
-        with pytest.raises(KeyError):
-            MigrationProtocol().execute(plan, self._tasks())
+        for source, target in [(0, 9), (0, 3), (-1, 1)]:
+            plan = MigrationPlan([KeyMove("hot", source, target, state_size=1)])
+            with pytest.raises(KeyError):
+                MigrationProtocol().execute(plan, 3)
 
-    def test_stateless_key_uses_plan_estimate(self):
-        tasks = self._tasks()
-        plan = MigrationPlan([KeyMove("unknown", 1, 2, state_size=42)])
-        report = MigrationProtocol().execute(plan, tasks)
-        assert report.moved_state == 42.0
+    def test_every_move_ships_its_plan_size(self):
+        plan = MigrationPlan(
+            [KeyMove("unknown", 1, 2, state_size=42), KeyMove("cold", 2, 0, state_size=0.5)]
+        )
+        report = MigrationProtocol().execute(plan, 3)
+        assert report.moved_keys == 2
+        assert report.moved_state == 42.5
 
 
 class TestMetricsCollector:

@@ -10,10 +10,12 @@ differ even between two clean runs.
 import os
 import random
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 
 from repro.baselines.hash_only import HashPartitioner
+from repro.baselines.pkg import PartialKeyGrouping
 from repro.operators.tpch_q5 import DimensionJoin
 from repro.operators.windowed_aggregate import WindowedAggregate
 from repro.operators.wordcount import WordCountOperator
@@ -31,7 +33,8 @@ from repro.runtime import (
     TopologyRuntime,
     TopologySpec,
 )
-from repro.runtime.resilience.scaling import parse_scale_spec
+from repro.runtime.controller import LiveMigrationReport
+from repro.runtime.resilience.scaling import execute_scale, parse_scale_spec
 from repro.runtime.resilience.supervisor import parse_kill_spec
 from repro.workloads.tpch import ForeignKeyLookup
 
@@ -433,6 +436,40 @@ class TestElasticScaling:
         assert event["to_tasks"] == event["from_tasks"] + scale_at.delta
         assert event["moved_keys"] > 0
         assert event["rebalance_pause_seconds"] > 0
+
+    def test_split_key_resize_leaves_the_load_estimates_alone(self):
+        """A PKG stage is resized without being asked to route: its books of
+        the next interval hold no phantom tuples, and no key moves."""
+        partitioner = PartialKeyGrouping(4, seed=1)
+        partitioner.assign_batch(["a", "b", "a", "c"])
+        loads = dict(partitioner._loads)
+        splits = {key: dict(tasks) for key, tasks in partitioner.split_counts.items()}
+        shipped = []
+
+        def execute_moves(interval, moves):
+            shipped.append(list(moves))
+            return LiveMigrationReport(interval=interval)
+
+        queues = SimpleNamespace(set_queues=lambda queues: None)
+        loop = SimpleNamespace(
+            spec=SimpleNamespace(partitioner=partitioner, name="counter"),
+            controller=SimpleNamespace(
+                finish_pending=lambda: None,
+                set_queues=queues.set_queues,
+                execute_moves=execute_moves,
+            ),
+            router=queues,
+            seen_keys={"a", "b", "c"},
+            attach_worker=lambda task: None,
+            guarded_queues=[],
+            current_interval=2,
+            downstreams=[],
+        )
+        event = execute_scale(loop, ScaleDirective(2, "counter", 1))
+        assert event.to_tasks == partitioner.num_tasks == 5
+        assert partitioner._loads == {**loads, 4: 0.0}
+        assert partitioner.split_counts == splits
+        assert shipped == [[]] and event.moved_keys == 0
 
     def test_kill_after_scale_out_recovers_new_task(self, base_run):
         """A task created by an elastic resize is itself supervised."""
