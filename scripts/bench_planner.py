@@ -11,7 +11,8 @@ A_max = 3000, θ_max = 0.08, expected counts so every interval carries all
   (the runtime's stage loop does); the generator's snapshots skip it;
 * **route** — ``route_snapshot`` of the generator's ``Snapshot`` under the
   assignment in force (the snapshot plan is kept while the key tuple is
-  shared; only re-routed keys move between its tasks);
+  shared: re-routed keys are spliced between its tasks and changed counts
+  patched into copies of their tasks' count lists);
 * **stats** — ``IntervalStats.from_frequencies`` of the same snapshot: its
   count column, validated and multiplied twice into the frequency / cost /
   memory columns, under its live key tuple (no per-key work —

@@ -9,15 +9,19 @@ entry, the universal hash ``h(k)`` decides the destination::
 The class also provides what the planner needs: batch and columnar evaluation
 of ``F`` and ``h``, and construction helpers for a rebalanced copy (``Δ(F, F′)``
 itself comes from the routing-table diff, see :mod:`repro.core.migration`).
+The columnar ``F`` and the task loads it gives are computed once per
+interval's columns and table version: the imbalance check and the first
+planning trial of a round read the same ones.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.hashing import UniversalHash
+from repro.core.load import load_from_columns
 from repro.core.routing_table import RoutingTable
 from repro.core.statistics import KeyColumns
 
@@ -132,6 +136,25 @@ class AssignmentFunction:
         copy of it patched with the routing-table entries of observed keys,
         so the caller may edit it.
         """
+        hashed, routed, _ = self._columns_routed(columns)
+        return hashed, routed.copy()
+
+    def column_loads(self, columns: KeyColumns) -> Dict[int, float]:
+        """``{d: L(d)}`` under ``F`` with the costs of ``columns`` (a fresh
+        dict, so the caller may edit it)."""
+        return dict(self._columns_routed(columns)[2])
+
+    def _columns_routed(
+        self, columns: KeyColumns
+    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, float]]:
+        """``h``, read-only ``F`` and the loads over ``columns``, computed
+        once per (``columns``, assignment, table version) and kept on the
+        columns (:attr:`KeyColumns.route_memo`), which live as long as the
+        statistics window holds their interval."""
+        version = self._table.version
+        kept = columns.route_memo
+        if kept is not None and kept[0] is self and kept[1] == version:
+            return kept[2:]
         assign_array = getattr(self._hash, "assign_array", None)
         if assign_array is not None:
             hashed = assign_array(columns.keys)
@@ -144,7 +167,10 @@ class AssignmentFunction:
                 at = position(key)
                 if at is not None:
                     routed[at] = task
-        return hashed, routed
+        routed.flags.writeable = False
+        loads = load_from_columns(routed, columns.cost, self._num_tasks)
+        columns.route_memo = (self, version, hashed, routed, loads)
+        return hashed, routed, loads
 
     def is_explicit(self, key: Key) -> bool:
         """True when ``key`` is routed by the table rather than the hash."""

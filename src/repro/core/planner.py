@@ -272,13 +272,16 @@ class RebalanceAlgorithm(ABC):
         num_tasks = assignment.num_tasks
 
         # Working destination after the (virtual) cleaning of Phase I: F over
-        # the observed keys, with the cleaned entries back at their hash.
+        # the observed keys, with the cleaned entries back at their hash.  With
+        # no observed key cleaned, the loads are F's, which the imbalance check
+        # computed already.
         hashed, working = assignment.route_columns(columns)
-        for key in cleaned:
-            at = index.get(key)
-            if at is not None:
-                working[at] = hashed[at]
-        loads = load_from_columns(working, cost, num_tasks)
+        restored = [at for at in map(index.get, cleaned) if at is not None]
+        if restored:
+            working[restored] = hashed[restored]
+            loads = load_from_columns(working, cost, num_tasks)
+        else:
+            loads = assignment.column_loads(columns)
         ceiling = load_ceiling(loads, config.theta_max)
 
         # Phase II: disassociate keys from overloaded tasks until they fit.

@@ -77,7 +77,7 @@ class KeyColumns:
     structures are built on first use.
     """
 
-    __slots__ = ("keys", "cost", "memory", "_index", "_cost_map", "_memory_map")
+    __slots__ = ("keys", "cost", "memory", "route_memo", "_index", "_cost_map", "_memory_map")
 
     def __init__(self, keys: Sequence[Key], cost: np.ndarray, memory: np.ndarray) -> None:
         cost.flags.writeable = False
@@ -85,6 +85,9 @@ class KeyColumns:
         self.keys = keys
         self.cost = cost
         self.memory = memory
+        #: ``(assignment, table version, h, F, loads)`` over these columns,
+        #: kept by :meth:`~repro.core.assignment.AssignmentFunction.route_columns`.
+        self.route_memo: Optional[Tuple[Any, ...]] = None
         self._index: Optional[Dict[Key, int]] = None
         self._cost_map: Optional[Mapping[Key, float]] = None
         self._memory_map: Optional[Mapping[Key, float]] = None

@@ -1,12 +1,17 @@
 """Tests for the mixed assignment function F (Equation 1)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import assignment as assignment_module
 from repro.core.assignment import AssignmentFunction
 from repro.core.hashing import UniversalHash
+from repro.core.load import load_from_columns
 from repro.core.routing_table import RoutingTable
+from repro.core.statistics import IntervalStats
+from repro.core.strategy import get_strategy
 
 
 class TestEvaluation:
@@ -55,3 +60,52 @@ class TestDeltaAndTables:
         assignment = AssignmentFunction.hashed(num_tasks, seed=5)
         for key in keys:
             assert 0 <= assignment(key) < num_tasks
+
+
+class TestColumns:
+    """``F`` over an interval's columns and its loads: computed once per
+    columns and table version, handed out as copies."""
+
+    @pytest.fixture
+    def load_calls(self, monkeypatch):
+        calls = []
+        real = assignment_module.load_from_columns
+        monkeypatch.setattr(
+            assignment_module, "load_from_columns", lambda *args: calls.append(1) or real(*args)
+        )
+        return calls
+
+    @staticmethod
+    def columns():
+        snapshot = {key: 1.0 + key % 5 for key in range(40)}
+        return IntervalStats.from_frequencies(0, snapshot).columns()
+
+    def test_loads_are_computed_once_per_table_version(self, load_calls):
+        assignment = AssignmentFunction.hashed(4, seed=1)
+        columns = self.columns()
+        first = assignment.column_loads(columns)
+        assert assignment.column_loads(columns) == first
+        assert len(load_calls) == 1
+        assignment.routing_table.set(3, (assignment.hash_destination(3) + 1) % 4)
+        routed = np.array([assignment(key) for key in columns.keys])
+        assert assignment.column_loads(columns) == load_from_columns(routed, columns.cost, 4)
+        assert len(load_calls) == 2
+
+    def test_callers_edit_copies(self):
+        assignment = AssignmentFunction.hashed(4, seed=1)
+        columns = self.columns()
+        assignment.column_loads(columns)[0] = -1.0
+        assignment.route_columns(columns)[1][:] = 0
+        routed = [assignment(key) for key in columns.keys]
+        assert assignment.route_columns(columns)[1].tolist() == routed
+        assert assignment.column_loads(columns) == load_from_columns(
+            np.array(routed), columns.cost, 4
+        )
+
+    def test_check_and_a_trial_that_cleans_nothing_share_the_loads(self, load_calls):
+        partitioner = get_strategy("mixed").build(4, seed=7, theta_max=0.05)
+        snapshot = dict.fromkeys(range(40), 1.0)
+        snapshot[3] = 500.0
+        result = partitioner.on_interval_end(IntervalStats.from_frequencies(0, snapshot))
+        assert result is not None and result.moved_back == 0
+        assert len(load_calls) == 1
