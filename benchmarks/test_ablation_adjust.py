@@ -13,7 +13,7 @@ from typing import Dict
 from repro.core.assignment import AssignmentFunction
 from repro.core.llfd import least_load_fit_decreasing
 from repro.core.load import load_from_costs, max_balance_indicator
-from repro.core.statistics import IntervalStats, StatisticsStore
+from repro.core.statistics import IntervalStats
 from repro.experiments.reporting import ExperimentResult
 from repro.workloads import ZipfWorkload
 
@@ -48,9 +48,9 @@ def _ablation(scale) -> ExperimentResult:
     ).take(scale.intervals)
     assignment = AssignmentFunction.hashed(scale.num_tasks, seed=3)
     for index, snapshot in enumerate(workload):
-        store = StatisticsStore(window=1)
-        store.push(IntervalStats.from_frequencies(index, snapshot))
-        costs = store.cost_map()
+        costs = {
+            key: stat.cost for key, stat in IntervalStats.from_frequencies(index, snapshot).items()
+        }
         # Candidate set: keys of the overloaded tasks only (the Phase II choice).
         loads = load_from_costs(costs, assignment, scale.num_tasks)
         mean = sum(loads.values()) / len(loads)

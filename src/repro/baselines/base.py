@@ -64,7 +64,9 @@ from typing import (
 import numpy as np
 
 from repro.core.assignment import AssignmentFunction
-from repro.core.snapshot import KeyCounts, Snapshot, WorkloadSnapshot, same_key_list
+from repro.core.snapshot import (
+    KeyCounts, Snapshot, WorkloadSnapshot, key_positions, same_key_list,
+)
 from repro.core.load import max_balance_indicator
 from repro.core.planner import Planner, PlannerConfig, RebalanceResult
 from repro.core.statistics import IntervalStats, StatisticsStore
@@ -127,7 +129,7 @@ class _SnapshotPlan:
 
     __slots__ = (
         "keys", "epoch", "tasks", "gathers", "key_tuples", "count_lists", "counts",
-        "pending", "_key_column", "_index",
+        "pending", "_key_column",
     )
 
     def __init__(
@@ -147,8 +149,6 @@ class _SnapshotPlan:
         self.counts = counts
         self.count_lists = [counts.take(gather).tolist() for gather in self.gathers]
         self.pending: List[Key] = []
-        #: ``{key: position}``, built by the first :meth:`reroute`.
-        self._index: Optional[Dict[Key, int]] = None
 
     def _task_keys(self, gather: np.ndarray) -> Tuple[Key, ...]:
         return tuple(self._key_column.take(gather).tolist())
@@ -162,10 +162,10 @@ class _SnapshotPlan:
     def reroute(self, routes: Callable[[List[Key]], List[int]]) -> None:
         """Move the pending keys of this plan to the tasks ``routes`` gives
         them: each task a key left or joined has it spliced out of, or into,
-        its gather, key tuple and count list."""
-        if self._index is None:
-            self._index = dict(zip(self.keys, range(len(self.keys))))
-        index = self._index
+        its gather, key tuple and count list.  The keys are found through
+        the key tuple's one index, which the planner's columns over the
+        same tuple built already (:func:`~repro.core.snapshot.key_positions`)."""
+        index = key_positions(self.keys)
         candidates = sorted({index[key] for key in self.pending if key in index})
         self.pending = []
         leaving: Dict[int, List[int]] = {}

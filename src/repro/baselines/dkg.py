@@ -11,11 +11,13 @@ like MinTable's Phase II/III without the migration awareness.
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable
+
+import numpy as np
 
 from repro.core.assignment import AssignmentFunction
-from repro.core.load import max_balance_indicator
-from repro.core.planner import PlannerConfig, RebalanceResult, build_result, off_hash_entries
+from repro.core.load import load_from_columns, max_balance_indicator
+from repro.core.planner import PlannerConfig, RebalanceResult, build_result
 from repro.core.statistics import StatisticsStore
 
 __all__ = ["DKGPlanner"]
@@ -51,27 +53,21 @@ class DKGPlanner:
         config: PlannerConfig,
     ) -> RebalanceResult:
         started = time.perf_counter()
-        costs = stats.cost_map()
+        columns = stats.columns(config.window)
+        keys, cost = columns.keys, columns.cost
+        hashed, _ = assignment.route_columns(columns)
         # Product-form heavy test (cost · K > factor · total): a subnormal
         # total cost would underflow the divided mean and mark every key heavy.
-        total_cost = sum(costs.values())
-        count = len(costs)
-        threshold = self.heavy_factor * total_cost
-        heavy_keys: List[Key] = []
-        light: List[Key] = []
-        for key, cost in costs.items():
-            (heavy_keys if cost * count > threshold else light).append(key)
-        heavy = sorted(heavy_keys, key=lambda k: (-costs[k], repr(k)))
-
-        loads: Dict[int, float] = {task: 0.0 for task in range(assignment.num_tasks)}
-        placements: Dict[Key, int] = {}
-        for key, task in zip(light, assignment.hash_batch(light)):
-            placements[key] = task
-            loads[task] += costs[key]
-        for key in heavy:
+        heavy = cost * len(keys) > self.heavy_factor * stats.latest.total_cost()
+        loads = load_from_columns(hashed[~heavy], cost[~heavy], assignment.num_tasks)
+        entries: Dict[Key, int] = {}
+        for at in sorted(
+            np.flatnonzero(heavy).tolist(), key=lambda at: (-cost.item(at), repr(keys[at]))
+        ):
             task = min(loads, key=lambda d: (loads[d], d))
-            placements[key] = task
-            loads[task] += costs[key]
+            loads[task] += cost.item(at)
+            if task != hashed.item(at):
+                entries[keys[at]] = task
 
         max_theta = max_balance_indicator(loads)
         return build_result(
@@ -79,8 +75,8 @@ class DKGPlanner:
             assignment,
             stats,
             config,
-            off_hash_entries(assignment, placements),
-            placements.keys(),
+            entries,
+            columns.index,
             loads=loads,
             balanced=max_theta <= config.theta_max,
             max_theta=max_theta,

@@ -23,21 +23,25 @@ frequent distribution change) and Fig. 14 (it only matches Mixed under loose
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.assignment import AssignmentFunction
-from repro.core.load import load_ceiling, load_from_costs, max_balance_indicator
-from repro.core.planner import PlannerConfig, RebalanceResult, build_result, off_hash_entries
+from repro.core.load import load_ceiling, max_balance_indicator
+from repro.core.planner import PlannerConfig, RebalanceResult, build_result
 from repro.core.statistics import StatisticsStore
 
 __all__ = ["DEFAULT_SIGMA", "ReadjPlanner"]
-
-Key = Hashable
 
 _EPS = 1e-9
 
 #: Default hot-key threshold σ (the ``readj_sigma`` tunable of the registry).
 DEFAULT_SIGMA = 2.0
+
+#: Cells of one block of the swap grid (hot key × hot key): bounds a round's
+#: temporaries whatever the number of hot keys.
+_BLOCK = 1 << 18
 
 
 class ReadjPlanner:
@@ -60,18 +64,6 @@ class ReadjPlanner:
         self.sigma = float(sigma)
         self.max_operations = int(max_operations)
 
-    def _candidates(self, costs: Mapping[Key, float]) -> List[Key]:
-        """Hot keys: cost at least ``sigma`` times the average key cost.
-
-        Compared in product form (``cost · K ≥ σ · total``) so a subnormal
-        total cost cannot underflow the mean to 0 and declare every key hot.
-        """
-        if not costs:
-            return []
-        total = sum(costs.values())
-        count = len(costs)
-        return [key for key, cost in costs.items() if cost * count >= self.sigma * total]
-
     def plan(
         self,
         assignment: AssignmentFunction,
@@ -79,111 +71,117 @@ class ReadjPlanner:
         config: PlannerConfig,
     ) -> RebalanceResult:
         started = time.perf_counter()
-        costs = stats.cost_map()
-        num_tasks = assignment.num_tasks
-        keys = list(costs)
-        working: Dict[Key, int] = dict(zip(keys, assignment.assign_batch(keys)))
-        loads = load_from_costs(costs, working.__getitem__, num_tasks)
+        columns = stats.columns(config.window)
+        keys, cost = columns.keys, columns.cost
+        hashed, working = assignment.route_columns(columns)
+        loads = assignment.column_loads(columns)
         ceiling = load_ceiling(loads, config.theta_max)
 
         # Step 1: move explicitly routed keys back to their hash destination
         # whenever the receiving task has room.
-        for key in list(assignment.routing_table.keys()):
-            if key not in working:
+        for at in map(columns.index.get, list(assignment.routing_table.keys())):
+            if at is None:
                 continue
-            home = assignment.hash_destination(key)
-            current = working[key]
-            if home == current:
-                continue
-            if loads[home] + costs[key] <= ceiling + _EPS:
-                loads[current] -= costs[key]
-                loads[home] += costs[key]
-                working[key] = home
+            home, current = hashed.item(at), working.item(at)
+            if home != current and loads[home] + cost.item(at) <= ceiling + _EPS:
+                loads[current] -= cost.item(at)
+                loads[home] += cost.item(at)
+                working[at] = home
 
-        # Step 2: best-operation search over hot keys.  Evaluating one move or
-        # swap needs the load spread with two tasks excluded; keeping the three
-        # highest and three lowest loads of the round makes that O(1) instead
-        # of a full O(N_D) pass per candidate pair.
-        candidates = self._candidates(costs)
+        # Step 2: best-operation search over hot keys, the keys whose cost is
+        # at least σ times the average — compared in product form
+        # (``cost · K ≥ σ · total``) so a subnormal total cost cannot
+        # underflow the mean to 0 and declare every key hot.
+        hot = np.flatnonzero(cost * len(keys) >= self.sigma * stats.latest.total_cost())
         operations = 0
-        while operations < self.max_operations:
-            if max_balance_indicator(loads) <= config.theta_max:
+        while operations < self.max_operations and max_balance_indicator(loads) > config.theta_max:
+            operation = _best_operation(hot, working, cost, loads)
+            if operation is None:
                 break
-            best_gain = 0.0
-            best_op: Optional[Tuple[str, Key, Optional[Key], int, int]] = None
-            by_load = sorted(loads.items(), key=lambda item: item[1])
-            lowest3 = by_load[:3]
-            highest3 = by_load[-3:]
-            spread = by_load[-1][1] - by_load[0][1]
-
-            def spread_excluding(task_x: int, task_y: int, val_x: float, val_y: float) -> float:
-                """Spread after tasks x/y take loads val_x/val_y."""
-                high = val_x if val_x >= val_y else val_y
-                for task, load in reversed(highest3):
-                    if task != task_x and task != task_y:
-                        if load > high:
-                            high = load
-                        break
-                low = val_x if val_x <= val_y else val_y
-                for task, load in lowest3:
-                    if task != task_x and task != task_y:
-                        if load < low:
-                            low = load
-                        break
-                return high - low
-
-            # Moves: hot key from its task to any other task.
-            for key in candidates:
-                source = working[key]
-                cost = costs[key]
-                for target in range(num_tasks):
-                    if target == source:
-                        continue
-                    new_src = loads[source] - cost
-                    new_dst = loads[target] + cost
-                    gain = spread - spread_excluding(source, target, new_src, new_dst)
-                    if gain > best_gain + _EPS:
-                        best_gain = gain
-                        best_op = ("move", key, None, source, target)
-
-            # Swaps: exchange two hot keys sitting on different tasks.
-            for i, key_a in enumerate(candidates):
-                for key_b in candidates[i + 1 :]:
-                    task_a, task_b = working[key_a], working[key_b]
-                    if task_a == task_b:
-                        continue
-                    diff = costs[key_a] - costs[key_b]
-                    new_a = loads[task_a] - diff
-                    new_b = loads[task_b] + diff
-                    gain = spread - spread_excluding(task_a, task_b, new_a, new_b)
-                    if gain > best_gain + _EPS:
-                        best_gain = gain
-                        best_op = ("swap", key_a, key_b, task_a, task_b)
-
-            if best_op is None:
-                break
-            kind, key_a, key_b, task_a, task_b = best_op
-            if kind == "move":
-                loads[task_a] -= costs[key_a]
-                loads[task_b] += costs[key_a]
-                working[key_a] = task_b
-            else:
-                assert key_b is not None
-                working[key_a], working[key_b] = task_b, task_a
-                diff = costs[key_a] - costs[key_b]
-                loads[task_a] -= diff
-                loads[task_b] += diff
+            a, b, task_a, task_b = operation
+            diff = cost.item(a) if b is None else cost.item(a) - cost.item(b)
+            loads[task_a] -= diff
+            loads[task_b] += diff
+            working[a] = task_b
+            if b is not None:
+                working[b] = task_a
             operations += 1
 
+        off_hash = np.flatnonzero(working != hashed).tolist()
         return build_result(
             self.name,
             assignment,
             stats,
             config,
-            off_hash_entries(assignment, working),
-            working.keys(),
+            {keys[at]: working.item(at) for at in off_hash},
+            columns.index,
             loads=dict(loads),
             balanced=max(loads.values(), default=0.0) <= ceiling + _EPS,
             max_theta=max_balance_indicator(loads),
             started=started,
         )
+
+
+def _best_operation(
+    hot: np.ndarray, working: np.ndarray, cost: np.ndarray, loads: Dict[int, float]
+) -> Optional[Tuple[int, Optional[int], int, int]]:
+    """The move or swap that narrows the load spread most, or ``None``: key
+    position ``a`` goes from ``task_a`` to ``task_b``, swapping with ``b``
+    unless ``b`` is ``None``.
+
+    Candidates come in the loop's order — each hot key to each other task,
+    then each pair ``i < j`` of hot keys on different tasks — and one wins by
+    beating the best gain so far by more than ``_EPS``.  The gains are arrays
+    made with the loop's float operations, a block of the swap grid at a time.
+    """
+    load = np.array(list(loads.values()))
+    by_load = np.argsort(load, kind="stable")
+    spread = load[by_load[-1]] - load[by_load[0]]
+
+    def gains(x, y, new_x, new_y) -> np.ndarray:
+        """Spread reduction once tasks ``x`` / ``y`` take loads ``new_x`` /
+        ``new_y``, the other extremes read off the three highest and lowest."""
+
+        def other(ranked: np.ndarray) -> np.ndarray:  # NaN: every task is x or y
+            out = np.full(np.broadcast(x, y).shape, np.nan)
+            for task in ranked[::-1].tolist():
+                out = np.where((x != task) & (y != task), load[task], out)
+            return out
+
+        high = np.fmax(np.fmax(new_x, new_y), other(by_load[:-4:-1]))
+        return spread - (high - np.fmin(np.fmin(new_x, new_y), other(by_load[:3])))
+
+    best, choice = 0.0, None
+
+    def winner(candidates: np.ndarray) -> Optional[int]:
+        """The last candidate to beat the best before it by more than ``_EPS``
+        (only one above every earlier candidate can)."""
+        nonlocal best
+        chosen = None
+        above = candidates > np.maximum.accumulate(np.append(best, candidates))[:-1]
+        for at in np.flatnonzero(above).tolist():
+            if candidates.item(at) > best + _EPS:
+                best, chosen = candidates.item(at), at
+        return chosen
+
+    source, hot_cost = working[hot], cost[hot]
+    tasks = np.arange(len(load))
+    mask = source[:, None] != tasks
+    at = winner(gains(
+        source[:, None], tasks, (load[source] - hot_cost)[:, None], load + hot_cost[:, None]
+    )[mask])
+    if at is not None:
+        row, target = (index.item(at) for index in np.nonzero(mask))
+        choice = (hot.item(row), None, source.item(row), target)
+    step = max(1, _BLOCK // max(1, len(hot)))
+    for lo in range(0, len(hot), step):
+        rows = np.arange(lo, min(lo + step, len(hot)))[:, None]
+        mask = (rows < np.arange(len(hot))) & (source[rows] != source)
+        diff = hot_cost[rows] - hot_cost
+        at = winner(gains(
+            source[rows], source, load[source[rows]] - diff, load[source] + diff
+        )[mask])
+        if at is not None:
+            i, j = (index.item(at) for index in np.nonzero(mask))
+            choice = (hot.item(lo + i), hot.item(j), source.item(lo + i), source.item(j))
+    return choice

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.assignment import AssignmentFunction
-from repro.core.criteria import DEFAULT_BETA, gamma_index
+from repro.core.criteria import gamma_index
 from repro.core.discretization import HLHEDiscretizer
-from repro.core.load import load_ceiling, load_from_costs, max_balance_indicator
-from repro.core.planner import PlannerConfig, RebalanceResult, build_result, off_hash_entries
+from repro.core.load import load_ceiling, load_from_columns, max_balance_indicator
+from repro.core.planner import PlannerConfig, RebalanceResult, build_result
 from repro.core.statistics import StatisticsStore
 
 __all__ = [
@@ -91,12 +91,18 @@ class CompactRecord:
 
 
 class CompactStatistics:
-    """The full compact view of one planning round's statistics."""
+    """The full compact view of one planning round's statistics.
+
+    ``key_groups`` lists, per group signature, the positions of the group's
+    keys in the interval's columns (``stats.columns(window)``), ordered by
+    the keys' ``repr``; ``records`` are the groups ordered by the ``repr``
+    of their signature.
+    """
 
     def __init__(
         self,
         records: List[CompactRecord],
-        key_groups: Dict[GroupSignature, List[Key]],
+        key_groups: Dict[GroupSignature, List[int]],
         num_tasks: int,
     ) -> None:
         self.records = records
@@ -113,33 +119,22 @@ class CompactStatistics:
         discretizer: Optional[HLHEDiscretizer] = None,
         window: Optional[int] = None,
     ) -> "CompactStatistics":
-        """Build the records from per-key statistics.
+        """Build the records from the interval's cost and window-memory columns,
+        with ``d`` and ``d_h`` read off ``F`` and ``h`` over them.
 
         ``discretizer=None`` keeps the original (undiscretised) values — the
         "Original Key Space" data point of Fig. 11(a), where every distinct
         value forms its own group.
         """
-        costs = stats.cost_map()
-        memories = stats.memory_map(window)
-        keys = list(costs.keys())
+        columns = stats.columns(window)
+        hashed, routed = assignment.route_columns(columns)
+        cost, memory = columns.cost.tolist(), columns.memory.tolist()
         if discretizer is not None:
-            disc_costs = discretizer.discretize_map(costs)
-            disc_mems = discretizer.discretize_map(
-                {key: memories.get(key, 0.0) for key in keys}
-            )
-        else:
-            disc_costs = dict(costs)
-            disc_mems = {key: memories.get(key, 0.0) for key in keys}
+            cost, memory = discretizer.discretize(cost), discretizer.discretize(memory)
 
-        groups: Dict[GroupSignature, List[Key]] = {}
-        for key in keys:
-            signature = (
-                assignment(key),
-                assignment.hash_destination(key),
-                disc_costs[key],
-                disc_mems[key],
-            )
-            groups.setdefault(signature, []).append(key)
+        groups: Dict[GroupSignature, List[int]] = {}
+        for at, signature in enumerate(zip(routed.tolist(), hashed.tolist(), cost, memory)):
+            groups.setdefault(signature, []).append(at)
 
         records = [
             CompactRecord(
@@ -148,13 +143,14 @@ class CompactStatistics:
                 hash_dest=signature[1],
                 cost=signature[2],
                 memory=signature[3],
-                count=len(group_keys),
+                count=len(positions),
             )
-            for signature, group_keys in sorted(groups.items(), key=lambda kv: repr(kv[0]))
+            for signature, positions in sorted(groups.items(), key=lambda kv: repr(kv[0]))
         ]
         # Deterministic expansion order inside each group.
-        for group_keys in groups.values():
-            group_keys.sort(key=repr)
+        reprs = list(map(repr, columns.keys))
+        for positions in groups.values():
+            positions.sort(key=reprs.__getitem__)
         return cls(records, groups, assignment.num_tasks)
 
     # -- queries ------------------------------------------------------------------
@@ -449,43 +445,38 @@ class CompactMixedPlanner:
         moved_back: int,
     ) -> RebalanceResult:
         """Map record-level decisions back onto concrete keys and build F′."""
-        # Consume keys group by group: records that keep d'==d leave their keys
-        # in place; records that moved take keys from the front of the group.
-        cursor: Dict[GroupSignature, int] = {sig: 0 for sig in compact.key_groups}
-        placements: Dict[Key, int] = {}
-
-        # First allocate moved records (d' != d) so that staying records keep
-        # whatever keys remain — mirrors the paper's "picking up those needing
-        # migration" step.
-        moved = [r for r in final_records if r.next_dest is not None and r.next_dest != r.current]
-
-        for record in moved:
-            group = compact.key_groups.get(record.signature, [])
+        columns = stats.columns(config.window)
+        keys = columns.keys
+        _, working = assignment.route_columns(columns)
+        # Consume keys group by group: records that moved (d' != d) take keys
+        # from the front of their group — mirrors the paper's "picking up
+        # those needing migration" step — and every other key keeps its
+        # current destination.  The table pins the keys off their hash in
+        # that order: the moved ones, then each group's remaining ones.
+        cursor: Dict[GroupSignature, int] = {}
+        entries: Dict[Key, int] = {}
+        for record in final_records:
+            if record.next_dest is None or record.next_dest == record.current:
+                continue
             start = cursor.get(record.signature, 0)
-            selected = group[start : start + record.count]
+            selected = compact.key_groups[record.signature][start : start + record.count]
             cursor[record.signature] = start + len(selected)
-            for key in selected:
-                placements[key] = record.next_dest  # type: ignore[arg-type]
-
-        # Every other observed key keeps its current destination.
+            working[selected] = record.next_dest
+            if record.next_dest != record.hash_dest:
+                entries.update((keys[at], record.next_dest) for at in selected)
         for signature, group in compact.key_groups.items():
-            start = cursor.get(signature, 0)
-            for key in group[start:]:
-                placements.setdefault(key, signature[0])
+            if signature[0] != signature[1]:
+                entries.update((keys[at], signature[0]) for at in group[cursor.get(signature, 0) :])
 
-        # Every observed key is placed, so the real loads of F′ follow from
-        # the placements; the table pins the keys that left their hash.
-        actual_loads = load_from_costs(
-            stats.cost_map(), placements.__getitem__, assignment.num_tasks
-        )
+        actual_loads = load_from_columns(working, columns.cost, assignment.num_tasks)
         estimated = compact.estimated_loads(final_records)
         return build_result(
             self.name,
             assignment,
             stats,
             config,
-            off_hash_entries(assignment, placements),
-            placements.keys(),
+            entries,
+            columns.index,
             loads=actual_loads,
             balanced=max_balance_indicator(estimated) <= config.theta_max + 1e-6,
             max_theta=max_balance_indicator(actual_loads),

@@ -19,8 +19,9 @@ Two discretisers are provided:
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "HLHEDiscretizer",
@@ -28,8 +29,6 @@ __all__ = [
     "representative_values",
     "total_deviation",
 ]
-
-Key = Hashable
 
 
 def _validate_degree(degree: int) -> int:
@@ -81,44 +80,29 @@ class _LadderDiscretizer:
     def __init__(self, degree: int = 8) -> None:
         self.degree = _validate_degree(degree)
 
-    def _ladder(self, values: Sequence[float]) -> List[float]:
-        max_value = max((v for v in values if v > 0), default=1.0)
-        return representative_values(max_value, self.degree)
+    def _brackets(self, values: Sequence[float]) -> Tuple[np.ndarray, List[float], List[float]]:
+        """``values`` as a float64 column, with the (upper, lower) representatives
+        bracketing each value on the ladder of their largest positive one.
 
-    @staticmethod
-    def _bracket(value: float, ladder: Sequence[float]) -> Tuple[float, float]:
-        """Return the (upper, lower) representatives bracketing ``value``.
-
-        ``ladder`` is strictly decreasing.  Values at or above the top of the
-        ladder only have the single candidate ``ladder[0]``; values below 1 are
-        clamped onto the smallest representative.
+        Values at or above the top of the ladder only have the single
+        candidate at its top; values below 1 are clamped onto the smallest
+        representative.  One ``searchsorted`` over the ascending ladder.
         """
-        ascending = list(reversed(ladder))
-        return _LadderDiscretizer._bracket_ascending(value, ascending)
-
-    @staticmethod
-    def _bracket_ascending(value: float, ascending: Sequence[float]) -> Tuple[float, float]:
-        """Same as :meth:`_bracket` but over an *ascending* ladder (binary search)."""
-        if value >= ascending[-1]:
-            return ascending[-1], ascending[-1]
-        if value < ascending[0]:
-            return ascending[0], ascending[0]
-        idx = bisect_right(ascending, value) - 1
-        lower = ascending[idx]
-        upper = ascending[idx + 1] if idx + 1 < len(ascending) else lower
-        return upper, lower
+        column = np.asarray(values, dtype=np.float64)
+        if (column < 0).any():
+            raise ValueError("values must be non-negative")
+        positive = column[column > 0]
+        ladder = representative_values(positive.max() if len(positive) else 1.0, self.degree)
+        ascending = np.array(ladder[::-1])
+        below = np.clip(np.searchsorted(ascending, column, side="right") - 1, 0, len(ladder) - 1)
+        above = ascending[np.minimum(below + 1, len(ladder) - 1)]
+        upper = np.where(column < ascending[0], ascending[0], above)
+        return column, upper.tolist(), ascending[below].tolist()
 
     # -- public API ---------------------------------------------------------
 
     def discretize(self, values: Sequence[float]) -> List[float]:
         raise NotImplementedError
-
-    def discretize_map(self, mapping: Mapping[Key, float]) -> Dict[Key, float]:
-        """Discretise a ``{key: value}`` map, preserving keys."""
-        keys = list(mapping.keys())
-        values = [mapping[key] for key in keys]
-        rounded = self.discretize(values)
-        return dict(zip(keys, rounded))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(degree={self.degree})"
@@ -131,34 +115,28 @@ class HLHEDiscretizer(_LadderDiscretizer):
     Values are processed in non-increasing order; for each value the bracketing
     representative that keeps the running accumulated deviation closest to zero
     is chosen (ties prefer the lower representative, which is exact whenever
-    the value sits on the ladder).
+    the value sits on the ladder).  The choice depends on the deviation so far,
+    so it is made value by value; the brackets are looked up as arrays.
     """
 
     def discretize(self, values: Sequence[float]) -> List[float]:
         """Return ``[φ(x) for x in values]`` in the original order."""
-        if not values:
+        if not len(values):
             return []
-        for value in values:
-            if value < 0:
-                raise ValueError("values must be non-negative")
-        ascending = list(reversed(self._ladder(values)))
-        order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+        column, upper, lower = self._brackets(values)
         result: List[float] = [0.0] * len(values)
         accumulated = 0.0
-        for idx in order:
+        for idx in np.argsort(-column, kind="stable").tolist():
             value = values[idx]
             if value <= 0:
-                result[idx] = 0.0
                 continue
-            upper, lower = self._bracket_ascending(value, ascending)
             # Choose the representative minimising |accumulated + (value - rep)|.
-            dev_upper = accumulated + (value - upper)
-            dev_lower = accumulated + (value - lower)
+            dev_upper = accumulated + (value - upper[idx])
+            dev_lower = accumulated + (value - lower[idx])
             if abs(dev_upper) < abs(dev_lower):
-                chosen, accumulated = upper, dev_upper
+                result[idx], accumulated = upper[idx], dev_upper
             else:
-                chosen, accumulated = lower, dev_lower
-            result[idx] = chosen
+                result[idx], accumulated = lower[idx], dev_lower
         return result
 
 
@@ -171,20 +149,9 @@ class NearestValueDiscretizer(_LadderDiscretizer):
     """
 
     def discretize(self, values: Sequence[float]) -> List[float]:
-        if not values:
+        if not len(values):
             return []
-        for value in values:
-            if value < 0:
-                raise ValueError("values must be non-negative")
-        ascending = list(reversed(self._ladder(values)))
-        result: List[float] = []
-        for value in values:
-            if value <= 0:
-                result.append(0.0)
-                continue
-            upper, lower = self._bracket_ascending(value, ascending)
-            if abs(upper - value) < abs(lower - value):
-                result.append(upper)
-            else:
-                result.append(lower)
-        return result
+        column, upper, lower = self._brackets(values)
+        up, low = np.array(upper), np.array(lower)
+        nearer = np.where(np.abs(up - column) < np.abs(low - column), up, low)
+        return np.where(column <= 0, 0.0, nearer).tolist()

@@ -47,7 +47,6 @@ __all__ = [
     "RebalanceResult",
     "Planner",
     "build_result",
-    "off_hash_entries",
     "RebalanceAlgorithm",
     "register_algorithm",
     "get_algorithm",
@@ -143,14 +142,6 @@ class Planner(Protocol):
         config: PlannerConfig,
     ) -> RebalanceResult:
         ...
-
-
-def off_hash_entries(
-    assignment: AssignmentFunction, placements: Mapping[Key, int]
-) -> Dict[Key, int]:
-    """The placements a routing table has to pin: those that differ from ``h(k)``."""
-    hash_destination = assignment.hash_destination
-    return {key: task for key, task in placements.items() if task != hash_destination(key)}
 
 
 def build_result(

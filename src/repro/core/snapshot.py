@@ -20,6 +20,8 @@ shares the key tuple across intervals while the key order is unchanged.
 :meth:`route_snapshot`, the planner's key columns
 (:meth:`~repro.core.statistics.KeyColumns.share_keys`) and the hash memo
 (:meth:`~repro.core.hashing.UniversalHash.assign_array`) all ask it.
+:func:`key_positions` is the one ``{key: position}`` index of a key list,
+which the routing plan and the planner's key columns share.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional, Seque
 
 import numpy as np
 
-__all__ = ["KeyCounts", "Snapshot", "WorkloadSnapshot", "key_list_hash", "same_key_list"]
+__all__ = [
+    "KeyCounts", "Snapshot", "WorkloadSnapshot", "key_list_hash", "key_positions", "same_key_list",
+]
 
 Key = Hashable
 
@@ -39,28 +43,47 @@ Key = Hashable
 WorkloadSnapshot = Mapping[Key, float]
 
 
-#: Fingerprints of the key lists hashed last, by identity.  Each entry holds
-#: its list, so the ``id`` is not reused while the entry lives.
-_FINGERPRINTS: Dict[int, Tuple[Sequence[Key], int]] = {}
-_FINGERPRINTS_MAX = 8
+#: What is known of the key lists seen last, by identity: ``[keys, fingerprint,
+#: {key: position}]``, each part computed on first use.  Each entry holds its
+#: list, so the ``id`` is not reused while the entry lives.
+_KEY_LISTS: Dict[int, List[Any]] = {}
+_KEY_LISTS_MAX = 8
+
+
+def _known(keys: Sequence[Key]) -> List[Any]:
+    """The entry of ``keys``, made (after dropping every entry once full) if new."""
+    entry = _KEY_LISTS.get(id(keys))
+    if entry is None or entry[0] is not keys:
+        if len(_KEY_LISTS) >= _KEY_LISTS_MAX:
+            _KEY_LISTS.clear()
+        entry = _KEY_LISTS[id(keys)] = [keys, None, None]
+    return entry
 
 
 def key_list_hash(keys: Sequence[Key]) -> int:
     """Python's ``hash`` of ``keys`` as a tuple: a fingerprint of the dict keys listed.
 
-    The fingerprints of the last few lists are kept by identity, so a list
-    compared interval after interval is hashed once.  A key list is not
-    changed once it has been compared (a snapshot's is a tuple; a served
+    Kept for the last few lists by identity, so a list compared interval
+    after interval is hashed once.  A key list is not changed once it has
+    been compared or indexed (a snapshot's is a tuple; a served
     :class:`~repro.core.statistics.KeyColumns` list is copied before a write).
     """
-    entry = _FINGERPRINTS.get(id(keys))
-    if entry is not None and entry[0] is keys:
-        return entry[1]
-    fingerprint = hash(tuple(keys))
-    if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
-        _FINGERPRINTS.clear()
-    _FINGERPRINTS[id(keys)] = (keys, fingerprint)
-    return fingerprint
+    entry = _known(keys)
+    if entry[1] is None:
+        entry[1] = hash(tuple(keys))
+    return entry[1]
+
+
+def key_positions(keys: Sequence[Key]) -> Dict[Key, int]:
+    """``{key: position}`` over ``keys``, kept for the last few lists by
+    identity: the planner's :attr:`~repro.core.statistics.KeyColumns.index`
+    and the snapshot plan of
+    :meth:`~repro.baselines.base.Partitioner.route_snapshot` share the one
+    built over a key tuple.  Shared, so never written to."""
+    entry = _known(keys)
+    if entry[2] is None:
+        entry[2] = dict(zip(keys, range(len(keys))))
+    return entry[2]
 
 
 def same_key_list(a: Sequence[Key], b: Sequence[Key]) -> bool:

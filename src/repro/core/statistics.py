@@ -20,26 +20,25 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
-from types import MappingProxyType
+from itertools import chain, repeat
 from typing import (
     Any,
     Deque,
     Dict,
     Hashable,
     Iterable,
+    KeysView,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
 import numpy as np
 
-from repro.core.snapshot import Snapshot, WorkloadSnapshot, same_key_list
+from repro.core.snapshot import Snapshot, WorkloadSnapshot, key_positions, same_key_list
 
 __all__ = ["KeyStats", "KeyColumns", "IntervalStats", "StatisticsStore"]
 
@@ -77,7 +76,7 @@ class KeyColumns:
     structures are built on first use.
     """
 
-    __slots__ = ("keys", "cost", "memory", "route_memo", "_index", "_cost_map", "_memory_map")
+    __slots__ = ("keys", "cost", "memory", "route_memo", "_index")
 
     def __init__(self, keys: Sequence[Key], cost: np.ndarray, memory: np.ndarray) -> None:
         cost.flags.writeable = False
@@ -89,29 +88,16 @@ class KeyColumns:
         #: kept by :meth:`~repro.core.assignment.AssignmentFunction.route_columns`.
         self.route_memo: Optional[Tuple[Any, ...]] = None
         self._index: Optional[Dict[Key, int]] = None
-        self._cost_map: Optional[Mapping[Key, float]] = None
-        self._memory_map: Optional[Mapping[Key, float]] = None
 
     @property
     def index(self) -> Dict[Key, int]:
-        """``{key: position}`` — also the membership test for "was observed"."""
+        """``{key: position}`` — also the membership test for "was observed".
+
+        The one index of the key list (:func:`~repro.core.snapshot.key_positions`),
+        shared with the snapshot plan that routed the same key tuple."""
         if self._index is None:
-            self._index = dict(zip(self.keys, range(len(self.keys))))
+            self._index = key_positions(self.keys)
         return self._index
-
-    @property
-    def cost_map(self) -> Mapping[Key, float]:
-        """Read-only ``{key: cost}`` in column order."""
-        if self._cost_map is None:
-            self._cost_map = MappingProxyType(dict(zip(self.keys, self.cost.tolist())))
-        return self._cost_map
-
-    @property
-    def memory_map(self) -> Mapping[Key, float]:
-        """Read-only ``{key: memory}`` in column order."""
-        if self._memory_map is None:
-            self._memory_map = MappingProxyType(dict(zip(self.keys, self.memory.tolist())))
-        return self._memory_map
 
     def share_keys(self, other: "KeyColumns") -> None:
         """Adopt ``other``'s key structures when both list the same keys in order.
@@ -130,7 +116,6 @@ class KeyColumns:
         """Same keys and costs with another memory column (windowed state)."""
         clone = KeyColumns(self.keys, self.cost, memory)
         clone._index = self.index
-        clone._cost_map = self._cost_map
         return clone
 
 
@@ -401,10 +386,10 @@ class StatisticsStore:
 
     window: int = 1
     _history: Deque[IntervalStats] = field(default_factory=deque, repr=False)
-    #: Results derived from several retained snapshots, keyed by
-    #: ``(kind, window)`` and stored with the per-snapshot columns they were
-    #: computed from (so a snapshot mutated after the push is noticed).
-    _derived: Dict[Tuple[str, int], Tuple[Tuple[KeyColumns, ...], Any]] = field(
+    #: Windowed columns, keyed by the number of snapshots summed and stored
+    #: with the per-snapshot columns they were computed from (so a snapshot
+    #: mutated after the push is noticed).
+    _derived: Dict[int, Tuple[Tuple[KeyColumns, ...], KeyColumns]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     #: Columns last served for the latest snapshot (see ``KeyColumns.share_keys``).
@@ -450,12 +435,10 @@ class StatisticsStore:
     def __bool__(self) -> bool:
         return bool(self._history)
 
-    def observed_keys(self) -> Set[Key]:
-        """All keys observed in the retained window."""
-        keys: Set[Key] = set()
-        for snapshot in self._history:
-            keys.update(snapshot.keys())
-        return keys
+    def observed_keys(self) -> KeysView:
+        """All keys observed in the retained window, in order of first
+        appearance, oldest snapshot first (every key that holds state)."""
+        return dict.fromkeys(chain.from_iterable(s.keys() for s in self._history)).keys()
 
     def frequency(self, key: Key) -> float:
         """``g_{i-1}(k)`` of the latest interval."""
@@ -497,28 +480,23 @@ class StatisticsStore:
             self._last_columns = columns
         return columns
 
-    def _derive(self, kind: str, window: Optional[int], build) -> Any:
-        """``build(snapshots)`` over the last ``window`` snapshots, computed once
-        per push (and again if one of those snapshots was recorded into)."""
-        snapshots = list(self._recent(window))
-        sources = tuple(snapshot.columns() for snapshot in snapshots)
-        cached = self._derived.get((kind, len(snapshots)))
-        if cached is None or cached[0] != sources:
-            cached = self._derived[(kind, len(snapshots))] = (sources, build(snapshots))
-        return cached[1]
-
     def columns(self, window: Optional[int] = None) -> KeyColumns:
         """The latest interval's keys with ``c_{i-1}(k)`` and ``S_{i-1}(k, w)`` columns.
 
-        Built once per pushed snapshot and shared by every planning step of
+        Built once per pushed snapshot (and again if one of the window's
+        snapshots was recorded into) and shared by every planning step of
         the interval (imbalance check, cleaning trials, Phase II, LLFD).
         """
         latest = self._latest_columns()
-        if len(self._recent(window)) == 1:
+        snapshots = list(self._recent(window))
+        if len(snapshots) == 1:
             return latest
-        return self._derive(
-            "columns", window, lambda snapshots: self._window_columns(latest, snapshots)
-        )
+        sources = tuple(snapshot.columns() for snapshot in snapshots)
+        cached = self._derived.get(len(snapshots))
+        if cached is None or cached[0] != sources:
+            columns = self._window_columns(latest, snapshots)
+            cached = self._derived[len(snapshots)] = (sources, columns)
+        return cached[1]
 
     @staticmethod
     def _window_columns(latest: KeyColumns, snapshots: List[IntervalStats]) -> KeyColumns:
@@ -537,25 +515,6 @@ class StatisticsStore:
             present = position >= 0
             memory[present] += columns.memory[position[present]]
         return latest.with_memory(memory)
-
-    def cost_map(self) -> Mapping[Key, float]:
-        """``{k: c_{i-1}(k)}`` of the latest interval (shared, read-only)."""
-        return self._latest_columns().cost_map
-
-    def memory_map(self, window: Optional[int] = None) -> Mapping[Key, float]:
-        """``{k: S_i(k, w)}`` over every key observed in the window (shared, read-only)."""
-        return self._derive("memory_map", window, self._window_memory_map)
-
-    @staticmethod
-    def _window_memory_map(snapshots: List[IntervalStats]) -> Mapping[Key, float]:
-        if len(snapshots) == 1:
-            return snapshots[0].columns().memory_map
-        result: Dict[Key, float] = {}
-        for snapshot in snapshots:
-            columns = snapshot.columns()
-            for key, memory in zip(columns.keys, columns.memory.tolist()):
-                result[key] = result.get(key, 0.0) + memory
-        return MappingProxyType(result)
 
     def copy(self) -> "StatisticsStore":
         clone = StatisticsStore(window=self.window)

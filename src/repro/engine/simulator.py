@@ -198,10 +198,10 @@ class _StageRuntime:
         partitioner = self.stage.partitioner
         if new_parallelism < partitioner.num_tasks:
             raise ValueError("the fluid simulator only scales out")
-        sizes = self.window.memory_map()
+        window = self.window
         plan = MigrationPlan([
-            KeyMove(key, source, target, sizes[key])
-            for key, source, target in partitioner.resize(new_parallelism, sizes)
+            KeyMove(key, source, target, window.windowed_memory(key))
+            for key, source, target in partitioner.resize(new_parallelism, window.observed_keys())
         ])
         self.resize_report = report = self.protocol.execute(
             plan, new_parallelism, interval_seconds=self.config.interval_seconds

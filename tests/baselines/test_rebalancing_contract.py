@@ -50,7 +50,9 @@ def test_trigger_install_and_delta(strategy, snapshots):
         stats = IntervalStats.from_frequencies(interval, snapshot)
         before = {key: partitioner.route(key) for key in snapshot}
         theta = max_balance_indicator(
-            load_from_costs(stats.columns().cost_map, before.__getitem__, NUM_TASKS)
+            load_from_costs(
+                {key: stat.cost for key, stat in stats.items()}, before.__getitem__, NUM_TASKS
+            )
         )
         rounds = len(partitioner.history)
         result = partitioner.on_interval_end(stats)

@@ -1,17 +1,19 @@
-"""The dict-walking planner, kept as the oracle for the columnar one in ``src/``.
+"""The dict-walking planners, kept as the oracles for the columnar ones in ``src/``.
 
 These are the bodies ``repro.core`` shipped before planning moved onto aligned
 columns (``plan_with_cleaning`` + ``_build_result``, ``least_load_fit_decreasing``,
 ``build_migration_plan``, ``StatisticsStore.cost_map`` / ``memory_map``,
-``SelectionCriteria.sort`` and Mixed's ``_cleaning_order``), unchanged apart
-from their names: every step walks all observed keys in per-key dicts and
-per-task Python sets.  Two contracts have moved since, and the bodies follow
+``SelectionCriteria.sort`` and Mixed's ``_cleaning_order``; then Readj's and
+DKG's ``plan``, the compact planner's ``CompactStatistics.from_stats``,
+``plan`` and ``_expand``, the discretisers' value-by-value ``discretize``,
+``_LadderDiscretizer.discretize_map`` and ``off_hash_entries``), unchanged apart from their names: every step walks
+all observed keys in per-key dicts and per-task Python sets.  Two contracts have moved since, and the bodies follow
 them: a plan's moves come in table-diff order (the old table's dropped or
 retargeted entries in its order, then the new table's additions in theirs),
 and the migration fraction is ``M_i`` summed over the moves in that order
 (``migration_cost`` / ``migration_cost_fraction``, which ``src/`` no longer
 ships).  Nothing under ``src/`` calls them; ``test_planner_oracle.py`` asserts
-that the columnar planner returns the same plans, field for field and bit for
+that the columnar planners return the same plans, field for field and bit for
 bit.
 """
 
@@ -19,17 +21,36 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
+from repro.baselines.dkg import DKGPlanner
+from repro.baselines.readj import ReadjPlanner
 from repro.core.assignment import AssignmentFunction
+from repro.core.compact import (
+    CompactMixedPlanner,
+    CompactRecord,
+    CompactStatistics,
+    GroupSignature,
+    load_estimation_error,
+)
 from repro.core.criteria import HighestCostFirst, SelectionCriteria, SmallestMemoryFirst
+from repro.core.discretization import (
+    HLHEDiscretizer,
+    NearestValueDiscretizer,
+    representative_values,
+)
 from repro.core.load import load_ceiling, load_from_costs, max_balance_indicator
 from repro.core.migration import KeyMove, MigrationPlan
 from repro.core.planner import (
     PlannerConfig,
     RebalanceAlgorithm,
     RebalanceResult,
+    build_result,
     get_algorithm,
 )
 from repro.core.routing_table import RoutingTable
@@ -398,3 +419,418 @@ def _reference_build_result(
         migration_fraction=fraction,
         moved_back=len(cleaned),
     )
+
+
+# -- Readj, DKG and the compact planner over per-key dicts -----------------------------
+
+
+def reference_off_hash_entries(
+    assignment: AssignmentFunction, placements: Mapping[Key, int]
+) -> Dict[Key, int]:
+    """The placements a routing table has to pin: those that differ from ``h(k)``."""
+    hash_destination = assignment.hash_destination
+    return {key: task for key, task in placements.items() if task != hash_destination(key)}
+
+
+def reference_discretize_map(
+    discretizer: HLHEDiscretizer, mapping: Mapping[Key, float]
+) -> Dict[Key, float]:
+    """Discretise a ``{key: value}`` map, preserving keys."""
+    keys = list(mapping.keys())
+    values = [mapping[key] for key in keys]
+    rounded = reference_discretize(discretizer, values)
+    return dict(zip(keys, rounded))
+
+
+def _reference_bracket_ascending(value: float, ascending: Sequence[float]) -> Tuple[float, float]:
+    """The (upper, lower) representatives bracketing ``value`` on an ascending
+    ladder (binary search)."""
+    if value >= ascending[-1]:
+        return ascending[-1], ascending[-1]
+    if value < ascending[0]:
+        return ascending[0], ascending[0]
+    idx = bisect_right(ascending, value) - 1
+    lower = ascending[idx]
+    upper = ascending[idx + 1] if idx + 1 < len(ascending) else lower
+    return upper, lower
+
+
+def reference_discretize(discretizer: HLHEDiscretizer, values: Sequence[float]) -> List[float]:
+    """``discretizer.discretize(values)`` value by value: HLHE's greedy
+    deviation-cancelling pass, or the nearest representative of each value."""
+    if not values:
+        return []
+    for value in values:
+        if value < 0:
+            raise ValueError("values must be non-negative")
+    max_value = max((v for v in values if v > 0), default=1.0)
+    ascending = list(reversed(representative_values(max_value, discretizer.degree)))
+    if isinstance(discretizer, NearestValueDiscretizer):
+        result: List[float] = []
+        for value in values:
+            if value <= 0:
+                result.append(0.0)
+                continue
+            upper, lower = _reference_bracket_ascending(value, ascending)
+            if abs(upper - value) < abs(lower - value):
+                result.append(upper)
+            else:
+                result.append(lower)
+        return result
+    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    result = [0.0] * len(values)
+    accumulated = 0.0
+    for idx in order:
+        value = values[idx]
+        if value <= 0:
+            result[idx] = 0.0
+            continue
+        upper, lower = _reference_bracket_ascending(value, ascending)
+        # Choose the representative minimising |accumulated + (value - rep)|.
+        dev_upper = accumulated + (value - upper)
+        dev_lower = accumulated + (value - lower)
+        if abs(dev_upper) < abs(dev_lower):
+            chosen, accumulated = upper, dev_upper
+        else:
+            chosen, accumulated = lower, dev_lower
+        result[idx] = chosen
+    return result
+
+
+class ReferenceReadjPlanner(ReadjPlanner):
+    """Readj's pairwise loop over ``{key: cost}`` and ``{key: task}`` dicts."""
+
+    def _candidates(self, costs: Mapping[Key, float]) -> List[Key]:
+        """Hot keys: cost at least ``sigma`` times the average key cost.
+
+        Compared in product form (``cost · K ≥ σ · total``) so a subnormal
+        total cost cannot underflow the mean to 0 and declare every key hot.
+        """
+        if not costs:
+            return []
+        total = sum(costs.values())
+        count = len(costs)
+        return [key for key, cost in costs.items() if cost * count >= self.sigma * total]
+
+    def plan(
+        self,
+        assignment: AssignmentFunction,
+        stats: StatisticsStore,
+        config: PlannerConfig,
+    ) -> RebalanceResult:
+        started = time.perf_counter()
+        costs = reference_cost_map(stats)
+        num_tasks = assignment.num_tasks
+        keys = list(costs)
+        working: Dict[Key, int] = dict(zip(keys, assignment.assign_batch(keys)))
+        loads = load_from_costs(costs, working.__getitem__, num_tasks)
+        ceiling = load_ceiling(loads, config.theta_max)
+
+        # Step 1: move explicitly routed keys back to their hash destination
+        # whenever the receiving task has room.
+        for key in list(assignment.routing_table.keys()):
+            if key not in working:
+                continue
+            home = assignment.hash_destination(key)
+            current = working[key]
+            if home == current:
+                continue
+            if loads[home] + costs[key] <= ceiling + _EPS:
+                loads[current] -= costs[key]
+                loads[home] += costs[key]
+                working[key] = home
+
+        # Step 2: best-operation search over hot keys.  Evaluating one move or
+        # swap needs the load spread with two tasks excluded; keeping the three
+        # highest and three lowest loads of the round makes that O(1) instead
+        # of a full O(N_D) pass per candidate pair.
+        candidates = self._candidates(costs)
+        operations = 0
+        while operations < self.max_operations:
+            if max_balance_indicator(loads) <= config.theta_max:
+                break
+            best_gain = 0.0
+            best_op: Optional[Tuple[str, Key, Optional[Key], int, int]] = None
+            by_load = sorted(loads.items(), key=lambda item: item[1])
+            lowest3 = by_load[:3]
+            highest3 = by_load[-3:]
+            spread = by_load[-1][1] - by_load[0][1]
+
+            def spread_excluding(task_x: int, task_y: int, val_x: float, val_y: float) -> float:
+                """Spread after tasks x/y take loads val_x/val_y."""
+                high = val_x if val_x >= val_y else val_y
+                for task, load in reversed(highest3):
+                    if task != task_x and task != task_y:
+                        if load > high:
+                            high = load
+                        break
+                low = val_x if val_x <= val_y else val_y
+                for task, load in lowest3:
+                    if task != task_x and task != task_y:
+                        if load < low:
+                            low = load
+                        break
+                return high - low
+
+            # Moves: hot key from its task to any other task.
+            for key in candidates:
+                source = working[key]
+                cost = costs[key]
+                for target in range(num_tasks):
+                    if target == source:
+                        continue
+                    new_src = loads[source] - cost
+                    new_dst = loads[target] + cost
+                    gain = spread - spread_excluding(source, target, new_src, new_dst)
+                    if gain > best_gain + _EPS:
+                        best_gain = gain
+                        best_op = ("move", key, None, source, target)
+
+            # Swaps: exchange two hot keys sitting on different tasks.
+            for i, key_a in enumerate(candidates):
+                for key_b in candidates[i + 1 :]:
+                    task_a, task_b = working[key_a], working[key_b]
+                    if task_a == task_b:
+                        continue
+                    diff = costs[key_a] - costs[key_b]
+                    new_a = loads[task_a] - diff
+                    new_b = loads[task_b] + diff
+                    gain = spread - spread_excluding(task_a, task_b, new_a, new_b)
+                    if gain > best_gain + _EPS:
+                        best_gain = gain
+                        best_op = ("swap", key_a, key_b, task_a, task_b)
+
+            if best_op is None:
+                break
+            kind, key_a, key_b, task_a, task_b = best_op
+            if kind == "move":
+                loads[task_a] -= costs[key_a]
+                loads[task_b] += costs[key_a]
+                working[key_a] = task_b
+            else:
+                assert key_b is not None
+                working[key_a], working[key_b] = task_b, task_a
+                diff = costs[key_a] - costs[key_b]
+                loads[task_a] -= diff
+                loads[task_b] += diff
+            operations += 1
+
+        return build_result(
+            self.name,
+            assignment,
+            stats,
+            config,
+            reference_off_hash_entries(assignment, working),
+            working.keys(),
+            loads=dict(loads),
+            balanced=max(loads.values(), default=0.0) <= ceiling + _EPS,
+            max_theta=max_balance_indicator(loads),
+            started=started,
+        )
+
+
+class ReferenceDKGPlanner(DKGPlanner):
+    """DKG over a ``{key: cost}`` dict, hashing key by key."""
+
+    def plan(
+        self,
+        assignment: AssignmentFunction,
+        stats: StatisticsStore,
+        config: PlannerConfig,
+    ) -> RebalanceResult:
+        started = time.perf_counter()
+        costs = reference_cost_map(stats)
+        # Product-form heavy test (cost · K > factor · total): a subnormal
+        # total cost would underflow the divided mean and mark every key heavy.
+        total_cost = sum(costs.values())
+        count = len(costs)
+        threshold = self.heavy_factor * total_cost
+        heavy_keys: List[Key] = []
+        light: List[Key] = []
+        for key, cost in costs.items():
+            (heavy_keys if cost * count > threshold else light).append(key)
+        heavy = sorted(heavy_keys, key=lambda k: (-costs[k], repr(k)))
+
+        loads: Dict[int, float] = {task: 0.0 for task in range(assignment.num_tasks)}
+        placements: Dict[Key, int] = {}
+        for key, task in zip(light, assignment.hash_batch(light)):
+            placements[key] = task
+            loads[task] += costs[key]
+        for key in heavy:
+            task = min(loads, key=lambda d: (loads[d], d))
+            placements[key] = task
+            loads[task] += costs[key]
+
+        max_theta = max_balance_indicator(loads)
+        return build_result(
+            self.name,
+            assignment,
+            stats,
+            config,
+            reference_off_hash_entries(assignment, placements),
+            placements.keys(),
+            loads=loads,
+            balanced=max_theta <= config.theta_max,
+            max_theta=max_theta,
+            retain_unobserved=False,
+            started=started,
+        )
+
+
+def reference_compact_statistics(
+    stats: StatisticsStore,
+    assignment: AssignmentFunction,
+    discretizer: Optional[HLHEDiscretizer] = None,
+    window: Optional[int] = None,
+) -> CompactStatistics:
+    """Build the records from per-key statistics.
+
+    ``discretizer=None`` keeps the original (undiscretised) values — the
+    "Original Key Space" data point of Fig. 11(a), where every distinct
+    value forms its own group.
+    """
+    costs = reference_cost_map(stats)
+    memories = reference_memory_map(stats, window)
+    keys = list(costs.keys())
+    if discretizer is not None:
+        disc_costs = reference_discretize_map(discretizer, costs)
+        disc_mems = reference_discretize_map(
+            discretizer, {key: memories.get(key, 0.0) for key in keys}
+        )
+    else:
+        disc_costs = dict(costs)
+        disc_mems = {key: memories.get(key, 0.0) for key in keys}
+
+    groups: Dict[GroupSignature, List[Key]] = {}
+    for key in keys:
+        signature = (
+            assignment(key),
+            assignment.hash_destination(key),
+            disc_costs[key],
+            disc_mems[key],
+        )
+        groups.setdefault(signature, []).append(key)
+
+    records = [
+        CompactRecord(
+            next_dest=signature[0],
+            current=signature[0],
+            hash_dest=signature[1],
+            cost=signature[2],
+            memory=signature[3],
+            count=len(group_keys),
+        )
+        for signature, group_keys in sorted(groups.items(), key=lambda kv: repr(kv[0]))
+    ]
+    # Deterministic expansion order inside each group.
+    for group_keys in groups.values():
+        group_keys.sort(key=repr)
+    return CompactStatistics(records, groups, assignment.num_tasks)
+
+
+class ReferenceCompactMixedPlanner(CompactMixedPlanner):
+    """The compact planner with its records built, and its record moves
+    expanded, key by key over per-key dicts (record-level phases shared)."""
+
+    def plan(
+        self,
+        assignment: AssignmentFunction,
+        stats: StatisticsStore,
+        config: Optional[PlannerConfig] = None,
+    ) -> RebalanceResult:
+        """Run the adapted Mixed algorithm and expand the plan to concrete keys.
+
+        The result's ``load_estimation_error`` is the Fig. 11(b) metric of
+        this round: how far the discretised loads the records were planned
+        with sit from the real loads of the expanded assignment.
+        """
+        config = config if config is not None else PlannerConfig()
+        started = time.perf_counter()
+        compact = reference_compact_statistics(
+            stats, assignment, self.discretizer, config.window
+        )
+        explicit_keys = sum(
+            record.count for record in compact.records if record.is_explicit
+        )
+        n = 0
+        rounds = 0
+        final_records: List[CompactRecord] = compact.records
+        while True:
+            rounds += 1
+            final_records = self._single_trial(compact, config, clean_keys=n)
+            table_size = sum(
+                record.count
+                for record in final_records
+                if record.next_dest is not None
+                and record.next_dest != record.hash_dest
+            )
+            overflow = (
+                0
+                if config.max_table_size is None
+                else max(0, table_size - config.max_table_size)
+            )
+            if overflow == 0 or n >= explicit_keys or rounds >= self.max_rounds:
+                break
+            n = min(explicit_keys, max(n + 1, n + overflow))
+
+        return self._expand(
+            assignment, stats, config, compact, final_records, started, rounds, n
+        )
+
+    def _expand(
+        self,
+        assignment: AssignmentFunction,
+        stats: StatisticsStore,
+        config: PlannerConfig,
+        compact: CompactStatistics,
+        final_records: List[CompactRecord],
+        started: float,
+        cleaning_rounds: int,
+        moved_back: int,
+    ) -> RebalanceResult:
+        """Map record-level decisions back onto concrete keys and build F′."""
+        # Consume keys group by group: records that keep d'==d leave their keys
+        # in place; records that moved take keys from the front of the group.
+        cursor: Dict[GroupSignature, int] = {sig: 0 for sig in compact.key_groups}
+        placements: Dict[Key, int] = {}
+
+        # First allocate moved records (d' != d) so that staying records keep
+        # whatever keys remain — mirrors the paper's "picking up those needing
+        # migration" step.
+        moved = [r for r in final_records if r.next_dest is not None and r.next_dest != r.current]
+
+        for record in moved:
+            group = compact.key_groups.get(record.signature, [])
+            start = cursor.get(record.signature, 0)
+            selected = group[start : start + record.count]
+            cursor[record.signature] = start + len(selected)
+            for key in selected:
+                placements[key] = record.next_dest  # type: ignore[arg-type]
+
+        # Every other observed key keeps its current destination.
+        for signature, group in compact.key_groups.items():
+            start = cursor.get(signature, 0)
+            for key in group[start:]:
+                placements.setdefault(key, signature[0])
+
+        # Every observed key is placed, so the real loads of F′ follow from
+        # the placements; the table pins the keys that left their hash.
+        actual_loads = load_from_costs(
+            reference_cost_map(stats), placements.__getitem__, assignment.num_tasks
+        )
+        estimated = compact.estimated_loads(final_records)
+        return build_result(
+            self.name,
+            assignment,
+            stats,
+            config,
+            reference_off_hash_entries(assignment, placements),
+            placements.keys(),
+            loads=actual_loads,
+            balanced=max_balance_indicator(estimated) <= config.theta_max + 1e-6,
+            max_theta=max_balance_indicator(actual_loads),
+            started=started,
+            cleaning_rounds=cleaning_rounds,
+            moved_back=moved_back,
+            load_estimation_error=load_estimation_error(estimated, actual_loads),
+        )

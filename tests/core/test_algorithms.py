@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_planner import reference_cost_map
 from repro.core.assignment import AssignmentFunction
 from repro.core.load import load_from_costs, max_balance_indicator
 from repro.core.planner import PlannerConfig, get_algorithm
@@ -55,7 +56,7 @@ class TestBalanceRestoration:
         assignment = AssignmentFunction.hashed(5, seed=42)
         config = PlannerConfig(theta_max=0.1, max_table_size=500)
         before = max_balance_indicator(
-            load_from_costs(store.cost_map(), assignment, 5)
+            load_from_costs(reference_cost_map(store), assignment, 5)
         )
         result = get_algorithm(name).plan(assignment, store, config)
         after = max_balance_indicator(result.loads)
@@ -63,7 +64,7 @@ class TestBalanceRestoration:
         assert after < before
         assert result.balanced
         # The produced loads must equal re-evaluating the costs under F'.
-        recomputed = load_from_costs(store.cost_map(), result.assignment, 5)
+        recomputed = load_from_costs(reference_cost_map(store), result.assignment, 5)
         for task in range(5):
             assert recomputed[task] == pytest.approx(result.loads[task])
 
@@ -179,7 +180,7 @@ class TestAlgorithmContracts:
         result = get_algorithm("mixed").plan(
             assignment, store, PlannerConfig(theta_max=0.05)
         )
-        observed = set(store.cost_map())
+        observed = set(reference_cost_map(store))
         delta = {
             key for key in observed if assignment(key) != result.assignment(key)
         }
@@ -193,7 +194,7 @@ class TestAlgorithmContracts:
             mixed = get_algorithm("mixed").plan(
                 assignment, store, PlannerConfig(theta_max=0.0)
             )
-            _, simple_loads, _ = simple_assign(store.cost_map(), 5, assignment.hash_destination)
+            _, simple_loads, _ = simple_assign(reference_cost_map(store), 5, assignment.hash_destination)
             theta_mixed = max_balance_indicator(mixed.loads)
             theta_simple = max_balance_indicator(simple_loads)
             assert theta_mixed <= theta_simple + 1e-9
@@ -236,7 +237,7 @@ class TestPropertyBased:
         store = _store(freqs)
         assignment = AssignmentFunction.hashed(num_tasks, seed=13)
         before = max_balance_indicator(
-            load_from_costs(store.cost_map(), assignment, num_tasks)
+            load_from_costs(reference_cost_map(store), assignment, num_tasks)
         )
         result = get_algorithm("mixed").plan(
             assignment, store, PlannerConfig(theta_max=0.05)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from reference_planner import reference_cost_map
 from repro.core.assignment import AssignmentFunction
 from repro.core.compact import (
     CompactMixedPlanner,
@@ -58,7 +59,7 @@ class TestCompactStatistics:
         store = _store(_skewed())
         assignment = AssignmentFunction.hashed(5, seed=42)
         compact = CompactStatistics.from_stats(store, assignment, HLHEDiscretizer(8))
-        assert compact.total_keys() == len(store.cost_map())
+        assert compact.total_keys() == len(reference_cost_map(store))
         # Records group many keys, so there are far fewer records than keys.
         assert len(compact) < compact.total_keys()
 
@@ -67,7 +68,7 @@ class TestCompactStatistics:
         assignment = AssignmentFunction.hashed(5, seed=42)
         compact = CompactStatistics.from_stats(store, assignment, None)
         estimated = compact.estimated_loads()
-        actual = load_from_costs(store.cost_map(), assignment, 5)
+        actual = load_from_costs(reference_cost_map(store), assignment, 5)
         for task in range(5):
             assert estimated[task] == pytest.approx(actual[task])
 
@@ -76,7 +77,7 @@ class TestCompactStatistics:
         assignment = AssignmentFunction.hashed(5, seed=42)
         compact = CompactStatistics.from_stats(store, assignment, HLHEDiscretizer(8))
         estimated = compact.estimated_loads()
-        actual = load_from_costs(store.cost_map(), assignment, 5)
+        actual = load_from_costs(reference_cost_map(store), assignment, 5)
         assert load_estimation_error(estimated, actual) < 0.05
 
 
@@ -84,7 +85,7 @@ class TestCompactMixedPlanner:
     def test_rebalances(self):
         store = _store(_skewed())
         assignment = AssignmentFunction.hashed(5, seed=42)
-        before = max_balance_indicator(load_from_costs(store.cost_map(), assignment, 5))
+        before = max_balance_indicator(load_from_costs(reference_cost_map(store), assignment, 5))
         result = CompactMixedPlanner(HLHEDiscretizer(8)).plan(
             assignment, store, PlannerConfig(theta_max=0.1, max_table_size=200)
         )
@@ -105,7 +106,7 @@ class TestCompactMixedPlanner:
         result = CompactMixedPlanner(HLHEDiscretizer(8)).plan(
             assignment, store, PlannerConfig(theta_max=0.1)
         )
-        observed = set(store.cost_map())
+        observed = set(reference_cost_map(store))
         delta = {key for key in observed if assignment(key) != result.assignment(key)}
         assert delta == result.migrated_keys
 

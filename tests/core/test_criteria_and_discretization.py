@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_planner import reference_discretize
 from repro.core.criteria import (
     DEFAULT_BETA,
     HighestCostFirst,
@@ -162,11 +163,6 @@ class TestHLHEDiscretizer:
     def test_empty_input(self):
         assert HLHEDiscretizer(8).discretize([]) == []
 
-    def test_discretize_map_preserves_keys(self):
-        mapping = {"a": 7.0, "b": 3.0}
-        out = HLHEDiscretizer(4).discretize_map(mapping)
-        assert set(out) == {"a", "b"}
-
     def test_beats_nearest_on_accumulated_deviation(self):
         values = [8, 6, 3, 2, 2, 1, 1, 1, 1, 1]
         hlhe = HLHEDiscretizer(4).discretize(values)
@@ -231,3 +227,25 @@ class TestNearestValueDiscretizer:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             NearestValueDiscretizer(4).discretize([-2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 7, 8.0, 9.5, 64.0, 0.1, 1e-3]),
+            st.floats(min_value=0.0, max_value=5_000.0),
+            st.integers(min_value=0, max_value=300),
+        ),
+        max_size=80,
+    ),
+    st.sampled_from([1, 2, 4, 8, 64]),
+    st.sampled_from([HLHEDiscretizer, NearestValueDiscretizer]),
+)
+def test_discretize_matches_value_by_value_reference(values, degree, kind):
+    """The array bracket lookup picks, value for value, what the per-value
+    binary search of ``reference_planner.reference_discretize`` picks."""
+    discretizer = kind(degree)
+    actual = discretizer.discretize(values)
+    expected = reference_discretize(discretizer, values)
+    assert [float(x).hex() for x in actual] == [float(x).hex() for x in expected]

@@ -54,9 +54,10 @@ class TestLoadModel:
         with pytest.raises(ValueError):
             load_from_costs({}, lambda k: 0, 0)
 
-    def test_load_from_interval_stats_cost_map(self):
+    def test_load_from_interval_stats_costs(self):
         stats = IntervalStats.from_frequencies(0, {"a": 4, "b": 2})
-        loads = load_from_costs(stats.columns().cost_map, lambda k: 0 if k == "a" else 1, 2)
+        costs = {key: stat.cost for key, stat in stats.items()}
+        loads = load_from_costs(costs, lambda k: 0 if k == "a" else 1, 2)
         assert loads == {0: 4.0, 1: 2.0}
 
     def test_average_and_indicator(self):

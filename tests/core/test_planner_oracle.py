@@ -1,12 +1,13 @@
-"""Oracle parity: the columnar planner against the dict-walking reference.
+"""Oracle parity: the columnar planners against the dict-walking references.
 
 ``reference_planner.py`` holds the planner bodies this repo shipped before
-planning moved onto aligned columns.  The rewrite is a cost change, not a
-heuristic change, so every plan must come out identical — same routing table
-(content and entry order), same moves in the same order, bit-equal loads and
-fractions — over several consecutive rounds, for every algorithm, with ties,
-multi-interval windows, a binding ``A_max`` and table entries for keys the
-window never saw.
+planning moved onto aligned columns: the paper's algorithms, then Readj, DKG
+and the compact planner.  The rewrite is a cost change, not a heuristic
+change, so every plan must come out identical — same routing table (content
+and entry order), same moves in the same order, bit-equal loads and
+fractions — over several consecutive rounds, for every planner, with ties,
+near-ties, multi-interval windows, a binding ``A_max`` and table entries for
+keys the window never saw.
 
 The order contract for moves is table-diff order: first the keys whose old
 routing-table entry was dropped or retargeted, in the old table's entry
@@ -25,13 +26,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference_planner import (
+    ReferenceCompactMixedPlanner,
+    ReferenceDKGPlanner,
+    ReferenceReadjPlanner,
     reference_algorithm,
     reference_cleaning_order,
+    reference_compact_statistics,
     reference_llfd,
     reference_sort,
 )
+from repro.baselines.dkg import DKGPlanner
+from repro.baselines.readj import ReadjPlanner
 from repro.core.assignment import AssignmentFunction
+from repro.core.compact import CompactMixedPlanner, CompactStatistics
 from repro.core.criteria import HighestCostFirst, LargestGammaFirst, SmallestMemoryFirst
+from repro.core.discretization import HLHEDiscretizer
 from repro.core.hashing import UniversalHash
 from repro.core.llfd import least_load_fit_decreasing
 from repro.core.mixed import _cleaning_order
@@ -47,6 +56,10 @@ ALGORITHMS = ("mixed", "minmig", "mintable", "mixedbf")
 #: Few distinct values, so equal costs / memories / γ are the norm, plus
 #: non-integers whose powers do not round the same way in every libm.
 _VALUES = st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 7.5, 9.0, 16.0, 0.1, 1e-3, 123.456])
+#: Decimal fractions whose sums round: gains equal in exact arithmetic come
+#: out a few ulps apart, where Readj's rule (a candidate wins only by beating
+#: the best so far by more than 1e-9) and a plain argmax part ways.
+_ROUNDING = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 1.0, 2.0])
 
 
 def _universe(kind: str, size: int) -> List[Key]:
@@ -56,7 +69,8 @@ def _universe(kind: str, size: int) -> List[Key]:
 
 
 @st.composite
-def _scenarios(draw):
+def _scenarios(draw, names=ALGORITHMS, pools=(_VALUES,)):
+    values = draw(st.sampled_from(pools))
     kind = draw(st.sampled_from(["str", "int"]))
     universe = _universe(kind, draw(st.integers(min_value=3, max_value=24)))
     num_tasks = draw(st.integers(min_value=2, max_value=5))
@@ -67,7 +81,7 @@ def _scenarios(draw):
         present = draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
         snapshots.append(
             {
-                key: KeyStats(frequency=1.0, cost=draw(_VALUES), memory=draw(_VALUES))
+                key: KeyStats(frequency=1.0, cost=draw(values), memory=draw(values))
                 for key in present
             }
         )
@@ -84,7 +98,7 @@ def _scenarios(draw):
         window=draw(st.sampled_from([None, window, 1])),
     )
     return (
-        draw(st.sampled_from(ALGORITHMS)),
+        draw(st.sampled_from(names)),
         num_tasks,
         draw(st.integers(min_value=0, max_value=3)),
         window,
@@ -105,12 +119,14 @@ def _assert_same_plan(actual: RebalanceResult, expected: RebalanceResult) -> Non
     assert actual.cleaning_rounds == expected.cleaning_rounds
     assert actual.moved_back == expected.moved_back
     assert actual.table_size == expected.table_size
+    assert actual.load_estimation_error == expected.load_estimation_error
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_scenarios())
-def test_columnar_planner_matches_dict_walking_reference(scenario):
-    name, num_tasks, seed, window, snapshots, table, config = scenario
+def _replay(scenario, actual_planner, expected_planner, before_each=None) -> None:
+    """Plan every interval of ``scenario`` (once the window is full) with both
+    planners, each on its own statistics and the assignment its last plan
+    installed, and require the same plan every time."""
+    _, num_tasks, seed, window, snapshots, table, config = scenario
     actual_f = AssignmentFunction(UniversalHash(num_tasks, seed=seed), RoutingTable(table))
     expected_f = actual_f.with_table(RoutingTable(table))
     actual_stats = StatisticsStore(window=window)
@@ -120,13 +136,117 @@ def test_columnar_planner_matches_dict_walking_reference(scenario):
         expected_stats.push(IntervalStats(interval, snapshot))
         if interval < window - 1:
             continue  # fill the window first, then plan on every interval
-        assert _cleaning_order(actual_f, actual_stats, config) == reference_cleaning_order(
-            expected_f, expected_stats, config
-        )
-        actual = get_algorithm(name).plan(actual_f, actual_stats, config)
-        expected = reference_algorithm(name).plan(expected_f, expected_stats, config)
+        if before_each is not None:
+            before_each(actual_f, actual_stats, expected_f, expected_stats, config)
+        actual = actual_planner.plan(actual_f, actual_stats, config)
+        expected = expected_planner.plan(expected_f, expected_stats, config)
         _assert_same_plan(actual, expected)
         actual_f, expected_f = actual.assignment, expected.assignment
+
+
+def _same_cleaning_order(actual_f, actual_stats, expected_f, expected_stats, config) -> None:
+    assert _cleaning_order(actual_f, actual_stats, config) == reference_cleaning_order(
+        expected_f, expected_stats, config
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scenarios())
+def test_columnar_planner_matches_dict_walking_reference(scenario):
+    name = scenario[0]
+    _replay(scenario, get_algorithm(name), reference_algorithm(name), _same_cleaning_order)
+
+
+def _discretizer(degree: Optional[int]) -> Optional[HLHEDiscretizer]:
+    return None if degree is None else HLHEDiscretizer(degree)
+
+
+#: The planners outside the registry, each with the tunable drawn for it and
+#: a function making ``(columnar planner, dict-walking reference)``.  σ = 0 makes
+#: every key hot, so Readj's search meets many equal and near-equal gains;
+#: the compact planner runs on the original key space and at R ∈ {1, 8}.
+MOVED_PLANNERS = {
+    "readj": (
+        st.sampled_from([0.0, 0.5, 2.0]),
+        lambda sigma: (ReadjPlanner(sigma), ReferenceReadjPlanner(sigma)),
+    ),
+    "dkg": (
+        st.sampled_from([0.5, 1.0, 5.0]),
+        lambda factor: (DKGPlanner(factor), ReferenceDKGPlanner(factor)),
+    ),
+    "compact-mixed": (
+        st.sampled_from([None, 1, 8]),
+        lambda degree: (
+            CompactMixedPlanner(_discretizer(degree)),
+            ReferenceCompactMixedPlanner(_discretizer(degree)),
+        ),
+    ),
+}
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scenarios(tuple(MOVED_PLANNERS), (_VALUES, _ROUNDING)), st.data())
+def test_moved_planners_match_dict_walking_reference(scenario, data):
+    name = scenario[0]
+    tunable, build = MOVED_PLANNERS[name]
+    actual, expected = build(data.draw(tunable))
+    same_records = _same_records(actual.discretizer) if name == "compact-mixed" else None
+    _replay(scenario, actual, expected, same_records)
+
+
+def _same_records(discretizer: Optional[HLHEDiscretizer]):
+    """Before each compact plan: the same records in the same (``repr``)
+    order, and the same groups listing the same keys in the same order."""
+
+    def check(actual_f, actual_stats, expected_f, expected_stats, config) -> None:
+        actual = CompactStatistics.from_stats(actual_stats, actual_f, discretizer, config.window)
+        expected = reference_compact_statistics(
+            expected_stats, expected_f, discretizer, config.window
+        )
+        assert actual.records == expected.records
+        keys = actual_stats.columns(config.window).keys
+        assert [
+            (signature, [keys[at] for at in group])
+            for signature, group in actual.key_groups.items()
+        ] == list(expected.key_groups.items())
+
+    return check
+
+
+@pytest.mark.parametrize("name", sorted(MOVED_PLANNERS))
+def test_moved_planners_match_reference_at_zipf_magnitudes(name):
+    # Tab. II's shape at `tiny`'s K = 2 000 (expected counts, a two-interval
+    # window): hundreds of hot keys for Readj, thousands of keys to group.
+    snapshots = ZipfWorkload(
+        num_keys=2_000,
+        skew=0.85,
+        tuples_per_interval=20_000,
+        fluctuation=1.0,
+        num_tasks=10,
+        intervals=4,
+        seed=5,
+        sampled=False,
+    ).take(4)
+    config = PlannerConfig(theta_max=0.02, max_table_size=200, beta=1.5, window=2)
+    actual_planner, expected_planner = MOVED_PLANNERS[name][1](
+        {"readj": 2.0, "dkg": 5.0, "compact-mixed": 8}[name]
+    )
+    actual_f = AssignmentFunction(UniversalHash(10, seed=5), RoutingTable())
+    expected_f = actual_f.with_table(RoutingTable())
+    actual_stats = StatisticsStore(window=2)
+    expected_stats = StatisticsStore(window=2)
+    moved = 0
+    for interval, snapshot in enumerate(snapshots):
+        for store in (actual_stats, expected_stats):
+            store.push(
+                IntervalStats.from_frequencies(interval, snapshot, memory_per_tuple=0.25)
+            )
+        actual = actual_planner.plan(actual_f, actual_stats, config)
+        expected = expected_planner.plan(expected_f, expected_stats, config)
+        _assert_same_plan(actual, expected)
+        moved += len(actual.migration_plan.moves)
+        actual_f, expected_f = actual.assignment, expected.assignment
+    assert moved > 0
 
 
 @settings(max_examples=200, deadline=None)

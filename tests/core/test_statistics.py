@@ -203,26 +203,29 @@ class TestStatisticsStore:
         with pytest.raises(ValueError):
             store.windowed_memory("a", window=0)
 
-    def test_cost_map_reflects_latest_only(self):
+    def test_cost_column_reflects_latest_only(self):
         store = StatisticsStore(window=2)
         store.push(IntervalStats.from_frequencies(1, {"a": 5}))
         store.push(IntervalStats.from_frequencies(2, {"a": 7, "b": 1}))
-        assert store.cost_map() == {"a": 7.0, "b": 1.0}
+        columns = store.columns()
+        assert dict(zip(columns.keys, columns.cost.tolist())) == {"a": 7.0, "b": 1.0}
         assert store.cost("a") == 7.0
         assert store.frequency("b") == 1.0
 
-    def test_memory_map_over_window(self):
+    def test_windowed_memory_of_every_key_in_the_window(self):
         store = StatisticsStore(window=2)
         store.push(IntervalStats.from_frequencies(1, {"a": 5, "b": 2}))
         store.push(IntervalStats.from_frequencies(2, {"a": 7}))
-        assert store.memory_map() == {"a": 12.0, "b": 2.0}
+        held = {key: store.windowed_memory(key) for key in store.observed_keys()}
+        assert held == {"a": 12.0, "b": 2.0}
         assert store.total_windowed_memory() == 14.0
 
     def test_observed_keys_union(self):
         store = StatisticsStore(window=2)
         store.push(IntervalStats.from_frequencies(1, {"a": 1}))
-        store.push(IntervalStats.from_frequencies(2, {"b": 1}))
+        store.push(IntervalStats.from_frequencies(2, {"b": 1, "a": 1}))
         assert store.observed_keys() == {"a", "b"}
+        assert list(store.observed_keys()) == ["a", "b"]  # first appearance, oldest first
 
     @pytest.mark.parametrize("window", [1, 2])
     def test_columns_do_not_adopt_a_key_list_equal_only_by_numpy_broadcasting(self, window):
