@@ -1,9 +1,10 @@
 """The runtime protocol sanitizer: dynamic invariant checks on a live topology.
 
 TSan-style opt-in instrumentation (``RuntimeConfig(sanitize=True)`` or
-``repro bench --sanitize``): the coordinator wraps each stage's worker queues, router and
-controller with checks asserting the same protocol invariants the static
-rules (:mod:`repro.analysis.rules`) pin at the source level —
+``repro bench --sanitize``): each stage's :class:`StageSanitizer` is one of
+its lifecycle observers (:mod:`repro.runtime.lifecycle`) and checks, from
+the hooks, the same protocol invariants the static rules
+(:mod:`repro.analysis.rules`) pin at the source level —
 
 * **message_type** — every object crossing a process boundary is a type
   registered in :mod:`repro.runtime.messages` (the dynamic RPL001);
@@ -27,9 +28,9 @@ rules (:mod:`repro.analysis.rules`) pin at the source level —
 
 Violations are *recorded*, never raised: a sanitized bench completes and
 reports, exactly so the checker can ride along in CI without turning an
-accounting bug into a wedged pipeline.  The wrappers add two attribute
-lookups and an isinstance per message send — negligible against the pickling
-cost of the send itself — so a sanitized run's numbers remain representative.
+accounting bug into a wedged pipeline.  The send hook costs a few attribute
+lookups per message — negligible against the pickling cost of the send
+itself — so a sanitized run's numbers remain representative.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set
 
+from repro.runtime import messages
+from repro.runtime.lifecycle import StageObserver
+
 __all__ = [
-    "SanitizedQueue",
     "SanitizerReport",
     "StageSanitizer",
     "Violation",
@@ -108,27 +111,18 @@ class SanitizerReport:
             }
 
 
-def _message_registry() -> Set[str]:
-    from repro.runtime import messages
-
-    return set(messages.__all__)
-
-
-class StageSanitizer:
+class StageSanitizer(StageObserver):
     """Per-stage monitor: all hooks run on the stage's router thread."""
 
     def __init__(
         self,
         stage: str,
         report: SanitizerReport,
-        message_types: Optional[Set[str]] = None,
         origins: Optional[Sequence[str]] = None,
     ) -> None:
         self.stage = stage
         self.report = report
-        self._registry = (
-            message_types if message_types is not None else _message_registry()
-        )
+        self._registry = set(messages.__all__)
         #: Declared upstream edges of the stage (``None`` = learn them from
         #: the marks actually observed — single-stage and unit-test use).
         self._origins: Optional[Set[str]] = (
@@ -167,7 +161,6 @@ class StageSanitizer:
     # -- queue sends -----------------------------------------------------
 
     def on_send(self, task: int, message: Any) -> None:
-        """Called after each successful put onto worker ``task``'s queue."""
         type_name = type(message).__name__
         self.report.count_check("message_type")
         if type_name not in self._registry:
@@ -201,19 +194,14 @@ class StageSanitizer:
 
     # -- fan-in ingress ---------------------------------------------------
 
-    def on_ingress_batch(self, origin: str, count: int) -> None:
-        """Called for each accepted (post replay-dedup) ingress batch.
-
-        The per-origin totals reconcile against the router's dispatch-side
+    def on_ingress_batch(self, loop: Any, origin: str, batch: Any) -> None:
+        """The per-origin totals reconcile against the router's dispatch-side
         offered count at :meth:`finalize` — the multi-upstream conservation
-        book.
-        """
-        self._received[origin] = self._received.get(origin, 0) + int(count)
+        book."""
+        self._received[origin] = self._received.get(origin, 0) + len(batch.keys)
 
     def on_upstream_mark(self, origin: str, producer: int, interval: int) -> None:
-        """Called for each *accepted* upstream mark (post floor-dedup).
-
-        Independently re-checks the stage loop's barrier dedup — an accepted
+        """Independently re-checks the stage loop's barrier dedup — an accepted
         mark must strictly advance its ``(origin, producer)`` edge — and
         records which origins marked the interval, so :meth:`on_close` can
         verify no interval closes with an upstream origin still unheard.
@@ -241,9 +229,7 @@ class StageSanitizer:
     # -- supervised recovery ---------------------------------------------
 
     def on_respawn(self, task: int) -> None:
-        """A dead worker was respawned on ``task``'s queue.
-
-        The fresh process rebuilds its watermark from the checkpoint and the
+        """The fresh process rebuilds its watermark from the checkpoint and the
         replayed markers, so the per-task marker history restarts — replayed
         ``EndInterval`` markers are monotone among themselves but precede
         the markers already seen on the old incarnation.
@@ -252,16 +238,12 @@ class StageSanitizer:
         self._last_marker.pop(task, None)
         self._closed_tasks.discard(task)
 
-    def begin_replay(self) -> None:
-        """Suppress enqueue counting while a retention log replays."""
-        self._replaying = True
-
-    def end_replay(self) -> None:
-        self._replaying = False
+    def on_replay(self, task: int, replaying: bool) -> None:
+        self._replaying = replaying
 
     # -- coordinator interval close --------------------------------------
 
-    def on_close(self, interval: int) -> None:
+    def on_close(self, loop: Any, interval: int) -> None:
         self.report.count_check("watermark")
         if self._last_closed is not None and interval <= self._last_closed:
             self._violate(
@@ -298,24 +280,14 @@ class StageSanitizer:
         else:
             self._pause_depth -= 1
 
-    def wrap_router(self, router: Any) -> None:
-        """Shadow the router's pause/resume with monitored versions."""
-        inner_pause = router.pause
-        inner_resume = router.resume
-        sanitizer = self
-
-        def pause(keys: Any) -> Any:
-            sanitizer.on_pause(keys)
-            return inner_pause(keys)
-
-        def resume() -> Any:
-            sanitizer.on_resume()
-            return inner_resume()
-
-        router.pause = pause
-        router.resume = resume
-
     # -- end-of-run conservation -----------------------------------------
+
+    def on_finalize(self, result: Any) -> None:
+        self.finalize(
+            float(result.tuples_offered),
+            float(result.tuples_processed),
+            result.tuples_shed,
+        )
 
     def finalize(self, offered: float, processed: float, shed: float) -> None:
         """Close the books: pause pairing and tuple conservation.
@@ -356,20 +328,3 @@ class StageSanitizer:
                     f"sums to {total} != offered {offered:g}",
                 )
 
-
-class SanitizedQueue:
-    """Worker-queue proxy feeding every send through a :class:`StageSanitizer`.
-
-    Wraps the coordinator-side abort-aware proxy; the monitor hook runs
-    *after* a successful put so a shed (timed-out) dispatch is not counted
-    as enqueued.
-    """
-
-    def __init__(self, abortable: Any, task: int, sanitizer: StageSanitizer):
-        self._abortable = abortable
-        self._task = task
-        self._sanitizer = sanitizer
-
-    def put(self, item: Any, timeout: Optional[float] = None) -> None:
-        self._abortable.put(item, timeout=timeout)
-        self._sanitizer.on_send(self._task, item)

@@ -21,8 +21,9 @@ One operator behind one router is a one-stage :class:`TopologySpec`.
 
 Modules: ``config`` (``RuntimeConfig``), ``topology`` (``TopologyRuntime``:
 wiring, spawn, shutdown), ``stage_loop`` (the per-stage router thread),
-``barrier`` (``MarkBarrier``), ``result`` (the result types and their fold),
-``queues`` (every abort-aware blocking primitive), ``bench`` (``repro bench``).
+``lifecycle`` (its observers' hooks), ``barrier`` (``MarkBarrier``), ``result``
+(the result types and their fold), ``queues`` (every abort-aware blocking
+primitive), ``bench`` (``repro bench``).
 
 Per-worker throughput counters and latency histograms (lifetime plus
 per-interval deltas) aggregate into

@@ -99,15 +99,19 @@ class RuntimeController:
         router: Any,
         worker_queues: Sequence[Any],
         mailbox: Any,
+        observers: Sequence[Any] = (),
     ) -> None:
         """``mailbox`` is the coordinator's outbound-queue demultiplexer; it
         must offer ``collect(message_type, expected)`` (blocking) and
-        ``drain(message_type)`` (non-blocking) — see ``queues._Mailbox``."""
+        ``drain(message_type)`` (non-blocking) — see ``queues._Mailbox``.
+        ``observers`` (the stage's lifecycle observers) see every pause and
+        resume."""
         self.partitioner = partitioner
         self.router = router
         #: Abort-aware command queues (one per worker); see StreamRouter.
         self.abortable_queues = list(worker_queues)
         self.mailbox = mailbox
+        self.observers = observers
         self.migrations: List[LiveMigrationReport] = []
         self._pending: Optional[_PendingMigration] = None
 
@@ -154,6 +158,8 @@ class RuntimeController:
         """Pause the moving keys and ask every source worker to ship them."""
         started = time.monotonic()
         self.router.pause(target_of.keys())
+        for observer in self.observers:
+            observer.on_pause(target_of.keys())
         for source, keys in sorted(keys_by_source.items()):
             self.abortable_queues[source].put(ExtractKeys(keys=keys))
         report.moved_keys = len(target_of)
@@ -263,6 +269,8 @@ class RuntimeController:
     def _resume(self, pending: _PendingMigration) -> None:
         report = pending.report
         report.released_tuples = self.router.resume()
+        for observer in self.observers:
+            observer.on_resume()
         report.pause_seconds = time.monotonic() - pending.started
         self._pending = None
 

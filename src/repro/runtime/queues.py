@@ -21,7 +21,8 @@ predicate.  :func:`abortable_get` / :func:`abortable_put` are the child-side
 wrappers (default predicate :func:`parent_process_died`: workers and the
 source are children of the coordinator, so a dead parent means nobody will
 feed or drain their channels again); ``_AbortableQueue`` is the coordinator's
-put-side proxy, whose predicate is the stage's watchdog.  They work on any
+one send path to a worker, whose predicate is the stage's watchdog and which
+reports each put to the stage's lifecycle observers.  They work on any
 object with ``queue.Queue``'s ``get`` / ``put`` — only a :class:`Channel` can
 be interrupted in mid-frame, so only it is handed the predicate.
 
@@ -51,7 +52,7 @@ import threading
 import time
 from functools import partial
 from multiprocessing.synchronize import SEM_VALUE_MAX
-from typing import Any, Callable, List, Optional, Type
+from typing import Any, Callable, List, Optional, Sequence, Type
 
 from repro.runtime.messages import WorkerError
 
@@ -138,12 +139,12 @@ class Channel:
         state.update(_pid=0, _buffer=None, _read_poller=None, _write_poller=None)
         return state
 
-    def _check(self, abort: Optional[AbortCheck], what: str) -> None:
+    def _check(self, abort: Optional[AbortCheck], item: Any, what: str) -> None:
         """A wait's poll interval expired: give up if the caller says so."""
         if abort is not None and abort():
             raise QueueAborted(
-                f"channel {self.role}: put abandoned waiting for {what}: "
-                "the peer process is gone"
+                f"channel {self.role}: put of {type(item).__name__} abandoned "
+                f"waiting for {what}: the peer process is gone"
             )
 
     # -- producer side ---------------------------------------------------------------
@@ -168,7 +169,7 @@ class Channel:
         self._local()
         if block and timeout is None:
             while not self._slots.acquire(True, POLL_SECONDS):
-                self._check(abort, "capacity")
+                self._check(abort, item, "capacity")
         elif not self._slots.acquire(block, timeout):
             raise queue_module.Full
         on_wire = False
@@ -181,7 +182,7 @@ class Channel:
                 )
             frame = memoryview(_HEADER.pack(len(payload)) + payload)
             while not self._write_lock.acquire(True, POLL_SECONDS):
-                self._check(abort, "the write lock")
+                self._check(abort, item, "the write lock")
             try:
                 fd = self._writer.fileno()
                 while frame:
@@ -189,7 +190,7 @@ class Channel:
                         sent = os.write(fd, frame)
                     except BlockingIOError:
                         if not self._pipe_space():
-                            self._check(abort, "pipe space")
+                            self._check(abort, item, "pipe space")
                         continue
                     except BrokenPipeError:
                         raise QueueAborted(
@@ -344,7 +345,8 @@ def abortable_put(
         except queue_module.Full:
             if check():
                 raise QueueAborted(
-                    "queue put abandoned: the peer process is gone"
+                    f"queue put of {type(item).__name__} abandoned: "
+                    "the peer process is gone"
                 ) from None
 
 
@@ -379,26 +381,35 @@ class _AbortFlag:
 
 
 class _AbortableQueue:
-    """A put-side queue proxy whose blocking waits stay interruptible.
+    """The coordinator's send path to one worker, whose waits stay interruptible.
 
     ``checker`` is called between short waits; it raises (worker crashed,
     sibling stage failed, run wedged) to unwind the caller instead of
-    blocking forever on a queue nobody will ever drain again.
+    blocking forever on a queue nobody will ever drain again.  After a put
+    returned, each of ``observers`` (the stage's lifecycle observers) sees
+    ``on_send(task, item)``; a put that sheds or aborts is never seen.
     """
 
-    def __init__(self, queue: Any, checker: Callable[[], None]) -> None:
+    def __init__(
+        self, queue: Any, checker: Callable[[], None], task: int = 0, observers: Sequence[Any] = ()
+    ) -> None:
         self._queue = queue
         self._checker = checker
+        self._task = task
+        self._observers = observers
 
     def replace(self, queue: Any) -> None:
         """Swap the inner queue in place (worker respawned on a fresh one).
 
         A put blocked on the dead worker's channel — for capacity or in
         mid-frame — sees the swap at its next wake-up and starts over on the
-        new one, so the wrapping logged/sanitized chain and every list
-        holding this proxy stay valid.
+        new one, so every list holding this proxy stays valid.
         """
         self._queue = queue
+
+    def backlog(self) -> int:
+        """Messages put on the current channel and not yet handed out."""
+        return self._queue.backlog()
 
     def _swapped(self, queue: Any) -> bool:
         """The abort check of a put in progress on ``queue``.
@@ -409,7 +420,10 @@ class _AbortableQueue:
         self._checker()
         return self._queue is not queue
 
-    def put(self, item: Any, timeout: Optional[float] = None) -> None:
+    def put(
+        self, item: Any, timeout: Optional[float] = None, *, observed: bool = True
+    ) -> None:
+        """Put ``item``; ``observed=False`` keeps it from the observers."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             queue = self._queue
@@ -419,12 +433,16 @@ class _AbortableQueue:
                 if wait <= 0:
                     raise queue_module.Full
             try:
-                return _put(queue, item, wait, partial(self._swapped, queue))
+                _put(queue, item, wait, partial(self._swapped, queue))
+                break
             except queue_module.Full:
                 self._checker()
             except QueueAborted:
                 if self._queue is queue:
                     raise
+        if observed:
+            for observer in self._observers:
+                observer.on_send(self._task, item)
 
 
 class _Mailbox:

@@ -27,9 +27,11 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict
+from typing import Any, Collection, Dict, Iterable, List
 
-__all__ = ["ScaleDirective", "ScaleEvent", "execute_scale", "parse_scale_spec"]
+from repro.runtime.lifecycle import StageObserver
+
+__all__ = ["ScaleDirective", "ScaleEvent", "StageResizer", "execute_scale", "parse_scale_spec"]
 
 
 @dataclass(frozen=True)
@@ -93,12 +95,37 @@ class ScaleEvent:
         return asdict(self)
 
 
-def execute_scale(loop: Any, directive: ScaleDirective) -> ScaleEvent:
+class StageResizer(StageObserver):
+    """Runs a :class:`ScaleDirective` on its stage, once planned at its interval.
+
+    Keeps every key the stage ever routed: the placement diff of the resize
+    needs them all.
+    """
+
+    def __init__(self, directive: ScaleDirective) -> None:
+        self.directive = directive
+        self.seen_keys: set = set()
+        self.events: List[ScaleEvent] = []
+
+    def on_planned(self, loop: Any, interval: int, keys: Iterable[Any]) -> None:
+        self.seen_keys.update(keys)
+        if interval == self.directive.interval:
+            self.events.append(execute_scale(loop, self.directive, self.seen_keys))
+
+    def on_finalize(self, result: Any) -> None:
+        if self.events:
+            result.resilience_book()["scale_events"] = [
+                event.to_dict() for event in self.events
+            ]
+
+
+def execute_scale(loop: Any, directive: ScaleDirective, seen_keys: Collection[Any]) -> ScaleEvent:
     """Resize ``loop``'s stage per ``directive`` at the current boundary.
 
     ``loop`` is the stage's ``_StageLoop``; the call runs on the stage
-    thread inside ``_close_interval``, after the interval's accounts are
-    settled and with no dispatch in flight.
+    thread inside ``_close_interval``, after the interval is planned and
+    with no dispatch in flight.  ``seen_keys`` are the keys the stage ever
+    routed.
     """
     started = time.monotonic()
     partitioner = loop.spec.partitioner
@@ -116,7 +143,7 @@ def execute_scale(loop: Any, directive: ScaleDirective) -> ScaleEvent:
         loop.attach_worker(task)
     # The placement diff over every key this stage ever routed is the
     # migration plan.
-    moves = partitioner.resize(new, sorted(loop.seen_keys, key=repr))
+    moves = partitioner.resize(new, sorted(seen_keys, key=repr))
     if directive.delta > 0:
         loop.router.set_queues(loop.guarded_queues)
         loop.controller.set_queues(loop.guarded_queues)

@@ -32,9 +32,11 @@ import re
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List
 
+from repro.runtime.lifecycle import StageObserver
 from repro.runtime.messages import (
+    CrashSelf,
     ExtractKeys,
     InstallAck,
     InstallState,
@@ -45,7 +47,7 @@ from repro.runtime.resilience.checkpoint import CheckpointStore
 
 __all__ = [
     "KillDirective",
-    "LoggedQueue",
+    "KillInjector",
     "RecoveryIncident",
     "RetentionLog",
     "StageSupervisor",
@@ -81,6 +83,29 @@ class KillDirective:
 
 
 _KILL_SPEC = re.compile(r"^(?P<stage>[^:@]+):(?P<task>\d+)@(?P<interval>\d+)$")
+
+
+class KillInjector(StageObserver):
+    """Fires a :class:`KillDirective` once: a :class:`CrashSelf` command goes
+    through the victim's FIFO inbound queue — behind the batches already
+    dispatched to it — unobserved, so it is neither retained for replay nor
+    counted by the sanitizer."""
+
+    def __init__(self, directive: KillDirective) -> None:
+        self.directive = directive
+        self.fired = False
+
+    def on_ingress_batch(self, loop: Any, origin: str, batch: Any) -> None:
+        if self.fired or batch.interval < self.directive.interval:
+            return
+        self.fired = True
+        task = self.directive.task
+        if task >= len(loop.workers):
+            raise ValueError(
+                f"kill directive {self.directive.spec()!r} names task {task} "
+                f"but stage {loop.spec.name!r} has {len(loop.workers)} workers"
+            )
+        loop.guarded_queues[task].put(CrashSelf(), observed=False)
 
 
 def parse_kill_spec(spec: str) -> KillDirective:
@@ -133,22 +158,15 @@ class RetentionLog:
     def replay(self, task: int) -> List[Any]:
         return list(self._entries[task])
 
-    def ensure_task(self, task: int) -> None:
-        """Make ``task``'s log exist and start empty (elastic scale-out).
+    def reset(self, task: int) -> None:
+        """Make ``task``'s log exist and empty (a resize attached or drained it).
 
-        Index-stable: a scale-in clears but keeps the drained tasks' slots,
+        Index-stable: a scale-in empties but keeps the drained tasks' slots,
         so a later scale-out re-occupies the same indices.
         """
         while len(self._entries) <= task:
             self._entries.append([])
         self._entries[task] = []
-
-    def drop_task(self, task: int) -> None:
-        """Forget a drained (scaled-in) task's log."""
-        self._entries[task] = []
-
-    def __len__(self) -> int:
-        return sum(len(entries) for entries in self._entries)
 
     @contextmanager
     def suspended(self) -> Iterator[None]:
@@ -159,26 +177,6 @@ class RetentionLog:
             yield
         finally:
             self._suspended = previous
-
-
-class LoggedQueue:
-    """Queue proxy that records every successful put in the retention log.
-
-    Wrapped *outside* the abort-aware queue and *inside* the sanitizer, so a
-    put that sheds or aborts is never logged, and the sanitizer keeps seeing
-    the queue interface it expects.
-    """
-
-    __slots__ = ("queue", "_log", "_task")
-
-    def __init__(self, queue: Any, log: RetentionLog, task: int) -> None:
-        self.queue = queue
-        self._log = log
-        self._task = task
-
-    def put(self, item: Any, *args: Any, **kwargs: Any) -> None:
-        self.queue.put(item, *args, **kwargs)
-        self._log.note(self._task, item)
 
 
 # -- recovery ----------------------------------------------------------------------
@@ -206,12 +204,13 @@ class RecoveryIncident:
         return asdict(self)
 
 
-class StageSupervisor:
+class StageSupervisor(StageObserver):
     """Detect-respawn-restore-replay driver for one stage's workers.
 
-    Owns the stage's :class:`CheckpointStore` and :class:`RetentionLog`; the
-    coordinator's ``_StageLoop`` calls :meth:`recover` from its watchdog
-    when a worker process is found dead.
+    Owns the stage's :class:`CheckpointStore` and :class:`RetentionLog`.  As
+    one of the stage's lifecycle observers it logs every observed send,
+    takes the checkpoint rounds, keeps a log per task through resizes, heals
+    a dead worker (:meth:`on_worker_died`) and reports what it did.
     """
 
     def __init__(
@@ -222,21 +221,58 @@ class StageSupervisor:
         *,
         checkpoint_every: int = 1,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         self.stage = stage
         self.store = store
         self.log = log
         self.checkpoint_every = int(checkpoint_every)
         self.incidents: List[RecoveryIncident] = []
+        #: The checkpoint round in progress: its interval, and the log cut
+        #: of every task whose snapshot has not arrived yet.
+        self._round = -1
+        self._awaiting: Dict[int, int] = {}
 
-    def checkpoint_due(self, interval: int) -> bool:
-        """Checkpoints are taken at every ``checkpoint_every``-th boundary."""
-        return (interval + 1) % self.checkpoint_every == 0
+    def on_send(self, task: int, message: Any) -> None:
+        self.log.note(task, message)
 
-    def recover(self, loop: Any, task: int, process: Any) -> RecoveryIncident:
+    def on_attach(self, task: int) -> None:
+        self.log.reset(task)
+
+    def on_detach(self, task: int) -> None:
+        self.log.reset(task)
+
+    def on_close(self, loop: Any, interval: int) -> None:
+        """Snapshot every task's ``KeyedState`` at every
+        ``checkpoint_every``-th boundary.
+
+        The snapshot command rides the FIFO queues right behind the
+        interval's ``EndInterval`` marker, so each shipped state covers
+        exactly the tuples up to the boundary (watermark = ``interval``).
+        The log cut is taken *before* the command is sent: everything the
+        checkpoint covers — and nothing it does not — is truncated once the
+        task's snapshot is durable.
+        """
+        if (interval + 1) % self.checkpoint_every:
+            return
+        self._round = interval
+        self._awaiting = {task: self.log.cut(task) for task in range(len(loop.workers))}
+        with self.log.suspended():
+            for guarded_queue in loop.guarded_queues:
+                guarded_queue.put(ExtractKeys(keys=None, copy=True))
+            while self._awaiting:
+                self._keep_snapshot(loop.mailbox.collect(StateShipment, 1)[0])
+
+    def _keep_snapshot(self, shipment: StateShipment) -> None:
+        """Make ``shipment`` its task's checkpoint of the round in progress."""
+        task = shipment.worker_id
+        cut = self._awaiting.pop(task, None)
+        if cut is None:
+            # Duplicate from a mid-round recovery (the original arrived
+            # before the re-issued command's copy).
+            return
+        self.store.save(task, self._round, shipment.entries, shipment.counters)
+        self.log.truncate(task, cut)
+
+    def on_worker_died(self, loop: Any, task: int, process: Any) -> bool:
         """Heal ``task`` of ``loop``'s stage after ``process`` died.
 
         ``loop`` is the stage's ``_StageLoop``.  Raises when a live
@@ -257,14 +293,12 @@ class StageSupervisor:
             task=task,
             interval=loop.current_interval,
         )
+        guarded = loop.guarded_queues[task]
         # The dead process's backlog is re-created exactly by the replay
         # below; what it left un-got is counted and abandoned with its
         # channel (``spawn_worker`` swaps in a fresh one).
-        incident.drained_messages = loop.raw_worker_queues[task].backlog()
+        incident.drained_messages = guarded.backlog()
         loop.spawn_worker(task)
-        if loop.sanitizer is not None:
-            loop.sanitizer.on_respawn(task)
-        guarded = loop.guarded_queues[task]
         with self.log.suspended():
             checkpoint = self.store.latest(task)
             if checkpoint is not None:
@@ -280,14 +314,14 @@ class StageSupervisor:
                 incident.restored_keys = len(checkpoint.entries)
                 incident.checkpoint_interval = checkpoint.interval
             # Replay the retained post-checkpoint stream in FIFO order.  The
-            # sanitizer must not double-count the replayed tuples (they were
-            # counted when first enqueued), and migration commands in the
-            # log produce replies the coordinator already consumed — collect
+            # observers learn it is a replay (the sanitizer must not count
+            # the replayed tuples twice), and migration commands in the log
+            # produce replies the coordinator already consumed — collect
             # and discard those so the mailbox stays coherent.
             pending_shipments = 0
             pending_acks = 0
-            if loop.sanitizer is not None:
-                loop.sanitizer.begin_replay()
+            for observer in loop.observers:
+                observer.on_replay(task, True)
             try:
                 for message in self.log.replay(task):
                     guarded.put(message)
@@ -299,24 +333,32 @@ class StageSupervisor:
                     elif isinstance(message, InstallState) and not message.counters:
                         pending_acks += 1
             finally:
-                if loop.sanitizer is not None:
-                    loop.sanitizer.end_replay()
+                for observer in loop.observers:
+                    observer.on_replay(task, False)
             discarded = 0
             while discarded < pending_shipments:
                 shipment = loop.mailbox.collect(StateShipment, 1)[0]
                 if shipment.counters:
-                    # A checkpoint (copy-mode) shipment from before the
-                    # crash; the re-issued snapshot command below produces
-                    # the round's authoritative one, so drop this.
+                    # A checkpoint (copy-mode) shipment: a live task's is its
+                    # snapshot of the round in progress; the dead task's own,
+                    # from before the crash, is superseded by the command
+                    # re-issued below.
+                    if shipment.worker_id != task:
+                        self._keep_snapshot(shipment)
                     continue
                 discarded += 1
             for _ in range(pending_acks):
                 loop.mailbox.collect(InstallAck, 1)
-            if loop.checkpoint_pending(task):
+            if task in self._awaiting:
                 # The worker died between the snapshot command and its
                 # shipment; re-issue so the in-progress checkpoint round
                 # still receives one shipment per task.
                 guarded.put(ExtractKeys(keys=None, copy=True))
         incident.recovery_pause_seconds = time.monotonic() - started
         self.incidents.append(incident)
-        return incident
+        return True
+
+    def on_finalize(self, result: Any) -> None:
+        resilience = result.resilience_book()
+        resilience["incidents"] = [incident.to_dict() for incident in self.incidents]
+        resilience["checkpoints"] = self.store.stats()

@@ -59,6 +59,16 @@ class RuntimeResult:
     #: and the ``tuples_to_workers`` in them (= offered − shed at end of run).
     messages: Dict[str, int] = field(default_factory=dict)
 
+    def resilience_book(self) -> Dict[str, Any]:
+        """:attr:`resilience`, made empty on first use."""
+        if self.resilience is None:
+            self.resilience = {
+                "incidents": [],
+                "scale_events": [],
+                "checkpoints": {"count": 0.0, "bytes_written": 0.0, "write_seconds": 0.0},
+            }
+        return self.resilience
+
     @property
     def tuples_per_worker_message(self) -> float:
         """Mean size of the messages the stage's workers were sent."""

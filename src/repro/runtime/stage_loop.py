@@ -20,7 +20,6 @@ import threading
 import time
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.sanitizer import SanitizedQueue, StageSanitizer
 from repro.core.snapshot import Snapshot
 from repro.core.statistics import IntervalStats
 from repro.engine.operator import OperatorLogic
@@ -28,16 +27,14 @@ from repro.engine.topology import StageSpec
 from repro.runtime.barrier import MarkBarrier
 from repro.runtime.config import RuntimeConfig, calibrated_service_time_us
 from repro.runtime.controller import RuntimeController
+from repro.runtime.lifecycle import StageObserver
 from repro.runtime.messages import (
-    CrashSelf,
     EmittedBatch,
     EndInterval,
     EndOfStream,
-    ExtractKeys,
     FinalReport,
     IntervalReport,
     SetServiceTime,
-    StateShipment,
     UpstreamDone,
     UpstreamMark,
 )
@@ -47,12 +44,6 @@ from repro.runtime.queues import (
     _AbortableQueue,
     _AbortFlag,
     _Mailbox,
-)
-from repro.runtime.resilience.scaling import ScaleDirective, ScaleEvent, execute_scale
-from repro.runtime.resilience.supervisor import (
-    KillDirective,
-    LoggedQueue,
-    StageSupervisor,
 )
 from repro.runtime.result import RuntimeResult, fold_stage_result
 from repro.runtime.router import StreamRouter
@@ -115,6 +106,9 @@ class _StageLoop(threading.Thread):
     :class:`StreamRouter`, closes intervals when every upstream origin's
     producers have marked them (planning + live migration via the stage's
     :class:`RuntimeController`), and finally collects the workers' reports.
+    Whatever rides along — sanitizer, supervisor, kill injector, resizer —
+    is one of ``observers`` (:mod:`repro.runtime.lifecycle`), called from
+    the loop's hooks in list order.
     """
 
     def __init__(
@@ -128,19 +122,15 @@ class _StageLoop(threading.Thread):
         upstream_producers: Mapping[str, int],
         abort: _AbortFlag,
         source_process: Optional[Any] = None,
-        sanitizer: Optional[StageSanitizer] = None,
-        supervisor: Optional[StageSupervisor] = None,
+        observers: Sequence[StageObserver] = (),
         worker_factory: Optional[Callable[[int, Any, float], Any]] = None,
         queue_factory: Optional[Callable[[int], Any]] = None,
         initial_service_us: float = 0.0,
-        kill: Optional[KillDirective] = None,
-        scale: Optional[ScaleDirective] = None,
     ) -> None:
         super().__init__(name=f"repro-stage-{spec.name}", daemon=True)
         self.spec = spec
         self.config = config
         self.ingress = ingress
-        self.raw_worker_queues = list(worker_queues)
         self.workers = list(workers)
         #: ``{origin: producer count}`` — one entry per upstream edge (the
         #: source and/or producer stages) feeding this stage's ingress.
@@ -156,27 +146,24 @@ class _StageLoop(threading.Thread):
         self.mailbox = _Mailbox(
             out_queue, config.join_timeout_seconds, checker=self._watchdog
         )
-        #: The innermost abort-aware proxies, by task — recovery swaps a
-        #: fresh queue into the dead worker's slot through these.
-        self._abortable_queues: List[_AbortableQueue] = []
-        self.supervisor = supervisor
-        self.sanitizer = sanitizer
-        guarded = [
-            self._guard(task, queue) for task, queue in enumerate(worker_queues)
+        self.observers = tuple(observers)
+        #: Each task's one send path: recovery swaps a fresh channel into a
+        #: dead worker's proxy, and every put is reported to the observers.
+        self.guarded_queues = [
+            _AbortableQueue(queue, self._watchdog, task, self.observers)
+            for task, queue in enumerate(worker_queues)
         ]
         self.router = StreamRouter(
             spec.partitioner,
             spec.logic,
-            guarded,
+            self.guarded_queues,
             batch_size=config.batch_size,
             shed_timeout_seconds=config.shed_timeout_seconds,
         )
         self.controller = RuntimeController(
-            spec.partitioner, self.router, guarded, self.mailbox
+            spec.partitioner, self.router, self.guarded_queues, self.mailbox,
+            self.observers,
         )
-        self.guarded_queues = guarded
-        if sanitizer is not None:
-            sanitizer.wrap_router(self.router)
 
         # -- resilience / elasticity state ---------------------------------
         self.worker_factory = worker_factory
@@ -189,22 +176,11 @@ class _StageLoop(threading.Thread):
         #: Every process this stage ever started (respawns and scale-outs
         #: included) — the shutdown join set.
         self.spawned_processes: List[Any] = list(workers)
-        self._kill = kill
-        self._killed = False
-        self._scale = scale
-        self._scale_done = False
-        self.scale_events: List[ScaleEvent] = []
-        #: Keys this stage ever routed (maintained only when a scale
-        #: directive is armed): the placement diff of a resize needs them.
-        self.seen_keys: set = set()
         self._recovering = False
         #: Tasks currently draining through an elastic scale-in (their
         #: process exit is expected, not a crash).
         self._detaching: set = set()
         self._drained_finals: List[FinalReport] = []
-        #: Tasks whose snapshot of an in-progress checkpoint round has not
-        #: arrived yet (None = no round in progress).
-        self._ckpt_awaiting: Optional[set] = None
         #: Dedup floors for post-recovery replay: last producer_seq accepted
         #: per (origin, producer) edge.  Mark floors and the per-origin
         #: producer-count timelines live in the barrier.
@@ -229,23 +205,6 @@ class _StageLoop(threading.Thread):
         self.error: Optional[BaseException] = None
         self.current_interval = 0
 
-    def _guard(self, task: int, queue: Any) -> Any:
-        """Build ``task``'s coordinator→worker send path around ``queue``.
-
-        Innermost the abort-aware proxy, then the retention log (it records
-        every *successful* put — what recovery replays after a checkpoint
-        restore), then the sanitizer, so every send funnels through the
-        monitor.  Initial and scaled-out workers alike get this chain.
-        """
-        abortable = _AbortableQueue(queue, self._watchdog)
-        self._abortable_queues.append(abortable)
-        guarded: Any = abortable
-        if self.supervisor is not None:
-            guarded = LoggedQueue(guarded, self.supervisor.log, task)
-        if self.sanitizer is not None:
-            guarded = SanitizedQueue(guarded, task, self.sanitizer)
-        return guarded
-
     # -- watchdog ------------------------------------------------------------------
 
     def _watchdog(self) -> None:
@@ -265,26 +224,23 @@ class _StageLoop(threading.Thread):
             for task, process in enumerate(self.workers):
                 if process.is_alive() or task in self._detaching:
                     continue
-                if self.supervisor is None:
+                # An observer may heal the stage (the supervisor).  The flag
+                # suppresses this scan while the healing blocks on queues (its
+                # collects re-enter the watchdog); its failures (e.g. a death
+                # during a live migration) are ordinary stage errors.
+                self._recovering = True
+                try:
+                    healed = any(
+                        observer.on_worker_died(self, task, process)
+                        for observer in self.observers
+                    )
+                finally:
+                    self._recovering = False
+                if not healed:
                     raise RuntimeError(
                         f"worker process {process.name} died unexpectedly "
                         f"(exit code {process.exitcode})"
                     )
-                self._recover_worker(task, process)
-
-    def _recover_worker(self, task: int, process: Any) -> None:
-        """Heal a dead worker through the supervisor (respawn/restore/replay).
-
-        ``_recovering`` suppresses the dead-worker scan while the recovery
-        itself blocks on queues (its collects re-enter :meth:`_watchdog`),
-        and the supervisor's failure modes (e.g. death during a live
-        migration) propagate as ordinary stage errors.
-        """
-        self._recovering = True
-        try:
-            self.supervisor.recover(self, task, process)
-        finally:
-            self._recovering = False
 
     def _pump(self) -> None:
         """Between micro-batches: advance a migration hand-off, spot crashes."""
@@ -349,16 +305,10 @@ class _StageLoop(threading.Thread):
         """The per-message ingress steps; ``False`` drops a replayed batch.
 
         Runs once for every batch taken from the ingress, before its tuples
-        join a dispatch chunk: the kill-directive trigger, the replay dedup
-        and the sanitizer's fan-in book all count *messages*, whatever the
-        chunking.
+        join a dispatch chunk: the replay dedup and the observers' ingress
+        hook (kill trigger, the sanitizer's fan-in book) count *messages*,
+        whatever the chunking.
         """
-        if (
-            self._kill is not None
-            and not self._killed
-            and message.interval >= self._kill.interval
-        ):
-            self._fire_kill()
         origin = self._origin_of(message)
         producer = message.producer_id
         if producer >= 0 and message.producer_seq >= 0:
@@ -372,8 +322,8 @@ class _StageLoop(threading.Thread):
             if message.producer_seq <= self._last_seq.get(edge, -1):
                 return False
             self._last_seq[edge] = message.producer_seq
-        if self.sanitizer is not None:
-            self.sanitizer.on_ingress_batch(origin, len(message.keys))
+        for observer in self.observers:
+            observer.on_ingress_batch(self, origin, message)
         self.ingress_messages += 1
         return True
 
@@ -406,10 +356,11 @@ class _StageLoop(threading.Thread):
                 accepted, closable = self._barrier.observe_mark(
                     origin, message.producer_id, message.interval
                 )
-                if accepted and self.sanitizer is not None:
-                    self.sanitizer.on_upstream_mark(
-                        origin, message.producer_id, message.interval
-                    )
+                if accepted:
+                    for observer in self.observers:
+                        observer.on_upstream_mark(
+                            origin, message.producer_id, message.interval
+                        )
                 if closable:
                     self._close_interval(message.interval)
             elif isinstance(message, UpstreamDone):
@@ -431,8 +382,7 @@ class _StageLoop(threading.Thread):
         self.interval_reports.extend(self.mailbox.drain(IntervalReport))
 
     def _close_interval(self, interval: int) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.on_close(interval)
+        """Close ``interval`` in the order :mod:`repro.runtime.lifecycle` states."""
         # Finish any hand-off BEFORE the markers: tuples released by resume()
         # belong to this interval and must precede its EndInterval in the
         # FIFO queues to be counted in it.
@@ -441,29 +391,20 @@ class _StageLoop(threading.Thread):
             guarded_queue.put(EndInterval(interval=interval))
         if self.config.calibrate_pacing and interval == 0:
             self._calibrate()
-        if self.supervisor is not None and self.supervisor.checkpoint_due(interval):
-            self._take_checkpoint(interval)
+        for observer in self.observers:
+            observer.on_close(self, interval)
         # The closing interval's own accounting bucket: early batches of the
         # next interval (fast upstream producers) are already parked in
         # their own bucket and do not pollute this one.
         account = self.router.pop_interval(interval)
-        if self._scale is not None:
-            # The placement diff of a pending resize needs every key this
-            # stage ever routed.
-            self.seen_keys.update(account.freqs.keys())
         # Split-key bookkeeping is per interval inside the partitioner and is
         # reset by its on_interval_end — fold it into the lifetime totals now.
         self.router.snapshot_split_stats()
         migration = self.controller.end_interval(
             self._interval_stats(self.spec.logic, interval, account.freqs)
         )
-        if (
-            self._scale is not None
-            and not self._scale_done
-            and interval == self._scale.interval
-        ):
-            self._scale_done = True
-            self.scale_events.append(execute_scale(self, self._scale))
+        for observer in self.observers:
+            observer.on_planned(self, interval, account.freqs.keys())
         now = time.monotonic()
         # The account's dense per-task arrays convert to the report's
         # ``{task: value}`` dict shape only here, at interval close.
@@ -484,58 +425,6 @@ class _StageLoop(threading.Thread):
 
     # -- resilience / elasticity ---------------------------------------------------
 
-    def _fire_kill(self) -> None:
-        """Inject the configured fault: SIGKILL the directive's worker.
-
-        Delivered as a :class:`CrashSelf` command through the victim's FIFO
-        inbound queue — behind the batches already dispatched to it — sent
-        through the bare abort-aware proxy so it is neither retained for
-        replay nor counted by the sanitizer.
-        """
-        self._killed = True
-        task = self._kill.task
-        if task >= len(self.workers):
-            raise ValueError(
-                f"kill directive {self._kill.spec()!r} names task {task} but "
-                f"stage {self.spec.name!r} has {len(self.workers)} workers"
-            )
-        self._abortable_queues[task].put(CrashSelf())
-
-    def _take_checkpoint(self, interval: int) -> None:
-        """Snapshot every task's ``KeyedState`` at this interval boundary.
-
-        The snapshot command rides the FIFO queues right behind the
-        interval's ``EndInterval`` marker, so each shipped state covers
-        exactly the tuples up to the boundary (watermark = ``interval``).
-        The log cut is taken *before* the command is sent: everything the
-        checkpoint covers — and nothing it does not — is truncated once the
-        task's snapshot is durable.
-        """
-        supervisor = self.supervisor
-        tasks = range(len(self.workers))
-        cuts = {task: supervisor.log.cut(task) for task in tasks}
-        self._ckpt_awaiting = set(tasks)
-        with supervisor.log.suspended():
-            for guarded_queue in self.guarded_queues:
-                guarded_queue.put(ExtractKeys(keys=None, copy=True))
-            while self._ckpt_awaiting:
-                shipment = self.mailbox.collect(StateShipment, 1)[0]
-                task = shipment.worker_id
-                if task not in self._ckpt_awaiting:
-                    # Duplicate from a mid-checkpoint recovery (the original
-                    # arrived before the re-issued command's copy).
-                    continue
-                supervisor.store.save(
-                    task, interval, shipment.entries, shipment.counters
-                )
-                supervisor.log.truncate(task, cuts[task])
-                self._ckpt_awaiting.discard(task)
-        self._ckpt_awaiting = None
-
-    def checkpoint_pending(self, task: int) -> bool:
-        """True when a checkpoint round still awaits ``task``'s snapshot."""
-        return self._ckpt_awaiting is not None and task in self._ckpt_awaiting
-
     def spawn_worker(self, task: int) -> Any:
         """Start a replacement process for ``task`` on a *fresh* channel.
 
@@ -544,30 +433,32 @@ class _StageLoop(threading.Thread):
         it — what is left in the pipe need not start at a frame boundary —
         and the channel admits one consumer pid.  Anything left in the
         abandoned channel is superseded by the retention-log replay, so the
-        swap loses nothing; the fresh channel is swapped *into* the existing
-        guarded chain, so a dispatch currently blocked on the dead worker's
+        swap loses nothing; the fresh channel is swapped *into* the task's
+        send path, so a dispatch currently blocked on the dead worker's
         channel (full, or in mid-frame) is redirected at its next wake-up.
         """
         queue = self.queue_factory(task)
-        self.raw_worker_queues[task] = queue
-        self._abortable_queues[task].replace(queue)
+        self.guarded_queues[task].replace(queue)
         process = self.worker_factory(task, queue, self._service_us)
         process.start()
         self.workers[task] = process
         self.spawned_processes.append(process)
+        for observer in self.observers:
+            observer.on_respawn(task)
         return process
 
     def attach_worker(self, task: int) -> None:
-        """Add a brand-new worker (elastic scale-out): queue, process, wraps."""
+        """Add a brand-new worker (elastic scale-out): queue, process, send path."""
         queue = self.queue_factory(task)
         process = self.worker_factory(task, queue, self._service_us)
         process.start()
-        self.raw_worker_queues.append(queue)
         self.workers.append(process)
         self.spawned_processes.append(process)
-        if self.supervisor is not None:
-            self.supervisor.log.ensure_task(task)
-        self.guarded_queues.append(self._guard(task, queue))
+        self.guarded_queues.append(
+            _AbortableQueue(queue, self._watchdog, task, self.observers)
+        )
+        for observer in self.observers:
+            observer.on_attach(task)
 
     def detach_workers(self, new: int, old: int) -> None:
         """Drain tasks ``new..old-1`` (elastic scale-in) with a normal EOS.
@@ -586,13 +477,11 @@ class _StageLoop(threading.Thread):
             self._drained_finals.extend(
                 self.mailbox.collect(FinalReport, len(doomed))
             )
-            if self.supervisor is not None:
-                for task in doomed:
-                    self.supervisor.log.drop_task(task)
             del self.workers[new:old]
-            del self.raw_worker_queues[new:old]
             del self.guarded_queues[new:old]
-            del self._abortable_queues[new:old]
+            for task in doomed:
+                for observer in self.observers:
+                    observer.on_detach(task)
         finally:
             self._detaching = set()
 
@@ -675,30 +564,12 @@ class _StageLoop(threading.Thread):
             },
         )
         shed_ledger = self.router.shed_ledger
-        if self.sanitizer is not None:
-            self.sanitizer.finalize(
-                offered=float(result.tuples_offered),
-                processed=float(result.tuples_processed),
-                shed=shed_ledger.total,
-            )
-        if self.supervisor is not None or self.scale_events:
-            result.resilience = {
-                "incidents": (
-                    [incident.to_dict() for incident in self.supervisor.incidents]
-                    if self.supervisor is not None
-                    else []
-                ),
-                "scale_events": [event.to_dict() for event in self.scale_events],
-                "checkpoints": (
-                    self.supervisor.store.stats()
-                    if self.supervisor is not None
-                    else {"count": 0.0, "bytes_written": 0.0, "write_seconds": 0.0}
-                ),
-            }
         result.tuples_shed = shed_ledger.total
         result.shed_by_task = shed_ledger.by_task()
         result.migrations = list(self.controller.migrations)
         result.calibrated_service_time_us = self.calibrated_us
         result.upstreams = len(self.upstream_producers)
         result.split_stats = self.router.split_stats
+        for observer in self.observers:
+            observer.on_finalize(result)
         return result

@@ -41,14 +41,15 @@ import time
 from functools import partial
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.analysis.sanitizer import SanitizerReport, StageSanitizer
 from repro.engine.topology import SOURCE_ORIGIN, StageSpec, TopologySpec
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.lifecycle import StageObserver
 from repro.runtime.queues import Channel, _AbortFlag
 from repro.runtime.resilience.checkpoint import CheckpointStore
-from repro.runtime.resilience.scaling import ScaleDirective
+from repro.runtime.resilience.scaling import ScaleDirective, StageResizer
 from repro.runtime.resilience.supervisor import (
     KillDirective,
+    KillInjector,
     RetentionLog,
     StageSupervisor,
 )
@@ -102,6 +103,10 @@ class TopologyRuntime:
         lists; it is materialised and handed to the source process, which
         offers it closed-loop or at ``config.offered_rate`` tuples/second.
         """
+        # Not at module level: the sanitizer's module imports this package
+        # (a StageSanitizer is a StageObserver), so that would be circular.
+        from repro.analysis.sanitizer import SanitizerReport, StageSanitizer
+
         config = self.config
         interval_lists = [list(batch) for batch in stream]
 
@@ -195,15 +200,22 @@ class TopologyRuntime:
                 for worker_id in range(stage.parallelism)
             ]
             all_workers.extend(workers)
-            supervisor = None
-            if config.checkpoint_dir is not None:
-                supervisor = StageSupervisor(
-                    stage.name,
-                    CheckpointStore(config.checkpoint_dir, stage.name),
-                    RetentionLog(stage.parallelism),
-                    checkpoint_every=config.checkpoint_every,
-                )
             upstream_names = self.spec.upstreams_of(stage.name)
+            # The stage's lifecycle observers, in hook order.
+            observers: List[StageObserver] = []
+            if sanitizer_report is not None:
+                observers.append(
+                    StageSanitizer(stage.name, sanitizer_report, origins=upstream_names)
+                )
+            if config.checkpoint_dir is not None:
+                store = CheckpointStore(config.checkpoint_dir, stage.name)
+                log = RetentionLog(stage.parallelism)
+                every = config.checkpoint_every
+                observers.append(StageSupervisor(stage.name, store, log, checkpoint_every=every))
+            if kill is not None and kill.stage == stage.name:
+                observers.append(KillInjector(kill))
+            if scale is not None and scale.stage == stage.name:
+                observers.append(StageResizer(scale))
             loops.append(
                 _StageLoop(
                     stage,
@@ -222,25 +234,10 @@ class TopologyRuntime:
                     source_process=(
                         source if SOURCE_ORIGIN in upstream_names else None
                     ),
-                    sanitizer=(
-                        StageSanitizer(
-                            stage.name,
-                            sanitizer_report,
-                            origins=upstream_names,
-                        )
-                        if sanitizer_report is not None
-                        else None
-                    ),
-                    supervisor=supervisor,
+                    observers=observers,
                     worker_factory=worker_factory,
                     queue_factory=queue_factory,
                     initial_service_us=initial_service_us,
-                    kill=kill if kill is not None and kill.stage == stage.name else None,
-                    scale=(
-                        scale
-                        if scale is not None and scale.stage == stage.name
-                        else None
-                    ),
                 )
             )
         # An elastic resize must update every *consuming* stage's producer

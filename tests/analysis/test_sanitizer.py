@@ -1,5 +1,7 @@
 """The runtime protocol sanitizer: clean runs stay clean, broken fakes don't."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.sanitizer import SanitizerReport, StageSanitizer
@@ -7,9 +9,12 @@ from repro.baselines.hash_only import HashPartitioner
 from repro.operators.windowed_aggregate import WindowedAggregate
 from repro.operators.wordcount import WordCountOperator
 from repro.runtime.bench import RuntimeSpec, merged_sanitizer_report, run_bench
+from repro.runtime.controller import RuntimeController
 from repro.runtime.messages import (
     EndInterval,
     EndOfStream,
+    InstallAck,
+    StateShipment,
     TupleBatch,
 )
 from repro.runtime import (
@@ -62,9 +67,9 @@ class TestViolationDetection:
 
     def test_non_monotone_interval_close(self, sanitizer):
         monitor, report = sanitizer
-        monitor.on_close(0)
-        monitor.on_close(1)
-        monitor.on_close(0)
+        monitor.on_close(None, 0)
+        monitor.on_close(None, 1)
+        monitor.on_close(None, 0)
         assert [v.check for v in report.violations] == ["watermark"]
 
     def test_resume_without_pause(self, sanitizer):
@@ -97,7 +102,9 @@ class TestViolationDetection:
         assert report.ok
         assert report.to_dict()["checks"]["conservation"] == 2
 
-    def test_wrapped_router_pause_resume_pairs(self, sanitizer):
+    def test_controller_hand_off_pairs_pause_and_resume(self, sanitizer):
+        """The controller reports a hand-off's pause and resume to its
+        observers, beside the router's own calls."""
         monitor, report = sanitizer
 
         class FakeRouter:
@@ -111,13 +118,30 @@ class TestViolationDetection:
                 self.calls.append(("resume",))
                 return 0
 
+        class FakeMailbox:
+            def collect(self, message_type, expected):
+                if message_type is StateShipment:
+                    return [StateShipment(worker_id=0, entries=[(1, None)], state_size=1.0)]
+                return [InstallAck(worker_id=1, installed_keys=1)] * expected
+
+        sent = []
+        queues = [
+            SimpleNamespace(put=lambda message, task=task: sent.append((task, message)))
+            for task in range(2)
+        ]
         router = FakeRouter()
-        monitor.wrap_router(router)
-        router.pause([1, 2])
-        router.resume()
+        controller = RuntimeController(
+            HashPartitioner(2, seed=0), router, queues, FakeMailbox(), [monitor]
+        )
+        controller.execute_moves(0, [(1, 0, 1)])
         monitor.finalize(offered=0.0, processed=0.0, shed=0.0)
         assert report.ok
-        assert router.calls == [("pause", (1, 2)), ("resume",)]
+        assert report.to_dict()["checks"]["pause_resume"] == 3
+        assert router.calls == [("pause", (1,)), ("resume",)]
+        assert [(task, type(message).__name__) for task, message in sent] == [
+            (0, "ExtractKeys"),
+            (1, "InstallState"),
+        ]
 
 
 class TestSanitizedTopologyRun:

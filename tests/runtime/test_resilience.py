@@ -8,6 +8,7 @@ differ even between two clean runs.
 """
 
 import os
+import queue
 import random
 import tempfile
 from types import SimpleNamespace
@@ -34,8 +35,14 @@ from repro.runtime import (
     TopologySpec,
 )
 from repro.runtime.controller import LiveMigrationReport
+from repro.runtime.messages import ExtractKeys, StateShipment
+from repro.runtime.queues import _AbortableQueue, _Mailbox
 from repro.runtime.resilience.scaling import execute_scale, parse_scale_spec
-from repro.runtime.resilience.supervisor import parse_kill_spec
+from repro.runtime.resilience.supervisor import (
+    RetentionLog,
+    StageSupervisor,
+    parse_kill_spec,
+)
 from repro.workloads.tpch import ForeignKeyLookup
 
 
@@ -264,6 +271,70 @@ class TestSupervisedRecovery:
         assert resilience["checkpoints"]["bytes_written"] > 0
 
 
+class _AnsweringChannel:
+    """A worker's inbound channel whose worker answers ``ExtractKeys`` at
+    once: a snapshot with counters in copy mode, a bare shipment otherwise.
+    A dead worker answers nothing."""
+
+    def __init__(self, task, replies):
+        self.task = task
+        self.replies = replies
+        self.alive = True
+
+    def put(self, message, timeout=None):
+        if self.alive and isinstance(message, ExtractKeys):
+            counters = {"processed": 1.0} if message.copy else {}
+            self.replies.put(StateShipment(self.task, [(self.task, [1])], 1.0, counters))
+
+    def backlog(self):
+        return 0
+
+
+class TestDeathDuringACheckpointRound:
+    def test_live_tasks_snapshots_survive_the_recovery(self, tmp_path):
+        """Task 1 dies before its snapshot while task 0's is already pumped
+        into the mailbox stash; task 1's log holds a migration ExtractKeys,
+        whose replayed reply the recovery waits for and discards.  Task 0's
+        snapshot must still complete the round (it was dropped, and the
+        round waited out the mailbox timeout)."""
+        replies = queue.Queue()
+        channels = [_AnsweringChannel(task, replies) for task in range(2)]
+        channels[1].alive = False
+        supervisor = StageSupervisor(
+            "stage", CheckpointStore(str(tmp_path), "stage"), RetentionLog(2)
+        )
+        supervisor.log.note(1, ExtractKeys(keys=[7]))
+        recoveries = []
+
+        def watchdog():
+            # The stage loop's watchdog: pump the replies, then heal the dead
+            # worker the first time round.
+            mailbox.check_errors()
+            if not recoveries:
+                recoveries.append(1)
+                supervisor.on_worker_died(loop, 1, SimpleNamespace(name="worker-1"))
+
+        mailbox = _Mailbox(replies, 2.0, checker=watchdog)
+        observers = (supervisor,)
+        loop = SimpleNamespace(
+            workers=[None, None],
+            guarded_queues=[
+                _AbortableQueue(channel, watchdog, task, observers)
+                for task, channel in enumerate(channels)
+            ],
+            mailbox=mailbox,
+            observers=observers,
+            controller=SimpleNamespace(migration_in_flight=False),
+            current_interval=0,
+            spawn_worker=lambda task: setattr(channels[task], "alive", True),
+        )
+        supervisor.on_close(loop, 0)
+        assert recoveries == [1]
+        assert [supervisor.store.latest(task).interval for task in range(2)] == [0, 0]
+        assert supervisor.incidents[0].replayed_messages == 1
+        assert supervisor.log.replay(1) == []
+
+
 def _three_stage_spec():
     """counter → recount → agg, every stage two workers.
 
@@ -459,13 +530,12 @@ class TestElasticScaling:
                 execute_moves=execute_moves,
             ),
             router=queues,
-            seen_keys={"a", "b", "c"},
             attach_worker=lambda task: None,
             guarded_queues=[],
             current_interval=2,
             downstreams=[],
         )
-        event = execute_scale(loop, ScaleDirective(2, "counter", 1))
+        event = execute_scale(loop, ScaleDirective(2, "counter", 1), {"a", "b", "c"})
         assert event.to_tasks == partitioner.num_tasks == 5
         assert partitioner._loads == {**loads, 4: 0.0}
         assert partitioner.split_counts == splits

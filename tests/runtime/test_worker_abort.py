@@ -7,6 +7,7 @@ These tests pin the fix: the sanctioned wrappers unwind with
 queue exits promptly once its abort predicate trips.
 """
 
+import multiprocessing
 import queue
 import threading
 import time
@@ -14,8 +15,10 @@ import time
 import pytest
 
 from repro.operators.wordcount import WordCountOperator
+from repro.runtime.messages import EndInterval, EndOfStream, TupleBatch
 from repro.runtime.queues import (
     POLL_SECONDS,
+    Channel,
     QueueAborted,
     abortable_get,
     abortable_put,
@@ -70,6 +73,26 @@ class TestAbortablePut:
         assert outbound.get_nowait() == "item"
 
 
+class TestAbortTextsNameTheMessage:
+    """An abandoned put says what it was sending."""
+
+    def test_abortable_put(self):
+        outbound = queue.Queue(maxsize=1)
+        outbound.put("blocker")
+        batch = TupleBatch(interval=0, sent_at=0.0, keys=[1], values=[None])
+        with pytest.raises(QueueAborted, match="queue put of TupleBatch abandoned"):
+            abortable_put(outbound, batch, lambda: True, poll_seconds=0.01)
+
+    def test_channel_wait(self):
+        channel = Channel(multiprocessing.get_context("fork"), 1, "worker:stage:0")
+        channel.put(EndInterval(interval=0))
+        with pytest.raises(
+            QueueAborted,
+            match="channel worker:stage:0: put of EndOfStream abandoned waiting for capacity",
+        ):
+            channel.put(EndOfStream(), abort=lambda: True)
+
+
 def test_parent_process_died_is_false_in_the_main_process():
     # The test process was launched by pytest, not via multiprocessing, so
     # it has no multiprocessing parent at all: the predicate must not
@@ -106,8 +129,6 @@ class TestWedgedCoordinatorRegression:
         # Symmetric hazard: the downstream stage died, the egress queue
         # stays full, and the worker blocks in put().  Feed one batch into
         # a worker whose out_queue has zero spare capacity.
-        from repro.runtime.messages import EndOfStream, TupleBatch
-
         abort = threading.Event()
         in_queue = queue.Queue()
         out_queue = queue.Queue(maxsize=1)
