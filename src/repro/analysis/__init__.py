@@ -1,33 +1,30 @@
-"""Repo-specific correctness tooling for the multiprocess dataflow runtime.
+"""The repo's static checker: ``python -m repro lint``.
 
-Two halves, one invariant set:
+An AST pass (:mod:`repro.analysis.engine`, :mod:`~repro.analysis.rules`)
+with rules targeting the protocol hazards this codebase actually has —
+unregistered objects crossing process boundaries (RPL001), bare blocking
+queue calls and a second transport under the runtime (RPL002), unpaired
+pause/resume paths (RPL003), fork-unsafe module state (RPL004), ratio
+patterns bypassing the load-model division guards (RPL005) and torn
+checkpoint writes (RPL006) — plus the repo's design rules (RPL008): one
+table, :mod:`repro.analysis.design_rules`, of the decisions that keep each
+mechanism in one place, checked over the repo the lint runs in.  RPL007 is
+reserved.
 
-* **Static checker** (:mod:`repro.analysis.engine`, :mod:`~repro.analysis.
-  rules`): an AST lint pass (``python -m repro lint``) with rules targeting
-  the protocol hazards this codebase actually has — unregistered objects
-  crossing process boundaries (RPL001), bare blocking queue calls (RPL002),
-  unpaired pause/resume paths (RPL003), fork-unsafe module state (RPL004),
-  and ratio patterns bypassing the load-model division guards (RPL005).
-* **Runtime sanitizer** (:mod:`repro.analysis.sanitizer`): an opt-in
-  (``RuntimeConfig(sanitize=True)`` / ``repro bench --sanitize``) wrapper around a live
-  topology's queues, router and controller that dynamically asserts the same
-  protocol invariants — monotone interval watermarks, tuple conservation,
-  pause/resume pairing, no put-after-close — recording violations into a
-  structured report instead of crashing mid-bench.
+The checker reads source text only; it imports none of the runtime it
+checks.  The dynamic twin of the protocol rules, the runtime sanitizer,
+is a stage observer and lives with the runtime (:mod:`repro.runtime.
+sanitizer`).
 """
 
 from repro.analysis.engine import LintEngine, lint_paths
 from repro.analysis.findings import Finding
 from repro.analysis.rules import ALL_RULES, get_rules
-from repro.analysis.sanitizer import SanitizerReport, StageSanitizer, Violation
 
 __all__ = [
     "ALL_RULES",
     "Finding",
     "LintEngine",
-    "SanitizerReport",
-    "StageSanitizer",
-    "Violation",
     "get_rules",
     "lint_paths",
 ]

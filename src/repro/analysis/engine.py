@@ -19,6 +19,9 @@ from repro.analysis.findings import ALL_RULES_SENTINEL, Finding, parse_suppressi
 
 __all__ = ["LintEngine", "ModuleContext", "Project", "lint_paths"]
 
+#: The message registry of the runtime this package ships with.
+_PACKAGED_MESSAGES = Path(__file__).resolve().parents[1] / "runtime" / "messages.py"
+
 
 @dataclass
 class ModuleContext:
@@ -49,8 +52,8 @@ class Project:
         """Registered cross-process message type names.
 
         Parsed from the ``__all__`` of the scanned ``runtime/messages.py``
-        (falling back to importing :mod:`repro.runtime.messages` when the
-        lint targets don't include it, e.g. when linting only ``tests/``).
+        (falling back to the package's own copy when the lint targets don't
+        include it, e.g. when linting only ``tests/``): read, not imported.
         """
         if self._message_types is not None:
             return self._message_types
@@ -59,13 +62,8 @@ class Project:
             if module.relpath.replace("\\", "/").endswith("runtime/messages.py"):
                 names = _parse_all(module.tree)
                 break
-        if not names:
-            try:
-                from repro.runtime import messages
-
-                names = set(messages.__all__)
-            except Exception:
-                names = set()
+        if not names and _PACKAGED_MESSAGES.is_file():
+            names = _parse_all(ast.parse(_PACKAGED_MESSAGES.read_text()))
         self._message_types = names
         return names
 

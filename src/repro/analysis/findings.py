@@ -11,6 +11,8 @@ hatches keep the checker adoptable without weakening it:
   existing debt; ``--strict`` ignores the baseline so CI can demand a clean
   tree.  Keys are content-addressed (no line numbers), so unrelated edits
   don't churn the baseline.
+
+The design rules (RPL008) have neither; see :mod:`repro.analysis.design_rules`.
 """
 
 from __future__ import annotations

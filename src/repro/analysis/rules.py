@@ -1,4 +1,4 @@
-"""The repo-specific protocol lint rules (RPL001–RPL006).
+"""The repo-specific lint rules (RPL001–RPL006).
 
 Each rule is a small :class:`ast.NodeVisitor` with an ID and a docstring
 describing the hazard it targets.  The rules are heuristic by design — they
@@ -7,24 +7,8 @@ key on the runtime's naming conventions (queue-like receiver names,
 prefer false negatives over false positives: an argument the rule cannot
 trace is given the benefit of the doubt.
 
-Rule index
-----------
-RPL001  cross-process message discipline — only registered message types
-        may cross a process boundary.
-RPL002  blocking-call discipline — no bare ``get()``/``put(x)`` without a
-        timeout on queue-like receivers outside the sanctioned wrappers, and
-        no queue but ``runtime.queues.Channel`` built under ``repro/runtime``.
-RPL003  pause/resume pairing — every path that pauses keys must reach a
-        resume, a pending-migration handoff, or an abort/raise.
-RPL004  fork-safety — no module-level mutable state or global RNG mutated
-        inside worker-executed functions.
-RPL005  subnormal-division family — no ratios over ``average_load`` /
-        ``safe_mean`` outputs bypassing ``core/load.py``'s total-based
-        guards.
-RPL006  atomic checkpoint writes — no bare ``open(..., "w")`` /
-        ``write_text``/``write_bytes`` on checkpoint/manifest paths outside
-        the ``runtime/resilience/checkpoint.py`` tmp-write + ``os.replace``
-        helpers.
+The index of the rules is the package docstring (:mod:`repro.analysis`);
+``repro lint --list-rules`` prints each rule's first docstring line.
 """
 
 from __future__ import annotations
@@ -279,8 +263,8 @@ class BlockingCallRule(Rule):
     A timeout-less blocking queue operation waits on a peer process; if that
     peer crashed, the wait never ends and the run hangs instead of failing.
     The sanctioned patterns are :func:`repro.runtime.queues.abortable_get` /
-    ``abortable_put`` (that module is exempt — it is where the polling loop
-    lives) and the coordinator-side abort-aware proxies, which the rule
+    ``abortable_put`` (that module is exempt from this half — it is where the
+    polling loop lives) and the coordinator-side abort-aware proxies, which the rule
     recognises by receiver names containing ``abortable``/``guarded``.
     Explicit ``timeout=``/``block=`` keywords and the ``*_nowait`` variants
     are always fine.
@@ -299,8 +283,6 @@ class BlockingCallRule(Rule):
         self.generic_visit(node)
 
     def _check(self, node: ast.Call) -> None:
-        if self.module.relpath.endswith("runtime/queues.py"):
-            return
         built = _terminal_name(node.func)
         if "repro/runtime/" in self.module.relpath and built in _FOREIGN_QUEUES:
             self.report(
@@ -308,6 +290,8 @@ class BlockingCallRule(Rule):
                 f"{built}(...) built under repro/runtime: the runtime's one "
                 "transport is repro.runtime.queues.Channel",
             )
+            return
+        if self.module.relpath.endswith("runtime/queues.py"):
             return
         if not isinstance(node.func, ast.Attribute):
             return

@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lintp = sub.add_parser(
         "lint",
-        help="protocol static checker (rules RPL001-RPL006, repro.analysis)",
+        help="static checker (rules RPL001-RPL006 and the design rules RPL008, repro.analysis)",
     )
     lintp.add_argument(
         "paths",
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         default=None,
         metavar="IDS",
-        help="comma-separated rule IDs to run (default: all six)",
+        help="comma-separated rule IDs to run (default: all)",
     )
     lintp.add_argument(
         "--list-rules",
@@ -576,6 +576,7 @@ def _run_bench(args: argparse.Namespace, spec: Any) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis import design_rules
     from repro.analysis.engine import LintEngine
     from repro.analysis.findings import Baseline
     from repro.analysis.rules import ALL_RULES, get_rules
@@ -584,6 +585,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule in ALL_RULES:
             first_line = (rule.__doc__ or "").strip().splitlines()[0]
             print(f"{rule.rule_id}  {first_line}")
+        print(f"{design_rules.RULE_ID}  {design_rules.__doc__.strip().splitlines()[0]}")
         return 0
 
     rule_ids = (
@@ -591,8 +593,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.rules is not None
         else None
     )
+    # RPL008, the design-rule table over the working directory, joins after
+    # the baseline filter: neither the baseline nor a suppression silences it.
+    check_design = rule_ids is None or design_rules.RULE_ID in rule_ids
     try:
-        rules = get_rules(rule_ids)
+        rules = get_rules(rule_ids and [r for r in rule_ids if r != design_rules.RULE_ID])
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     paths = [Path(path) for path in args.paths]
@@ -615,6 +620,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         fresh = baseline.filter_new(findings)
     else:
         fresh = list(findings)
+    grandfathered = len(findings) - len(fresh)
+    rule_ids = [rule.rule_id for rule in rules]
+    if check_design:
+        rule_ids.append(design_rules.RULE_ID)
+        fresh += design_rules.check_design_rules(Path.cwd())
+        if not design_rules.covers(Path.cwd()):
+            print(f"[RPL008 not checked: no file of its table under {Path.cwd()}]", file=sys.stderr)
 
     if args.format == "json":
         print(
@@ -626,12 +638,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         for finding in fresh:
             print(finding.render())
-        grandfathered = len(findings) - len(fresh)
         note = f" ({grandfathered} baselined)" if grandfathered else ""
         mode = "lint --strict" if args.strict else "lint"
         print(
             f"[{mode}: {len(fresh)} finding(s){note}; rules: "
-            f"{', '.join(rule.rule_id for rule in rules)}; paths: "
+            f"{', '.join(rule_ids)}; paths: "
             f"{', '.join(str(path) for path in paths)}]"
         )
     return 1 if fresh else 0

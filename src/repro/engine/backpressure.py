@@ -21,10 +21,9 @@ class ShedLedger:
 
     Shedding used to vanish into an aggregate counter; the ledger keeps the
     per-task totals so the metrics layer can report *which* task dropped work
-    (the overloaded one) rather than only how much was dropped overall.  Both
-    execution engines use it: the fluid simulator records the executor's
-    per-interval shed volume, and the process runtime's router records batches
-    dropped when a worker queue stays full past the shed timeout.
+    (the overloaded one) rather than only how much was dropped overall.  The
+    fluid simulator records the executor's per-interval shed volume in it; the
+    process runtime never sheds (a full queue blocks its producer).
     """
 
     def __init__(self) -> None:

@@ -72,10 +72,6 @@ class PlannerRun:
         return self.table_sizes[-1] if self.table_sizes else 0
 
     @property
-    def avg_max_theta(self) -> float:
-        return mean(self.max_thetas)
-
-    @property
     def avg_load_estimation_error(self) -> float:
         return mean(self.load_estimation_errors)
 

@@ -150,11 +150,11 @@ class RuntimeSpec:
         the report carries one row per ``(strategy, rate)`` — the measured
         latency/throughput knee of the paper's Fig. 13, swept toward
         saturation instead of sampled at a single ``offered_rate``.
-    batch_size / queue_capacity / shed_timeout_seconds:
+    batch_size / queue_capacity:
         Queueing knobs, see :class:`~repro.runtime.config.RuntimeConfig`.
     sanitize:
         Run every strategy under the runtime protocol sanitizer
-        (:mod:`repro.analysis.sanitizer`); see
+        (:mod:`repro.runtime.sanitizer`); see
         :func:`merged_sanitizer_report`.
     kill_worker:
         Fault-injection spec ``STAGE:TASK@INTERVAL``: SIGKILL that worker
@@ -181,7 +181,6 @@ class RuntimeSpec:
     service_time_us: float = 50.0
     batch_size: int = 256
     queue_capacity: int = 8
-    shed_timeout_seconds: Optional[float] = None
     stage_parallelism: Mapping[str, int] = field(default_factory=dict)
     calibrate_pacing: bool = False
     offered_rate: Optional[float] = None

@@ -28,8 +28,7 @@ class RuntimeConfig:
         dispatch (a stage never sends a worker more than this per message).
     queue_capacity:
         Bound of each worker's inbound queue and of every inter-stage egress
-        queue, in batches; a full queue blocks the producer (backpressure)
-        or sheds (see ``shed_timeout_seconds``).
+        queue, in batches; a full queue blocks the producer (backpressure).
     service_time_us:
         Emulated service time per cost unit (pacing); 0 disables pacing and
         the workers run as fast as the host CPU allows.
@@ -43,15 +42,12 @@ class RuntimeConfig:
         (:data:`CALIBRATION_HEADROOM`) so the bench stays saturated across
         machines of different speed (the configured ``service_time_us`` is
         ignored).
-    shed_timeout_seconds:
-        When set, a dispatch blocked longer than this sheds the batch (the
-        drop is recorded per task); ``None`` means pure backpressure.
     collect_final_state:
         Ask workers to report their final windowed per-key payloads
         (correctness tests; expensive for large state).
     sanitize:
         Enable the runtime protocol sanitizer
-        (:mod:`repro.analysis.sanitizer`): invariant checks on every
+        (:mod:`repro.runtime.sanitizer`): invariant checks on every
         coordinator→worker send, interval close, and pause/resume, plus
         end-of-run tuple conservation; violations are recorded into the
         result's ``sanitizer`` report instead of raised.
@@ -79,7 +75,6 @@ class RuntimeConfig:
     service_time_us: float = 50.0
     offered_rate: Optional[float] = None
     calibrate_pacing: bool = False
-    shed_timeout_seconds: Optional[float] = None
     collect_final_state: bool = False
     sanitize: bool = False
     join_timeout_seconds: float = 120.0

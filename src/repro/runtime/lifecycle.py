@@ -2,7 +2,7 @@
 
 The stage loop (:mod:`repro.runtime.stage_loop`) routes, closes intervals and
 runs live migrations; four concerns ride on it — the protocol sanitizer
-(:mod:`repro.analysis.sanitizer`), the supervisor's retention log and
+(:mod:`repro.runtime.sanitizer`), the supervisor's retention log and
 checkpoint rounds, kill injection (:mod:`~repro.runtime.resilience.
 supervisor`) and elastic resize (:mod:`~repro.runtime.resilience.scaling`).
 Each is a :class:`StageObserver` in the stage's one ordered list of
@@ -26,8 +26,8 @@ class StageObserver:
     """One concern riding a stage's lifecycle; every hook here is a no-op."""
 
     def on_send(self, task: int, message: Any) -> None:
-        """``message`` went to ``task`` (after its put returned: a shed or
-        abandoned put is never seen)."""
+        """``message`` went to ``task`` (after its put returned: an abandoned
+        put is never seen)."""
 
     def on_ingress_batch(self, loop: Any, origin: str, batch: Any) -> None:
         """An ingress batch passed the replay dedup, before its dispatch."""

@@ -387,7 +387,7 @@ class _AbortableQueue:
     sibling stage failed, run wedged) to unwind the caller instead of
     blocking forever on a queue nobody will ever drain again.  After a put
     returned, each of ``observers`` (the stage's lifecycle observers) sees
-    ``on_send(task, item)``; a put that sheds or aborts is never seen.
+    ``on_send(task, item)``; a put that aborts is never seen.
     """
 
     def __init__(
@@ -420,20 +420,12 @@ class _AbortableQueue:
         self._checker()
         return self._queue is not queue
 
-    def put(
-        self, item: Any, timeout: Optional[float] = None, *, observed: bool = True
-    ) -> None:
+    def put(self, item: Any, *, observed: bool = True) -> None:
         """Put ``item``; ``observed=False`` keeps it from the observers."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             queue = self._queue
-            wait = POLL_SECONDS
-            if deadline is not None:
-                wait = min(deadline - time.monotonic(), POLL_SECONDS)
-                if wait <= 0:
-                    raise queue_module.Full
             try:
-                _put(queue, item, wait, partial(self._swapped, queue))
+                _put(queue, item, POLL_SECONDS, partial(self._swapped, queue))
                 break
             except queue_module.Full:
                 self._checker()

@@ -25,12 +25,12 @@ class RuntimeResult:
     latency: LatencyHistogram
     tuples_offered: int = 0
     tuples_processed: int = 0
+    #: Always 0: the runtime never drops a tuple (a full queue blocks).
     tuples_shed: float = 0.0
     wall_seconds: float = 0.0
     migrations: List[LiveMigrationReport] = field(default_factory=list)
     final_reports: Dict[int, FinalReport] = field(default_factory=dict)
     final_state: Dict[Key, List[Any]] = field(default_factory=dict)
-    shed_by_task: Dict[int, float] = field(default_factory=dict)
     #: Per-interval latency histogram deltas (merged across the stage's
     #: workers); they sum to :attr:`latency` and give Fig. 13(b)-style
     #: latency-over-time from measured buckets.
@@ -56,7 +56,7 @@ class RuntimeResult:
     #: Transport counters of the stage's router thread: ``ingress`` batches
     #: accepted, dispatch ``chunks`` routed (fewer than ``ingress`` when
     #: waiting batches were merged), ``TupleBatch`` messages ``to_workers``
-    #: and the ``tuples_to_workers`` in them (= offered − shed at end of run).
+    #: and the ``tuples_to_workers`` in them (= offered at end of run).
     messages: Dict[str, int] = field(default_factory=dict)
 
     def resilience_book(self) -> Dict[str, Any]:
@@ -210,7 +210,7 @@ def fold_stage_result(
 
     ``messages`` are the loop's and its router's transport counters (see
     :attr:`RuntimeResult.messages`).  What else only the live loop knows
-    (shed ledger, migrations, calibration, resilience, split-key statistics)
+    (migrations, calibration, resilience, split-key statistics)
     is added by ``_StageLoop.aggregate``.
     """
     # Keep-last per (interval, worker): a recovery replays EndInterval
@@ -262,14 +262,12 @@ def fold_stage_result(
         elapsed = row["elapsed"]
         migration: Optional[LiveMigrationReport] = row["migration"]
         offered_cost: Dict[int, float] = row["offered_cost"]
-        shed_map: Dict[int, float] = row["shed"]
         histogram = interval_latency.get(interval)
         metrics.record(
             IntervalMetrics(
                 interval=interval,
                 offered_tuples=row["offered_tuples"],
                 processed_tuples=float(processed),
-                shed_tuples=sum(shed_map.values()),
                 throughput=float(processed) / elapsed if elapsed > 0 else 0.0,
                 latency_ms=(
                     latency_sum_us / processed / 1000.0 if processed else 0.0
@@ -292,7 +290,6 @@ def fold_stage_result(
                 rebalanced=migration is not None,
                 num_tasks=parallelism,
                 per_task_load=offered_cost,
-                per_task_shed=shed_map,
             )
         )
 

@@ -20,14 +20,9 @@ single pass.  No per-tuple Python bookkeeping runs on the common path, so the
 coordinator thread stops being the measured bottleneck before the workers are
 (ROADMAP "Router fast path").
 
-Two behaviours come from the queues being *bounded*:
-
-* **Backpressure** (default): a full worker queue blocks the dispatcher, so
-  the whole pipeline runs at the pace of the slowest task — Storm's
-  backpushing effect, the very phenomenon the paper measures.
-* **Shedding** (``shed_timeout_seconds`` set): a put that stays blocked past
-  the timeout drops the batch instead, and the drop is charged to the worker
-  in a :class:`~repro.engine.backpressure.ShedLedger` so it stays observable.
+The worker queues are *bounded*: a full one blocks the dispatcher, so the
+whole pipeline runs at the pace of the slowest task — Storm's backpushing
+effect, the very phenomenon the paper measures.  Nothing is dropped.
 
 During a live migration the controller *pauses* the affected keys: their
 tuples are held in a router-side buffer (stamped on arrival, so the pause
@@ -40,7 +35,6 @@ this machinery.
 
 from __future__ import annotations
 
-import queue as queue_module
 import time
 from collections import Counter
 from typing import (
@@ -57,7 +51,6 @@ from typing import (
 import numpy as np
 
 from repro.baselines.base import Partitioner
-from repro.engine.backpressure import ShedLedger
 from repro.engine.operator import OperatorLogic
 from repro.runtime.messages import TupleBatch
 
@@ -82,7 +75,7 @@ class IntervalAccount:
     schemas unchanged.
     """
 
-    __slots__ = ("freqs", "offered_tuples_by_task", "offered_cost_by_task", "shed")
+    __slots__ = ("freqs", "offered_tuples_by_task", "offered_cost_by_task")
 
     def __init__(self, num_tasks: int) -> None:
         #: Per-key dispatch counts (integer-exact); the interval's statistics
@@ -90,7 +83,6 @@ class IntervalAccount:
         self.freqs: Counter = Counter()
         self.offered_tuples_by_task = np.zeros(num_tasks, dtype=np.float64)
         self.offered_cost_by_task = np.zeros(num_tasks, dtype=np.float64)
-        self.shed: Dict[int, float] = {}
 
     def fit(self, num_tasks: int) -> None:
         """Grow the dense arrays to cover ``num_tasks`` tasks (elastic scale).
@@ -128,7 +120,6 @@ class StreamRouter:
         worker_queues: Sequence[Any],
         *,
         batch_size: int = 256,
-        shed_timeout_seconds: Optional[float] = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -140,8 +131,6 @@ class StreamRouter:
         #: the RPL002 lint rule recognises the receiver by this name.
         self.set_queues(worker_queues)
         self.batch_size = int(batch_size)
-        self.shed_timeout_seconds = shed_timeout_seconds
-        self.shed_ledger = ShedLedger()
         #: Lifetime transport counters: routed chunks, and the ``TupleBatch``
         #: messages (and the tuples in them) the worker queues accepted.
         self.chunks = 0
@@ -344,21 +333,9 @@ class StreamRouter:
             )
 
     def _put(self, task: int, batch: TupleBatch) -> None:
-        count = len(batch.keys)
-        if self.shed_timeout_seconds is None:
-            self.abortable_queues[task].put(batch)
-        else:
-            try:
-                self.abortable_queues[task].put(
-                    batch, timeout=self.shed_timeout_seconds
-                )
-            except queue_module.Full:
-                self.shed_ledger.record(task, count)
-                shed = self._account(batch.interval).shed
-                shed[task] = shed.get(task, 0.0) + count
-                return
+        self.abortable_queues[task].put(batch)
         self.worker_messages += 1
-        self.worker_tuples += count
+        self.worker_tuples += len(batch.keys)
 
     # -- split-key routing statistics ---------------------------------------------
 

@@ -158,7 +158,6 @@ class _StageLoop(threading.Thread):
             spec.logic,
             self.guarded_queues,
             batch_size=config.batch_size,
-            shed_timeout_seconds=config.shed_timeout_seconds,
         )
         self.controller = RuntimeController(
             spec.partitioner, self.router, self.guarded_queues, self.mailbox,
@@ -413,7 +412,6 @@ class _StageLoop(threading.Thread):
                 "interval": interval,
                 "offered_tuples": float(account.offered_tuples_by_task.sum()),
                 "offered_cost": account.offered_cost,
-                "shed": dict(account.shed),
                 "elapsed": now - self._interval_started,
                 "migration": migration,
                 "routing_table_size": self.spec.partitioner.routing_table_size,
@@ -563,9 +561,6 @@ class _StageLoop(threading.Thread):
                 "tuples_to_workers": self.router.worker_tuples,
             },
         )
-        shed_ledger = self.router.shed_ledger
-        result.tuples_shed = shed_ledger.total
-        result.shed_by_task = shed_ledger.by_task()
         result.migrations = list(self.controller.migrations)
         result.calibrated_service_time_us = self.calibrated_us
         result.upstreams = len(self.upstream_producers)

@@ -54,6 +54,7 @@ from repro.runtime.resilience.supervisor import (
     StageSupervisor,
 )
 from repro.runtime.result import TopologyResult
+from repro.runtime.sanitizer import SanitizerReport, StageSanitizer
 from repro.runtime.source import source_main
 from repro.runtime.stage_loop import _StageLoop
 from repro.runtime.worker import worker_main
@@ -103,10 +104,6 @@ class TopologyRuntime:
         lists; it is materialised and handed to the source process, which
         offers it closed-loop or at ``config.offered_rate`` tuples/second.
         """
-        # Not at module level: the sanitizer's module imports this package
-        # (a StageSanitizer is a StageObserver), so that would be circular.
-        from repro.analysis.sanitizer import SanitizerReport, StageSanitizer
-
         config = self.config
         interval_lists = [list(batch) for batch in stream]
 

@@ -1,10 +1,14 @@
 """The lint engine plumbing: suppressions, baseline, CLI, repo cleanliness."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.design_rules import check_design_rules
 from repro.analysis.engine import lint_paths
 from repro.analysis.findings import Baseline, Finding, parse_suppressions
 from repro.cli import main
@@ -85,6 +89,12 @@ class TestBaseline:
 
 
 class TestLintCli:
+    @pytest.fixture(autouse=True)
+    def _outside_the_repo(self, tmp_path, monkeypatch):
+        # The design rules (RPL008) check the repo at the working directory;
+        # these tests are about the CLI, not about this repo's state.
+        monkeypatch.chdir(tmp_path)
+
     def test_findings_exit_nonzero_and_render(self, bad_file, capsys):
         assert main(["lint", str(bad_file)]) == 1
         out = capsys.readouterr().out
@@ -107,7 +117,7 @@ class TestLintCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005"):
+        for rule_id in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006", "RPL008"):
             assert rule_id in out
 
     def test_json_format(self, bad_file, capsys):
@@ -152,7 +162,27 @@ class TestLintCli:
 
 class TestRepoIsClean:
     def test_src_has_zero_unsuppressed_findings(self):
+        """Every rule, the design-rule table (RPL008) included."""
         findings = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
+        findings += check_design_rules(REPO_ROOT)
         assert findings == [], "\n".join(
             finding.render() for finding in findings
         )
+
+
+def test_the_lint_imports_none_of_the_runtime():
+    """The checker reads the runtime's source; it never imports it."""
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.analysis; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.runtime')))",
+        ],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert loaded.stdout.strip() == "[]"

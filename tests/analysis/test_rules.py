@@ -209,10 +209,11 @@ def wire(context, capacity):
     inbound.put(batch, timeout=0.1)
     return context.Queue(maxsize=capacity)
 """
-        # The same constructor is the probe's business under perf/ and the
-        # channel module's own under runtime/queues.py.
-        for relpath in ("perf/probes.py", "src/repro/runtime/queues.py"):
-            assert run_rule(BlockingCallRule, source, relpath=relpath) == []
+        # The same constructor is the probe's business under perf/; the
+        # channel module itself gets no second transport either.
+        assert run_rule(BlockingCallRule, source, relpath="perf/probes.py") == []
+        findings = run_rule(BlockingCallRule, source, relpath="src/repro/runtime/queues.py")
+        assert [f.line for f in findings] == [4]
         flagged = run_rule(
             BlockingCallRule, source, relpath="src/repro/runtime/topology.py"
         )

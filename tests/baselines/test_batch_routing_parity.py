@@ -136,14 +136,20 @@ def assert_routing_equal(scalar, batch, strategy, snapshot):
 
 
 @pytest.mark.parametrize("strategy", sorted(FACTORIES))
-@given(keys=keys_strategy)
+@given(keys=keys_strategy, more=keys_strategy)
 @settings(max_examples=20, deadline=None)
-def test_assign_batch_matches_scalar_route(strategy, keys):
+def test_assign_batch_matches_scalar_route(strategy, keys, more):
+    """Two consecutive batches: the second starts from the state the first
+    left (PKG's load estimates and split counts must match the scalar twin's)."""
     scalar_part = FACTORIES[strategy]()
     batch_part = FACTORIES[strategy]()
-    scalar = [scalar_part.route(key) for key in keys]
-    batch = batch_part.assign_batch(keys)
-    assert batch == scalar
+    for batch_keys in (keys, more):
+        scalar = [scalar_part.route(key) for key in batch_keys]
+        batch = batch_part.assign_batch(batch_keys)
+        assert batch == scalar
+        if isinstance(batch_part, PartialKeyGrouping):
+            assert batch_part.split_counts == scalar_part.split_counts
+            assert batch_part._loads == scalar_part._loads
 
 
 @pytest.mark.parametrize("strategy", sorted(FACTORIES))

@@ -2,8 +2,8 @@
 ``StreamRouter`` in ``src/``.
 
 ``test_router_parity.py`` asserts that the shipped router's accounts and
-per-task batch streams equal this loop's exactly, under pause / resume, mixed
-interval tags and shedding.  The router's speed is measured by ``perf/``
+per-task batch streams equal this loop's exactly, under pause / resume and
+mixed interval tags.  The router's speed is measured by ``perf/``
 (``runtime.router.dispatch_tps.*``), not against this loop.
 
 Nothing under ``src/`` uses it, and it uses nothing of an operator: the cost
@@ -12,7 +12,7 @@ of a tuple is ``cost_of(key, value)``, the caller's own per-tuple formula.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Set, Tuple
 
 Key = Hashable
 
@@ -23,9 +23,8 @@ class ReferenceRouter:
     One dict update per tuple for freqs / offered tuples / offered cost, one
     ``cost_of`` call per tuple, a per-tuple paused-key test, ``setdefault``
     grouping — plus the *intended* resume semantics (buffer grouped by
-    interval tag before re-dispatch).  Batches for a task in ``failing`` are
-    shed; the others are recorded in ``batches[task]`` as ``(interval, keys,
-    values)``.
+    interval tag before re-dispatch).  Batches are recorded in
+    ``batches[task]`` as ``(interval, keys, values)``.
     """
 
     def __init__(
@@ -34,13 +33,11 @@ class ReferenceRouter:
         cost_of: Callable[[Key, Any], float],
         num_tasks: int,
         batch_size: int,
-        failing: Iterable[int] = (),
     ) -> None:
         self.partitioner = partitioner
         self.cost_of = cost_of
         self.num_tasks = num_tasks
         self.batch_size = batch_size
-        self.failing: Set[int] = set(failing)
         self.accounts: Dict[int, Dict[str, dict]] = {}
         self.batches: Dict[int, List[Tuple[int, List[Key], List[Any]]]] = {
             task: [] for task in range(num_tasks)
@@ -55,7 +52,6 @@ class ReferenceRouter:
                 "freqs": {},
                 "offered_tuples": {t: 0.0 for t in range(self.num_tasks)},
                 "offered_cost": {t: 0.0 for t in range(self.num_tasks)},
-                "shed": {},
             }
         return account
 
@@ -81,10 +77,6 @@ class ReferenceRouter:
             self._put(task, tag, batch)
 
     def _put(self, task, tag, batch):
-        if task in self.failing:
-            shed = self.account(tag)["shed"]
-            shed[task] = shed.get(task, 0.0) + len(batch)
-            return
         self.batches[task].append(
             (tag, [key for key, _ in batch], [value for _, value in batch])
         )

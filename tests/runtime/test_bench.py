@@ -57,7 +57,6 @@ class TestRuntimeSpec:
             overrides={"num_keys": 1234},
             seed=7,
             service_time_us=20.0,
-            shed_timeout_seconds=0.5,
         )
         assert RuntimeSpec.from_dict(spec.to_dict()) == spec
 

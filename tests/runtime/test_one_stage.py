@@ -114,27 +114,6 @@ class TestRoutingTableSize:
         ] * 3
 
 
-class TestShedding:
-    def test_overload_with_shed_timeout_drops_and_records(self, _run):
-        # One slow worker (1 ms/tuple), tiny queues, and a dispatch timeout:
-        # the router must shed batches and charge them to the task.
-        stream = _stream(intervals=1, keys=30, repeats=40)
-        result = _run(
-            stream,
-            batch_size=32,
-            queue_capacity=1,
-            service_time_us=1000.0,
-            shed_timeout_seconds=0.002,
-        )
-        assert result.tuples_shed > 0
-        assert result.tuples_processed == result.tuples_offered - result.tuples_shed
-        assert result.shed_by_task
-        assert sum(result.shed_by_task.values()) == pytest.approx(result.tuples_shed)
-        # The shed totals are observable per interval in the metrics too.
-        assert sum(result.metrics.series("shed_tuples")) == pytest.approx(result.tuples_shed)
-        assert result.metrics.shed_by_task() == result.shed_by_task
-
-
 class TestValidation:
     def test_config_rejects_bad_values(self):
         with pytest.raises(ValueError):

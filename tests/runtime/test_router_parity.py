@@ -4,16 +4,14 @@ the per-tuple scalar reference exactly.
 ``StreamRouter._dispatch_chunk`` replaced per-tuple dict updates with one
 Counter/``np.bincount``/batched-cost pass per chunk; these property tests pin
 the refactor to a faithful scalar port of the old loop
-(``reference_router.py``) — same freqs, same per-task offered tuples/cost,
-same shed charges and the same per-task batch streams (including under
-pause/resume, mixed interval tags and shedding).
+(``reference_router.py``) — same freqs, same per-task offered tuples/cost
+and the same per-task batch streams (including under pause/resume and mixed
+interval tags).
 
 Costs in these tests are dyadic rationals (multiples of 0.25), so scalar
 repeated addition and the vectorized ``counts × cost`` / ``bincount`` sums
 are bit-identical, and the comparisons below are exact ``==``, not approx.
 """
-
-import queue as queue_module
 
 import numpy as np
 from hypothesis import given, settings
@@ -41,27 +39,19 @@ class VaryingCostOperator(OperatorLogic):
 
 
 class _CaptureQueue:
-    """Worker-queue stub recording every batch (accepts the shed timeout)."""
+    """Worker-queue stub recording every batch."""
 
     def __init__(self):
         self.items = []
 
-    def put(self, item, timeout=None):
+    def put(self, item):
         self.items.append(item)
-
-
-class _FullQueue:
-    """Worker-queue stub that is permanently full (forces shedding)."""
-
-    def put(self, item, timeout=None):
-        raise queue_module.Full
 
 
 def _captured(queues):
     return {
         task: [(batch.interval, batch.keys, batch.values) for batch in queue.items]
         for task, queue in enumerate(queues)
-        if isinstance(queue, _CaptureQueue)
     }
 
 
@@ -74,7 +64,6 @@ def _assert_account_parity(router, reference, tags):
         offered = dict(enumerate(account.offered_tuples_by_task.tolist()))
         assert offered == expected["offered_tuples"]
         assert account.offered_cost == expected["offered_cost"]
-        assert account.shed == expected["shed"]
 
 
 #: Key pool mixing types (``True`` and ``1`` are one key): parity must hold
@@ -107,9 +96,6 @@ class TestDispatchParity:
             st.integers(0, len(segments)), label="pause_after"
         )
         paused_keys = data.draw(st.sets(KEYS, max_size=4), label="paused_keys")
-        failing = data.draw(
-            st.sets(st.integers(0, num_tasks - 1), max_size=1), label="failing"
-        )
 
         logic = (
             WindowedAggregate(window=2, cost_per_tuple=0.75)
@@ -117,23 +103,12 @@ class TestDispatchParity:
             else VaryingCostOperator()
         )
         partitioner = HashPartitioner(num_tasks, seed=3)
-        queues = [
-            _FullQueue() if task in failing else _CaptureQueue()
-            for task in range(num_tasks)
-        ]
-        router = StreamRouter(
-            partitioner,
-            logic,
-            queues,
-            batch_size=batch_size,
-            shed_timeout_seconds=0.001 if failing else None,
-        )
+        queues = [_CaptureQueue() for _ in range(num_tasks)]
+        router = StreamRouter(partitioner, logic, queues, batch_size=batch_size)
         router.begin_interval(0)
         # The reference charges its own per-tuple formula, not the operator's.
         cost_of = (lambda key, value: 0.75) if constant_cost else _varying_cost
-        reference = ReferenceRouter(
-            partitioner, cost_of, num_tasks, batch_size, failing
-        )
+        reference = ReferenceRouter(partitioner, cost_of, num_tasks, batch_size)
 
         for index, (tag, keys) in enumerate(segments):
             if index == pause_after:
@@ -145,11 +120,7 @@ class TestDispatchParity:
 
         assert router.resume() == reference.resume()
         assert router.paused_keys == frozenset()
-        assert _captured(queues) == {
-            task: stream
-            for task, stream in reference.batches.items()
-            if task not in failing
-        }
+        assert _captured(queues) == reference.batches
         _assert_account_parity(router, reference, range(4))
 
 

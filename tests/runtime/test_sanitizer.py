@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.sanitizer import SanitizerReport, StageSanitizer
+from repro.runtime.sanitizer import SanitizerReport, StageSanitizer
 from repro.baselines.hash_only import HashPartitioner
 from repro.operators.windowed_aggregate import WindowedAggregate
 from repro.operators.wordcount import WordCountOperator
@@ -80,25 +80,25 @@ class TestViolationDetection:
     def test_missing_resume_caught_at_finalize(self, sanitizer):
         monitor, report = sanitizer
         monitor.on_pause([1, 2])
-        monitor.finalize(offered=0.0, processed=0.0, shed=0.0)
+        monitor.finalize(offered=0.0, processed=0.0)
         checks = [v.check for v in report.violations]
         assert "pause_resume" in checks
 
     def test_conservation_imbalance(self, sanitizer):
         monitor, report = sanitizer
         monitor.on_send(0, _batch(range(10)))
-        monitor.finalize(offered=12.0, processed=8.0, shed=0.0)
+        monitor.finalize(offered=12.0, processed=8.0)
         conservation = [
             v for v in report.violations if v.check == "conservation"
         ]
-        assert len(conservation) == 2  # offered != enqueued+shed, processed != enqueued
+        assert len(conservation) == 2  # offered != enqueued, processed != enqueued
 
     def test_balanced_books_pass(self, sanitizer):
         monitor, report = sanitizer
         monitor.on_send(0, _batch(range(10)))
         monitor.on_pause([1])
         monitor.on_resume()
-        monitor.finalize(offered=12.0, processed=10.0, shed=2.0)
+        monitor.finalize(offered=10.0, processed=10.0)
         assert report.ok
         assert report.to_dict()["checks"]["conservation"] == 2
 
@@ -134,7 +134,7 @@ class TestViolationDetection:
             HashPartitioner(2, seed=0), router, queues, FakeMailbox(), [monitor]
         )
         controller.execute_moves(0, [(1, 0, 1)])
-        monitor.finalize(offered=0.0, processed=0.0, shed=0.0)
+        monitor.finalize(offered=0.0, processed=0.0)
         assert report.ok
         assert report.to_dict()["checks"]["pause_resume"] == 3
         assert router.calls == [("pause", (1,)), ("resume",)]

@@ -11,7 +11,7 @@ import inspect
 
 import pytest
 
-from repro.analysis.sanitizer import StageSanitizer
+from repro.runtime.sanitizer import StageSanitizer
 from repro.core.strategy import get_strategy
 from repro.operators.wordcount import WordCountOperator
 from repro.runtime import (
